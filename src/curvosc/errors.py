@@ -42,7 +42,8 @@ class NonpositiveWeightError(CurvoscError):
 
 
 class UnresolvedError(CurvoscError):
-    """Requested eigenvalues are too close to the discrete spectral edge."""
+    """The discrete problem cannot resolve the requested eigenvalues: they lie
+    too close to the spectral edge, or the assembled system is not finite."""
 
 
 class ZeroNormError(CurvoscError):

@@ -19,16 +19,25 @@ inverse-square-type problems have singular endpoints where the regular
 solution behaves like |x - x0|^sigma; a Dirichlet wall at small distance
 then converges only like a power of the cutoff (or logarithmically, for
 sigma = 0 or the critical sigma = 1/2), far too slowly for the tolerances
-used here.  The "power" endpoint rule instead:
+used here.  The "power" endpoint rule instead works with the local profile
+phi(x) = |x-x0|^sigma (1 + c1 d + c2 d^2 + ...), d = |x-x0|, and:
 
-  * closes the boundary face with the flux of the local profile
-    phi(x) = |x-x0|^sigma (1 + c1 d + c2 d^2) fitted through the adjacent
-    interior point,
+  * closes the boundary face with the profile flux fitted through the
+    adjacent interior point,
   * replaces the face derivative factors 1/h near the corner by
-    dphi(face)/(phi(x_i) - phi(x_{i-1})), exact on the profile,
+    phi'(face)/(phi(x_i) - phi(x_{i-1})), exact on the profile,
   * replaces q_i, w_i near the corner by profile-weighted cell averages
     int q phi / (phi(x_i) h), so the divergent 1/x^2 parts of q are
     integrated exactly against the profile instead of point-sampled.
+
+phi itself is never formed: for sigma in the hundreds (small curvature)
+d^sigma overflows far from the corner and underflows next to it.  Every
+profile quantity is built from the ratio phi(t)/phi(t0) =
+(d/d0)^sigma poly(d)/poly(d0) and the log-derivative phi'/phi, each taken
+against a nearby point, which stay finite wherever the corrections matter.
+The cell averages of one corner are a single 24-point Gauss-Legendre
+evaluation over all its cells, run in blocks of _BLOCK cells so the
+temporaries stay small.
 
 All three changes keep K symmetric (the face factors multiply the same
 difference in both adjacent rows; the closure only adds to the diagonal).
@@ -42,7 +51,7 @@ infinite right endpoint with profile x^(-mu).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -70,11 +79,7 @@ __all__ = [
 ]
 
 _GX, _GW = np.polynomial.legendre.leggauss(24)
-
-
-def _cell_integral(f, lo: float, hi: float) -> float:
-    xm = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _GX
-    return 0.5 * (hi - lo) * float(np.dot(_GW, f(xm)))
+_BLOCK = 256        # corner cells per quadrature block
 
 
 @dataclass(frozen=True)
@@ -133,52 +138,32 @@ class EndpointRule:
     def decay(cls, mu: float, cells: int | None = 2) -> "EndpointRule":
         return cls(kind="decay", exponent=mu, cells=cells)
 
-    def profile(self):
-        """(phi, dphi) callables of the local regular profile."""
+    def _poly(self, d):
+        """Series factor 1 + c1 d + c2 d^2 + ... and its d-derivative."""
+        c = (1.0,) + self.series
+        P = np.polynomial.polynomial
+        return P.polyval(d, c), P.polyval(d, P.polyder(c))
+
+    def ratio(self, t, t0):
+        """phi(t)/phi(t0) of the local regular profile, without forming phi."""
+        t, t0 = np.asarray(t, float), np.asarray(t0, float)
         if self.kind == "power":
-            sig, c, ser = self.exponent, self.center, self.series
-
-            def poly(d):
-                out = np.ones_like(d)
-                for j, cj in enumerate(ser):
-                    out = out + cj * d ** (j + 1)
-                return out
-
-            def dpoly(d):
-                out = np.zeros_like(d)
-                for j, cj in enumerate(ser):
-                    out = out + (j + 1) * cj * d ** j
-                return out
-
-            if sig == 0 and not ser:
-                return (lambda t: np.ones_like(np.asarray(t, float)),
-                        lambda t: np.zeros_like(np.asarray(t, float)))
-
-            def phi(t):
-                d = np.abs(np.asarray(t, float) - c)
-                return d ** sig * poly(d)
-
-            def dphi(t):
-                t = np.asarray(t, float)
-                d = np.abs(t - c)
-                return np.sign(t - c) * (sig * d ** (sig - 1) * poly(d)
-                                         + d ** sig * dpoly(d))
-
-            return phi, dphi
+            d, d0 = np.abs(t - self.center), np.abs(t0 - self.center)
+            return (d / d0) ** self.exponent * (self._poly(d)[0] / self._poly(d0)[0])
         if self.kind == "decay":
-            mu = self.exponent
-            return (lambda t: np.asarray(t, float) ** (-mu),
-                    lambda t: -mu * np.asarray(t, float) ** (-mu - 1))
+            return (t / t0) ** (-self.exponent)
         raise ValueError(f"no profile for rule kind {self.kind!r}")
 
-
-def dirichlet_both() -> tuple[EndpointRule, EndpointRule]:
-    return EndpointRule.dirichlet(), EndpointRule.dirichlet()
-
-
-def regular_left_dirichlet_right(sigma: float, center: float = 0.0,
-                                 **kw) -> tuple[EndpointRule, EndpointRule]:
-    return EndpointRule.power(sigma, center, **kw), EndpointRule.dirichlet()
+    def log_derivative(self, t):
+        """phi'(t)/phi(t) of the local regular profile."""
+        t = np.asarray(t, float)
+        if self.kind == "power":
+            d = np.abs(t - self.center)
+            poly, dpoly = self._poly(d)
+            return np.sign(t - self.center) * (self.exponent / d + dpoly / poly)
+        if self.kind == "decay":
+            return -self.exponent / t
+        raise ValueError(f"no profile for rule kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -189,7 +174,7 @@ class SturmLiouvilleProblem:
     q: Callable[[np.ndarray], np.ndarray]
     w: Callable[[np.ndarray], np.ndarray]
     grid: Grid1D
-    bc: tuple[EndpointRule, EndpointRule] = field(default_factory=dirichlet_both)
+    bc: tuple[EndpointRule, EndpointRule] = (EndpointRule(), EndpointRule())
 
     def refined(self) -> "SturmLiouvilleProblem":
         return SturmLiouvilleProblem(self.p, self.q, self.w, self.grid.refined(), self.bc)
@@ -261,66 +246,54 @@ def assemble(problem: SturmLiouvilleProblem) -> TridiagonalSystem:
         raise NonpositiveWeightError("leading coefficient p must be positive at faces")
 
     g = np.full(n + 1, 1.0 / h)       # face derivative factors
-    extra0 = 0.0
-    extra1 = 0.0
+    closure = [0.0, 0.0]
     left, right = problem.bc
-
-    def apply_corner(side: int, rule: EndpointRule):
-        nonlocal extra0, extra1
+    for side, rule in enumerate(problem.bc):
         if rule.kind == "dirichlet":
-            return
-        phi, dphi = rule.profile()
-        ncells = rule.cells
-        if ncells is None:
-            ncells = max(40, n // 5) if rule.kind == "power" else 2
-        ncells = min(ncells, n)
+            continue
+        m = rule.cells
+        if m is None:
+            m = max(40, n // 5) if rule.kind == "power" else 2
+        m = min(m, n)
+        # faces j (between x_{j-1} and x_j) and cells of this corner; face
+        # terms are divided through by phi at the point of the pair farther
+        # from the corner, so their ratios stay O(1) for any sigma
         if side == 0:
-            for j in range(1, ncells):
-                dp = phi(x[j]) - phi(x[j - 1])
-                if dp != 0:
-                    g[j] = dphi(xf[j]) / dp
-            ph1 = phi(x[0])
-            if ph1 != 0:
-                extra0 += pf[0] * dphi(xf[0]) / ph1 / h
-            for i in range(ncells):
-                s = phi(x[i])
-                qi[i] = _cell_integral(lambda t: problem.q(t) * phi(t), xf[i], xf[i + 1]) / (s * h)
-                wi[i] = _cell_integral(lambda t: problem.w(t) * phi(t), xf[i], xf[i + 1]) / (s * h)
+            j = np.arange(1, m)
+            ref, cells = x[j], range(0, m)
+            closure[0] = pf[0] * rule.log_derivative(xf[0]) * rule.ratio(xf[0], x[0]) / h
         else:
-            for j in range(max(n - ncells, 1), n):
-                dp = phi(x[j]) - phi(x[j - 1])
-                if dp != 0:
-                    g[j] = dphi(xf[j]) / dp
-            phn = phi(x[n - 1])
-            if phn != 0:
-                extra1 += -pf[n] * dphi(xf[n]) / phn / h
-            for i in range(max(n - ncells, 0), n):
-                s = phi(x[i])
-                qi[i] = _cell_integral(lambda t: problem.q(t) * phi(t), xf[i], xf[i + 1]) / (s * h)
-                wi[i] = _cell_integral(lambda t: problem.w(t) * phi(t), xf[i], xf[i + 1]) / (s * h)
-
-    apply_corner(0, left)
-    apply_corner(1, right)
+            j = np.arange(max(n - m, 1), n)
+            ref, cells = x[j - 1], range(max(n - m, 0), n)
+            closure[1] = -pf[n] * rule.log_derivative(xf[n]) * rule.ratio(xf[n], x[n - 1]) / h
+        dp = rule.ratio(x[j], ref) - rule.ratio(x[j - 1], ref)
+        flux = rule.log_derivative(xf[j]) * rule.ratio(xf[j], ref)
+        g[j] = np.divide(flux, dp, out=g[j], where=dp != 0)
+        for lo in range(cells.start, cells.stop, _BLOCK):
+            i = np.arange(lo, min(lo + _BLOCK, cells.stop))
+            half = 0.5 * (xf[i + 1] - xf[i])
+            t = 0.5 * (xf[i + 1] + xf[i])[:, None] + half[:, None] * _GX
+            wt = rule.ratio(t, x[i, None]) * (half / h)[:, None]
+            qi[i] = (np.asarray(problem.q(t.ravel()), float).reshape(t.shape) * wt) @ _GW
+            wi[i] = (np.asarray(problem.w(t.ravel()), float).reshape(t.shape) * wt) @ _GW
 
     off = -pf[1:-1] * g[1:-1] / h
     diag = (pf[:-1] * g[:-1] + pf[1:] * g[1:]) / h + qi
     if left.kind != "dirichlet":
-        diag[0] = pf[1] * g[1] / h + qi[0] + extra0
+        diag[0] = pf[1] * g[1] / h + qi[0] + closure[0]
     if right.kind != "dirichlet":
-        diag[-1] = pf[-2] * g[-2] / h + qi[-1] + extra1
+        diag[-1] = pf[-2] * g[-2] / h + qi[-1] + closure[1]
 
     tie_left = tie_right = None
     if left.kind == "power" and left.tie:
-        phi, _ = left.profile()
-        tau = float(phi(x[0]) / phi(x[1]))
+        tau = float(left.ratio(x[0], x[1]))
         k11, k12, m11 = diag[0], off[0], wi[0]
         diag, off, wi = diag[1:].copy(), off[1:].copy(), wi[1:].copy()
         diag[0] += 2 * tau * k12 + tau * tau * k11
         wi[0] += tau * tau * m11
         tie_left = tau
     if right.kind in ("power", "decay") and right.tie:
-        phi, _ = right.profile()
-        tau = float(phi(x[-1]) / phi(x[-2]))
+        tau = float(right.ratio(x[-1], x[-2]))
         knn, koff, mnn = diag[-1], off[-1], wi[-1]
         diag, off, wi = diag[:-1].copy(), off[:-1].copy(), wi[:-1].copy()
         diag[-1] += 2 * tau * koff + tau * tau * knn
@@ -340,6 +313,8 @@ def lowest_eigenvalues(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
         raise UnresolvedError(f"k = {k} exceeds resolved-mode budget n/4 = {n // 4}")
     system = assemble(problem)
     d, e = system.standard_form()
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise UnresolvedError("assembled system has non-finite entries")
     vals, u = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
     edge = float(np.max(d) + 2 * np.max(np.abs(e)))
     if vals[-1] > 0.95 * edge:

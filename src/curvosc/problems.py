@@ -44,6 +44,7 @@ __all__ = [
     "higgs_radial_problem",
     "higgs_polar_problem",
     "crs_problem",
+    "crs_natural_problem",
     "higgs_spectrum_numeric",
     "crs_spectrum_numeric",
     "crs_spectrum_numeric_wide",
@@ -136,10 +137,10 @@ def higgs_spectrum_numeric(mprime: int, params: PhysParams, k: int,
     return extrap
 
 
-def crs_spectrum_numeric(mprime_q: float, params: PhysParams, k: int,
-                         n: int = 4000) -> np.ndarray:
-    """Richardson-extrapolated spectrum of the special line model on its
-    natural branch (0, x*), x* the first tan pole."""
+def crs_natural_problem(mprime_q: float, params: PhysParams,
+                        n: int) -> SturmLiouvilleProblem:
+    """Special line model on its natural branch (0, x*), x* the first tan
+    pole, with power closures at the origin and at the wall."""
     lam = params.require_curvature()
     xs = x_pole(params)
     sig_wall = (1 + params.delta) / 2
@@ -154,8 +155,14 @@ def crs_spectrum_numeric(mprime_q: float, params: PhysParams, k: int,
     grid = Grid1D(0.0, xs - 1e-4, n)
     bc = (EndpointRule.power(0.5 + abs(mprime_q), 0.0),
           EndpointRule.power(sig_wall, xs))
-    prob = crs_problem(params, V, grid, bc)
-    extrap, _, _ = richardson_eigenvalues(prob, k)
+    return crs_problem(params, V, grid, bc)
+
+
+def crs_spectrum_numeric(mprime_q: float, params: PhysParams, k: int,
+                         n: int = 4000) -> np.ndarray:
+    """Richardson-extrapolated spectrum of the special line model on its
+    natural branch."""
+    extrap, _, _ = richardson_eigenvalues(crs_natural_problem(mprime_q, params, n), k)
     return extrap
 
 

@@ -29,6 +29,76 @@ UNIT = PhysParams()
 ONE = lambda x: np.ones_like(np.asarray(x, float))
 
 
+def scalar_profile(rule):
+    """phi and phi' of an endpoint rule as plain scalar functions."""
+    if rule.kind == "decay":
+        mu = rule.exponent
+        return (lambda t: t ** -mu), (lambda t: -mu * t ** (-mu - 1))
+    sig, c, ser = rule.exponent, rule.center, rule.series
+
+    def parts(t):
+        d = abs(t - c)
+        poly = 1 + sum(cj * d ** (j + 1) for j, cj in enumerate(ser))
+        dpoly = sum((j + 1) * cj * d ** j for j, cj in enumerate(ser))
+        return d, poly, dpoly
+
+    def phi(t):
+        d, poly, _ = parts(t)
+        return d ** sig * poly
+
+    def dphi(t):
+        d, poly, dpoly = parts(t)
+        return math.copysign(1.0, t - c) * (sig * d ** (sig - 1) * poly + d ** sig * dpoly)
+
+    return phi, dphi
+
+
+def reference_assemble(prob):
+    """The corner treatment written out cell by cell with scalar phi: one
+    24-point Gauss-Legendre sum per cell, divided by phi(x_i) h."""
+    gx, gw = np.polynomial.legendre.leggauss(24)
+    n, h = prob.grid.n, prob.grid.h
+    x, xf = prob.grid.points(), prob.grid.faces()
+    pf = prob.p(xf)
+    q, w = np.array(prob.q(x), float), np.array(prob.w(x), float)
+    g = np.full(n + 1, 1.0 / h)
+    extra = [0.0, 0.0]
+    for side, rule in enumerate(prob.bc):
+        if rule.kind == "dirichlet":
+            continue
+        phi, dphi = scalar_profile(rule)
+        m = rule.cells if rule.cells is not None else max(40, n // 5)
+        m = min(m, n)
+        faces = range(1, m) if side == 0 else range(max(n - m, 1), n)
+        cells = range(m) if side == 0 else range(n - m, n)
+        for j in faces:
+            g[j] = dphi(xf[j]) / (phi(x[j]) - phi(x[j - 1]))
+        for i in cells:
+            lo, hi = xf[i], xf[i + 1]
+            t = 0.5 * (hi + lo) + 0.5 * (hi - lo) * gx
+            weight = 0.5 * (hi - lo) * gw * np.array([phi(tk) for tk in t]) / (phi(x[i]) * h)
+            q[i] = np.dot(weight, prob.q(t))
+            w[i] = np.dot(weight, prob.w(t))
+        if side == 0:
+            extra[0] = pf[0] * dphi(xf[0]) / phi(x[0]) / h
+        else:
+            extra[1] = -pf[n] * dphi(xf[n]) / phi(x[n - 1]) / h
+    off = -pf[1:-1] * g[1:-1] / h
+    diag = (pf[:-1] * g[:-1] + pf[1:] * g[1:]) / h + q
+    left, right = prob.bc
+    if left.kind != "dirichlet":
+        diag[0] = pf[1] * g[1] / h + q[0] + extra[0]
+    if right.kind != "dirichlet":
+        diag[-1] = pf[-2] * g[-2] / h + q[-1] + extra[1]
+    if left.tie:
+        phi, _ = scalar_profile(left)
+        tau = phi(x[0]) / phi(x[1])
+        diag[1] += 2 * tau * off[0] + tau * tau * diag[0]
+        w[1] += tau * tau * w[0]
+        diag, off, w = diag[1:], off[1:], w[1:]
+    return diag, off, w
+
+
 def flat_oscillator(n=2000, a=-10.0, b=10.0):
     # -psi'' + x^2 psi: eigenvalues 2k + 1
     return SturmLiouvilleProblem(ONE, lambda x: np.asarray(x, float) ** 2, ONE,
@@ -79,6 +149,52 @@ class TestAssemble:
             res = lowest_eigenvalues(flat_oscillator(n=n), 1)
             e.append(abs(res.eigenvalues[0] - 1.0))
         assert e[0] / e[1] == pytest.approx(4.0, rel=0.15)
+
+
+class TestCornerQuadrature:
+    @pytest.mark.parametrize("prob", [
+        # power rule with series and tie at the left corner
+        SturmLiouvilleProblem(
+            lambda x: 1 + x, lambda x: 2 / x**2 + x, lambda x: 1 + 0.5 * x**2,
+            Grid1D(0.0, 2.0, 301),
+            (EndpointRule.power(1.5, 0.0, series=(0.4, -0.1), tie=True),
+             EndpointRule.dirichlet())),
+        # decaying tail on the right
+        SturmLiouvilleProblem(
+            ONE, lambda x: 0.75 / x**2, lambda x: 1 / x,
+            Grid1D(0.5, 20.0, 299),
+            (EndpointRule.dirichlet(), EndpointRule.decay(1.5, cells=30))),
+        # power corner on the right, corrected cells spanning two blocks
+        SturmLiouvilleProblem(
+            lambda x: 2 - x, lambda x: 6 / (1 - x) ** 2, ONE,
+            Grid1D(0.0, 1.0 - 1e-3, 300),
+            (EndpointRule.dirichlet(), EndpointRule.power(3.0, 1.0, cells=280))),
+    ], ids=["power-series-tie", "decay", "power-right"])
+    def test_matches_scalar_reference(self, prob):
+        system = assemble(prob)
+        for got, want in zip((system.k_diag, system.k_off, system.m_diag),
+                             reference_assemble(prob)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
+
+    def test_ratio_survives_where_phi_underflows(self):
+        rule = EndpointRule.power(1000.0, 0.0)
+        h = 1e-3
+        assert h**1000.0 == 0.0
+        for t, t0 in ((h, 1.5 * h), (1.5 * h, h)):
+            r = float(rule.ratio(t, t0))
+            assert math.isfinite(r) and r > 0
+            assert r == pytest.approx(math.exp(1000.0 * math.log(t / t0)), rel=1e-12)
+        assert float(rule.log_derivative(h)) == pytest.approx(1000.0 / h, rel=1e-14)
+
+    def test_nonfinite_system_raises_typed_error(self):
+        grid = Grid1D(0.0, 1.0, 200)
+        xf = grid.faces()
+        q = lambda x: np.where((x > xf[2]) & (x < xf[3]), np.nan, 0.0 * x)
+        prob = SturmLiouvilleProblem(ONE, q, ONE, grid,
+                                     (EndpointRule.power(1.0, 0.0), EndpointRule.dirichlet()))
+        with pytest.raises(UnresolvedError):
+            lowest_eigenvalues(prob, 2)
 
 
 class TestLowestEigenvalues:
@@ -133,6 +249,18 @@ class TestSpectrumProtocols:
         exact = np.array([crs.crs_energy((N, 1), UNIT) for N in range(3)])
         num = crs_spectrum_numeric(1, UNIT, 3, n=2000)
         assert np.max(np.abs(num - exact) / exact) < 1e-6
+
+    @pytest.mark.parametrize("model,lam", [
+        ("higgs", 0.01), ("higgs", 0.001), ("crs", 0.01), ("crs", 0.001)])
+    def test_small_curvature(self, model, lam):
+        # wall exponents near 100 and 1000: d**sigma alone under/overflows
+        params = PhysParams(lam=lam)
+        energy = higgs.higgs_energy if model == "higgs" else crs.crs_energy
+        solve = higgs_spectrum_numeric if model == "higgs" else crs_spectrum_numeric
+        for mp in (0, 1, 2):
+            exact = np.array([energy((N, mp), params) for N in range(3)])
+            num = solve(mp, params, 3)
+            assert np.max(np.abs(num - exact) / exact) < 1e-5
 
     def test_crs_eigenvector_matches_wavefunction(self):
         # |phi| (sin^2 convention) against the discretized eigenvector,
