@@ -25,7 +25,6 @@ from .crs import (
 )
 from .higgs import (
     Example1SineFactor,
-    QesExample1Params,
     RadialChannel,
     example1_branch_radius,
     higgs_energy,

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import crs, higgs, problems, transform
 from .crs import QesSpec
+from .numerics import lowest_eigenvalues, rayleigh_quotient
 from .params import PhysParams
 
 MODELS = ("higgs", "crs", "qes1", "qes2")
@@ -146,21 +147,16 @@ def run_spectrum(config: RunConfig):
         example = 1 if config.model == "qes1" else 2
         mq = config.mprime_q
         prob = problems.qes_channel_problem(example, mq, mq, params, 8001, l=config.l)
-        from .numerics import lowest_eigenvalues
         res = lowest_eigenvalues(prob, config.n_max + 1)
         # only the channel ground state has a closed form; its energy is
         # defined by the Rayleigh quotient of the printed state
-        from .verify import rayleigh_problem_example1, rayleigh_problem_example2
-        from .numerics import rayleigh_quotient
         if example == 1:
-            E0, _ = rayleigh_quotient(
-                rayleigh_problem_example1(config.l, mq, params),
-                lambda r: higgs.qes_example1_groundstate(config.l, mq, params, r))
+            psi = lambda r: higgs.qes_example1_groundstate(config.l, mq, params, r)
         else:
             spec = QesSpec.example2(mq, params)
-            E0, _ = rayleigh_quotient(
-                rayleigh_problem_example2(mq, params),
-                lambda r: higgs.qes_example2_groundstate(spec, params, r))
+            psi = lambda r: higgs.qes_example2_groundstate(spec, params, r)
+        E0, _ = rayleigh_quotient(
+            problems.qes_rayleigh_problem(example, mq, params, l=config.l), psi)
         for N, en in enumerate(res.eigenvalues):
             ea = E0 if N == 0 else None
             rel = abs(en - ea) / abs(ea) if ea is not None else None
@@ -171,52 +167,43 @@ def run_spectrum(config: RunConfig):
 def run_potential(config: RunConfig):
     params = config.params
     xs = np.linspace(config.grid_min, config.grid_max, config.grid_n)
-    rows = []
-    for x in xs:
-        x = float(x)
-        if config.model == "higgs":
-            v = 0.5 * params.mass * params.omega**2 * x * x
-        elif config.model == "crs":
-            v = crs.crs_potential_special(x, config.mprime_q, params)
-        elif config.model == "qes1":
-            v = higgs.qes_example1_potential(config.l, config.mprime_q, params, x)
-        else:
-            v = higgs.qes_example2_potential(config.mprime_q, params, x)
-        rows.append([x, v])
-    return ["coordinate", "V"], rows
+    if config.model == "higgs":
+        v = 0.5 * params.mass * params.omega**2 * xs * xs
+    elif config.model == "crs":
+        v = crs.crs_potential_special(xs, config.mprime_q, params)
+    elif config.model == "qes1":
+        v = higgs.qes_example1_potential(config.l, config.mprime_q, params, xs)
+    else:
+        v = higgs.qes_example2_potential(config.mprime_q, params, xs)
+    return ["coordinate", "V"], np.column_stack((xs, v)).tolist()
 
 
 def run_wavefunction(config: RunConfig):
     params = config.params
     xs = np.linspace(config.grid_min, config.grid_max, config.grid_n)
-    rows = []
-    for x in xs:
-        x = float(x)
-        if config.model == "higgs":
-            v = complex(higgs.higgs_wavefunction((config.N, config.mprime), params, x))
-        elif config.model == "crs":
-            v = crs.crs_wavefunction_special((config.N, config.mprime_q), params, x)
-        elif config.model == "qes1":
-            v = complex(higgs.qes_example1_groundstate(config.l, config.mprime_q, params, x))
-        else:
-            spec = QesSpec.example2(config.mprime_q, params)
-            v = complex(higgs.qes_example2_groundstate(spec, params, x))
-        rows.append([x, v.real, v.imag])
-    return ["coordinate", "value_real", "value_imag"], rows
+    if config.model == "higgs":
+        v = higgs.higgs_wavefunction((config.N, config.mprime), params, xs)
+    elif config.model == "crs":
+        v = crs.crs_wavefunction_special((config.N, config.mprime_q), params, xs)
+    elif config.model == "qes1":
+        v = higgs.qes_example1_groundstate(config.l, config.mprime_q, params, xs)
+    else:
+        spec = QesSpec.example2(config.mprime_q, params)
+        v = higgs.qes_example2_groundstate(spec, params, xs)
+    return (["coordinate", "value_real", "value_imag"],
+            np.column_stack((xs, np.real(v), np.imag(v))).tolist())
 
 
 def run_transform_check(config: RunConfig):
     params = config.params
     mq = config.mprime_q if config.mprime_q is not None else 0.0
     ctx = transform.MapContext(params, mq)
-    rows = []
-    for r in np.logspace(-0.5, 1.0, config.grid_n):
-        r = float(r)
-        mapped = transform.map_potential(
-            ctx, lambda x: crs.crs_potential_special(x, mq, params), r)
-        target = 0.5 * params.mass * params.omega**2 * r * r
-        rows.append([r, mapped, target, mapped - target])
-    return ["r", "mapped_V", "half_m_omega2_r2", "difference"], rows
+    rs = np.logspace(-0.5, 1.0, config.grid_n)
+    mapped = transform.map_potential(
+        ctx, lambda x: crs.crs_potential_special(x, mq, params), rs)
+    target = 0.5 * params.mass * params.omega**2 * rs * rs
+    return (["r", "mapped_V", "half_m_omega2_r2", "difference"],
+            np.column_stack((rs, mapped, target, mapped - target)).tolist())
 
 
 def run(config: RunConfig) -> int:
@@ -248,7 +235,7 @@ def run(config: RunConfig) -> int:
               "transform-check": run_transform_check}[config.command]
     try:
         columns, rows = runner(config)
-    except Exception as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if config.output_format == "csv":

@@ -14,6 +14,10 @@ where X(x) solves the constraint K X'' + lam x X' = A X + B.  The special
 choice X = cos(2 Theta(x)), Theta = arcsinh(sqrt(lam) x), with a specific
 (beta, gamma, A, B, C) bundle makes V a trigonometric Poschl-Teller-like
 well whose spectrum is known in closed form.
+
+Every position-dependent formula takes a float or an ndarray of points x
+and returns a scalar or an array of the same shape; it raises if any
+requested point is singular.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .errors import (
     ComplexResultError,
@@ -133,7 +139,7 @@ def special_params(mprime_q: float, params: PhysParams) -> QesSpec:
                    delta=surd / lam)
 
 
-def x_general(spec: QesSpec, params: PhysParams, x: float) -> float:
+def x_general(spec: QesSpec, params: PhysParams, x):
     """Real-valued general constraint solution
 
     X(x) = -B/A + C1 cosh(s Theta) + i C2 sinh(s Theta),  s = sqrt(A/lam).
@@ -148,11 +154,11 @@ def x_general(spec: QesSpec, params: PhysParams, x: float) -> float:
     th = theta_of_x(x, lam)
     if spec.A < 0:
         u = math.sqrt(-spec.A / lam)
-        return -spec.B / spec.A + spec.C1 * math.cos(u * th) - spec.C2 * math.sin(u * th)
+        return -spec.B / spec.A + spec.C1 * np.cos(u * th) - spec.C2 * np.sin(u * th)
     if spec.C2 != 0:
         raise ComplexResultError("A > 0 with C2 != 0 gives a complex X(x)")
     u = math.sqrt(spec.A / lam)
-    return -spec.B / spec.A + spec.C1 * math.cosh(u * th)
+    return -spec.B / spec.A + spec.C1 * np.cosh(u * th)
 
 
 def x_general_complex(A: complex, B: complex, C1: complex, C2: complex,
@@ -167,38 +173,40 @@ def x_general_complex(A: complex, B: complex, C1: complex, C2: complex,
     return -B / A + C1 * cmath.cosh(s * th) + 1j * C2 * cmath.sinh(s * th)
 
 
-def x_constraint_residual(Xfun: Callable[[float], float], A: float, B: float,
-                          params: PhysParams, x: float) -> float:
+def x_constraint_residual(Xfun: Callable, A: float, B: float, params: PhysParams, x):
     """Residual of the constraint K X'' + lam x X' - A X - B at x.
 
     Derivatives by central differences with step h = max(1e-4, 1e-4 |x|),
-    so the callable only needs point evaluation.  The step balances the
-    O(h^2) truncation against the 4 eps K/h^2 rounding floor of the second
-    difference; 1e-4 keeps both near 1e-7 for |x| <= 5.
+    so the callable only needs point evaluation (on arrays, if x is one).
+    The step balances the O(h^2) truncation against the 4 eps K/h^2
+    rounding floor of the second difference; 1e-4 keeps both near 1e-7
+    for |x| <= 5.
     """
     lam = params.lam
-    h = max(1e-4, 1e-4 * abs(x))
+    x = np.asarray(x, float)
+    h = np.maximum(1e-4, 1e-4 * np.abs(x))
     d1 = (Xfun(x + h) - Xfun(x - h)) / (2 * h)
     d2 = (Xfun(x + h) - 2 * Xfun(x) + Xfun(x - h)) / h**2
     K = 1 + lam * x**2
     return K * d2 + lam * x * d1 - A * Xfun(x) - B
 
 
-def potential_general(spec: QesSpec, Xfun: Callable[[float], float],
-                      Xprime: Callable[[float], float],
-                      params: PhysParams, x: float) -> float:
+def potential_general(spec: QesSpec, Xfun: Callable, Xprime: Callable,
+                      params: PhysParams, x):
     """The factorization-method potential for an arbitrary constraint solution X."""
     params.require_curvature()
+    x = np.asarray(x, float)
     Xp = Xprime(x)
-    if abs(Xp) < 1e-14:
-        raise DegenerateDerivativeError(f"dX/dx = {Xp} at x = {x}; potential singular")
+    if np.any(np.abs(Xp) < 1e-14):
+        raise DegenerateDerivativeError(
+            f"|dX/dx| = {np.min(np.abs(Xp))} at a requested x; potential singular")
     K = 1 + params.lam * x**2
     bx = spec.beta * Xfun(x) + spec.gamma
     num = bx * bx + bx * (spec.A * Xfun(x) + spec.B)
     return params.hbar**2 / (2 * params.mass) * num / (K * Xp * Xp) + spec.c_shift
 
 
-def crs_potential_special(x: float, mprime_q: float, params: PhysParams) -> float:
+def crs_potential_special(x, mprime_q: float, params: PhysParams):
     """Closed form of the special-model potential,
 
     V(x) = (1/2) m omega^2 (tan Theta / sqrt(lam))^2
@@ -208,14 +216,14 @@ def crs_potential_special(x: float, mprime_q: float, params: PhysParams) -> floa
     """
     lam = params.require_curvature()
     coeff = 1 - 4 * mprime_q**2
-    if x == 0:
-        if coeff != 0:
-            raise SingularPointError("csc^2 Theta diverges at x = 0")
-        return -lam * params.hbar**2 / (8 * params.mass)
+    at_origin = np.asarray(x, float) == 0
+    if coeff != 0 and np.any(at_origin):
+        raise SingularPointError("csc^2 Theta diverges at x = 0")
     th = theta_of_x(x, lam)
-    tan_term = 0.5 * params.mass * params.omega**2 * (math.tan(th) / math.sqrt(lam))**2
-    return tan_term - lam * params.hbar**2 / (8 * params.mass) * (
-        1 + coeff / math.sin(th)**2)
+    # where x = 0 is allowed, coeff = 0 and the csc^2 term is 0 there
+    csc_term = coeff / np.where(at_origin, 1.0, np.sin(th) ** 2)
+    return (0.5 * params.mass * params.omega**2 * (np.tan(th) / math.sqrt(lam)) ** 2
+            - lam * params.hbar**2 / (8 * params.mass) * (1 + csc_term))
 
 
 class HypergeometricArgument(enum.Enum):
@@ -231,9 +239,9 @@ class HypergeometricArgument(enum.Enum):
     SIN_SQUARED = "sin_squared"
 
 
-def crs_wavefunction_special(qn: QuantumNumbers | tuple, params: PhysParams, x: float,
+def crs_wavefunction_special(qn: QuantumNumbers | tuple, params: PhysParams, x,
                              argument_convention: HypergeometricArgument =
-                             HypergeometricArgument.SIN_SQUARED) -> complex:
+                             HypergeometricArgument.SIN_SQUARED):
     """Eigenfunction of the special model (unnormalized, complex up to a
     constant phase from the [-sin^2(2 Theta)]^(-3/4) prefactor):
 
@@ -245,17 +253,16 @@ def crs_wavefunction_special(qn: QuantumNumbers | tuple, params: PhysParams, x: 
     (cos^2 Theta, sin^2 Theta) for SIN_SQUARED.
     """
     lam = params.require_curvature()
-    if x <= 0:
-        raise SingularPointError(f"wavefunction prefactor singular at x <= 0, got {x}")
-    if isinstance(qn, tuple):
-        N, mq = qn
-    else:
-        N, mq = qn.N, qn.mprime
+    x = np.asarray(x, float)
+    if np.any(x <= 0):
+        raise SingularPointError(
+            f"wavefunction prefactor singular at x <= 0, got {np.min(x)}")
+    N, mq = qn
     wp = params.omega_prime
     th = theta_of_x(x, lam)
-    s = math.sin(th)
-    c = math.cos(th)
-    pref = complex(-(math.sin(2 * th) ** 2), 0.0) ** (-0.75)
+    s = np.sin(th)
+    c = np.cos(th)
+    pref = (-(np.sin(2 * th) ** 2) + 0j) ** (-0.75)
     expo = 1 + abs(mq) / 2 + params.mass * wp / (2 * params.hbar * lam)
     if argument_convention is HypergeometricArgument.SIN_SQUARED:
         base, arg = c * c, s * s
@@ -263,13 +270,13 @@ def crs_wavefunction_special(qn: QuantumNumbers | tuple, params: PhysParams, x: 
         base, arg = c, s
     b_par = N + abs(mq) + 1 + params.mass * wp / (lam * params.hbar)
     hyp = hyp2f1_terminating(N, b_par, abs(mq) + 1, arg)
-    return (pref * s * s * (math.tan(th) / math.sqrt(lam)) ** abs(mq)
-            * complex(base) ** expo * hyp)
+    return (pref * s * s * (np.tan(th) / math.sqrt(lam)) ** abs(mq)
+            * (base + 0j) ** expo * hyp)
 
 
-def crs_wavefunction_special_real(qn, params: PhysParams, x: float,
+def crs_wavefunction_special_real(qn, params: PhysParams, x,
                                   argument_convention: HypergeometricArgument =
-                                  HypergeometricArgument.SIN_SQUARED) -> float:
+                                  HypergeometricArgument.SIN_SQUARED):
     """crs_wavefunction_special with the constant complex phase stripped."""
     phase = complex(-1.0, 0.0) ** (-0.75)
     return (crs_wavefunction_special(qn, params, x, argument_convention) / phase).real
@@ -284,10 +291,7 @@ def crs_energy(qn: QuantumNumbers | tuple, params: PhysParams) -> float:
     Requires lam > 0; the flat limit belongs to the radial-oscillator module.
     """
     lam = params.require_curvature()
-    if isinstance(qn, tuple):
-        N, mq = qn
-    else:
-        N, mq = qn.N, qn.mprime
+    N, mq = qn
     n = 2 * N + abs(mq) + 1
     return params.hbar * params.omega_prime * n + lam * params.hbar**2 / (2 * params.mass) * n**2
 

@@ -13,6 +13,10 @@ For V = (1/2) m omega^2 r^2 the eigenpairs are hypergeometric with spectrum
 E = hbar w' (2N+|m'|+1) + (lam hbar^2/2m)(2N+|m'|+1)^2.  The two
 transplanted potential families below (cos(l Theta) and sqrt(lam) x source
 models) are solvable only in the single angular channel m' = m'_Q.
+
+Every r-dependent formula takes a float or an ndarray of radii and
+returns a scalar or an array of the same shape; it raises if any
+requested point is singular.
 """
 
 from __future__ import annotations
@@ -21,14 +25,15 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import SingularPointError
+import numpy as np
+
+from .errors import NegativeRadiusError, SingularPointError
 from .params import PhysParams, QuantumNumbers
 from .special_functions import gudermannian, hyp2f1_terminating, upsilon_of_r
 from .crs import QesSpec
 
 __all__ = [
     "RadialChannel",
-    "QesExample1Params",
     "Example1SineFactor",
     "higgs_radial_coefficients",
     "higgs_wavefunction",
@@ -49,28 +54,11 @@ class RadialChannel:
     params: PhysParams
 
 
-@dataclass(frozen=True)
-class QesExample1Params:
-    """The cos(l Theta) family: l > 0 with spec.A = -lam l^2 and spec.B = 0."""
-
-    l: float
-    spec: QesSpec
-
-    def __post_init__(self):
-        if not (self.l > 0):
-            raise ValueError(f"l must be positive, got {self.l}")
-        if self.spec.B != 0 or not self.spec.A < 0:
-            raise ValueError("spec must carry A = -lam l^2 < 0 and B = 0")
-
-    @classmethod
-    def build(cls, l: float, mprime_q: float, params: PhysParams) -> "QesExample1Params":
-        return cls(l=l, spec=QesSpec.example1(l, mprime_q, params))
-
-
-def higgs_radial_coefficients(ch: RadialChannel, r: float) -> tuple[float, float, float]:
+def higgs_radial_coefficients(ch: RadialChannel, r):
     """(p2, p1, p0) with the -hbar^2/2m factor applied, so the eigenproblem
     reads p2 psi'' + p1 psi' + p0 psi + V psi = E psi.  Singular at r = 0."""
-    if r == 0:
+    r = np.asarray(r, float)
+    if np.any(r == 0):
         raise SingularPointError("radial coefficients singular at r = 0")
     p = ch.params
     lam, mp = p.lam, ch.mprime
@@ -81,7 +69,7 @@ def higgs_radial_coefficients(ch: RadialChannel, r: float) -> tuple[float, float
             f * (3 * lam - lam * mp**2 + 3.75 * lam**2 * r * r - mp**2 / (r * r)))
 
 
-def higgs_wavefunction(qn: QuantumNumbers | tuple, params: PhysParams, r: float) -> float:
+def higgs_wavefunction(qn: QuantumNumbers | tuple, params: PhysParams, r):
     """Unnormalized radial oscillator eigenfunction
 
     psi = r^|m'| (1/(1+lam r^2))^(1+|m'|/2+m w'/(2 hbar lam))
@@ -90,14 +78,10 @@ def higgs_wavefunction(qn: QuantumNumbers | tuple, params: PhysParams, r: float)
     At r = 0 this is 1 for m' = 0 and 0 otherwise.
     """
     lam = params.require_curvature()
-    if r < 0:
-        raise ValueError(f"r must be nonnegative, got {r}")
-    if isinstance(qn, tuple):
-        N, mp = qn
-    else:
-        N, mp = qn.N, qn.mprime
-    if r == 0:
-        return 1.0 if mp == 0 else 0.0
+    r = np.asarray(r, float)
+    if np.any(r < 0):
+        raise NegativeRadiusError(f"r must be nonnegative, got {np.min(r)}")
+    N, mp = qn
     wp = params.omega_prime
     z = lam * r * r / (1 + lam * r * r)
     expo = 1 + abs(mp) / 2 + params.mass * wp / (2 * params.hbar * lam)
@@ -109,10 +93,7 @@ def higgs_wavefunction(qn: QuantumNumbers | tuple, params: PhysParams, r: float)
 def higgs_energy(qn: QuantumNumbers | tuple, params: PhysParams) -> float:
     """Radial oscillator spectrum; lam = 0 reduces to the flat 2D oscillator
     hbar omega (2N + |m'| + 1)."""
-    if isinstance(qn, tuple):
-        N, mp = qn
-    else:
-        N, mp = qn.N, qn.mprime
+    N, mp = qn
     n = 2 * N + abs(mp) + 1
     return params.hbar * params.omega_prime * n + params.lam * params.hbar**2 / (2 * params.mass) * n**2
 
@@ -126,7 +107,7 @@ def example1_branch_radius(l: float, params: PhysParams) -> float:
     return math.tan(math.pi / l) / math.sqrt(lam)
 
 
-def qes_example1_potential(l: float, mprime_q: float, params: PhysParams, r: float) -> float:
+def qes_example1_potential(l: float, mprime_q: float, params: PhysParams, r):
     """Transplanted potential of the cos(l Theta) source model, term by term:
 
     V(r) = (hbar^2/8m r^2) [1 - 4 m'^2 + 2 lam r^2 (4 m'+3) + 4 lam r^2 (m'+1) delta]
@@ -138,13 +119,16 @@ def qes_example1_potential(l: float, mprime_q: float, params: PhysParams, r: flo
     off exactly) so small r never suffers 0*inf cancellation.
     """
     lam = params.require_curvature()
-    if r <= 0:
-        raise SingularPointError(f"potential needs r > 0, got {r}")
+    r = np.asarray(r, float)
+    if np.any(r <= 0):
+        raise SingularPointError(f"potential needs r > 0, got {np.min(r)}")
     d = params.delta
     u = 0.5 * l * upsilon_of_r(r, lam)
-    su, cu = math.sin(u), math.cos(u)
-    if su == 0 or cu == 0:
-        raise SingularPointError(f"(l/2) Upsilon(r) hits a csc/sec pole at r = {r}")
+    su, cu = np.sin(u), np.cos(u)
+    pole = (su == 0) | (cu == 0)
+    if np.any(pole):
+        raise SingularPointError(
+            f"(l/2) Upsilon(r) hits a csc/sec pole at r = {r[pole].flat[0]}")
     hm = params.hbar**2 / (8 * params.mass)
     t1 = (hm * (1 - 4 * mprime_q**2) / (r * r)
           + hm * lam * (2 * (4 * mprime_q + 3) + 4 * (mprime_q + 1) * d))
@@ -152,7 +136,7 @@ def qes_example1_potential(l: float, mprime_q: float, params: PhysParams, r: flo
         10 + 8 * mprime_q * (mprime_q + 2) + 8 * (mprime_q + 1) * d
         + (l * l - 4 * mprime_q - 2) * (2 * mprime_q + 1) / (su * su)
         + (l * l - 4) * (1 + d) / (cu * cu))
-    t3 = (2 / (l * l)) * params.mass * params.omega**2 * (math.tan(u) / math.sqrt(lam))**2
+    t3 = (2 / (l * l)) * params.mass * params.omega**2 * (np.tan(u) / math.sqrt(lam))**2
     return t1 + t2 + t3
 
 
@@ -169,9 +153,8 @@ class Example1SineFactor(enum.Enum):
     HALF_ANGLE = "half"
 
 
-def qes_example1_groundstate(l: float, mprime_q: float, params: PhysParams, r: float,
-                             sine_factor: Example1SineFactor = Example1SineFactor.FULL_ANGLE
-                             ) -> float:
+def qes_example1_groundstate(l: float, mprime_q: float, params: PhysParams, r,
+                             sine_factor: Example1SineFactor = Example1SineFactor.FULL_ANGLE):
     """Unnormalized channel-m'_Q ground state of the cos(l Theta) family,
 
     psi0 = (lam r^2)^(-1/4) (1+lam r^2)^(-1/2)
@@ -181,21 +164,24 @@ def qes_example1_groundstate(l: float, mprime_q: float, params: PhysParams, r: f
     principal branch (l/2) Upsilon in (0, pi/2).
     """
     lam = params.require_curvature()
-    if r <= 0:
-        raise SingularPointError(f"ground state needs r > 0, got {r}")
+    r = np.asarray(r, float)
+    if np.any(r <= 0):
+        raise SingularPointError(f"ground state needs r > 0, got {np.min(r)}")
     spec = QesSpec.example1(l, mprime_q, params)
     u = upsilon_of_r(r, lam)
-    if not (0 < 0.5 * l * u < math.pi / 2):
+    off_branch = ~((0 < 0.5 * l * u) & (0.5 * l * u < math.pi / 2))
+    if np.any(off_branch):
         raise SingularPointError(
-            f"r = {r} lies outside the principal branch (l/2) Upsilon in (0, pi/2)")
+            f"r = {r[off_branch].flat[0]} lies outside the principal branch "
+            f"(l/2) Upsilon in (0, pi/2)")
     sin_arg = l * u if sine_factor is Example1SineFactor.FULL_ANGLE else 0.5 * l * u
     ll2 = lam * l * l
     return ((lam * r * r) ** -0.25 * (1 + lam * r * r) ** -0.5
-            * math.tan(0.5 * l * u) ** (spec.gamma / ll2)
-            * math.sin(sin_arg) ** (spec.beta / ll2))
+            * np.tan(0.5 * l * u) ** (spec.gamma / ll2)
+            * np.sin(sin_arg) ** (spec.beta / ll2))
 
 
-def qes_example2_potential(mprime_q: float, params: PhysParams, r: float) -> float:
+def qes_example2_potential(mprime_q: float, params: PhysParams, r):
     """Transplanted potential of the sqrt(lam) x source model:
 
     V(r) = (2 m omega^2/lam) (sech U - tanh U)^2
@@ -208,12 +194,13 @@ def qes_example2_potential(mprime_q: float, params: PhysParams, r: float) -> flo
     U < pi/2); the middle bracket is evaluated in expanded form.
     """
     lam = params.require_curvature()
-    if r <= 0:
-        raise SingularPointError(f"potential needs r > 0, got {r}")
+    r = np.asarray(r, float)
+    if np.any(r <= 0):
+        raise SingularPointError(f"potential needs r > 0, got {np.min(r)}")
     d = params.delta
     u = upsilon_of_r(r, lam)
-    s = 1 / math.cosh(u)
-    t = math.tanh(u)
+    s = 1 / np.cosh(u)
+    t = np.tanh(u)
     mq = mprime_q
     t1 = 2 * params.mass * params.omega**2 / lam * (s - t) ** 2
     hm = params.hbar**2 / (8 * params.mass)
@@ -225,7 +212,7 @@ def qes_example2_potential(mprime_q: float, params: PhysParams, r: float) -> flo
     return t1 + t2 + t3
 
 
-def qes_example2_groundstate(spec: QesSpec, params: PhysParams, r: float) -> float:
+def qes_example2_groundstate(spec: QesSpec, params: PhysParams, r):
     """Unnormalized channel-m'_Q ground state of the sqrt(lam) x family:
 
     psi0 = (lam r^2)^(-1/4) (1+lam r^2)^(-1/2) [sech U]^(beta/lam)
@@ -235,9 +222,10 @@ def qes_example2_groundstate(spec: QesSpec, params: PhysParams, r: float) -> flo
     w(r) = r stays finite.
     """
     lam = params.require_curvature()
-    if r <= 0:
-        raise SingularPointError(f"ground state needs r > 0, got {r}")
+    r = np.asarray(r, float)
+    if np.any(r <= 0):
+        raise SingularPointError(f"ground state needs r > 0, got {np.min(r)}")
     u = upsilon_of_r(r, lam)
     return ((lam * r * r) ** -0.25 * (1 + lam * r * r) ** -0.5
-            * math.cosh(u) ** (-spec.beta / lam)
-            * math.exp(-(spec.gamma / lam) * gudermannian(u)))
+            * np.cosh(u) ** (-spec.beta / lam)
+            * np.exp(-(spec.gamma / lam) * gudermannian(u)))

@@ -356,33 +356,39 @@ def richardson_eigenvalues(problem: SturmLiouvilleProblem, k: int
     return extrap, coarse, fine
 
 
+def _sample(fn: Callable, x: np.ndarray) -> np.ndarray:
+    """fn evaluated on the points x, broadcast to their shape (fn may
+    return a constant)."""
+    return np.broadcast_to(np.asarray(fn(x), float), x.shape)
+
+
+def _stencil_samples(psi: Callable, x: np.ndarray, step) -> dict:
+    """psi at x + s step for the five offsets s = -2..2 of the stencils."""
+    return {s: _sample(psi, x + s * step) for s in (-2, -1, 0, 1, 2)}
+
+
 def residual_norm(p2: Callable, p1: Callable, p0plusV: Callable,
                   psi: Callable, E: float, grid: Grid1D,
-                  step: float | Callable[[float], float] | None = None) -> float:
+                  step: float | Callable | None = None) -> float:
     """Max relative pointwise residual of p2 psi'' + p1 psi' + (p0+V) psi = E psi
     over the interior grid, derivatives by 5-point central stencils.
 
-    The stencil step defaults to grid.h; pass a number or a callable
-    step(x) to decouple it from the sampling grid (radial problems want a
-    step growing with r so the relative resolution stays uniform).  Points
-    where |psi| < 1e-10 max|psi| are excluded from the maximum.
+    Every callable is evaluated once per stencil offset on the whole grid
+    array.  The stencil step defaults to grid.h; pass a number or a
+    callable step(x) to decouple it from the sampling grid (radial problems
+    want a step growing with r so the relative resolution stays uniform).
+    Points where |psi| < 1e-10 max|psi| are excluded from the maximum.
     """
     x = grid.points()
-    if step is None:
-        hv = np.full(x.shape, grid.h)
-    elif callable(step):
-        hv = np.array([step(t) for t in x], float)
+    if callable(step):
+        hv = _sample(step, x)
     else:
-        hv = np.full(x.shape, float(step))
-    f = {}
-    for s in (-2, -1, 0, 1, 2):
-        f[s] = np.array([psi(t) for t in x + s * hv], float)
+        hv = np.full(x.shape, grid.h if step is None else float(step))
+    f = _stencil_samples(psi, x, hv)
     d1 = (f[-2] - 8 * f[-1] + 8 * f[1] - f[2]) / (12 * hv)
     d2 = (-f[-2] + 16 * f[-1] - 30 * f[0] + 16 * f[1] - f[2]) / (12 * hv * hv)
-    p2v = np.array([p2(t) for t in x], float)
-    p1v = np.array([p1(t) for t in x], float)
-    p0v = np.array([p0plusV(t) for t in x], float)
-    res = np.abs(p2v * d2 + p1v * d1 + p0v * f[0] - E * f[0])
+    res = np.abs(_sample(p2, x) * d2 + _sample(p1, x) * d1
+                 + _sample(p0plusV, x) * f[0] - E * f[0])
     scale = abs(E) * np.abs(f[0]) + 1e-300
     mask = np.abs(f[0]) >= 1e-10 * np.max(np.abs(f[0]))
     return float(np.max(res[mask] / scale[mask]))
@@ -402,19 +408,15 @@ def rayleigh_quotient(problem: SturmLiouvilleProblem, psi: Callable,
     x = grid.points()[exclude: grid.n - exclude]
     if x.size < 5:
         raise ValueError("grid too small for the requested exclusion zone")
-    f = {}
-    for s in (-2, -1, 0, 1, 2):
-        f[s] = np.array([psi(t) for t in x + s * h], float)
+    f = _stencil_samples(psi, x, h)
     if np.any(f[0][:-1] * f[0][1:] < 0):
         raise NodeDetectedError("psi changes sign; Rayleigh quotient needs a nodeless state")
     d1 = (f[-2] - 8 * f[-1] + 8 * f[1] - f[2]) / (12 * h)
     d2 = (-f[-2] + 16 * f[-1] - 30 * f[0] + 16 * f[1] - f[2]) / (12 * h * h)
-    pv = {}
-    for s in (-2, -1, 0, 1, 2):
-        pv[s] = np.asarray(problem.p(x + s * h), float)
+    pv = _stencil_samples(problem.p, x, h)
     dp = (pv[-2] - 8 * pv[-1] + 8 * pv[1] - pv[2]) / (12 * h)
-    qv = np.asarray(problem.q(x), float)
-    wv = np.asarray(problem.w(x), float)
+    qv = _sample(problem.q, x)
+    wv = _sample(problem.w, x)
     e = (-pv[0] * d2 - dp * d1 + qv * f[0]) / (wv * f[0])
     weight = wv * f[0] * f[0]
     mean_w = float(np.sum(weight * e) / np.sum(weight))

@@ -53,7 +53,11 @@ class PhysParams:
 
 @dataclass(frozen=True)
 class QuantumNumbers:
-    """Radial excitation number N >= 0 and angular number m'."""
+    """Radial excitation number N >= 0 and angular number m'.
+
+    Unpacks as the pair (N, m'), so every formula that takes quantum
+    numbers accepts either this class or a plain (N, m') tuple.
+    """
 
     N: int
     mprime: int = 0
@@ -61,3 +65,6 @@ class QuantumNumbers:
     def __post_init__(self):
         if self.N < 0:
             raise ValueError(f"N must be nonnegative, got {self.N}")
+
+    def __iter__(self):
+        return iter((self.N, self.mprime))

@@ -1,9 +1,10 @@
 """Sturm-Liouville problem builders and tuned solve protocols.
 
-Self-adjoint forms (derived once, certified by tests against the raw
-coefficient functions):
+Self-adjoint forms (certified by tests against the raw coefficient
+functions):
 
-  radial operator:  weight w(r) = r, leading p(r) = (hbar^2/2m) r (1+lam r^2)^2,
+  radial operator:  weight w(r) = r, p(r) = -r p2(r), q(r) = r (V + p0(r))
+                    with (p2, p1, p0) from higgs_radial_coefficients,
                     since (Q - P')/P = 1/r for P = (1+lam r^2)^2,
                     Q = (1+lam r^2)(1+5 lam r^2)/r;
   line operator:    weight w(x) = (1+lam x^2)^(-1/2),
@@ -11,7 +12,7 @@ coefficient functions):
                     since (w K)'/w = lam x for K = 1+lam x^2.
 
 The q coefficient is w times the potential plus, for the radial operator,
-minus the zeroth-order kinetic term.
+w times the zeroth-order kinetic term.
 
 The spectrum protocols solve the radial problem in the polar angle
 chi = arctan(sqrt(lam) r).  The substitution p -> p/r', q -> q r',
@@ -34,8 +35,14 @@ from typing import Callable
 
 import numpy as np
 
-from .crs import QesSpec, x_pole
-from .higgs import example1_branch_radius
+from .crs import QesSpec, crs_potential_special, x_pole
+from .higgs import (
+    RadialChannel,
+    example1_branch_radius,
+    higgs_radial_coefficients,
+    qes_example1_potential,
+    qes_example2_potential,
+)
 from .numerics import EndpointRule, Grid1D, SturmLiouvilleProblem, lowest_eigenvalues, \
     richardson_eigenvalues
 from .params import PhysParams
@@ -49,22 +56,20 @@ __all__ = [
     "crs_spectrum_numeric",
     "crs_spectrum_numeric_wide",
     "qes_channel_problem",
+    "qes_rayleigh_problem",
     "example1_indicial_exponent",
     "example2_indicial_exponent",
 ]
 
 
 def _radial_pqw(mprime: int | float, params: PhysParams, V: Callable):
-    lam, hb, ms = params.lam, params.hbar, params.mass
-    kin = hb * hb / (2 * ms)
+    ch = RadialChannel(mprime, params)
 
     def p(r):
-        return kin * r * (1 + lam * r * r) ** 2
+        return -r * higgs_radial_coefficients(ch, r)[0]
 
     def q(r):
-        r = np.asarray(r, float)
-        return r * (V(r) - kin * (3 * lam - lam * mprime**2
-                                  + 3.75 * lam**2 * r * r - mprime**2 / (r * r)))
+        return r * (V(r) + higgs_radial_coefficients(ch, r)[2])
 
     def w(r):
         return np.asarray(r, float)
@@ -141,21 +146,13 @@ def crs_natural_problem(mprime_q: float, params: PhysParams,
                         n: int) -> SturmLiouvilleProblem:
     """Special line model on its natural branch (0, x*), x* the first tan
     pole, with power closures at the origin and at the wall."""
-    lam = params.require_curvature()
     xs = x_pole(params)
     sig_wall = (1 + params.delta) / 2
-
-    def V(x):
-        x = np.asarray(x, float)
-        th = np.arcsinh(np.sqrt(lam) * x)
-        return (0.5 * params.mass * params.omega**2 * (np.tan(th) / math.sqrt(lam)) ** 2
-                - lam * params.hbar**2 / (8 * params.mass)
-                * (1 + (1 - 4 * mprime_q**2) / np.sin(th) ** 2))
-
     grid = Grid1D(0.0, xs - 1e-4, n)
     bc = (EndpointRule.power(0.5 + abs(mprime_q), 0.0),
           EndpointRule.power(sig_wall, xs))
-    return crs_problem(params, V, grid, bc)
+    return crs_problem(params, lambda x: crs_potential_special(x, mprime_q, params),
+                       grid, bc)
 
 
 def crs_spectrum_numeric(mprime_q: float, params: PhysParams, k: int,
@@ -171,19 +168,11 @@ def crs_spectrum_numeric_wide(mprime_q: float, params: PhysParams, k: int,
     """Single-grid solve of the special model on the wide domain [1e-4, b],
     which straddles the tan pole at x*.  Returns (first_well, interlopers):
     eigenvalues classified by the weighted mass fraction left of x*."""
-    lam = params.require_curvature()
     xs = x_pole(params)
-
-    def V(x):
-        x = np.asarray(x, float)
-        th = np.arcsinh(np.sqrt(lam) * x)
-        return (0.5 * params.mass * params.omega**2 * (np.tan(th) / math.sqrt(lam)) ** 2
-                - lam * params.hbar**2 / (8 * params.mass)
-                * (1 + (1 - 4 * mprime_q**2) / np.sin(th) ** 2))
-
     grid = Grid1D(1e-4, b, n)
     bc = (EndpointRule.power(0.5 + abs(mprime_q), 0.0), EndpointRule.dirichlet())
-    prob = crs_problem(params, V, grid, bc)
+    prob = crs_problem(params, lambda x: crs_potential_special(x, mprime_q, params),
+                       grid, bc)
     res = lowest_eigenvalues(prob, k)
     x = grid.points()
     wi = np.asarray(prob.w(x), float)
@@ -216,6 +205,19 @@ def example2_indicial_exponent(mprime_q: float, mprime: float) -> complex:
     return complex(0.25 + mprime**2 - mprime_q**2) ** 0.5
 
 
+def _qes_potential(example: int, mprime_q: float, params: PhysParams,
+                   l: float | None) -> Callable:
+    """V(r) of the transplanted family `example` (1: cos(l Theta), needs l;
+    2: sqrt(lam) x)."""
+    if example == 1:
+        if l is None:
+            raise ValueError("example 1 needs l")
+        return lambda r: qes_example1_potential(l, mprime_q, params, r)
+    if example == 2:
+        return lambda r: qes_example2_potential(mprime_q, params, r)
+    raise ValueError(f"unknown example {example}")
+
+
 def qes_channel_problem(example: int, mprime: float, mprime_q: float,
                         params: PhysParams, n: int,
                         l: float | None = None) -> SturmLiouvilleProblem:
@@ -228,17 +230,13 @@ def qes_channel_problem(example: int, mprime: float, mprime_q: float,
     ground state is cutoff-dominated, which is the expected signature of a
     channel with no closed-form solution.
     """
-    from .higgs import qes_example1_potential, qes_example2_potential
     lam = params.require_curvature()
+    V = _qes_potential(example, mprime_q, params, l)
     if example == 1:
-        if l is None:
-            raise ValueError("example 1 needs l")
         spec = QesSpec.example1(l, mprime_q, params)
         rb = example1_branch_radius(l, params)
         if not math.isfinite(rb):
             raise ValueError("channel solver expects l > 2 (finite branch)")
-        V = lambda r: np.vectorize(
-            lambda t: qes_example1_potential(l, mprime_q, params, float(t)))(r)
         s = example1_indicial_exponent(l, mprime_q, mprime)
         sig_wall = (spec.beta - spec.gamma) / (lam * l * l)
         right = EndpointRule.power(sig_wall, rb)
@@ -249,25 +247,33 @@ def qes_channel_problem(example: int, mprime: float, mprime_q: float,
             grid = Grid1D(0.0, rb - 1e-6, n)
             left = EndpointRule.power(s.real, 0.0)
         return higgs_radial_problem(mprime, params, V, grid, (left, right))
-    if example == 2:
-        spec = QesSpec.example2(mprime_q, params)
-        V = lambda r: np.vectorize(
-            lambda t: qes_example2_potential(mprime_q, params, float(t)))(r)
-        s = example2_indicial_exponent(mprime_q, mprime)
-        right = EndpointRule.decay(1.5)
-        if s.imag != 0:
-            grid = Grid1D(1e-3, 60.0, n)
-            left = EndpointRule.dirichlet()
-        elif mprime == mprime_q:
-            # resonant pair {-1/2, +1/2}: the admixture ratio is genuine
-            # boundary data; take it from the local expansion of the
-            # closed-form family and pin it with the ratio tie
-            f1 = -spec.gamma / math.sqrt(lam)
-            f2 = spec.gamma**2 / (2 * lam) - (lam + spec.beta) / 2
-            grid = Grid1D(0.0, 60.0, n)
-            left = EndpointRule.power(-0.5, 0.0, series=(f1, f2), tie=True)
-        else:
-            grid = Grid1D(0.0, 60.0, n)
-            left = EndpointRule.power(s.real, 0.0)
-        return higgs_radial_problem(mprime, params, V, grid, (left, right))
-    raise ValueError(f"unknown example {example}")
+    spec = QesSpec.example2(mprime_q, params)
+    s = example2_indicial_exponent(mprime_q, mprime)
+    right = EndpointRule.decay(1.5)
+    if s.imag != 0:
+        grid = Grid1D(1e-3, 60.0, n)
+        left = EndpointRule.dirichlet()
+    elif mprime == mprime_q:
+        # resonant pair {-1/2, +1/2}: the admixture ratio is genuine
+        # boundary data; take it from the local expansion of the
+        # closed-form family and pin it with the ratio tie
+        f1 = -spec.gamma / math.sqrt(lam)
+        f2 = spec.gamma**2 / (2 * lam) - (lam + spec.beta) / 2
+        grid = Grid1D(0.0, 60.0, n)
+        left = EndpointRule.power(-0.5, 0.0, series=(f1, f2), tie=True)
+    else:
+        grid = Grid1D(0.0, 60.0, n)
+        left = EndpointRule.power(s.real, 0.0)
+    return higgs_radial_problem(mprime, params, V, grid, (left, right))
+
+
+def qes_rayleigh_problem(example: int, mprime_q: float, params: PhysParams,
+                         l: float | None = None, n: int = 2000) -> SturmLiouvilleProblem:
+    """Channel m' = m'_Q of a transplanted potential between Dirichlet walls
+    clear of both endpoint singularities, [0.1, 0.9 r_b] for example 1 (r_b
+    the first sec pole) and [0.1, 25] for example 2: the problem on which
+    the Rayleigh quotient of the closed-form ground state is taken."""
+    V = _qes_potential(example, mprime_q, params, l)
+    b = 0.9 * example1_branch_radius(l, params) if example == 1 else 25.0
+    return higgs_radial_problem(mprime_q, params, V, Grid1D(0.1, b, n),
+                                (EndpointRule.dirichlet(),) * 2)

@@ -1,17 +1,22 @@
-"""Scalar special functions and the two intrinsic coordinate maps.
+"""Special functions and the two intrinsic angles Theta(x) and Upsilon(r).
 
-Everything here is pure and operates on plain floats; the model modules
-vectorize on top of these where they need arrays.
+Everything here is pure.  Apart from the terminating series, whose first
+parameter is a scalar, each function takes a float or an ndarray of points
+(numpy ufuncs throughout): a float gives a scalar, an array an array of
+the same shape.  A domain error is raised if any requested point is out
+of range.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import NegativeRadiusError, NonpositiveCurvatureError, PoleInSeriesError
 
 
-def hyp2f1_terminating(N: int, b: float, c: float, z: float) -> float:
+def hyp2f1_terminating(N: int, b: float, c: float, z):
     """Terminating Gauss series 2F1(-N, b; c; z), an exact degree-N polynomial.
 
     Summed left to right with the ratio recurrence
@@ -34,43 +39,32 @@ def hyp2f1_terminating(N: int, b: float, c: float, z: float) -> float:
     return total
 
 
-def gudermannian(x: float) -> float:
+def gudermannian(x):
     """Gudermannian gd(x) = 2 arctan(e^x) - pi/2.
 
     Odd, strictly increasing, bounded by pi/2.  Evaluated through
-    pi/2 - 2 arctan(e^-|x|) so large |x| never overflows the exponential.
+    sign(x) (pi/2 - 2 arctan(e^-|x|)) so large |x| never overflows the
+    exponential.
     """
-    if x >= 0:
-        return math.pi / 2 - 2 * math.atan(math.exp(-x))
-    return -(math.pi / 2 - 2 * math.atan(math.exp(x)))
+    return np.copysign(math.pi / 2 - 2 * np.arctan(np.exp(-np.abs(x))), x)
 
 
-def arcsinh(x: float) -> float:
-    """ln(x + sqrt(x^2 + 1)) with a series guard below |x| = 1e-4.
-
-    The guard avoids the log1p-style cancellation near zero; accuracy there
-    matters for the r -> 0 limits of the coordinate maps.
-    """
-    ax = abs(x)
-    if ax < 1e-4:
-        # asinh x = x - x^3/6 + 3 x^5/40 - ...; x^7 term < 1e-28 here
-        s = x * (1.0 - ax * ax / 6.0 + 3.0 * ax**4 / 40.0)
-        return s
-    s = math.log(ax + math.sqrt(ax * ax + 1.0))
-    return s if x > 0 else -s
+# ln(x + sqrt(x^2 + 1)) without the cancellation of that form near zero
+arcsinh = np.arcsinh
 
 
-def theta_of_x(x: float, lam: float) -> float:
+def theta_of_x(x, lam: float):
     """Intrinsic coordinate of the nonlinear-oscillator line: arcsinh(sqrt(lam) x)."""
     if not (lam > 0):
         raise NonpositiveCurvatureError(f"theta_of_x requires lam > 0, got {lam}")
-    return arcsinh(math.sqrt(lam) * x)
+    return np.arcsinh(math.sqrt(lam) * np.asarray(x, float))
 
 
-def upsilon_of_r(r: float, lam: float) -> float:
+def upsilon_of_r(r, lam: float):
     """Polar angle of the curved radial coordinate: arctan(sqrt(lam) r) in [0, pi/2)."""
     if not (lam > 0):
         raise NonpositiveCurvatureError(f"upsilon_of_r requires lam > 0, got {lam}")
-    if r < 0:
-        raise NegativeRadiusError(f"upsilon_of_r requires r >= 0, got {r}")
-    return math.atan(math.sqrt(lam) * r)
+    r = np.asarray(r, float)
+    if np.any(r < 0):
+        raise NegativeRadiusError(f"upsilon_of_r requires r >= 0, got {np.min(r)}")
+    return np.arctan(math.sqrt(lam) * r)

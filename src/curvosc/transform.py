@@ -7,6 +7,11 @@ coincide: Theta(x(r)) = Upsilon(r).  Wavefunctions map through
 psi(r) = g(r) phi(x(r)) and potentials through a curvature-induced shift.
 Both models must share one lam and the angular channel must equal the
 fixed parameter m'_Q of the source model.
+
+The maps take a float or an ndarray of points and return a scalar or an
+array of the same shape; the callables handed to map_potential and
+map_wavefunction receive x(r) in that form.  A map raises if any
+requested point is singular or out of range.
 """
 
 from __future__ import annotations
@@ -15,9 +20,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import NegativeRadiusError, OutOfImageError, SingularPointError
+import numpy as np
+
+from .errors import OutOfImageError, SingularPointError
 from .params import PhysParams
-from .special_functions import arcsinh
+from .special_functions import theta_of_x, upsilon_of_r
 
 __all__ = [
     "MapContext",
@@ -51,37 +58,38 @@ def x_image_supremum(lam: float) -> float:
     return math.sinh(math.pi / 2) / math.sqrt(lam)
 
 
-def x_of_r(ctx: MapContext, r: float) -> float:
+def x_of_r(ctx: MapContext, r):
     """x(r) = sinh(arctan(sqrt(lam) r))/sqrt(lam); strictly increasing,
     bounded above by sinh(pi/2)/sqrt(lam)."""
-    if r < 0:
-        raise NegativeRadiusError(f"x_of_r needs r >= 0, got {r}")
     lam = ctx.params.lam
-    return math.sinh(math.atan(math.sqrt(lam) * r)) / math.sqrt(lam)
+    return np.sinh(upsilon_of_r(r, lam)) / math.sqrt(lam)
 
 
-def r_of_x(ctx: MapContext, x: float) -> float:
+def r_of_x(ctx: MapContext, x):
     """Inverse map tan(arcsinh(sqrt(lam) x))/sqrt(lam) on [0, sinh(pi/2)/sqrt(lam))."""
     lam = ctx.params.lam
-    if x < 0 or x >= x_image_supremum(lam):
-        raise OutOfImageError(
-            f"x = {x} outside the image [0, {x_image_supremum(lam)}) of the map")
-    return math.tan(arcsinh(math.sqrt(lam) * x)) / math.sqrt(lam)
+    x = np.asarray(x, float)
+    outside = (x < 0) | (x >= x_image_supremum(lam))
+    if np.any(outside):
+        raise OutOfImageError(f"x = {x[outside].flat[0]} outside the image "
+                              f"[0, {x_image_supremum(lam)}) of the map")
+    return np.tan(theta_of_x(x, lam)) / math.sqrt(lam)
 
 
-def g_factor(ctx: MapContext, r: float) -> complex:
+def g_factor(ctx: MapContext, r):
     """g(r) = -2 (1-i) (lam r^2)^(-1/4) (1 + lam r^2)^(-1/2).
 
     The constant -2(1-i) is kept as a fixed convention; all physical
     comparisons are modulus- or ratio-based, so only |g| matters.
     """
-    if r <= 0:
-        raise SingularPointError(f"g(r) singular at r <= 0, got {r}")
+    r = np.asarray(r, float)
+    if np.any(r <= 0):
+        raise SingularPointError(f"g(r) singular at r <= 0, got {np.min(r)}")
     lam = ctx.params.lam
     return G_CONSTANT * (lam * r * r) ** -0.25 * (1 + lam * r * r) ** -0.5
 
 
-def map_potential(ctx: MapContext, Vq: Callable[[float], float], r: float) -> float:
+def map_potential(ctx: MapContext, Vq: Callable, r):
     """Radial potential from a line potential:
 
     V_rad(r) = Vq(x(r)) + (lam hbar^2/8m) [1 + (1 - 4 m'_Q^2)(1 + 1/(lam r^2))].
@@ -89,7 +97,8 @@ def map_potential(ctx: MapContext, Vq: Callable[[float], float], r: float) -> fl
     p = ctx.params
     lam = p.lam
     coeff = 1 - 4 * ctx.mprime_q**2
-    if r <= 0:
+    r = np.asarray(r, float)
+    if np.any(r <= 0):
         if coeff != 0:
             raise SingularPointError("curvature shift singular at r = 0")
         raise SingularPointError("map_potential needs r > 0")
@@ -97,6 +106,6 @@ def map_potential(ctx: MapContext, Vq: Callable[[float], float], r: float) -> fl
     return Vq(x_of_r(ctx, r)) + shift
 
 
-def map_wavefunction(ctx: MapContext, phi: Callable[[float], complex], r: float) -> complex:
+def map_wavefunction(ctx: MapContext, phi: Callable, r):
     """psi(r) = g(r) phi(x(r))."""
     return g_factor(ctx, r) * phi(x_of_r(ctx, r))

@@ -163,11 +163,10 @@ def suite_transform_closure() -> list[CheckResult]:
         worst = 0.0
         for mq in (0.0, 1.0, 2.0, 0.5):
             ctx = transform.MapContext(params, mq)
-            for r in rs:
-                mapped = transform.map_potential(
-                    ctx, lambda x: crs.crs_potential_special(x, mq, params), float(r))
-                target = 0.5 * params.mass * params.omega**2 * r * r
-                worst = max(worst, abs(mapped - target) / target)
+            mapped = transform.map_potential(
+                ctx, lambda x: crs.crs_potential_special(x, mq, params), rs)
+            target = 0.5 * params.mass * params.omega**2 * rs * rs
+            worst = max(worst, float(np.max(np.abs(mapped - target) / target)))
         out.append(_check("transform-closure", f"lam={lam}", float(worst), 1e-12,
                           detail="max rel dev from (1/2) m w^2 r^2 over 100 log-spaced "
                                  "radii in [0.316, 10], m'_Q in {0, 1, 2, 1/2}"))
@@ -187,12 +186,10 @@ def suite_wavefunction_map() -> list[CheckResult]:
     for N in range(3):
         for mq in range(3):
             ctx = transform.MapContext(params, mq)
-            ratios = np.array([
-                higgs.higgs_wavefunction((N, mq), params, float(r))
-                / transform.map_wavefunction(
-                    ctx, lambda x: crs.crs_wavefunction_special((N, mq), params, x),
-                    float(r))
-                for r in rs])
+            ratios = (higgs.higgs_wavefunction((N, mq), params, rs)
+                      / transform.map_wavefunction(
+                          ctx, lambda x: crs.crs_wavefunction_special((N, mq), params, x),
+                          rs))
             c = _ratio_constancy(ratios)
             if c > worst:
                 worst, worst_pair = c, (N, mq)
@@ -234,7 +231,7 @@ def suite_constraint_ode() -> list[CheckResult]:
     from .special_functions import theta_of_x
 
     def cos_l(l):
-        return lambda x: math.cos(l * theta_of_x(x, lam))
+        return lambda x: np.cos(l * theta_of_x(x, lam))
 
     cases = [("special-cos2theta", cos_l(2.0), -4 * lam),
              ("example1-l=1", cos_l(1.0), -lam),
@@ -242,8 +239,7 @@ def suite_constraint_ode() -> list[CheckResult]:
              ("example1-l=3", cos_l(3.0), -9 * lam),
              ("example2-sqrt(lam)x", lambda x: math.sqrt(lam) * x, lam)]
     for name, X, A in cases:
-        worst = max(abs(crs.x_constraint_residual(X, A, 0.0, params, float(x)))
-                    for x in xs)
+        worst = float(np.max(np.abs(crs.x_constraint_residual(X, A, 0.0, params, xs))))
         out.append(_check("constraint-ode", name, worst, 1e-6,
                           detail="max |K X'' + lam x X' - A X - B| at 50 points in [0.1, 5]"))
     return out
@@ -253,21 +249,6 @@ def suite_constraint_ode() -> list[CheckResult]:
 # acceptance criterion 7: QES certification
 
 
-def rayleigh_problem_example1(l, mq, params, n=2000):
-    rb = higgs.example1_branch_radius(l, params)
-    grid = Grid1D(0.1, 0.9 * rb, n)
-    V = lambda r: np.vectorize(
-        lambda t: higgs.qes_example1_potential(l, mq, params, float(t)))(r)
-    return problems.higgs_radial_problem(mq, params, V, grid, (EndpointRule.dirichlet(),) * 2)
-
-
-def rayleigh_problem_example2(mq, params, n=2000):
-    grid = Grid1D(0.1, 25.0, n)
-    V = lambda r: np.vectorize(
-        lambda t: higgs.qes_example2_potential(mq, params, float(t)))(r)
-    return problems.higgs_radial_problem(mq, params, V, grid, (EndpointRule.dirichlet(),) * 2)
-
-
 @lru_cache(maxsize=None)
 def _qes_measurements():
     """Heavy shared computations of criterion 7, done once."""
@@ -275,7 +256,7 @@ def _qes_measurements():
     l, mq = 3.0, 1
     m = {}
 
-    prob1 = rayleigh_problem_example1(l, mq, params)
+    prob1 = problems.qes_rayleigh_problem(1, mq, params, l=l)
     E1, c1 = rayleigh_quotient(
         prob1, lambda r: higgs.qes_example1_groundstate(l, mq, params, r))
     m["ex1_E0"], m["ex1_constancy"] = E1, c1
@@ -285,7 +266,7 @@ def _qes_measurements():
     m["ex1_half_angle_constancy"] = c1h
 
     spec2 = QesSpec.example2(mq, params)
-    prob2 = rayleigh_problem_example2(mq, params)
+    prob2 = problems.qes_rayleigh_problem(2, mq, params)
     E2, c2 = rayleigh_quotient(
         prob2, lambda r: higgs.qes_example2_groundstate(spec2, params, r))
     m["ex2_E0"], m["ex2_constancy"] = E2, c2
@@ -318,8 +299,7 @@ def _qes_measurements():
             i0, i1 = int(0.2 * x.size), int(0.8 * x.size)
             devs = []
             for cand in candidates(example, channel):
-                cv = np.array([cand(float(t)) for t in x[i0:i1]])
-                ratio = v[i0:i1] / cv
+                ratio = v[i0:i1] / cand(x[i0:i1])
                 devs.append(float(np.max(np.abs(ratio - np.mean(ratio)))
                                   / abs(np.mean(ratio))))
             m[f"ex{example}_ch{channel}_min_dev"] = min(devs)
@@ -411,18 +391,18 @@ def suite_special_functions() -> list[CheckResult]:
     from .special_functions import gudermannian, theta_of_x, upsilon_of_r
     out = []
     worst = 0.0
+    rs = np.logspace(-3, 3, 25)
     for lam in (0.1, 1.0, 10.0):
         ctx = transform.MapContext(PhysParams(lam=lam), 0.0)
-        for r in np.logspace(-3, 3, 25):
-            worst = max(worst, abs(theta_of_x(transform.x_of_r(ctx, float(r)), lam)
-                                   - upsilon_of_r(float(r), lam)))
+        worst = max(worst, float(np.max(np.abs(theta_of_x(transform.x_of_r(ctx, rs), lam)
+                                               - upsilon_of_r(rs, lam)))))
     out.append(_check("special-functions", "theta-upsilon-identity", worst, 1e-12,
                       detail="|Theta(x(r)) - Upsilon(r)| over r in [1e-3, 1e3], "
                              "lam in {0.1, 1, 10}"))
     xs = np.linspace(-20, 20, 41)
-    odd = max(abs(gudermannian(float(x)) + gudermannian(float(-x))) for x in xs)
+    odd = np.max(np.abs(gudermannian(xs) + gudermannian(-xs)))
     out.append(_check("special-functions", "gudermannian-odd", odd, 1e-15))
-    mono = min(np.diff([gudermannian(float(x)) for x in xs]))
+    mono = np.min(np.diff(gudermannian(xs)))
     out.append(_check("special-functions", "gudermannian-increasing", -mono, 0.0,
                       detail="negated minimum increment; <= 0 means strictly increasing"))
     return out
@@ -436,12 +416,12 @@ def suite_crs_model() -> list[CheckResult]:
     for mq in (0.0, 1.0, 2.0, 0.5):
         spec = crs.special_params(mq, params)
         X = lambda x: crs.x_general(spec, params, x)
-        Xp = lambda x: (-2 * math.sin(2 * theta_of_x(x, params.lam))
-                        * math.sqrt(params.lam) / math.sqrt(1 + params.lam * x * x))
-        for x in np.linspace(0.1, 5, 25):
-            a = crs.potential_general(spec, X, Xp, params, float(x))
-            b = crs.crs_potential_special(float(x), mq, params)
-            worst = max(worst, abs(a - b) / abs(b))
+        Xp = lambda x: (-2 * np.sin(2 * theta_of_x(x, params.lam))
+                        * math.sqrt(params.lam) / np.sqrt(1 + params.lam * x * x))
+        xs = np.linspace(0.1, 5, 25)
+        a = crs.potential_general(spec, X, Xp, params, xs)
+        b = crs.crs_potential_special(xs, mq, params)
+        worst = max(worst, float(np.max(np.abs(a - b) / np.abs(b))))
     out.append(_check("crs-model", "general-vs-special-potential", worst, 1e-9,
                       detail="factorization potential with the special bundle vs the "
                              "closed form, relative"))
@@ -472,12 +452,12 @@ def suite_higgs_model() -> list[CheckResult]:
     params = PhysParams(lam=1.0)
     out = []
     parity = 0.0
+    rs = np.array([0.3, 1.7])
     for N in (0, 1):
         for mp in (1, 2):
-            for r in (0.3, 1.7):
-                parity = max(parity, abs(
-                    higgs.higgs_wavefunction((N, mp), params, r)
-                    - higgs.higgs_wavefunction((N, -mp), params, r)))
+            parity = max(parity, float(np.max(np.abs(
+                higgs.higgs_wavefunction((N, mp), params, rs)
+                - higgs.higgs_wavefunction((N, -mp), params, rs)))))
             parity = max(parity, abs(higgs.higgs_energy((N, mp), params)
                                      - higgs.higgs_energy((N, -mp), params)))
     out.append(_check("higgs-model", "mprime-parity", parity, 0.0,
@@ -486,8 +466,7 @@ def suite_higgs_model() -> list[CheckResult]:
     nodes_bad = 0.0
     for N in range(4):
         for mp in range(3):
-            vals = np.array([higgs.higgs_wavefunction((N, mp), params, float(r))
-                             for r in rs])
+            vals = higgs.higgs_wavefunction((N, mp), params, rs)
             nodes = int(np.sum(vals[:-1] * vals[1:] < 0))
             nodes_bad = max(nodes_bad, abs(nodes - N))
     out.append(_check("higgs-model", "node-count-equals-N", nodes_bad, 0.0))
@@ -495,28 +474,25 @@ def suite_higgs_model() -> list[CheckResult]:
     l, mq = 3.0, 1.0
     spec = QesSpec.example1(l, mq, params)
     from .special_functions import theta_of_x
-    X = lambda x: math.cos(l * theta_of_x(x, params.lam))
-    Xp = lambda x: (-l * math.sin(l * theta_of_x(x, params.lam))
-                    * math.sqrt(params.lam) / math.sqrt(1 + params.lam * x * x))
+    X = lambda x: np.cos(l * theta_of_x(x, params.lam))
+    Xp = lambda x: (-l * np.sin(l * theta_of_x(x, params.lam))
+                    * math.sqrt(params.lam) / np.sqrt(1 + params.lam * x * x))
     ctx = transform.MapContext(params, mq)
-    worst = 0.0
-    rb = higgs.example1_branch_radius(l, params)
-    for r in np.linspace(0.05, 0.95 * rb, 40):
-        a = transform.map_potential(
-            ctx, lambda x: crs.potential_general(spec, X, Xp, params, x), float(r))
-        b = higgs.qes_example1_potential(l, mq, params, float(r))
-        worst = max(worst, abs(a - b) / (abs(b) + 1.0))
+    rs = np.linspace(0.05, 0.95 * higgs.example1_branch_radius(l, params), 40)
+    a = transform.map_potential(
+        ctx, lambda x: crs.potential_general(spec, X, Xp, params, x), rs)
+    b = higgs.qes_example1_potential(l, mq, params, rs)
+    worst = float(np.max(np.abs(a - b) / (np.abs(b) + 1.0)))
     out.append(_check("higgs-model", "example1-both-routes", worst, 1e-9,
                       detail="direct transcription vs factorization+map composition"))
-    worst2 = 0.0
     spec2 = QesSpec.example2(mq, params)
     X2 = lambda x: math.sqrt(params.lam) * x
     Xp2 = lambda x: math.sqrt(params.lam)
-    for r in np.linspace(0.05, 30.0, 40):
-        a = transform.map_potential(
-            ctx, lambda x: crs.potential_general(spec2, X2, Xp2, params, x), float(r))
-        b = higgs.qes_example2_potential(mq, params, float(r))
-        worst2 = max(worst2, abs(a - b) / (abs(b) + 1.0))
+    rs = np.linspace(0.05, 30.0, 40)
+    a = transform.map_potential(
+        ctx, lambda x: crs.potential_general(spec2, X2, Xp2, params, x), rs)
+    b = higgs.qes_example2_potential(mq, params, rs)
+    worst2 = float(np.max(np.abs(a - b) / (np.abs(b) + 1.0)))
     out.append(_check("higgs-model", "example2-both-routes", worst2, 1e-9))
     return out
 
@@ -524,11 +500,11 @@ def suite_higgs_model() -> list[CheckResult]:
 def suite_transform_maps() -> list[CheckResult]:
     out = []
     worst = 0.0
+    rs = np.logspace(-3, 3, 25)
     for lam in (0.1, 1.0, 10.0):
         ctx = transform.MapContext(PhysParams(lam=lam), 0.0)
-        for r in np.logspace(-3, 3, 25):
-            rt = transform.r_of_x(ctx, transform.x_of_r(ctx, float(r)))
-            worst = max(worst, abs(rt - r) / r)
+        rt = transform.r_of_x(ctx, transform.x_of_r(ctx, rs))
+        worst = max(worst, float(np.max(np.abs(rt - rs) / rs)))
     out.append(_check("transform-maps", "roundtrip", worst, 1e-12))
     bit = 0.0
     for lam in (0.1, 1.0):
@@ -583,19 +559,17 @@ def suite_numerics_oracle() -> list[CheckResult]:
     # self-adjointness certificates: expanding (p psi')'/w reproduces the
     # raw first-derivative coefficients of both operators
     params = PhysParams(lam=1.0)
-    worst = 0.0
     hd = 1e-6
+    pts = np.array([0.3, 1.0, 2.5])
     pr, qr, wr = problems._radial_pqw(1, params, lambda r: 0.5 * np.asarray(r) ** 2)
-    for r in (0.3, 1.0, 2.5):
-        dp = (pr(r + hd) - pr(r - hd)) / (2 * hd)
-        p1 = higgs.higgs_radial_coefficients(higgs.RadialChannel(1, params), r)[1]
-        worst = max(worst, abs(dp / r + p1))
+    dp = (pr(pts + hd) - pr(pts - hd)) / (2 * hd)
+    p1 = higgs.higgs_radial_coefficients(higgs.RadialChannel(1, params), pts)[1]
+    worst = np.max(np.abs(dp / pts + p1))
     cprob = problems.crs_problem(params, lambda x: np.zeros_like(np.asarray(x, float)),
                                  Grid1D(0.1, 1.0, 3), (EndpointRule.dirichlet(),) * 2)
-    for x in (0.3, 1.0, 2.5):
-        dp = (cprob.p(x + hd) - cprob.p(x - hd)) / (2 * hd)
-        p1 = crs.crs_operator_coefficients(params, x)[1]
-        worst = max(worst, abs(dp * math.sqrt(1 + params.lam * x * x) + p1))
+    dp = (cprob.p(pts + hd) - cprob.p(pts - hd)) / (2 * hd)
+    p1 = crs.crs_operator_coefficients(params, pts)[1]
+    worst = max(worst, np.max(np.abs(dp * np.sqrt(1 + params.lam * pts * pts) + p1)))
     out.append(_check("numerics-oracle", "self-adjointness-certificates", float(worst),
                       1e-8, detail="(p psi')'/w expansion vs raw coefficients, both operators"))
     # the tridiagonal eigensolver against a dense generalized solve of the
@@ -618,15 +592,12 @@ def suite_numerics_oracle() -> list[CheckResult]:
 
 
 def suite_determinism() -> list[CheckResult]:
-    from .cli import serialize_json
-
     def snapshot():
+        """Check names plus the bit pattern of every measured float."""
         checks = suite_transform_closure() + suite_flat_limit()
-        params = PhysParams(lam=1.0)
-        num = problems.higgs_spectrum_numeric(0, params, 2, n=500)
-        doc = {"checks": [[c.name, c.measured] for c in checks],
-               "spectrum": [float(v) for v in num]}
-        return serialize_json(doc)
+        num = problems.higgs_spectrum_numeric(0, PhysParams(lam=1.0), 2, n=500)
+        values = np.array([c.measured for c in checks] + list(num), float)
+        return [c.name for c in checks], values.tobytes()
 
     a, b = snapshot(), snapshot()
     return [_check("determinism", "repeated-pipeline-bytes",

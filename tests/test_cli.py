@@ -5,6 +5,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from curvosc import cli
 from curvosc.cli import fmt_float, main, serialize_csv, serialize_json
 
 
@@ -58,6 +59,20 @@ class TestValidation:
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "no-such-suite"]) == 1
+
+    def test_domain_error_is_exit_one(self, tmp_path, capsys):
+        code, _ = run_to_file(tmp_path, "x.json", [
+            "potential", "--model", "crs", "--mprime-q", "1", "--grid-min", "0"])
+        assert code == 1
+        assert "x = 0" in capsys.readouterr().err
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        def broken(config):
+            raise RuntimeError("bug in a runner")
+
+        monkeypatch.setattr(cli, "run_potential", broken)
+        with pytest.raises(RuntimeError, match="bug in a runner"):
+            run_to_file(tmp_path, "x.json", ["potential", "--model", "higgs"])
 
 
 class TestTables:

@@ -1,0 +1,62 @@
+"""Import layering of the package, read from the source with ast.
+
+Model modules sit at the bottom, the numerical oracle beside them, the
+problem builders and check suites above, and the CLI on top.  An import
+that points upward fails this test."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "curvosc"
+MODELS = {"special_functions", "params", "crs", "higgs", "transform"}
+UPPER = {"numerics", "problems", "verify", "cli"}
+
+
+def imported_modules(path: Path) -> set[str]:
+    """curvosc modules that a source file imports, at any depth of the file."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("curvosc"):
+                continue
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:       # from . import a, b
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "curvosc" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+def forbidden(module: str) -> set[str]:
+    """The modules that `module` may not import."""
+    banned = {"cli"}
+    if module != "cli":
+        banned.add("verify")
+    if module in MODELS:
+        banned |= UPPER
+    if module == "numerics":
+        banned |= MODELS
+    return banned - {module}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_upward_import(path):
+    upward = imported_modules(path) & forbidden(path.stem)
+    assert not upward, f"{path.name} imports {sorted(upward)} from a layer above it"
+
+
+def test_parser_sees_relative_and_late_imports(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("from . import crs, higgs\nfrom .numerics import assemble\n"
+                      "def f():\n    from .verify import run_suites\n"
+                      "import curvosc.cli\nimport numpy\n")
+    assert imported_modules(sample) == {"crs", "higgs", "numerics", "verify", "cli"}

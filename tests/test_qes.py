@@ -8,7 +8,7 @@ import pytest
 from curvosc import crs, higgs, transform
 from curvosc.crs import QesSpec
 from curvosc.errors import SingularPointError
-from curvosc.higgs import Example1SineFactor, QesExample1Params
+from curvosc.higgs import Example1SineFactor
 from curvosc.numerics import EndpointRule, Grid1D, rayleigh_quotient
 from curvosc.params import PhysParams
 from curvosc.problems import higgs_radial_problem
@@ -83,6 +83,12 @@ class TestExample1Potential:
             diff = higgs.qes_example1_potential(2.0, mq, UNIT, float(r)) - 0.5 * r * r
             assert abs(diff) < 1e-10
 
+    def test_spec_rejects_nonpositive_l(self):
+        assert QesSpec.example1(3.0, 1.0, UNIT).A == pytest.approx(-9.0, rel=1e-15)
+        for l in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                QesSpec.example1(l, 1.0, UNIT)
+
     def test_branch_radius(self):
         assert higgs.example1_branch_radius(3.0, UNIT) == pytest.approx(
             math.tan(math.pi / 3), rel=1e-15)
@@ -102,21 +108,6 @@ class TestExample1Potential:
                 ctx, lambda x: crs.potential_general(spec, X, Xp, UNIT, x), float(r))
             b = higgs.qes_example1_potential(l, mq, UNIT, float(r))
             assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
-
-
-class TestExample1Params:
-    def test_build_consistency(self):
-        p = QesExample1Params.build(3.0, 1.0, UNIT)
-        assert p.spec.A == pytest.approx(-9.0, rel=1e-15)
-        assert p.spec.B == 0.0
-
-    def test_invariants_enforced(self):
-        good = QesSpec.example1(3.0, 1.0, UNIT)
-        with pytest.raises(ValueError):
-            QesExample1Params(l=-1.0, spec=good)
-        bad = QesSpec.example2(1.0, UNIT)   # A = +lam violates the family shape
-        with pytest.raises(ValueError):
-            QesExample1Params(l=3.0, spec=bad)
 
 
 class TestExample1GroundState:
