@@ -1,9 +1,10 @@
 """Command-line front end emitting machine-readable tables.
 
 Commands: spectrum, potential, wavefunction, verify, transform-check.
-Output is JSON (default) or CSV, written to --output or stdout, with
-deterministic float formatting (17 significant digits, lowercase e), so
-identical configurations produce byte-identical files.  Units default to
+Output is JSON (default; the only form of verify) or CSV, written to
+--output or stdout, with deterministic float formatting (17 significant
+digits, lowercase e), so identical configurations produce byte-identical
+files.  Units default to
 hbar = m = 1 with omega and lambda free.
 
 Exit codes: 0 success, 1 configuration error, 2 verify-suite failure.
@@ -261,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "reports for the curved-space oscillator models.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True):
+    def physics(p, model=True):
+        """Model and parameter flags plus the table format."""
         if model:
             p.add_argument("--model", choices=MODELS)
         p.add_argument("--mass", type=float, default=1.0)
@@ -269,54 +271,52 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--omega", type=float, default=1.0)
         p.add_argument("--lambda", dest="lam", type=float, default=1.0)
         p.add_argument("--mprime-q", type=float, default=None)
-        p.add_argument("--l", type=float, default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if model:
+            p.add_argument("--l", type=float, default=None)
+        p.add_argument("--format", dest="output_format", choices=("json", "csv"),
+                       default="json")
         p.add_argument("--output", default=None)
-        p.add_argument("--verbose", action="store_true")
+
+    def grid(p):
+        p.add_argument("--grid-min", type=float, default=0.05)
+        p.add_argument("--grid-max", type=float, default=5.0)
+        p.add_argument("--grid-n", type=int, default=200)
 
     p = sub.add_parser("spectrum", help="analytic vs numerical eigenvalues")
-    common(p)
+    physics(p)
     p.add_argument("--n-max", type=int, default=2)
     p.add_argument("--mprime-max", type=int, default=2)
 
     p = sub.add_parser("potential", help="potential table")
-    common(p)
-    p.add_argument("--grid-min", type=float, default=0.05)
-    p.add_argument("--grid-max", type=float, default=5.0)
-    p.add_argument("--grid-n", type=int, default=200)
+    physics(p)
+    grid(p)
 
     p = sub.add_parser("wavefunction", help="wavefunction table")
-    common(p)
+    physics(p)
     p.add_argument("--N", type=int, default=0)
     p.add_argument("--mprime", type=int, default=0)
-    p.add_argument("--grid-min", type=float, default=0.05)
-    p.add_argument("--grid-max", type=float, default=5.0)
-    p.add_argument("--grid-n", type=int, default=200)
+    grid(p)
 
-    p = sub.add_parser("verify", help="run verification suites")
-    common(p, model=False)
+    p = sub.add_parser("verify", help="run verification suites (fixed parameters, JSON)")
+    p.add_argument("--output", default=None)
+    p.add_argument("--verbose", action="store_true")
     p.add_argument("--suite", action="append", default=None,
                    help="suite name or 'all' (repeatable)")
 
     p = sub.add_parser("transform-check", help="special-model closure table")
-    common(p)
+    physics(p, model=False)
     p.add_argument("--grid-n", type=int, default=100)
     return parser
 
 
 def config_from_args(args) -> RunConfig:
-    params = PhysParams(mass=args.mass, hbar=args.hbar, omega=args.omega, lam=args.lam)
-    cfg = RunConfig(
-        command=args.command,
-        model=getattr(args, "model", None),
-        params=params,
-        mprime_q=args.mprime_q,
-        l=args.l,
-        output_format=args.format,
-        output_path=args.output,
-        verbose=args.verbose,
-    )
-    for name in ("n_max", "mprime_max", "N", "mprime", "grid_min", "grid_max", "grid_n"):
+    cfg = RunConfig(command=args.command, model=getattr(args, "model", None),
+                    params=PhysParams(), output_path=args.output)
+    if hasattr(args, "lam"):
+        cfg.params = PhysParams(mass=args.mass, hbar=args.hbar, omega=args.omega,
+                                lam=args.lam)
+    for name in ("mprime_q", "l", "output_format", "verbose", "n_max", "mprime_max",
+                 "N", "mprime", "grid_min", "grid_max", "grid_n"):
         if hasattr(args, name):
             setattr(cfg, name, getattr(args, name))
     if getattr(args, "suite", None):

@@ -296,16 +296,16 @@ def crs_energy(qn: QuantumNumbers | tuple, params: PhysParams) -> float:
     return params.hbar * params.omega_prime * n + lam * params.hbar**2 / (2 * params.mass) * n**2
 
 
-def crs_operator_coefficients(params: PhysParams, x: float) -> tuple[float, float]:
-    """Second- and first-derivative coefficients of the kinetic operator,
+def crs_operator_coefficients(params: PhysParams, x):
+    """Coefficient triple (p2, p1, p0) of the kinetic operator,
 
-    (-(hbar^2/2m) K(x), -(hbar^2/2m) lam x),
+    (-(hbar^2/2m) K(x), -(hbar^2/2m) lam x, 0),
 
-    for the eigenproblem p2 phi'' + p1 phi' + V phi = E phi.  Well defined
-    for any lam including the flat case lam = 0.
+    for the eigenproblem p2 phi'' + p1 phi' + (p0 + V) phi = E phi.  Well
+    defined for any lam including the flat case lam = 0.
     """
     f = -params.hbar**2 / (2 * params.mass)
-    return f * (1 + params.lam * x**2), f * params.lam * x
+    return f * (1 + params.lam * x**2), f * params.lam * x, 0.0
 
 
 def x_pole(params: PhysParams) -> float:

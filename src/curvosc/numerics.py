@@ -41,11 +41,11 @@ temporaries stay small.
 
 All three changes keep K symmetric (the face factors multiply the same
 difference in both adjacent rows; the closure only adds to the diagonal).
-An optional ratio tie u_1 = tau u_2 (tau from the profile) eliminates the
-first interior point by symmetric Rayleigh-Ritz reduction; for a resonant
-indicial pair this suppresses the unwanted partner solution exactly at the
-two-point level.  The "decay" rule is the analogous closure for an
-infinite right endpoint with profile x^(-mu).
+An optional ratio tie at the left endpoint, u_1 = tau u_2 (tau from the
+profile), eliminates the first interior point by symmetric Rayleigh-Ritz
+reduction; for a resonant indicial pair this suppresses the unwanted
+partner solution exactly at the two-point level.  The "decay" rule is the
+analogous closure for an infinite right endpoint with profile x^(-mu).
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ __all__ = [
     "assemble",
     "lowest_eigenvalues",
     "richardson_eigenvalues",
+    "derivatives",
     "residual_norm",
     "rayleigh_quotient",
     "normalize",
@@ -121,7 +122,7 @@ class EndpointRule:
     exponent: float = 0.0         # sigma for power, mu for decay
     center: float = 0.0           # singular point location for power
     series: tuple = ()            # (c1, c2, ...) profile corrections
-    tie: bool = False             # eliminate adjacent point via profile ratio
+    tie: bool = False             # left only: eliminate adjacent point via profile ratio
     cells: int | None = None      # corrected cells; default n//5 (power), 2 (decay)
 
     @classmethod
@@ -184,8 +185,8 @@ class SturmLiouvilleProblem:
 class TridiagonalSystem:
     """Assembled K v = E M v with K symmetric tridiagonal, M positive diagonal.
 
-    Ratio ties may have reduced the system; tie_left/tie_right hold the
-    elimination ratios needed to reconstruct full-grid eigenvectors.
+    A left ratio tie may have reduced the system; tie_left holds the
+    elimination ratio needed to reconstruct full-grid eigenvectors.
     """
 
     k_diag: np.ndarray
@@ -193,7 +194,6 @@ class TridiagonalSystem:
     m_diag: np.ndarray
     grid: Grid1D
     tie_left: float | None = None
-    tie_right: float | None = None
 
     def standard_form(self) -> tuple[np.ndarray, np.ndarray]:
         """(d, e) of the similarity-transformed standard problem
@@ -203,13 +203,11 @@ class TridiagonalSystem:
         return d, e
 
     def expand(self, u_reduced: np.ndarray) -> np.ndarray:
-        """Insert tie-eliminated points back into a reduced vector."""
-        v = u_reduced
-        if self.tie_left is not None:
-            v = np.concatenate(([self.tie_left * v[0]], v))
-        if self.tie_right is not None:
-            v = np.concatenate((v, [self.tie_right * v[-1]]))
-        return v
+        """Insert the tie-eliminated point back into reduced vectors (the
+        last axis runs over the grid)."""
+        if self.tie_left is None:
+            return u_reduced
+        return np.concatenate((self.tie_left * u_reduced[..., :1], u_reduced), axis=-1)
 
 
 @dataclass
@@ -235,6 +233,9 @@ def assemble(problem: SturmLiouvilleProblem) -> TridiagonalSystem:
     """Build the symmetric tridiagonal generalized eigensystem."""
     grid = problem.grid
     n, h = grid.n, grid.h
+    left, right = problem.bc
+    if right.tie:
+        raise ValueError("the ratio tie is supported at the left endpoint only")
     x = grid.points()
     xf = grid.faces()
     pf = np.asarray(problem.p(xf), float)
@@ -247,7 +248,6 @@ def assemble(problem: SturmLiouvilleProblem) -> TridiagonalSystem:
 
     g = np.full(n + 1, 1.0 / h)       # face derivative factors
     closure = [0.0, 0.0]
-    left, right = problem.bc
     for side, rule in enumerate(problem.bc):
         if rule.kind == "dirichlet":
             continue
@@ -284,7 +284,7 @@ def assemble(problem: SturmLiouvilleProblem) -> TridiagonalSystem:
     if right.kind != "dirichlet":
         diag[-1] = pf[-2] * g[-2] / h + qi[-1] + closure[1]
 
-    tie_left = tie_right = None
+    tie_left = None
     if left.kind == "power" and left.tie:
         tau = float(left.ratio(x[0], x[1]))
         k11, k12, m11 = diag[0], off[0], wi[0]
@@ -292,15 +292,8 @@ def assemble(problem: SturmLiouvilleProblem) -> TridiagonalSystem:
         diag[0] += 2 * tau * k12 + tau * tau * k11
         wi[0] += tau * tau * m11
         tie_left = tau
-    if right.kind in ("power", "decay") and right.tie:
-        tau = float(right.ratio(x[-1], x[-2]))
-        knn, koff, mnn = diag[-1], off[-1], wi[-1]
-        diag, off, wi = diag[:-1].copy(), off[:-1].copy(), wi[:-1].copy()
-        diag[-1] += 2 * tau * koff + tau * tau * knn
-        wi[-1] += tau * tau * mnn
-        tie_right = tau
 
-    return TridiagonalSystem(diag, off, wi, grid, tie_left, tie_right)
+    return TridiagonalSystem(diag, off, wi, grid, tie_left)
 
 
 def lowest_eigenvalues(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
@@ -320,29 +313,28 @@ def lowest_eigenvalues(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
     if vals[-1] > 0.95 * edge:
         raise UnresolvedError(
             f"eigenvalue {vals[-1]:.6g} within 5% of the spectral edge {edge:.6g}")
-    h = problem.grid.h
+    # back-transform all k pairs at once, in place in LAPACK's block, whose
+    # rows ur are the eigenvectors; the residual (K - E M) ur needs one more
+    # (k, n) array and a scratch for its off-diagonal products
+    ur = u.T
+    ur /= np.sqrt(system.m_diag)
+    r = (system.k_diag - vals[:, None] * system.m_diag) * ur
+    r[:, :-1] += system.k_off * ur[:, 1:]
+    r[:, 1:] += system.k_off * ur[:, :-1]
+    resid = np.linalg.norm(r, axis=1)
+    del r
+    resid /= (1 + np.abs(vals)) * np.linalg.norm(system.m_diag * ur, axis=1)
+    v = system.expand(ur)
     wi_full = np.asarray(problem.w(problem.grid.points()), float)
-    vecs = np.empty((n, k))
-    resid = np.empty(k)
-    m_red = system.m_diag
-    for j in range(k):
-        ur = u[:, j] / np.sqrt(m_red)        # back from the standard form
-        kv = system.k_diag * ur
-        kv[:-1] += system.k_off * ur[1:]
-        kv[1:] += system.k_off * ur[:-1]
-        mv = m_red * ur
-        resid[j] = float(np.linalg.norm(kv - vals[j] * mv)
-                         / ((1 + abs(vals[j])) * np.linalg.norm(mv)))
-        v = system.expand(ur)
-        nrm = math.sqrt(float(np.sum(wi_full * v * v) * h))
-        if nrm == 0:
-            raise ZeroNormError("eigenvector with zero weighted norm")
-        v = v / nrm
-        big = np.nonzero(np.abs(v) > 1e-8 * np.max(np.abs(v)))[0]
-        if big.size and v[big[0]] < 0:
-            v = -v
-        vecs[:, j] = v
-    return EigenResult(vals, vecs, resid, problem.grid)
+    nrm = np.sqrt(np.sum(wi_full * v * v, axis=1) * problem.grid.h)
+    if np.any(nrm == 0):
+        raise ZeroNormError("eigenvector with zero weighted norm")
+    v /= nrm[:, None]
+    av = np.abs(v)
+    lead = np.argmax(av > 1e-8 * np.max(av, axis=1, keepdims=True), axis=1)
+    del av
+    v *= np.sign(v[np.arange(k), lead])[:, None]     # first significant entry > 0
+    return EigenResult(vals, v.T, resid, problem.grid)
 
 
 def richardson_eigenvalues(problem: SturmLiouvilleProblem, k: int
@@ -356,41 +348,44 @@ def richardson_eigenvalues(problem: SturmLiouvilleProblem, k: int
     return extrap, coarse, fine
 
 
-def _sample(fn: Callable, x: np.ndarray) -> np.ndarray:
-    """fn evaluated on the points x, broadcast to their shape (fn may
-    return a constant)."""
-    return np.broadcast_to(np.asarray(fn(x), float), x.shape)
+def _on(x: np.ndarray, value) -> np.ndarray:
+    """value (an array over x, or a constant) broadcast to the shape of x."""
+    return np.broadcast_to(np.asarray(value, float), x.shape)
 
 
-def _stencil_samples(psi: Callable, x: np.ndarray, step) -> dict:
-    """psi at x + s step for the five offsets s = -2..2 of the stencils."""
-    return {s: _sample(psi, x + s * step) for s in (-2, -1, 0, 1, 2)}
+def derivatives(fn: Callable, x: np.ndarray, step) -> tuple[np.ndarray, ...]:
+    """(fn, fn', fn'') at the points x by 5-point central stencils; fn is
+    evaluated once per stencil offset on the whole array, and step may be a
+    number or an array over x."""
+    f = {s: _on(x, fn(x + s * step)) for s in (-2, -1, 0, 1, 2)}
+    d1 = (f[-2] - 8 * f[-1] + 8 * f[1] - f[2]) / (12 * step)
+    d2 = (-f[-2] + 16 * f[-1] - 30 * f[0] + 16 * f[1] - f[2]) / (12 * step * step)
+    return f[0], d1, d2
 
 
-def residual_norm(p2: Callable, p1: Callable, p0plusV: Callable,
-                  psi: Callable, E: float, grid: Grid1D,
+def residual_norm(coeffs: Callable, V: Callable, psi: Callable, E: float, grid: Grid1D,
                   step: float | Callable | None = None) -> float:
-    """Max relative pointwise residual of p2 psi'' + p1 psi' + (p0+V) psi = E psi
-    over the interior grid, derivatives by 5-point central stencils.
+    """Max relative pointwise residual of p2 psi'' + p1 psi' + (p0 + V) psi = E psi
+    over the interior grid, with (p2, p1, p0) = coeffs(x) the coefficient
+    triple of a model module and derivatives by 5-point central stencils.
 
-    Every callable is evaluated once per stencil offset on the whole grid
-    array.  The stencil step defaults to grid.h; pass a number or a
-    callable step(x) to decouple it from the sampling grid (radial problems
-    want a step growing with r so the relative resolution stays uniform).
-    Points where |psi| < 1e-10 max|psi| are excluded from the maximum.
+    coeffs and V are evaluated once on the grid array, psi once per stencil
+    offset; any of them may return constants.  The stencil step defaults to
+    grid.h; pass a number or a callable step(x) to decouple it from the
+    sampling grid (radial problems want a step growing with r so the
+    relative resolution stays uniform).  Points where |psi| < 1e-10 max|psi|
+    are excluded from the maximum.
     """
     x = grid.points()
     if callable(step):
-        hv = _sample(step, x)
+        hv = _on(x, step(x))
     else:
         hv = np.full(x.shape, grid.h if step is None else float(step))
-    f = _stencil_samples(psi, x, hv)
-    d1 = (f[-2] - 8 * f[-1] + 8 * f[1] - f[2]) / (12 * hv)
-    d2 = (-f[-2] + 16 * f[-1] - 30 * f[0] + 16 * f[1] - f[2]) / (12 * hv * hv)
-    res = np.abs(_sample(p2, x) * d2 + _sample(p1, x) * d1
-                 + _sample(p0plusV, x) * f[0] - E * f[0])
-    scale = abs(E) * np.abs(f[0]) + 1e-300
-    mask = np.abs(f[0]) >= 1e-10 * np.max(np.abs(f[0]))
+    f, d1, d2 = derivatives(psi, x, hv)
+    p2, p1, p0 = (_on(x, c) for c in coeffs(x))
+    res = np.abs(p2 * d2 + p1 * d1 + (p0 + _on(x, V(x))) * f - E * f)
+    scale = abs(E) * np.abs(f) + 1e-300
+    mask = np.abs(f) >= 1e-10 * np.max(np.abs(f))
     return float(np.max(res[mask] / scale[mask]))
 
 
@@ -408,17 +403,14 @@ def rayleigh_quotient(problem: SturmLiouvilleProblem, psi: Callable,
     x = grid.points()[exclude: grid.n - exclude]
     if x.size < 5:
         raise ValueError("grid too small for the requested exclusion zone")
-    f = _stencil_samples(psi, x, h)
-    if np.any(f[0][:-1] * f[0][1:] < 0):
+    f, d1, d2 = derivatives(psi, x, h)
+    if np.any(f[:-1] * f[1:] < 0):
         raise NodeDetectedError("psi changes sign; Rayleigh quotient needs a nodeless state")
-    d1 = (f[-2] - 8 * f[-1] + 8 * f[1] - f[2]) / (12 * h)
-    d2 = (-f[-2] + 16 * f[-1] - 30 * f[0] + 16 * f[1] - f[2]) / (12 * h * h)
-    pv = _stencil_samples(problem.p, x, h)
-    dp = (pv[-2] - 8 * pv[-1] + 8 * pv[1] - pv[2]) / (12 * h)
-    qv = _sample(problem.q, x)
-    wv = _sample(problem.w, x)
-    e = (-pv[0] * d2 - dp * d1 + qv * f[0]) / (wv * f[0])
-    weight = wv * f[0] * f[0]
+    pv, dp, _ = derivatives(problem.p, x, h)
+    qv = _on(x, problem.q(x))
+    wv = _on(x, problem.w(x))
+    e = (-pv * d2 - dp * d1 + qv * f) / (wv * f)
+    weight = wv * f * f
     mean_w = float(np.sum(weight * e) / np.sum(weight))
     constancy = float(np.std(e) / abs(np.mean(e)))
     return mean_w, constancy

@@ -1,18 +1,23 @@
 """Sturm-Liouville problem builders and tuned solve protocols.
 
-Self-adjoint forms (certified by tests against the raw coefficient
-functions):
+Each model module owns its operator as a coefficient triple (p2, p1, p0)
+of p2 psi'' + p1 psi' + (p0 + V) psi = E psi: higgs_radial_coefficients
+for the radial channel, crs_operator_coefficients (p0 = 0) for the line.
+One rule turns a triple into the self-adjoint form -(p psi')' + q psi =
+E w psi:
 
-  radial operator:  weight w(r) = r, p(r) = -r p2(r), q(r) = r (V + p0(r))
-                    with (p2, p1, p0) from higgs_radial_coefficients,
-                    since (Q - P')/P = 1/r for P = (1+lam r^2)^2,
-                    Q = (1+lam r^2)(1+5 lam r^2)/r;
-  line operator:    weight w(x) = (1+lam x^2)^(-1/2),
-                    p(x) = (hbar^2/2m) (1+lam x^2)^(1/2),
-                    since (w K)'/w = lam x for K = 1+lam x^2.
+  p = -w p2,   q = w (V + p0),
 
-The q coefficient is w times the potential plus, for the radial operator,
-w times the zeroth-order kinetic term.
+valid for the weight w with (w p2)' = w p1.  Each operator states its
+weight once, here:
+
+  radial operator:  w(r) = r,                  since (Q - P')/P = 1/r for
+                    P = (1+lam r^2)^2, Q = (1+lam r^2)(1+5 lam r^2)/r;
+  line operator:    w(x) = (1+lam x^2)^(-1/2), since (w K)'/w = lam x for
+                    K = 1+lam x^2.
+
+numerics-oracle/self-adjointness-certificates checks p'/w = -p1 on both
+built problems.
 
 The spectrum protocols solve the radial problem in the polar angle
 chi = arctan(sqrt(lam) r).  The substitution p -> p/r', q -> q r',
@@ -35,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .crs import QesSpec, crs_potential_special, x_pole
+from .crs import QesSpec, crs_operator_coefficients, crs_potential_special, x_pole
 from .higgs import (
     RadialChannel,
     example1_branch_radius,
@@ -62,34 +67,30 @@ __all__ = [
 ]
 
 
-def _radial_pqw(mprime: int | float, params: PhysParams, V: Callable):
-    ch = RadialChannel(mprime, params)
-
-    def p(r):
-        return -r * higgs_radial_coefficients(ch, r)[0]
-
-    def q(r):
-        return r * (V(r) + higgs_radial_coefficients(ch, r)[2])
-
-    def w(r):
-        return np.asarray(r, float)
-
-    return p, q, w
+def _self_adjoint(coeffs: Callable, V: Callable, w: Callable, grid: Grid1D,
+                  bc) -> SturmLiouvilleProblem:
+    """The self-adjoint form of the operator with coefficient triple
+    coeffs(t) = (p2, p1, p0), potential V and weight w."""
+    return SturmLiouvilleProblem(lambda t: -w(t) * coeffs(t)[0],
+                                 lambda t: w(t) * (V(t) + coeffs(t)[2]),
+                                 w, grid, bc)
 
 
 def higgs_radial_problem(mprime: int | float, params: PhysParams, V: Callable,
                          grid: Grid1D, bc) -> SturmLiouvilleProblem:
     """Radial-channel problem in the planar coordinate r."""
-    p, q, w = _radial_pqw(mprime, params, V)
-    return SturmLiouvilleProblem(p, q, w, grid, bc)
+    ch = RadialChannel(mprime, params)
+    return _self_adjoint(lambda r: higgs_radial_coefficients(ch, r), V,
+                         lambda r: np.asarray(r, float), grid, bc)
 
 
 def higgs_polar_problem(mprime: int | float, params: PhysParams, V: Callable,
                         grid: Grid1D, bc) -> SturmLiouvilleProblem:
-    """Radial-channel problem rewritten in chi = arctan(sqrt(lam) r)."""
+    """Radial-channel problem rewritten in chi = arctan(sqrt(lam) r): the
+    planar coefficients composed with r(chi)."""
     lam = params.require_curvature()
     sq = math.sqrt(lam)
-    p, q, w = _radial_pqw(mprime, params, V)
+    planar = higgs_radial_problem(mprime, params, V, grid, bc)
 
     def r_of(c):
         return np.tan(c) / sq
@@ -98,27 +99,18 @@ def higgs_polar_problem(mprime: int | float, params: PhysParams, V: Callable,
         return 1.0 / (sq * np.cos(c) ** 2)
 
     return SturmLiouvilleProblem(
-        lambda c: p(r_of(c)) / drdc(c),
-        lambda c: q(r_of(c)) * drdc(c),
-        lambda c: w(r_of(c)) * drdc(c),
+        lambda c: planar.p(r_of(c)) / drdc(c),
+        lambda c: planar.q(r_of(c)) * drdc(c),
+        lambda c: planar.w(r_of(c)) * drdc(c),
         grid, bc)
 
 
 def crs_problem(params: PhysParams, V: Callable, grid: Grid1D, bc) -> SturmLiouvilleProblem:
     """Line-model problem in x."""
     lam = params.require_curvature()
-    kin = params.hbar**2 / (2 * params.mass)
-
-    def p(x):
-        return kin * np.sqrt(1 + lam * np.asarray(x, float) ** 2)
-
-    def w(x):
-        return 1.0 / np.sqrt(1 + lam * np.asarray(x, float) ** 2)
-
-    def q(x):
-        return w(x) * V(x)
-
-    return SturmLiouvilleProblem(p, q, w, grid, bc)
+    return _self_adjoint(lambda x: crs_operator_coefficients(params, x), V,
+                         lambda x: 1.0 / np.sqrt(1 + lam * np.asarray(x, float) ** 2),
+                         grid, bc)
 
 
 def higgs_spectrum_numeric(mprime: int, params: PhysParams, k: int,
@@ -175,14 +167,9 @@ def crs_spectrum_numeric_wide(mprime_q: float, params: PhysParams, k: int,
                        grid, bc)
     res = lowest_eigenvalues(prob, k)
     x = grid.points()
-    wi = np.asarray(prob.w(x), float)
-    mask = x < xs
-    first_well, interlopers = [], []
-    for j, E in enumerate(res.eigenvalues):
-        v = res.eigenvectors[:, j]
-        frac = float(np.sum(wi[mask] * v[mask] ** 2) / np.sum(wi * v * v))
-        (first_well if frac > 0.9 else interlopers).append(float(E))
-    return first_well, interlopers
+    mass = np.asarray(prob.w(x), float)[:, None] * res.eigenvectors ** 2
+    in_well = np.sum(mass[x < xs], axis=0) / np.sum(mass, axis=0) > 0.9
+    return res.eigenvalues[in_well].tolist(), res.eigenvalues[~in_well].tolist()
 
 
 def example1_indicial_exponent(l: float, mprime_q: float, mprime: float) -> complex:

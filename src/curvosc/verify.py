@@ -26,6 +26,7 @@ from .numerics import (
     Grid1D,
     SturmLiouvilleProblem,
     assemble,
+    derivatives,
     lowest_eigenvalues,
     rayleigh_quotient,
     residual_norm,
@@ -34,6 +35,8 @@ from .numerics import (
 from .params import PhysParams
 
 __all__ = ["CheckResult", "SUITES", "run_suites", "build_report", "ALL_SUITE_NAMES"]
+
+_WALLS = (EndpointRule.dirichlet(),) * 2
 
 
 @dataclass
@@ -82,8 +85,8 @@ def suite_higgs_spectrum() -> list[CheckResult]:
     # Dirichlet walls at [1e-4, 40]; reported to document why the polar
     # protocol is used instead
     params = PhysParams(lam=1.0)
-    p, q, w = problems._radial_pqw(0, params, lambda r: 0.5 * np.asarray(r) ** 2)
-    prob = SturmLiouvilleProblem(p, q, w, Grid1D(1e-4, 40.0, 2000))
+    prob = problems.higgs_radial_problem(0, params, lambda r: 0.5 * np.asarray(r) ** 2,
+                                         Grid1D(1e-4, 40.0, 2000), _WALLS)
     extrap, _, _ = richardson_eigenvalues(prob, 3)
     exact = np.array([higgs.higgs_energy((N, 0), params) for N in range(3)])
     rel = float(np.max(np.abs(extrap - exact) / exact))
@@ -134,14 +137,10 @@ def suite_eigen_residual() -> list[CheckResult]:
     for N in range(4):
         for mp in range(4):
             E = higgs.higgs_energy((N, mp), params)
+            ch = higgs.RadialChannel(mp, params)
             res = residual_norm(
-                lambda r: higgs.higgs_radial_coefficients(
-                    higgs.RadialChannel(mp, params), r)[0],
-                lambda r: higgs.higgs_radial_coefficients(
-                    higgs.RadialChannel(mp, params), r)[1],
-                lambda r: higgs.higgs_radial_coefficients(
-                    higgs.RadialChannel(mp, params), r)[2]
-                + 0.5 * params.mass * params.omega**2 * r * r,
+                lambda r: higgs.higgs_radial_coefficients(ch, r),
+                lambda r: 0.5 * params.mass * params.omega**2 * r * r,
                 lambda r: higgs.higgs_wavefunction((N, mp), params, r),
                 E, grid, step=lambda r: 1e-3 * (1 + r))
             if res > worst:
@@ -203,8 +202,7 @@ def suite_wavefunction_map() -> list[CheckResult]:
     res = {}
     for conv in (HypergeometricArgument.SIN_SQUARED, HypergeometricArgument.SIN):
         res[conv] = residual_norm(
-            lambda x: crs.crs_operator_coefficients(params, x)[0],
-            lambda x: crs.crs_operator_coefficients(params, x)[1],
+            lambda x: crs.crs_operator_coefficients(params, x),
             lambda x: crs.crs_potential_special(x, mq, params),
             lambda x: crs.crs_wavefunction_special_real((N, mq), params, x, conv),
             E, grid, step=lambda x: 1e-3 * (1 + x))
@@ -557,20 +555,21 @@ def suite_numerics_oracle() -> list[CheckResult]:
             bad += 1
     out.append(_check("numerics-oracle", "sturm-node-counts", bad, 0.0))
     # self-adjointness certificates: expanding (p psi')'/w reproduces the
-    # raw first-derivative coefficients of both operators
+    # raw first-derivative coefficient, p'/w = -p1, for both built operators
     params = PhysParams(lam=1.0)
-    hd = 1e-6
     pts = np.array([0.3, 1.0, 2.5])
-    pr, qr, wr = problems._radial_pqw(1, params, lambda r: 0.5 * np.asarray(r) ** 2)
-    dp = (pr(pts + hd) - pr(pts - hd)) / (2 * hd)
-    p1 = higgs.higgs_radial_coefficients(higgs.RadialChannel(1, params), pts)[1]
-    worst = np.max(np.abs(dp / pts + p1))
-    cprob = problems.crs_problem(params, lambda x: np.zeros_like(np.asarray(x, float)),
-                                 Grid1D(0.1, 1.0, 3), (EndpointRule.dirichlet(),) * 2)
-    dp = (cprob.p(pts + hd) - cprob.p(pts - hd)) / (2 * hd)
-    p1 = crs.crs_operator_coefficients(params, pts)[1]
-    worst = max(worst, np.max(np.abs(dp * np.sqrt(1 + params.lam * pts * pts) + p1)))
-    out.append(_check("numerics-oracle", "self-adjointness-certificates", float(worst),
+    grid = Grid1D(0.1, 1.0, 3)
+    zero = lambda t: 0.0 * t
+    ch = higgs.RadialChannel(1, params)
+    worst = 0.0
+    for prob, coeffs in (
+            (problems.higgs_radial_problem(1, params, zero, grid, _WALLS),
+             lambda r: higgs.higgs_radial_coefficients(ch, r)),
+            (problems.crs_problem(params, zero, grid, _WALLS),
+             lambda x: crs.crs_operator_coefficients(params, x))):
+        _, dp, _ = derivatives(prob.p, pts, 1e-3)
+        worst = max(worst, float(np.max(np.abs(dp / prob.w(pts) + coeffs(pts)[1]))))
+    out.append(_check("numerics-oracle", "self-adjointness-certificates", worst,
                       1e-8, detail="(p psi')'/w expansion vs raw coefficients, both operators"))
     # the tridiagonal eigensolver against a dense generalized solve of the
     # same assembled pencil (K, M), corner corrections included

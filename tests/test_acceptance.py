@@ -4,11 +4,43 @@ tests/test_acceptance.py` to see every line; the same checks back the
 `curvosc verify` command.
 """
 
-from curvosc import verify
+import json
+import math
+
+import pytest
+
+from curvosc.cli import main
+from curvosc.verify import CheckResult, _qes_measurements
 
 
-def _run(number: int, title: str, suite_name: str):
-    checks = verify.SUITES[suite_name]()
+@pytest.fixture(scope="session")
+def verify_runs(tmp_path_factory):
+    """Two genuine full `curvosc verify` runs, the QES cache cleared before
+    each: [(exit code, report bytes), ...].  The criterion tests assert on
+    the first report, the determinism test compares the two."""
+    runs = []
+    for name in ("first.json", "second.json"):
+        _qes_measurements.cache_clear()   # force a genuine recomputation
+        path = tmp_path_factory.mktemp("verify") / name
+        runs.append((main(["verify", "--output", str(path)]), path.read_bytes()))
+    return runs
+
+
+def _suite_checks(verify_runs, suite_name: str) -> list[CheckResult]:
+    """The checks of one suite in the first report (null = not finite)."""
+    doc = json.loads(verify_runs[0][1])
+    suite = next(s for s in doc["suites"] if s["suite"] == suite_name)
+
+    def num(v):
+        return math.inf if v is None else v
+
+    return [CheckResult(suite_name, c["name"], c["passed"], num(c["measured"]),
+                        num(c["tolerance"]), c["comparator"], c["detail"])
+            for c in suite["checks"]]
+
+
+def _run(verify_runs, number: int, title: str, suite_name: str):
+    checks = _suite_checks(verify_runs, suite_name)
     gated = [c for c in checks if c.comparator != "report"]
     failed = [c for c in gated if not c.passed]
     for c in checks:
@@ -26,93 +58,87 @@ def _run(number: int, title: str, suite_name: str):
     return checks
 
 
-def test_criterion_01_higgs_spectrum():
+def test_criterion_01_higgs_spectrum(verify_runs):
     """Richardson-extrapolated radial eigenvalues match the closed-form
     spectrum to 1e-5 relative for lam in {0.1, 1}, (N, m') in {0,1,2}^2."""
-    _run(1, "higgs spectrum", "higgs-spectrum")
+    _run(verify_runs, 1, "higgs spectrum", "higgs-spectrum")
 
 
-def test_criterion_02_crs_spectrum():
+def test_criterion_02_crs_spectrum(verify_runs):
     """Line-model eigenvalues on the natural branch and on the wide domain
     match the closed-form spectrum to 1e-5; the wide domain adds interloper
     states beyond the tan pole, reported per channel."""
-    _run(2, "crs spectrum", "crs-spectrum")
+    _run(verify_runs, 2, "crs spectrum", "crs-spectrum")
 
 
-def test_criterion_03_eigen_residual():
+def test_criterion_03_eigen_residual(verify_runs):
     """Closed-form eigenpairs satisfy the radial equation: max relative
     residual < 1e-6 on r in [0.05, 20] for 16 (N, m') pairs."""
-    _run(3, "eigen residual", "eigen-residual")
+    _run(verify_runs, 3, "eigen residual", "eigen-residual")
 
 
-def test_criterion_04_transform_closure():
+def test_criterion_04_transform_closure(verify_runs):
     """Mapping the special line potential produces exactly the plain
     oscillator: 1e-12 relative at 100 log-spaced radii, lam in {0.1, 1, 10},
     m'_Q in {0, 1, 2, 1/2}."""
-    _run(4, "transform closure", "transform-closure")
+    _run(verify_runs, 4, "transform closure", "transform-closure")
 
 
-def test_criterion_05_wavefunction_map():
+def test_criterion_05_wavefunction_map(verify_runs):
     """g(r) phi(x(r)) is proportional to the radial eigenfunction
     (std/|mean| < 1e-6) under the sin^2 convention; the plain-sin variant's
     eigen-equation residual is measured and reported."""
-    checks = _run(5, "wavefunction map", "wavefunction-map")
+    checks = _run(verify_runs, 5, "wavefunction map", "wavefunction-map")
     printed = next(c for c in checks if c.name == "sin-as-printed-residual")
     squared = next(c for c in checks if c.name == "sin-squared-residual")
     # the evidence that settles the convention question
     assert printed.measured > 1e4 * squared.measured
 
 
-def test_criterion_06_constraint_ode():
+def test_criterion_06_constraint_ode(verify_runs):
     """|K X'' + lam x X' - A X - B| < 1e-6 at 50 points for the special
     choice, the cos(l Theta) family with l in {1, 2, 3}, and sqrt(lam) x."""
-    _run(6, "constraint ODE", "constraint-ode")
+    _run(verify_runs, 6, "constraint ODE", "constraint-ode")
 
 
-def test_criterion_07_qes_certification():
+def test_criterion_07_qes_certification(verify_runs):
     """(a) Rayleigh constancy of both closed-form ground states < 1e-6;
     (b) numerical ground eigenvalue in the matching channel within 1e-4 of
     the Rayleigh energy; (c) neighboring channels are not proportional to
     any closed-form candidate (deviation > 1e-2)."""
-    _run(7, "QES certification", "qes-certification")
+    _run(verify_runs, 7, "QES certification", "qes-certification")
 
 
-def test_criterion_08_l2_reduction():
+def test_criterion_08_l2_reduction(verify_runs):
     """The l=2 member reduces to the plain oscillator: the difference table
     is reproducible to 1e-10 and measures as identically zero."""
-    checks = _run(8, "l=2 reduction", "l2-reduction")
+    checks = _run(verify_runs, 8, "l=2 reduction", "l2-reduction")
     # the measured outcome: the difference is constant in r and equal to zero
     assert all("max |D| = " in c.detail for c in checks)
 
 
-def test_criterion_09_flat_limit():
+def test_criterion_09_flat_limit(verify_runs):
     """At lam = 1e-8 the spectrum equals the flat 2D oscillator ladder
     within 1e-6 absolute."""
-    _run(9, "flat limit", "flat-limit")
+    _run(verify_runs, 9, "flat limit", "flat-limit")
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(verify_runs):
     """Two consecutive full `verify --suite all` runs emit byte-identical
     reports."""
-    from curvosc.cli import main
-    from curvosc.verify import _qes_measurements
-    outs = []
-    for name in ("first.json", "second.json"):
-        _qes_measurements.cache_clear()   # force a genuine recomputation
-        path = tmp_path / name
-        code = main(["verify", "--output", str(path)])
+    for code, _ in verify_runs:
         assert code == 0, "verify run must pass all suites"
-        outs.append(path.read_bytes())
+    outs = [report for _, report in verify_runs]
     identical = outs[0] == outs[1]
     print(f"ACCEPTANCE 10 determinism :: {'PASS' if identical else 'FAIL'} "
           f"byte-identical reports ({len(outs[0])} bytes)")
     assert identical
 
 
-def test_module_invariant_suites():
+def test_module_invariant_suites(verify_runs):
     """The remaining module-level invariant suites all pass."""
     for name in ("special-functions", "crs-model", "higgs-model",
                  "transform-maps", "numerics-oracle", "determinism"):
-        checks = verify.SUITES[name]()
+        checks = _suite_checks(verify_runs, name)
         bad = [c for c in checks if not c.passed]
         assert not bad, f"suite {name}: {[c.name for c in bad]}"

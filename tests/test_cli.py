@@ -60,6 +60,14 @@ class TestValidation:
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "no-such-suite"]) == 1
 
+    @pytest.mark.parametrize("flags", [["--format", "csv"], ["--lambda", "0.5"]])
+    def test_verify_rejects_flags_it_ignores(self, flags, capsys):
+        # verify always writes JSON at fixed parameters
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_domain_error_is_exit_one(self, tmp_path, capsys):
         code, _ = run_to_file(tmp_path, "x.json", [
             "potential", "--model", "crs", "--mprime-q", "1", "--grid-min", "0"])

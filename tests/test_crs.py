@@ -167,8 +167,7 @@ class TestWavefunction:
         E = crs.crs_energy((N, mq), UNIT)
         grid = Grid1D(0.1, 0.9 * crs.x_pole(UNIT), 400)
         res = residual_norm(
-            lambda x: crs.crs_operator_coefficients(UNIT, x)[0],
-            lambda x: crs.crs_operator_coefficients(UNIT, x)[1],
+            lambda x: crs.crs_operator_coefficients(UNIT, x),
             lambda x: crs.crs_potential_special(x, mq, UNIT),
             lambda x: crs.crs_wavefunction_special_real((N, mq), UNIT, x),
             E, grid, step=lambda x: 1e-3 * (1 + x))
@@ -179,8 +178,7 @@ class TestWavefunction:
         E = crs.crs_energy((N, mq), UNIT)
         grid = Grid1D(0.1, 0.9 * crs.x_pole(UNIT), 400)
         res = residual_norm(
-            lambda x: crs.crs_operator_coefficients(UNIT, x)[0],
-            lambda x: crs.crs_operator_coefficients(UNIT, x)[1],
+            lambda x: crs.crs_operator_coefficients(UNIT, x),
             lambda x: crs.crs_potential_special(x, mq, UNIT),
             lambda x: crs.crs_wavefunction_special_real(
                 (N, mq), UNIT, x, HypergeometricArgument.SIN),
@@ -219,12 +217,12 @@ class TestEnergy:
 
 class TestOperatorCoefficients:
     def test_at_origin(self):
-        assert crs.crs_operator_coefficients(UNIT, 0.0) == (-0.5, 0.0)
+        assert crs.crs_operator_coefficients(UNIT, 0.0) == (-0.5, 0.0, 0.0)
 
     def test_flat_everywhere(self):
         p = PhysParams(lam=0.0)
         for x in (0.0, 1.0, 5.0):
-            assert crs.crs_operator_coefficients(p, x) == (-0.5, 0.0)
+            assert crs.crs_operator_coefficients(p, x) == (-0.5, 0.0, 0.0)
 
     def test_self_adjoint_certificate(self):
         # with w = (1+lam x^2)^(-1/2): (w K)'/w = lam x

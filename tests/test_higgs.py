@@ -65,10 +65,8 @@ class TestWavefunction:
         E = higgs.higgs_energy((N, mp), UNIT)
         grid = Grid1D(0.05, 20.0, 800)
         res = residual_norm(
-            lambda r: higgs.higgs_radial_coefficients(RadialChannel(mp, UNIT), r)[0],
-            lambda r: higgs.higgs_radial_coefficients(RadialChannel(mp, UNIT), r)[1],
-            lambda r: higgs.higgs_radial_coefficients(RadialChannel(mp, UNIT), r)[2]
-            + 0.5 * r * r,
+            lambda r: higgs.higgs_radial_coefficients(RadialChannel(mp, UNIT), r),
+            lambda r: 0.5 * r * r,
             lambda r: higgs.higgs_wavefunction((N, mp), UNIT, r),
             E, grid, step=lambda r: 1e-3 * (1 + r))
         assert res < 1e-6

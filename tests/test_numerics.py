@@ -15,6 +15,7 @@ from curvosc.numerics import (
     Grid1D,
     SturmLiouvilleProblem,
     assemble,
+    derivatives,
     lowest_eigenvalues,
     normalize,
     rayleigh_quotient,
@@ -177,6 +178,13 @@ class TestCornerQuadrature:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
 
+    def test_right_tie_rejected(self):
+        prob = SturmLiouvilleProblem(ONE, ONE, ONE, Grid1D(0.0, 1.0 - 1e-3, 50),
+                                     (EndpointRule.dirichlet(),
+                                      EndpointRule.power(3.0, 1.0, tie=True)))
+        with pytest.raises(ValueError, match="left endpoint only"):
+            assemble(prob)
+
     def test_ratio_survives_where_phi_underflows(self):
         rule = EndpointRule.power(1000.0, 0.0)
         h = 1e-3
@@ -216,6 +224,23 @@ class TestLowestEigenvalues:
         for j in range(3):
             v = res.eigenvectors[:, j]
             assert np.sum(w * v * v) * prob.grid.h == pytest.approx(1.0, rel=1e-12)
+            big = np.nonzero(np.abs(v) > 1e-8 * np.max(np.abs(v)))[0]
+            assert v[big[0]] > 0
+
+    def test_tied_system_eigenvectors(self):
+        # the tie removes the first grid point from the solve; the returned
+        # eigenvectors are expanded back onto the full grid
+        rule = EndpointRule.power(1.5, 0.0, series=(0.4, -0.1), tie=True)
+        prob = SturmLiouvilleProblem(lambda x: 1 + x, lambda x: 2 / x**2 + x,
+                                     lambda x: 1 + 0.5 * x**2, Grid1D(0.0, 2.0, 301),
+                                     (rule, EndpointRule.dirichlet()))
+        res = lowest_eigenvalues(prob, 3)
+        x = prob.grid.points()
+        assert res.eigenvectors.shape == (301, 3)
+        for j in range(3):
+            v = res.eigenvectors[:, j]
+            assert np.sum(prob.w(x) * v * v) * prob.grid.h == pytest.approx(1.0, rel=1e-12)
+            assert v[0] == pytest.approx(float(rule.ratio(x[0], x[1])) * v[1], rel=1e-14)
             big = np.nonzero(np.abs(v) > 1e-8 * np.max(np.abs(v)))[0]
             assert v[big[0]] > 0
 
@@ -287,10 +312,26 @@ class TestSpectrumProtocols:
             assert dev < 1e-4
 
 
+class TestDerivatives:
+    def test_sine_with_scalar_and_array_step(self):
+        x = np.linspace(0.1, 3.0, 30)
+        for step in (1e-3, np.full(x.shape, 1e-3)):
+            f, d1, d2 = derivatives(np.sin, x, step)
+            assert np.array_equal(f, np.sin(x))
+            assert np.max(np.abs(d1 - np.cos(x))) < 1e-11
+            assert np.max(np.abs(d2 + np.sin(x))) < 1e-7
+
+    def test_constant_broadcasts(self):
+        x = np.linspace(0.0, 1.0, 5)
+        f, d1, d2 = derivatives(lambda t: 2.0, x, 0.1)
+        assert f.shape == d1.shape == d2.shape == x.shape
+        assert np.all(f == 2.0) and np.all(d1 == 0.0) and np.all(d2 == 0.0)
+
+
 class TestResidualNorm:
     def test_constant_state(self):
         grid = Grid1D(0.0, 1.0, 50)
-        res = residual_norm(ONE, lambda x: 0.3 * x, lambda x: 2.0,
+        res = residual_norm(lambda x: (1.0, 0.3 * x, 0.0), lambda x: 2.0,
                             lambda x: 1.0, 2.0, grid)
         assert res < 1e-12
 
@@ -299,10 +340,8 @@ class TestResidualNorm:
         E = higgs.higgs_energy((0, mp), UNIT)
         grid = Grid1D(0.05, 20.0, 500)
         args = (
-            lambda r: higgs.higgs_radial_coefficients(higgs.RadialChannel(mp, UNIT), r)[0],
-            lambda r: higgs.higgs_radial_coefficients(higgs.RadialChannel(mp, UNIT), r)[1],
-            lambda r: higgs.higgs_radial_coefficients(higgs.RadialChannel(mp, UNIT), r)[2]
-            + 0.5 * r * r,
+            lambda r: higgs.higgs_radial_coefficients(higgs.RadialChannel(mp, UNIT), r),
+            lambda r: 0.5 * r * r,
             lambda r: higgs.higgs_wavefunction((0, mp), UNIT, r),
         )
         step = lambda r: 1e-3 * (1 + r)
