@@ -50,8 +50,8 @@ from .numerics import (
     Grid1D,
     SturmLiouvilleProblem,
     assemble,
+    lowest_eigenpairs,
     lowest_eigenvalues,
-    normalize,
     rayleigh_quotient,
     residual_norm,
     richardson_eigenvalues,

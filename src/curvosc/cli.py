@@ -148,7 +148,7 @@ def run_spectrum(config: RunConfig):
         example = 1 if config.model == "qes1" else 2
         mq = config.mprime_q
         prob = problems.qes_channel_problem(example, mq, mq, params, 8001, l=config.l)
-        res = lowest_eigenvalues(prob, config.n_max + 1)
+        numeric = lowest_eigenvalues(prob, config.n_max + 1)
         # only the channel ground state has a closed form; its energy is
         # defined by the Rayleigh quotient of the printed state
         if example == 1:
@@ -158,7 +158,7 @@ def run_spectrum(config: RunConfig):
             psi = lambda r: higgs.qes_example2_groundstate(spec, params, r)
         E0, _ = rayleigh_quotient(
             problems.qes_rayleigh_problem(example, mq, params, l=config.l), psi)
-        for N, en in enumerate(res.eigenvalues):
+        for N, en in enumerate(numeric):
             ea = E0 if N == 0 else None
             rel = abs(en - ea) / abs(ea) if ea is not None else None
             rows.append([N, mq, ea if ea is None else float(ea), float(en), rel])

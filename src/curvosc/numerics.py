@@ -46,11 +46,21 @@ profile), eliminates the first interior point by symmetric Rayleigh-Ritz
 reduction; for a resonant indicial pair this suppresses the unwanted
 partner solution exactly at the two-point level.  The "decay" rule is the
 analogous closure for an infinite right endpoint with profile x^(-mu).
+
+Eigensolvers
+------------
+Both solve the standard form M^(-1/2) K M^(-1/2) u = E u and split by
+what they return.  lowest_eigenvalues runs only the Sturm-sequence
+bisection (LAPACK stebz) and returns the k lowest eigenvalues; every
+spectrum protocol and Richardson pair takes this path.  lowest_eigenpairs
+adds inverse iteration (stein), the back-transform v = M^(-1/2) u, the
+residuals and the normalization, for the callers that read eigenvectors.
+Both apply the same guards (k budget, finite system, spectral edge,
+strictly ascending values) and return bitwise-equal eigenvalues.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -72,11 +82,11 @@ __all__ = [
     "EigenResult",
     "assemble",
     "lowest_eigenvalues",
+    "lowest_eigenpairs",
     "richardson_eigenvalues",
     "derivatives",
     "residual_norm",
     "rayleigh_quotient",
-    "normalize",
 ]
 
 _GX, _GW = np.polynomial.legendre.leggauss(24)
@@ -212,21 +222,19 @@ class TridiagonalSystem:
 
 @dataclass
 class EigenResult:
-    """Lowest eigenpairs of a discretized problem.
+    """Lowest eigenpairs of a discretized problem, from lowest_eigenpairs.
 
     Eigenvalues ascend strictly; eigenvectors are sampled on grid.points()
     and normalized to sum(w_i v_i^2 h) = 1 with the first significant
-    component positive.
+    component positive.  residual_norms[j] is ||(K - E_j M) v_j|| over
+    || |K||v_j| + |E_j| M|v_j| || on the solved (tie-reduced) system: the
+    backward error of the pair, roundoff (~1e-16) for a converged solve.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray          # shape (n, k)
     residual_norms: np.ndarray
     grid: Grid1D
-
-    def __post_init__(self):
-        if np.any(np.diff(self.eigenvalues) <= 0):
-            raise ValueError("eigenvalues not strictly ascending")
 
 
 def assemble(problem: SturmLiouvilleProblem) -> TridiagonalSystem:
@@ -296,9 +304,10 @@ def assemble(problem: SturmLiouvilleProblem) -> TridiagonalSystem:
     return TridiagonalSystem(diag, off, wi, grid, tie_left)
 
 
-def lowest_eigenvalues(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
-    """k smallest eigenpairs by bisection on the Sturm-sequence sign count
-    plus inverse iteration (LAPACK stebz/stein via eigh_tridiagonal)."""
+def _standard_system(problem: SturmLiouvilleProblem, k: int
+                     ) -> tuple[TridiagonalSystem, np.ndarray, np.ndarray]:
+    """Front end of both solvers: the k budget, the assembled system and
+    its standard form (d, e), which must be finite."""
     n = problem.grid.n
     if k < 1:
         raise ValueError("k must be positive")
@@ -308,22 +317,65 @@ def lowest_eigenvalues(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
     d, e = system.standard_form()
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise UnresolvedError("assembled system has non-finite entries")
-    vals, u = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+    return system, d, e
+
+
+def _checked(vals: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """vals, after the guards of both solvers: clear of the spectral edge
+    of (d, e) and strictly ascending."""
     edge = float(np.max(d) + 2 * np.max(np.abs(e)))
     if vals[-1] > 0.95 * edge:
         raise UnresolvedError(
             f"eigenvalue {vals[-1]:.6g} within 5% of the spectral edge {edge:.6g}")
+    if np.any(np.diff(vals) <= 0):
+        raise ValueError("eigenvalues not strictly ascending")
+    return vals
+
+
+def _backward_errors(system: TridiagonalSystem, vals: np.ndarray,
+                     ur: np.ndarray) -> np.ndarray:
+    """||(K - E M) v|| / || |K||v| + |E| M|v| || for each pair (E, v), the
+    vectors v the rows of ur: each residual held against the roundoff scale
+    of its own products.  One pair at a time, so the scratch is O(n); the
+    norms are plain sums because np.linalg.norm of a vector is a BLAS dot,
+    whose thread wake-up costs more than the sum at these sizes."""
+    kd, ko, md = system.k_diag, system.k_off, system.m_diag
+    akd, ako = np.abs(kd), np.abs(ko)
+    out = np.empty(vals.size)
+    for j, (E, v) in enumerate(zip(vals, ur)):
+        r = (kd - E * md) * v
+        r[:-1] += ko * v[1:]
+        r[1:] += ko * v[:-1]
+        av = np.abs(v)
+        s = (akd + abs(E) * md) * av
+        s[:-1] += ako * av[1:]
+        s[1:] += ako * av[:-1]
+        out[j] = np.sqrt(np.sum(r * r) / np.sum(s * s))
+    return out
+
+
+def lowest_eigenvalues(problem: SturmLiouvilleProblem, k: int) -> np.ndarray:
+    """k smallest eigenvalues, ascending, by bisection on the Sturm-sequence
+    sign count (LAPACK stebz via eigh_tridiagonal); no eigenvector is
+    formed."""
+    _, d, e = _standard_system(problem, k)
+    vals = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, k - 1))
+    return _checked(vals, d, e)
+
+
+def lowest_eigenpairs(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
+    """k smallest eigenpairs by bisection plus inverse iteration (LAPACK
+    stebz/stein via eigh_tridiagonal), back-transformed to K v = E M v,
+    with residuals and normalized vectors; see EigenResult.  Its
+    eigenvalues equal those of lowest_eigenvalues bit for bit."""
+    system, d, e = _standard_system(problem, k)
+    vals, u = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+    _checked(vals, d, e)
     # back-transform all k pairs at once, in place in LAPACK's block, whose
-    # rows ur are the eigenvectors; the residual (K - E M) ur needs one more
-    # (k, n) array and a scratch for its off-diagonal products
+    # rows ur are the eigenvectors
     ur = u.T
     ur /= np.sqrt(system.m_diag)
-    r = (system.k_diag - vals[:, None] * system.m_diag) * ur
-    r[:, :-1] += system.k_off * ur[:, 1:]
-    r[:, 1:] += system.k_off * ur[:, :-1]
-    resid = np.linalg.norm(r, axis=1)
-    del r
-    resid /= (1 + np.abs(vals)) * np.linalg.norm(system.m_diag * ur, axis=1)
+    resid = _backward_errors(system, vals, ur)
     v = system.expand(ur)
     wi_full = np.asarray(problem.w(problem.grid.points()), float)
     nrm = np.sqrt(np.sum(wi_full * v * v, axis=1) * problem.grid.h)
@@ -338,14 +390,13 @@ def lowest_eigenvalues(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
 
 
 def richardson_eigenvalues(problem: SturmLiouvilleProblem, k: int
-                           ) -> tuple[np.ndarray, EigenResult, EigenResult]:
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues on the grid and its h/2 refinement plus the second-order
     Richardson combination (4 E_fine - E_coarse)/3.  Returns
-    (extrapolated, coarse result, fine result)."""
+    (extrapolated, coarse eigenvalues, fine eigenvalues)."""
     coarse = lowest_eigenvalues(problem, k)
     fine = lowest_eigenvalues(problem.refined(), k)
-    extrap = (4 * fine.eigenvalues - coarse.eigenvalues) / 3
-    return extrap, coarse, fine
+    return (4 * fine - coarse) / 3, coarse, fine
 
 
 def _on(x: np.ndarray, value) -> np.ndarray:
@@ -414,13 +465,3 @@ def rayleigh_quotient(problem: SturmLiouvilleProblem, psi: Callable,
     mean_w = float(np.sum(weight * e) / np.sum(weight))
     constancy = float(np.std(e) / abs(np.mean(e)))
     return mean_w, constancy
-
-
-def normalize(psi_samples: np.ndarray, w_samples: np.ndarray, h: float) -> np.ndarray:
-    """Scale samples so the trapezoidal integral of w psi^2 equals 1."""
-    psi_samples = np.asarray(psi_samples, float)
-    w_samples = np.asarray(w_samples, float)
-    nrm2 = float(np.trapezoid(w_samples * psi_samples**2, dx=h))
-    if nrm2 <= 0:
-        raise ZeroNormError(f"weighted norm {nrm2} is not positive")
-    return psi_samples / math.sqrt(nrm2)

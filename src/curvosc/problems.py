@@ -48,13 +48,14 @@ from .higgs import (
     qes_example1_potential,
     qes_example2_potential,
 )
-from .numerics import EndpointRule, Grid1D, SturmLiouvilleProblem, lowest_eigenvalues, \
+from .numerics import EndpointRule, Grid1D, SturmLiouvilleProblem, lowest_eigenpairs, \
     richardson_eigenvalues
 from .params import PhysParams
 
 __all__ = [
     "higgs_radial_problem",
     "higgs_polar_problem",
+    "higgs_oscillator_problem",
     "crs_problem",
     "crs_natural_problem",
     "higgs_spectrum_numeric",
@@ -113,13 +114,10 @@ def crs_problem(params: PhysParams, V: Callable, grid: Grid1D, bc) -> SturmLiouv
                          grid, bc)
 
 
-def higgs_spectrum_numeric(mprime: int, params: PhysParams, k: int,
-                           n: int = 4000) -> np.ndarray:
-    """Richardson-extrapolated lowest k oscillator-channel eigenvalues.
-
-    Polar frame on (0, pi/2 - 1e-6) with power closures at both corners.
-    Measured accuracy ~1e-9 relative for lam in [0.1, 1], k <= 3.
-    """
+def higgs_oscillator_problem(mprime: int, params: PhysParams,
+                             n: int) -> SturmLiouvilleProblem:
+    """Oscillator channel in the polar frame on (0, pi/2 - 1e-6), with
+    power closures at the origin and at the equator."""
     lam = params.require_curvature()
     sig_eq = 2 + params.mass * params.omega_prime / (params.hbar * lam)
 
@@ -129,8 +127,14 @@ def higgs_spectrum_numeric(mprime: int, params: PhysParams, k: int,
     grid = Grid1D(0.0, math.pi / 2 - 1e-6, n)
     bc = (EndpointRule.power(abs(mprime), 0.0),
           EndpointRule.power(sig_eq, math.pi / 2))
-    prob = higgs_polar_problem(mprime, params, V, grid, bc)
-    extrap, _, _ = richardson_eigenvalues(prob, k)
+    return higgs_polar_problem(mprime, params, V, grid, bc)
+
+
+def higgs_spectrum_numeric(mprime: int, params: PhysParams, k: int,
+                           n: int = 4000) -> np.ndarray:
+    """Richardson-extrapolated lowest k oscillator-channel eigenvalues.
+    Measured accuracy ~1e-9 relative for lam in [0.1, 1], k <= 3."""
+    extrap, _, _ = richardson_eigenvalues(higgs_oscillator_problem(mprime, params, n), k)
     return extrap
 
 
@@ -165,7 +169,7 @@ def crs_spectrum_numeric_wide(mprime_q: float, params: PhysParams, k: int,
     bc = (EndpointRule.power(0.5 + abs(mprime_q), 0.0), EndpointRule.dirichlet())
     prob = crs_problem(params, lambda x: crs_potential_special(x, mprime_q, params),
                        grid, bc)
-    res = lowest_eigenvalues(prob, k)
+    res = lowest_eigenpairs(prob, k)
     x = grid.points()
     mass = np.asarray(prob.w(x), float)[:, None] * res.eigenvectors ** 2
     in_well = np.sum(mass[x < xs], axis=0) / np.sum(mass, axis=0) > 0.9

@@ -27,6 +27,7 @@ from .numerics import (
     SturmLiouvilleProblem,
     assemble,
     derivatives,
+    lowest_eigenpairs,
     lowest_eigenvalues,
     rayleigh_quotient,
     residual_norm,
@@ -270,9 +271,9 @@ def _qes_measurements():
     m["ex2_E0"], m["ex2_constancy"] = E2, c2
 
     num1 = lowest_eigenvalues(problems.qes_channel_problem(1, mq, mq, params, 8001, l=l), 1)
-    m["ex1_numeric_E0"] = float(num1.eigenvalues[0])
+    m["ex1_numeric_E0"] = float(num1[0])
     num2 = lowest_eigenvalues(problems.qes_channel_problem(2, mq, mq, params, 8001), 1)
-    m["ex2_numeric_E0"] = float(num2.eigenvalues[0])
+    m["ex2_numeric_E0"] = float(num2[0])
 
     # neighbor channels: ground state must not be proportional to any
     # closed-form candidate
@@ -291,7 +292,7 @@ def _qes_measurements():
         for channel in (mq - 1, mq + 1):
             prob = problems.qes_channel_problem(example, channel, mq, params, 2000,
                                                 l=l if example == 1 else None)
-            res = lowest_eigenvalues(prob, 1)
+            res = lowest_eigenpairs(prob, 1)
             x = prob.grid.points()
             v = res.eigenvectors[:, 0]
             i0, i1 = int(0.2 * x.size), int(0.8 * x.size)
@@ -534,9 +535,9 @@ def suite_numerics_oracle() -> list[CheckResult]:
     # measured convergence order of the ground state
     errs = []
     for n in (500, 1001, 2003):
-        res = lowest_eigenvalues(SturmLiouvilleProblem(
+        vals = lowest_eigenvalues(SturmLiouvilleProblem(
             prob.p, prob.q, prob.w, Grid1D(-10.0, 10.0, n)), 1)
-        errs.append(abs(res.eigenvalues[0] - 1.0))
+        errs.append(abs(vals[0] - 1.0))
     order = math.log2(errs[0] / errs[1])
     out.append(_check("numerics-oracle", "convergence-order-low", order, 1.8,
                       comparator=">", detail=f"orders {order:.3f}, "
@@ -545,7 +546,7 @@ def suite_numerics_oracle() -> list[CheckResult]:
                       max(order, math.log2(errs[1] / errs[2])), 2.2,
                       detail="both measured orders at most 2.2"))
     # node counts cross-validate the labeling by N
-    res = lowest_eigenvalues(prob, 4)
+    res = lowest_eigenpairs(prob, 4)
     bad = 0
     for j in range(4):
         v = res.eigenvectors[:, j]
@@ -578,7 +579,7 @@ def suite_numerics_oracle() -> list[CheckResult]:
     K = np.diag(system.k_diag) + np.diag(system.k_off, 1) + np.diag(system.k_off, -1)
     dense = scipy.linalg.eigh(K, np.diag(system.m_diag), eigvals_only=True,
                               subset_by_index=(0, 2))
-    tri = lowest_eigenvalues(cprob, 3).eigenvalues
+    tri = lowest_eigenvalues(cprob, 3)
     out.append(_check("numerics-oracle", "dense-eigensolve-agreement",
                       float(np.max(np.abs(tri - dense) / np.abs(dense))), 1e-10,
                       detail="lowest 3 of dense eigh(K, M) vs the tridiagonal path, "

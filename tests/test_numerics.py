@@ -4,26 +4,29 @@ import numpy as np
 import pytest
 
 from curvosc import crs, higgs
-from curvosc.errors import (
-    NodeDetectedError,
-    NonpositiveWeightError,
-    UnresolvedError,
-    ZeroNormError,
-)
+from curvosc.errors import NodeDetectedError, NonpositiveWeightError, UnresolvedError
 from curvosc.numerics import (
     EndpointRule,
     Grid1D,
     SturmLiouvilleProblem,
     assemble,
     derivatives,
+    lowest_eigenpairs,
     lowest_eigenvalues,
-    normalize,
     rayleigh_quotient,
     residual_norm,
     richardson_eigenvalues,
 )
+from curvosc.numerics import _backward_errors
 from curvosc.params import PhysParams
-from curvosc.problems import crs_problem, crs_spectrum_numeric, higgs_spectrum_numeric
+from curvosc.problems import (
+    crs_natural_problem,
+    crs_problem,
+    crs_spectrum_numeric,
+    higgs_oscillator_problem,
+    higgs_spectrum_numeric,
+    qes_channel_problem,
+)
 
 UNIT = PhysParams()
 
@@ -141,14 +144,13 @@ class TestAssemble:
             assemble(prob)
 
     def test_flat_oscillator_eigenvalues(self):
-        res = lowest_eigenvalues(flat_oscillator(), 3)
-        assert res.eigenvalues == pytest.approx([1.0, 3.0, 5.0], rel=1e-4)
+        vals = lowest_eigenvalues(flat_oscillator(), 3)
+        assert vals == pytest.approx([1.0, 3.0, 5.0], rel=1e-4)
 
     def test_refinement_shrinks_error_fourfold(self):
         e = []
         for n in (500, 1001):
-            res = lowest_eigenvalues(flat_oscillator(n=n), 1)
-            e.append(abs(res.eigenvalues[0] - 1.0))
+            e.append(abs(lowest_eigenvalues(flat_oscillator(n=n), 1)[0] - 1.0))
         assert e[0] / e[1] == pytest.approx(4.0, rel=0.15)
 
 
@@ -201,24 +203,27 @@ class TestCornerQuadrature:
         q = lambda x: np.where((x > xf[2]) & (x < xf[3]), np.nan, 0.0 * x)
         prob = SturmLiouvilleProblem(ONE, q, ONE, grid,
                                      (EndpointRule.power(1.0, 0.0), EndpointRule.dirichlet()))
-        with pytest.raises(UnresolvedError):
-            lowest_eigenvalues(prob, 2)
+        for solve in (lowest_eigenvalues, lowest_eigenpairs):
+            with pytest.raises(UnresolvedError, match="non-finite"):
+                solve(prob, 2)
 
 
 class TestLowestEigenvalues:
     def test_k1_flat_ground_state(self):
-        res = lowest_eigenvalues(flat_oscillator(n=8000), 1)
-        assert res.eigenvalues[0] == pytest.approx(1.0, abs=1e-6)
+        vals = lowest_eigenvalues(flat_oscillator(n=8000), 1)
+        assert vals.shape == (1,)
+        assert vals[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_richardson(self):
         extrap, coarse, fine = richardson_eigenvalues(flat_oscillator(n=500), 2)
         exact = np.array([1.0, 3.0])
         assert np.max(np.abs(extrap - exact)) < 1e-7
-        assert np.max(np.abs(coarse.eigenvalues - exact)) > np.max(np.abs(extrap - exact))
+        assert np.max(np.abs(coarse - exact)) > np.max(np.abs(extrap - exact))
+        assert np.array_equal(extrap, (4 * fine - coarse) / 3)
 
     def test_eigenvector_normalization_and_sign(self):
         prob = flat_oscillator(n=800)
-        res = lowest_eigenvalues(prob, 3)
+        res = lowest_eigenpairs(prob, 3)
         x = prob.grid.points()
         w = np.ones_like(x)
         for j in range(3):
@@ -234,7 +239,7 @@ class TestLowestEigenvalues:
         prob = SturmLiouvilleProblem(lambda x: 1 + x, lambda x: 2 / x**2 + x,
                                      lambda x: 1 + 0.5 * x**2, Grid1D(0.0, 2.0, 301),
                                      (rule, EndpointRule.dirichlet()))
-        res = lowest_eigenvalues(prob, 3)
+        res = lowest_eigenpairs(prob, 3)
         x = prob.grid.points()
         assert res.eigenvectors.shape == (301, 3)
         for j in range(3):
@@ -245,23 +250,70 @@ class TestLowestEigenvalues:
             assert v[big[0]] > 0
 
     def test_node_counts_match_index(self):
-        res = lowest_eigenvalues(flat_oscillator(n=1000), 5)
+        res = lowest_eigenpairs(flat_oscillator(n=1000), 5)
         for j in range(5):
             v = res.eigenvectors[:, j]
             vv = v[np.abs(v) > 1e-8 * np.max(np.abs(v))]
             assert int(np.sum(vv[:-1] * vv[1:] < 0)) == j
 
     def test_residual_norms_small(self):
-        res = lowest_eigenvalues(flat_oscillator(), 3)
+        res = lowest_eigenpairs(flat_oscillator(), 3)
         assert np.all(res.residual_norms < 1e-10)
 
     def test_k_budget_enforced(self):
-        with pytest.raises(UnresolvedError):
-            lowest_eigenvalues(flat_oscillator(n=100), 30)
+        for solve in (lowest_eigenvalues, lowest_eigenpairs):
+            with pytest.raises(UnresolvedError, match="budget"):
+                solve(flat_oscillator(n=100), 30)
 
     def test_eigenvalues_strictly_ascending(self):
-        res = lowest_eigenvalues(flat_oscillator(), 6)
-        assert np.all(np.diff(res.eigenvalues) > 0)
+        assert np.all(np.diff(lowest_eigenvalues(flat_oscillator(), 6)) > 0)
+        assert np.all(np.diff(lowest_eigenpairs(flat_oscillator(), 6).eigenvalues) > 0)
+
+    def test_spectral_edge_guard(self):
+        # q = 1e9 lifts the whole spectrum to within 5 % of the edge
+        # max(d) + 2 max|e| of the standard form
+        prob = SturmLiouvilleProblem(ONE, lambda x: 1e9 * ONE(x), ONE, Grid1D(0.0, 1.0, 100))
+        for solve in (lowest_eigenvalues, lowest_eigenpairs):
+            with pytest.raises(UnresolvedError, match="spectral edge"):
+                solve(prob, 3)
+
+    @pytest.mark.parametrize("prob,k", [
+        (higgs_oscillator_problem(0, UNIT, 8001), 50),
+        (qes_channel_problem(2, 1, 1, UNIT, 2001), 1),
+    ], ids=["polar-k50", "qes2-tied"])
+    def test_both_paths_bitwise_equal(self, prob, k):
+        vals = lowest_eigenvalues(prob, k)
+        assert vals.shape == (k,)
+        assert np.array_equal(vals, lowest_eigenpairs(prob, k).eigenvalues)
+
+
+class TestBackwardError:
+    # converged pairs read roundoff against the componentwise scale
+    # |K||v| + |E| M|v|, on a deep polar solve, a resonant tied QES
+    # channel and the crs natural branch
+    CASES = {
+        "polar-k50": (higgs_oscillator_problem(0, UNIT, 8001), 50),
+        "qes2-tied": (qes_channel_problem(2, 1, 1, UNIT, 2001), 1),
+        "crs-natural": (crs_natural_problem(1, UNIT, 4000), 3),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_converged_pairs_read_roundoff(self, case):
+        prob, k = self.CASES[case]
+        res = lowest_eigenpairs(prob, k)
+        assert res.residual_norms.shape == (k,)
+        assert np.all(res.residual_norms < 1e-13)
+
+    def test_shifted_eigenvalues_raise_the_residual(self):
+        prob, k = self.CASES["polar-k50"]
+        res = lowest_eigenpairs(prob, k)
+        system = assemble(prob)
+        ur = res.eigenvectors.T
+        exact = _backward_errors(system, res.eigenvalues, ur)
+        shifted = _backward_errors(system, res.eigenvalues * (1 + 1e-6), ur)
+        assert np.all(exact < 1e-13)
+        assert np.all(shifted > 10 * exact)
+        assert np.median(shifted / exact) > 1e4
 
 
 class TestSpectrumProtocols:
@@ -298,7 +350,7 @@ class TestSpectrumProtocols:
         bc = (EndpointRule.power(0.5 + mq, 0.0),
               EndpointRule.power((1 + UNIT.delta) / 2, xs))
         prob = crs_problem(UNIT, V, grid, bc)
-        res = lowest_eigenvalues(prob, 2)
+        res = lowest_eigenpairs(prob, 2)
         x = grid.points()
         for N in (0, 1):
             v = res.eigenvectors[:, N]
@@ -376,39 +428,11 @@ class TestRayleighQuotient:
             rayleigh_quotient(prob, lambda r: higgs.higgs_wavefunction((1, 0), UNIT, r))
 
 
-class TestNormalize:
-    def test_idempotent(self):
-        x = np.linspace(0.01, 1, 200)
-        w = np.ones_like(x)
-        v = normalize(np.exp(-x), w, x[1] - x[0])
-        v2 = normalize(v, w, x[1] - x[0])
-        assert np.max(np.abs(v - v2)) < 1e-14
-
-    def test_scale_invariance(self):
-        x = np.linspace(0.01, 1, 200)
-        w = 1 + x
-        h = x[1] - x[0]
-        assert normalize(3 * np.sin(x), w, h) == pytest.approx(normalize(np.sin(x), w, h))
-
-    def test_wavefunction_normalizable(self):
-        grid = Grid1D(1e-4, 40.0, 4000)
-        r = grid.points()
-        psi = np.array([higgs.higgs_wavefunction((0, 1), UNIT, float(t)) for t in r])
-        v = normalize(psi, r, grid.h)
-        assert np.isfinite(v).all()
-        assert np.trapezoid(r * v * v, dx=grid.h) == pytest.approx(1.0, rel=1e-12)
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ZeroNormError):
-            normalize(np.zeros(10), np.ones(10), 0.1)
-
-
 class TestConvergenceOrder:
     def test_second_order(self):
         errs = []
         for n in (400, 801, 1603):
-            res = lowest_eigenvalues(flat_oscillator(n=n), 1)
-            errs.append(abs(res.eigenvalues[0] - 1.0))
+            errs.append(abs(lowest_eigenvalues(flat_oscillator(n=n), 1)[0] - 1.0))
         for e0, e1 in zip(errs, errs[1:]):
             order = math.log2(e0 / e1)
             assert 1.8 <= order <= 2.2
