@@ -50,13 +50,24 @@ analogous closure for an infinite right endpoint with profile x^(-mu).
 Eigensolvers
 ------------
 Both solve the standard form M^(-1/2) K M^(-1/2) u = E u and split by
-what they return.  lowest_eigenvalues runs only the Sturm-sequence
-bisection (LAPACK stebz) and returns the k lowest eigenvalues; every
-spectrum protocol and Richardson pair takes this path.  lowest_eigenpairs
-adds inverse iteration (stein), the back-transform v = M^(-1/2) u, the
-residuals and the normalization, for the callers that read eigenvectors.
-Both apply the same guards (k budget, finite system, spectral edge,
-strictly ascending values) and return bitwise-equal eigenvalues.
+what they return.  lowest_eigenvalues returns the k lowest eigenvalues;
+every spectrum protocol and Richardson pair takes this path.  By default
+it runs only the Sturm-sequence bisection (LAPACK stebz).  Given guesses
+near the eigenvalues (Richardson passes the coarse grid's values to the
+fine grid), it polishes each guess instead: two inverse-iteration steps
+at the fixed shift, then Rayleigh-quotient steps (LAPACK gtsv solves) to
+a residual at the roundoff level.  The residual bound puts one eigenvalue
+in each interval rho +- residual; the result stands only if the intervals
+are disjoint and one Sturm count (stebz) shows they hold the k lowest,
+otherwise the bisection runs (Parlett, The Symmetric Eigenvalue Problem,
+ch. 4).  On the polar and crs problems at k = 50, n = 16003 the polished
+values agree with relative-accuracy bisection to 3e-11-7e-10, where the
+default bisection tolerance eps ||T|| leaves 2e-9-6e-8.
+lowest_eigenpairs adds inverse iteration (stein), the back-transform
+v = M^(-1/2) u, the residuals and the normalization, for the callers that
+read eigenvectors.  Both apply the same guards (k budget, finite system,
+spectral edge, strictly ascending values); unseeded, they return
+bitwise-equal eigenvalues.
 """
 
 from __future__ import annotations
@@ -66,6 +77,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv, dstebz
 
 from .errors import (
     NodeDetectedError,
@@ -91,6 +103,9 @@ __all__ = [
 
 _GX, _GW = np.polynomial.legendre.leggauss(24)
 _BLOCK = 256        # corner cells per quadrature block
+_START_SEED = 2013  # start vector of the seeded eigenvalue polish
+_INVERSE_STEPS = 2  # fixed-shift steps per guess before the Rayleigh steps
+_RQI_STEPS = 6      # most Rayleigh-quotient steps per guess
 
 
 @dataclass(frozen=True)
@@ -150,7 +165,10 @@ class EndpointRule:
         return cls(kind="decay", exponent=mu, cells=cells)
 
     def _poly(self, d):
-        """Series factor 1 + c1 d + c2 d^2 + ... and its d-derivative."""
+        """Series factor 1 + c1 d + c2 d^2 + ... and its d-derivative; the
+        constants 1 and 0 without a series."""
+        if not self.series:
+            return 1.0, 0.0
         c = (1.0,) + self.series
         P = np.polynomial.polynomial
         return P.polyval(d, c), P.polyval(d, P.polyder(c))
@@ -354,12 +372,76 @@ def _backward_errors(system: TridiagonalSystem, vals: np.ndarray,
     return out
 
 
-def lowest_eigenvalues(problem: SturmLiouvilleProblem, k: int) -> np.ndarray:
-    """k smallest eigenvalues, ascending, by bisection on the Sturm-sequence
-    sign count (LAPACK stebz via eigh_tridiagonal); no eigenvector is
-    formed."""
+def _polished(d: np.ndarray, e: np.ndarray, near: np.ndarray) -> np.ndarray | None:
+    """The k lowest eigenvalues of the tridiagonal (d, e), refined from the
+    guesses near, or None where they cannot be certified.
+
+    Each guess gets _INVERSE_STEPS inverse-iteration steps at the fixed
+    shift (so a guess between two eigenvalues cannot jump to the wrong
+    one), then Rayleigh-quotient steps until the residual ||T x - rho x||
+    of the unit vector x is at most tol = 8 eps ||T||, or stops halving
+    while below 8 tol: Rayleigh steps converge cubically, so a step that
+    gains less marks the roundoff floor of the computed vector (up to
+    10 eps ||T|| on the polar m' = 1 channel at n = 16003).  Each interval
+    rho +- (residual + tol) then holds an eigenvalue; if the intervals are
+    disjoint and ascending and one Sturm count below the last of them finds
+    exactly k eigenvalues, the rho are the k lowest.  The start vector is
+    fixed, so a seeded solve repeats bit for bit; the norms are plain sums
+    (no BLAS, see _backward_errors)."""
+    ae = np.abs(e)
+    spread = np.zeros(d.size)
+    spread[:-1] += ae
+    spread[1:] += ae
+    tol = 8 * np.finfo(float).eps * float(np.max(np.abs(d) + spread))
+    x0 = np.random.default_rng(_START_SEED).standard_normal(d.size)
+    last = _INVERSE_STEPS + _RQI_STEPS
+    vals, radii = np.empty(near.size), np.empty(near.size)
+    for j, guess in enumerate(near):
+        x, shift, prev = x0, float(guess), np.inf
+        for step in range(last + 1):
+            x = x / np.sqrt(np.sum(x * x))
+            if step >= _INVERSE_STEPS:
+                r = d * x
+                r[:-1] += e * x[1:]
+                r[1:] += e * x[:-1]
+                shift = float(np.sum(x * r))
+                r -= shift * x
+                res = float(np.sqrt(np.sum(r * r)))
+                if res <= tol or (res <= 8 * tol and res > prev / 2):
+                    break
+                if step == last:
+                    return None
+                prev = res
+            *_, x, info = dgtsv(e, d - shift, e, x, overwrite_d=1)
+            if info:
+                return None
+        vals[j], radii[j] = shift, res + tol
+    lo, hi = vals - radii, vals + radii
+    if np.any(lo[1:] <= hi[:-1]):
+        return None
+    floor = float(np.min(d - spread)) - tol
+    count, *_, info = dstebz(d, e, 1, floor, hi[-1], 0, 0, hi[-1] - floor, b"E")
+    return vals if info == 0 and count == near.size else None
+
+
+def lowest_eigenvalues(problem: SturmLiouvilleProblem, k: int,
+                       near: Sequence[float] | None = None) -> np.ndarray:
+    """k smallest eigenvalues, ascending; no eigenvector is formed.
+
+    Without near: bisection on the Sturm-sequence sign count (LAPACK stebz
+    via eigh_tridiagonal).  With near, k guesses of the eigenvalues (e.g.
+    the same problem's values on a coarser grid): each is polished by
+    inverse and Rayleigh-quotient iteration and the result certified by
+    residual intervals and a Sturm count; if the certificate fails, the
+    bisection runs instead.  Both paths apply the same guards."""
+    if near is not None:
+        near = np.asarray(near, float)
+        if near.shape != (k,):
+            raise ValueError(f"near must hold k = {k} guesses, got shape {near.shape}")
     _, d, e = _standard_system(problem, k)
-    vals = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, k - 1))
+    vals = None if near is None else _polished(d, e, near)
+    if vals is None:
+        vals = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, k - 1))
     return _checked(vals, d, e)
 
 
@@ -367,7 +449,8 @@ def lowest_eigenpairs(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
     """k smallest eigenpairs by bisection plus inverse iteration (LAPACK
     stebz/stein via eigh_tridiagonal), back-transformed to K v = E M v,
     with residuals and normalized vectors; see EigenResult.  Its
-    eigenvalues equal those of lowest_eigenvalues bit for bit."""
+    eigenvalues equal those of lowest_eigenvalues without near bit for
+    bit."""
     system, d, e = _standard_system(problem, k)
     vals, u = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
     _checked(vals, d, e)
@@ -392,10 +475,11 @@ def lowest_eigenpairs(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
 def richardson_eigenvalues(problem: SturmLiouvilleProblem, k: int
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues on the grid and its h/2 refinement plus the second-order
-    Richardson combination (4 E_fine - E_coarse)/3.  Returns
+    Richardson combination (4 E_fine - E_coarse)/3; the refinement is
+    solved from the coarse values (lowest_eigenvalues with near).  Returns
     (extrapolated, coarse eigenvalues, fine eigenvalues)."""
     coarse = lowest_eigenvalues(problem, k)
-    fine = lowest_eigenvalues(problem.refined(), k)
+    fine = lowest_eigenvalues(problem.refined(), k, near=coarse)
     return (4 * fine - coarse) / 3, coarse, fine
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from curvosc import crs, higgs
 from curvosc.errors import NodeDetectedError, NonpositiveWeightError, UnresolvedError
@@ -17,7 +18,7 @@ from curvosc.numerics import (
     residual_norm,
     richardson_eigenvalues,
 )
-from curvosc.numerics import _backward_errors
+from curvosc.numerics import _backward_errors, _polished
 from curvosc.params import PhysParams
 from curvosc.problems import (
     crs_natural_problem,
@@ -197,6 +198,16 @@ class TestCornerQuadrature:
             assert r == pytest.approx(math.exp(1000.0 * math.log(t / t0)), rel=1e-12)
         assert float(rule.log_derivative(h)) == pytest.approx(1000.0 / h, rel=1e-14)
 
+    def test_empty_series_is_the_bare_power(self):
+        # without a series the profile is |t - c|^sigma: ratio and
+        # log-derivative are the bare formulas, bit for bit
+        sig, c = 1.7, 0.3
+        rule = EndpointRule.power(sig, c)
+        t = np.concatenate((np.linspace(-2.0, 0.29, 40), np.linspace(0.31, 2.0, 40)))
+        t0 = t[::-1]
+        assert np.array_equal(rule.ratio(t, t0), (np.abs(t - c) / np.abs(t0 - c)) ** sig)
+        assert np.array_equal(rule.log_derivative(t), np.sign(t - c) * (sig / np.abs(t - c)))
+
     def test_nonfinite_system_raises_typed_error(self):
         grid = Grid1D(0.0, 1.0, 200)
         xf = grid.faces()
@@ -220,6 +231,8 @@ class TestLowestEigenvalues:
         assert np.max(np.abs(extrap - exact)) < 1e-7
         assert np.max(np.abs(coarse - exact)) > np.max(np.abs(extrap - exact))
         assert np.array_equal(extrap, (4 * fine - coarse) / 3)
+        # the fine grid is solved from the coarse values
+        assert np.array_equal(fine, lowest_eigenvalues(flat_oscillator(n=1001), 2, near=coarse))
 
     def test_eigenvector_normalization_and_sign(self):
         prob = flat_oscillator(n=800)
@@ -314,6 +327,59 @@ class TestBackwardError:
         assert np.all(exact < 1e-13)
         assert np.all(shifted > 10 * exact)
         assert np.median(shifted / exact) > 1e4
+
+
+def relative_bisection(prob, k):
+    """The k lowest eigenvalues of prob by bisection to relative accuracy
+    (LAPACK's recommended ABSTOL of twice the underflow threshold)."""
+    d, e = assemble(prob).standard_form()
+    return eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, k - 1),
+                            tol=2 * np.finfo(float).tiny)
+
+
+class TestSeededEigenvalues:
+    # the fine grid of each case, seeded with the coarse grid's values
+    CASES = {
+        "polar-k50": (higgs_oscillator_problem(0, UNIT, 4000), 50),
+        "crs-k3": (crs_natural_problem(1, UNIT, 4000), 3),
+    }
+
+    def _fine(self, case):
+        prob, k = self.CASES[case]
+        return prob.refined(), k, lowest_eigenvalues(prob, k)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_relative_accuracy_bisection(self, case):
+        fine, k, coarse = self._fine(case)
+        d, e = assemble(fine).standard_form()
+        assert _polished(d, e, coarse) is not None
+        seeded = lowest_eigenvalues(fine, k, near=coarse)
+        ref = relative_bisection(fine, k)
+        assert np.max(np.abs(seeded - ref) / ref) <= 1e-9
+
+    def test_bad_guesses_fall_back_to_bisection(self):
+        fine, k, _ = self._fine("crs-k3")
+        four = lowest_eigenvalues(self.CASES["crs-k3"][0], k + 1)
+        other = lowest_eigenvalues(
+            higgs_oscillator_problem(0, PhysParams(lam=0.3, omega=2.0), 1000), k)
+        d, e = assemble(fine).standard_form()
+        plain = lowest_eigenvalues(fine, k)
+        # all equal, one repeated, out of order, one skipped, another problem's
+        for near in (np.full(k, four[1]), four[[0, 0, 2]], four[[1, 0, 2]],
+                     np.delete(four, 1), other):
+            assert _polished(d, e, near) is None
+            assert np.array_equal(lowest_eigenvalues(fine, k, near=near), plain)
+
+    def test_wrong_number_of_guesses_rejected(self):
+        fine, k, coarse = self._fine("crs-k3")
+        for near in (coarse[:-1], np.append(coarse, 2 * coarse[-1])):
+            with pytest.raises(ValueError, match="guesses"):
+                lowest_eigenvalues(fine, k, near=near)
+
+    def test_repeats_bit_for_bit(self):
+        fine, k, coarse = self._fine("polar-k50")
+        first = lowest_eigenvalues(fine, k, near=coarse)
+        assert np.array_equal(first, lowest_eigenvalues(fine, k, near=coarse.copy()))
 
 
 class TestSpectrumProtocols:
