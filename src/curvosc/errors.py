@@ -9,6 +9,11 @@ class PoleInSeriesError(CurvoscError):
     """A Pochhammer factor (c)_k vanishes before the series terminates."""
 
 
+class ParameterOverflowError(CurvoscError):
+    """A physical parameter is too large for a formula to stay finite in
+    floating point."""
+
+
 class NonpositiveCurvatureError(CurvoscError):
     """An operation that needs lambda > 0 was called with lambda <= 0."""
 

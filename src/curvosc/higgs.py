@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeRadiusError, SingularPointError
+from .errors import NegativeRadiusError, ParameterOverflowError, SingularPointError
 from .params import PhysParams, QuantumNumbers
 from .special_functions import gudermannian, hyp2f1_terminating, upsilon_of_r
 from .crs import QesSpec
@@ -62,11 +62,14 @@ def higgs_radial_coefficients(ch: RadialChannel, r):
         raise SingularPointError("radial coefficients singular at r = 0")
     p = ch.params
     lam, mp = p.lam, ch.mprime
+    lam2 = lam * lam
+    if not math.isfinite(lam2):
+        raise ParameterOverflowError(f"lam = {lam:g} overflows the radial coefficients")
     f = -p.hbar**2 / (2 * p.mass)
     K = 1 + lam * r * r
     return (f * K * K,
             f * K * (1 + 5 * lam * r * r) / r,
-            f * (3 * lam - lam * mp**2 + 3.75 * lam**2 * r * r - mp**2 / (r * r)))
+            f * (3 * lam - lam * mp**2 + 3.75 * lam2 * r * r - mp**2 / (r * r)))
 
 
 def higgs_wavefunction(qn: QuantumNumbers | tuple, params: PhysParams, r):

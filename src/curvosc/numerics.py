@@ -50,24 +50,27 @@ analogous closure for an infinite right endpoint with profile x^(-mu).
 Eigensolvers
 ------------
 Both solve the standard form M^(-1/2) K M^(-1/2) u = E u and split by
-what they return.  lowest_eigenvalues returns the k lowest eigenvalues;
-every spectrum protocol and Richardson pair takes this path.  By default
-it runs only the Sturm-sequence bisection (LAPACK stebz).  Given guesses
-near the eigenvalues (Richardson passes the coarse grid's values to the
-fine grid), it polishes each guess instead: two inverse-iteration steps
-at the fixed shift, then Rayleigh-quotient steps (LAPACK gtsv solves) to
-a residual at the roundoff level.  The residual bound puts one eigenvalue
-in each interval rho +- residual; the result stands only if the intervals
-are disjoint and one Sturm count (stebz) shows they hold the k lowest,
-otherwise the bisection runs (Parlett, The Symmetric Eigenvalue Problem,
-ch. 4).  On the polar and crs problems at k = 50, n = 16003 the polished
-values agree with relative-accuracy bisection to 3e-11-7e-10, where the
-default bisection tolerance eps ||T|| leaves 2e-9-6e-8.
+what they return.  lowest_eigenvalues returns the k lowest eigenvalues by
+the Sturm-sequence bisection (LAPACK stebz); single-grid solves take this
+path.  richardson_eigenvalues solves both of its grids through it too, but
+polishes them instead of bisecting to full accuracy: the coarse grid
+starts from a loose bisection (tolerance sqrt(eps) ||T||) and keeps its
+unit vectors, the fine grid starts each eigenvalue from its coarse vector
+carried to the h/2 grid.  Inverse and Rayleigh-quotient steps (LAPACK gtsv
+solves) take each vector to a residual at the roundoff level.  The
+residual bound puts one eigenvalue in each interval rho +- residual; the
+values stand only if the intervals are disjoint and one Sturm count
+(stebz) shows they hold the k lowest, otherwise the bisection runs
+(Parlett, The Symmetric Eigenvalue Problem, ch. 4).  On the polar problem
+at n = 4000 and 8001 the polished values agree with an extended-precision
+Sturm count to 1e-12-4e-11 relative, where the default bisection
+tolerance eps ||T|| leaves 2e-11-2.4e-9 and even bisection to relative
+accuracy (ABSTOL = 2 underflow) up to 7.5e-10.
 lowest_eigenpairs adds inverse iteration (stein), the back-transform
 v = M^(-1/2) u, the residuals and the normalization, for the callers that
 read eigenvectors.  Both apply the same guards (k budget, finite system,
-spectral edge, strictly ascending values); unseeded, they return
-bitwise-equal eigenvalues.
+spectral edge, strictly ascending values) and return bitwise-equal
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -104,8 +107,8 @@ __all__ = [
 _GX, _GW = np.polynomial.legendre.leggauss(24)
 _BLOCK = 256        # corner cells per quadrature block
 _START_SEED = 2013  # start vector of the seeded eigenvalue polish
-_INVERSE_STEPS = 2  # fixed-shift steps per guess before the Rayleigh steps
-_RQI_STEPS = 6      # most Rayleigh-quotient steps per guess
+_INVERSE_STEPS = 2  # fewest fixed-shift steps per guess before the Rayleigh steps
+_RQI_STEPS = 6      # most Rayleigh-quotient steps per eigenvalue
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,7 @@ class EndpointRule:
     center: float = 0.0           # singular point location for power
     series: tuple = ()            # (c1, c2, ...) profile corrections
     tie: bool = False             # left only: eliminate adjacent point via profile ratio
-    cells: int | None = None      # corrected cells; default n//5 (power), 2 (decay)
+    cells: int | None = None      # corrected cells; default max(40, n//5) (power), 2 (decay)
 
     @classmethod
     def dirichlet(cls) -> "EndpointRule":
@@ -325,14 +328,17 @@ def assemble(problem: SturmLiouvilleProblem) -> TridiagonalSystem:
 def _standard_system(problem: SturmLiouvilleProblem, k: int
                      ) -> tuple[TridiagonalSystem, np.ndarray, np.ndarray]:
     """Front end of both solvers: the k budget, the assembled system and
-    its standard form (d, e), which must be finite."""
+    its standard form (d, e), which must be finite.  Overflow and invalid
+    operations on the way are not reported as numpy warnings: the
+    finiteness check that follows turns them into one typed error."""
     n = problem.grid.n
     if k < 1:
         raise ValueError("k must be positive")
     if k > n // 4:
         raise UnresolvedError(f"k = {k} exceeds resolved-mode budget n/4 = {n // 4}")
-    system = assemble(problem)
-    d, e = system.standard_form()
+    with np.errstate(all="ignore"):
+        system = assemble(problem)
+        d, e = system.standard_form()
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise UnresolvedError("assembled system has non-finite entries")
     return system, d, e
@@ -372,74 +378,141 @@ def _backward_errors(system: TridiagonalSystem, vals: np.ndarray,
     return out
 
 
-def _polished(d: np.ndarray, e: np.ndarray, near: np.ndarray) -> np.ndarray | None:
-    """The k lowest eigenvalues of the tridiagonal (d, e), refined from the
-    guesses near, or None where they cannot be certified.
-
-    Each guess gets _INVERSE_STEPS inverse-iteration steps at the fixed
-    shift (so a guess between two eigenvalues cannot jump to the wrong
-    one), then Rayleigh-quotient steps until the residual ||T x - rho x||
-    of the unit vector x is at most tol = 8 eps ||T||, or stops halving
-    while below 8 tol: Rayleigh steps converge cubically, so a step that
-    gains less marks the roundoff floor of the computed vector (up to
-    10 eps ||T|| on the polar m' = 1 channel at n = 16003).  Each interval
-    rho +- (residual + tol) then holds an eigenvalue; if the intervals are
-    disjoint and ascending and one Sturm count below the last of them finds
-    exactly k eigenvalues, the rho are the k lowest.  The start vector is
-    fixed, so a seeded solve repeats bit for bit; the norms are plain sums
-    (no BLAS, see _backward_errors)."""
+def _gershgorin(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float]:
+    """Off-diagonal row sums |e_(i-1)| + |e_i| of the tridiagonal (d, e) and
+    its Gershgorin norm max(|d| + row sum), which bounds ||T||."""
     ae = np.abs(e)
     spread = np.zeros(d.size)
     spread[:-1] += ae
     spread[1:] += ae
-    tol = 8 * np.finfo(float).eps * float(np.max(np.abs(d) + spread))
-    x0 = np.random.default_rng(_START_SEED).standard_normal(d.size)
-    last = _INVERSE_STEPS + _RQI_STEPS
-    vals, radii = np.empty(near.size), np.empty(near.size)
-    for j, guess in enumerate(near):
-        x, shift, prev = x0, float(guess), np.inf
-        for step in range(last + 1):
-            x = x / np.sqrt(np.sum(x * x))
-            if step >= _INVERSE_STEPS:
-                r = d * x
-                r[:-1] += e * x[1:]
-                r[1:] += e * x[:-1]
-                shift = float(np.sum(x * r))
-                r -= shift * x
-                res = float(np.sqrt(np.sum(r * r)))
-                if res <= tol or (res <= 8 * tol and res > prev / 2):
-                    break
-                if step == last:
-                    return None
-                prev = res
-            *_, x, info = dgtsv(e, d - shift, e, x, overwrite_d=1)
-            if info:
+    return spread, float(np.max(np.abs(d) + spread))
+
+
+def _polished(d: np.ndarray, e: np.ndarray, starts=None, shifts=None,
+              vectors: np.ndarray | None = None) -> np.ndarray | None:
+    """The lowest eigenvalues of the tridiagonal (d, e), one polished from
+    each start, ascending; None where they cannot be certified.
+
+    starts are start vectors, one per eigenvalue (any iterable, so callers
+    can build them one at a time); shifts are guesses of the eigenvalues.
+    With shifts, each eigenvalue starts from one fixed vector and its shift
+    stays at its guess (inverse iteration) for at least _INVERSE_STEPS
+    steps, and until the Rayleigh quotient of the iterate lies nearer its
+    own guess than either neighbouring one: a start poor in the wanted
+    eigenvector cannot then converge to a neighbour.  Then Rayleigh-
+    quotient steps (LAPACK gtsv solves) run until the residual of the unit
+    vector is at most tol = 8 eps ||T||.  Between steps the Rayleigh
+    quotient and residual come from the solve itself: for a unit x and
+    (T - s) y = x, the vector y/|y| has quotient s + x.y/y.y and residual
+    sqrt(1/y.y - (x.y/y.y)^2).  That estimate ignores the roundoff in y,
+    so the final residual r is formed explicitly; the vector stands if
+    r <= 8 tol (the roundoff floor of a computed vector reached 10 eps ||T||
+    on the polar m' = 1 channel at n = 16003).  Each interval rho +- (r + tol)
+    then holds an eigenvalue; if the intervals are disjoint and ascending
+    and one Sturm count below the last of them finds exactly as many
+    eigenvalues, the rho are the lowest ones (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 4).  vectors, if given, receives the unit
+    vectors as rows.  The fixed start is a seeded normal vector, so a solve
+    repeats bit for bit; the norms are plain sums (no BLAS, see
+    _backward_errors)."""
+    spread, norm = _gershgorin(d, e)
+    tol = 8 * np.finfo(float).eps * norm
+    fixed = 0
+    if shifts is not None:
+        x0 = np.random.default_rng(_START_SEED).standard_normal(d.size)
+        starts, fixed = (x0 for _ in shifts), _INVERSE_STEPS
+    vals, radii = [], []
+    for j, x in enumerate(starts):
+        x = x / np.sqrt(np.sum(x * x))
+        if fixed:
+            # the shift follows the Rayleigh quotient only inside (lo, hi)
+            shift = float(shifts[j])
+            lo = (shifts[j - 1] + shift) / 2 if j else -np.inf
+            hi = (shift + shifts[j + 1]) / 2 if j + 1 < len(shifts) else np.inf
+        else:
+            shift, lo, hi = _rayleigh(d, e, x)[0], -np.inf, np.inf
+        for step in range(fixed + _RQI_STEPS):
+            *_, y, info = dgtsv(e, d - shift, e, x, overwrite_d=1)
+            yy, xy = float(np.sum(y * y)), float(np.sum(x * y))
+            if info or not np.isfinite(yy):
                 return None
-        vals[j], radii[j] = shift, res + tol
+            x = y / np.sqrt(yy)
+            rho = shift + xy / yy
+            if step + 1 >= fixed and lo < rho < hi:
+                shift = rho
+                if 1 / yy - (xy / yy) ** 2 <= tol * tol:
+                    break
+        else:
+            return None
+        rho, res = _rayleigh(d, e, x)
+        if res > 8 * tol:
+            return None
+        if vectors is not None:
+            vectors[j] = x
+        vals.append(rho)
+        radii.append(res + tol)
+    vals, radii = np.array(vals), np.array(radii)
     lo, hi = vals - radii, vals + radii
     if np.any(lo[1:] <= hi[:-1]):
         return None
     floor = float(np.min(d - spread)) - tol
     count, *_, info = dstebz(d, e, 1, floor, hi[-1], 0, 0, hi[-1] - floor, b"E")
-    return vals if info == 0 and count == near.size else None
+    return vals if info == 0 and count == vals.size else None
 
 
-def lowest_eigenvalues(problem: SturmLiouvilleProblem, k: int,
-                       near: Sequence[float] | None = None) -> np.ndarray:
-    """k smallest eigenvalues, ascending; no eigenvector is formed.
+def _rayleigh(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """Rayleigh quotient rho of the unit vector x for the tridiagonal
+    (d, e) and its residual ||T x - rho x||."""
+    r = d * x
+    r[:-1] += e * x[1:]
+    r[1:] += e * x[:-1]
+    rho = float(np.sum(x * r))
+    r -= rho * x
+    return rho, float(np.sqrt(np.sum(r * r)))
 
-    Without near: bisection on the Sturm-sequence sign count (LAPACK stebz
-    via eigh_tridiagonal).  With near, k guesses of the eigenvalues (e.g.
-    the same problem's values on a coarser grid): each is polished by
-    inverse and Rayleigh-quotient iteration and the result certified by
-    residual intervals and a Sturm count; if the certificate fails, the
-    bisection runs instead.  Both paths apply the same guards."""
-    if near is not None:
-        near = np.asarray(near, float)
-        if near.shape != (k,):
-            raise ValueError(f"near must hold k = {k} guesses, got shape {near.shape}")
-    _, d, e = _standard_system(problem, k)
-    vals = None if near is None else _polished(d, e, near)
+
+def _prolonged(coarse: TridiagonalSystem, fine: TridiagonalSystem,
+               bc: tuple[EndpointRule, EndpointRule], u: np.ndarray) -> np.ndarray:
+    """A standard-form vector u of the coarse system carried to the fine
+    system on the h/2 grid, as a start vector.  v = M^(-1/2) u is injected
+    at the shared points and interpolated at the midpoints by the cubic
+    rule (-1, 9, 9, -1)/16.  Where that stencil does not reach, at the
+    fine point beside each wall and the first midpoint, v is linear to
+    zero at a Dirichlet wall and v/phi is linear at a profile wall (phi the
+    local profile of the endpoint rule in bc), since there v follows phi;
+    a profile that overflows leaves a non-finite start, which the polish
+    rejects.  Then v is scaled by the fine M^(1/2).  A tie-eliminated point
+    is restored before and dropped after."""
+    v = coarse.expand(u / np.sqrt(coarse.m_diag))
+    x, t = coarse.grid.points(), fine.grid.points()
+    vf = np.empty(2 * v.size + 1)
+    vf[1::2] = v
+    vf[4:-3:2] = (9 * (v[1:-2] + v[2:-1]) - v[:-3] - v[3:]) / 16
+    # (point beside the wall, first midpoint, nearest and next coarse point)
+    for rule, (w, m, a, b) in zip(bc, ((0, 2, 0, 1), (-1, -3, -1, -2))):
+        if rule.kind == "dirichlet":
+            vf[w], vf[m] = 0.5 * v[a], 0.5 * (v[a] + v[b])
+            continue
+        with np.errstate(all="ignore"):
+            vf[w] = v[a] * rule.ratio(t[w], x[a])
+            vf[m] = 0.5 * (v[a] * rule.ratio(t[m], x[a]) + v[b] * rule.ratio(t[m], x[b]))
+    if fine.tie_left is not None:
+        vf = vf[1:]
+    return vf * np.sqrt(fine.m_diag)
+
+
+def lowest_eigenvalues(problem: SturmLiouvilleProblem, k: int, *,
+                       _polish: Callable | None = None) -> np.ndarray:
+    """k smallest eigenvalues, ascending, by bisection on the Sturm-sequence
+    sign count (LAPACK stebz via eigh_tridiagonal); no eigenvector is
+    formed.
+
+    _polish is private to richardson_eigenvalues, which solves both grids
+    of a pair here: _polish(system, d, e) returns the k certified lowest
+    eigenvalues of the standard form (d, e), or None, on which the
+    bisection runs.  Both paths apply the same guards."""
+    system, d, e = _standard_system(problem, k)
+    vals = None if _polish is None else _polish(system, d, e)
     if vals is None:
         vals = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, k - 1))
     return _checked(vals, d, e)
@@ -449,8 +522,7 @@ def lowest_eigenpairs(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
     """k smallest eigenpairs by bisection plus inverse iteration (LAPACK
     stebz/stein via eigh_tridiagonal), back-transformed to K v = E M v,
     with residuals and normalized vectors; see EigenResult.  Its
-    eigenvalues equal those of lowest_eigenvalues without near bit for
-    bit."""
+    eigenvalues equal those of lowest_eigenvalues bit for bit."""
     system, d, e = _standard_system(problem, k)
     vals, u = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
     _checked(vals, d, e)
@@ -475,11 +547,39 @@ def lowest_eigenpairs(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
 def richardson_eigenvalues(problem: SturmLiouvilleProblem, k: int
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues on the grid and its h/2 refinement plus the second-order
-    Richardson combination (4 E_fine - E_coarse)/3; the refinement is
-    solved from the coarse values (lowest_eigenvalues with near).  Returns
-    (extrapolated, coarse eigenvalues, fine eigenvalues)."""
-    coarse = lowest_eigenvalues(problem, k)
-    fine = lowest_eigenvalues(problem.refined(), k, near=coarse)
+    Richardson combination (4 E_fine - E_coarse)/3.  Returns (extrapolated,
+    coarse eigenvalues, fine eigenvalues).
+
+    Both grids are polished to relative accuracy (see _polished).  The
+    coarse grid starts from a loose bisection, to the tolerance
+    sqrt(eps) ||T||, and keeps its k unit vectors; the fine grid starts
+    each eigenvalue from its coarse vector, prolonged, without fixed-shift
+    steps.  Both grids are solved through lowest_eigenvalues, so each keeps
+    its guards and falls back to the bisection where its values cannot be
+    certified; after a coarse fallback the fine grid starts from the coarse
+    values instead of vectors."""
+    carried = []
+
+    def coarse_polish(system, d, e):
+        tol = np.sqrt(np.finfo(float).eps) * _gershgorin(d, e)[1]
+        guesses = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                   select_range=(0, k - 1), tol=tol)
+        # single precision is ample for a start vector and halves the block
+        vectors = np.empty((k, d.size), np.float32)
+        vals = _polished(d, e, shifts=guesses, vectors=vectors)
+        if vals is not None:
+            carried.append((system, vectors))
+        return vals
+
+    def fine_polish(system, d, e):
+        if not carried:
+            return _polished(d, e, shifts=coarse)
+        csys, vectors = carried.pop()
+        return _polished(d, e, starts=(_prolonged(csys, system, problem.bc, u)
+                                       for u in vectors))
+
+    coarse = lowest_eigenvalues(problem, k, _polish=coarse_polish)
+    fine = lowest_eigenvalues(problem.refined(), k, _polish=fine_polish)
     return (4 * fine - coarse) / 3, coarse, fine
 
 

@@ -38,8 +38,9 @@ class PhysParams:
 
     @property
     def omega_prime(self) -> float:
-        """Effective frequency sqrt(omega^2 + hbar^2 lam^2 / (4 m^2))."""
-        return math.sqrt(self.omega**2 + self.hbar**2 * self.lam**2 / (4 * self.mass**2))
+        """Effective frequency sqrt(omega^2 + hbar^2 lam^2 / (4 m^2)), formed
+        without squaring, so it stays finite wherever it is representable."""
+        return math.hypot(self.omega, self.hbar * self.lam / (2 * self.mass))
 
     @property
     def delta(self) -> float:
@@ -48,7 +49,7 @@ class PhysParams:
         Related to omega_prime by omega_prime = lam*hbar*delta/(2m).
         """
         lam = self.require_curvature()
-        return math.sqrt(1 + 4 * self.mass**2 * self.omega**2 / (lam**2 * self.hbar**2))
+        return math.hypot(1.0, 2 * self.mass * self.omega / (lam * self.hbar))
 
 
 @dataclass(frozen=True)

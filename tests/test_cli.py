@@ -74,6 +74,24 @@ class TestValidation:
         assert code == 1
         assert "x = 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lam", ["1e200", "1e300"])
+    @pytest.mark.parametrize("model", [["higgs"], ["crs"], ["qes2", "--mprime-q", "1"]],
+                             ids=["higgs", "crs", "qes2"])
+    def test_overflowing_curvature_is_exit_one(self, model, lam, tmp_path, capsys):
+        code, _ = run_to_file(tmp_path, "x.json",
+                              ["spectrum", "--model", *model, "--lambda", lam])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_nonfinite_system_is_one_error_line(self, tmp_path, capsys):
+        # at lam = 1e-6 the corner quadrature overflows while the system is
+        # assembled: one typed error, no numpy warning before it
+        code, _ = run_to_file(tmp_path, "x.json",
+                              ["spectrum", "--model", "higgs", "--lambda", "1e-6"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: assembled system has non-finite entries\n"
+
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         def broken(config):
             raise RuntimeError("bug in a runner")

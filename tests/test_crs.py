@@ -54,6 +54,15 @@ class TestSpecialParams:
         with pytest.raises(NonpositiveCurvatureError):
             crs.special_params(0.0, PhysParams(lam=0.0))
 
+    @pytest.mark.parametrize("lam,omega_prime,delta", [
+        (1e300, 5e299, 1.0), (1e200, 5e199, 1.0), (1e-200, 1.0, 2e200)])
+    def test_frequency_and_delta_stay_finite(self, lam, omega_prime, delta):
+        # squaring lam or 1/lam would overflow at these curvatures
+        p = PhysParams(lam=lam)
+        assert p.omega_prime == pytest.approx(omega_prime, rel=1e-15)
+        assert p.delta == pytest.approx(delta, rel=1e-15)
+        assert p.omega_prime == pytest.approx(lam * p.hbar * p.delta / (2 * p.mass), rel=1e-15)
+
 
 class TestXGeneral:
     def test_special_case_is_cos_2theta(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curvosc import higgs
-from curvosc.errors import SingularPointError
+from curvosc.errors import ParameterOverflowError, SingularPointError
 from curvosc.higgs import RadialChannel
 from curvosc.numerics import Grid1D, residual_norm
 from curvosc.params import PhysParams
@@ -29,6 +29,11 @@ class TestRadialCoefficients:
     def test_singular_at_origin(self):
         with pytest.raises(SingularPointError):
             higgs.higgs_radial_coefficients(RadialChannel(0, UNIT), 0.0)
+
+    def test_overflowing_curvature_is_a_typed_error(self):
+        # lam^2 overflows for lam above about 1.3e154
+        with pytest.raises(ParameterOverflowError, match="lam"):
+            higgs.higgs_radial_coefficients(RadialChannel(0, PhysParams(lam=1e300)), 1.0)
 
     def test_self_adjoint_certificate(self):
         # weight w = r makes (w P)'/w equal the first-derivative coefficient:

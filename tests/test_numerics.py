@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from curvosc import crs, higgs
@@ -18,13 +19,14 @@ from curvosc.numerics import (
     residual_norm,
     richardson_eigenvalues,
 )
-from curvosc.numerics import _backward_errors, _polished
+from curvosc.numerics import _backward_errors, _gershgorin, _polished, _prolonged
 from curvosc.params import PhysParams
 from curvosc.problems import (
     crs_natural_problem,
     crs_problem,
     crs_spectrum_numeric,
     higgs_oscillator_problem,
+    higgs_radial_problem,
     higgs_spectrum_numeric,
     qes_channel_problem,
 )
@@ -231,8 +233,10 @@ class TestLowestEigenvalues:
         assert np.max(np.abs(extrap - exact)) < 1e-7
         assert np.max(np.abs(coarse - exact)) > np.max(np.abs(extrap - exact))
         assert np.array_equal(extrap, (4 * fine - coarse) / 3)
-        # the fine grid is solved from the coarse values
-        assert np.array_equal(fine, lowest_eigenvalues(flat_oscillator(n=1001), 2, near=coarse))
+        # the coarse grid is polished from a loose bisection, the fine grid
+        # from the coarse vectors
+        by_hand = polished_pair(flat_oscillator(n=500), 2)
+        assert np.array_equal(coarse, by_hand[0]) and np.array_equal(fine, by_hand[1])
 
     def test_eigenvector_normalization_and_sign(self):
         prob = flat_oscillator(n=800)
@@ -337,29 +341,53 @@ def relative_bisection(prob, k):
                             tol=2 * np.finfo(float).tiny)
 
 
+def polished_pair(prob, k):
+    """Both grids of a Richardson pair written out: the coarse grid polished
+    from a bisection to sqrt(eps) ||T||, keeping its vectors in single
+    precision, the fine grid from those vectors prolonged.  None stands for
+    a grid whose certificate fails (for both where the coarse one fails)."""
+    coarse_sys, fine_sys = assemble(prob), assemble(prob.refined())
+    d, e = coarse_sys.standard_form()
+    guesses = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, k - 1),
+                               tol=np.sqrt(np.finfo(float).eps) * _gershgorin(d, e)[1])
+    vectors = np.empty((k, d.size), np.float32)
+    coarse = _polished(d, e, shifts=guesses, vectors=vectors)
+    if coarse is None:
+        return None, None
+    fd, fe = fine_sys.standard_form()
+    fine = _polished(fd, fe, starts=(_prolonged(coarse_sys, fine_sys, prob.bc, u)
+                                     for u in vectors))
+    return coarse, fine
+
+
+def polish_with(**starts):
+    """A _polish hook for lowest_eigenvalues that polishes from the given
+    starts or shifts."""
+    return lambda system, d, e: _polished(d, e, **starts)
+
+
 class TestSeededEigenvalues:
-    # the fine grid of each case, seeded with the coarse grid's values
+    # Richardson pairs: each grid is polished from seeds (the coarse grid
+    # from a loose bisection, the fine grid from the coarse vectors), and
+    # falls back to the bisection where the seeds cannot be certified
     CASES = {
         "polar-k50": (higgs_oscillator_problem(0, UNIT, 4000), 50),
         "crs-k3": (crs_natural_problem(1, UNIT, 4000), 3),
     }
 
-    def _fine(self, case):
-        prob, k = self.CASES[case]
-        return prob.refined(), k, lowest_eigenvalues(prob, k)
-
     @pytest.mark.parametrize("case", CASES)
     def test_matches_relative_accuracy_bisection(self, case):
-        fine, k, coarse = self._fine(case)
-        d, e = assemble(fine).standard_form()
-        assert _polished(d, e, coarse) is not None
-        seeded = lowest_eigenvalues(fine, k, near=coarse)
-        ref = relative_bisection(fine, k)
-        assert np.max(np.abs(seeded - ref) / ref) <= 1e-9
+        prob, k = self.CASES[case]
+        assert all(vals is not None for vals in polished_pair(prob, k))
+        _, coarse, fine = richardson_eigenvalues(prob, k)
+        for vals, grid in ((coarse, prob), (fine, prob.refined())):
+            ref = relative_bisection(grid, k)
+            assert np.max(np.abs(vals - ref) / ref) <= 1e-9
 
     def test_bad_guesses_fall_back_to_bisection(self):
-        fine, k, _ = self._fine("crs-k3")
-        four = lowest_eigenvalues(self.CASES["crs-k3"][0], k + 1)
+        prob, k = self.CASES["crs-k3"]
+        fine = prob.refined()
+        four = lowest_eigenvalues(prob, k + 1)
         other = lowest_eigenvalues(
             higgs_oscillator_problem(0, PhysParams(lam=0.3, omega=2.0), 1000), k)
         d, e = assemble(fine).standard_form()
@@ -367,19 +395,81 @@ class TestSeededEigenvalues:
         # all equal, one repeated, out of order, one skipped, another problem's
         for near in (np.full(k, four[1]), four[[0, 0, 2]], four[[1, 0, 2]],
                      np.delete(four, 1), other):
-            assert _polished(d, e, near) is None
-            assert np.array_equal(lowest_eigenvalues(fine, k, near=near), plain)
+            assert _polished(d, e, shifts=near) is None
+            assert np.array_equal(lowest_eigenvalues(fine, k, _polish=polish_with(shifts=near)),
+                                  plain)
 
-    def test_wrong_number_of_guesses_rejected(self):
-        fine, k, coarse = self._fine("crs-k3")
-        for near in (coarse[:-1], np.append(coarse, 2 * coarse[-1])):
-            with pytest.raises(ValueError, match="guesses"):
-                lowest_eigenvalues(fine, k, near=near)
+    def test_bad_start_vectors_certified_or_bisection(self):
+        # carried vectors out of order, one repeated in place of the next,
+        # or carried from another problem on the same grid: the values
+        # stand only where the certificate holds
+        prob, k = self.CASES["polar-k50"]
+        other = higgs_oscillator_problem(1, PhysParams(lam=0.3, omega=2.0), 4000)
+        fine = prob.refined()
+        fine_sys, plain, ref = assemble(fine), lowest_eigenvalues(fine, k), relative_bisection(fine, k)
+        fd, fe = fine_sys.standard_form()
+        for source, order in ((prob, np.roll(np.arange(k), 1)), (prob, np.arange(k)[::-1]),
+                              (prob, np.r_[0, 0, 2:k]), (other, np.arange(k))):
+            coarse_sys = assemble(source)
+            d, e = coarse_sys.standard_form()
+            _, u = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+            starts = [_prolonged(coarse_sys, fine_sys, prob.bc, u[:, j]) for j in order]
+            certified = _polished(fd, fe, starts=starts)
+            vals = lowest_eigenvalues(fine, k, _polish=polish_with(starts=starts))
+            if certified is None:
+                assert np.array_equal(vals, plain)
+            else:
+                assert np.max(np.abs(vals - ref) / ref) <= 1e-9
+            if source is prob:
+                assert certified is None
+
+    @pytest.mark.parametrize("prob", [
+        higgs_radial_problem(0, UNIT, lambda r: 0.5 * np.asarray(r) ** 2,
+                             Grid1D(1e-4, 40.0, 2000), (EndpointRule.dirichlet(),) * 2),
+        higgs_oscillator_problem(1, PhysParams(lam=0.01), 4000),
+    ], ids=["planar-reference", "polar-lam0.01"])
+    def test_loose_tolerance_wider_than_gaps_falls_back(self, prob):
+        # sqrt(eps) ||T|| exceeds the lowest gaps, so the loose bisection
+        # cannot separate the guesses; the coarse grid falls back to the
+        # bisection and the fine grid starts from its values
+        k = 3
+        d, e = assemble(prob).standard_form()
+        plain = lowest_eigenvalues(prob, k)
+        assert np.sqrt(np.finfo(float).eps) * _gershgorin(d, e)[1] > np.min(np.diff(plain))
+        assert polished_pair(prob, k)[0] is None
+        _, coarse, fine = richardson_eigenvalues(prob, k)
+        assert np.array_equal(coarse, plain)
+        fd, fe = assemble(prob.refined()).standard_form()
+        assert np.array_equal(fine, _polished(fd, fe, shifts=coarse))
 
     def test_repeats_bit_for_bit(self):
-        fine, k, coarse = self._fine("polar-k50")
-        first = lowest_eigenvalues(fine, k, near=coarse)
-        assert np.array_equal(first, lowest_eigenvalues(fine, k, near=coarse.copy()))
+        prob, k = self.CASES["polar-k50"]
+        first = richardson_eigenvalues(prob, k)
+        for a, b in zip(first, richardson_eigenvalues(prob, k)):
+            assert np.array_equal(a, b)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    # a benchmark configuration whose coarse polish converged to a
+    # neighbouring eigenvalue while the shift followed the Rayleigh quotient
+    # outside the cell of its guess
+    @example(model="crs", lam=0.33684102686207995, omega=1.936192763251247, mprime=0, k=50)
+    @given(model=st.sampled_from(("higgs", "crs")), lam=st.floats(0.1, 1.0),
+           omega=st.floats(0.5, 2.0), mprime=st.sampled_from((0, 1)),
+           k=st.sampled_from((3, 50)))
+    def test_pair_matches_relative_accuracy_bisection(self, model, lam, omega, mprime, k):
+        # no fallback on either grid, and both grids within 1e-9 of the
+        # relative-accuracy bisection, itself off by up to 7.5e-10 from an
+        # extended-precision Sturm count at lam = 1, omega = 0.5, m' = 0
+        params = PhysParams(lam=lam, omega=omega)
+        build = higgs_oscillator_problem if model == "higgs" else crs_natural_problem
+        prob = build(mprime, params, 4000)
+        certified = polished_pair(prob, k)
+        assert all(vals is not None for vals in certified)
+        _, coarse, fine = richardson_eigenvalues(prob, k)
+        for vals, hand, grid in zip((coarse, fine), certified, (prob, prob.refined())):
+            assert np.array_equal(vals, hand)
+            ref = relative_bisection(grid, k)
+            assert np.max(np.abs(vals - ref) / ref) <= 1e-9
 
 
 class TestSpectrumProtocols:
