@@ -35,9 +35,26 @@ d^sigma overflows far from the corner and underflows next to it.  Every
 profile quantity is built from the ratio phi(t)/phi(t0) =
 (d/d0)^sigma poly(d)/poly(d0) and the log-derivative phi'/phi, each taken
 against a nearby point, which stay finite wherever the corrections matter.
-The cell averages of one corner are a single 24-point Gauss-Legendre
-evaluation over all its cells, run in blocks of _BLOCK cells so the
-temporaries stay small.
+The cell averages are Gauss-Legendre sums whose order is graded with the
+distance from the corner.  Away from the singular point x0 the integrand
+q phi is analytic, and on a cell of half-width hc whose centre lies at
+distance dc from x0 the m-point rule converges like rho^(-2m), rho =
+1/tau + sqrt(1/tau^2 - 1) with tau = hc/dc (Trefethen, Approximation
+Theory and Approximation Practice, ch. 19).  A steep profile adds the
+variation of phi across the cell, which is exp(kappa u)-like on the cell's
+[-1, 1] with kappa = |sigma| tau; for that the remainder of the m-point
+rule is c_m kappa^(2m) e^kappa, c_m = 2^(2m+1) (m!)^4 / ((2m+1) ((2m)!)^3)
+(Abramowitz & Stegun 25.4.30).  Each cell takes the lowest order of the
+ladder _ORDERS = (4, 6, 8, 12, 16, 24) whose two bounds are both below
+_QUAD_EPS = 1e-19, a margin of a thousand below the rounding unit that
+also puts the cell touching a corner (tau = 1/2) at the ceiling.  24 is
+the ceiling, as are decay cells; tau uses the real distance to x0, so a
+grid cut short of its singular point grades too.  On the shipped problems
+the graded averages agree with all-24-point ones to 2e-12 relative of
+the assembled diagonal (the roundoff floor of the 24-point sums at sigma
+~ 100), while a corner of 1600 cells takes about 6600 nodes instead of
+38400.  Blocks of about _BLOCK nodes keep the temporaries small; each
+block evaluates q and w once.
 
 All three changes keep K symmetric (the face factors multiply the same
 difference in both adjacent rows; the closure only adds to the diagonal).
@@ -75,11 +92,12 @@ eigenvalues.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv, dstebz
 
 from .errors import (
@@ -104,11 +122,34 @@ __all__ = [
     "rayleigh_quotient",
 ]
 
-_GX, _GW = np.polynomial.legendre.leggauss(24)
-_BLOCK = 256        # corner cells per quadrature block
+_ORDERS = (4, 6, 8, 12, 16, 24)  # Gauss-Legendre ladder of the corner cells
+_QUAD_EPS = 1e-19                 # error bound each rung below the ceiling must meet
+_BLOCK = 256 * 24                 # quadrature nodes per corner block, whole cells each
 _START_SEED = 2013  # start vector of the seeded eigenvalue polish
 _INVERSE_STEPS = 2  # fewest fixed-shift steps per guess before the Rayleigh steps
 _RQI_STEPS = 6      # most Rayleigh-quotient steps per eigenvalue
+
+
+def _ladder() -> tuple[np.ndarray, np.ndarray]:
+    """Largest tau and kappa each rung below the ceiling takes (see the
+    module docstring): rho(tau)^(-2m) = eps gives tau = 1/cosh(ln(1/eps)
+    / 2m), and c_m kappa^(2m) e^kappa = eps is solved for kappa by a short
+    fixed-point iteration."""
+    log_eps = math.log(_QUAD_EPS)
+    tau, kappa = [], []
+    for m in _ORDERS[:-1]:
+        tau.append(1 / math.cosh(-log_eps / (2 * m)))
+        log_c = (2 * m + 1) * math.log(2) + 4 * math.lgamma(m + 1) \
+            - math.log(2 * m + 1) - 3 * math.lgamma(2 * m + 1)
+        k = 0.0
+        for _ in range(4):
+            k = math.exp((log_eps - log_c - k) / (2 * m))
+        kappa.append(k)
+    return np.array(tau), np.array(kappa)
+
+
+_RULES = [np.polynomial.legendre.leggauss(m) for m in _ORDERS]
+_TAU_MAX, _KAPPA_MAX = _ladder()
 
 
 @dataclass(frozen=True)
@@ -298,13 +339,28 @@ def assemble(problem: SturmLiouvilleProblem) -> TridiagonalSystem:
         dp = rule.ratio(x[j], ref) - rule.ratio(x[j - 1], ref)
         flux = rule.log_derivative(xf[j]) * rule.ratio(xf[j], ref)
         g[j] = np.divide(flux, dp, out=g[j], where=dp != 0)
-        for lo in range(cells.start, cells.stop, _BLOCK):
-            i = np.arange(lo, min(lo + _BLOCK, cells.stop))
-            half = 0.5 * (xf[i + 1] - xf[i])
-            t = 0.5 * (xf[i + 1] + xf[i])[:, None] + half[:, None] * _GX
-            wt = rule.ratio(t, x[i, None]) * (half / h)[:, None]
-            qi[i] = (np.asarray(problem.q(t.ravel()), float).reshape(t.shape) * wt) @ _GW
-            wi[i] = (np.asarray(problem.w(t.ravel()), float).reshape(t.shape) * wt) @ _GW
+        i = np.arange(cells.start, cells.stop)
+        mid, half = 0.5 * (xf[i + 1] + xf[i]), 0.5 * (xf[i + 1] - xf[i])
+        rung = _rungs(rule, mid, half)
+        count = np.asarray(_ORDERS)[rung]
+        first = np.cumsum(count) - count          # first node of each cell
+        # each block starts at the cell holding a multiple of _BLOCK nodes
+        edges = np.searchsorted(first, np.arange(0, count.sum(), _BLOCK), side="right") - 1
+        for lo, hi in zip(edges, np.append(edges[1:], i.size)):
+            # the cells of one order are contiguous: a (cells x m) slab per
+            # order, the nodes of all slabs through one q and one w call
+            cut = np.flatnonzero(np.diff(rung[lo:hi], prepend=-1)) + lo
+            slabs = [(a, b, _RULES[rung[a]]) for a, b in zip(cut, np.append(cut[1:], hi))]
+            ts = [mid[a:b, None] + half[a:b, None] * gx for a, b, (gx, _) in slabs]
+            t = np.concatenate([u.ravel() for u in ts])
+            qv, wv = np.asarray(problem.q(t), float), np.asarray(problem.w(t), float)
+            at = 0
+            for (a, b, (_, gw)), u in zip(slabs, ts):
+                f = rule.ratio(u, x[i[a:b], None]) * (half[a:b] / h)[:, None]
+                seg = slice(at, at + u.size)
+                qi[i[a:b]] = (qv[seg].reshape(u.shape) * f) @ gw
+                wi[i[a:b]] = (wv[seg].reshape(u.shape) * f) @ gw
+                at += u.size
 
     off = -pf[1:-1] * g[1:-1] / h
     diag = (pf[:-1] * g[:-1] + pf[1:] * g[1:]) / h + qi
@@ -325,6 +381,18 @@ def assemble(problem: SturmLiouvilleProblem) -> TridiagonalSystem:
     return TridiagonalSystem(diag, off, wi, grid, tie_left)
 
 
+def _rungs(rule: EndpointRule, mid: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Index into _ORDERS of the Gauss-Legendre order of each corrected cell
+    (centres mid, half-widths half): the lowest rung whose tau and kappa
+    bounds both hold, see the module docstring; decay cells keep the
+    ceiling."""
+    if rule.kind != "power":
+        return np.full(mid.shape, len(_ORDERS) - 1)
+    tau = half / np.abs(mid - rule.center)
+    return np.maximum(np.searchsorted(_TAU_MAX, tau),
+                      np.searchsorted(_KAPPA_MAX, abs(rule.exponent) * tau))
+
+
 def _standard_system(problem: SturmLiouvilleProblem, k: int
                      ) -> tuple[TridiagonalSystem, np.ndarray, np.ndarray]:
     """Front end of both solvers: the k budget, the assembled system and
@@ -342,6 +410,19 @@ def _standard_system(problem: SturmLiouvilleProblem, k: int
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise UnresolvedError("assembled system has non-finite entries")
     return system, d, e
+
+
+def _bisection(d: np.ndarray, e: np.ndarray, k: int, **options):
+    """eigh_tridiagonal on the k lowest eigenvalues of (d, e), LAPACK stebz
+    (and stein for the vectors); a LAPACK failure, which finite but
+    extreme entries can cause, becomes an UnresolvedError naming the
+    system size and k."""
+    try:
+        return eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1), **options)
+    except LinAlgError as exc:
+        raise UnresolvedError(
+            f"tridiagonal eigensolve failed for the {k} lowest eigenvalues "
+            f"at n = {d.size}") from exc
 
 
 def _checked(vals: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -514,7 +595,7 @@ def lowest_eigenvalues(problem: SturmLiouvilleProblem, k: int, *,
     system, d, e = _standard_system(problem, k)
     vals = None if _polish is None else _polish(system, d, e)
     if vals is None:
-        vals = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, k - 1))
+        vals = _bisection(d, e, k, eigvals_only=True)
     return _checked(vals, d, e)
 
 
@@ -524,7 +605,7 @@ def lowest_eigenpairs(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
     with residuals and normalized vectors; see EigenResult.  Its
     eigenvalues equal those of lowest_eigenvalues bit for bit."""
     system, d, e = _standard_system(problem, k)
-    vals, u = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+    vals, u = _bisection(d, e, k)
     _checked(vals, d, e)
     # back-transform all k pairs at once, in place in LAPACK's block, whose
     # rows ur are the eigenvectors
@@ -562,8 +643,7 @@ def richardson_eigenvalues(problem: SturmLiouvilleProblem, k: int
 
     def coarse_polish(system, d, e):
         tol = np.sqrt(np.finfo(float).eps) * _gershgorin(d, e)[1]
-        guesses = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
-                                   select_range=(0, k - 1), tol=tol)
+        guesses = _bisection(d, e, k, eigvals_only=True, tol=tol)
         # single precision is ample for a start vector and halves the block
         vectors = np.empty((k, d.size), np.float32)
         vals = _polished(d, e, shifts=guesses, vectors=vectors)

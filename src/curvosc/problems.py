@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .crs import QesSpec, crs_operator_coefficients, crs_potential_special, x_pole
-from .errors import ParameterOverflowError
+from .errors import ParameterOverflowError, UnresolvedError
 from .higgs import (
     RadialChannel,
     example1_branch_radius,
@@ -67,6 +67,8 @@ __all__ = [
     "example1_indicial_exponent",
     "example2_indicial_exponent",
 ]
+
+_CRS_WALL = 1e-4    # distance of the natural-branch wall from the tan pole x*
 
 
 def _self_adjoint(coeffs: Callable, V: Callable, w: Callable, grid: Grid1D,
@@ -144,8 +146,12 @@ def crs_natural_problem(mprime_q: float, params: PhysParams,
     """Special line model on its natural branch (0, x*), x* the first tan
     pole, with power closures at the origin and at the wall."""
     xs = x_pole(params)
+    if xs <= _CRS_WALL:
+        raise UnresolvedError(
+            f"lam = {params.lam:g} puts the tan pole x* = {xs:.3g} within the "
+            f"wall cutoff {_CRS_WALL:g} of the origin: no natural branch to solve on")
     sig_wall = (1 + params.delta) / 2
-    grid = Grid1D(0.0, xs - 1e-4, n)
+    grid = Grid1D(0.0, xs - _CRS_WALL, n)
     bc = (EndpointRule.power(0.5 + abs(mprime_q), 0.0),
           EndpointRule.power(sig_wall, xs))
     return crs_problem(params, lambda x: crs_potential_special(x, mprime_q, params),

@@ -84,6 +84,34 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("model,lam", [(["higgs"], "1e150"),
+                                           (["qes2", "--mprime-q", "1"], "1e100")],
+                             ids=["higgs", "qes2"])
+    def test_failed_lapack_eigensolve_is_one_error_line(self, model, lam, tmp_path, capsys):
+        # finite but extreme entries make the LAPACK bisection fail; the
+        # user sees one typed error, not LAPACK's message
+        code, _ = run_to_file(tmp_path, "x.json",
+                              ["spectrum", "--model", *model, "--lambda", lam])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "eigensolve failed" in err
+        assert "LAPACK" not in err and "stebz" not in err
+
+    def test_crs_tan_pole_inside_the_wall_cutoff(self, tmp_path, capsys):
+        # x* = sinh(pi/2)/sqrt(lam) falls below the 1e-4 wall cutoff above
+        # lam ~ 5e8: a typed error naming lam and x*, not a grid error
+        code, _ = run_to_file(tmp_path, "x.json",
+                              ["spectrum", "--model", "crs", "--lambda", "1e9"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("error: lam = 1e+09 puts the tan pole x* = 7.28e-05 within the "
+                       "wall cutoff 0.0001 of the origin: no natural branch to solve on\n")
+        code, text = run_to_file(tmp_path, "y.json",
+                                 ["spectrum", "--model", "crs", "--lambda", "1e8"])
+        assert code == 0
+        assert len(json.loads(text)["rows"]) == 9
+
     def test_nonfinite_system_is_one_error_line(self, tmp_path, capsys):
         # at lam = 1e-6 the corner quadrature overflows while the system is
         # assembled: one typed error, no numpy warning before it

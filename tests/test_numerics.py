@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from curvosc import crs, higgs
+from curvosc import crs, higgs, numerics
 from curvosc.errors import NodeDetectedError, NonpositiveWeightError, UnresolvedError
 from curvosc.numerics import (
     EndpointRule,
@@ -106,6 +106,65 @@ def reference_assemble(prob):
     return diag, off, w
 
 
+def full_order_assemble(prob):
+    """The assembled entries with every corrected cell averaged by the
+    24-point Gauss-Legendre rule, all cells of a corner at once; the profile
+    enters through EndpointRule.ratio and log_derivative, so any sigma
+    stays finite."""
+    gx, gw = np.polynomial.legendre.leggauss(24)
+    n, h = prob.grid.n, prob.grid.h
+    x, xf = prob.grid.points(), prob.grid.faces()
+    pf = prob.p(xf)
+    q, w = np.array(prob.q(x), float), np.array(prob.w(x), float)
+    g = np.full(n + 1, 1.0 / h)
+    extra = [0.0, 0.0]
+    for side, rule in enumerate(prob.bc):
+        if rule.kind == "dirichlet":
+            continue
+        m = rule.cells if rule.cells is not None else max(40, n // 5)
+        m = min(m, n)
+        if side == 0:
+            j, i = np.arange(1, m), np.arange(m)
+            ref = x[j]
+            extra[0] = pf[0] * rule.log_derivative(xf[0]) * rule.ratio(xf[0], x[0]) / h
+        else:
+            j, i = np.arange(max(n - m, 1), n), np.arange(n - m, n)
+            ref = x[j - 1]
+            extra[1] = -pf[n] * rule.log_derivative(xf[n]) * rule.ratio(xf[n], x[n - 1]) / h
+        dp = rule.ratio(x[j], ref) - rule.ratio(x[j - 1], ref)
+        flux = rule.log_derivative(xf[j]) * rule.ratio(xf[j], ref)
+        g[j] = np.divide(flux, dp, out=g[j], where=dp != 0)    # sigma = 0 keeps 1/h
+        half = 0.5 * (xf[i + 1] - xf[i])
+        t = 0.5 * (xf[i + 1] + xf[i])[:, None] + half[:, None] * gx
+        weight = rule.ratio(t, x[i, None]) * (half / h)[:, None] * gw
+        q[i] = np.sum(prob.q(t) * weight, axis=1)
+        w[i] = np.sum(prob.w(t) * weight, axis=1)
+    off = -pf[1:-1] * g[1:-1] / h
+    diag = (pf[:-1] * g[:-1] + pf[1:] * g[1:]) / h + q
+    left, right = prob.bc
+    if left.kind != "dirichlet":
+        diag[0] = pf[1] * g[1] / h + q[0] + extra[0]
+    if right.kind != "dirichlet":
+        diag[-1] = pf[-2] * g[-2] / h + q[-1] + extra[1]
+    if left.tie:
+        tau = float(left.ratio(x[0], x[1]))
+        diag[1] += 2 * tau * off[0] + tau * tau * diag[0]
+        w[1] += tau * tau * w[0]
+        diag, off, w = diag[1:], off[1:], w[1:]
+    return diag, off, w
+
+
+def corner_problem(sigma, side, n=2001):
+    """A power corner of exponent sigma on one end of (0, 1), q singular
+    like d^(-5/2) at both ends, so that q phi is not a polynomial for any
+    integer sigma."""
+    rules = [EndpointRule.dirichlet(), EndpointRule.dirichlet()]
+    rules[side] = EndpointRule.power(sigma, float(side))
+    return SturmLiouvilleProblem(
+        lambda x: 1 + 0.5 * x, lambda x: 2 / x**2.5 + 3 / (1 - x) ** 2.5 + x,
+        lambda x: 1 + x**2, Grid1D(0.0, 1.0, n), tuple(rules))
+
+
 def flat_oscillator(n=2000, a=-10.0, b=10.0):
     # -psi'' + x^2 psi: eigenvalues 2k + 1
     return SturmLiouvilleProblem(ONE, lambda x: np.asarray(x, float) ** 2, ONE,
@@ -182,6 +241,63 @@ class TestCornerQuadrature:
                              reference_assemble(prob)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["left", "right"])
+    @pytest.mark.parametrize("sigma", [-0.5, 0.0, 0.5, 1.0, 3.0, 22.0, 102.0])
+    def test_graded_orders_match_full_order(self, sigma, side):
+        system = assemble(corner_problem(sigma, side))
+        for got, want in zip((system.k_diag, system.k_off, system.m_diag),
+                             full_order_assemble(corner_problem(sigma, side))):
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
+
+    @pytest.mark.parametrize("prob", [
+        # grids that stop short of the singular point: the equator at
+        # pi/2 - 1e-6 (sigma ~ 12 at lam = 0.1), the tan pole at x* - 1e-4,
+        # the wide crs wall at 1e-4 from the origin
+        higgs_oscillator_problem(1, PhysParams(lam=0.1), 4000),
+        crs_natural_problem(1, UNIT, 4000),
+        crs_problem(UNIT, lambda x: crs.crs_potential_special(x, 1, UNIT),
+                    Grid1D(1e-4, 10.0, 16000),
+                    (EndpointRule.power(1.5, 0.0), EndpointRule.dirichlet())),
+        # tie-reduced resonant channel with series and a decay closure
+        qes_channel_problem(2, 1, 1, UNIT, 4000),
+    ], ids=["polar-equator", "crs-tan-pole", "crs-wide", "qes2-tie"])
+    def test_graded_orders_match_full_order_on_model_problems(self, prob):
+        system = assemble(prob)
+        for got, want in zip((system.k_diag, system.k_off, system.m_diag),
+                             full_order_assemble(prob)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
+
+    @pytest.mark.parametrize("sigma", [-0.5, 0.0, 1.0, 22.0, 102.0, 1000.0])
+    @pytest.mark.parametrize("gap", [0.0, 1e-6, 1e-4, 1.0])
+    def test_ladder_orders(self, sigma, gap):
+        # cells of width h, nearest the corner first, the grid ending gap
+        # short of the singular point
+        h = 1e-3
+        dist = gap + h * np.arange(1, 2001)
+        half = np.full(dist.shape, h / 2)
+        for centre, mid in ((0.0, dist), (5.0, 5.0 - dist)):
+            orders = np.asarray(numerics._ORDERS)[
+                numerics._rungs(EndpointRule.power(sigma, centre), mid, half)]
+            assert orders.max() <= 24 and orders.min() >= 4
+            assert np.all(np.diff(orders) <= 0)       # never more nodes farther out
+            if gap == 0.0:
+                assert orders[0] == 24                # the cell touching the corner
+        decay = numerics._rungs(EndpointRule.decay(1.5), dist, half)
+        assert np.all(np.asarray(numerics._ORDERS)[decay] == 24)
+
+    @pytest.mark.parametrize("block", [24, 25, 61, 1000])
+    def test_block_size_leaves_the_entries(self, block, monkeypatch):
+        # block edges that fall inside a cell, or on the last one, must
+        # neither drop nor repeat a cell
+        prob = higgs_oscillator_problem(1, PhysParams(lam=0.003), 2000)
+        want = assemble(prob)
+        monkeypatch.setattr(numerics, "_BLOCK", block)
+        got = assemble(prob)
+        for a, b in zip((got.k_diag, got.k_off, got.m_diag),
+                        (want.k_diag, want.k_off, want.m_diag)):
+            assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-14
 
     def test_right_tie_rejected(self):
         prob = SturmLiouvilleProblem(ONE, ONE, ONE, Grid1D(0.0, 1.0 - 1e-3, 50),
