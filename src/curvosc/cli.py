@@ -106,6 +106,13 @@ class RunConfig:
             self.model == "crs" and self.command in ("potential", "wavefunction"))
         if needs_channel and self.mprime_q is None:
             raise ValueError(f"model {self.model} requires --mprime-q here")
+        grid = (("--grid-n", self.grid_n, 1),)
+        counts = {"spectrum": (("--n-max", self.n_max, 0), ("--mprime-max", self.mprime_max, 0)),
+                  "wavefunction": (("--N", self.N, 0),) + grid,
+                  "potential": grid, "transform-check": grid}
+        for flag, value, least in counts.get(self.command, ()):
+            if value < least:
+                raise ValueError(f"{flag} must be at least {least}, got {value}")
         if self.command in ("spectrum", "potential", "wavefunction", "transform-check"):
             self.params.require_curvature()
 

@@ -66,34 +66,58 @@ analogous closure for an infinite right endpoint with profile x^(-mu).
 
 Eigensolvers
 ------------
-Both solve the standard form M^(-1/2) K M^(-1/2) u = E u and split by
-what they return.  lowest_eigenvalues returns the k lowest eigenvalues by
-the Sturm-sequence bisection (LAPACK stebz); single-grid solves take this
-path.  richardson_eigenvalues solves both of its grids through it too, but
-polishes them instead of bisecting to full accuracy: the coarse grid
-starts from a loose bisection (tolerance sqrt(eps) ||T||) and keeps its
-unit vectors, the fine grid starts each eigenvalue from its coarse vector
-carried to the h/2 grid.  Inverse and Rayleigh-quotient steps (LAPACK gtsv
-solves) take each vector to a residual at the roundoff level.  The
-residual bound puts one eigenvalue in each interval rho +- residual; the
-values stand only if the intervals are disjoint and one Sturm count
-(stebz) shows they hold the k lowest, otherwise the bisection runs
-(Parlett, The Symmetric Eigenvalue Problem, ch. 4).  On the polar problem
-at n = 4000 and 8001 the polished values agree with an extended-precision
-Sturm count to 1e-12-4e-11 relative, where the default bisection
-tolerance eps ||T|| leaves 2e-11-2.4e-9 and even bisection to relative
-accuracy (ABSTOL = 2 underflow) up to 7.5e-10.
-lowest_eigenpairs adds inverse iteration (stein), the back-transform
-v = M^(-1/2) u, the residuals and the normalization, for the callers that
-read eigenvectors.  Both apply the same guards (k budget, finite system,
-spectral edge, strictly ascending values) and return bitwise-equal
-eigenvalues.
+All solve the standard form M^(-1/2) K M^(-1/2) u = E u.  None bisects
+to full accuracy where it can polish instead: each eigenvalue starts from
+a guess, and inverse and Rayleigh-quotient steps (LAPACK gtsv solves) take
+its vector to a residual at the roundoff level.  The residual bound puts
+one eigenvalue in each interval rho +- residual; the values stand only if
+the intervals are disjoint and one Sturm count (stebz) shows they hold the
+k lowest (Parlett, The Symmetric Eigenvalue Problem, ch. 4).  Otherwise
+the Sturm-sequence bisection to the default tolerance eps ||T|| (LAPACK
+stebz) runs, which is also the reference the tests compare against.  On
+the polar problem at n = 4000 and 8001 the polished values agree with an
+extended-precision Sturm count to 1e-12-4e-11 relative, where the default
+bisection leaves 2e-11-2.4e-9 and even bisection to relative accuracy
+(ABSTOL = 2 underflow) up to 7.5e-10.
+
+The solvers differ in where the guesses come from.  lowest_eigenvalues,
+the single-grid solve, takes them from the same problem on a grid
+_COARSEN = 16 times coarser, bisected to the default tolerance there,
+which is cheap; the bisection on the fine grid is the fallback.  The ratio
+is a compromise measured on 57 solves, the QES channels at the six lam of
+the benchmark (n = 8001, k = 3) and the three wide crs solves of verify
+(n = 16000, k = 8):
+
+    ratio   coarse n (QES)   fallbacks   cause
+      8         1000             1       qes2 m'_Q = 0, lam = 0.65: a spurious
+                                         coarse eigenvalue at -273
+     16          500             0
+     32          250             8       qes2 guesses miss the ground state
+
+At 16 the certified values lie within 3e-8 relative of a bisection to
+relative accuracy, where the default bisection leaves up to 6e-6.  A grid
+of fewer than 4 (k + 1) coarse points falls back at once.
+lowest_eigenpairs is the same solve keeping the polished unit vectors (or
+stein's, after the fallback), plus the back-transform v = M^(-1/2) u, the
+residuals and the normalization, for the callers that read eigenvectors;
+both apply the same guards (k budget, finite system, spectral edge,
+strictly ascending values) and return bitwise-equal eigenvalues.
+richardson_eigenvalues solves both of its grids through lowest_eigenvalues
+with guesses of its own: the coarse grid starts from a loose bisection
+(tolerance sqrt(eps) ||T||) and keeps its unit vectors, the fine grid
+starts each eigenvalue from its coarse vector carried to the h/2 grid.
+Coarse-level guesses do not serve it: at k = 50, n = 4000 (32 higgs and
+crs channels, lam in [0.1, 1], omega in [0.5, 2]) those of 250 points
+failed to certify 32 times and those of 500 points 10 times, and those of
+1000 points cost as much as the loose bisection (19-20 ms against 17-19
+ms on a 2-core VM).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -101,6 +125,7 @@ from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv, dstebz
 
 from .errors import (
+    CurvoscError,
     NodeDetectedError,
     NonpositiveWeightError,
     UnresolvedError,
@@ -128,6 +153,7 @@ _BLOCK = 256 * 24                 # quadrature nodes per corner block, whole cel
 _START_SEED = 2013  # start vector of the seeded eigenvalue polish
 _INVERSE_STEPS = 2  # fewest fixed-shift steps per guess before the Rayleigh steps
 _RQI_STEPS = 6      # most Rayleigh-quotient steps per eigenvalue
+_COARSEN = 16       # grid ratio of the guesses of a single-grid solve
 
 
 def _ladder() -> tuple[np.ndarray, np.ndarray]:
@@ -208,21 +234,26 @@ class EndpointRule:
     def decay(cls, mu: float, cells: int | None = 2) -> "EndpointRule":
         return cls(kind="decay", exponent=mu, cells=cells)
 
-    def _poly(self, d):
-        """Series factor 1 + c1 d + c2 d^2 + ... and its d-derivative; the
-        constants 1 and 0 without a series."""
+    @cached_property
+    def _coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients of the series factor 1 + c1 d + c2 d^2 + ... and of
+        its d-derivative, formed once per rule."""
+        c = np.array((1.0,) + self.series)
+        return c, np.polynomial.polynomial.polyder(c)
+
+    def _poly(self, d, derivative: bool = False):
+        """Series factor 1 + c1 d + c2 d^2 + ..., or its d-derivative; the
+        constant 1 or 0 without a series."""
         if not self.series:
-            return 1.0, 0.0
-        c = (1.0,) + self.series
-        P = np.polynomial.polynomial
-        return P.polyval(d, c), P.polyval(d, P.polyder(c))
+            return 0.0 if derivative else 1.0
+        return np.polynomial.polynomial.polyval(d, self._coefficients[derivative])
 
     def ratio(self, t, t0):
         """phi(t)/phi(t0) of the local regular profile, without forming phi."""
         t, t0 = np.asarray(t, float), np.asarray(t0, float)
         if self.kind == "power":
             d, d0 = np.abs(t - self.center), np.abs(t0 - self.center)
-            return (d / d0) ** self.exponent * (self._poly(d)[0] / self._poly(d0)[0])
+            return (d / d0) ** self.exponent * (self._poly(d) / self._poly(d0))
         if self.kind == "decay":
             return (t / t0) ** (-self.exponent)
         raise ValueError(f"no profile for rule kind {self.kind!r}")
@@ -232,8 +263,8 @@ class EndpointRule:
         t = np.asarray(t, float)
         if self.kind == "power":
             d = np.abs(t - self.center)
-            poly, dpoly = self._poly(d)
-            return np.sign(t - self.center) * (self.exponent / d + dpoly / poly)
+            return np.sign(t - self.center) * (
+                self.exponent / d + self._poly(d, derivative=True) / self._poly(d))
         if self.kind == "decay":
             return -self.exponent / t
         raise ValueError(f"no profile for rule kind {self.kind!r}")
@@ -582,34 +613,65 @@ def _prolonged(coarse: TridiagonalSystem, fine: TridiagonalSystem,
     return vf * np.sqrt(fine.m_diag)
 
 
+def _coarse_polished(problem: SturmLiouvilleProblem, k: int, d: np.ndarray,
+                     e: np.ndarray, vectors: np.ndarray | None = None
+                     ) -> np.ndarray | None:
+    """The k lowest eigenvalues of the standard form (d, e) of problem,
+    polished (see _polished, which fills vectors) from guesses that the
+    default bisection finds on the same problem with a grid _COARSEN times
+    coarser; None where they cannot be certified, or where that grid has
+    fewer than 4 (k + 1) points (the budget n/4 with one mode to spare) or
+    fails a guard of its own."""
+    grid = problem.grid
+    n = grid.n // _COARSEN
+    if n < 4 * (k + 1):
+        return None
+    coarse = SturmLiouvilleProblem(problem.p, problem.q, problem.w,
+                                   Grid1D(grid.a, grid.b, n), problem.bc)
+    try:
+        _, cd, ce = _standard_system(coarse, k)
+        guesses = _bisection(cd, ce, k, eigvals_only=True)
+    except CurvoscError:
+        return None
+    return _polished(d, e, shifts=guesses, vectors=vectors)
+
+
 def lowest_eigenvalues(problem: SturmLiouvilleProblem, k: int, *,
                        _polish: Callable | None = None) -> np.ndarray:
-    """k smallest eigenvalues, ascending, by bisection on the Sturm-sequence
-    sign count (LAPACK stebz via eigh_tridiagonal); no eigenvector is
-    formed.
+    """k smallest eigenvalues, ascending, polished from the guesses of a
+    grid _COARSEN times coarser (see _coarse_polished); where they cannot
+    be certified, by bisection on the Sturm-sequence sign count (LAPACK
+    stebz via eigh_tridiagonal).  No eigenvector is kept.
 
     _polish is private to richardson_eigenvalues, which solves both grids
     of a pair here: _polish(system, d, e) returns the k certified lowest
     eigenvalues of the standard form (d, e), or None, on which the
-    bisection runs.  Both paths apply the same guards."""
+    bisection runs.  All paths apply the same guards."""
     system, d, e = _standard_system(problem, k)
-    vals = None if _polish is None else _polish(system, d, e)
+    if _polish is None:
+        vals = _coarse_polished(problem, k, d, e)
+    else:
+        vals = _polish(system, d, e)
     if vals is None:
         vals = _bisection(d, e, k, eigvals_only=True)
     return _checked(vals, d, e)
 
 
 def lowest_eigenpairs(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
-    """k smallest eigenpairs by bisection plus inverse iteration (LAPACK
-    stebz/stein via eigh_tridiagonal), back-transformed to K v = E M v,
-    with residuals and normalized vectors; see EigenResult.  Its
-    eigenvalues equal those of lowest_eigenvalues bit for bit."""
+    """k smallest eigenpairs, polished from coarse-grid guesses as in
+    lowest_eigenvalues, whose values they equal bit for bit; where those
+    cannot be certified, by bisection plus inverse iteration (LAPACK
+    stebz/stein via eigh_tridiagonal).  Back-transformed to K v = E M v,
+    with residuals and normalized vectors; see EigenResult."""
     system, d, e = _standard_system(problem, k)
-    vals, u = _bisection(d, e, k)
+    # rows ur are the unit eigenvectors of the standard form
+    ur = np.empty((k, d.size))
+    vals = _coarse_polished(problem, k, d, e, vectors=ur)
+    if vals is None:
+        vals, u = _bisection(d, e, k)
+        ur = u.T
     _checked(vals, d, e)
-    # back-transform all k pairs at once, in place in LAPACK's block, whose
-    # rows ur are the eigenvectors
-    ur = u.T
+    # back-transform all k pairs at once, in place
     ur /= np.sqrt(system.m_diag)
     resid = _backward_errors(system, vals, ur)
     v = system.expand(ur)

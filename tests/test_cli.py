@@ -68,6 +68,23 @@ class TestValidation:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args,flag", [
+        (["spectrum", "--model", "higgs", "--n-max", "-1"], "--n-max"),
+        (["spectrum", "--model", "higgs", "--mprime-max", "-2"], "--mprime-max"),
+        (["potential", "--model", "higgs", "--grid-n", "0"], "--grid-n"),
+        (["potential", "--model", "higgs", "--grid-n", "-3"], "--grid-n"),
+        (["wavefunction", "--model", "higgs", "--grid-n", "0"], "--grid-n"),
+        (["wavefunction", "--model", "higgs", "--N", "-1"], "--N"),
+        (["transform-check", "--grid-n", "0"], "--grid-n"),
+    ])
+    def test_count_flag_out_of_range_is_one_error_line(self, args, flag, tmp_path, capsys):
+        # a negative count or an empty grid is refused before any work,
+        # with the flag named, instead of an empty table or a numpy message
+        code, _ = run_to_file(tmp_path, "x.json", args)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be at least ") and err.count("\n") == 1
+
     def test_domain_error_is_exit_one(self, tmp_path, capsys):
         code, _ = run_to_file(tmp_path, "x.json", [
             "potential", "--model", "crs", "--mprime-q", "1", "--grid-min", "0"])

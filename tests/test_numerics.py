@@ -19,7 +19,8 @@ from curvosc.numerics import (
     residual_norm,
     richardson_eigenvalues,
 )
-from curvosc.numerics import _backward_errors, _gershgorin, _polished, _prolonged
+from curvosc.numerics import (
+    _backward_errors, _bisection, _coarse_polished, _gershgorin, _polished, _prolonged)
 from curvosc.params import PhysParams
 from curvosc.problems import (
     crs_natural_problem,
@@ -326,6 +327,21 @@ class TestCornerQuadrature:
         assert np.array_equal(rule.ratio(t, t0), (np.abs(t - c) / np.abs(t0 - c)) ** sig)
         assert np.array_equal(rule.log_derivative(t), np.sign(t - c) * (sig / np.abs(t - c)))
 
+    def test_series_is_the_horner_polynomial(self):
+        # with a series: poly(d) and poly'(d) by numpy's Horner evaluation,
+        # bit for bit, however often the rule is called
+        sig, c, ser = -0.5, 0.0, (0.4, -0.1, 0.02)
+        rule = EndpointRule.power(sig, c, series=ser)
+        P = np.polynomial.polynomial
+        t = np.linspace(0.01, 2.0, 50)
+        t0 = t[::-1]
+        d, d0 = np.abs(t - c), np.abs(t0 - c)
+        poly = lambda x: P.polyval(x, (1.0,) + ser)
+        dpoly = P.polyval(d, P.polyder((1.0,) + ser))
+        for _ in range(2):
+            assert np.array_equal(rule.ratio(t, t0), (d / d0) ** sig * (poly(d) / poly(d0)))
+            assert np.array_equal(rule.log_derivative(t), np.sign(t - c) * (sig / d + dpoly / poly(d)))
+
     def test_nonfinite_system_raises_typed_error(self):
         grid = Grid1D(0.0, 1.0, 200)
         xf = grid.faces()
@@ -507,7 +523,7 @@ class TestSeededEigenvalues:
         other = lowest_eigenvalues(
             higgs_oscillator_problem(0, PhysParams(lam=0.3, omega=2.0), 1000), k)
         d, e = assemble(fine).standard_form()
-        plain = lowest_eigenvalues(fine, k)
+        plain = _bisection(d, e, k, eigvals_only=True)
         # all equal, one repeated, out of order, one skipped, another problem's
         for near in (np.full(k, four[1]), four[[0, 0, 2]], four[[1, 0, 2]],
                      np.delete(four, 1), other):
@@ -522,8 +538,9 @@ class TestSeededEigenvalues:
         prob, k = self.CASES["polar-k50"]
         other = higgs_oscillator_problem(1, PhysParams(lam=0.3, omega=2.0), 4000)
         fine = prob.refined()
-        fine_sys, plain, ref = assemble(fine), lowest_eigenvalues(fine, k), relative_bisection(fine, k)
+        fine_sys, ref = assemble(fine), relative_bisection(fine, k)
         fd, fe = fine_sys.standard_form()
+        plain = _bisection(fd, fe, k, eigvals_only=True)
         for source, order in ((prob, np.roll(np.arange(k), 1)), (prob, np.arange(k)[::-1]),
                               (prob, np.r_[0, 0, 2:k]), (other, np.arange(k))):
             coarse_sys = assemble(source)
@@ -550,7 +567,7 @@ class TestSeededEigenvalues:
         # bisection and the fine grid starts from its values
         k = 3
         d, e = assemble(prob).standard_form()
-        plain = lowest_eigenvalues(prob, k)
+        plain = _bisection(d, e, k, eigvals_only=True)
         assert np.sqrt(np.finfo(float).eps) * _gershgorin(d, e)[1] > np.min(np.diff(plain))
         assert polished_pair(prob, k)[0] is None
         _, coarse, fine = richardson_eigenvalues(prob, k)
@@ -586,6 +603,75 @@ class TestSeededEigenvalues:
             assert np.array_equal(vals, hand)
             ref = relative_bisection(grid, k)
             assert np.max(np.abs(vals - ref) / ref) <= 1e-9
+
+
+def wide_crs_problem(mprime_q):
+    """The wide-domain crs problem of problems.crs_spectrum_numeric_wide."""
+    bc = (EndpointRule.power(0.5 + mprime_q, 0.0), EndpointRule.dirichlet())
+    return crs_problem(UNIT, lambda x: crs.crs_potential_special(x, mprime_q, UNIT),
+                       Grid1D(1e-4, 10.0, 16000), bc)
+
+
+def stein_vectors(prob, k):
+    """The k lowest eigenvectors (rows, on the full grid, weighted unit norm)
+    by the bisection and inverse iteration (stebz/stein)."""
+    system = assemble(prob)
+    _, u = _bisection(*system.standard_form(), k)
+    v = system.expand(u.T / np.sqrt(system.m_diag))
+    w = np.asarray(prob.w(prob.grid.points()), float)
+    return v / np.sqrt(np.sum(w * v * v, axis=1) * prob.grid.h)[:, None]
+
+
+class TestSingleGridPolish:
+    # single-grid solves polish guesses bisected on a grid _COARSEN times
+    # coarser and fall back to the bisection where they cannot be certified
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    @pytest.mark.parametrize("example,l,mprime_q", [
+        (1, 3.0, 0), (1, 3.0, 1), (1, 3.0, 2), (1, 4.0, 0), (1, 4.0, 1), (1, 4.0, 2),
+        (2, None, 0), (2, None, 1), (2, None, 2)])
+    def test_qes_channels_certified_near_relative_bisection(self, example, l, mprime_q, lam):
+        # the default bisection leaves up to 6e-6 relative on these channels
+        prob = qes_channel_problem(example, mprime_q, mprime_q, PhysParams(lam=lam), 8001, l=l)
+        d, e = assemble(prob).standard_form()
+        certified = _coarse_polished(prob, 3, d, e)
+        assert certified is not None
+        vals = lowest_eigenvalues(prob, 3)
+        assert np.array_equal(vals, certified)
+        ref = relative_bisection(prob, 3)
+        assert np.max(np.abs(vals - ref) / np.abs(ref)) <= 1e-7
+
+    @pytest.mark.parametrize("case", ["guesses-miss-a-mode", "grid-too-small"])
+    def test_fallback_is_the_bisection_bit_for_bit(self, case, monkeypatch):
+        if case == "guesses-miss-a-mode":
+            # 250 coarse points miss the ground state of this channel: the
+            # guesses sit near modes 1-3, where the polish converges too
+            monkeypatch.setattr(numerics, "_COARSEN", 32)
+            prob, k = qes_channel_problem(2, 2, 2, UNIT, 8001), 3
+        else:
+            # 1000 // 16 = 62 coarse points, fewer than 4 (k + 1) = 64
+            prob, k = flat_oscillator(n=1000), 15
+        d, e = assemble(prob).standard_form()
+        assert _coarse_polished(prob, k, d, e) is None
+        plain = _bisection(d, e, k, eigvals_only=True)
+        assert np.array_equal(lowest_eigenvalues(prob, k), plain)
+        assert np.array_equal(lowest_eigenpairs(prob, k).eigenvalues, plain)
+
+    @pytest.mark.parametrize("prob,k", [
+        (higgs_oscillator_problem(0, UNIT, 8001), 50),
+        (wide_crs_problem(1), 8),
+        (qes_channel_problem(2, 2, 1, UNIT, 2000), 1),
+        (flat_oscillator(), 4),
+    ], ids=["polar-k50", "crs-wide", "qes2-neighbour", "flat-k4"])
+    def test_polished_pairs_match_stein(self, prob, k):
+        # the deep polar solve and the pairs that verify reads
+        d, e = assemble(prob).standard_form()
+        assert _coarse_polished(prob, k, d, e) is not None
+        res = lowest_eigenpairs(prob, k)
+        ref = stein_vectors(prob, k)
+        w = np.asarray(prob.w(prob.grid.points()), float)
+        overlap = np.abs(np.sum(w * ref * res.eigenvectors.T, axis=1)) * prob.grid.h
+        assert np.all(overlap >= 1 - 1e-10)
+        assert np.all(res.residual_norms < 1e-13)
 
 
 class TestSpectrumProtocols:
