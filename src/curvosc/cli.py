@@ -106,6 +106,10 @@ class RunConfig:
             self.model == "crs" and self.command in ("potential", "wavefunction"))
         if needs_channel and self.mprime_q is None:
             raise ValueError(f"model {self.model} requires --mprime-q here")
+        # the QES channels are built from the signed m'_Q
+        if self.model in ("qes1", "qes2") and not self.mprime_q >= 0:
+            raise ValueError(f"--mprime-q must be at least 0 for model {self.model}, "
+                             f"got {self.mprime_q}")
         grid = (("--grid-n", self.grid_n, 1),)
         counts = {"spectrum": (("--n-max", self.n_max, 0), ("--mprime-max", self.mprime_max, 0)),
                   "wavefunction": (("--N", self.N, 0),) + grid,

@@ -80,37 +80,57 @@ extended-precision Sturm count to 1e-12-4e-11 relative, where the default
 bisection leaves 2e-11-2.4e-9 and even bisection to relative accuracy
 (ABSTOL = 2 underflow) up to 7.5e-10.
 
-The solvers differ in where the guesses come from.  lowest_eigenvalues,
-the single-grid solve, takes them from the same problem on a grid
-_COARSEN = 16 times coarser, bisected to the default tolerance there,
-which is cheap; the bisection on the fine grid is the fallback.  The ratio
-is a compromise measured on 57 solves, the QES channels at the six lam of
-the benchmark (n = 8001, k = 3) and the three wide crs solves of verify
-(n = 16000, k = 8):
+The guesses come from the same problem on a guess grid of max(n //
+_COARSEN, _GUESS_POINTS k) points, _COARSEN = 16 and _GUESS_POINTS = 40;
+a guess grid of more than n/2 points would cost about as much as the
+bisection it replaces, so the solve falls back at once.
+lowest_eigenvalues, the single-grid solve, bisects the guess grid to the
+default tolerance, which is cheap; the bisection on the fine grid is the
+fallback.  Its callers want k <= 8, so the floor does not bind and the
+guess grid is n // 16, a ratio measured on 57 solves, the QES channels at
+the six lam of the benchmark (n = 8001, k = 3) and the three wide crs
+solves of verify (n = 16000, k = 8):
 
-    ratio   coarse n (QES)   fallbacks   cause
-      8         1000             1       qes2 m'_Q = 0, lam = 0.65: a spurious
-                                         coarse eigenvalue at -273
-     16          500             0
-     32          250             8       qes2 guesses miss the ground state
+    ratio   guess n (QES)   fallbacks   cause
+      8         1000            1       qes2 m'_Q = 0, lam = 0.65: a spurious
+                                        coarse eigenvalue at -273
+     16          500            0
+     32          250            8       qes2 guesses miss the ground state
 
 At 16 the certified values lie within 3e-8 relative of a bisection to
-relative accuracy, where the default bisection leaves up to 6e-6.  A grid
-of fewer than 4 (k + 1) coarse points falls back at once.
+relative accuracy, where the default bisection leaves up to 6e-6.
 lowest_eigenpairs is the same solve keeping the polished unit vectors (or
 stein's, after the fallback), plus the back-transform v = M^(-1/2) u, the
 residuals and the normalization, for the callers that read eigenvectors;
 both apply the same guards (k budget, finite system, spectral edge,
 strictly ascending values) and return bitwise-equal eigenvalues.
+
 richardson_eigenvalues solves both of its grids through lowest_eigenvalues
-with guesses of its own: the coarse grid starts from a loose bisection
-(tolerance sqrt(eps) ||T||) and keeps its unit vectors, the fine grid
-starts each eigenvalue from its coarse vector carried to the h/2 grid.
-Coarse-level guesses do not serve it: at k = 50, n = 4000 (32 higgs and
-crs channels, lam in [0.1, 1], omega in [0.5, 2]) those of 250 points
-failed to certify 32 times and those of 500 points 10 times, and those of
-1000 points cost as much as the loose bisection (19-20 ms against 17-19
-ms on a 2-core VM).
+with guesses of its own.  The coarse grid bisects the guess grid to the
+loose tolerance tol = sqrt(eps) ||T_g||, T_g the guess grid's standard
+form, and keeps its unit vectors; the fine grid starts each eigenvalue
+from its coarse vector carried to the h/2 grid (_prolongation, built once
+per pair).  ||T_g|| grows like 1/h_g^2, so tol is 4-256 times smaller than
+that of the pair's own coarse grid, which could not separate the lowest
+gaps of the planar Dirichlet reference or of the channels at lam <= 0.01.
+Where two loose guesses still lie within 4 tol of each other the guess
+grid is bisected again to the default tolerance: over k = 50, n = 4000
+pairs at lam from 0.001 to 10 the polish failed from guesses that close
+(min gap / tol of 0, 0.75, 1, 2.25 and 2.6) and certified from all others
+(3.6 and up; 13 and up at lam >= 0.1).  The floor of 40 points per
+eigenvalue comes from k = 50 on a 2-core VM: over 32 higgs and crs pairs
+(lam in [0.1, 1], omega in [0.5, 2], m' in {0, 1}), and over 102 pairs on
+the grid lam in {0.001, ..., 10}, omega in {0.5, 2}, m' in {0, 1, 2}:
+
+    floor   guess n   coarse fallbacks   coarse fallbacks   ms per pair
+                       (32, lam >= 0.1)   (102, all lam)     (32)
+    10 k      500          7                 54                 71
+    20 k     1000          0                 17                 64
+    40 k     2000          0                  1                 67
+
+The one left is crs at lam = 0.003, omega = 2, m' = 0, where default
+guesses on 2000 points do not certify either and a loose bisection on the
+pair's own coarse grid falls back too.
 """
 
 from __future__ import annotations
@@ -153,7 +173,8 @@ _BLOCK = 256 * 24                 # quadrature nodes per corner block, whole cel
 _START_SEED = 2013  # start vector of the seeded eigenvalue polish
 _INVERSE_STEPS = 2  # fewest fixed-shift steps per guess before the Rayleigh steps
 _RQI_STEPS = 6      # most Rayleigh-quotient steps per eigenvalue
-_COARSEN = 16       # grid ratio of the guesses of a single-grid solve
+_COARSEN = 16       # grid ratio of the guess grid
+_GUESS_POINTS = 40  # least points of the guess grid per wanted eigenvalue
 
 
 def _ladder() -> tuple[np.ndarray, np.ndarray]:
@@ -490,6 +511,12 @@ def _backward_errors(system: TridiagonalSystem, vals: np.ndarray,
     return out
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a.b by numpy's own einsum loop: no a * b temporary, and no BLAS
+    (see _backward_errors)."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def _gershgorin(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float]:
     """Off-diagonal row sums |e_(i-1)| + |e_i| of the tridiagonal (d, e) and
     its Gershgorin norm max(|d| + row sum), which bounds ||T||."""
@@ -525,8 +552,7 @@ def _polished(d: np.ndarray, e: np.ndarray, starts=None, shifts=None,
     eigenvalues, the rho are the lowest ones (Parlett, The Symmetric
     Eigenvalue Problem, ch. 4).  vectors, if given, receives the unit
     vectors as rows.  The fixed start is a seeded normal vector, so a solve
-    repeats bit for bit; the norms are plain sums (no BLAS, see
-    _backward_errors)."""
+    repeats bit for bit."""
     spread, norm = _gershgorin(d, e)
     tol = 8 * np.finfo(float).eps * norm
     fixed = 0
@@ -535,7 +561,7 @@ def _polished(d: np.ndarray, e: np.ndarray, starts=None, shifts=None,
         starts, fixed = (x0 for _ in shifts), _INVERSE_STEPS
     vals, radii = [], []
     for j, x in enumerate(starts):
-        x = x / np.sqrt(np.sum(x * x))
+        x = x / math.sqrt(_dot(x, x))
         if fixed:
             # the shift follows the Rayleigh quotient only inside (lo, hi)
             shift = float(shifts[j])
@@ -545,7 +571,7 @@ def _polished(d: np.ndarray, e: np.ndarray, starts=None, shifts=None,
             shift, lo, hi = _rayleigh(d, e, x)[0], -np.inf, np.inf
         for step in range(fixed + _RQI_STEPS):
             *_, y, info = dgtsv(e, d - shift, e, x, overwrite_d=1)
-            yy, xy = float(np.sum(y * y)), float(np.sum(x * y))
+            yy, xy = _dot(y, y), _dot(x, y)
             if info or not np.isfinite(yy):
                 return None
             x = y / np.sqrt(yy)
@@ -578,59 +604,84 @@ def _rayleigh(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> tuple[float, float
     r = d * x
     r[:-1] += e * x[1:]
     r[1:] += e * x[:-1]
-    rho = float(np.sum(x * r))
+    rho = _dot(x, r)
     r -= rho * x
-    return rho, float(np.sqrt(np.sum(r * r)))
+    return rho, math.sqrt(_dot(r, r))
 
 
-def _prolonged(coarse: TridiagonalSystem, fine: TridiagonalSystem,
-               bc: tuple[EndpointRule, EndpointRule], u: np.ndarray) -> np.ndarray:
-    """A standard-form vector u of the coarse system carried to the fine
-    system on the h/2 grid, as a start vector.  v = M^(-1/2) u is injected
-    at the shared points and interpolated at the midpoints by the cubic
-    rule (-1, 9, 9, -1)/16.  Where that stencil does not reach, at the
-    fine point beside each wall and the first midpoint, v is linear to
-    zero at a Dirichlet wall and v/phi is linear at a profile wall (phi the
-    local profile of the endpoint rule in bc), since there v follows phi;
-    a profile that overflows leaves a non-finite start, which the polish
-    rejects.  Then v is scaled by the fine M^(1/2).  A tie-eliminated point
-    is restored before and dropped after."""
-    v = coarse.expand(u / np.sqrt(coarse.m_diag))
+def _prolongation(coarse: TridiagonalSystem, fine: TridiagonalSystem,
+                  bc: tuple[EndpointRule, EndpointRule]
+                  ) -> Callable[[np.ndarray], np.ndarray]:
+    """The map that carries a standard-form vector u of the coarse system
+    to the fine system on the h/2 grid, as a start vector.  v = M^(-1/2) u
+    is injected at the shared points and interpolated at the midpoints by
+    the cubic rule (-1, 9, 9, -1)/16.  Where that stencil does not reach,
+    at the fine point beside each wall and the first midpoint, v is linear
+    to zero at a Dirichlet wall.  At a profile wall v follows phi, the
+    local profile of the endpoint rule in bc, so v/phi is carried from the
+    nearest coarse point to the point beside the wall and from the next
+    coarse point to the midpoint.  Not from the nearest: its ratio
+    phi(midpoint)/phi(nearest) = (3/2)^sigma reaches 1e176 at sigma = 1002
+    (the polar equator at lam = 0.001) and would blow the roundoff of v
+    at the wall up into the start; a ratio that still overflows leaves a
+    non-finite start, which the polish rejects.  Then v is scaled by the
+    fine M^(1/2).  A tie-eliminated point is restored before and dropped
+    after.
+
+    The points, the wall ratios and both M^(1/2) are formed once, here;
+    the map itself does only the stencil arithmetic of each vector."""
+    unscale, scale = 1 / np.sqrt(coarse.m_diag), np.sqrt(fine.m_diag)
     x, t = coarse.grid.points(), fine.grid.points()
-    vf = np.empty(2 * v.size + 1)
-    vf[1::2] = v
-    vf[4:-3:2] = (9 * (v[1:-2] + v[2:-1]) - v[:-3] - v[3:]) / 16
-    # (point beside the wall, first midpoint, nearest and next coarse point)
+    # (point beside the wall, first midpoint, nearest and next coarse
+    # point) and the weights of v at those coarse points
+    walls = []
     for rule, (w, m, a, b) in zip(bc, ((0, 2, 0, 1), (-1, -3, -1, -2))):
         if rule.kind == "dirichlet":
-            vf[w], vf[m] = 0.5 * v[a], 0.5 * (v[a] + v[b])
+            walls.append((w, m, a, b, 0.5, 0.5, 0.5))
             continue
         with np.errstate(all="ignore"):
-            vf[w] = v[a] * rule.ratio(t[w], x[a])
-            vf[m] = 0.5 * (v[a] * rule.ratio(t[m], x[a]) + v[b] * rule.ratio(t[m], x[b]))
-    if fine.tie_left is not None:
-        vf = vf[1:]
-    return vf * np.sqrt(fine.m_diag)
+            walls.append((w, m, a, b, float(rule.ratio(t[w], x[a])), 0.0,
+                          float(rule.ratio(t[m], x[b]))))
+    tied = fine.tie_left is not None
+
+    def prolong(u: np.ndarray) -> np.ndarray:
+        v = coarse.expand(u * unscale)
+        vf = np.empty(2 * v.size + 1)
+        vf[1::2] = v
+        vf[4:-3:2] = (9 * (v[1:-2] + v[2:-1]) - v[:-3] - v[3:]) / 16
+        for w, m, a, b, beside, near, far in walls:
+            vf[w] = beside * v[a]
+            vf[m] = near * v[a] + far * v[b]
+        return (vf[1:] if tied else vf) * scale
+
+    return prolong
 
 
 def _coarse_polished(problem: SturmLiouvilleProblem, k: int, d: np.ndarray,
-                     e: np.ndarray, vectors: np.ndarray | None = None
-                     ) -> np.ndarray | None:
+                     e: np.ndarray, vectors: np.ndarray | None = None,
+                     loose: bool = False) -> np.ndarray | None:
     """The k lowest eigenvalues of the standard form (d, e) of problem,
-    polished (see _polished, which fills vectors) from guesses that the
-    default bisection finds on the same problem with a grid _COARSEN times
-    coarser; None where they cannot be certified, or where that grid has
-    fewer than 4 (k + 1) points (the budget n/4 with one mode to spare) or
-    fails a guard of its own."""
+    polished (see _polished, which fills vectors) from guesses that a
+    bisection finds on the same problem with a guess grid of max(n //
+    _COARSEN, _GUESS_POINTS k) points: to the default tolerance, or with
+    loose to tol = sqrt(eps) ||T_g|| of that grid's own standard form T_g,
+    and again to the default one where two of those guesses lie within
+    4 tol.  None where they cannot be certified, where the guess grid has
+    more than half the n points of problem's (it would cost about as much
+    as the bisection it replaces) or where it fails a guard of its own."""
     grid = problem.grid
-    n = grid.n // _COARSEN
-    if n < 4 * (k + 1):
+    n = max(grid.n // _COARSEN, _GUESS_POINTS * k)
+    if n > grid.n // 2:
         return None
     coarse = SturmLiouvilleProblem(problem.p, problem.q, problem.w,
                                    Grid1D(grid.a, grid.b, n), problem.bc)
     try:
         _, cd, ce = _standard_system(coarse, k)
-        guesses = _bisection(cd, ce, k, eigvals_only=True)
+        tol = np.sqrt(np.finfo(float).eps) * _gershgorin(cd, ce)[1] if loose else 0.0
+        guesses = _bisection(cd, ce, k, eigvals_only=True, tol=tol)
+        if loose and np.any(np.diff(guesses) <= 4 * tol):
+            # guesses that close may not tell their eigenvalues apart
+            guesses = _bisection(cd, ce, k, eigvals_only=True)
     except CurvoscError:
         return None
     return _polished(d, e, shifts=guesses, vectors=vectors)
@@ -639,7 +690,7 @@ def _coarse_polished(problem: SturmLiouvilleProblem, k: int, d: np.ndarray,
 def lowest_eigenvalues(problem: SturmLiouvilleProblem, k: int, *,
                        _polish: Callable | None = None) -> np.ndarray:
     """k smallest eigenvalues, ascending, polished from the guesses of a
-    grid _COARSEN times coarser (see _coarse_polished); where they cannot
+    coarser guess grid (see _coarse_polished); where they cannot
     be certified, by bisection on the Sturm-sequence sign count (LAPACK
     stebz via eigh_tridiagonal).  No eigenvector is kept.
 
@@ -694,21 +745,19 @@ def richardson_eigenvalues(problem: SturmLiouvilleProblem, k: int
     coarse eigenvalues, fine eigenvalues).
 
     Both grids are polished to relative accuracy (see _polished).  The
-    coarse grid starts from a loose bisection, to the tolerance
-    sqrt(eps) ||T||, and keeps its k unit vectors; the fine grid starts
-    each eigenvalue from its coarse vector, prolonged, without fixed-shift
-    steps.  Both grids are solved through lowest_eigenvalues, so each keeps
-    its guards and falls back to the bisection where its values cannot be
-    certified; after a coarse fallback the fine grid starts from the coarse
-    values instead of vectors."""
+    coarse grid starts from the guesses of a loose bisection on its guess
+    grid (see _coarse_polished) and keeps its k unit vectors; the fine
+    grid starts each eigenvalue from its coarse vector, prolonged, without
+    fixed-shift steps.  Both grids are solved through lowest_eigenvalues,
+    so each keeps its guards and falls back to the bisection where its
+    values cannot be certified; after a coarse fallback the fine grid
+    starts from the coarse values instead of vectors."""
     carried = []
 
     def coarse_polish(system, d, e):
-        tol = np.sqrt(np.finfo(float).eps) * _gershgorin(d, e)[1]
-        guesses = _bisection(d, e, k, eigvals_only=True, tol=tol)
         # single precision is ample for a start vector and halves the block
         vectors = np.empty((k, d.size), np.float32)
-        vals = _polished(d, e, shifts=guesses, vectors=vectors)
+        vals = _coarse_polished(problem, k, d, e, vectors=vectors, loose=True)
         if vals is not None:
             carried.append((system, vectors))
         return vals
@@ -717,8 +766,7 @@ def richardson_eigenvalues(problem: SturmLiouvilleProblem, k: int
         if not carried:
             return _polished(d, e, shifts=coarse)
         csys, vectors = carried.pop()
-        return _polished(d, e, starts=(_prolonged(csys, system, problem.bc, u)
-                                       for u in vectors))
+        return _polished(d, e, starts=map(_prolongation(csys, system, problem.bc), vectors))
 
     coarse = lowest_eigenvalues(problem, k, _polish=coarse_polish)
     fine = lowest_eigenvalues(problem.refined(), k, _polish=fine_polish)

@@ -85,6 +85,26 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} must be at least ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("args", [
+        ["spectrum", "--model", "qes2", "--mprime-q", "-1"],
+        ["spectrum", "--model", "qes1", "--l", "3", "--mprime-q", "-1"],
+        ["wavefunction", "--model", "qes2", "--mprime-q", "nan"],
+    ], ids=["qes2", "qes1", "nan"])
+    def test_negative_qes_channel_is_one_error_line(self, args, tmp_path, capsys):
+        # the QES channels are built from the signed m'_Q: a negative one
+        # printed relative errors of 1e7-1e8 and exited 0
+        code, text = run_to_file(tmp_path, "x.json", args)
+        assert code == 1 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: --mprime-q must be at least 0 for model qes")
+        assert err.count("\n") == 1
+
+    def test_negative_crs_channel_is_accepted(self, tmp_path):
+        # the crs potential depends on m'_Q only through m'_Q^2
+        code, text = run_to_file(tmp_path, "x.json", [
+            "potential", "--model", "crs", "--mprime-q", "-1", "--grid-n", "5"])
+        assert code == 0 and len(json.loads(text)["rows"]) == 5
+
     def test_domain_error_is_exit_one(self, tmp_path, capsys):
         code, _ = run_to_file(tmp_path, "x.json", [
             "potential", "--model", "crs", "--mprime-q", "1", "--grid-min", "0"])

@@ -20,7 +20,7 @@ from curvosc.numerics import (
     richardson_eigenvalues,
 )
 from curvosc.numerics import (
-    _backward_errors, _bisection, _coarse_polished, _gershgorin, _polished, _prolonged)
+    _backward_errors, _bisection, _coarse_polished, _gershgorin, _polished, _prolongation)
 from curvosc.params import PhysParams
 from curvosc.problems import (
     crs_natural_problem,
@@ -365,8 +365,8 @@ class TestLowestEigenvalues:
         assert np.max(np.abs(extrap - exact)) < 1e-7
         assert np.max(np.abs(coarse - exact)) > np.max(np.abs(extrap - exact))
         assert np.array_equal(extrap, (4 * fine - coarse) / 3)
-        # the coarse grid is polished from a loose bisection, the fine grid
-        # from the coarse vectors
+        # the coarse grid is polished from a loose bisection on its guess
+        # grid, the fine grid from the coarse vectors
         by_hand = polished_pair(flat_oscillator(n=500), 2)
         assert np.array_equal(coarse, by_hand[0]) and np.array_equal(fine, by_hand[1])
 
@@ -475,20 +475,30 @@ def relative_bisection(prob, k):
 
 def polished_pair(prob, k):
     """Both grids of a Richardson pair written out: the coarse grid polished
-    from a bisection to sqrt(eps) ||T||, keeping its vectors in single
-    precision, the fine grid from those vectors prolonged.  None stands for
-    a grid whose certificate fails (for both where the coarse one fails)."""
+    from a bisection to sqrt(eps) ||T_g|| on a guess grid of max(n/16, 40 k)
+    points (to the default tolerance where two of those guesses lie within
+    4 tol), keeping its vectors in single precision, the fine grid from
+    those vectors prolonged.  None stands for a grid whose certificate
+    fails (for both where the coarse one fails)."""
     coarse_sys, fine_sys = assemble(prob), assemble(prob.refined())
     d, e = coarse_sys.standard_form()
-    guesses = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, k - 1),
-                               tol=np.sqrt(np.finfo(float).eps) * _gershgorin(d, e)[1])
+    grid = prob.grid
+    guess = SturmLiouvilleProblem(prob.p, prob.q, prob.w, Grid1D(
+        grid.a, grid.b, max(grid.n // 16, 40 * k)), prob.bc)
+    gd, ge = assemble(guess).standard_form()
+    tol = np.sqrt(np.finfo(float).eps) * _gershgorin(gd, ge)[1]
+    guesses = eigh_tridiagonal(gd, ge, eigvals_only=True, select="i",
+                               select_range=(0, k - 1), tol=tol)
+    if np.any(np.diff(guesses) <= 4 * tol):
+        guesses = eigh_tridiagonal(gd, ge, eigvals_only=True, select="i",
+                                   select_range=(0, k - 1))
     vectors = np.empty((k, d.size), np.float32)
     coarse = _polished(d, e, shifts=guesses, vectors=vectors)
     if coarse is None:
         return None, None
     fd, fe = fine_sys.standard_form()
-    fine = _polished(fd, fe, starts=(_prolonged(coarse_sys, fine_sys, prob.bc, u)
-                                     for u in vectors))
+    prolong = _prolongation(coarse_sys, fine_sys, prob.bc)
+    fine = _polished(fd, fe, starts=(prolong(u) for u in vectors))
     return coarse, fine
 
 
@@ -500,8 +510,9 @@ def polish_with(**starts):
 
 class TestSeededEigenvalues:
     # Richardson pairs: each grid is polished from seeds (the coarse grid
-    # from a loose bisection, the fine grid from the coarse vectors), and
-    # falls back to the bisection where the seeds cannot be certified
+    # from a loose bisection on its guess grid, the fine grid from the
+    # coarse vectors), and falls back to the bisection where the seeds
+    # cannot be certified
     CASES = {
         "polar-k50": (higgs_oscillator_problem(0, UNIT, 4000), 50),
         "crs-k3": (crs_natural_problem(1, UNIT, 4000), 3),
@@ -546,7 +557,8 @@ class TestSeededEigenvalues:
             coarse_sys = assemble(source)
             d, e = coarse_sys.standard_form()
             _, u = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
-            starts = [_prolonged(coarse_sys, fine_sys, prob.bc, u[:, j]) for j in order]
+            prolong = _prolongation(coarse_sys, fine_sys, prob.bc)
+            starts = [prolong(u[:, j]) for j in order]
             certified = _polished(fd, fe, starts=starts)
             vals = lowest_eigenvalues(fine, k, _polish=polish_with(starts=starts))
             if certified is None:
@@ -556,22 +568,56 @@ class TestSeededEigenvalues:
             if source is prob:
                 assert certified is None
 
-    @pytest.mark.parametrize("prob", [
-        higgs_radial_problem(0, UNIT, lambda r: 0.5 * np.asarray(r) ** 2,
-                             Grid1D(1e-4, 40.0, 2000), (EndpointRule.dirichlet(),) * 2),
-        higgs_oscillator_problem(1, PhysParams(lam=0.01), 4000),
-    ], ids=["planar-reference", "polar-lam0.01"])
-    def test_loose_tolerance_wider_than_gaps_falls_back(self, prob):
-        # sqrt(eps) ||T|| exceeds the lowest gaps, so the loose bisection
-        # cannot separate the guesses; the coarse grid falls back to the
-        # bisection and the fine grid starts from its values
-        k = 3
-        d, e = assemble(prob).standard_form()
-        plain = _bisection(d, e, k, eigvals_only=True)
-        assert np.sqrt(np.finfo(float).eps) * _gershgorin(d, e)[1] > np.min(np.diff(plain))
-        assert polished_pair(prob, k)[0] is None
+    @pytest.mark.parametrize("build,lam,k", [
+        (higgs_oscillator_problem, 0.01, 3), (higgs_oscillator_problem, 0.001, 3),
+        (crs_natural_problem, 0.01, 3), (crs_natural_problem, 0.001, 3),
+        (higgs_oscillator_problem, 0.001, 50)],
+        ids=["polar-lam0.01", "polar-lam0.001", "crs-lam0.01", "crs-lam0.001",
+             "polar-lam0.001-k50"])
+    def test_small_curvature_pairs_certify(self, build, lam, k):
+        # the pair's own sqrt(eps) ||T|| exceeds the lowest gaps here; the
+        # guess grid's is 256 times smaller at k = 3, and at k = 50 its
+        # loose guesses collapse and are bisected again to the default
+        # tolerance.  At lam = 0.001 the walls are steep (sigma ~ 1002 at
+        # the polar equator), so the fine starts hold only where the
+        # prolongation keeps (3/2)^sigma off the roundoff of the coarse
+        # vector at the wall
+        prob = build(1, PhysParams(lam=lam), 4000)
+        certified = polished_pair(prob, k)
+        assert all(vals is not None for vals in certified)
         _, coarse, fine = richardson_eigenvalues(prob, k)
-        assert np.array_equal(coarse, plain)
+        for vals, hand, grid in zip((coarse, fine), certified, (prob, prob.refined())):
+            assert np.array_equal(vals, hand)
+            ref = relative_bisection(grid, k)
+            assert np.max(np.abs(vals - ref) / ref) <= 1e-9
+
+    def test_planar_reference_pair_certifies(self):
+        # verify's planar-Dirichlet reference pair, where the pair's own
+        # loose tolerance exceeded the lowest gaps
+        prob = higgs_radial_problem(0, UNIT, lambda r: 0.5 * np.asarray(r) ** 2,
+                                    Grid1D(1e-4, 40.0, 2000), (EndpointRule.dirichlet(),) * 2)
+        d, e = assemble(prob).standard_form()
+        plain = _bisection(d, e, 3, eigvals_only=True)
+        assert np.sqrt(np.finfo(float).eps) * _gershgorin(d, e)[1] > np.min(np.diff(plain))
+        assert all(vals is not None for vals in polished_pair(prob, 3))
+
+    def test_coarse_fallback_starts_the_fine_grid_from_the_coarse_values(self, monkeypatch):
+        # loose guesses that skip a mode fail the coarse certificate; the
+        # coarse grid falls back to the bisection and the fine grid starts
+        # from its values
+        prob, k = self.CASES["crs-k3"]
+        bisection = numerics._bisection
+
+        def skipping(d, e, k, tol=0.0, **options):
+            if not tol:
+                return bisection(d, e, k, **options)
+            return np.delete(bisection(d, e, k + 1, tol=tol, **options), 1)
+
+        monkeypatch.setattr(numerics, "_bisection", skipping)
+        _, coarse, fine = richardson_eigenvalues(prob, k)
+        monkeypatch.undo()
+        d, e = assemble(prob).standard_form()
+        assert np.array_equal(coarse, _bisection(d, e, k, eigvals_only=True))
         fd, fe = assemble(prob.refined()).standard_form()
         assert np.array_equal(fine, _polished(fd, fe, shifts=coarse))
 
@@ -623,8 +669,8 @@ def stein_vectors(prob, k):
 
 
 class TestSingleGridPolish:
-    # single-grid solves polish guesses bisected on a grid _COARSEN times
-    # coarser and fall back to the bisection where they cannot be certified
+    # single-grid solves polish guesses bisected on a coarser guess grid
+    # and fall back to the bisection where they cannot be certified
     @pytest.mark.parametrize("lam", [0.5, 1.0])
     @pytest.mark.parametrize("example,l,mprime_q", [
         (1, 3.0, 0), (1, 3.0, 1), (1, 3.0, 2), (1, 4.0, 0), (1, 4.0, 1), (1, 4.0, 2),
@@ -648,7 +694,7 @@ class TestSingleGridPolish:
             monkeypatch.setattr(numerics, "_COARSEN", 32)
             prob, k = qes_channel_problem(2, 2, 2, UNIT, 8001), 3
         else:
-            # 1000 // 16 = 62 coarse points, fewer than 4 (k + 1) = 64
+            # max(1000 // 16, 40 k) = 600 guess points, more than half of 1000
             prob, k = flat_oscillator(n=1000), 15
         d, e = assemble(prob).standard_form()
         assert _coarse_polished(prob, k, d, e) is None
