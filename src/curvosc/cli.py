@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -335,9 +336,15 @@ def config_from_args(args) -> RunConfig:
     return cfg
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call and kept for the
+    process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = config_from_args(args)
     except ValueError as exc:

@@ -53,8 +53,8 @@ grid cut short of its singular point grades too.  On the shipped problems
 the graded averages agree with all-24-point ones to 2e-12 relative of
 the assembled diagonal (the roundoff floor of the 24-point sums at sigma
 ~ 100), while a corner of 1600 cells takes about 6600 nodes instead of
-38400.  Blocks of about _BLOCK nodes keep the temporaries small; each
-block evaluates q and w once.
+38400.  q and w are called once each per system, on the points outside
+the corner cells and all corner nodes in one flat array.
 
 All three changes keep K symmetric (the face factors multiply the same
 difference in both adjacent rows; the closure only adds to the diagonal).
@@ -169,7 +169,6 @@ __all__ = [
 
 _ORDERS = (4, 6, 8, 12, 16, 24)  # Gauss-Legendre ladder of the corner cells
 _QUAD_EPS = 1e-19                 # error bound each rung below the ceiling must meet
-_BLOCK = 256 * 24                 # quadrature nodes per corner block, whole cells each
 _START_SEED = 2013  # start vector of the seeded eigenvalue polish
 _INVERSE_STEPS = 2  # fewest fixed-shift steps per guess before the Rayleigh steps
 _RQI_STEPS = 6      # most Rayleigh-quotient steps per eigenvalue
@@ -195,7 +194,8 @@ def _ladder() -> tuple[np.ndarray, np.ndarray]:
     return np.array(tau), np.array(kappa)
 
 
-_RULES = [np.polynomial.legendre.leggauss(m) for m in _ORDERS]
+_FIRST = np.cumsum((0,) + _ORDERS[:-1])  # first row of each rule in the tables below
+_NODES, _WEIGHTS = map(np.concatenate, zip(*map(np.polynomial.legendre.leggauss, _ORDERS)))
 _TAU_MAX, _KAPPA_MAX = _ladder()
 
 
@@ -361,15 +361,11 @@ def assemble(problem: SturmLiouvilleProblem) -> TridiagonalSystem:
     x = grid.points()
     xf = grid.faces()
     pf = np.asarray(problem.p(xf), float)
-    qi = np.array(problem.q(x), float)
-    wi = np.array(problem.w(x), float)
-    if np.any(wi <= 0):
-        raise NonpositiveWeightError("weight w must be positive on the interior")
-    if np.any(pf <= 0):
-        raise NonpositiveWeightError("leading coefficient p must be positive at faces")
 
     g = np.full(n + 1, 1.0 / h)       # face derivative factors
     closure = [0.0, 0.0]
+    sampled = np.ones(n, bool)        # points whose q, w are not cell averages
+    corners = []
     for side, rule in enumerate(problem.bc):
         if rule.kind == "dirichlet":
             continue
@@ -393,26 +389,30 @@ def assemble(problem: SturmLiouvilleProblem) -> TridiagonalSystem:
         g[j] = np.divide(flux, dp, out=g[j], where=dp != 0)
         i = np.arange(cells.start, cells.stop)
         mid, half = 0.5 * (xf[i + 1] + xf[i]), 0.5 * (xf[i + 1] - xf[i])
+        # all nodes of the corner in one flat array: node k lies in cell
+        # cell[k] and takes row[k] of the concatenated rule tables
         rung = _rungs(rule, mid, half)
         count = np.asarray(_ORDERS)[rung]
-        first = np.cumsum(count) - count          # first node of each cell
-        # each block starts at the cell holding a multiple of _BLOCK nodes
-        edges = np.searchsorted(first, np.arange(0, count.sum(), _BLOCK), side="right") - 1
-        for lo, hi in zip(edges, np.append(edges[1:], i.size)):
-            # the cells of one order are contiguous: a (cells x m) slab per
-            # order, the nodes of all slabs through one q and one w call
-            cut = np.flatnonzero(np.diff(rung[lo:hi], prepend=-1)) + lo
-            slabs = [(a, b, _RULES[rung[a]]) for a, b in zip(cut, np.append(cut[1:], hi))]
-            ts = [mid[a:b, None] + half[a:b, None] * gx for a, b, (gx, _) in slabs]
-            t = np.concatenate([u.ravel() for u in ts])
-            qv, wv = np.asarray(problem.q(t), float), np.asarray(problem.w(t), float)
-            at = 0
-            for (a, b, (_, gw)), u in zip(slabs, ts):
-                f = rule.ratio(u, x[i[a:b], None]) * (half[a:b] / h)[:, None]
-                seg = slice(at, at + u.size)
-                qi[i[a:b]] = (qv[seg].reshape(u.shape) * f) @ gw
-                wi[i[a:b]] = (wv[seg].reshape(u.shape) * f) @ gw
-                at += u.size
+        cell = np.repeat(np.arange(i.size), count)
+        row = np.arange(cell.size) + np.repeat(_FIRST[rung] - np.cumsum(count) + count, count)
+        t = mid[cell] + half[cell] * _NODES[row]
+        f = rule.ratio(t, x[i[cell]]) * (half / h)[cell] * _WEIGHTS[row]
+        sampled[i] = False
+        corners.append((i, cell, t, f))
+
+    # one q and one w call per system, on the sampled points and all nodes
+    t = np.concatenate([x[sampled]] + [c[2] for c in corners])
+    qv, wv = np.asarray(problem.q(t), float), np.asarray(problem.w(t), float)
+    if np.any(wv <= 0):
+        raise NonpositiveWeightError("weight w must be positive on the interior")
+    if np.any(pf <= 0):
+        raise NonpositiveWeightError("leading coefficient p must be positive at faces")
+    qi, wi, at = np.empty(n), np.empty(n), np.count_nonzero(sampled)
+    qi[sampled], wi[sampled] = qv[:at], wv[:at]
+    for i, cell, u, f in corners:
+        qi[i] = np.bincount(cell, qv[at:at + u.size] * f, minlength=i.size)
+        wi[i] = np.bincount(cell, wv[at:at + u.size] * f, minlength=i.size)
+        at += u.size
 
     off = -pf[1:-1] * g[1:-1] / h
     diag = (pf[:-1] * g[:-1] + pf[1:] * g[1:]) / h + qi

@@ -347,15 +347,12 @@ def suite_l2_reduction() -> list[CheckResult]:
     rs = np.logspace(math.log10(0.05), math.log10(20.0), 200)
     out = []
     for mq in (0.0, 1.0, 2.0, 0.5):
-        def diff_table(order):
-            pts = rs if order else rs[::-1]
-            return np.array([
-                higgs.qes_example1_potential(2.0, mq, params, float(r))
-                - 0.5 * params.mass * params.omega**2 * r * r
-                for r in pts])[:: 1 if order else -1]
+        def diff_table(pts):
+            return (higgs.qes_example1_potential(2.0, mq, params, pts)
+                    - 0.5 * params.mass * params.omega**2 * pts * pts)
 
-        d1 = diff_table(True)
-        d2 = diff_table(False)
+        d1 = diff_table(rs)
+        d2 = diff_table(rs[::-1])[::-1]
         repro = float(np.max(np.abs(d1 - d2)))
         spread = float(np.max(np.abs(d1 - d1[0])))
         maxabs = float(np.max(np.abs(d1)))

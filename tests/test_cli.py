@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -231,3 +234,44 @@ class TestVerifyCommand:
         _, b = run_to_file(tmp_path, "b.json", args)
         assert a == b
         assert len(a) > 0
+
+
+class TestSharedParser:
+    SEQUENCE = [
+        ["spectrum", "--model", "higgs", "--mprime-max", "0"],
+        ["verify", "--suite", "crs-model"],
+        ["spectrum", "--model", "nope"],            # argparse error: SystemExit
+        ["spectrum", "--model", "qes2", "--mprime-q", "1"],
+        ["wavefunction", "--model", "higgs", "--N", "1", "--mprime", "1"],
+    ]
+
+    def run_sequence(self, tmp_path: Path, tag: str) -> list[bytes | None]:
+        out = []
+        for k, args in enumerate(self.SEQUENCE):
+            path = tmp_path / f"{tag}-{k}.json"
+            try:
+                assert main(args + ["--output", str(path)]) == 0
+            except SystemExit as exc:
+                assert exc.code == 2
+            out.append(path.read_bytes() if path.exists() else None)
+        return out
+
+    def test_reused_parser_leaks_no_state(self, tmp_path, monkeypatch, capsys):
+        shared = self.run_sequence(tmp_path, "shared")
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self.run_sequence(tmp_path, "fresh")
+        assert shared == fresh
+        assert [s is None for s in shared] == [False, False, True, False, False]
+
+    def test_parser_is_built_on_the_first_call(self):
+        # a fresh interpreter: importing the CLI builds no parser
+        code = ("import os, curvosc.cli as c; "
+                "assert c._parser.cache_info().currsize == 0; "
+                "c.main(['potential', '--model', 'higgs', '--output', os.devnull]); "
+                "c.main(['potential', '--model', 'higgs', '--output', os.devnull]); "
+                "assert c._parser.cache_info().misses == 1")
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

@@ -230,7 +230,7 @@ class TestCornerQuadrature:
             ONE, lambda x: 0.75 / x**2, lambda x: 1 / x,
             Grid1D(0.5, 20.0, 299),
             (EndpointRule.dirichlet(), EndpointRule.decay(1.5, cells=30))),
-        # power corner on the right, corrected cells spanning two blocks
+        # power corner on the right, corrected cells over most of the grid
         SturmLiouvilleProblem(
             lambda x: 2 - x, lambda x: 6 / (1 - x) ** 2, ONE,
             Grid1D(0.0, 1.0 - 1e-3, 300),
@@ -288,17 +288,90 @@ class TestCornerQuadrature:
         decay = numerics._rungs(EndpointRule.decay(1.5), dist, half)
         assert np.all(np.asarray(numerics._ORDERS)[decay] == 24)
 
-    @pytest.mark.parametrize("block", [24, 25, 61, 1000])
-    def test_block_size_leaves_the_entries(self, block, monkeypatch):
-        # block edges that fall inside a cell, or on the last one, must
-        # neither drop nor repeat a cell
-        prob = higgs_oscillator_problem(1, PhysParams(lam=0.003), 2000)
+    @staticmethod
+    def counted(prob):
+        """prob with q and w wrapped to record the arrays they receive."""
+        seen = {"q": [], "w": []}
+
+        def wrap(name, f):
+            def g(t):
+                seen[name].append(np.array(t))
+                return f(t)
+            return g
+
+        return (SturmLiouvilleProblem(prob.p, wrap("q", prob.q), wrap("w", prob.w),
+                                      prob.grid, prob.bc), seen)
+
+    @pytest.mark.parametrize("prob", [
+        higgs_oscillator_problem(1, PhysParams(lam=0.003), 2000),
+        qes_channel_problem(2, 1, 1, UNIT, 1000),
+        # corners that overlap: both cover all 45 cells
+        SturmLiouvilleProblem(ONE, lambda x: 1 / x**2 + 1 / (1 - x) ** 2, ONE,
+                              Grid1D(0.0, 1.0, 45),
+                              (EndpointRule.power(1.5, 0.0), EndpointRule.power(2.0, 1.0))),
+        flat_oscillator(n=50),
+    ], ids=["polar", "qes2-tie-decay", "overlapping-corners", "dirichlet"])
+    def test_one_q_and_one_w_call(self, prob):
+        wrapped, seen = self.counted(prob)
+        got = assemble(wrapped)
+        assert len(seen["q"]) == 1 and len(seen["w"]) == 1
+        assert np.array_equal(seen["q"][0], seen["w"][0])
         want = assemble(prob)
-        monkeypatch.setattr(numerics, "_BLOCK", block)
-        got = assemble(prob)
         for a, b in zip((got.k_diag, got.k_off, got.m_diag),
                         (want.k_diag, want.k_off, want.m_diag)):
-            assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-14
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("prob", [
+        higgs_oscillator_problem(1, PhysParams(lam=0.003), 2000),
+        qes_channel_problem(2, 1, 1, UNIT, 1000),
+        SturmLiouvilleProblem(ONE, lambda x: 1 / x**2 + 1 / (1 - x) ** 2, ONE,
+                              Grid1D(0.0, 1.0, 45),
+                              (EndpointRule.power(1.5, 0.0), EndpointRule.power(2.0, 1.0))),
+    ], ids=["polar", "qes2-tie-decay", "overlapping-corners"])
+    def test_each_corner_cell_gets_its_rung_node_count(self, prob):
+        # the model sees the points outside the corners, then every corner
+        # node, each corner's nodes strictly inside the cell they average
+        wrapped, seen = self.counted(prob)
+        assemble(wrapped)
+        t = seen["q"][0]
+        n = prob.grid.n
+        x, xf = prob.grid.points(), prob.grid.faces()
+        sampled = np.ones(n, bool)
+        corners = []
+        for side, rule in enumerate(prob.bc):
+            if rule.kind == "dirichlet":
+                continue
+            m = min(rule.cells or max(40, n // 5), n)
+            i = np.arange(m) if side == 0 else np.arange(n - m, n)
+            sampled[i] = False
+            corners.append((rule, i))
+        assert np.array_equal(t[:np.count_nonzero(sampled)], x[sampled])
+        at = np.count_nonzero(sampled)
+        for rule, i in corners:
+            mid, half = 0.5 * (xf[i + 1] + xf[i]), 0.5 * (xf[i + 1] - xf[i])
+            count = np.asarray(numerics._ORDERS)[numerics._rungs(rule, mid, half)]
+            nodes = t[at:at + count.sum()]
+            cell = np.repeat(i, count)
+            assert np.all((nodes > xf[cell]) & (nodes < xf[cell + 1]))
+            assert np.array_equal(np.bincount(np.searchsorted(xf, nodes) - 1 - i[0],
+                                              minlength=i.size), count)
+            at += count.sum()
+        assert at == t.size
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["left", "right"])
+    def test_weight_nonpositive_only_inside_a_corner_cell_raises(self, side):
+        # w dips below 0 between two grid points of a corrected cell: only
+        # the quadrature nodes see it
+        grid = Grid1D(0.0, 1.0, 100)
+        x, h = grid.points(), grid.h
+        c = x[5] if side == 0 else x[-6]
+        w = lambda t: np.where((t > c + 0.05 * h) & (t < c + 0.45 * h), -1.0, 1.0)
+        assert np.all(w(x) > 0)
+        bc = [EndpointRule.dirichlet(), EndpointRule.dirichlet()]
+        bc[side] = EndpointRule.power(1.5, 0.0 if side == 0 else 1.0)
+        assemble(SturmLiouvilleProblem(ONE, ONE, ONE, grid, tuple(bc)))
+        with pytest.raises(NonpositiveWeightError, match="weight w"):
+            assemble(SturmLiouvilleProblem(ONE, ONE, w, grid, tuple(bc)))
 
     def test_right_tie_rejected(self):
         prob = SturmLiouvilleProblem(ONE, ONE, ONE, Grid1D(0.0, 1.0 - 1e-3, 50),
