@@ -267,7 +267,10 @@ def _emit(config: RunConfig, text: str):
         sys.stdout.write(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and kept for the
+    process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="curvosc",
         description="Spectra, potentials, wavefunctions and verification "
@@ -334,13 +337,6 @@ def config_from_args(args) -> RunConfig:
     if getattr(args, "suite", None):
         cfg.suites = tuple(args.suite)
     return cfg
-
-
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main uses, built on its first call and kept for the
-    process: parsing leaves it unchanged."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -259,7 +259,7 @@ class TestSharedParser:
     def test_reused_parser_leaks_no_state(self, tmp_path, monkeypatch, capsys):
         shared = self.run_sequence(tmp_path, "shared")
         assert cli._parser() is cli._parser()
-        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)   # a new parser per call
         fresh = self.run_sequence(tmp_path, "fresh")
         assert shared == fresh
         assert [s is None for s in shared] == [False, False, True, False, False]

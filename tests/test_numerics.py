@@ -172,6 +172,18 @@ def flat_oscillator(n=2000, a=-10.0, b=10.0):
                                  Grid1D(a, b, n))
 
 
+# problems whose corner nodes assemble lays out: two power corners, a tie
+# with a decay corner, and two corners that overlap on all 45 cells
+CORNER_LAYOUTS = [
+    pytest.param(higgs_oscillator_problem(1, PhysParams(lam=0.003), 2000), id="polar"),
+    pytest.param(qes_channel_problem(2, 1, 1, UNIT, 1000), id="qes2-tie-decay"),
+    pytest.param(SturmLiouvilleProblem(
+        ONE, lambda x: 1 / x**2 + 1 / (1 - x) ** 2, ONE, Grid1D(0.0, 1.0, 45),
+        (EndpointRule.power(1.5, 0.0), EndpointRule.power(2.0, 1.0))),
+        id="overlapping-corners"),
+]
+
+
 class TestGrid:
     def test_spacing(self):
         g = Grid1D(0.0, 1.0, 9)
@@ -302,15 +314,8 @@ class TestCornerQuadrature:
         return (SturmLiouvilleProblem(prob.p, wrap("q", prob.q), wrap("w", prob.w),
                                       prob.grid, prob.bc), seen)
 
-    @pytest.mark.parametrize("prob", [
-        higgs_oscillator_problem(1, PhysParams(lam=0.003), 2000),
-        qes_channel_problem(2, 1, 1, UNIT, 1000),
-        # corners that overlap: both cover all 45 cells
-        SturmLiouvilleProblem(ONE, lambda x: 1 / x**2 + 1 / (1 - x) ** 2, ONE,
-                              Grid1D(0.0, 1.0, 45),
-                              (EndpointRule.power(1.5, 0.0), EndpointRule.power(2.0, 1.0))),
-        flat_oscillator(n=50),
-    ], ids=["polar", "qes2-tie-decay", "overlapping-corners", "dirichlet"])
+    @pytest.mark.parametrize("prob", CORNER_LAYOUTS + [
+        pytest.param(flat_oscillator(n=50), id="dirichlet")])
     def test_one_q_and_one_w_call(self, prob):
         wrapped, seen = self.counted(prob)
         got = assemble(wrapped)
@@ -321,13 +326,7 @@ class TestCornerQuadrature:
                         (want.k_diag, want.k_off, want.m_diag)):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("prob", [
-        higgs_oscillator_problem(1, PhysParams(lam=0.003), 2000),
-        qes_channel_problem(2, 1, 1, UNIT, 1000),
-        SturmLiouvilleProblem(ONE, lambda x: 1 / x**2 + 1 / (1 - x) ** 2, ONE,
-                              Grid1D(0.0, 1.0, 45),
-                              (EndpointRule.power(1.5, 0.0), EndpointRule.power(2.0, 1.0))),
-    ], ids=["polar", "qes2-tie-decay", "overlapping-corners"])
+    @pytest.mark.parametrize("prob", CORNER_LAYOUTS)
     def test_each_corner_cell_gets_its_rung_node_count(self, prob):
         # the model sees the points outside the corners, then every corner
         # node, each corner's nodes strictly inside the cell they average
