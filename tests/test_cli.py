@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -263,6 +264,21 @@ class TestSharedParser:
         fresh = self.run_sequence(tmp_path, "fresh")
         assert shared == fresh
         assert [s is None for s in shared] == [False, False, True, False, False]
+
+    @pytest.mark.parametrize("args", [SEQUENCE[0], SEQUENCE[1], SEQUENCE[3]],
+                             ids=["spectrum", "verify", "qes2"])
+    def test_repeated_call_leaves_no_cyclic_garbage(self, tmp_path, args):
+        # a warm call leaves nothing for the cyclic collector, so a run of
+        # calls sets off no collection of its own (an argparse parser is a cycle)
+        out = str(tmp_path / "out.json")
+        main(args + ["--output", out])
+        gc.collect()
+        gc.disable()
+        try:
+            main(args + ["--output", out])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_parser_is_built_on_the_first_call(self):
         # a fresh interpreter: importing the CLI builds no parser

@@ -181,6 +181,11 @@ CORNER_LAYOUTS = [
         ONE, lambda x: 1 / x**2 + 1 / (1 - x) ** 2, ONE, Grid1D(0.0, 1.0, 45),
         (EndpointRule.power(1.5, 0.0), EndpointRule.power(2.0, 1.0))),
         id="overlapping-corners"),
+    # a decay rule built without the classmethod leaves cells at None
+    pytest.param(SturmLiouvilleProblem(
+        ONE, lambda x: x**2, ONE, Grid1D(1.0, 6.0, 300),
+        (EndpointRule.dirichlet(), EndpointRule(kind="decay", exponent=1.5))),
+        id="decay-default-cells"),
 ]
 
 
@@ -340,7 +345,10 @@ class TestCornerQuadrature:
         for side, rule in enumerate(prob.bc):
             if rule.kind == "dirichlet":
                 continue
-            m = min(rule.cells or max(40, n // 5), n)
+            m = rule.cells
+            if m is None:
+                m = max(40, n // 5) if rule.kind == "power" else 2
+            m = min(m, n)
             i = np.arange(m) if side == 0 else np.arange(n - m, n)
             sampled[i] = False
             corners.append((rule, i))
