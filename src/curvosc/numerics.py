@@ -100,10 +100,10 @@ solves of verify (n = 16000, k = 8):
 At 16 the certified values lie within 3e-8 relative of a bisection to
 relative accuracy, where the default bisection leaves up to 6e-6.
 lowest_eigenpairs is the same solve keeping the polished unit vectors (or
-stein's, after the fallback), plus the back-transform v = M^(-1/2) u, the
-residuals and the normalization, for the callers that read eigenvectors;
-both apply the same guards (k budget, finite system, spectral edge,
-strictly ascending values) and return bitwise-equal eigenvalues.
+stein's, after the fallback), plus the back-transform v = M^(-1/2) u and
+the normalization, for the callers that read eigenvectors; both apply the
+same guards (k budget, finite system, spectral edge, strictly ascending
+values) and return bitwise-equal eigenvalues.
 
 richardson_eigenvalues solves both of its grids through lowest_eigenvalues
 with guesses of its own.  The coarse grid bisects the guess grid to the
@@ -239,7 +239,6 @@ class EndpointRule:
     center: float = 0.0           # singular point location for power
     series: tuple = ()            # (c1, c2, ...) profile corrections
     tie: bool = False             # left only: eliminate adjacent point via profile ratio
-    cells: int | None = None      # corrected cells; default max(40, n//5) (power), 2 (decay)
 
     @classmethod
     def dirichlet(cls) -> "EndpointRule":
@@ -247,13 +246,13 @@ class EndpointRule:
 
     @classmethod
     def power(cls, sigma: float, center: float, series: Sequence[float] = (),
-              tie: bool = False, cells: int | None = None) -> "EndpointRule":
+              tie: bool = False) -> "EndpointRule":
         return cls(kind="power", exponent=sigma, center=center,
-                   series=tuple(series), tie=tie, cells=cells)
+                   series=tuple(series), tie=tie)
 
     @classmethod
-    def decay(cls, mu: float, cells: int | None = 2) -> "EndpointRule":
-        return cls(kind="decay", exponent=mu, cells=cells)
+    def decay(cls, mu: float) -> "EndpointRule":
+        return cls(kind="decay", exponent=mu)
 
     @cached_property
     def _coefficients(self) -> tuple[np.ndarray, np.ndarray]:
@@ -338,17 +337,13 @@ class TridiagonalSystem:
 class EigenResult:
     """Lowest eigenpairs of a discretized problem, from lowest_eigenpairs.
 
-    Eigenvalues ascend strictly; eigenvectors are sampled on grid.points()
-    and normalized to sum(w_i v_i^2 h) = 1 with the first significant
-    component positive.  residual_norms[j] is ||(K - E_j M) v_j|| over
-    || |K||v_j| + |E_j| M|v_j| || on the solved (tie-reduced) system: the
-    backward error of the pair, roundoff (~1e-16) for a converged solve.
+    Eigenvalues ascend strictly; eigenvectors are sampled on the problem's
+    grid.points() and normalized to sum(w_i v_i^2 h) = 1 with the first
+    significant component positive.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray          # shape (n, k)
-    residual_norms: np.ndarray
-    grid: Grid1D
 
 
 def assemble(problem: SturmLiouvilleProblem) -> TridiagonalSystem:
@@ -369,10 +364,7 @@ def assemble(problem: SturmLiouvilleProblem) -> TridiagonalSystem:
     for side, rule in enumerate(problem.bc):
         if rule.kind == "dirichlet":
             continue
-        m = rule.cells
-        if m is None:
-            m = max(40, n // 5) if rule.kind == "power" else 2
-        m = min(m, n)
+        m = min(max(40, n // 5) if rule.kind == "power" else 2, n)   # corrected cells
         # faces j (between x_{j-1} and x_j) and cells of this corner; face
         # terms are divided through by phi at the point of the pair farther
         # from the corner, so their ratios stay O(1) for any sigma
@@ -489,31 +481,9 @@ def _checked(vals: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _backward_errors(system: TridiagonalSystem, vals: np.ndarray,
-                     ur: np.ndarray) -> np.ndarray:
-    """||(K - E M) v|| / || |K||v| + |E| M|v| || for each pair (E, v), the
-    vectors v the rows of ur: each residual held against the roundoff scale
-    of its own products.  One pair at a time, so the scratch is O(n); the
-    norms are plain sums because np.linalg.norm of a vector is a BLAS dot,
-    whose thread wake-up costs more than the sum at these sizes."""
-    kd, ko, md = system.k_diag, system.k_off, system.m_diag
-    akd, ako = np.abs(kd), np.abs(ko)
-    out = np.empty(vals.size)
-    for j, (E, v) in enumerate(zip(vals, ur)):
-        r = (kd - E * md) * v
-        r[:-1] += ko * v[1:]
-        r[1:] += ko * v[:-1]
-        av = np.abs(v)
-        s = (akd + abs(E) * md) * av
-        s[:-1] += ako * av[1:]
-        s[1:] += ako * av[:-1]
-        out[j] = np.sqrt(np.sum(r * r) / np.sum(s * s))
-    return out
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a.b by numpy's own einsum loop: no a * b temporary, and no BLAS
-    (see _backward_errors)."""
+    """a.b by numpy's own einsum loop: no a * b temporary, and no BLAS dot,
+    whose thread wake-up costs more than the sum at these sizes."""
     return float(np.einsum("i,i->", a, b))
 
 
@@ -551,24 +521,26 @@ def _polished(d: np.ndarray, e: np.ndarray, starts=None, shifts=None,
     and one Sturm count below the last of them finds exactly as many
     eigenvalues, the rho are the lowest ones (Parlett, The Symmetric
     Eigenvalue Problem, ch. 4).  vectors, if given, receives the unit
-    vectors as rows.  The fixed start is a seeded normal vector, so a solve
-    repeats bit for bit."""
+    vectors as rows.  The fixed start is a seeded normal vector, normalized
+    once per solve, so a solve repeats bit for bit; each other start is
+    normalized and takes its Rayleigh quotient as its first shift."""
     spread, norm = _gershgorin(d, e)
     tol = 8 * np.finfo(float).eps * norm
     fixed = 0
     if shifts is not None:
         x0 = np.random.default_rng(_START_SEED).standard_normal(d.size)
+        x0 /= math.sqrt(_dot(x0, x0))
         starts, fixed = (x0 for _ in shifts), _INVERSE_STEPS
     vals, radii = [], []
     for j, x in enumerate(starts):
-        x = x / math.sqrt(_dot(x, x))
         if fixed:
             # the shift follows the Rayleigh quotient only inside (lo, hi)
             shift = float(shifts[j])
             lo = (shifts[j - 1] + shift) / 2 if j else -np.inf
             hi = (shift + shifts[j + 1]) / 2 if j + 1 < len(shifts) else np.inf
         else:
-            shift, lo, hi = _rayleigh(d, e, x)[0], -np.inf, np.inf
+            x = x / math.sqrt(_dot(x, x))
+            shift, lo, hi = _dot(x, _times(d, e, x)), -np.inf, np.inf
         for step in range(fixed + _RQI_STEPS):
             *_, y, info = dgtsv(e, d - shift, e, x, overwrite_d=1)
             yy, xy = _dot(y, y), _dot(x, y)
@@ -582,7 +554,11 @@ def _polished(d: np.ndarray, e: np.ndarray, starts=None, shifts=None,
                     break
         else:
             return None
-        rho, res = _rayleigh(d, e, x)
+        # Rayleigh quotient rho and residual ||T x - rho x|| of the unit x
+        r = _times(d, e, x)
+        rho = _dot(x, r)
+        r -= rho * x
+        res = math.sqrt(_dot(r, r))
         if res > 8 * tol:
             return None
         if vectors is not None:
@@ -598,15 +574,12 @@ def _polished(d: np.ndarray, e: np.ndarray, starts=None, shifts=None,
     return vals if info == 0 and count == vals.size else None
 
 
-def _rayleigh(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    """Rayleigh quotient rho of the unit vector x for the tridiagonal
-    (d, e) and its residual ||T x - rho x||."""
+def _times(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The product T x of the tridiagonal (d, e) with x, a new array."""
     r = d * x
     r[:-1] += e * x[1:]
     r[1:] += e * x[:-1]
-    rho = _dot(x, r)
-    r -= rho * x
-    return rho, math.sqrt(_dot(r, r))
+    return r
 
 
 def _prolongation(coarse: TridiagonalSystem, fine: TridiagonalSystem,
@@ -713,7 +686,7 @@ def lowest_eigenpairs(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
     lowest_eigenvalues, whose values they equal bit for bit; where those
     cannot be certified, by bisection plus inverse iteration (LAPACK
     stebz/stein via eigh_tridiagonal).  Back-transformed to K v = E M v,
-    with residuals and normalized vectors; see EigenResult."""
+    with normalized vectors; see EigenResult."""
     system, d, e = _standard_system(problem, k)
     # rows ur are the unit eigenvectors of the standard form
     ur = np.empty((k, d.size))
@@ -724,7 +697,6 @@ def lowest_eigenpairs(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
     _checked(vals, d, e)
     # back-transform all k pairs at once, in place
     ur /= np.sqrt(system.m_diag)
-    resid = _backward_errors(system, vals, ur)
     v = system.expand(ur)
     wi_full = np.asarray(problem.w(problem.grid.points()), float)
     nrm = np.sqrt(np.sum(wi_full * v * v, axis=1) * problem.grid.h)
@@ -735,7 +707,7 @@ def lowest_eigenpairs(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
     lead = np.argmax(av > 1e-8 * np.max(av, axis=1, keepdims=True), axis=1)
     del av
     v *= np.sign(v[np.arange(k), lead])[:, None]     # first significant entry > 0
-    return EigenResult(vals, v.T, resid, problem.grid)
+    return EigenResult(vals, v.T)
 
 
 def richardson_eigenvalues(problem: SturmLiouvilleProblem, k: int
@@ -768,6 +740,10 @@ def richardson_eigenvalues(problem: SturmLiouvilleProblem, k: int
         csys, vectors = carried.pop()
         return _polished(d, e, starts=map(_prolongation(csys, system, problem.bc), vectors))
 
+    # each grid is one call of the public lowest_eigenvalues, not of
+    # _polished alone: so each keeps the guards and the bisection fallback,
+    # and the benchmark's layer tracer (perfbench/layers.py), which times
+    # the second such call under this one as the fine grid, sees both
     coarse = lowest_eigenvalues(problem, k, _polish=coarse_polish)
     fine = lowest_eigenvalues(problem.refined(), k, _polish=fine_polish)
     return (4 * fine - coarse) / 3, coarse, fine
@@ -814,20 +790,19 @@ def residual_norm(coeffs: Callable, V: Callable, psi: Callable, E: float, grid: 
     return float(np.max(res[mask] / scale[mask]))
 
 
-def rayleigh_quotient(problem: SturmLiouvilleProblem, psi: Callable,
-                      exclude: int = 10) -> tuple[float, float]:
+def rayleigh_quotient(problem: SturmLiouvilleProblem, psi: Callable) -> tuple[float, float]:
     """Pointwise energy e(x) = [-(p psi')' + q psi]/(w psi) on the interior
-    grid (5-point stencils, step grid.h), excluding `exclude` points at each
-    end where endpoint singularities contaminate the stencils.
+    grid (5-point stencils, step grid.h), leaving out 10 points at each end,
+    where endpoint singularities contaminate the stencils.
 
     Returns (weighted mean of e with weight w psi^2, std(e)/|mean(e)|).
     Raises NodeDetectedError if psi changes sign on the included points.
     """
     grid = problem.grid
     h = grid.h
-    x = grid.points()[exclude: grid.n - exclude]
+    x = grid.points()[10: grid.n - 10]
     if x.size < 5:
-        raise ValueError("grid too small for the requested exclusion zone")
+        raise ValueError("grid too small for the 10 points left out at each end")
     f, d1, d2 = derivatives(psi, x, h)
     if np.any(f[:-1] * f[1:] < 0):
         raise NodeDetectedError("psi changes sign; Rayleigh quotient needs a nodeless state")

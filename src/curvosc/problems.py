@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .crs import QesSpec, crs_operator_coefficients, crs_potential_special, x_pole
-from .errors import ParameterOverflowError, UnresolvedError
+from .errors import ParameterOverflowError
 from .higgs import (
     RadialChannel,
     example1_branch_radius,
@@ -68,7 +68,7 @@ __all__ = [
     "example2_indicial_exponent",
 ]
 
-_CRS_WALL = 1e-4    # distance of the natural-branch wall from the tan pole x*
+_CRS_WALL = 1e-4    # distance of the natural-branch wall from the tan pole x* at lam <= 1
 
 
 def _self_adjoint(coeffs: Callable, V: Callable, w: Callable, grid: Grid1D,
@@ -144,14 +144,12 @@ def higgs_spectrum_numeric(mprime: int, params: PhysParams, k: int,
 def crs_natural_problem(mprime_q: float, params: PhysParams,
                         n: int) -> SturmLiouvilleProblem:
     """Special line model on its natural branch (0, x*), x* the first tan
-    pole, with power closures at the origin and at the wall."""
+    pole, with power closures at the origin and at the wall.  The wall lies
+    _CRS_WALL below x* for lam <= 1; above, the cutoff shrinks with x* =
+    sinh(pi/2)/sqrt(lam), so it keeps its share of the branch."""
     xs = x_pole(params)
-    if xs <= _CRS_WALL:
-        raise UnresolvedError(
-            f"lam = {params.lam:g} puts the tan pole x* = {xs:.3g} within the "
-            f"wall cutoff {_CRS_WALL:g} of the origin: no natural branch to solve on")
     sig_wall = (1 + params.delta) / 2
-    grid = Grid1D(0.0, xs - _CRS_WALL, n)
+    grid = Grid1D(0.0, xs - _CRS_WALL / math.sqrt(max(params.lam, 1.0)), n)
     bc = (EndpointRule.power(0.5 + abs(mprime_q), 0.0),
           EndpointRule.power(sig_wall, xs))
     return crs_problem(params, lambda x: crs_potential_special(x, mprime_q, params),
@@ -166,13 +164,13 @@ def crs_spectrum_numeric(mprime_q: float, params: PhysParams, k: int,
     return extrap
 
 
-def crs_spectrum_numeric_wide(mprime_q: float, params: PhysParams, k: int,
-                              b: float = 10.0, n: int = 16000):
-    """Single-grid solve of the special model on the wide domain [1e-4, b],
-    which straddles the tan pole at x*.  Returns (first_well, interlopers):
-    eigenvalues classified by the weighted mass fraction left of x*."""
+def crs_spectrum_numeric_wide(mprime_q: float, params: PhysParams, k: int):
+    """Single-grid solve of the special model on the wide domain [1e-4, 10]
+    (n = 16000), which straddles the tan pole at x*.  Returns (first_well,
+    interlopers): eigenvalues classified by the weighted mass fraction left
+    of x*."""
     xs = x_pole(params)
-    grid = Grid1D(1e-4, b, n)
+    grid = Grid1D(1e-4, 10.0, 16000)
     bc = (EndpointRule.power(0.5 + abs(mprime_q), 0.0), EndpointRule.dirichlet())
     prob = crs_problem(params, lambda x: crs_potential_special(x, mprime_q, params),
                        grid, bc)
@@ -268,12 +266,13 @@ def qes_channel_problem(example: int, mprime: float, mprime_q: float,
 
 
 def qes_rayleigh_problem(example: int, mprime_q: float, params: PhysParams,
-                         l: float | None = None, n: int = 2000) -> SturmLiouvilleProblem:
+                         l: float | None = None) -> SturmLiouvilleProblem:
     """Channel m' = m'_Q of a transplanted potential between Dirichlet walls
     clear of both endpoint singularities, [0.1, 0.9 r_b] for example 1 (r_b
-    the first sec pole) and [0.1, 25] for example 2: the problem on which
-    the Rayleigh quotient of the closed-form ground state is taken."""
+    the first sec pole) and [0.1, 25] for example 2, on 2000 points: the
+    problem on which the Rayleigh quotient of the closed-form ground state
+    is taken."""
     V = _qes_potential(example, mprime_q, params, l)
     b = 0.9 * example1_branch_radius(l, params) if example == 1 else 25.0
-    return higgs_radial_problem(mprime_q, params, V, Grid1D(0.1, b, n),
+    return higgs_radial_problem(mprime_q, params, V, Grid1D(0.1, b, 2000),
                                 (EndpointRule.dirichlet(),) * 2)

@@ -139,19 +139,16 @@ class TestValidation:
         assert "eigensolve failed" in err
         assert "LAPACK" not in err and "stebz" not in err
 
-    def test_crs_tan_pole_inside_the_wall_cutoff(self, tmp_path, capsys):
-        # x* = sinh(pi/2)/sqrt(lam) falls below the 1e-4 wall cutoff above
-        # lam ~ 5e8: a typed error naming lam and x*, not a grid error
-        code, _ = run_to_file(tmp_path, "x.json",
-                              ["spectrum", "--model", "crs", "--lambda", "1e9"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err == ("error: lam = 1e+09 puts the tan pole x* = 7.28e-05 within the "
-                       "wall cutoff 0.0001 of the origin: no natural branch to solve on\n")
-        code, text = run_to_file(tmp_path, "y.json",
-                                 ["spectrum", "--model", "crs", "--lambda", "1e8"])
+    @pytest.mark.parametrize("lam", ["10", "1e4", "1e8", "1e9"])
+    def test_crs_error_stays_flat_above_unit_curvature(self, lam, tmp_path):
+        # above lam = 1 the wall cutoff shrinks with x* = sinh(pi/2)/sqrt(lam),
+        # so the wall keeps its share of the branch and the error its size
+        code, text = run_to_file(tmp_path, "x.json",
+                                 ["spectrum", "--model", "crs", "--lambda", lam])
         assert code == 0
-        assert len(json.loads(text)["rows"]) == 9
+        rows = json.loads(text)["rows"]
+        assert len(rows) == 9
+        assert max(row[-1] for row in rows) <= 1e-8
 
     def test_nonfinite_system_is_one_error_line(self, tmp_path, capsys):
         # at lam = 1e-6 the corner quadrature overflows while the system is

@@ -20,7 +20,7 @@ from curvosc.numerics import (
     richardson_eigenvalues,
 )
 from curvosc.numerics import (
-    _backward_errors, _bisection, _coarse_polished, _gershgorin, _polished, _prolongation)
+    _bisection, _coarse_polished, _gershgorin, _polished, _prolongation)
 from curvosc.params import PhysParams
 from curvosc.problems import (
     crs_natural_problem,
@@ -61,6 +61,12 @@ def scalar_profile(rule):
     return phi, dphi
 
 
+def corner_width(rule, n):
+    """Cells of a corner that assemble corrects: max(40, n // 5) at a power
+    corner, 2 at a decay corner, at most n."""
+    return min(max(40, n // 5) if rule.kind == "power" else 2, n)
+
+
 def reference_assemble(prob):
     """The corner treatment written out cell by cell with scalar phi: one
     24-point Gauss-Legendre sum per cell, divided by phi(x_i) h."""
@@ -75,8 +81,7 @@ def reference_assemble(prob):
         if rule.kind == "dirichlet":
             continue
         phi, dphi = scalar_profile(rule)
-        m = rule.cells if rule.cells is not None else max(40, n // 5)
-        m = min(m, n)
+        m = corner_width(rule, n)
         faces = range(1, m) if side == 0 else range(max(n - m, 1), n)
         cells = range(m) if side == 0 else range(n - m, n)
         for j in faces:
@@ -122,8 +127,7 @@ def full_order_assemble(prob):
     for side, rule in enumerate(prob.bc):
         if rule.kind == "dirichlet":
             continue
-        m = rule.cells if rule.cells is not None else max(40, n // 5)
-        m = min(m, n)
+        m = corner_width(rule, n)
         if side == 0:
             j, i = np.arange(1, m), np.arange(m)
             ref = x[j]
@@ -166,6 +170,25 @@ def corner_problem(sigma, side, n=2001):
         lambda x: 1 + x**2, Grid1D(0.0, 1.0, n), tuple(rules))
 
 
+def backward_errors(prob, vals, vectors):
+    """||(K - E M) v|| / || |K||v| + |E| M|v| || of each pair (E, v), v the
+    columns of vectors on the full grid, on the assembled (tie-reduced)
+    system of prob: each residual held against the roundoff scale of its
+    own products, so a converged pair reads about 1e-16."""
+    system = assemble(prob)
+    kd, ko, md = system.k_diag, system.k_off, system.m_diag
+    v = vectors.T[:, 1:] if system.tie_left is not None else vectors.T
+    E = np.asarray(vals, float)[:, None]
+    r = (kd - E * md) * v
+    r[:, :-1] += ko * v[:, 1:]
+    r[:, 1:] += ko * v[:, :-1]
+    av = np.abs(v)
+    s = (np.abs(kd) + np.abs(E) * md) * av
+    s[:, :-1] += np.abs(ko) * av[:, 1:]
+    s[:, 1:] += np.abs(ko) * av[:, :-1]
+    return np.sqrt(np.sum(r * r, axis=1) / np.sum(s * s, axis=1))
+
+
 def flat_oscillator(n=2000, a=-10.0, b=10.0):
     # -psi'' + x^2 psi: eigenvalues 2k + 1
     return SturmLiouvilleProblem(ONE, lambda x: np.asarray(x, float) ** 2, ONE,
@@ -181,10 +204,10 @@ CORNER_LAYOUTS = [
         ONE, lambda x: 1 / x**2 + 1 / (1 - x) ** 2, ONE, Grid1D(0.0, 1.0, 45),
         (EndpointRule.power(1.5, 0.0), EndpointRule.power(2.0, 1.0))),
         id="overlapping-corners"),
-    # a decay rule built without the classmethod leaves cells at None
+    # a decay corner alone, on its 2 cells
     pytest.param(SturmLiouvilleProblem(
         ONE, lambda x: x**2, ONE, Grid1D(1.0, 6.0, 300),
-        (EndpointRule.dirichlet(), EndpointRule(kind="decay", exponent=1.5))),
+        (EndpointRule.dirichlet(), EndpointRule.decay(1.5))),
         id="decay-default-cells"),
 ]
 
@@ -242,16 +265,18 @@ class TestCornerQuadrature:
             Grid1D(0.0, 2.0, 301),
             (EndpointRule.power(1.5, 0.0, series=(0.4, -0.1), tie=True),
              EndpointRule.dirichlet())),
-        # decaying tail on the right
+        # decaying tail on the right, on a grid whose 2 corrected cells
+        # span a tenth of it
         SturmLiouvilleProblem(
             ONE, lambda x: 0.75 / x**2, lambda x: 1 / x,
-            Grid1D(0.5, 20.0, 299),
-            (EndpointRule.dirichlet(), EndpointRule.decay(1.5, cells=30))),
-        # power corner on the right, corrected cells over most of the grid
+            Grid1D(0.5, 20.0, 19),
+            (EndpointRule.dirichlet(), EndpointRule.decay(1.5))),
+        # power corner on the right, its 40 corrected cells over most of
+        # the grid
         SturmLiouvilleProblem(
             lambda x: 2 - x, lambda x: 6 / (1 - x) ** 2, ONE,
-            Grid1D(0.0, 1.0 - 1e-3, 300),
-            (EndpointRule.dirichlet(), EndpointRule.power(3.0, 1.0, cells=280))),
+            Grid1D(0.0, 1.0 - 1e-3, 45),
+            (EndpointRule.dirichlet(), EndpointRule.power(3.0, 1.0))),
     ], ids=["power-series-tie", "decay", "power-right"])
     def test_matches_scalar_reference(self, prob):
         system = assemble(prob)
@@ -345,10 +370,7 @@ class TestCornerQuadrature:
         for side, rule in enumerate(prob.bc):
             if rule.kind == "dirichlet":
                 continue
-            m = rule.cells
-            if m is None:
-                m = max(40, n // 5) if rule.kind == "power" else 2
-            m = min(m, n)
+            m = corner_width(rule, n)
             i = np.arange(m) if side == 0 else np.arange(n - m, n)
             sampled[i] = False
             corners.append((rule, i))
@@ -486,8 +508,9 @@ class TestLowestEigenvalues:
             assert int(np.sum(vv[:-1] * vv[1:] < 0)) == j
 
     def test_residual_norms_small(self):
-        res = lowest_eigenpairs(flat_oscillator(), 3)
-        assert np.all(res.residual_norms < 1e-10)
+        prob = flat_oscillator()
+        res = lowest_eigenpairs(prob, 3)
+        assert np.all(backward_errors(prob, res.eigenvalues, res.eigenvectors) < 1e-10)
 
     def test_k_budget_enforced(self):
         for solve in (lowest_eigenvalues, lowest_eigenpairs):
@@ -530,16 +553,15 @@ class TestBackwardError:
     def test_converged_pairs_read_roundoff(self, case):
         prob, k = self.CASES[case]
         res = lowest_eigenpairs(prob, k)
-        assert res.residual_norms.shape == (k,)
-        assert np.all(res.residual_norms < 1e-13)
+        errors = backward_errors(prob, res.eigenvalues, res.eigenvectors)
+        assert errors.shape == (k,)
+        assert np.all(errors < 1e-13)
 
     def test_shifted_eigenvalues_raise_the_residual(self):
         prob, k = self.CASES["polar-k50"]
         res = lowest_eigenpairs(prob, k)
-        system = assemble(prob)
-        ur = res.eigenvectors.T
-        exact = _backward_errors(system, res.eigenvalues, ur)
-        shifted = _backward_errors(system, res.eigenvalues * (1 + 1e-6), ur)
+        exact = backward_errors(prob, res.eigenvalues, res.eigenvectors)
+        shifted = backward_errors(prob, res.eigenvalues * (1 + 1e-6), res.eigenvectors)
         assert np.all(exact < 1e-13)
         assert np.all(shifted > 10 * exact)
         assert np.median(shifted / exact) > 1e4
@@ -797,7 +819,7 @@ class TestSingleGridPolish:
         w = np.asarray(prob.w(prob.grid.points()), float)
         overlap = np.abs(np.sum(w * ref * res.eigenvectors.T, axis=1)) * prob.grid.h
         assert np.all(overlap >= 1 - 1e-10)
-        assert np.all(res.residual_norms < 1e-13)
+        assert np.all(backward_errors(prob, res.eigenvalues, res.eigenvectors) < 1e-13)
 
 
 class TestSpectrumProtocols:
