@@ -41,7 +41,6 @@ from .transform import (
     map_potential,
     map_wavefunction,
     r_of_x,
-    x_image_supremum,
     x_of_r,
 )
 from .numerics import (
@@ -57,7 +56,6 @@ from .numerics import (
     richardson_eigenvalues,
 )
 from .special_functions import (
-    arcsinh,
     gudermannian,
     hyp2f1_terminating,
     theta_of_x,

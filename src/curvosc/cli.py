@@ -13,8 +13,8 @@ Exit codes: 0 success, 1 configuration error, 2 verify-suite failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -25,7 +25,6 @@ from .numerics import lowest_eigenvalues, rayleigh_quotient
 from .params import PhysParams
 
 MODELS = ("higgs", "crs", "qes1", "qes2")
-COMMANDS = ("spectrum", "potential", "wavefunction", "verify", "transform-check")
 
 
 def fmt_float(x) -> str:
@@ -77,99 +76,67 @@ def serialize_csv(columns: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class RunConfig:
-    command: str
-    model: str | None
-    params: PhysParams
-    n_max: int = 2
-    mprime_max: int = 2
-    mprime: int = 0
-    mprime_q: float | None = None
-    N: int = 0
-    l: float | None = None
-    grid_min: float = 0.05
-    grid_max: float = 5.0
-    grid_n: int = 200
-    suites: tuple = ("all",)
-    output_format: str = "json"
-    output_path: str | None = None
-    verbose: bool = False
-
-    def validate(self):
-        if self.command in ("spectrum", "potential", "wavefunction") and self.model is None:
-            raise ValueError(f"{self.command} requires --model")
-        if self.model == "qes1" and self.l is None:
-            raise ValueError("model qes1 requires --l")
-        if self.model is not None and self.l is not None and self.model != "qes1":
-            raise ValueError("--l only applies to model qes1")
-        needs_channel = self.model in ("qes1", "qes2") or (
-            self.model == "crs" and self.command in ("potential", "wavefunction"))
-        if needs_channel and self.mprime_q is None:
-            raise ValueError(f"model {self.model} requires --mprime-q here")
-        # the QES channels are built from the signed m'_Q
-        if self.model in ("qes1", "qes2") and not self.mprime_q >= 0:
-            raise ValueError(f"--mprime-q must be at least 0 for model {self.model}, "
-                             f"got {self.mprime_q}")
-        grid = (("--grid-n", self.grid_n, 1),)
-        counts = {"spectrum": (("--n-max", self.n_max, 0), ("--mprime-max", self.mprime_max, 0)),
-                  "wavefunction": (("--N", self.N, 0),) + grid,
-                  "potential": grid, "transform-check": grid}
-        for flag, value, least in counts.get(self.command, ()):
-            if value < least:
-                raise ValueError(f"{flag} must be at least {least}, got {value}")
-        if self.command in ("spectrum", "potential", "wavefunction", "transform-check"):
-            self.params.require_curvature()
+def _validate(args) -> PhysParams:
+    """The physical parameters of a table command, after checking its
+    flags; the first failed check raises ValueError with the one line the
+    user sees."""
+    params = PhysParams(mass=args.mass, hbar=args.hbar, omega=args.omega, lam=args.lam)
+    command, model = args.command, getattr(args, "model", None)
+    l = getattr(args, "l", None)
+    if command != "transform-check" and model is None:
+        raise ValueError(f"{command} requires --model")
+    if model == "qes1" and l is None:
+        raise ValueError("model qes1 requires --l")
+    if l is not None and model != "qes1":
+        raise ValueError("--l only applies to model qes1")
+    needs_channel = model in ("qes1", "qes2") or (
+        model == "crs" and command in ("potential", "wavefunction"))
+    if needs_channel and args.mprime_q is None:
+        raise ValueError(f"model {model} requires --mprime-q here")
+    # the QES channels are built from the signed m'_Q
+    if model in ("qes1", "qes2") and not args.mprime_q >= 0:
+        raise ValueError(f"--mprime-q must be at least 0 for model {model}, "
+                         f"got {args.mprime_q}")
+    for flag, dest, least in (("--n-max", "n_max", 0), ("--mprime-max", "mprime_max", 0),
+                              ("--N", "N", 0), ("--grid-n", "grid_n", 1)):
+        value = getattr(args, dest, least)
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
+    params.require_curvature()
+    for flag, dest in (("--mass", "mass"), ("--hbar", "hbar"), ("--omega", "omega"),
+                       ("--lambda", "lam"), ("--mprime-q", "mprime_q"), ("--l", "l"),
+                       ("--grid-min", "grid_min"), ("--grid-max", "grid_max")):
+        value = getattr(args, dest, None)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
+    return params
 
 
-def _document(config: RunConfig, columns, rows, extra=None) -> dict:
-    doc = {
-        "command": config.command,
-        "model": config.model,
-        "params": {
-            "mass": config.params.mass,
-            "hbar": config.params.hbar,
-            "omega": config.params.omega,
-            "lambda": config.params.lam,
-        },
-        "columns": list(columns),
-        "rows": [list(r) for r in rows],
-    }
-    if extra:
-        doc.update(extra)
-    return doc
-
-
-def run_spectrum(config: RunConfig):
-    params = config.params
+def run_spectrum(args, params: PhysParams):
+    levels = args.n_max + 1
     rows = []
-    if config.model in ("higgs", "crs"):
-        channels = range(config.mprime_max + 1)
-        for mp in channels:
-            if config.model == "higgs":
-                numeric = problems.higgs_spectrum_numeric(mp, params, config.n_max + 1)
-                analytic = [higgs.higgs_energy((N, mp), params)
-                            for N in range(config.n_max + 1)]
-            else:
-                numeric = problems.crs_spectrum_numeric(mp, params, config.n_max + 1)
-                analytic = [crs.crs_energy((N, mp), params)
-                            for N in range(config.n_max + 1)]
+    if args.model in ("higgs", "crs"):
+        solve, energy = {"higgs": (problems.higgs_spectrum_numeric, higgs.higgs_energy),
+                         "crs": (problems.crs_spectrum_numeric, crs.crs_energy)}[args.model]
+        for mp in range(args.mprime_max + 1):
+            numeric = solve(mp, params, levels)
+            analytic = [energy((N, mp), params) for N in range(levels)]
             for N, (ea, en) in enumerate(zip(analytic, numeric)):
                 rows.append([N, mp, float(ea), float(en), abs(en - ea) / abs(ea)])
     else:
-        example = 1 if config.model == "qes1" else 2
-        mq = config.mprime_q
-        prob = problems.qes_channel_problem(example, mq, mq, params, 8001, l=config.l)
-        numeric = lowest_eigenvalues(prob, config.n_max + 1)
+        example = 1 if args.model == "qes1" else 2
+        mq = args.mprime_q
+        prob = problems.qes_channel_problem(example, mq, mq, params, 8001, l=args.l)
+        numeric = lowest_eigenvalues(prob, levels)
         # only the channel ground state has a closed form; its energy is
         # defined by the Rayleigh quotient of the printed state
         if example == 1:
-            psi = lambda r: higgs.qes_example1_groundstate(config.l, mq, params, r)
+            psi = lambda r: higgs.qes_example1_groundstate(args.l, mq, params, r)
         else:
             spec = QesSpec.example2(mq, params)
             psi = lambda r: higgs.qes_example2_groundstate(spec, params, r)
         E0, _ = rayleigh_quotient(
-            problems.qes_rayleigh_problem(example, mq, params, l=config.l), psi)
+            problems.qes_rayleigh_problem(example, mq, params, l=args.l), psi)
         for N, en in enumerate(numeric):
             ea = E0 if N == 0 else None
             rel = abs(en - ea) / abs(ea) if ea is not None else None
@@ -177,94 +144,43 @@ def run_spectrum(config: RunConfig):
     return ["N", "mprime", "E_analytic", "E_numeric", "relative_error"], rows
 
 
-def run_potential(config: RunConfig):
-    params = config.params
-    xs = np.linspace(config.grid_min, config.grid_max, config.grid_n)
-    if config.model == "higgs":
+def run_potential(args, params: PhysParams):
+    xs = np.linspace(args.grid_min, args.grid_max, args.grid_n)
+    if args.model == "higgs":
         v = 0.5 * params.mass * params.omega**2 * xs * xs
-    elif config.model == "crs":
-        v = crs.crs_potential_special(xs, config.mprime_q, params)
-    elif config.model == "qes1":
-        v = higgs.qes_example1_potential(config.l, config.mprime_q, params, xs)
+    elif args.model == "crs":
+        v = crs.crs_potential_special(xs, args.mprime_q, params)
+    elif args.model == "qes1":
+        v = higgs.qes_example1_potential(args.l, args.mprime_q, params, xs)
     else:
-        v = higgs.qes_example2_potential(config.mprime_q, params, xs)
+        v = higgs.qes_example2_potential(args.mprime_q, params, xs)
     return ["coordinate", "V"], np.column_stack((xs, v)).tolist()
 
 
-def run_wavefunction(config: RunConfig):
-    params = config.params
-    xs = np.linspace(config.grid_min, config.grid_max, config.grid_n)
-    if config.model == "higgs":
-        v = higgs.higgs_wavefunction((config.N, config.mprime), params, xs)
-    elif config.model == "crs":
-        v = crs.crs_wavefunction_special((config.N, config.mprime_q), params, xs)
-    elif config.model == "qes1":
-        v = higgs.qes_example1_groundstate(config.l, config.mprime_q, params, xs)
+def run_wavefunction(args, params: PhysParams):
+    xs = np.linspace(args.grid_min, args.grid_max, args.grid_n)
+    if args.model == "higgs":
+        v = higgs.higgs_wavefunction((args.N, args.mprime), params, xs)
+    elif args.model == "crs":
+        v = crs.crs_wavefunction_special((args.N, args.mprime_q), params, xs)
+    elif args.model == "qes1":
+        v = higgs.qes_example1_groundstate(args.l, args.mprime_q, params, xs)
     else:
-        spec = QesSpec.example2(config.mprime_q, params)
+        spec = QesSpec.example2(args.mprime_q, params)
         v = higgs.qes_example2_groundstate(spec, params, xs)
     return (["coordinate", "value_real", "value_imag"],
             np.column_stack((xs, np.real(v), np.imag(v))).tolist())
 
 
-def run_transform_check(config: RunConfig):
-    params = config.params
-    mq = config.mprime_q if config.mprime_q is not None else 0.0
+def run_transform_check(args, params: PhysParams):
+    mq = args.mprime_q if args.mprime_q is not None else 0.0
     ctx = transform.MapContext(params, mq)
-    rs = np.logspace(-0.5, 1.0, config.grid_n)
+    rs = np.logspace(-0.5, 1.0, args.grid_n)
     mapped = transform.map_potential(
         ctx, lambda x: crs.crs_potential_special(x, mq, params), rs)
     target = 0.5 * params.mass * params.omega**2 * rs * rs
     return (["r", "mapped_V", "half_m_omega2_r2", "difference"],
             np.column_stack((rs, mapped, target, mapped - target)).tolist())
-
-
-def run(config: RunConfig) -> int:
-    try:
-        config.validate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    if config.command == "verify":
-        from .verify import build_report, run_suites
-        try:
-            results = run_suites(list(config.suites))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        report = build_report(results)
-        text = serialize_json(report) + "\n"
-        _emit(config, text)
-        if config.verbose:
-            for c in results:
-                status = "PASS" if c.passed else "FAIL"
-                print(f"{status} {c.suite}/{c.name}: {c.measured:.3e} "
-                      f"{c.comparator} {c.tolerance:.3e}", file=sys.stderr)
-        return 0 if report["passed"] else 2
-
-    runner = {"spectrum": run_spectrum, "potential": run_potential,
-              "wavefunction": run_wavefunction,
-              "transform-check": run_transform_check}[config.command]
-    try:
-        columns, rows = runner(config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if config.output_format == "csv":
-        text = serialize_csv(columns, rows)
-    else:
-        text = serialize_json(_document(config, columns, rows)) + "\n"
-    _emit(config, text)
-    return 0
-
-
-def _emit(config: RunConfig, text: str):
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 @cache
@@ -324,29 +240,51 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command, model=getattr(args, "model", None),
-                    params=PhysParams(), output_path=args.output)
-    if hasattr(args, "lam"):
-        cfg.params = PhysParams(mass=args.mass, hbar=args.hbar, omega=args.omega,
-                                lam=args.lam)
-    for name in ("mprime_q", "l", "output_format", "verbose", "n_max", "mprime_max",
-                 "N", "mprime", "grid_min", "grid_max", "grid_n"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "suite", None):
-        cfg.suites = tuple(args.suite)
-    return cfg
-
-
 def main(argv=None) -> int:
+    """Run one command line and return its exit code."""
     args = _parser().parse_args(argv)
+    verify = args.command == "verify"
     try:
-        config = config_from_args(args)
+        if verify:
+            from .verify import build_report, run_suites
+            results = run_suites(args.suite)
+        else:
+            params = _validate(args)
+            runner = {"spectrum": run_spectrum, "potential": run_potential,
+                      "wavefunction": run_wavefunction,
+                      "transform-check": run_transform_check}[args.command]
+            columns, rows = runner(args, params)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return run(config)
+
+    code = 0
+    if verify:
+        report = build_report(results)
+        text = serialize_json(report) + "\n"
+        code = 0 if report["passed"] else 2
+    elif args.output_format == "csv":
+        text = serialize_csv(columns, rows)
+    else:
+        text = serialize_json({
+            "command": args.command,
+            "model": getattr(args, "model", None),
+            "params": {"mass": params.mass, "hbar": params.hbar,
+                       "omega": params.omega, "lambda": params.lam},
+            "columns": columns,
+            "rows": rows,
+        }) + "\n"
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    if verify and args.verbose:
+        for c in results:
+            status = "PASS" if c.passed else "FAIL"
+            print(f"{status} {c.suite}/{c.name}: {c.measured:.3e} "
+                  f"{c.comparator} {c.tolerance:.3e}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

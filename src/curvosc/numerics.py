@@ -764,25 +764,20 @@ def derivatives(fn: Callable, x: np.ndarray, step) -> tuple[np.ndarray, ...]:
     return f[0], d1, d2
 
 
-def residual_norm(coeffs: Callable, V: Callable, psi: Callable, E: float, grid: Grid1D,
-                  step: float | Callable | None = None) -> float:
+def residual_norm(coeffs: Callable, V: Callable, psi: Callable, E: float,
+                  grid: Grid1D) -> float:
     """Max relative pointwise residual of p2 psi'' + p1 psi' + (p0 + V) psi = E psi
     over the interior grid, with (p2, p1, p0) = coeffs(x) the coefficient
     triple of a model module and derivatives by 5-point central stencils.
 
     coeffs and V are evaluated once on the grid array, psi once per stencil
-    offset; any of them may return constants.  The stencil step defaults to
-    grid.h; pass a number or a callable step(x) to decouple it from the
-    sampling grid (radial problems want a step growing with r so the
-    relative resolution stays uniform).  Points where |psi| < 1e-10 max|psi|
-    are excluded from the maximum.
+    offset; any of them may return constants.  The stencil step is
+    1e-3 (1 + |x|), independent of the sampling grid and growing with |x|
+    so the relative resolution stays uniform on radial problems.  Points
+    where |psi| < 1e-10 max|psi| are excluded from the maximum.
     """
     x = grid.points()
-    if callable(step):
-        hv = _on(x, step(x))
-    else:
-        hv = np.full(x.shape, grid.h if step is None else float(step))
-    f, d1, d2 = derivatives(psi, x, hv)
+    f, d1, d2 = derivatives(psi, x, 1e-3 * (1 + np.abs(x)))
     p2, p1, p0 = (_on(x, c) for c in coeffs(x))
     res = np.abs(p2 * d2 + p1 * d1 + (p0 + _on(x, V(x))) * f - E * f)
     scale = abs(E) * np.abs(f) + 1e-300

@@ -49,10 +49,6 @@ def gudermannian(x):
     return np.copysign(math.pi / 2 - 2 * np.arctan(np.exp(-np.abs(x))), x)
 
 
-# ln(x + sqrt(x^2 + 1)) without the cancellation of that form near zero
-arcsinh = np.arcsinh
-
-
 def theta_of_x(x, lam: float):
     """Intrinsic coordinate of the nonlinear-oscillator line: arcsinh(sqrt(lam) x)."""
     if not (lam > 0):

@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from .crs import x_pole
 from .errors import OutOfImageError, SingularPointError
 from .params import PhysParams
 from .special_functions import theta_of_x, upsilon_of_r
@@ -30,7 +31,6 @@ __all__ = [
     "MapContext",
     "x_of_r",
     "r_of_x",
-    "x_image_supremum",
     "g_factor",
     "map_potential",
     "map_wavefunction",
@@ -51,13 +51,6 @@ class MapContext:
         self.params.require_curvature()
 
 
-def x_image_supremum(lam: float) -> float:
-    """sup of x(r) over r >= 0: sinh(pi/2)/sqrt(lam), not attained."""
-    if not (lam > 0):
-        raise ValueError(f"lam must be positive, got {lam}")
-    return math.sinh(math.pi / 2) / math.sqrt(lam)
-
-
 def x_of_r(ctx: MapContext, r):
     """x(r) = sinh(arctan(sqrt(lam) r))/sqrt(lam); strictly increasing,
     bounded above by sinh(pi/2)/sqrt(lam)."""
@@ -68,11 +61,12 @@ def x_of_r(ctx: MapContext, r):
 def r_of_x(ctx: MapContext, x):
     """Inverse map tan(arcsinh(sqrt(lam) x))/sqrt(lam) on [0, sinh(pi/2)/sqrt(lam))."""
     lam = ctx.params.lam
+    sup = x_pole(ctx.params)
     x = np.asarray(x, float)
-    outside = (x < 0) | (x >= x_image_supremum(lam))
+    outside = (x < 0) | (x >= sup)
     if np.any(outside):
         raise OutOfImageError(f"x = {x[outside].flat[0]} outside the image "
-                              f"[0, {x_image_supremum(lam)}) of the map")
+                              f"[0, {sup}) of the map")
     return np.tan(theta_of_x(x, lam)) / math.sqrt(lam)
 
 

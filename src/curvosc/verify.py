@@ -143,7 +143,7 @@ def suite_eigen_residual() -> list[CheckResult]:
                 lambda r: higgs.higgs_radial_coefficients(ch, r),
                 lambda r: 0.5 * params.mass * params.omega**2 * r * r,
                 lambda r: higgs.higgs_wavefunction((N, mp), params, r),
-                E, grid, step=lambda r: 1e-3 * (1 + r))
+                E, grid)
             if res > worst:
                 worst, worst_pair = res, (N, mp)
     return [_check("eigen-residual", "all-16-pairs", worst, 1e-6,
@@ -206,7 +206,7 @@ def suite_wavefunction_map() -> list[CheckResult]:
             lambda x: crs.crs_operator_coefficients(params, x),
             lambda x: crs.crs_potential_special(x, mq, params),
             lambda x: crs.crs_wavefunction_special_real((N, mq), params, x, conv),
-            E, grid, step=lambda x: 1e-3 * (1 + x))
+            E, grid)
     out.append(_check("wavefunction-map", "sin-squared-residual",
                       res[HypergeometricArgument.SIN_SQUARED], 1e-6,
                       detail="eigen-equation residual of the sin^2 convention"))

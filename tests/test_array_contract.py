@@ -15,7 +15,7 @@ from curvosc.errors import (
 )
 from curvosc.higgs import RadialChannel
 from curvosc.params import PhysParams
-from curvosc.special_functions import arcsinh, gudermannian, theta_of_x, upsilon_of_r
+from curvosc.special_functions import gudermannian, theta_of_x, upsilon_of_r
 
 UNIT = PhysParams()
 CTX = transform.MapContext(UNIT, 1.0)
@@ -34,7 +34,6 @@ def cos2theta_prime(x):
 # name -> (formula of the points, six valid points)
 FORMULAS = {
     "gudermannian": (gudermannian, [-40.0, -1.5, -1e-3, 0.0, 0.7, 30.0]),
-    "arcsinh": (arcsinh, [-1e3, -2e-3, -1e-7, 0.0, 3e-4, 1e6]),
     "theta_of_x": (lambda x: theta_of_x(x, 0.7), [-3.0, -0.1, 0.0, 0.2, 1.0, 5.0]),
     "upsilon_of_r": (lambda r: upsilon_of_r(r, 0.7), [0.0, 1e-3, 0.1, 1.0, 30.0, 1e4]),
     "crs_potential_special": (lambda x: crs.crs_potential_special(x, 1.0, UNIT),
@@ -114,7 +113,7 @@ SINGULAR = [
     ("upsilon_of_r", -1e-3, NegativeRadiusError),
     ("x_of_r", -1.0, NegativeRadiusError),
     ("r_of_x", -0.1, OutOfImageError),
-    ("r_of_x", transform.x_image_supremum(1.0), OutOfImageError),
+    ("r_of_x", crs.x_pole(UNIT), OutOfImageError),
     ("g_factor", 0.0, SingularPointError),
     ("map_potential", 0.0, SingularPointError),
 ]

@@ -158,8 +158,35 @@ class TestValidation:
         assert code == 1
         assert capsys.readouterr().err == "error: assembled system has non-finite entries\n"
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--mass", "0", "mass must be positive, got 0.0"),
+        ("--hbar", "-1", "hbar must be positive, got -1.0"),
+        ("--omega", "nan", "omega must be positive, got nan"),
+        ("--lambda", "0", "operation requires lam > 0, got 0.0"),
+    ], ids=["mass", "hbar", "omega", "lambda"])
+    def test_invalid_physics_flag_is_one_error_line(self, flag, value, message,
+                                                    tmp_path, capsys):
+        code, text = run_to_file(tmp_path, "x.json",
+                                 ["spectrum", "--model", "higgs", flag, value])
+        assert code == 1 and text == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("args,flag", [
+        (["potential", "--model", "crs", "--mprime-q", "1", "--grid-max", "nan"], "--grid-max"),
+        (["potential", "--model", "qes1", "--l", "nan", "--mprime-q", "1"], "--l"),
+        (["transform-check", "--mprime-q", "nan"], "--mprime-q"),
+        (["potential", "--model", "higgs", "--grid-max", "inf"], "--grid-max"),
+        (["spectrum", "--model", "higgs", "--lambda", "inf"], "--lambda"),
+    ], ids=["crs-grid-max", "qes1-l", "transform-check", "higgs-grid-max", "lambda"])
+    def test_nonfinite_float_flag_is_one_error_line(self, args, flag, tmp_path, capsys):
+        # these printed tables of nan, or blamed r = 0, and exited 0 or 1
+        code, _ = run_to_file(tmp_path, "x.json", args)
+        assert code == 1 and not (tmp_path / "x.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be finite, got ") and err.count("\n") == 1
+
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
-        def broken(config):
+        def broken(args, params):
             raise RuntimeError("bug in a runner")
 
         monkeypatch.setattr(cli, "run_potential", broken)
@@ -214,6 +241,31 @@ class TestTables:
         doc = json.loads(text)
         jsonschema.validate(doc, load_schema())
         assert all(abs(row[3]) < 1e-10 for row in doc["rows"])
+
+
+class TestExactBytes:
+    # pure IEEE arithmetic at two grid points, so the bytes hold on every platform
+    ARGS = ["potential", "--model", "higgs", "--grid-n", "2"]
+    ONE = "1.00000000000000000e+00"
+
+    def test_json(self, tmp_path):
+        _, text = run_to_file(tmp_path, "pot.json", self.ARGS)
+        params = "".join(f'    "{k}": {self.ONE}{sep}\n' for k, sep in
+                         (("mass", ","), ("hbar", ","), ("omega", ","), ("lambda", "")))
+        assert text == (
+            '{\n  "command": "potential",\n  "model": "higgs",\n'
+            '  "params": {\n' + params + '  },\n'
+            '  "columns": [\n    "coordinate",\n    "V"\n  ],\n'
+            '  "rows": [\n'
+            '    [\n      5.00000000000000028e-02,\n      1.25000000000000024e-03\n    ],\n'
+            '    [\n      5.00000000000000000e+00,\n      1.25000000000000000e+01\n    ]\n'
+            '  ]\n}\n')
+
+    def test_csv(self, tmp_path):
+        _, text = run_to_file(tmp_path, "pot.csv", self.ARGS + ["--format", "csv"])
+        assert text == ("coordinate,V\n"
+                        "5.00000000000000028e-02,1.25000000000000024e-03\n"
+                        "5.00000000000000000e+00,1.25000000000000000e+01\n")
 
 
 class TestVerifyCommand:

@@ -179,7 +179,7 @@ class TestWavefunction:
             lambda x: crs.crs_operator_coefficients(UNIT, x),
             lambda x: crs.crs_potential_special(x, mq, UNIT),
             lambda x: crs.crs_wavefunction_special_real((N, mq), UNIT, x),
-            E, grid, step=lambda x: 1e-3 * (1 + x))
+            E, grid)
         assert res < 1e-6
 
     def test_plain_sin_convention_fails_equation(self):
@@ -191,7 +191,7 @@ class TestWavefunction:
             lambda x: crs.crs_potential_special(x, mq, UNIT),
             lambda x: crs.crs_wavefunction_special_real(
                 (N, mq), UNIT, x, HypergeometricArgument.SIN),
-            E, grid, step=lambda x: 1e-3 * (1 + x))
+            E, grid)
         assert res > 1e-2
 
     def test_singular_at_origin(self):

@@ -73,7 +73,7 @@ class TestWavefunction:
             lambda r: higgs.higgs_radial_coefficients(RadialChannel(mp, UNIT), r),
             lambda r: 0.5 * r * r,
             lambda r: higgs.higgs_wavefunction((N, mp), UNIT, r),
-            E, grid, step=lambda r: 1e-3 * (1 + r))
+            E, grid)
         assert res < 1e-6
 
     def test_parity_in_mprime(self):

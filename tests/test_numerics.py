@@ -902,9 +902,8 @@ class TestResidualNorm:
             lambda r: 0.5 * r * r,
             lambda r: higgs.higgs_wavefunction((0, mp), UNIT, r),
         )
-        step = lambda r: 1e-3 * (1 + r)
-        assert residual_norm(*args, E, grid, step=step) < 1e-6
-        assert residual_norm(*args, E * (1 + 1e-3), grid, step=step) > 1e-4
+        assert residual_norm(*args, E, grid) < 1e-6
+        assert residual_norm(*args, E * (1 + 1e-3), grid) > 1e-4
 
 
 class TestRayleighQuotient:

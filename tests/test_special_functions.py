@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from curvosc.errors import NegativeRadiusError, NonpositiveCurvatureError, PoleInSeriesError
 from curvosc.special_functions import (
-    arcsinh,
     gudermannian,
     hyp2f1_terminating,
     theta_of_x,
@@ -78,10 +77,6 @@ class TestCoordinates:
     def test_theta_at_one(self):
         # arcsinh(1) = ln(1 + sqrt 2)
         assert theta_of_x(1.0, 1.0) == pytest.approx(0.881373587019543, rel=1e-14)
-
-    def test_arcsinh_matches_stdlib(self):
-        for x in (-1e3, -2.0, -1e-5, 1e-7, 0.5, 10.0, 1e6, 1e-4, 3e-4, -2e-3):
-            assert arcsinh(x) == pytest.approx(math.asinh(x), rel=1e-14, abs=1e-300)
 
     def test_upsilon_values(self):
         assert upsilon_of_r(0.0, 2.5) == 0.0

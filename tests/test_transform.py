@@ -21,8 +21,8 @@ class TestCoordinateMap:
 
     def test_supremum(self):
         # x(r) -> sinh(pi/2)/sqrt(lam) ~ 2.3013/sqrt(lam), never attained
-        assert transform.x_image_supremum(1.0) == pytest.approx(2.3012989023072947, rel=1e-15)
-        assert transform.x_of_r(CTX, 1e9) < transform.x_image_supremum(1.0)
+        assert crs.x_pole(UNIT) == pytest.approx(2.3012989023072947, rel=1e-15)
+        assert transform.x_of_r(CTX, 1e9) < crs.x_pole(UNIT)
 
     @given(st.floats(1e-3, 1e3))
     def test_roundtrip(self, r):
@@ -44,7 +44,7 @@ class TestCoordinateMap:
         with pytest.raises(NegativeRadiusError):
             transform.x_of_r(CTX, -1.0)
         with pytest.raises(OutOfImageError):
-            transform.r_of_x(CTX, transform.x_image_supremum(1.0))
+            transform.r_of_x(CTX, crs.x_pole(UNIT))
 
 
 class TestGFactor:
