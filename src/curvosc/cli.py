@@ -21,10 +21,12 @@ import numpy as np
 
 from . import crs, higgs, problems, transform
 from .crs import QesSpec
+from .errors import ParameterOverflowError
 from .numerics import lowest_eigenvalues, rayleigh_quotient
 from .params import PhysParams
 
 MODELS = ("higgs", "crs", "qes1", "qes2")
+_TOO_LARGE = "a flag is too large for floating point"
 
 
 def fmt_float(x) -> str:
@@ -147,7 +149,7 @@ def run_spectrum(args, params: PhysParams):
 def run_potential(args, params: PhysParams):
     xs = np.linspace(args.grid_min, args.grid_max, args.grid_n)
     if args.model == "higgs":
-        v = 0.5 * params.mass * params.omega**2 * xs * xs
+        v = higgs.oscillator_potential(params, xs)
     elif args.model == "crs":
         v = crs.crs_potential_special(xs, args.mprime_q, params)
     elif args.model == "qes1":
@@ -178,7 +180,7 @@ def run_transform_check(args, params: PhysParams):
     rs = np.logspace(-0.5, 1.0, args.grid_n)
     mapped = transform.map_potential(
         ctx, lambda x: crs.crs_potential_special(x, mq, params), rs)
-    target = 0.5 * params.mass * params.omega**2 * rs * rs
+    target = higgs.oscillator_potential(params, rs)
     return (["r", "mapped_V", "half_m_omega2_r2", "difference"],
             np.column_stack((rs, mapped, target, mapped - target)).tolist())
 
@@ -253,8 +255,16 @@ def main(argv=None) -> int:
             runner = {"spectrum": run_spectrum, "potential": run_potential,
                       "wavefunction": run_wavefunction,
                       "transform-check": run_transform_check}[args.command]
-            columns, rows = runner(args, params)
-    except ValueError as exc:
+            # a huge but finite flag shows as inf or nan in the table, which
+            # is refused below, so numpy's warnings about it are not wanted
+            with np.errstate(over="ignore", invalid="ignore"):
+                columns, rows = runner(args, params)
+            if not all(v is None or math.isfinite(v) for row in rows for v in row):
+                raise ParameterOverflowError(f"{_TOO_LARGE}: the table has non-finite entries")
+    except (ValueError, OverflowError) as exc:
+        if isinstance(exc, OverflowError):
+            # Python float arithmetic raises where numpy returns inf
+            exc = ParameterOverflowError(_TOO_LARGE)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -36,6 +36,7 @@ __all__ = [
     "RadialChannel",
     "Example1SineFactor",
     "higgs_radial_coefficients",
+    "oscillator_potential",
     "higgs_wavefunction",
     "higgs_energy",
     "qes_example1_potential",
@@ -70,6 +71,12 @@ def higgs_radial_coefficients(ch: RadialChannel, r):
     return (f * K * K,
             f * K * (1 + 5 * lam * r * r) / r,
             f * (3 * lam - lam * mp**2 + 3.75 * lam2 * r * r - mp**2 / (r * r)))
+
+
+def oscillator_potential(params: PhysParams, r):
+    """The oscillator potential (1/2) m omega^2 r^2."""
+    r = np.asarray(r, float)
+    return 0.5 * params.mass * params.omega**2 * r * r
 
 
 def higgs_wavefunction(qn: QuantumNumbers | tuple, params: PhysParams, r):

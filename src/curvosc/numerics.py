@@ -754,14 +754,21 @@ def _on(x: np.ndarray, value) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, float), x.shape)
 
 
+def _five_point(f: Sequence[np.ndarray], step) -> tuple[np.ndarray, np.ndarray]:
+    """(f', f'') by 5-point central stencils from the samples f = (f(x - 2
+    step), f(x - step), f(x), f(x + step), f(x + 2 step)); step may be a
+    number or an array over x.  The one definition of the stencil weights."""
+    d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * step)
+    d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * step * step)
+    return d1, d2
+
+
 def derivatives(fn: Callable, x: np.ndarray, step) -> tuple[np.ndarray, ...]:
     """(fn, fn', fn'') at the points x by 5-point central stencils; fn is
     evaluated once per stencil offset on the whole array, and step may be a
     number or an array over x."""
-    f = {s: _on(x, fn(x + s * step)) for s in (-2, -1, 0, 1, 2)}
-    d1 = (f[-2] - 8 * f[-1] + 8 * f[1] - f[2]) / (12 * step)
-    d2 = (-f[-2] + 16 * f[-1] - 30 * f[0] + 16 * f[1] - f[2]) / (12 * step * step)
-    return f[0], d1, d2
+    f = [_on(x, fn(x + s * step)) for s in (-2, -1, 0, 1, 2)]
+    return (f[2], *_five_point(f, step))
 
 
 def residual_norm(coeffs: Callable, V: Callable, psi: Callable, E: float,
@@ -790,18 +797,33 @@ def rayleigh_quotient(problem: SturmLiouvilleProblem, psi: Callable) -> tuple[fl
     grid (5-point stencils, step grid.h), leaving out 10 points at each end,
     where endpoint singularities contaminate the stencils.
 
+    psi and p are evaluated once each, on the grid points the stencils
+    touch (the included points and two more at each side); the five
+    shifted samples of each stencil are slices of those two arrays.  q and
+    w are evaluated once on the included points.
+
     Returns (weighted mean of e with weight w psi^2, std(e)/|mean(e)|).
     Raises NodeDetectedError if psi changes sign on the included points.
     """
     grid = problem.grid
     h = grid.h
-    x = grid.points()[10: grid.n - 10]
-    if x.size < 5:
+    t = grid.points()[8: grid.n - 8]
+    if t.size < 9:
         raise ValueError("grid too small for the 10 points left out at each end")
-    f, d1, d2 = derivatives(psi, x, h)
+    x = t[2:-2]
+
+    def shifted(fn):
+        """The samples fn(x + s h), s = -2..2 in order, as slices of fn on t."""
+        v = _on(t, fn(t))
+        return [v[s: v.size - 4 + s] for s in range(5)]
+
+    fs = shifted(psi)
+    f = fs[2]
     if np.any(f[:-1] * f[1:] < 0):
         raise NodeDetectedError("psi changes sign; Rayleigh quotient needs a nodeless state")
-    pv, dp, _ = derivatives(problem.p, x, h)
+    d1, d2 = _five_point(fs, h)
+    ps = shifted(problem.p)
+    pv, dp = ps[2], _five_point(ps, h)[0]
     qv = _on(x, problem.q(x))
     wv = _on(x, problem.w(x))
     e = (-pv * d2 - dp * d1 + qv * f) / (wv * f)

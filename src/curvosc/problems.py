@@ -46,6 +46,7 @@ from .higgs import (
     RadialChannel,
     example1_branch_radius,
     higgs_radial_coefficients,
+    oscillator_potential,
     qes_example1_potential,
     qes_example2_potential,
 )
@@ -124,13 +125,11 @@ def higgs_oscillator_problem(mprime: int, params: PhysParams,
     lam = params.require_curvature()
     sig_eq = 2 + params.mass * params.omega_prime / (params.hbar * lam)
 
-    def V(r):
-        return 0.5 * params.mass * params.omega**2 * np.asarray(r, float) ** 2
-
     grid = Grid1D(0.0, math.pi / 2 - 1e-6, n)
     bc = (EndpointRule.power(abs(mprime), 0.0),
           EndpointRule.power(sig_eq, math.pi / 2))
-    return higgs_polar_problem(mprime, params, V, grid, bc)
+    return higgs_polar_problem(mprime, params, lambda r: oscillator_potential(params, r),
+                               grid, bc)
 
 
 def higgs_spectrum_numeric(mprime: int, params: PhysParams, k: int,

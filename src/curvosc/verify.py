@@ -86,8 +86,9 @@ def suite_higgs_spectrum() -> list[CheckResult]:
     # Dirichlet walls at [1e-4, 40]; reported to document why the polar
     # protocol is used instead
     params = PhysParams(lam=1.0)
-    prob = problems.higgs_radial_problem(0, params, lambda r: 0.5 * np.asarray(r) ** 2,
-                                         Grid1D(1e-4, 40.0, 2000), _WALLS)
+    prob = problems.higgs_radial_problem(
+        0, params, lambda r: higgs.oscillator_potential(params, r),
+        Grid1D(1e-4, 40.0, 2000), _WALLS)
     extrap, _, _ = richardson_eigenvalues(prob, 3)
     exact = np.array([higgs.higgs_energy((N, 0), params) for N in range(3)])
     rel = float(np.max(np.abs(extrap - exact) / exact))
@@ -141,7 +142,7 @@ def suite_eigen_residual() -> list[CheckResult]:
             ch = higgs.RadialChannel(mp, params)
             res = residual_norm(
                 lambda r: higgs.higgs_radial_coefficients(ch, r),
-                lambda r: 0.5 * params.mass * params.omega**2 * r * r,
+                lambda r: higgs.oscillator_potential(params, r),
                 lambda r: higgs.higgs_wavefunction((N, mp), params, r),
                 E, grid)
             if res > worst:
@@ -165,7 +166,7 @@ def suite_transform_closure() -> list[CheckResult]:
             ctx = transform.MapContext(params, mq)
             mapped = transform.map_potential(
                 ctx, lambda x: crs.crs_potential_special(x, mq, params), rs)
-            target = 0.5 * params.mass * params.omega**2 * rs * rs
+            target = higgs.oscillator_potential(params, rs)
             worst = max(worst, float(np.max(np.abs(mapped - target) / target)))
         out.append(_check("transform-closure", f"lam={lam}", float(worst), 1e-12,
                           detail="max rel dev from (1/2) m w^2 r^2 over 100 log-spaced "
@@ -349,7 +350,7 @@ def suite_l2_reduction() -> list[CheckResult]:
     for mq in (0.0, 1.0, 2.0, 0.5):
         def diff_table(pts):
             return (higgs.qes_example1_potential(2.0, mq, params, pts)
-                    - 0.5 * params.mass * params.omega**2 * pts * pts)
+                    - higgs.oscillator_potential(params, pts))
 
         d1 = diff_table(rs)
         d2 = diff_table(rs[::-1])[::-1]

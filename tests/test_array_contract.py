@@ -54,6 +54,8 @@ FORMULAS = {
     "higgs_radial_coefficients": (
         lambda r: higgs.higgs_radial_coefficients(RadialChannel(2, UNIT), r),
         [-0.5, 0.05, 0.3, 1.0, 4.0, 20.0]),
+    "oscillator_potential": (lambda r: higgs.oscillator_potential(UNIT, r),
+                             [-2.0, 0.0, 0.05, 0.3, 4.0, 20.0]),
     "higgs_wavefunction": (lambda r: higgs.higgs_wavefunction((2, 1), UNIT, r),
                            [0.0, 0.05, 0.3, 1.0, 4.0, 20.0]),
     "qes_example1_potential": (lambda r: higgs.qes_example1_potential(3.0, 1.0, UNIT, r),

@@ -185,6 +185,26 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} must be finite, got ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("args", [
+        ["transform-check", "--mprime-q", "1e200"],
+        ["potential", "--model", "crs", "--mprime-q", "1e200", "--grid-n", "2"],
+        ["potential", "--model", "qes1", "--l", "3", "--mprime-q", "1e200", "--grid-n", "2"],
+        ["spectrum", "--model", "qes2", "--mprime-q", "1e200"],
+        ["potential", "--model", "qes2", "--mprime-q", "1e200", "--grid-n", "2"],
+        ["wavefunction", "--model", "crs", "--mprime-q", "1e200", "--grid-n", "2"],
+        ["potential", "--model", "higgs", "--grid-max", "1e200", "--grid-n", "2"],
+    ], ids=["transform-check", "crs-potential", "qes1-potential", "qes2-spectrum",
+            "qes2-potential", "crs-wavefunction", "higgs-potential"])
+    def test_huge_finite_flag_is_one_error_line(self, args, tmp_path, capsys):
+        # the first four raised a raw OverflowError, the last three printed
+        # tables of nan or inf and exited 0
+        code, _ = run_to_file(tmp_path, "x.json", args)
+        assert code == 1 and not (tmp_path / "x.json").exists()
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: a flag is too large for floating point")
+        assert err.count("\n") == 1
+
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         def broken(args, params):
             raise RuntimeError("bug in a runner")

@@ -12,6 +12,12 @@ from curvosc.params import PhysParams
 UNIT = PhysParams()
 
 
+class TestOscillatorPotential:
+    def test_value(self):
+        # (1/2) m omega^2 r^2 with m = 2, omega = 3, r = 1.5
+        assert higgs.oscillator_potential(PhysParams(mass=2.0, omega=3.0), 1.5) == 20.25
+
+
 class TestRadialCoefficients:
     def test_p0_frozen_value(self):
         # m'=0, r=1, lam=1: p0 = -(1/2)(3 + 15/4) = -27/8

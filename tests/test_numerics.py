@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from curvosc import crs, higgs, numerics
+from curvosc.crs import QesSpec
 from curvosc.errors import NodeDetectedError, NonpositiveWeightError, UnresolvedError
 from curvosc.numerics import (
     EndpointRule,
@@ -30,6 +31,7 @@ from curvosc.problems import (
     higgs_radial_problem,
     higgs_spectrum_numeric,
     qes_channel_problem,
+    qes_rayleigh_problem,
 )
 
 UNIT = PhysParams()
@@ -931,6 +933,53 @@ class TestRayleighQuotient:
         prob = self._higgs_problem()
         with pytest.raises(NodeDetectedError):
             rayleigh_quotient(prob, lambda r: higgs.higgs_wavefunction((1, 0), UNIT, r))
+
+
+def five_evaluation_rayleigh(problem, psi):
+    """The Rayleigh quotient's weighted mean with psi and p evaluated on
+    five shifted copies of the included points: the reference the grid
+    slices must reproduce."""
+    grid = problem.grid
+    x = grid.points()[10: grid.n - 10]
+    f, d1, d2 = derivatives(psi, x, grid.h)
+    pv, dp, _ = derivatives(problem.p, x, grid.h)
+    e = (-pv * d2 - dp * d1 + problem.q(x) * f) / (problem.w(x) * f)
+    weight = problem.w(x) * f * f
+    return float(np.sum(weight * e) / np.sum(weight))
+
+
+class TestRayleighGridStencils:
+    def test_each_coefficient_and_psi_is_evaluated_once(self):
+        prob = higgs_radial_problem(0, UNIT, lambda r: higgs.oscillator_potential(UNIT, r),
+                                    Grid1D(0.1, 12.0, 1200), (EndpointRule.dirichlet(),) * 2)
+        calls = {"psi": 0, "p": 0, "q": 0, "w": 0}
+
+        def counted(name, fn):
+            def wrapper(x):
+                calls[name] += 1
+                return fn(x)
+            return wrapper
+
+        counting = SturmLiouvilleProblem(counted("p", prob.p), counted("q", prob.q),
+                                         counted("w", prob.w), prob.grid, prob.bc)
+        rayleigh_quotient(counting, counted(
+            "psi", lambda r: higgs.higgs_wavefunction((0, 0), UNIT, r)))
+        assert calls == {"psi": 1, "p": 1, "q": 1, "w": 1}
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    @pytest.mark.parametrize("example,mq,l", [(1, 1.0, 3.0), (1, 2.0, 4.0), (2, 1.0, None)],
+                             ids=["qes1-l3-mq1", "qes1-l4-mq2", "qes2-mq1"])
+    def test_cli_problems_match_five_evaluations(self, example, mq, l, lam):
+        params = PhysParams(lam=lam)
+        if example == 1:
+            psi = lambda r: higgs.qes_example1_groundstate(l, mq, params, r)
+        else:
+            spec = QesSpec.example2(mq, params)
+            psi = lambda r: higgs.qes_example2_groundstate(spec, params, r)
+        prob = qes_rayleigh_problem(example, mq, params, l=l)
+        E, constancy = rayleigh_quotient(prob, psi)
+        assert E == pytest.approx(five_evaluation_rayleigh(prob, psi), rel=1e-10)
+        assert constancy < 1e-6
 
 
 class TestConvergenceOrder:
