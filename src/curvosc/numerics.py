@@ -78,7 +78,9 @@ stebz) runs, which is also the reference the tests compare against.  On
 the polar problem at n = 4000 and 8001 the polished values agree with an
 extended-precision Sturm count to 1e-12-4e-11 relative, where the default
 bisection leaves 2e-11-2.4e-9 and even bisection to relative accuracy
-(ABSTOL = 2 underflow) up to 7.5e-10.
+(ABSTOL = 2 underflow) up to 7.5e-10.  The three LAPACK routines (gtsv,
+stebz, stein) come from curvosc._lapack, which takes them from scipy's
+compiled module without importing scipy.linalg.
 
 The guesses come from the same problem on a guess grid of max(n //
 _COARSEN, _GUESS_POINTS k) points, _COARSEN = 16 and _GUESS_POINTS = 40;
@@ -141,9 +143,9 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dstebz
+import numpy.random  # noqa: F401  (np.random is lazy; pay its import here, not in a solve)
 
+from ._lapack import dgtsv, dstebz, eigh_tridiagonal
 from .errors import (
     CurvoscError,
     NodeDetectedError,
@@ -457,13 +459,13 @@ def _standard_system(problem: SturmLiouvilleProblem, k: int
 
 
 def _bisection(d: np.ndarray, e: np.ndarray, k: int, **options):
-    """eigh_tridiagonal on the k lowest eigenvalues of (d, e), LAPACK stebz
-    (and stein for the vectors); a LAPACK failure, which finite but
+    """The k lowest eigenvalues of (d, e) by _lapack.eigh_tridiagonal, LAPACK
+    stebz (and stein for the vectors); a LAPACK failure, which finite but
     extreme entries can cause, becomes an UnresolvedError naming the
     system size and k."""
     try:
         return eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1), **options)
-    except LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise UnresolvedError(
             f"tridiagonal eigensolve failed for the {k} lowest eigenvalues "
             f"at n = {d.size}") from exc
@@ -665,7 +667,7 @@ def lowest_eigenvalues(problem: SturmLiouvilleProblem, k: int, *,
     """k smallest eigenvalues, ascending, polished from the guesses of a
     coarser guess grid (see _coarse_polished); where they cannot
     be certified, by bisection on the Sturm-sequence sign count (LAPACK
-    stebz via eigh_tridiagonal).  No eigenvector is kept.
+    stebz, see _bisection).  No eigenvector is kept.
 
     _polish is private to richardson_eigenvalues, which solves both grids
     of a pair here: _polish(system, d, e) returns the k certified lowest
@@ -685,7 +687,7 @@ def lowest_eigenpairs(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
     """k smallest eigenpairs, polished from coarse-grid guesses as in
     lowest_eigenvalues, whose values they equal bit for bit; where those
     cannot be certified, by bisection plus inverse iteration (LAPACK
-    stebz/stein via eigh_tridiagonal).  Back-transformed to K v = E M v,
+    stebz/stein, see _bisection).  Back-transformed to K v = E M v,
     with normalized vectors; see EigenResult."""
     system, d, e = _standard_system(problem, k)
     # rows ur are the unit eigenvectors of the standard form

@@ -126,8 +126,9 @@ class TestValidation:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("model,lam", [(["higgs"], "1e150"),
+                                           (["crs"], "1e150"),
                                            (["qes2", "--mprime-q", "1"], "1e100")],
-                             ids=["higgs", "qes2"])
+                             ids=["higgs", "crs", "qes2"])
     def test_failed_lapack_eigensolve_is_one_error_line(self, model, lam, tmp_path, capsys):
         # finite but extreme entries make the LAPACK bisection fail; the
         # user sees one typed error, not LAPACK's message
@@ -204,6 +205,20 @@ class TestValidation:
         assert out == ""
         assert err.startswith("error: a flag is too large for floating point")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ["spectrum", "--model", "qes1", "--l", "3", "--mprime-q", "1"],
+        ["potential", "--model", "higgs", "--grid-n", "2"],
+        ["verify", "--suite", "flat-limit"],
+    ], ids=["spectrum", "potential", "verify"])
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    def test_unwritable_output_is_one_error_line(self, args, where, tmp_path, capsys):
+        # these ended in a raw FileNotFoundError or IsADirectoryError traceback
+        path = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+        code = main(args + ["--output", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         def broken(args, params):

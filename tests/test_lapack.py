@@ -1,0 +1,142 @@
+"""curvosc._lapack: the three LAPACK routines come from scipy's compiled
+module without importing scipy.linalg, and its eigh_tridiagonal returns
+what scipy.linalg.eigh_tridiagonal, the reference here, returns, bit for
+bit, on the file-loaded module and on the scipy.linalg.lapack fallback."""
+
+import os
+import subprocess
+import sys
+from functools import cache
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.linalg import eigh_tridiagonal as scipy_eigh_tridiagonal
+
+from curvosc import _lapack, cli, crs, numerics
+from curvosc.numerics import EndpointRule, Grid1D, assemble, lowest_eigenpairs
+from curvosc.params import PhysParams
+from curvosc.problems import crs_problem, higgs_oscillator_problem, qes_channel_problem
+
+UNIT = PhysParams()
+
+
+def wide_crs_problem():
+    """The wide-domain crs problem of problems.crs_spectrum_numeric_wide."""
+    bc = (EndpointRule.power(1.5, 0.0), EndpointRule.dirichlet())
+    return crs_problem(UNIT, lambda x: crs.crs_potential_special(x, 1, UNIT),
+                       Grid1D(1e-4, 10.0, 16000), bc)
+
+
+PROBLEMS = {
+    "polar-k50": (lambda: higgs_oscillator_problem(0, UNIT, 8001), 50),
+    "qes2-tied": (lambda: qes_channel_problem(2, 1, 1, UNIT, 8001), 3),
+    "crs-wide": (wide_crs_problem, 8),
+}
+
+
+@cache
+def standard_form(case):
+    make, k = PROBLEMS[case]
+    d, e = assemble(make()).standard_form()
+    return d, e, k
+
+
+def loose(d, e):
+    """The loose bisection tolerance of the guess grids, sqrt(eps) ||T||."""
+    return np.sqrt(np.finfo(float).eps) * numerics._gershgorin(d, e)[1]
+
+
+def fresh_python(code):
+    """(stdout, stderr) of code run by a new interpreter, which has imported
+    nothing yet and finds this checkout's curvosc."""
+    src = Path(_lapack.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return done.stdout, done.stderr
+
+
+def test_startup_leaves_scipy_linalg_unimported():
+    out, _ = fresh_python(
+        "import sys, curvosc.cli, curvosc.verify, curvosc._lapack as L\n"
+        "print('scipy.linalg' in sys.modules, 'numpy.random' in sys.modules, L.SOURCE)")
+    assert out.split() == ["False", "True", "extension", "file"]
+
+
+@pytest.mark.parametrize("loose_tol", [False, True], ids=["default-tol", "loose-tol"])
+@pytest.mark.parametrize("case", PROBLEMS)
+def test_values_match_scipy(case, loose_tol):
+    d, e, k = standard_form(case)
+    options = dict(eigvals_only=True, select="i", select_range=(0, k - 1),
+                   tol=loose(d, e) if loose_tol else 0.0)
+    ours = _lapack.eigh_tridiagonal(d, e, **options)
+    assert ours.shape == (k,)
+    assert np.array_equal(ours, scipy_eigh_tridiagonal(d, e, **options))
+
+
+@pytest.mark.parametrize("case", PROBLEMS)
+def test_vectors_match_scipy(case):
+    d, e, k = standard_form(case)
+    w, v = _lapack.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+    ref_w, ref_v = scipy_eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+    assert v.shape == (d.size, k)
+    assert np.array_equal(w, ref_w) and np.array_equal(v, ref_v)
+
+
+def test_only_index_selection():
+    d, e, _ = standard_form("qes2-tied")
+    with pytest.raises(ValueError, match="select='i'"):
+        _lapack.eigh_tridiagonal(d, e, select="v", select_range=(0.0, 1.0))
+
+
+class Refused:
+    """An extension loader that cannot load anything."""
+
+    def __init__(self, name, path):
+        raise ImportError(f"refused to load {name}")
+
+
+def test_forced_fallback_gives_identical_results(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(_lapack, "ExtensionFileLoader", Refused)
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    module, source = _lapack._load()
+    assert source == "scipy.linalg.lapack"
+    d, e, k = standard_form("polar-k50")
+    prob = qes_channel_problem(2, 1, 1, UNIT, 8001)
+
+    def results():
+        w, v = _lapack.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+        pairs = lowest_eigenpairs(prob, 3)
+        return w, v, pairs.eigenvalues, pairs.eigenvectors
+
+    before = results()
+    for name in ("dgtsv", "dstebz", "dstein"):
+        monkeypatch.setattr(_lapack, name, getattr(module, name))
+        if hasattr(numerics, name):
+            monkeypatch.setattr(numerics, name, getattr(module, name))
+    for a, b in zip(before, results()):
+        assert np.array_equal(a, b)
+    # a LAPACK failure still ends in the typed error
+    assert cli.main(["spectrum", "--model", "crs", "--lambda", "1e150",
+                     "--output", str(tmp_path / "x.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: tridiagonal eigensolve failed") and err.count("\n") == 1
+
+
+def test_fallback_in_a_fresh_process_prints_the_same_spectrum(tmp_path):
+    args = ["spectrum", "--model", "qes2", "--mprime-q", "1"]
+    assert cli.main(args + ["--output", str(tmp_path / "x.json")]) == 0
+    out, err = fresh_python(
+        # importlib.abc registers the loader classes by name when imported
+        "import importlib.abc, importlib.machinery as machinery\n"
+        "class Refused:\n"
+        "    def __init__(self, name, path):\n"
+        "        raise ImportError(name)\n"
+        "machinery.ExtensionFileLoader = Refused\n"
+        "import sys, curvosc._lapack as L, curvosc.cli\n"
+        "print(L.SOURCE, file=sys.stderr)\n"
+        f"sys.exit(curvosc.cli.main({args!r}))")
+    assert err == "scipy.linalg.lapack\n"
+    assert out == (tmp_path / "x.json").read_text()
