@@ -8,7 +8,7 @@ solvable potential families, and a finite-difference Sturm-Liouville
 oracle that verifies every analytic claim numerically.
 """
 
-from .params import PhysParams, QuantumNumbers
+from .params import PhysParams
 from .crs import (
     HypergeometricArgument,
     QesSpec,
@@ -20,7 +20,6 @@ from .crs import (
     special_params,
     x_constraint_residual,
     x_general,
-    x_general_complex,
     x_pole,
 )
 from .higgs import (

@@ -20,7 +20,6 @@ from functools import cache
 import numpy as np
 
 from . import crs, higgs, problems, transform
-from .crs import QesSpec
 from .errors import ParameterOverflowError
 from .numerics import lowest_eigenvalues, rayleigh_quotient
 from .params import PhysParams
@@ -91,6 +90,14 @@ def _validate(args) -> PhysParams:
         raise ValueError("model qes1 requires --l")
     if l is not None and model != "qes1":
         raise ValueError("--l only applies to model qes1")
+    # a flag the model does not read is refused, not ignored
+    if args.mprime_q is not None and (model == "higgs" or (model, command) == ("crs", "spectrum")):
+        raise ValueError(f"--mprime-q does not apply to {command} --model {model}")
+    if command == "wavefunction":
+        reads = {"higgs": ("N", "mprime"), "crs": ("N",)}.get(model, ())
+        for flag in ("N", "mprime"):
+            if getattr(args, flag) != 0 and flag not in reads:
+                raise ValueError(f"--{flag} does not apply to wavefunction --model {model}")
     needs_channel = model in ("qes1", "qes2") or (
         model == "crs" and command in ("potential", "wavefunction"))
     if needs_channel and args.mprime_q is None:
@@ -135,8 +142,7 @@ def run_spectrum(args, params: PhysParams):
         if example == 1:
             psi = lambda r: higgs.qes_example1_groundstate(args.l, mq, params, r)
         else:
-            spec = QesSpec.example2(mq, params)
-            psi = lambda r: higgs.qes_example2_groundstate(spec, params, r)
+            psi = lambda r: higgs.qes_example2_groundstate(mq, params, r)
         E0, _ = rayleigh_quotient(
             problems.qes_rayleigh_problem(example, mq, params, l=args.l), psi)
         for N, en in enumerate(numeric):
@@ -168,8 +174,7 @@ def run_wavefunction(args, params: PhysParams):
     elif args.model == "qes1":
         v = higgs.qes_example1_groundstate(args.l, args.mprime_q, params, xs)
     else:
-        spec = QesSpec.example2(args.mprime_q, params)
-        v = higgs.qes_example2_groundstate(spec, params, xs)
+        v = higgs.qes_example2_groundstate(args.mprime_q, params, xs)
     return (["coordinate", "value_real", "value_imag"],
             np.column_stack((xs, np.real(v), np.imag(v))).tolist())
 

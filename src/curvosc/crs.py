@@ -22,7 +22,6 @@ requested point is singular.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -36,15 +35,14 @@ from .errors import (
     SingularPointError,
     ZeroAError,
 )
-from .params import PhysParams, QuantumNumbers
-from .special_functions import hyp2f1_terminating, theta_of_x
+from .params import PhysParams
+from .special_functions import hyp2f1_terminating, radial_quantum_number, theta_of_x
 
 __all__ = [
     "QesSpec",
     "HypergeometricArgument",
     "special_params",
     "x_general",
-    "x_general_complex",
     "x_constraint_residual",
     "potential_general",
     "crs_potential_special",
@@ -92,13 +90,6 @@ class QesSpec:
                    c_shift=c_shift, mprime_q=mprime_q, delta=d)
 
     @classmethod
-    def special(cls, mprime_q: float, params: PhysParams) -> "QesSpec":
-        """The X = cos(2 Theta) model: A = -4 lam, B = 0, C1 = 1, C2 = 0."""
-        lam = params.require_curvature()
-        return cls.build(A=-4 * lam, B=0.0, C1=1.0, C2=0.0,
-                         mprime_q=mprime_q, params=params)
-
-    @classmethod
     def example1(cls, l: float, mprime_q: float, params: PhysParams) -> "QesSpec":
         """The X = cos(l Theta) family: A = -lam l^2, B = 0, C1 = 1, C2 = 0."""
         lam = params.require_curvature()
@@ -125,9 +116,9 @@ def special_params(mprime_q: float, params: PhysParams) -> QesSpec:
     """QesSpec of the special model, with beta/gamma written in surd form.
 
     beta = 2 lam (m'+1) + sqrt(lam^2 + 4 m^2 omega^2/hbar^2) and likewise
-    for gamma and C; since sqrt(lam^2 + 4 m^2 omega^2/hbar^2) = lam*delta
-    these coincide with QesSpec.special.  Both forms are evaluated and
-    cross-checked in the test suite.
+    for gamma and C, with A = -4 lam, B = 0, C1 = 1, C2 = 0.  Since
+    sqrt(lam^2 + 4 m^2 omega^2/hbar^2) = lam*delta, this equals
+    QesSpec.build with the same A, B, C1, C2; the test suite checks it.
     """
     lam = params.require_curvature()
     surd = math.sqrt(lam**2 + 4 * params.mass**2 * params.omega**2 / params.hbar**2)
@@ -146,7 +137,7 @@ def x_general(spec: QesSpec, params: PhysParams, x):
 
     For A < 0, s = i u turns this into -B/A + C1 cos(u Theta) - C2 sin(u Theta),
     which is real for real C1, C2.  For A > 0 the sinh term is imaginary, so
-    C2 must vanish there; use x_general_complex for the unrestricted form.
+    C2 must vanish there.
     """
     lam = params.require_curvature()
     if spec.A == 0:
@@ -159,18 +150,6 @@ def x_general(spec: QesSpec, params: PhysParams, x):
         raise ComplexResultError("A > 0 with C2 != 0 gives a complex X(x)")
     u = math.sqrt(spec.A / lam)
     return -spec.B / spec.A + spec.C1 * np.cosh(u * th)
-
-
-def x_general_complex(A: complex, B: complex, C1: complex, C2: complex,
-                      params: PhysParams, x: float) -> complex:
-    """Literal complex evaluation of the general solution; escape hatch for
-    formally imaginary coefficients (e.g. C2 = -1j gives X = sqrt(lam) x)."""
-    lam = params.require_curvature()
-    if A == 0:
-        raise ZeroAError("A = 0 leaves -B/A undefined")
-    th = theta_of_x(x, lam)
-    s = cmath.sqrt(complex(A) / lam)
-    return -B / A + C1 * cmath.cosh(s * th) + 1j * C2 * cmath.sinh(s * th)
 
 
 def x_constraint_residual(Xfun: Callable, A: float, B: float, params: PhysParams, x):
@@ -239,7 +218,7 @@ class HypergeometricArgument(enum.Enum):
     SIN_SQUARED = "sin_squared"
 
 
-def crs_wavefunction_special(qn: QuantumNumbers | tuple, params: PhysParams, x,
+def crs_wavefunction_special(qn: tuple, params: PhysParams, x,
                              argument_convention: HypergeometricArgument =
                              HypergeometricArgument.SIN_SQUARED):
     """Eigenfunction of the special model (unnormalized, complex up to a
@@ -282,7 +261,7 @@ def crs_wavefunction_special_real(qn, params: PhysParams, x,
     return (crs_wavefunction_special(qn, params, x, argument_convention) / phase).real
 
 
-def crs_energy(qn: QuantumNumbers | tuple, params: PhysParams) -> float:
+def crs_energy(qn: tuple, params: PhysParams) -> float:
     """Spectrum of the special model:
 
     E = hbar w' (2N + |m'| + 1) + (lam hbar^2 / 2m) (2N + |m'| + 1)^2,
@@ -292,7 +271,7 @@ def crs_energy(qn: QuantumNumbers | tuple, params: PhysParams) -> float:
     """
     lam = params.require_curvature()
     N, mq = qn
-    n = 2 * N + abs(mq) + 1
+    n = 2 * radial_quantum_number(N) + abs(mq) + 1
     return params.hbar * params.omega_prime * n + lam * params.hbar**2 / (2 * params.mass) * n**2
 
 

@@ -9,6 +9,10 @@ class PoleInSeriesError(CurvoscError):
     """A Pochhammer factor (c)_k vanishes before the series terminates."""
 
 
+class QuantumNumberError(CurvoscError):
+    """A radial quantum number N is negative or not an integer."""
+
+
 class ParameterOverflowError(CurvoscError):
     """A physical parameter is too large for a formula to stay finite in
     floating point."""

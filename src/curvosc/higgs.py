@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeRadiusError, ParameterOverflowError, SingularPointError
-from .params import PhysParams, QuantumNumbers
-from .special_functions import gudermannian, hyp2f1_terminating, upsilon_of_r
+from .params import PhysParams
+from .special_functions import gudermannian, hyp2f1_terminating, radial_quantum_number, upsilon_of_r
 from .crs import QesSpec
 
 __all__ = [
@@ -79,7 +79,7 @@ def oscillator_potential(params: PhysParams, r):
     return 0.5 * params.mass * params.omega**2 * r * r
 
 
-def higgs_wavefunction(qn: QuantumNumbers | tuple, params: PhysParams, r):
+def higgs_wavefunction(qn: tuple, params: PhysParams, r):
     """Unnormalized radial oscillator eigenfunction
 
     psi = r^|m'| (1/(1+lam r^2))^(1+|m'|/2+m w'/(2 hbar lam))
@@ -100,11 +100,11 @@ def higgs_wavefunction(qn: QuantumNumbers | tuple, params: PhysParams, r):
             * hyp2f1_terminating(N, b_par, abs(mp) + 1, z))
 
 
-def higgs_energy(qn: QuantumNumbers | tuple, params: PhysParams) -> float:
+def higgs_energy(qn: tuple, params: PhysParams) -> float:
     """Radial oscillator spectrum; lam = 0 reduces to the flat 2D oscillator
     hbar omega (2N + |m'| + 1)."""
     N, mp = qn
-    n = 2 * N + abs(mp) + 1
+    n = 2 * radial_quantum_number(N) + abs(mp) + 1
     return params.hbar * params.omega_prime * n + params.lam * params.hbar**2 / (2 * params.mass) * n**2
 
 
@@ -222,7 +222,7 @@ def qes_example2_potential(mprime_q: float, params: PhysParams, r):
     return t1 + t2 + t3
 
 
-def qes_example2_groundstate(spec: QesSpec, params: PhysParams, r):
+def qes_example2_groundstate(mprime_q: float, params: PhysParams, r):
     """Unnormalized channel-m'_Q ground state of the sqrt(lam) x family:
 
     psi0 = (lam r^2)^(-1/4) (1+lam r^2)^(-1/2) [sech U]^(beta/lam)
@@ -235,6 +235,7 @@ def qes_example2_groundstate(spec: QesSpec, params: PhysParams, r):
     r = np.asarray(r, float)
     if np.any(r <= 0):
         raise SingularPointError(f"ground state needs r > 0, got {np.min(r)}")
+    spec = QesSpec.example2(mprime_q, params)
     u = upsilon_of_r(r, lam)
     return ((lam * r * r) ** -0.25 * (1 + lam * r * r) ** -0.5
             * np.cosh(u) ** (-spec.beta / lam)

@@ -1,4 +1,4 @@
-"""Shared physical parameters and quantum-number labels."""
+"""Shared physical parameters."""
 
 from __future__ import annotations
 
@@ -50,22 +50,3 @@ class PhysParams:
         """
         lam = self.require_curvature()
         return math.hypot(1.0, 2 * self.mass * self.omega / (lam * self.hbar))
-
-
-@dataclass(frozen=True)
-class QuantumNumbers:
-    """Radial excitation number N >= 0 and angular number m'.
-
-    Unpacks as the pair (N, m'), so every formula that takes quantum
-    numbers accepts either this class or a plain (N, m') tuple.
-    """
-
-    N: int
-    mprime: int = 0
-
-    def __post_init__(self):
-        if self.N < 0:
-            raise ValueError(f"N must be nonnegative, got {self.N}")
-
-    def __iter__(self):
-        return iter((self.N, self.mprime))

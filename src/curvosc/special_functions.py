@@ -1,10 +1,10 @@
 """Special functions and the two intrinsic angles Theta(x) and Upsilon(r).
 
 Everything here is pure.  Apart from the terminating series, whose first
-parameter is a scalar, each function takes a float or an ndarray of points
-(numpy ufuncs throughout): a float gives a scalar, an array an array of
-the same shape.  A domain error is raised if any requested point is out
-of range.
+parameter is a scalar, and the check of that parameter, each function
+takes a float or an ndarray of points (numpy ufuncs throughout): a float
+gives a scalar, an array an array of the same shape.  A domain error is
+raised if any requested point is out of range.
 """
 
 from __future__ import annotations
@@ -13,7 +13,21 @@ import math
 
 import numpy as np
 
-from .errors import NegativeRadiusError, NonpositiveCurvatureError, PoleInSeriesError
+from .errors import (
+    NegativeRadiusError,
+    NonpositiveCurvatureError,
+    PoleInSeriesError,
+    QuantumNumberError,
+)
+
+
+def radial_quantum_number(N) -> int:
+    """N as an int, after checking that it is a nonnegative integer (an
+    integral float counts).  The spectra and the terminating series, and so
+    both wavefunctions, take their N through this one check."""
+    if not (N >= 0 and float(N).is_integer()):
+        raise QuantumNumberError(f"N must be a nonnegative integer, got {N}")
+    return int(N)
 
 
 def hyp2f1_terminating(N: int, b: float, c: float, z):
@@ -25,9 +39,7 @@ def hyp2f1_terminating(N: int, b: float, c: float, z):
     series terminates there are no convergence concerns for any finite z,
     including |z| >= 1.
     """
-    if N < 0 or N != int(N):
-        raise ValueError(f"first parameter must be a nonnegative integer, got {N}")
-    N = int(N)
+    N = radial_quantum_number(N)
     if c <= 0 and c == int(c) and -int(c) <= N - 1:
         # (c)_k hits zero at k = -c+1 <= N, before the series terminates
         raise PoleInSeriesError(f"(c)_k vanishes for c={c} before termination at N={N}")

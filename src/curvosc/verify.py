@@ -264,10 +264,9 @@ def _qes_measurements():
             l, mq, params, r, Example1SineFactor.HALF_ANGLE))
     m["ex1_half_angle_constancy"] = c1h
 
-    spec2 = QesSpec.example2(mq, params)
     prob2 = problems.qes_rayleigh_problem(2, mq, params)
     E2, c2 = rayleigh_quotient(
-        prob2, lambda r: higgs.qes_example2_groundstate(spec2, params, r))
+        prob2, lambda r: higgs.qes_example2_groundstate(mq, params, r))
     m["ex2_E0"], m["ex2_constancy"] = E2, c2
 
     num1 = lowest_eigenvalues(problems.qes_channel_problem(1, mq, mq, params, 8001, l=l), 1)
@@ -278,15 +277,11 @@ def _qes_measurements():
     # neighbor channels: ground state must not be proportional to any
     # closed-form candidate
     def candidates(example, channel):
-        cands = []
-        for mc in {channel, mq}:
-            if example == 1:
-                cands.append(lambda r, mc=mc: higgs.qes_example1_groundstate(
-                    l, mc, params, r))
-            else:
-                cands.append(lambda r, mc=mc: higgs.qes_example2_groundstate(
-                    QesSpec.example2(mc, params), params, r))
-        return cands
+        if example == 1:
+            return [lambda r, mc=mc: higgs.qes_example1_groundstate(l, mc, params, r)
+                    for mc in {channel, mq}]
+        return [lambda r, mc=mc: higgs.qes_example2_groundstate(mc, params, r)
+                for mc in {channel, mq}]
 
     for example in (1, 2):
         for channel in (mq - 1, mq + 1):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from curvosc import crs, higgs, transform
-from curvosc.crs import QesSpec
 from curvosc.errors import (
     DegenerateDerivativeError,
     NegativeRadiusError,
@@ -20,7 +19,6 @@ from curvosc.special_functions import gudermannian, theta_of_x, upsilon_of_r
 UNIT = PhysParams()
 CTX = transform.MapContext(UNIT, 1.0)
 SPECIAL = crs.special_params(1.0, UNIT)
-SPEC2 = QesSpec.example2(1.0, UNIT)
 
 
 def cos2theta(x):
@@ -65,7 +63,7 @@ FORMULAS = {
         [1e-4, 0.05, 0.3, 1.0, 1.5, 1.73]),
     "qes_example2_potential": (lambda r: higgs.qes_example2_potential(1.0, UNIT, r),
                                [1e-4, 0.05, 0.3, 1.0, 10.0, 1e6]),
-    "qes_example2_groundstate": (lambda r: higgs.qes_example2_groundstate(SPEC2, UNIT, r),
+    "qes_example2_groundstate": (lambda r: higgs.qes_example2_groundstate(1.0, UNIT, r),
                                  [1e-4, 0.05, 0.3, 1.0, 10.0, 1e3]),
     "x_of_r": (lambda r: transform.x_of_r(CTX, r), [0.0, 1e-3, 0.3, 1.0, 10.0, 1e6]),
     "r_of_x": (lambda x: transform.r_of_x(CTX, x), [0.0, 1e-3, 0.3, 1.0, 2.0, 2.3]),

@@ -57,6 +57,41 @@ class TestValidation:
                               ["potential", "--model", "higgs", "--l", "2"])
         assert code == 1
 
+    @pytest.mark.parametrize("args,message", [
+        (["spectrum", "--model", "higgs", "--mprime-q", "1"],
+         "--mprime-q does not apply to spectrum --model higgs"),
+        (["potential", "--model", "higgs", "--mprime-q", "1"],
+         "--mprime-q does not apply to potential --model higgs"),
+        (["wavefunction", "--model", "higgs", "--mprime-q", "0"],
+         "--mprime-q does not apply to wavefunction --model higgs"),
+        (["spectrum", "--model", "crs", "--lambda", "0.1", "--mprime-q", "1"],
+         "--mprime-q does not apply to spectrum --model crs"),
+        (["wavefunction", "--model", "qes1", "--l", "3", "--mprime-q", "1", "--N", "1"],
+         "--N does not apply to wavefunction --model qes1"),
+        (["wavefunction", "--model", "qes1", "--l", "3", "--mprime-q", "1", "--mprime", "1"],
+         "--mprime does not apply to wavefunction --model qes1"),
+        (["wavefunction", "--model", "qes2", "--mprime-q", "1", "--N", "2"],
+         "--N does not apply to wavefunction --model qes2"),
+        (["wavefunction", "--model", "qes2", "--mprime-q", "1", "--mprime", "-1"],
+         "--mprime does not apply to wavefunction --model qes2"),
+        (["wavefunction", "--model", "crs", "--mprime-q", "0", "--mprime", "1"],
+         "--mprime does not apply to wavefunction --model crs"),
+    ], ids=["spectrum-higgs", "potential-higgs", "wavefunction-higgs", "spectrum-crs",
+            "qes1-N", "qes1-mprime", "qes2-N", "qes2-mprime", "crs-mprime"])
+    def test_flag_the_model_ignores_is_one_error_line(self, args, message, tmp_path, capsys):
+        # these flags were read by no formula, and the table printed as if
+        # they were absent
+        code, text = run_to_file(tmp_path, "x.json", args)
+        assert code == 1 and text == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_explicit_default_n_and_mprime_are_accepted(self, tmp_path):
+        # a zero --N or --mprime cannot be told apart from the default
+        code, text = run_to_file(tmp_path, "x.json", [
+            "wavefunction", "--model", "qes2", "--mprime-q", "1", "--N", "0", "--mprime", "0",
+            "--grid-n", "3"])
+        assert code == 0 and len(json.loads(text)["rows"]) == 3
+
     def test_crs_needs_channel(self, tmp_path, capsys):
         code, _ = run_to_file(tmp_path, "x.json", ["potential", "--model", "crs"])
         assert code == 1

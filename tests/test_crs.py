@@ -45,7 +45,7 @@ class TestSpecialParams:
         for lam in (0.1, 1.0, 7.0):
             p = PhysParams(lam=lam, omega=1.3)
             a = crs.special_params(1.5, p)
-            b = QesSpec.special(1.5, p)
+            b = QesSpec.build(A=-4 * lam, B=0.0, C1=1.0, C2=0.0, mprime_q=1.5, params=p)
             assert a.beta == pytest.approx(b.beta, rel=1e-14)
             assert a.gamma == pytest.approx(b.gamma, rel=1e-14)
             assert a.c_shift == pytest.approx(b.c_shift, rel=1e-14)
@@ -84,15 +84,6 @@ class TestXGeneral:
         spec = QesSpec.build(A=1.0, B=0.0, C1=0.0, C2=1.0, mprime_q=0.0, params=UNIT)
         with pytest.raises(ComplexResultError):
             crs.x_general(spec, UNIT, 1.0)
-
-    def test_complex_escape_hatch_gives_sqrt_lam_x(self):
-        # A = lam, C1 = 0, C2 = -i: X = sinh(Theta) = sqrt(lam) x
-        for lam in (0.5, 1.0, 2.0):
-            p = PhysParams(lam=lam)
-            for x in (0.2, 1.0, 3.0):
-                val = crs.x_general_complex(lam, 0.0, 0.0, -1j, p, x)
-                assert val.imag == pytest.approx(0.0, abs=1e-14)
-                assert val.real == pytest.approx(math.sqrt(lam) * x, rel=1e-14)
 
 
 class TestConstraint:

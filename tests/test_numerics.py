@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from curvosc import crs, higgs, numerics
-from curvosc.crs import QesSpec
 from curvosc.errors import NodeDetectedError, NonpositiveWeightError, UnresolvedError
 from curvosc.numerics import (
     EndpointRule,
@@ -612,27 +611,35 @@ def polish_with(**starts):
     return lambda system, d, e: _polished(d, e, **starts)
 
 
+SEEDED_CASES = {
+    "polar-k50": (higgs_oscillator_problem(0, UNIT, 4000), 50),
+    "crs-k3": (crs_natural_problem(1, UNIT, 4000), 3),
+}
+
+
+@pytest.fixture(scope="module")
+def seeded_references():
+    """The relative-accuracy bisection of each seeded case on its coarse and
+    its fine grid, built once for every test that reads them."""
+    return {case: (relative_bisection(prob, k), relative_bisection(prob.refined(), k))
+            for case, (prob, k) in SEEDED_CASES.items()}
+
+
 class TestSeededEigenvalues:
     # Richardson pairs: each grid is polished from seeds (the coarse grid
     # from a loose bisection on its guess grid, the fine grid from the
     # coarse vectors), and falls back to the bisection where the seeds
     # cannot be certified
-    CASES = {
-        "polar-k50": (higgs_oscillator_problem(0, UNIT, 4000), 50),
-        "crs-k3": (crs_natural_problem(1, UNIT, 4000), 3),
-    }
-
-    @pytest.mark.parametrize("case", CASES)
-    def test_matches_relative_accuracy_bisection(self, case):
-        prob, k = self.CASES[case]
+    @pytest.mark.parametrize("case", SEEDED_CASES)
+    def test_matches_relative_accuracy_bisection(self, case, seeded_references):
+        prob, k = SEEDED_CASES[case]
         assert all(vals is not None for vals in polished_pair(prob, k))
         _, coarse, fine = richardson_eigenvalues(prob, k)
-        for vals, grid in ((coarse, prob), (fine, prob.refined())):
-            ref = relative_bisection(grid, k)
+        for vals, ref in zip((coarse, fine), seeded_references[case]):
             assert np.max(np.abs(vals - ref) / ref) <= 1e-9
 
     def test_bad_guesses_fall_back_to_bisection(self):
-        prob, k = self.CASES["crs-k3"]
+        prob, k = SEEDED_CASES["crs-k3"]
         fine = prob.refined()
         four = lowest_eigenvalues(prob, k + 1)
         other = lowest_eigenvalues(
@@ -646,30 +653,36 @@ class TestSeededEigenvalues:
             assert np.array_equal(lowest_eigenvalues(fine, k, _polish=polish_with(shifts=near)),
                                   plain)
 
-    def test_bad_start_vectors_certified_or_bisection(self):
+    def test_bad_start_vectors_certified_or_bisection(self, seeded_references):
         # carried vectors out of order, one repeated in place of the next,
         # or carried from another problem on the same grid: the values
         # stand only where the certificate holds
-        prob, k = self.CASES["polar-k50"]
+        prob, k = SEEDED_CASES["polar-k50"]
         other = higgs_oscillator_problem(1, PhysParams(lam=0.3, omega=2.0), 4000)
         fine = prob.refined()
-        fine_sys, ref = assemble(fine), relative_bisection(fine, k)
+        fine_sys, ref = assemble(fine), seeded_references["polar-k50"][1]
         fd, fe = fine_sys.standard_form()
         plain = _bisection(fd, fe, k, eigvals_only=True)
-        for source, order in ((prob, np.roll(np.arange(k), 1)), (prob, np.arange(k)[::-1]),
-                              (prob, np.r_[0, 0, 2:k]), (other, np.arange(k))):
+
+        def carried(source):
+            """The k lowest coarse vectors of source, carried to the fine grid."""
             coarse_sys = assemble(source)
-            d, e = coarse_sys.standard_form()
-            _, u = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+            _, u = eigh_tridiagonal(*coarse_sys.standard_form(), select="i",
+                                    select_range=(0, k - 1))
             prolong = _prolongation(coarse_sys, fine_sys, prob.bc)
-            starts = [prolong(u[:, j]) for j in order]
+            return [prolong(u[:, j]) for j in range(k)]
+
+        own, foreign = carried(prob), carried(other)
+        for vectors, order in ((own, np.roll(np.arange(k), 1)), (own, np.arange(k)[::-1]),
+                               (own, np.r_[0, 0, 2:k]), (foreign, np.arange(k))):
+            starts = [vectors[j] for j in order]
             certified = _polished(fd, fe, starts=starts)
             vals = lowest_eigenvalues(fine, k, _polish=polish_with(starts=starts))
             if certified is None:
                 assert np.array_equal(vals, plain)
             else:
                 assert np.max(np.abs(vals - ref) / ref) <= 1e-9
-            if source is prob:
+            if vectors is own:
                 assert certified is None
 
     @pytest.mark.parametrize("build,lam,k", [
@@ -709,7 +722,7 @@ class TestSeededEigenvalues:
         # loose guesses that skip a mode fail the coarse certificate; the
         # coarse grid falls back to the bisection and the fine grid starts
         # from its values
-        prob, k = self.CASES["crs-k3"]
+        prob, k = SEEDED_CASES["crs-k3"]
         bisection = numerics._bisection
 
         def skipping(d, e, k, tol=0.0, **options):
@@ -726,7 +739,7 @@ class TestSeededEigenvalues:
         assert np.array_equal(fine, _polished(fd, fe, shifts=coarse))
 
     def test_repeats_bit_for_bit(self):
-        prob, k = self.CASES["polar-k50"]
+        prob, k = SEEDED_CASES["polar-k50"]
         first = richardson_eigenvalues(prob, k)
         for a, b in zip(first, richardson_eigenvalues(prob, k)):
             assert np.array_equal(a, b)
@@ -974,8 +987,7 @@ class TestRayleighGridStencils:
         if example == 1:
             psi = lambda r: higgs.qes_example1_groundstate(l, mq, params, r)
         else:
-            spec = QesSpec.example2(mq, params)
-            psi = lambda r: higgs.qes_example2_groundstate(spec, params, r)
+            psi = lambda r: higgs.qes_example2_groundstate(mq, params, r)
         prob = qes_rayleigh_problem(example, mq, params, l=l)
         E, constancy = rayleigh_quotient(prob, psi)
         assert E == pytest.approx(five_evaluation_rayleigh(prob, psi), rel=1e-10)

@@ -189,9 +189,8 @@ class TestExample2Potential:
 
 class TestExample2GroundState:
     def test_positive(self):
-        spec = QesSpec.example2(1.0, UNIT)
         for r in np.logspace(-3, 2, 40):
-            assert higgs.qes_example2_groundstate(spec, UNIT, float(r)) > 0
+            assert higgs.qes_example2_groundstate(1.0, UNIT, float(r)) > 0
 
     def test_gudermannian_factor_drops_when_gamma_zero(self):
         # gamma = 0 needs delta = 2 m': with lam = 1, omega = sqrt(3)/2,
@@ -203,7 +202,7 @@ class TestExample2GroundState:
             u = math.atan(r)
             expected = ((r * r) ** -0.25 * (1 + r * r) ** -0.5
                         * math.cosh(u) ** -spec.beta)
-            assert higgs.qes_example2_groundstate(spec, params, r) == \
+            assert higgs.qes_example2_groundstate(1.0, params, r) == \
                 pytest.approx(expected, rel=1e-14)
 
     def test_uses_gudermannian(self):
@@ -213,17 +212,16 @@ class TestExample2GroundState:
         expected = ((r * r) ** -0.25 * (1 + r * r) ** -0.5
                     * math.cosh(u) ** -spec.beta
                     * math.exp(-spec.gamma * gudermannian(u)))
-        assert higgs.qes_example2_groundstate(spec, UNIT, r) == \
+        assert higgs.qes_example2_groundstate(1.0, UNIT, r) == \
             pytest.approx(expected, rel=1e-14)
 
     def test_rayleigh_constancy(self):
         mq = 1
-        spec = QesSpec.example2(mq, UNIT)
         grid = Grid1D(0.1, 25.0, 1500)
         V = lambda r: np.vectorize(
             lambda t: higgs.qes_example2_potential(mq, UNIT, float(t)))(r)
         prob = higgs_radial_problem(mq, UNIT, V, grid, (EndpointRule.dirichlet(),) * 2)
         E0, constancy = rayleigh_quotient(
-            prob, lambda r: higgs.qes_example2_groundstate(spec, UNIT, r))
+            prob, lambda r: higgs.qes_example2_groundstate(mq, UNIT, r))
         assert constancy < 1e-6
         assert E0 == pytest.approx(higgs.higgs_energy((0, mq), UNIT), rel=1e-5)

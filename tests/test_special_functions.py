@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from curvosc.errors import NegativeRadiusError, NonpositiveCurvatureError, PoleInSeriesError
+from curvosc import crs, higgs
+from curvosc.errors import (
+    NegativeRadiusError,
+    NonpositiveCurvatureError,
+    PoleInSeriesError,
+    QuantumNumberError,
+)
+from curvosc.params import PhysParams
 from curvosc.special_functions import (
     gudermannian,
     hyp2f1_terminating,
@@ -42,8 +49,32 @@ class TestHyp2F1:
         assert math.isfinite(hyp2f1_terminating(3, 1.0, -3.0, 0.5))
 
     def test_rejects_negative_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(QuantumNumberError):
             hyp2f1_terminating(-1, 1.0, 1.0, 0.5)
+
+
+# every formula that takes a radial quantum number N, called at (N, m' = 1)
+TAKES_N = {
+    "higgs_energy": lambda N: higgs.higgs_energy((N, 1), PhysParams()),
+    "crs_energy": lambda N: crs.crs_energy((N, 1), PhysParams()),
+    "higgs_wavefunction": lambda N: higgs.higgs_wavefunction((N, 1), PhysParams(), 0.5),
+    "crs_wavefunction_special": lambda N: crs.crs_wavefunction_special(
+        (N, 1), PhysParams(), 0.5),
+}
+
+
+class TestRadialQuantumNumber:
+    @pytest.mark.parametrize("N", [-1, 1.5, -0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("name", TAKES_N)
+    def test_bad_n_is_a_typed_error(self, name, N):
+        # the energies returned numbers here (-0.618 at N = -1, 12.47 at
+        # N = 1.5) and the wavefunctions raised a plain ValueError
+        with pytest.raises(QuantumNumberError, match="N must be a nonnegative integer"):
+            TAKES_N[name](N)
+
+    @pytest.mark.parametrize("name", TAKES_N)
+    def test_integral_n_of_any_type_is_the_int(self, name):
+        assert TAKES_N[name](2.0) == TAKES_N[name](np.int64(2)) == TAKES_N[name](2)
 
 
 class TestGudermannian:
