@@ -93,6 +93,8 @@ def _validate(args) -> PhysParams:
     # a flag the model does not read is refused, not ignored
     if args.mprime_q is not None and (model == "higgs" or (model, command) == ("crs", "spectrum")):
         raise ValueError(f"--mprime-q does not apply to {command} --model {model}")
+    if model in ("qes1", "qes2") and getattr(args, "mprime_max", None) is not None:
+        raise ValueError(f"--mprime-max does not apply to {command} --model {model}")
     if command == "wavefunction":
         reads = {"higgs": ("N", "mprime"), "crs": ("N",)}.get(model, ())
         for flag in ("N", "mprime"):
@@ -108,8 +110,8 @@ def _validate(args) -> PhysParams:
                          f"got {args.mprime_q}")
     for flag, dest, least in (("--n-max", "n_max", 0), ("--mprime-max", "mprime_max", 0),
                               ("--N", "N", 0), ("--grid-n", "grid_n", 1)):
-        value = getattr(args, dest, least)
-        if value < least:
+        value = getattr(args, dest, None)
+        if value is not None and value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
     params.require_curvature()
     for flag, dest in (("--mass", "mass"), ("--hbar", "hbar"), ("--omega", "omega"),
@@ -127,24 +129,19 @@ def run_spectrum(args, params: PhysParams):
     if args.model in ("higgs", "crs"):
         solve, energy = {"higgs": (problems.higgs_spectrum_numeric, higgs.higgs_energy),
                          "crs": (problems.crs_spectrum_numeric, crs.crs_energy)}[args.model]
-        for mp in range(args.mprime_max + 1):
+        for mp in range((2 if args.mprime_max is None else args.mprime_max) + 1):
             numeric = solve(mp, params, levels)
             analytic = [energy((N, mp), params) for N in range(levels)]
             for N, (ea, en) in enumerate(zip(analytic, numeric)):
                 rows.append([N, mp, float(ea), float(en), abs(en - ea) / abs(ea)])
     else:
-        example = 1 if args.model == "qes1" else 2
         mq = args.mprime_q
-        prob = problems.qes_channel_problem(example, mq, mq, params, 8001, l=args.l)
+        prob = problems.qes_channel_problem(mq, mq, params, 8001, l=args.l)
         numeric = lowest_eigenvalues(prob, levels)
         # only the channel ground state has a closed form; its energy is
         # defined by the Rayleigh quotient of the printed state
-        if example == 1:
-            psi = lambda r: higgs.qes_example1_groundstate(args.l, mq, params, r)
-        else:
-            psi = lambda r: higgs.qes_example2_groundstate(mq, params, r)
-        E0, _ = rayleigh_quotient(
-            problems.qes_rayleigh_problem(example, mq, params, l=args.l), psi)
+        E0, _ = rayleigh_quotient(problems.qes_rayleigh_problem(mq, params, l=args.l),
+                                  lambda r: higgs.qes_groundstate(mq, params, r, args.l))
         for N, en in enumerate(numeric):
             ea = E0 if N == 0 else None
             rel = abs(en - ea) / abs(ea) if ea is not None else None
@@ -158,10 +155,8 @@ def run_potential(args, params: PhysParams):
         v = higgs.oscillator_potential(params, xs)
     elif args.model == "crs":
         v = crs.crs_potential_special(xs, args.mprime_q, params)
-    elif args.model == "qes1":
-        v = higgs.qes_example1_potential(args.l, args.mprime_q, params, xs)
     else:
-        v = higgs.qes_example2_potential(args.mprime_q, params, xs)
+        v = higgs.qes_potential(args.mprime_q, params, xs, args.l)
     return ["coordinate", "V"], np.column_stack((xs, v)).tolist()
 
 
@@ -171,10 +166,8 @@ def run_wavefunction(args, params: PhysParams):
         v = higgs.higgs_wavefunction((args.N, args.mprime), params, xs)
     elif args.model == "crs":
         v = crs.crs_wavefunction_special((args.N, args.mprime_q), params, xs)
-    elif args.model == "qes1":
-        v = higgs.qes_example1_groundstate(args.l, args.mprime_q, params, xs)
     else:
-        v = higgs.qes_example2_groundstate(args.mprime_q, params, xs)
+        v = higgs.qes_groundstate(args.mprime_q, params, xs, args.l)
     return (["coordinate", "value_real", "value_imag"],
             np.column_stack((xs, np.real(v), np.imag(v))).tolist())
 
@@ -223,7 +216,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="analytic vs numerical eigenvalues")
     physics(p)
     p.add_argument("--n-max", type=int, default=2)
-    p.add_argument("--mprime-max", type=int, default=2)
+    # None means 2; the QES spectra solve one channel and refuse the flag
+    p.add_argument("--mprime-max", type=int, default=None)
 
     p = sub.add_parser("potential", help="potential table")
     physics(p)

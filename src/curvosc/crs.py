@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (
     ComplexResultError,
     DegenerateDerivativeError,
+    NonpositiveParameterError,
     SingularPointError,
     ZeroAError,
 )
@@ -94,7 +95,7 @@ class QesSpec:
         """The X = cos(l Theta) family: A = -lam l^2, B = 0, C1 = 1, C2 = 0."""
         lam = params.require_curvature()
         if not (l > 0):
-            raise ValueError(f"l must be positive, got {l}")
+            raise NonpositiveParameterError(f"l must be positive, got {l}")
         return cls.build(A=-lam * l**2, B=0.0, C1=1.0, C2=0.0,
                          mprime_q=mprime_q, params=params)
 

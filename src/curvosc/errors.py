@@ -22,6 +22,16 @@ class NonpositiveCurvatureError(CurvoscError):
     """An operation that needs lambda > 0 was called with lambda <= 0."""
 
 
+class NonpositiveParameterError(CurvoscError):
+    """A parameter that must be positive (mass, hbar, omega or the family
+    index l) is zero, negative or nan."""
+
+
+class InfiniteBranchError(CurvoscError):
+    """The cos(l Theta) potential has no finite sec pole (l <= 2), so a
+    channel solve has no right end."""
+
+
 class NegativeRadiusError(CurvoscError):
     """A radial coordinate was negative."""
 

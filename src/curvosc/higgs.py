@@ -43,6 +43,8 @@ __all__ = [
     "qes_example1_groundstate",
     "qes_example2_potential",
     "qes_example2_groundstate",
+    "qes_potential",
+    "qes_groundstate",
     "example1_branch_radius",
 ]
 
@@ -240,3 +242,20 @@ def qes_example2_groundstate(mprime_q: float, params: PhysParams, r):
     return ((lam * r * r) ** -0.25 * (1 + lam * r * r) ** -0.5
             * np.cosh(u) ** (-spec.beta / lam)
             * np.exp(-(spec.gamma / lam) * gudermannian(u)))
+
+
+def qes_potential(mprime_q: float, params: PhysParams, r, l: float | None = None):
+    """Transplanted potential of the cos(l Theta) family for a number l, of
+    the sqrt(lam) x family for l = None."""
+    if l is None:
+        return qes_example2_potential(mprime_q, params, r)
+    return qes_example1_potential(l, mprime_q, params, r)
+
+
+def qes_groundstate(mprime_q: float, params: PhysParams, r, l: float | None = None):
+    """Unnormalized channel-m'_Q ground state of the cos(l Theta) family
+    (full-angle sine factor) for a number l, of the sqrt(lam) x family for
+    l = None."""
+    if l is None:
+        return qes_example2_groundstate(mprime_q, params, r)
+    return qes_example1_groundstate(l, mprime_q, params, r)

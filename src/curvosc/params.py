@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonpositiveCurvatureError
+from .errors import NonpositiveCurvatureError, NonpositiveParameterError
 
 
 @dataclass(frozen=True)
@@ -24,11 +24,11 @@ class PhysParams:
 
     def __post_init__(self):
         if not (self.mass > 0):
-            raise ValueError(f"mass must be positive, got {self.mass}")
+            raise NonpositiveParameterError(f"mass must be positive, got {self.mass}")
         if not (self.hbar > 0):
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+            raise NonpositiveParameterError(f"hbar must be positive, got {self.hbar}")
         if not (self.omega > 0):
-            raise ValueError(f"omega must be positive, got {self.omega}")
+            raise NonpositiveParameterError(f"omega must be positive, got {self.omega}")
 
     def require_curvature(self) -> float:
         """Return lam, rejecting lam <= 0."""

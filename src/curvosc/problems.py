@@ -41,14 +41,13 @@ from typing import Callable
 import numpy as np
 
 from .crs import QesSpec, crs_operator_coefficients, crs_potential_special, x_pole
-from .errors import ParameterOverflowError
+from .errors import InfiniteBranchError, ParameterOverflowError
 from .higgs import (
     RadialChannel,
     example1_branch_radius,
     higgs_radial_coefficients,
     oscillator_potential,
-    qes_example1_potential,
-    qes_example2_potential,
+    qes_potential,
 )
 from .numerics import EndpointRule, Grid1D, SturmLiouvilleProblem, lowest_eigenpairs, \
     richardson_eigenvalues
@@ -65,8 +64,7 @@ __all__ = [
     "crs_spectrum_numeric_wide",
     "qes_channel_problem",
     "qes_rayleigh_problem",
-    "example1_indicial_exponent",
-    "example2_indicial_exponent",
+    "qes_indicial_exponent",
 ]
 
 _CRS_WALL = 1e-4    # distance of the natural-branch wall from the tan pole x* at lam <= 1
@@ -180,75 +178,52 @@ def crs_spectrum_numeric_wide(mprime_q: float, params: PhysParams, k: int):
     return res.eigenvalues[in_well].tolist(), res.eigenvalues[~in_well].tolist()
 
 
-def example1_indicial_exponent(l: float, mprime_q: float, mprime: float) -> complex:
-    """Origin indicial exponent of the cos(l Theta) radial channel mprime:
+def qes_indicial_exponent(mprime_q: float, mprime: float,
+                          l: float | None = None) -> complex:
+    """Origin indicial exponent of the radial channel mprime of a
+    transplanted potential (cos(l Theta) for a number l, sqrt(lam) x for
+    l = None):
 
-    s^2 = 1/4 + m'^2 - m'_Q^2 - 2 (l^2 - 4 m'_Q - 2)(2 m'_Q + 1)/l^4.
+    s^2 = 1/4 + m'^2 - m'_Q^2 [- 2 (l^2 - 4 m'_Q - 2)(2 m'_Q + 1)/l^4 for l].
 
     Complex result means the channel falls to the center (supercritically
     attractive origin); that is exactly the regime where no closed-form
     state exists.
     """
-    s2 = 0.25 + mprime**2 - mprime_q**2 \
-        - 2 * (l * l - 4 * mprime_q - 2) * (2 * mprime_q + 1) / l**4
+    s2 = 0.25 + mprime**2 - mprime_q**2
+    if l is not None:
+        s2 -= 2 * (l * l - 4 * mprime_q - 2) * (2 * mprime_q + 1) / l**4
     return complex(s2) ** 0.5
 
 
-def example2_indicial_exponent(mprime_q: float, mprime: float) -> complex:
-    """Origin indicial exponent of the sqrt(lam) x radial channel mprime:
-    s^2 = 1/4 + m'^2 - m'_Q^2."""
-    return complex(0.25 + mprime**2 - mprime_q**2) ** 0.5
-
-
-def _qes_potential(example: int, mprime_q: float, params: PhysParams,
-                   l: float | None) -> Callable:
-    """V(r) of the transplanted family `example` (1: cos(l Theta), needs l;
-    2: sqrt(lam) x)."""
-    if example == 1:
-        if l is None:
-            raise ValueError("example 1 needs l")
-        return lambda r: qes_example1_potential(l, mprime_q, params, r)
-    if example == 2:
-        return lambda r: qes_example2_potential(mprime_q, params, r)
-    raise ValueError(f"unknown example {example}")
-
-
-def qes_channel_problem(example: int, mprime: float, mprime_q: float,
-                        params: PhysParams, n: int,
+def qes_channel_problem(mprime: float, mprime_q: float, params: PhysParams, n: int,
                         l: float | None = None) -> SturmLiouvilleProblem:
-    """Radial problem of one angular channel of a transplanted potential.
+    """Radial problem of one angular channel of a transplanted potential,
+    cos(l Theta) for a number l and sqrt(lam) x for l = None.
 
-    example = 1 needs l; the domain ends just inside the first sec pole.
-    example = 2 runs to b = 60 with the x^(-3/2) equator closure.  Channels
-    whose origin exponent is complex (fall to the center) get a plain
-    Dirichlet wall at a small cutoff instead of a profile closure; their
-    ground state is cutoff-dominated, which is the expected signature of a
-    channel with no closed-form solution.
+    The cos(l Theta) domain ends just inside the first sec pole; the
+    sqrt(lam) x domain runs to b = 60 with the x^(-3/2) equator closure.
+    Channels whose origin exponent is complex (fall to the center) get a
+    plain Dirichlet wall at a small cutoff instead of a profile closure;
+    their ground state is cutoff-dominated, which is the expected signature
+    of a channel with no closed-form solution.
     """
     lam = params.require_curvature()
-    V = _qes_potential(example, mprime_q, params, l)
-    if example == 1:
+    if l is None:
+        spec = QesSpec.example2(mprime_q, params)
+        b = 60.0
+        right = EndpointRule.decay(1.5)
+    else:
         spec = QesSpec.example1(l, mprime_q, params)
         rb = example1_branch_radius(l, params)
         if not math.isfinite(rb):
-            raise ValueError("channel solver expects l > 2 (finite branch)")
-        s = example1_indicial_exponent(l, mprime_q, mprime)
-        sig_wall = (spec.beta - spec.gamma) / (lam * l * l)
-        right = EndpointRule.power(sig_wall, rb)
-        if s.imag != 0:
-            grid = Grid1D(1e-3, rb - 1e-6, n)
-            left = EndpointRule.dirichlet()
-        else:
-            grid = Grid1D(0.0, rb - 1e-6, n)
-            left = EndpointRule.power(s.real, 0.0)
-        return higgs_radial_problem(mprime, params, V, grid, (left, right))
-    spec = QesSpec.example2(mprime_q, params)
-    s = example2_indicial_exponent(mprime_q, mprime)
-    right = EndpointRule.decay(1.5)
+            raise InfiniteBranchError("channel solver expects l > 2 (finite branch)")
+        b = rb - 1e-6
+        right = EndpointRule.power((spec.beta - spec.gamma) / (lam * l * l), rb)
+    s = qes_indicial_exponent(mprime_q, mprime, l)
     if s.imag != 0:
-        grid = Grid1D(1e-3, 60.0, n)
-        left = EndpointRule.dirichlet()
-    elif mprime == mprime_q:
+        a, left = 1e-3, EndpointRule.dirichlet()
+    elif l is None and mprime == mprime_q:
         # resonant pair {-1/2, +1/2}: the admixture ratio is genuine
         # boundary data; take it from the local expansion of the
         # closed-form family and pin it with the ratio tie
@@ -256,22 +231,20 @@ def qes_channel_problem(example: int, mprime: float, mprime_q: float,
         f2 = spec.gamma * spec.gamma / (2 * lam) - (lam + spec.beta) / 2
         if not math.isfinite(f2):
             raise ParameterOverflowError(f"lam = {lam:g} overflows the origin series")
-        grid = Grid1D(0.0, 60.0, n)
-        left = EndpointRule.power(-0.5, 0.0, series=(f1, f2), tie=True)
+        a, left = 0.0, EndpointRule.power(-0.5, 0.0, series=(f1, f2), tie=True)
     else:
-        grid = Grid1D(0.0, 60.0, n)
-        left = EndpointRule.power(s.real, 0.0)
-    return higgs_radial_problem(mprime, params, V, grid, (left, right))
+        a, left = 0.0, EndpointRule.power(s.real, 0.0)
+    return higgs_radial_problem(mprime, params, lambda r: qes_potential(mprime_q, params, r, l),
+                                Grid1D(a, b, n), (left, right))
 
 
-def qes_rayleigh_problem(example: int, mprime_q: float, params: PhysParams,
+def qes_rayleigh_problem(mprime_q: float, params: PhysParams,
                          l: float | None = None) -> SturmLiouvilleProblem:
     """Channel m' = m'_Q of a transplanted potential between Dirichlet walls
-    clear of both endpoint singularities, [0.1, 0.9 r_b] for example 1 (r_b
-    the first sec pole) and [0.1, 25] for example 2, on 2000 points: the
-    problem on which the Rayleigh quotient of the closed-form ground state
-    is taken."""
-    V = _qes_potential(example, mprime_q, params, l)
-    b = 0.9 * example1_branch_radius(l, params) if example == 1 else 25.0
-    return higgs_radial_problem(mprime_q, params, V, Grid1D(0.1, b, 2000),
-                                (EndpointRule.dirichlet(),) * 2)
+    clear of both endpoint singularities, [0.1, 0.9 r_b] for cos(l Theta)
+    (r_b the first sec pole) and [0.1, 25] for sqrt(lam) x, on 2000 points:
+    the problem on which the Rayleigh quotient of the closed-form ground
+    state is taken."""
+    b = 25.0 if l is None else 0.9 * example1_branch_radius(l, params)
+    return higgs_radial_problem(mprime_q, params, lambda r: qes_potential(mprime_q, params, r, l),
+                                Grid1D(0.1, b, 2000), (EndpointRule.dirichlet(),) * 2)

@@ -252,51 +252,34 @@ def suite_constraint_ode() -> list[CheckResult]:
 def _qes_measurements():
     """Heavy shared computations of criterion 7, done once."""
     params = PhysParams(lam=1.0)
-    l, mq = 3.0, 1
+    mq = 1
     m = {}
+    for example, l in ((1, 3.0), (2, None)):
+        ex = f"ex{example}"
+        prob = problems.qes_rayleigh_problem(mq, params, l=l)
+        m[ex + "_E0"], m[ex + "_constancy"] = rayleigh_quotient(
+            prob, lambda r: higgs.qes_groundstate(mq, params, r, l))
+        if l is not None:
+            _, m["ex1_half_angle_constancy"] = rayleigh_quotient(
+                prob, lambda r: higgs.qes_example1_groundstate(
+                    l, mq, params, r, Example1SineFactor.HALF_ANGLE))
+        num = lowest_eigenvalues(problems.qes_channel_problem(mq, mq, params, 8001, l=l), 1)
+        m[ex + "_numeric_E0"] = float(num[0])
 
-    prob1 = problems.qes_rayleigh_problem(1, mq, params, l=l)
-    E1, c1 = rayleigh_quotient(
-        prob1, lambda r: higgs.qes_example1_groundstate(l, mq, params, r))
-    m["ex1_E0"], m["ex1_constancy"] = E1, c1
-    _, c1h = rayleigh_quotient(
-        prob1, lambda r: higgs.qes_example1_groundstate(
-            l, mq, params, r, Example1SineFactor.HALF_ANGLE))
-    m["ex1_half_angle_constancy"] = c1h
-
-    prob2 = problems.qes_rayleigh_problem(2, mq, params)
-    E2, c2 = rayleigh_quotient(
-        prob2, lambda r: higgs.qes_example2_groundstate(mq, params, r))
-    m["ex2_E0"], m["ex2_constancy"] = E2, c2
-
-    num1 = lowest_eigenvalues(problems.qes_channel_problem(1, mq, mq, params, 8001, l=l), 1)
-    m["ex1_numeric_E0"] = float(num1[0])
-    num2 = lowest_eigenvalues(problems.qes_channel_problem(2, mq, mq, params, 8001), 1)
-    m["ex2_numeric_E0"] = float(num2[0])
-
-    # neighbor channels: ground state must not be proportional to any
-    # closed-form candidate
-    def candidates(example, channel):
-        if example == 1:
-            return [lambda r, mc=mc: higgs.qes_example1_groundstate(l, mc, params, r)
-                    for mc in {channel, mq}]
-        return [lambda r, mc=mc: higgs.qes_example2_groundstate(mc, params, r)
-                for mc in {channel, mq}]
-
-    for example in (1, 2):
+        # neighbor channels: ground state must not be proportional to any
+        # closed-form candidate
         for channel in (mq - 1, mq + 1):
-            prob = problems.qes_channel_problem(example, channel, mq, params, 2000,
-                                                l=l if example == 1 else None)
+            prob = problems.qes_channel_problem(channel, mq, params, 2000, l=l)
             res = lowest_eigenpairs(prob, 1)
             x = prob.grid.points()
             v = res.eigenvectors[:, 0]
             i0, i1 = int(0.2 * x.size), int(0.8 * x.size)
             devs = []
-            for cand in candidates(example, channel):
-                ratio = v[i0:i1] / cand(x[i0:i1])
+            for mc in {channel, mq}:
+                ratio = v[i0:i1] / higgs.qes_groundstate(mc, params, x[i0:i1], l)
                 devs.append(float(np.max(np.abs(ratio - np.mean(ratio)))
                                   / abs(np.mean(ratio))))
-            m[f"ex{example}_ch{channel}_min_dev"] = min(devs)
+            m[f"{ex}_ch{channel}_min_dev"] = min(devs)
     return m
 
 

@@ -76,8 +76,13 @@ class TestValidation:
          "--mprime does not apply to wavefunction --model qes2"),
         (["wavefunction", "--model", "crs", "--mprime-q", "0", "--mprime", "1"],
          "--mprime does not apply to wavefunction --model crs"),
+        (["spectrum", "--model", "qes1", "--l", "3", "--mprime-q", "1", "--mprime-max", "0"],
+         "--mprime-max does not apply to spectrum --model qes1"),
+        (["spectrum", "--model", "qes2", "--mprime-q", "1", "--mprime-max", "2"],
+         "--mprime-max does not apply to spectrum --model qes2"),
     ], ids=["spectrum-higgs", "potential-higgs", "wavefunction-higgs", "spectrum-crs",
-            "qes1-N", "qes1-mprime", "qes2-N", "qes2-mprime", "crs-mprime"])
+            "qes1-N", "qes1-mprime", "qes2-N", "qes2-mprime", "crs-mprime",
+            "qes1-mprime-max", "qes2-mprime-max"])
     def test_flag_the_model_ignores_is_one_error_line(self, args, message, tmp_path, capsys):
         # these flags were read by no formula, and the table printed as if
         # they were absent

@@ -4,12 +4,30 @@ import numpy as np
 import pytest
 
 from curvosc import higgs
-from curvosc.errors import ParameterOverflowError, SingularPointError
+from curvosc.errors import (
+    CurvoscError,
+    NonpositiveParameterError,
+    ParameterOverflowError,
+    SingularPointError,
+)
 from curvosc.higgs import RadialChannel
 from curvosc.numerics import Grid1D, residual_norm
 from curvosc.params import PhysParams
 
 UNIT = PhysParams()
+
+
+class TestPhysParams:
+    @pytest.mark.parametrize("field,value", [
+        ("mass", 0.0), ("mass", -1.0), ("hbar", -1.0), ("hbar", math.nan),
+        ("omega", 0.0), ("omega", math.nan)])
+    def test_nonpositive_field_is_a_curvosc_error(self, field, value):
+        # the CLI prints the same line; a library caller catches it as one
+        # of the package's own errors
+        with pytest.raises(NonpositiveParameterError,
+                           match=f"^{field} must be positive, got {value}$") as exc:
+            PhysParams(**{field: value})
+        assert isinstance(exc.value, CurvoscError)
 
 
 class TestOscillatorPotential:

@@ -30,7 +30,7 @@ def wide_crs_problem():
 
 PROBLEMS = {
     "polar-k50": (lambda: higgs_oscillator_problem(0, UNIT, 8001), 50),
-    "qes2-tied": (lambda: qes_channel_problem(2, 1, 1, UNIT, 8001), 3),
+    "qes2-tied": (lambda: qes_channel_problem(1, 1, UNIT, 8001), 3),
     "crs-wide": (wide_crs_problem, 8),
 }
 
@@ -104,7 +104,7 @@ def test_forced_fallback_gives_identical_results(tmp_path, monkeypatch, capsys):
     module, source = _lapack._load()
     assert source == "scipy.linalg.lapack"
     d, e, k = standard_form("polar-k50")
-    prob = qes_channel_problem(2, 1, 1, UNIT, 8001)
+    prob = qes_channel_problem(1, 1, UNIT, 8001)
 
     def results():
         w, v = _lapack.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))

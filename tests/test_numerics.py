@@ -200,7 +200,7 @@ def flat_oscillator(n=2000, a=-10.0, b=10.0):
 # with a decay corner, and two corners that overlap on all 45 cells
 CORNER_LAYOUTS = [
     pytest.param(higgs_oscillator_problem(1, PhysParams(lam=0.003), 2000), id="polar"),
-    pytest.param(qes_channel_problem(2, 1, 1, UNIT, 1000), id="qes2-tie-decay"),
+    pytest.param(qes_channel_problem(1, 1, UNIT, 1000), id="qes2-tie-decay"),
     pytest.param(SturmLiouvilleProblem(
         ONE, lambda x: 1 / x**2 + 1 / (1 - x) ** 2, ONE, Grid1D(0.0, 1.0, 45),
         (EndpointRule.power(1.5, 0.0), EndpointRule.power(2.0, 1.0))),
@@ -304,7 +304,7 @@ class TestCornerQuadrature:
                     Grid1D(1e-4, 10.0, 16000),
                     (EndpointRule.power(1.5, 0.0), EndpointRule.dirichlet())),
         # tie-reduced resonant channel with series and a decay closure
-        qes_channel_problem(2, 1, 1, UNIT, 4000),
+        qes_channel_problem(1, 1, UNIT, 4000),
     ], ids=["polar-equator", "crs-tan-pole", "crs-wide", "qes2-tie"])
     def test_graded_orders_match_full_order_on_model_problems(self, prob):
         system = assemble(prob)
@@ -532,7 +532,7 @@ class TestLowestEigenvalues:
 
     @pytest.mark.parametrize("prob,k", [
         (higgs_oscillator_problem(0, UNIT, 8001), 50),
-        (qes_channel_problem(2, 1, 1, UNIT, 2001), 1),
+        (qes_channel_problem(1, 1, UNIT, 2001), 1),
     ], ids=["polar-k50", "qes2-tied"])
     def test_both_paths_bitwise_equal(self, prob, k):
         vals = lowest_eigenvalues(prob, k)
@@ -546,7 +546,7 @@ class TestBackwardError:
     # channel and the crs natural branch
     CASES = {
         "polar-k50": (higgs_oscillator_problem(0, UNIT, 8001), 50),
-        "qes2-tied": (qes_channel_problem(2, 1, 1, UNIT, 2001), 1),
+        "qes2-tied": (qes_channel_problem(1, 1, UNIT, 2001), 1),
         "crs-natural": (crs_natural_problem(1, UNIT, 4000), 3),
     }
 
@@ -789,12 +789,12 @@ class TestSingleGridPolish:
     # single-grid solves polish guesses bisected on a coarser guess grid
     # and fall back to the bisection where they cannot be certified
     @pytest.mark.parametrize("lam", [0.5, 1.0])
-    @pytest.mark.parametrize("example,l,mprime_q", [
-        (1, 3.0, 0), (1, 3.0, 1), (1, 3.0, 2), (1, 4.0, 0), (1, 4.0, 1), (1, 4.0, 2),
-        (2, None, 0), (2, None, 1), (2, None, 2)])
-    def test_qes_channels_certified_near_relative_bisection(self, example, l, mprime_q, lam):
+    @pytest.mark.parametrize("l,mprime_q", [
+        (3.0, 0), (3.0, 1), (3.0, 2), (4.0, 0), (4.0, 1), (4.0, 2),
+        (None, 0), (None, 1), (None, 2)])
+    def test_qes_channels_certified_near_relative_bisection(self, l, mprime_q, lam):
         # the default bisection leaves up to 6e-6 relative on these channels
-        prob = qes_channel_problem(example, mprime_q, mprime_q, PhysParams(lam=lam), 8001, l=l)
+        prob = qes_channel_problem(mprime_q, mprime_q, PhysParams(lam=lam), 8001, l=l)
         d, e = assemble(prob).standard_form()
         certified = _coarse_polished(prob, 3, d, e)
         assert certified is not None
@@ -809,7 +809,7 @@ class TestSingleGridPolish:
             # 250 coarse points miss the ground state of this channel: the
             # guesses sit near modes 1-3, where the polish converges too
             monkeypatch.setattr(numerics, "_COARSEN", 32)
-            prob, k = qes_channel_problem(2, 2, 2, UNIT, 8001), 3
+            prob, k = qes_channel_problem(2, 2, UNIT, 8001), 3
         else:
             # max(1000 // 16, 40 k) = 600 guess points, more than half of 1000
             prob, k = flat_oscillator(n=1000), 15
@@ -822,7 +822,7 @@ class TestSingleGridPolish:
     @pytest.mark.parametrize("prob,k", [
         (higgs_oscillator_problem(0, UNIT, 8001), 50),
         (wide_crs_problem(1), 8),
-        (qes_channel_problem(2, 2, 1, UNIT, 2000), 1),
+        (qes_channel_problem(2, 1, UNIT, 2000), 1),
         (flat_oscillator(), 4),
     ], ids=["polar-k50", "crs-wide", "qes2-neighbour", "flat-k4"])
     def test_polished_pairs_match_stein(self, prob, k):
@@ -980,15 +980,12 @@ class TestRayleighGridStencils:
         assert calls == {"psi": 1, "p": 1, "q": 1, "w": 1}
 
     @pytest.mark.parametrize("lam", [0.5, 1.0])
-    @pytest.mark.parametrize("example,mq,l", [(1, 1.0, 3.0), (1, 2.0, 4.0), (2, 1.0, None)],
+    @pytest.mark.parametrize("mq,l", [(1.0, 3.0), (2.0, 4.0), (1.0, None)],
                              ids=["qes1-l3-mq1", "qes1-l4-mq2", "qes2-mq1"])
-    def test_cli_problems_match_five_evaluations(self, example, mq, l, lam):
+    def test_cli_problems_match_five_evaluations(self, mq, l, lam):
         params = PhysParams(lam=lam)
-        if example == 1:
-            psi = lambda r: higgs.qes_example1_groundstate(l, mq, params, r)
-        else:
-            psi = lambda r: higgs.qes_example2_groundstate(mq, params, r)
-        prob = qes_rayleigh_problem(example, mq, params, l=l)
+        psi = lambda r: higgs.qes_groundstate(mq, params, r, l)
+        prob = qes_rayleigh_problem(mq, params, l=l)
         E, constancy = rayleigh_quotient(prob, psi)
         assert E == pytest.approx(five_evaluation_rayleigh(prob, psi), rel=1e-10)
         assert constancy < 1e-6

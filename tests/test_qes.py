@@ -7,11 +7,16 @@ import pytest
 
 from curvosc import crs, higgs, transform
 from curvosc.crs import QesSpec
-from curvosc.errors import SingularPointError
+from curvosc.errors import (
+    CurvoscError,
+    InfiniteBranchError,
+    NonpositiveParameterError,
+    SingularPointError,
+)
 from curvosc.higgs import Example1SineFactor
 from curvosc.numerics import EndpointRule, Grid1D, rayleigh_quotient
 from curvosc.params import PhysParams
-from curvosc.problems import higgs_radial_problem
+from curvosc.problems import higgs_radial_problem, qes_channel_problem
 from curvosc.special_functions import gudermannian
 
 UNIT = PhysParams()
@@ -88,6 +93,19 @@ class TestExample1Potential:
         for l in (0.0, -1.0):
             with pytest.raises(ValueError):
                 QesSpec.example1(l, 1.0, UNIT)
+
+    @pytest.mark.parametrize("l,error,message", [
+        (0.0, NonpositiveParameterError, "l must be positive, got 0.0"),
+        (-1.0, NonpositiveParameterError, "l must be positive, got -1.0"),
+        (1.0, InfiniteBranchError, "channel solver expects l > 2 (finite branch)"),
+        (2.0, InfiniteBranchError, "channel solver expects l > 2 (finite branch)"),
+    ], ids=["l=0", "l=-1", "l=1", "l=2"])
+    def test_channel_without_finite_branch_is_a_curvosc_error(self, l, error, message):
+        # l <= 0 is refused by the family spec, 0 < l <= 2 by the solver
+        with pytest.raises(error) as exc:
+            qes_channel_problem(1.0, 1.0, UNIT, 100, l=l)
+        assert isinstance(exc.value, CurvoscError)
+        assert str(exc.value) == message
 
     def test_branch_radius(self):
         assert higgs.example1_branch_radius(3.0, UNIT) == pytest.approx(
