@@ -24,7 +24,6 @@ from .crs import (
 )
 from .higgs import (
     Example1SineFactor,
-    RadialChannel,
     example1_branch_radius,
     higgs_energy,
     higgs_radial_coefficients,
@@ -35,7 +34,6 @@ from .higgs import (
     qes_example2_potential,
 )
 from .transform import (
-    MapContext,
     g_factor,
     map_potential,
     map_wavefunction,

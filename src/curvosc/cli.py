@@ -154,7 +154,7 @@ def run_potential(args, params: PhysParams):
     if args.model == "higgs":
         v = higgs.oscillator_potential(params, xs)
     elif args.model == "crs":
-        v = crs.crs_potential_special(xs, args.mprime_q, params)
+        v = crs.crs_potential_special(args.mprime_q, params, xs)
     else:
         v = higgs.qes_potential(args.mprime_q, params, xs, args.l)
     return ["coordinate", "V"], np.column_stack((xs, v)).tolist()
@@ -174,10 +174,9 @@ def run_wavefunction(args, params: PhysParams):
 
 def run_transform_check(args, params: PhysParams):
     mq = args.mprime_q if args.mprime_q is not None else 0.0
-    ctx = transform.MapContext(params, mq)
     rs = np.logspace(-0.5, 1.0, args.grid_n)
     mapped = transform.map_potential(
-        ctx, lambda x: crs.crs_potential_special(x, mq, params), rs)
+        mq, params, lambda x: crs.crs_potential_special(mq, params, x), rs)
     target = higgs.oscillator_potential(params, rs)
     return (["r", "mapped_V", "half_m_omega2_r2", "difference"],
             np.column_stack((rs, mapped, target, mapped - target)).tolist())

@@ -32,11 +32,10 @@ import numpy as np
 from .errors import (
     ComplexResultError,
     DegenerateDerivativeError,
-    NonpositiveParameterError,
     SingularPointError,
     ZeroAError,
 )
-from .params import PhysParams
+from .params import PhysParams, require_positive
 from .special_functions import hyp2f1_terminating, radial_quantum_number, theta_of_x
 
 __all__ = [
@@ -94,8 +93,7 @@ class QesSpec:
     def example1(cls, l: float, mprime_q: float, params: PhysParams) -> "QesSpec":
         """The X = cos(l Theta) family: A = -lam l^2, B = 0, C1 = 1, C2 = 0."""
         lam = params.require_curvature()
-        if not (l > 0):
-            raise NonpositiveParameterError(f"l must be positive, got {l}")
+        require_positive("l", l)
         return cls.build(A=-lam * l**2, B=0.0, C1=1.0, C2=0.0,
                          mprime_q=mprime_q, params=params)
 
@@ -186,7 +184,7 @@ def potential_general(spec: QesSpec, Xfun: Callable, Xprime: Callable,
     return params.hbar**2 / (2 * params.mass) * num / (K * Xp * Xp) + spec.c_shift
 
 
-def crs_potential_special(x, mprime_q: float, params: PhysParams):
+def crs_potential_special(mprime_q: float, params: PhysParams, x):
     """Closed form of the special-model potential,
 
     V(x) = (1/2) m omega^2 (tan Theta / sqrt(lam))^2

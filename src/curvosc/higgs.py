@@ -23,17 +23,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NegativeRadiusError, ParameterOverflowError, SingularPointError
-from .params import PhysParams
+from .params import PhysParams, require_positive
 from .special_functions import gudermannian, hyp2f1_terminating, radial_quantum_number, upsilon_of_r
 from .crs import QesSpec
 
 __all__ = [
-    "RadialChannel",
     "Example1SineFactor",
     "higgs_radial_coefficients",
     "oscillator_potential",
@@ -49,26 +47,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RadialChannel:
-    """One angular channel of the separated problem."""
-
-    mprime: int
-    params: PhysParams
-
-
-def higgs_radial_coefficients(ch: RadialChannel, r):
-    """(p2, p1, p0) with the -hbar^2/2m factor applied, so the eigenproblem
-    reads p2 psi'' + p1 psi' + p0 psi + V psi = E psi.  Singular at r = 0."""
+def higgs_radial_coefficients(mprime: int | float, params: PhysParams, r):
+    """(p2, p1, p0) of angular channel m' with the -hbar^2/2m factor
+    applied, so the eigenproblem reads p2 psi'' + p1 psi' + p0 psi + V psi
+    = E psi.  Singular at r = 0."""
     r = np.asarray(r, float)
     if np.any(r == 0):
         raise SingularPointError("radial coefficients singular at r = 0")
-    p = ch.params
-    lam, mp = p.lam, ch.mprime
+    lam, mp = params.lam, mprime
     lam2 = lam * lam
     if not math.isfinite(lam2):
         raise ParameterOverflowError(f"lam = {lam:g} overflows the radial coefficients")
-    f = -p.hbar**2 / (2 * p.mass)
+    f = -params.hbar**2 / (2 * params.mass)
     K = 1 + lam * r * r
     return (f * K * K,
             f * K * (1 + 5 * lam * r * r) / r,
@@ -131,6 +121,7 @@ def qes_example1_potential(l: float, mprime_q: float, params: PhysParams, r):
     off exactly) so small r never suffers 0*inf cancellation.
     """
     lam = params.require_curvature()
+    require_positive("l", l)
     r = np.asarray(r, float)
     if np.any(r <= 0):
         raise SingularPointError(f"potential needs r > 0, got {np.min(r)}")

@@ -8,6 +8,12 @@ from dataclasses import dataclass
 from .errors import NonpositiveCurvatureError, NonpositiveParameterError
 
 
+def require_positive(name: str, value: float) -> None:
+    """Reject a parameter that must be positive but is zero, negative or nan."""
+    if not (value > 0):
+        raise NonpositiveParameterError(f"{name} must be positive, got {value}")
+
+
 @dataclass(frozen=True)
 class PhysParams:
     """Physical context every formula consumes.
@@ -23,12 +29,8 @@ class PhysParams:
     lam: float = 1.0
 
     def __post_init__(self):
-        if not (self.mass > 0):
-            raise NonpositiveParameterError(f"mass must be positive, got {self.mass}")
-        if not (self.hbar > 0):
-            raise NonpositiveParameterError(f"hbar must be positive, got {self.hbar}")
-        if not (self.omega > 0):
-            raise NonpositiveParameterError(f"omega must be positive, got {self.omega}")
+        for name in ("mass", "hbar", "omega"):
+            require_positive(name, getattr(self, name))
 
     def require_curvature(self) -> float:
         """Return lam, rejecting lam <= 0."""

@@ -43,7 +43,6 @@ import numpy as np
 from .crs import QesSpec, crs_operator_coefficients, crs_potential_special, x_pole
 from .errors import InfiniteBranchError, ParameterOverflowError
 from .higgs import (
-    RadialChannel,
     example1_branch_radius,
     higgs_radial_coefficients,
     oscillator_potential,
@@ -82,8 +81,7 @@ def _self_adjoint(coeffs: Callable, V: Callable, w: Callable, grid: Grid1D,
 def higgs_radial_problem(mprime: int | float, params: PhysParams, V: Callable,
                          grid: Grid1D, bc) -> SturmLiouvilleProblem:
     """Radial-channel problem in the planar coordinate r."""
-    ch = RadialChannel(mprime, params)
-    return _self_adjoint(lambda r: higgs_radial_coefficients(ch, r), V,
+    return _self_adjoint(lambda r: higgs_radial_coefficients(mprime, params, r), V,
                          lambda r: np.asarray(r, float), grid, bc)
 
 
@@ -149,7 +147,7 @@ def crs_natural_problem(mprime_q: float, params: PhysParams,
     grid = Grid1D(0.0, xs - _CRS_WALL / math.sqrt(max(params.lam, 1.0)), n)
     bc = (EndpointRule.power(0.5 + abs(mprime_q), 0.0),
           EndpointRule.power(sig_wall, xs))
-    return crs_problem(params, lambda x: crs_potential_special(x, mprime_q, params),
+    return crs_problem(params, lambda x: crs_potential_special(mprime_q, params, x),
                        grid, bc)
 
 
@@ -169,7 +167,7 @@ def crs_spectrum_numeric_wide(mprime_q: float, params: PhysParams, k: int):
     xs = x_pole(params)
     grid = Grid1D(1e-4, 10.0, 16000)
     bc = (EndpointRule.power(0.5 + abs(mprime_q), 0.0), EndpointRule.dirichlet())
-    prob = crs_problem(params, lambda x: crs_potential_special(x, mprime_q, params),
+    prob = crs_problem(params, lambda x: crs_potential_special(mprime_q, params, x),
                        grid, bc)
     res = lowest_eigenpairs(prob, k)
     x = grid.points()

@@ -6,7 +6,8 @@ Upsilon = arctan(sqrt(lam) r), under which the two intrinsic coordinates
 coincide: Theta(x(r)) = Upsilon(r).  Wavefunctions map through
 psi(r) = g(r) phi(x(r)) and potentials through a curvature-induced shift.
 Both models must share one lam and the angular channel must equal the
-fixed parameter m'_Q of the source model.
+fixed parameter m'_Q of the source model.  Each map takes its model
+arguments first, then params, then the points, and rejects lam <= 0.
 
 The maps take a float or an ndarray of points and return a scalar or an
 array of the same shape; the callables handed to map_potential and
@@ -17,7 +18,6 @@ requested point is singular or out of range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,7 +28,6 @@ from .params import PhysParams
 from .special_functions import theta_of_x, upsilon_of_r
 
 __all__ = [
-    "MapContext",
     "x_of_r",
     "r_of_x",
     "g_factor",
@@ -40,28 +39,17 @@ __all__ = [
 G_CONSTANT = complex(-2.0, 2.0)      # -2 (1 - i)
 
 
-@dataclass(frozen=True)
-class MapContext:
-    """Shared curvature and the matched angular channel m' = m'_Q."""
-
-    params: PhysParams
-    mprime_q: float
-
-    def __post_init__(self):
-        self.params.require_curvature()
-
-
-def x_of_r(ctx: MapContext, r):
+def x_of_r(params: PhysParams, r):
     """x(r) = sinh(arctan(sqrt(lam) r))/sqrt(lam); strictly increasing,
     bounded above by sinh(pi/2)/sqrt(lam)."""
-    lam = ctx.params.lam
+    lam = params.require_curvature()
     return np.sinh(upsilon_of_r(r, lam)) / math.sqrt(lam)
 
 
-def r_of_x(ctx: MapContext, x):
+def r_of_x(params: PhysParams, x):
     """Inverse map tan(arcsinh(sqrt(lam) x))/sqrt(lam) on [0, sinh(pi/2)/sqrt(lam))."""
-    lam = ctx.params.lam
-    sup = x_pole(ctx.params)
+    lam = params.require_curvature()
+    sup = x_pole(params)
     x = np.asarray(x, float)
     outside = (x < 0) | (x >= sup)
     if np.any(outside):
@@ -70,36 +58,35 @@ def r_of_x(ctx: MapContext, x):
     return np.tan(theta_of_x(x, lam)) / math.sqrt(lam)
 
 
-def g_factor(ctx: MapContext, r):
+def g_factor(params: PhysParams, r):
     """g(r) = -2 (1-i) (lam r^2)^(-1/4) (1 + lam r^2)^(-1/2).
 
     The constant -2(1-i) is kept as a fixed convention; all physical
     comparisons are modulus- or ratio-based, so only |g| matters.
     """
+    lam = params.require_curvature()
     r = np.asarray(r, float)
     if np.any(r <= 0):
         raise SingularPointError(f"g(r) singular at r <= 0, got {np.min(r)}")
-    lam = ctx.params.lam
     return G_CONSTANT * (lam * r * r) ** -0.25 * (1 + lam * r * r) ** -0.5
 
 
-def map_potential(ctx: MapContext, Vq: Callable, r):
-    """Radial potential from a line potential:
+def map_potential(mprime_q: float, params: PhysParams, Vq: Callable, r):
+    """Radial potential from a line potential of channel m'_Q:
 
     V_rad(r) = Vq(x(r)) + (lam hbar^2/8m) [1 + (1 - 4 m'_Q^2)(1 + 1/(lam r^2))].
     """
-    p = ctx.params
-    lam = p.lam
-    coeff = 1 - 4 * ctx.mprime_q**2
+    lam = params.require_curvature()
+    coeff = 1 - 4 * mprime_q**2
     r = np.asarray(r, float)
     if np.any(r <= 0):
         if coeff != 0:
             raise SingularPointError("curvature shift singular at r = 0")
         raise SingularPointError("map_potential needs r > 0")
-    shift = lam * p.hbar**2 / (8 * p.mass) * (1 + coeff * (1 + 1 / (lam * r * r)))
-    return Vq(x_of_r(ctx, r)) + shift
+    shift = lam * params.hbar**2 / (8 * params.mass) * (1 + coeff * (1 + 1 / (lam * r * r)))
+    return Vq(x_of_r(params, r)) + shift
 
 
-def map_wavefunction(ctx: MapContext, phi: Callable, r):
+def map_wavefunction(params: PhysParams, phi: Callable, r):
     """psi(r) = g(r) phi(x(r))."""
-    return g_factor(ctx, r) * phi(x_of_r(ctx, r))
+    return g_factor(params, r) * phi(x_of_r(params, r))

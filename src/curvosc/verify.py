@@ -138,9 +138,8 @@ def suite_eigen_residual() -> list[CheckResult]:
     for N in range(4):
         for mp in range(4):
             E = higgs.higgs_energy((N, mp), params)
-            ch = higgs.RadialChannel(mp, params)
             res = residual_norm(
-                lambda r: higgs.higgs_radial_coefficients(ch, r),
+                lambda r: higgs.higgs_radial_coefficients(mp, params, r),
                 lambda r: higgs.oscillator_potential(params, r),
                 lambda r: higgs.higgs_wavefunction((N, mp), params, r),
                 E, grid)
@@ -162,9 +161,8 @@ def suite_transform_closure() -> list[CheckResult]:
         params = PhysParams(lam=lam)
         worst = 0.0
         for mq in (0.0, 1.0, 2.0, 0.5):
-            ctx = transform.MapContext(params, mq)
             mapped = transform.map_potential(
-                ctx, lambda x: crs.crs_potential_special(x, mq, params), rs)
+                mq, params, lambda x: crs.crs_potential_special(mq, params, x), rs)
             target = higgs.oscillator_potential(params, rs)
             worst = max(worst, float(np.max(np.abs(mapped - target) / target)))
         out.append(_check("transform-closure", f"lam={lam}", float(worst), 1e-12,
@@ -185,10 +183,9 @@ def suite_wavefunction_map() -> list[CheckResult]:
     worst_pair = None
     for N in range(3):
         for mq in range(3):
-            ctx = transform.MapContext(params, mq)
             ratios = (higgs.higgs_wavefunction((N, mq), params, rs)
                       / transform.map_wavefunction(
-                          ctx, lambda x: crs.crs_wavefunction_special((N, mq), params, x),
+                          params, lambda x: crs.crs_wavefunction_special((N, mq), params, x),
                           rs))
             c = _ratio_constancy(ratios)
             if c > worst:
@@ -204,7 +201,7 @@ def suite_wavefunction_map() -> list[CheckResult]:
     for conv in (HypergeometricArgument.SIN_SQUARED, HypergeometricArgument.SIN):
         res[conv] = residual_norm(
             lambda x: crs.crs_operator_coefficients(params, x),
-            lambda x: crs.crs_potential_special(x, mq, params),
+            lambda x: crs.crs_potential_special(mq, params, x),
             lambda x: crs.crs_wavefunction_special_real((N, mq), params, x, conv),
             E, grid)
     out.append(_check("wavefunction-map", "sin-squared-residual",
@@ -367,8 +364,8 @@ def suite_special_functions() -> list[CheckResult]:
     worst = 0.0
     rs = np.logspace(-3, 3, 25)
     for lam in (0.1, 1.0, 10.0):
-        ctx = transform.MapContext(PhysParams(lam=lam), 0.0)
-        worst = max(worst, float(np.max(np.abs(theta_of_x(transform.x_of_r(ctx, rs), lam)
+        x = transform.x_of_r(PhysParams(lam=lam), rs)
+        worst = max(worst, float(np.max(np.abs(theta_of_x(x, lam)
                                                - upsilon_of_r(rs, lam)))))
     out.append(_check("special-functions", "theta-upsilon-identity", worst, 1e-12,
                       detail="|Theta(x(r)) - Upsilon(r)| over r in [1e-3, 1e3], "
@@ -394,7 +391,7 @@ def suite_crs_model() -> list[CheckResult]:
                         * math.sqrt(params.lam) / np.sqrt(1 + params.lam * x * x))
         xs = np.linspace(0.1, 5, 25)
         a = crs.potential_general(spec, X, Xp, params, xs)
-        b = crs.crs_potential_special(xs, mq, params)
+        b = crs.crs_potential_special(mq, params, xs)
         worst = max(worst, float(np.max(np.abs(a - b) / np.abs(b))))
     out.append(_check("crs-model", "general-vs-special-potential", worst, 1e-9,
                       detail="factorization potential with the special bundle vs the "
@@ -451,10 +448,9 @@ def suite_higgs_model() -> list[CheckResult]:
     X = lambda x: np.cos(l * theta_of_x(x, params.lam))
     Xp = lambda x: (-l * np.sin(l * theta_of_x(x, params.lam))
                     * math.sqrt(params.lam) / np.sqrt(1 + params.lam * x * x))
-    ctx = transform.MapContext(params, mq)
     rs = np.linspace(0.05, 0.95 * higgs.example1_branch_radius(l, params), 40)
     a = transform.map_potential(
-        ctx, lambda x: crs.potential_general(spec, X, Xp, params, x), rs)
+        mq, params, lambda x: crs.potential_general(spec, X, Xp, params, x), rs)
     b = higgs.qes_example1_potential(l, mq, params, rs)
     worst = float(np.max(np.abs(a - b) / (np.abs(b) + 1.0)))
     out.append(_check("higgs-model", "example1-both-routes", worst, 1e-9,
@@ -464,7 +460,7 @@ def suite_higgs_model() -> list[CheckResult]:
     Xp2 = lambda x: math.sqrt(params.lam)
     rs = np.linspace(0.05, 30.0, 40)
     a = transform.map_potential(
-        ctx, lambda x: crs.potential_general(spec2, X2, Xp2, params, x), rs)
+        mq, params, lambda x: crs.potential_general(spec2, X2, Xp2, params, x), rs)
     b = higgs.qes_example2_potential(mq, params, rs)
     worst2 = float(np.max(np.abs(a - b) / (np.abs(b) + 1.0)))
     out.append(_check("higgs-model", "example2-both-routes", worst2, 1e-9))
@@ -476,8 +472,8 @@ def suite_transform_maps() -> list[CheckResult]:
     worst = 0.0
     rs = np.logspace(-3, 3, 25)
     for lam in (0.1, 1.0, 10.0):
-        ctx = transform.MapContext(PhysParams(lam=lam), 0.0)
-        rt = transform.r_of_x(ctx, transform.x_of_r(ctx, rs))
+        params = PhysParams(lam=lam)
+        rt = transform.r_of_x(params, transform.x_of_r(params, rs))
         worst = max(worst, float(np.max(np.abs(rt - rs) / rs)))
     out.append(_check("transform-maps", "roundtrip", worst, 1e-12))
     bit = 0.0
@@ -489,9 +485,8 @@ def suite_transform_maps() -> list[CheckResult]:
                     bit = 1.0
     out.append(_check("transform-maps", "spectrum-preservation-bitwise", bit, 0.0,
                       detail="crs and radial spectra agree bit for bit"))
-    ctx = transform.MapContext(PhysParams(lam=1.0), 0.0)
     out.append(_check("transform-maps", "g-modulus-at-1",
-                      abs(abs(transform.g_factor(ctx, 1.0)) - 2.0), 1e-14))
+                      abs(abs(transform.g_factor(PhysParams(lam=1.0), 1.0)) - 2.0), 1e-14))
     return out
 
 
@@ -536,11 +531,10 @@ def suite_numerics_oracle() -> list[CheckResult]:
     pts = np.array([0.3, 1.0, 2.5])
     grid = Grid1D(0.1, 1.0, 3)
     zero = lambda t: 0.0 * t
-    ch = higgs.RadialChannel(1, params)
     worst = 0.0
     for prob, coeffs in (
             (problems.higgs_radial_problem(1, params, zero, grid, _WALLS),
-             lambda r: higgs.higgs_radial_coefficients(ch, r)),
+             lambda r: higgs.higgs_radial_coefficients(1, params, r)),
             (problems.crs_problem(params, zero, grid, _WALLS),
              lambda x: crs.crs_operator_coefficients(params, x))):
         _, dp, _ = derivatives(prob.p, pts, 1e-3)
@@ -604,11 +598,14 @@ ALL_SUITE_NAMES = list(SUITES)
 
 
 def run_suites(names=None) -> list[CheckResult]:
-    if names is None or names == ["all"]:
-        names = ALL_SUITE_NAMES
-    unknown = [n for n in names if n not in SUITES]
+    """Run the named suites once each, in the order first given; None or
+    'all' anywhere in the list means every suite."""
+    names = ["all"] if names is None else list(dict.fromkeys(names))
+    unknown = [n for n in names if n not in SUITES and n != "all"]
     if unknown:
         raise ValueError(f"unknown suite(s) {unknown}; available: {ALL_SUITE_NAMES}")
+    if "all" in names:
+        names = ALL_SUITE_NAMES
     results = []
     for n in names:
         results.extend(SUITES[n]())

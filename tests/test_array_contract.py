@@ -12,12 +12,10 @@ from curvosc.errors import (
     OutOfImageError,
     SingularPointError,
 )
-from curvosc.higgs import RadialChannel
 from curvosc.params import PhysParams
 from curvosc.special_functions import gudermannian, theta_of_x, upsilon_of_r
 
 UNIT = PhysParams()
-CTX = transform.MapContext(UNIT, 1.0)
 SPECIAL = crs.special_params(1.0, UNIT)
 
 
@@ -34,7 +32,7 @@ FORMULAS = {
     "gudermannian": (gudermannian, [-40.0, -1.5, -1e-3, 0.0, 0.7, 30.0]),
     "theta_of_x": (lambda x: theta_of_x(x, 0.7), [-3.0, -0.1, 0.0, 0.2, 1.0, 5.0]),
     "upsilon_of_r": (lambda r: upsilon_of_r(r, 0.7), [0.0, 1e-3, 0.1, 1.0, 30.0, 1e4]),
-    "crs_potential_special": (lambda x: crs.crs_potential_special(x, 1.0, UNIT),
+    "crs_potential_special": (lambda x: crs.crs_potential_special(1.0, UNIT, x),
                               [0.05, 0.3, 0.8, 1.5, 2.0, 2.25]),
     "crs_wavefunction_special": (lambda x: crs.crs_wavefunction_special((2, 1), UNIT, x),
                                  [0.05, 0.3, 0.8, 1.5, 2.0, 2.25]),
@@ -50,7 +48,7 @@ FORMULAS = {
         lambda x: crs.x_constraint_residual(cos2theta, -4.0, 0.0, UNIT, x),
         [0.1, 0.3, 0.8, 1.5, 3.0, 5.0]),
     "higgs_radial_coefficients": (
-        lambda r: higgs.higgs_radial_coefficients(RadialChannel(2, UNIT), r),
+        lambda r: higgs.higgs_radial_coefficients(2, UNIT, r),
         [-0.5, 0.05, 0.3, 1.0, 4.0, 20.0]),
     "oscillator_potential": (lambda r: higgs.oscillator_potential(UNIT, r),
                              [-2.0, 0.0, 0.05, 0.3, 4.0, 20.0]),
@@ -73,16 +71,16 @@ FORMULAS = {
                              [1e-4, 0.05, 0.3, 1.0, 1.5, 1.73]),
     "qes_groundstate(l=None)": (lambda r: higgs.qes_groundstate(1.0, UNIT, r),
                                 [1e-4, 0.05, 0.3, 1.0, 10.0, 1e3]),
-    "x_of_r": (lambda r: transform.x_of_r(CTX, r), [0.0, 1e-3, 0.3, 1.0, 10.0, 1e6]),
-    "r_of_x": (lambda x: transform.r_of_x(CTX, x), [0.0, 1e-3, 0.3, 1.0, 2.0, 2.3]),
-    "g_factor": (lambda r: transform.g_factor(CTX, r), [1e-3, 0.1, 0.3, 1.0, 5.0, 50.0]),
+    "x_of_r": (lambda r: transform.x_of_r(UNIT, r), [0.0, 1e-3, 0.3, 1.0, 10.0, 1e6]),
+    "r_of_x": (lambda x: transform.r_of_x(UNIT, x), [0.0, 1e-3, 0.3, 1.0, 2.0, 2.3]),
+    "g_factor": (lambda r: transform.g_factor(UNIT, r), [1e-3, 0.1, 0.3, 1.0, 5.0, 50.0]),
     "map_potential": (
         lambda r: transform.map_potential(
-            CTX, lambda x: crs.crs_potential_special(x, 1.0, UNIT), r),
+            1.0, UNIT, lambda x: crs.crs_potential_special(1.0, UNIT, x), r),
         [0.05, 0.3, 1.0, 2.0, 5.0, 10.0]),
     "map_wavefunction": (
         lambda r: transform.map_wavefunction(
-            CTX, lambda x: crs.crs_wavefunction_special((1, 1), UNIT, x), r),
+            UNIT, lambda x: crs.crs_wavefunction_special((1, 1), UNIT, x), r),
         [0.05, 0.3, 1.0, 2.0, 5.0, 10.0]),
 }
 

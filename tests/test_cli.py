@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from curvosc import cli
+from curvosc import cli, verify
 from curvosc.cli import fmt_float, main, serialize_csv, serialize_json
 
 
@@ -142,6 +142,17 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: --mprime-q must be at least 0 for model qes")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["potential", "wavefunction", "spectrum"])
+    @pytest.mark.parametrize("l", ["-3", "0"])
+    def test_nonpositive_l_is_one_error_line(self, command, l, tmp_path, capsys):
+        # potential printed the l = 3 table for --l -3 and named a csc/sec
+        # pole for --l 0; every command now names the flag
+        args = [command, "--model", "qes1", "--l", l, "--mprime-q", "1"]
+        code, text = run_to_file(tmp_path, "x.json", args + (
+            [] if command == "spectrum" else ["--grid-n", "2"]))
+        assert code == 1 and text == ""
+        assert capsys.readouterr().err == f"error: l must be positive, got {float(l)}\n"
 
     def test_negative_crs_channel_is_accepted(self, tmp_path):
         # the crs potential depends on m'_Q only through m'_Q^2
@@ -351,6 +362,33 @@ class TestVerifyCommand:
         doc = json.loads(text)
         jsonschema.validate(doc, load_schema())
         assert doc["passed"] is True
+
+    @staticmethod
+    def suites_run(text: str) -> list[str]:
+        return [s["suite"] for s in json.loads(text)["suites"]]
+
+    @pytest.mark.parametrize("order", [["all", "flat-limit"], ["flat-limit", "all"]])
+    def test_all_anywhere_means_every_suite(self, order, tmp_path, monkeypatch):
+        # stand-in for the full suite list, so the test stays cheap
+        monkeypatch.setattr(verify, "ALL_SUITE_NAMES", ["special-functions", "flat-limit"])
+        code, text = run_to_file(tmp_path, "rep.json",
+                                 ["verify"] + [a for s in order for a in ("--suite", s)])
+        assert code == 0
+        assert self.suites_run(text) == ["special-functions", "flat-limit"]
+        assert json.loads(text)["n_checks"] == 4
+
+    def test_repeated_suite_runs_once(self, tmp_path):
+        code, text = run_to_file(tmp_path, "rep.json", [
+            "verify", "--suite", "flat-limit", "--suite", "special-functions",
+            "--suite", "flat-limit"])
+        assert code == 0
+        assert self.suites_run(text) == ["flat-limit", "special-functions"]
+        assert json.loads(text)["n_checks"] == 4
+
+    def test_unknown_suite_beside_all_is_refused(self, capsys):
+        assert main(["verify", "--suite", "all", "--suite", "no-such-suite"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: unknown suite(s) ['no-such-suite']; available: ")
 
     def test_determinism_byte_identical(self, tmp_path):
         args = ["verify", "--suite", "transform-closure", "--suite", "crs-model",

@@ -129,22 +129,22 @@ class TestPotentialGeneral:
                         / math.sqrt(1 + x * x))
         for x in np.linspace(0.1, 5, 25):
             a = crs.potential_general(spec, X, Xp, UNIT, float(x))
-            b = crs.crs_potential_special(float(x), mq, UNIT)
+            b = crs.crs_potential_special(mq, UNIT, float(x))
             assert a == pytest.approx(b, rel=1e-10)
 
 
 class TestPotentialSpecial:
     def test_half_integer_channel_finite_at_origin(self):
-        v0 = crs.crs_potential_special(0.0, 0.5, UNIT)
+        v0 = crs.crs_potential_special(0.5, UNIT, 0.0)
         assert v0 == pytest.approx(-1.0 / 8.0, rel=1e-15)
 
     def test_singular_at_origin_otherwise(self):
         with pytest.raises(SingularPointError):
-            crs.crs_potential_special(0.0, 0.0, UNIT)
+            crs.crs_potential_special(0.0, UNIT, 0.0)
 
     def test_monotone_beyond_some_point(self):
         xs = np.linspace(0.8, 0.99 * crs.x_pole(UNIT), 200)
-        vals = [crs.crs_potential_special(float(x), 0.0, UNIT) for x in xs]
+        vals = [crs.crs_potential_special(0.0, UNIT, float(x)) for x in xs]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -168,7 +168,7 @@ class TestWavefunction:
         grid = Grid1D(0.1, 0.9 * crs.x_pole(UNIT), 400)
         res = residual_norm(
             lambda x: crs.crs_operator_coefficients(UNIT, x),
-            lambda x: crs.crs_potential_special(x, mq, UNIT),
+            lambda x: crs.crs_potential_special(mq, UNIT, x),
             lambda x: crs.crs_wavefunction_special_real((N, mq), UNIT, x),
             E, grid)
         assert res < 1e-6
@@ -179,7 +179,7 @@ class TestWavefunction:
         grid = Grid1D(0.1, 0.9 * crs.x_pole(UNIT), 400)
         res = residual_norm(
             lambda x: crs.crs_operator_coefficients(UNIT, x),
-            lambda x: crs.crs_potential_special(x, mq, UNIT),
+            lambda x: crs.crs_potential_special(mq, UNIT, x),
             lambda x: crs.crs_wavefunction_special_real(
                 (N, mq), UNIT, x, HypergeometricArgument.SIN),
             E, grid)

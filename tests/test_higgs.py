@@ -10,7 +10,6 @@ from curvosc.errors import (
     ParameterOverflowError,
     SingularPointError,
 )
-from curvosc.higgs import RadialChannel
 from curvosc.numerics import Grid1D, residual_norm
 from curvosc.params import PhysParams
 
@@ -39,25 +38,25 @@ class TestOscillatorPotential:
 class TestRadialCoefficients:
     def test_p0_frozen_value(self):
         # m'=0, r=1, lam=1: p0 = -(1/2)(3 + 15/4) = -27/8
-        _, _, p0 = higgs.higgs_radial_coefficients(RadialChannel(0, UNIT), 1.0)
+        _, _, p0 = higgs.higgs_radial_coefficients(0, UNIT, 1.0)
         assert p0 == pytest.approx(-27.0 / 8.0, rel=1e-15)
 
     def test_flat_limit(self):
         p = PhysParams(lam=0.0)
         for r in (0.5, 2.0):
-            p2, p1, p0 = higgs.higgs_radial_coefficients(RadialChannel(1, p), r)
+            p2, p1, p0 = higgs.higgs_radial_coefficients(1, p, r)
             assert p2 == -0.5
             assert p1 == pytest.approx(-0.5 / r, rel=1e-15)
             assert p0 == pytest.approx(0.5 / r**2, rel=1e-15)
 
     def test_singular_at_origin(self):
         with pytest.raises(SingularPointError):
-            higgs.higgs_radial_coefficients(RadialChannel(0, UNIT), 0.0)
+            higgs.higgs_radial_coefficients(0, UNIT, 0.0)
 
     def test_overflowing_curvature_is_a_typed_error(self):
         # lam^2 overflows for lam above about 1.3e154
         with pytest.raises(ParameterOverflowError, match="lam"):
-            higgs.higgs_radial_coefficients(RadialChannel(0, PhysParams(lam=1e300)), 1.0)
+            higgs.higgs_radial_coefficients(0, PhysParams(lam=1e300), 1.0)
 
     def test_self_adjoint_certificate(self):
         # weight w = r makes (w P)'/w equal the first-derivative coefficient:
@@ -94,7 +93,7 @@ class TestWavefunction:
         E = higgs.higgs_energy((N, mp), UNIT)
         grid = Grid1D(0.05, 20.0, 800)
         res = residual_norm(
-            lambda r: higgs.higgs_radial_coefficients(RadialChannel(mp, UNIT), r),
+            lambda r: higgs.higgs_radial_coefficients(mp, UNIT, r),
             lambda r: 0.5 * r * r,
             lambda r: higgs.higgs_wavefunction((N, mp), UNIT, r),
             E, grid)

@@ -300,7 +300,7 @@ class TestCornerQuadrature:
         # the wide crs wall at 1e-4 from the origin
         higgs_oscillator_problem(1, PhysParams(lam=0.1), 4000),
         crs_natural_problem(1, UNIT, 4000),
-        crs_problem(UNIT, lambda x: crs.crs_potential_special(x, 1, UNIT),
+        crs_problem(UNIT, lambda x: crs.crs_potential_special(1, UNIT, x),
                     Grid1D(1e-4, 10.0, 16000),
                     (EndpointRule.power(1.5, 0.0), EndpointRule.dirichlet())),
         # tie-reduced resonant channel with series and a decay closure
@@ -771,7 +771,7 @@ class TestSeededEigenvalues:
 def wide_crs_problem(mprime_q):
     """The wide-domain crs problem of problems.crs_spectrum_numeric_wide."""
     bc = (EndpointRule.power(0.5 + mprime_q, 0.0), EndpointRule.dirichlet())
-    return crs_problem(UNIT, lambda x: crs.crs_potential_special(x, mprime_q, UNIT),
+    return crs_problem(UNIT, lambda x: crs.crs_potential_special(mprime_q, UNIT, x),
                        Grid1D(1e-4, 10.0, 16000), bc)
 
 
@@ -867,7 +867,7 @@ class TestSpectrumProtocols:
         xs = crs.x_pole(UNIT)
         grid = Grid1D(0.0, xs - 1e-4, 3000)
         V = lambda x: np.vectorize(
-            lambda t: crs.crs_potential_special(float(t), mq, UNIT))(x)
+            lambda t: crs.crs_potential_special(mq, UNIT, float(t)))(x)
         bc = (EndpointRule.power(0.5 + mq, 0.0),
               EndpointRule.power((1 + UNIT.delta) / 2, xs))
         prob = crs_problem(UNIT, V, grid, bc)
@@ -913,7 +913,7 @@ class TestResidualNorm:
         E = higgs.higgs_energy((0, mp), UNIT)
         grid = Grid1D(0.05, 20.0, 500)
         args = (
-            lambda r: higgs.higgs_radial_coefficients(higgs.RadialChannel(mp, UNIT), r),
+            lambda r: higgs.higgs_radial_coefficients(mp, UNIT, r),
             lambda r: 0.5 * r * r,
             lambda r: higgs.higgs_wavefunction((0, mp), UNIT, r),
         )

@@ -94,6 +94,16 @@ class TestExample1Potential:
             with pytest.raises(ValueError):
                 QesSpec.example1(l, 1.0, UNIT)
 
+    @pytest.mark.parametrize("l", [0.0, -3.0])
+    def test_potential_rejects_nonpositive_l_like_the_spec(self, l):
+        # cos(l Theta) is even in l, so l = -3 gave the l = 3 potential and
+        # l = 0 a csc/sec pole error instead of naming l
+        with pytest.raises(NonpositiveParameterError) as spec:
+            QesSpec.example1(l, 1.0, UNIT)
+        with pytest.raises(NonpositiveParameterError) as potential:
+            higgs.qes_example1_potential(l, 1.0, UNIT, np.array([0.05, 1.0]))
+        assert str(potential.value) == str(spec.value) == f"l must be positive, got {l}"
+
     @pytest.mark.parametrize("l,error,message", [
         (0.0, NonpositiveParameterError, "l must be positive, got 0.0"),
         (-1.0, NonpositiveParameterError, "l must be positive, got -1.0"),
@@ -119,11 +129,10 @@ class TestExample1Potential:
         spec = QesSpec.example1(l, mq, UNIT)
         X = lambda x: math.cos(l * theta_of_x(x, 1.0))
         Xp = lambda x: -l * math.sin(l * theta_of_x(x, 1.0)) / math.sqrt(1 + x * x)
-        ctx = transform.MapContext(UNIT, mq)
         rb = higgs.example1_branch_radius(l, UNIT)
         for r in np.linspace(0.05, 0.95 * rb, 30):
             a = transform.map_potential(
-                ctx, lambda x: crs.potential_general(spec, X, Xp, UNIT, x), float(r))
+                mq, UNIT, lambda x: crs.potential_general(spec, X, Xp, UNIT, x), float(r))
             b = higgs.qes_example1_potential(l, mq, UNIT, float(r))
             assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
 
