@@ -10,9 +10,9 @@ scipy/linalg/_flapack<EXTENSION_SUFFIX> from its file.  A _flapack that is
 already imported is reused; where the file cannot be loaded, the routines
 come from the public scipy.linalg.lapack.  SOURCE names the path taken.
 
-eigh_tridiagonal is the stebz/stein path that scipy.linalg.eigh_tridiagonal
-takes for select="i": the same calls with the same arguments, so the
-results agree bit for bit.
+eigh_tridiagonal selects by index only.  It is the stebz/stein path that
+scipy.linalg.eigh_tridiagonal takes for select="i": the same calls with
+the same arguments, so the results agree bit for bit.
 """
 
 from __future__ import annotations
@@ -61,15 +61,12 @@ def _check(info: int, driver: str) -> None:
         raise np.linalg.LinAlgError(f"{driver} did not converge (LAPACK info={info})")
 
 
-def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, *, select: str, select_range,
+def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, *, select_range,
                      eigvals_only: bool = False, tol: float = 0.0):
     """Eigenvalues il..iu (0-based, inclusive: select_range) of the symmetric
     tridiagonal (d, e), ascending, by bisection (dstebz) to the absolute
     tolerance tol (0: LAPACK's default eps ||T||); with eigvals_only False
-    also their unit eigenvectors as columns, by inverse iteration (dstein).
-    Only select="i" is supported."""
-    if select != "i":
-        raise ValueError(f"only select='i' is supported, got {select!r}")
+    also their unit eigenvectors as columns, by inverse iteration (dstein)."""
     il, iu = select_range
     # vectors need stebz's block order; they are put in matrix order below
     m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, il + 1, iu + 1, float(tol),

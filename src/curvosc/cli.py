@@ -37,7 +37,10 @@ def serialize_json(obj, indent: int = 0) -> str:
     """Deterministic JSON writer for the limited document shapes used here.
 
     Dict keys keep insertion order (documents are built in a fixed order);
-    floats go through fmt_float so output is byte-stable.
+    floats go through fmt_float so output is byte-stable.  json.dumps(obj,
+    indent=2) gives the same layout but not the 17-digit floats that
+    TestExactBytes pins, and its pure-Python indenting encoder leaves 33
+    cyclic objects per verify report, which a warm call must not leave.
     """
     pad = "  " * indent
     if isinstance(obj, dict):

@@ -5,12 +5,14 @@ class CurvoscError(ValueError):
     """Base class for all domain errors in this package."""
 
 
-class PoleInSeriesError(CurvoscError):
-    """A Pochhammer factor (c)_k vanishes before the series terminates."""
+class SeriesDomainError(CurvoscError):
+    """The terminating 2F1(-N, b; c; z) is asked for b <= N or c <= 0,
+    outside the domain of its recurrence."""
 
 
 class QuantumNumberError(CurvoscError):
-    """A radial quantum number N is negative or not an integer."""
+    """A radial quantum number N is negative or not an integer, or too large
+    for the terminating series of a wavefunction."""
 
 
 class ParameterOverflowError(CurvoscError):

@@ -464,7 +464,7 @@ def _bisection(d: np.ndarray, e: np.ndarray, k: int, **options):
     extreme entries can cause, becomes an UnresolvedError naming the
     system size and k."""
     try:
-        return eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1), **options)
+        return eigh_tridiagonal(d, e, select_range=(0, k - 1), **options)
     except np.linalg.LinAlgError as exc:
         raise UnresolvedError(
             f"tridiagonal eigensolve failed for the {k} lowest eigenvalues "

@@ -16,8 +16,8 @@ import numpy as np
 from .errors import (
     NegativeRadiusError,
     NonpositiveCurvatureError,
-    PoleInSeriesError,
     QuantumNumberError,
+    SeriesDomainError,
 )
 
 
@@ -30,25 +30,38 @@ def radial_quantum_number(N) -> int:
     return int(N)
 
 
+MAX_SERIES_N = 1000
+
+
 def hyp2f1_terminating(N: int, b: float, c: float, z):
     """Terminating Gauss series 2F1(-N, b; c; z), an exact degree-N polynomial.
 
-    Summed left to right with the ratio recurrence
-    t_{k+1} = t_k * (-N+k)(b+k) / ((c+k)(k+1)) * z, which avoids gamma
-    functions and overflow for the N <~ 50 this package uses.  Since the
-    series terminates there are no convergence concerns for any finite z,
-    including |z| >= 1.
+    With b = N + a, a > 0 and c > 0 it is the Jacobi polynomial
+    N!/(c)_N P_N^(c-1, a-c)(1 - 2z), evaluated by the forward three-term
+    recurrence (DLMF 18.9.1) for F_n = 2F1(-n, n + a; c; z), n = 1..N,
+    carried as the differences F_n - F_{n-1}; summing the series instead
+    cancels catastrophically (5e-4 of max|F| lost at N = 20).  On the
+    callers' c >= 1, b > N + c it keeps within 1e-12 of max|F| of an exact
+    rational sum to N = 60, and within 3e-13 at N = MAX_SERIES_N (c = 1,
+    b = N + 2); a larger N is refused.
     """
     N = radial_quantum_number(N)
-    if c <= 0 and c == int(c) and -int(c) <= N - 1:
-        # (c)_k hits zero at k = -c+1 <= N, before the series terminates
-        raise PoleInSeriesError(f"(c)_k vanishes for c={c} before termination at N={N}")
-    total = 1.0
-    term = 1.0
-    for k in range(N):
-        term *= (-N + k) * (b + k) / ((c + k) * (k + 1)) * z
-        total += term
-    return total
+    if N > MAX_SERIES_N:
+        raise QuantumNumberError(f"N must be at most {MAX_SERIES_N} in a wavefunction, got {N}")
+    a = b - N
+    if not (a > 0 and c > 0):
+        raise SeriesDomainError(f"the series needs b > N and c > 0, got N={N}, b={b}, c={c}")
+    if N == 0:
+        return 1.0
+    D = (-(1 + a) / c) * z
+    F = 1 + D
+    for n in range(1, N):
+        t = 2 * n + a
+        w = n * (n + a - c) * (t + 1) / ((n + c) * (n + a) * (t - 1))
+        v = -t * (t + 1) / ((n + c) * (n + a))
+        D = w * D + v * (z * F)
+        F = F + D
+    return F
 
 
 def gudermannian(x):

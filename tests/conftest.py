@@ -1,0 +1,52 @@
+"""Fixtures shared by the test modules: a fresh interpreter, and the
+start-up facts that one such interpreter records."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import curvosc
+
+# What a new process loads, in the order a user loads it: first the model
+# modules alone, then the CLI, whose parser is built on the first call.
+STARTUP = """
+import json, os, sys
+import curvosc.crs, curvosc.higgs, curvosc.transform, curvosc.special_functions, curvosc.params
+facts = {"after_models": [m for m in ("scipy", "curvosc.numerics", "curvosc._lapack")
+                          if m in sys.modules]}
+import curvosc.cli as cli, curvosc.verify, curvosc._lapack as lapack
+facts.update({"scipy.linalg": "scipy.linalg" in sys.modules,
+              "numpy.random": "numpy.random" in sys.modules,
+              "lapack_source": lapack.SOURCE,
+              "parsers_at_import": cli._parser.cache_info().currsize})
+for _ in range(2):
+    cli.main(["potential", "--model", "higgs", "--output", os.devnull])
+facts["parsers_built"] = cli._parser.cache_info().misses
+print(json.dumps(facts))
+"""
+
+
+def run_fresh_python(code):
+    """(stdout, stderr) of code run by a new interpreter, which has imported
+    nothing yet and finds this checkout's curvosc."""
+    src = Path(curvosc.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return done.stdout, done.stderr
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    return run_fresh_python
+
+
+@pytest.fixture(scope="session")
+def startup():
+    """The start-up facts of STARTUP, from one fresh interpreter per test run."""
+    return json.loads(run_fresh_python(STARTUP)[0])

@@ -1,8 +1,5 @@
 import gc
 import json
-import os
-import subprocess
-import sys
 from importlib import resources
 from pathlib import Path
 
@@ -209,6 +206,16 @@ class TestValidation:
                               ["spectrum", "--model", "higgs", "--lambda", "1e-6"])
         assert code == 1
         assert capsys.readouterr().err == "error: assembled system has non-finite entries\n"
+
+    @pytest.mark.parametrize("model", [["higgs"], ["crs", "--mprime-q", "0"]],
+                             ids=["higgs", "crs"])
+    def test_n_above_the_series_cap_is_one_error_line(self, model, tmp_path, capsys):
+        # the series summed 1e9 terms in a Python loop and did not return
+        code, text = run_to_file(tmp_path, "x.json", ["wavefunction", "--model", *model,
+                                                      "--N", "1000000000", "--grid-n", "2"])
+        assert code == 1 and text == ""
+        assert capsys.readouterr().err == \
+            "error: N must be at most 1000 in a wavefunction, got 1000000000\n"
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--mass", "0", "mass must be positive, got 0.0"),
@@ -442,14 +449,8 @@ class TestSharedParser:
         finally:
             gc.enable()
 
-    def test_parser_is_built_on_the_first_call(self):
-        # a fresh interpreter: importing the CLI builds no parser
-        code = ("import os, curvosc.cli as c; "
-                "assert c._parser.cache_info().currsize == 0; "
-                "c.main(['potential', '--model', 'higgs', '--output', os.devnull]); "
-                "c.main(['potential', '--model', 'higgs', '--output', os.devnull]); "
-                "assert c._parser.cache_info().misses == 1")
-        src = Path(cli.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    def test_parser_is_built_on_the_first_call(self, startup):
+        # a fresh interpreter: importing the CLI builds no parser, and two
+        # calls of main build one
+        assert startup["parsers_at_import"] == 0
+        assert startup["parsers_built"] == 1

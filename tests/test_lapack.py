@@ -3,11 +3,8 @@ module without importing scipy.linalg, and its eigh_tridiagonal returns
 what scipy.linalg.eigh_tridiagonal, the reference here, returns, bit for
 bit, on the file-loaded module and on the scipy.linalg.lapack fallback."""
 
-import os
-import subprocess
 import sys
 from functools import cache
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,48 +44,29 @@ def loose(d, e):
     return np.sqrt(np.finfo(float).eps) * numerics._gershgorin(d, e)[1]
 
 
-def fresh_python(code):
-    """(stdout, stderr) of code run by a new interpreter, which has imported
-    nothing yet and finds this checkout's curvosc."""
-    src = Path(_lapack.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    return done.stdout, done.stderr
-
-
-def test_startup_leaves_scipy_linalg_unimported():
-    out, _ = fresh_python(
-        "import sys, curvosc.cli, curvosc.verify, curvosc._lapack as L\n"
-        "print('scipy.linalg' in sys.modules, 'numpy.random' in sys.modules, L.SOURCE)")
-    assert out.split() == ["False", "True", "extension", "file"]
+def test_startup_leaves_scipy_linalg_unimported(startup):
+    assert [startup["scipy.linalg"], startup["numpy.random"], startup["lapack_source"]] \
+        == [False, True, "extension file"]
 
 
 @pytest.mark.parametrize("loose_tol", [False, True], ids=["default-tol", "loose-tol"])
 @pytest.mark.parametrize("case", PROBLEMS)
 def test_values_match_scipy(case, loose_tol):
     d, e, k = standard_form(case)
-    options = dict(eigvals_only=True, select="i", select_range=(0, k - 1),
+    options = dict(eigvals_only=True, select_range=(0, k - 1),
                    tol=loose(d, e) if loose_tol else 0.0)
     ours = _lapack.eigh_tridiagonal(d, e, **options)
     assert ours.shape == (k,)
-    assert np.array_equal(ours, scipy_eigh_tridiagonal(d, e, **options))
+    assert np.array_equal(ours, scipy_eigh_tridiagonal(d, e, select="i", **options))
 
 
 @pytest.mark.parametrize("case", PROBLEMS)
 def test_vectors_match_scipy(case):
     d, e, k = standard_form(case)
-    w, v = _lapack.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+    w, v = _lapack.eigh_tridiagonal(d, e, select_range=(0, k - 1))
     ref_w, ref_v = scipy_eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
     assert v.shape == (d.size, k)
     assert np.array_equal(w, ref_w) and np.array_equal(v, ref_v)
-
-
-def test_only_index_selection():
-    d, e, _ = standard_form("qes2-tied")
-    with pytest.raises(ValueError, match="select='i'"):
-        _lapack.eigh_tridiagonal(d, e, select="v", select_range=(0.0, 1.0))
 
 
 class Refused:
@@ -107,7 +85,7 @@ def test_forced_fallback_gives_identical_results(tmp_path, monkeypatch, capsys):
     prob = qes_channel_problem(1, 1, UNIT, 8001)
 
     def results():
-        w, v = _lapack.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+        w, v = _lapack.eigh_tridiagonal(d, e, select_range=(0, k - 1))
         pairs = lowest_eigenpairs(prob, 3)
         return w, v, pairs.eigenvalues, pairs.eigenvectors
 
@@ -125,7 +103,7 @@ def test_forced_fallback_gives_identical_results(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: tridiagonal eigensolve failed") and err.count("\n") == 1
 
 
-def test_fallback_in_a_fresh_process_prints_the_same_spectrum(tmp_path):
+def test_fallback_in_a_fresh_process_prints_the_same_spectrum(tmp_path, fresh_python):
     args = ["spectrum", "--model", "qes2", "--mprime-q", "1"]
     assert cli.main(args + ["--output", str(tmp_path / "x.json")]) == 0
     out, err = fresh_python(

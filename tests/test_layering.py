@@ -2,8 +2,9 @@
 
 Model modules sit at the bottom, the numerical oracle beside them, the
 problem builders and check suites above, and the CLI on top.  The LAPACK
-loader under the oracle imports no curvosc module.  An import that points
-upward fails this test."""
+loader under the oracle imports no curvosc module, and neither does the
+package root, so importing a model module loads no solver.  An import that
+points upward fails this test."""
 
 import ast
 from pathlib import Path
@@ -46,7 +47,7 @@ def forbidden(module: str) -> set[str]:
         banned |= UPPER
     if module == "numerics":
         banned |= MODELS
-    if module == "_lapack":
+    if module in ("_lapack", "__init__"):
         banned |= {path.stem for path in SRC.glob("*.py")}
     return banned - {module}
 
@@ -63,3 +64,9 @@ def test_parser_sees_relative_and_late_imports(tmp_path):
                       "def f():\n    from .verify import run_suites\n"
                       "import curvosc.cli\nimport numpy\n")
     assert imported_modules(sample) == {"crs", "higgs", "numerics", "verify", "cli"}
+
+
+def test_model_modules_load_without_the_solver(startup):
+    # crs, higgs, transform, special_functions and params, imported first in
+    # a fresh interpreter, load neither scipy nor the oracle
+    assert startup["after_models"] == []

@@ -1,23 +1,55 @@
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from curvosc import crs, higgs
+from curvosc.cli import main
 from curvosc.errors import (
     NegativeRadiusError,
     NonpositiveCurvatureError,
-    PoleInSeriesError,
     QuantumNumberError,
+    SeriesDomainError,
 )
 from curvosc.params import PhysParams
 from curvosc.special_functions import (
+    MAX_SERIES_N,
     gudermannian,
     hyp2f1_terminating,
     theta_of_x,
     upsilon_of_r,
 )
+
+
+def exact_hyp2f1(N, b, c, zs):
+    """2F1(-N, b; c; z) at each float z, summed in exact rational arithmetic
+    and rounded once.  Floats are dyadic, so with the coefficients over one
+    denominator den and z = p/q, F = sum_k num_k p^k q^(N-k) / (den q^N)."""
+    b, c = Fraction(b), Fraction(c)
+    coefs = [Fraction(1)]
+    for k in range(N):
+        coefs.append(coefs[-1] * (-N + k) * (b + k) / ((c + k) * (k + 1)))
+    den = math.lcm(*(coef.denominator for coef in coefs))
+    nums = [coef.numerator * (den // coef.denominator) for coef in coefs]
+    values = []
+    for p, q in (float(z).as_integer_ratio() for z in zs):
+        acc = 0
+        for k in range(N, -1, -1):
+            acc = acc * p + nums[k] * q ** (N - k)
+        values.append(float(Fraction(acc, den * q ** N)))
+    return np.array(values)
+
+
+def series_error(N, b, c, zs):
+    """Largest error of hyp2f1_terminating on zs, as a fraction of max|F|."""
+    ref = exact_hyp2f1(N, b, c, zs)
+    return np.max(np.abs(hyp2f1_terminating(N, b, c, zs) - ref)) / np.max(np.abs(ref))
+
+
+Z_GRID = np.linspace(0.0, 0.999, 21)
 
 
 class TestHyp2F1:
@@ -35,22 +67,49 @@ class TestHyp2F1:
 
     def test_z_zero_is_one(self):
         for N in (0, 1, 5, 17):
-            assert hyp2f1_terminating(N, -2.3, 0.7, 0.0) == 1.0
+            assert hyp2f1_terminating(N, N + 2.3, 0.7, 0.0) == 1.0
 
-    @given(st.integers(0, 20), st.floats(-5, 5), st.floats(-30, 30))
-    def test_polynomial_finite_everywhere(self, N, b, z):
-        val = hyp2f1_terminating(N, b, 1.5, z)
-        assert math.isfinite(val)
+    @pytest.mark.parametrize("N", [1, 14, 20, 25, 60])
+    def test_matches_exact_series_on_the_callers_parameters(self, N):
+        # the wavefunctions call it with c = |m'| + 1 and b = N + c + m w'/(lam hbar);
+        # summing the series left 3.9e-8 of max|F| at N = 14, 5.3e-4 at 20, 3.4 at 25
+        for mp in (0, 1, 2):
+            for lam in (0.1, 1.0):
+                for omega in (0.5, 2.0):
+                    b = N + mp + 1 + PhysParams(omega=omega, lam=lam).omega_prime / lam
+                    assert series_error(N, b, mp + 1, Z_GRID) <= 1e-12
 
-    def test_pole_in_series(self):
-        with pytest.raises(PoleInSeriesError):
-            hyp2f1_terminating(3, 1.0, -1.0, 0.5)
-        # c = -N is still fine: (c)_k only needs k <= N-1 factors
-        assert math.isfinite(hyp2f1_terminating(3, 1.0, -3.0, 0.5))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(0, 60), st.floats(1, 3), st.floats(1e-3, 30), st.floats(-1, 1))
+    def test_matches_exact_series_on_any_callers_parameters(self, N, c, shift, z):
+        # b - N - c = m w'/(lam hbar) > 0, and z = sin Theta reaches -1
+        assert series_error(N, N + c + shift, c, np.append(Z_GRID, z)) <= 1e-12
+
+    def test_deep_higgs_wavefunction_table_matches_exact_series(self, tmp_path):
+        # the table read 3.4 times its largest |value| off at N = 25
+        N, out = 25, tmp_path / "wf.json"
+        assert main(["wavefunction", "--model", "higgs", "--N", str(N),
+                     "--output", str(out)]) == 0
+        r, value, _ = np.array(json.loads(out.read_text())["rows"]).T
+        params = PhysParams()
+        # psi_N = psi_0 * 2F1(-N, N + 1 + m w'/(lam hbar); 1; lam r^2/(1 + lam r^2))
+        ref = higgs.higgs_wavefunction((0, 0), params, r) * exact_hyp2f1(
+            N, N + 1 + params.omega_prime, 1, r * r / (1 + r * r))
+        assert np.max(np.abs(value - ref)) <= 1e-12 * np.max(np.abs(value))
+
+    def test_outside_the_domain_is_a_typed_error(self):
+        for b, c in ((1.0, -1.0), (1.0, -3.0), (4.0, 0.0), (3.0, 1.0), (2.5, 1.0)):
+            with pytest.raises(SeriesDomainError, match="needs b > N and c > 0"):
+                hyp2f1_terminating(3, b, c, 0.5)
 
     def test_rejects_negative_n(self):
         with pytest.raises(QuantumNumberError):
             hyp2f1_terminating(-1, 1.0, 1.0, 0.5)
+
+    def test_rejects_n_above_the_cap(self):
+        hyp2f1_terminating(MAX_SERIES_N, MAX_SERIES_N + 2.0, 1.0, 0.5)
+        with pytest.raises(QuantumNumberError, match=f"at most {MAX_SERIES_N}"):
+            hyp2f1_terminating(MAX_SERIES_N + 1, MAX_SERIES_N + 3.0, 1.0, 0.5)
 
 
 # every formula that takes a radial quantum number N, called at (N, m' = 1)
