@@ -22,25 +22,18 @@ requested point is singular.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ComplexResultError,
-    DegenerateDerivativeError,
-    SingularPointError,
-    ZeroAError,
-)
+from .errors import DegenerateDerivativeError, SingularPointError, ZeroAError
 from .params import PhysParams, require_positive
 from .special_functions import hyp2f1_terminating, radial_quantum_number, theta_of_x
 
 __all__ = [
     "QesSpec",
-    "HypergeometricArgument",
     "special_params",
     "x_general",
     "x_constraint_residual",
@@ -57,7 +50,10 @@ __all__ = [
 class QesSpec:
     """Parameter bundle (A, B, C1, C2, beta, gamma, C) of one solvable model.
 
-    The derived fields are fixed by the transformation conditions:
+    (A, B, C1, C2) fix its constraint solution, the real
+    X = -B/A + C1 c(u Theta) + C2 s(u Theta) with u = sqrt(|A|/lam) and
+    (c, s) = (cos, sin) for A < 0, (cosh, sinh) for A > 0.  The derived
+    fields are fixed by the transformation conditions:
     mprime_q = (beta+gamma)/(4 lam) - 1/2 and
     delta = sqrt(1 + 4 m^2 omega^2/(lam^2 hbar^2)).
     """
@@ -99,15 +95,9 @@ class QesSpec:
 
     @classmethod
     def example2(cls, mprime_q: float, params: PhysParams) -> "QesSpec":
-        """The X = sqrt(lam) x model: A = lam, B = 0.
-
-        X = sinh(Theta) arises from the general construction with C1 = 0 and
-        a formally imaginary C2 = -i; under this package's real-valued
-        contract the sinh coefficient is carried implicitly and C2 is
-        stored as 0 (the X callable is supplied directly where needed).
-        """
+        """The X = sinh(Theta) = sqrt(lam) x family: A = lam, B = 0, C1 = 0, C2 = 1."""
         lam = params.require_curvature()
-        return cls.build(A=lam, B=0.0, C1=0.0, C2=0.0,
+        return cls.build(A=lam, B=0.0, C1=0.0, C2=1.0,
                          mprime_q=mprime_q, params=params)
 
 
@@ -129,26 +119,28 @@ def special_params(mprime_q: float, params: PhysParams) -> QesSpec:
                    delta=surd / lam)
 
 
-def x_general(spec: QesSpec, params: PhysParams, x):
-    """Real-valued general constraint solution
-
-    X(x) = -B/A + C1 cosh(s Theta) + i C2 sinh(s Theta),  s = sqrt(A/lam).
-
-    For A < 0, s = i u turns this into -B/A + C1 cos(u Theta) - C2 sin(u Theta),
-    which is real for real C1, C2.  For A > 0 the sinh term is imaginary, so
-    C2 must vanish there.
-    """
+def _x_and_slope(spec: QesSpec, params: PhysParams, x):
+    """The constraint solution X(x) of spec and its slope
+    dX/dx = X_Theta sqrt(lam)/sqrt(1 + lam x^2)."""
     lam = params.require_curvature()
     if spec.A == 0:
         raise ZeroAError("A = 0 leaves -B/A undefined")
-    th = theta_of_x(x, lam)
+    x = np.asarray(x, float)
+    u = math.sqrt(abs(spec.A) / lam)
+    th = u * theta_of_x(x, lam)
     if spec.A < 0:
-        u = math.sqrt(-spec.A / lam)
-        return -spec.B / spec.A + spec.C1 * np.cos(u * th) - spec.C2 * np.sin(u * th)
-    if spec.C2 != 0:
-        raise ComplexResultError("A > 0 with C2 != 0 gives a complex X(x)")
-    u = math.sqrt(spec.A / lam)
-    return -spec.B / spec.A + spec.C1 * np.cosh(u * th)
+        c, s = np.cos(th), np.sin(th)
+        x_theta = u * (spec.C2 * c - spec.C1 * s)
+    else:
+        c, s = np.cosh(th), np.sinh(th)
+        x_theta = u * (spec.C1 * s + spec.C2 * c)
+    X = -spec.B / spec.A + spec.C1 * c + spec.C2 * s
+    return X, x_theta * math.sqrt(lam) / np.sqrt(1 + lam * x * x)
+
+
+def x_general(spec: QesSpec, params: PhysParams, x):
+    """The constraint solution X(x) of spec (see QesSpec)."""
+    return _x_and_slope(spec, params, x)[0]
 
 
 def x_constraint_residual(Xfun: Callable, A: float, B: float, params: PhysParams, x):
@@ -169,18 +161,16 @@ def x_constraint_residual(Xfun: Callable, A: float, B: float, params: PhysParams
     return K * d2 + lam * x * d1 - A * Xfun(x) - B
 
 
-def potential_general(spec: QesSpec, Xfun: Callable, Xprime: Callable,
-                      params: PhysParams, x):
-    """The factorization-method potential for an arbitrary constraint solution X."""
-    params.require_curvature()
+def potential_general(spec: QesSpec, params: PhysParams, x):
+    """The factorization-method potential of spec's constraint solution X."""
     x = np.asarray(x, float)
-    Xp = Xprime(x)
+    X, Xp = _x_and_slope(spec, params, x)
     if np.any(np.abs(Xp) < 1e-14):
         raise DegenerateDerivativeError(
             f"|dX/dx| = {np.min(np.abs(Xp))} at a requested x; potential singular")
     K = 1 + params.lam * x**2
-    bx = spec.beta * Xfun(x) + spec.gamma
-    num = bx * bx + bx * (spec.A * Xfun(x) + spec.B)
+    bx = spec.beta * X + spec.gamma
+    num = bx * bx + bx * (spec.A * X + spec.B)
     return params.hbar**2 / (2 * params.mass) * num / (K * Xp * Xp) + spec.c_shift
 
 
@@ -204,22 +194,7 @@ def crs_potential_special(mprime_q: float, params: PhysParams, x):
             - lam * params.hbar**2 / (8 * params.mass) * (1 + csc_term))
 
 
-class HypergeometricArgument(enum.Enum):
-    """Convention for the sine entering the special-model wavefunction.
-
-    SIN feeds sin(Theta) to the hypergeometric factor and uses cos(Theta)
-    as the power base.  SIN_SQUARED squares both.  Only SIN_SQUARED
-    satisfies the eigen-equation (the verify suite measures both); SIN is
-    retained so the discrepancy stays observable.
-    """
-
-    SIN = "sin"
-    SIN_SQUARED = "sin_squared"
-
-
-def crs_wavefunction_special(qn: tuple, params: PhysParams, x,
-                             argument_convention: HypergeometricArgument =
-                             HypergeometricArgument.SIN_SQUARED):
+def crs_wavefunction_special(qn: tuple, params: PhysParams, x):
     """Eigenfunction of the special model (unnormalized, complex up to a
     constant phase from the [-sin^2(2 Theta)]^(-3/4) prefactor):
 
@@ -227,8 +202,7 @@ def crs_wavefunction_special(qn: tuple, params: PhysParams, x,
              * base^(1 + |m'|/2 + m w'/(2 hbar lam))
              * 2F1(-N, N + |m'| + 1 + m w'/(lam hbar); |m'| + 1; arg)
 
-    with (base, arg) = (cos Theta, sin Theta) for SIN and
-    (cos^2 Theta, sin^2 Theta) for SIN_SQUARED.
+    with (base, arg) = (cos^2 Theta, sin^2 Theta).
     """
     lam = params.require_curvature()
     x = np.asarray(x, float)
@@ -242,22 +216,17 @@ def crs_wavefunction_special(qn: tuple, params: PhysParams, x,
     c = np.cos(th)
     pref = (-(np.sin(2 * th) ** 2) + 0j) ** (-0.75)
     expo = 1 + abs(mq) / 2 + params.mass * wp / (2 * params.hbar * lam)
-    if argument_convention is HypergeometricArgument.SIN_SQUARED:
-        base, arg = c * c, s * s
-    else:
-        base, arg = c, s
+    base, arg = c * c, s * s
     b_par = N + abs(mq) + 1 + params.mass * wp / (lam * params.hbar)
     hyp = hyp2f1_terminating(N, b_par, abs(mq) + 1, arg)
     return (pref * s * s * (np.tan(th) / math.sqrt(lam)) ** abs(mq)
             * (base + 0j) ** expo * hyp)
 
 
-def crs_wavefunction_special_real(qn, params: PhysParams, x,
-                                  argument_convention: HypergeometricArgument =
-                                  HypergeometricArgument.SIN_SQUARED):
+def crs_wavefunction_special_real(qn, params: PhysParams, x):
     """crs_wavefunction_special with the constant complex phase stripped."""
     phase = complex(-1.0, 0.0) ** (-0.75)
-    return (crs_wavefunction_special(qn, params, x, argument_convention) / phase).real
+    return (crs_wavefunction_special(qn, params, x) / phase).real
 
 
 def crs_energy(qn: tuple, params: PhysParams) -> float:

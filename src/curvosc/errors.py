@@ -46,10 +46,6 @@ class ZeroAError(CurvoscError):
     """The linear-term coefficient A vanishes, so -B/A is undefined."""
 
 
-class ComplexResultError(CurvoscError):
-    """A real-valued contract would have to return a complex number."""
-
-
 class DegenerateDerivativeError(CurvoscError):
     """dX/dx is (numerically) zero where the potential needs to divide by it."""
 

@@ -21,7 +21,6 @@ requested point is singular.
 
 from __future__ import annotations
 
-import enum
 import math
 
 import numpy as np
@@ -32,7 +31,6 @@ from .special_functions import gudermannian, hyp2f1_terminating, radial_quantum_
 from .crs import QesSpec
 
 __all__ = [
-    "Example1SineFactor",
     "higgs_radial_coefficients",
     "oscillator_potential",
     "higgs_wavefunction",
@@ -143,28 +141,13 @@ def qes_example1_potential(l: float, mprime_q: float, params: PhysParams, r):
     return t1 + t2 + t3
 
 
-class Example1SineFactor(enum.Enum):
-    """Angle convention of the sine factor in the cos(l Theta) ground state.
-
-    FULL_ANGLE uses sin(l Upsilon), the form the factorization construction
-    produces and the only one whose Rayleigh quotient is constant in the
-    matching potential; HALF_ANGLE uses sin((l/2) Upsilon) and is retained
-    so the alternative remains measurable (see the verify suite).
-    """
-
-    FULL_ANGLE = "full"
-    HALF_ANGLE = "half"
-
-
-def qes_example1_groundstate(l: float, mprime_q: float, params: PhysParams, r,
-                             sine_factor: Example1SineFactor = Example1SineFactor.FULL_ANGLE):
+def qes_example1_groundstate(l: float, mprime_q: float, params: PhysParams, r):
     """Unnormalized channel-m'_Q ground state of the cos(l Theta) family,
 
     psi0 = (lam r^2)^(-1/4) (1+lam r^2)^(-1/2)
-           [tan((l/2) U)]^(gamma/(lam l^2)) [sin(a U)]^(beta/(lam l^2)),
+           [tan((l/2) U)]^(gamma/(lam l^2)) [sin(l U)]^(beta/(lam l^2)).
 
-    with a = l (FULL_ANGLE) or a = l/2 (HALF_ANGLE).  Only defined on the
-    principal branch (l/2) Upsilon in (0, pi/2).
+    Only defined on the principal branch (l/2) Upsilon in (0, pi/2).
     """
     lam = params.require_curvature()
     r = np.asarray(r, float)
@@ -177,11 +160,10 @@ def qes_example1_groundstate(l: float, mprime_q: float, params: PhysParams, r,
         raise SingularPointError(
             f"r = {r[off_branch].flat[0]} lies outside the principal branch "
             f"(l/2) Upsilon in (0, pi/2)")
-    sin_arg = l * u if sine_factor is Example1SineFactor.FULL_ANGLE else 0.5 * l * u
     ll2 = lam * l * l
     return ((lam * r * r) ** -0.25 * (1 + lam * r * r) ** -0.5
             * np.tan(0.5 * l * u) ** (spec.gamma / ll2)
-            * np.sin(sin_arg) ** (spec.beta / ll2))
+            * np.sin(l * u) ** (spec.beta / ll2))
 
 
 def qes_example2_potential(mprime_q: float, params: PhysParams, r):
@@ -245,8 +227,7 @@ def qes_potential(mprime_q: float, params: PhysParams, r, l: float | None = None
 
 def qes_groundstate(mprime_q: float, params: PhysParams, r, l: float | None = None):
     """Unnormalized channel-m'_Q ground state of the cos(l Theta) family
-    (full-angle sine factor) for a number l, of the sqrt(lam) x family for
-    l = None."""
+    for a number l, of the sqrt(lam) x family for l = None."""
     if l is None:
         return qes_example2_groundstate(mprime_q, params, r)
     return qes_example1_groundstate(l, mprime_q, params, r)

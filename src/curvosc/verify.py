@@ -18,8 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import crs, higgs, problems, transform
-from .crs import HypergeometricArgument, QesSpec
-from .higgs import Example1SineFactor
+from .crs import QesSpec
 from .numerics import (
     EndpointRule,
     Grid1D,
@@ -33,6 +32,7 @@ from .numerics import (
     richardson_eigenvalues,
 )
 from .params import PhysParams
+from .special_functions import gudermannian, hyp2f1_terminating, theta_of_x, upsilon_of_r
 
 __all__ = ["CheckResult", "SUITES", "run_suites", "build_report", "ALL_SUITE_NAMES"]
 
@@ -175,6 +175,21 @@ def suite_transform_closure() -> list[CheckResult]:
 # acceptance criterion 5: wavefunction map and the sine-argument question
 
 
+def _crs_wavefunction_plain_sin(qn, params: PhysParams, x):
+    """crs_wavefunction_special_real as printed, with cos Theta as the power
+    base and sin Theta as the 2F1 argument where the model squares both."""
+    lam = params.lam
+    N, mq = qn
+    th = theta_of_x(x, lam)
+    s, c = np.sin(th), np.cos(th)
+    pref = (-(np.sin(2 * th) ** 2) + 0j) ** (-0.75)
+    expo = 1 + abs(mq) / 2 + params.mass * params.omega_prime / (2 * params.hbar * lam)
+    b_par = N + abs(mq) + 1 + params.mass * params.omega_prime / (lam * params.hbar)
+    phi = (pref * s * s * (np.tan(th) / math.sqrt(lam)) ** abs(mq)
+           * (c + 0j) ** expo * hyp2f1_terminating(N, b_par, abs(mq) + 1, s))
+    return (phi / complex(-1.0, 0.0) ** (-0.75)).real
+
+
 def suite_wavefunction_map() -> list[CheckResult]:
     out = []
     params = PhysParams(lam=1.0)
@@ -197,18 +212,18 @@ def suite_wavefunction_map() -> list[CheckResult]:
     mq, N = 1, 1
     E = crs.crs_energy((N, mq), params)
     grid = Grid1D(0.1, 0.9 * crs.x_pole(params), 500)
-    res = {}
-    for conv in (HypergeometricArgument.SIN_SQUARED, HypergeometricArgument.SIN):
-        res[conv] = residual_norm(
+
+    def residual(phi):
+        return residual_norm(
             lambda x: crs.crs_operator_coefficients(params, x),
             lambda x: crs.crs_potential_special(mq, params, x),
-            lambda x: crs.crs_wavefunction_special_real((N, mq), params, x, conv),
-            E, grid)
+            lambda x: phi((N, mq), params, x), E, grid)
+
     out.append(_check("wavefunction-map", "sin-squared-residual",
-                      res[HypergeometricArgument.SIN_SQUARED], 1e-6,
+                      residual(crs.crs_wavefunction_special_real), 1e-6,
                       detail="eigen-equation residual of the sin^2 convention"))
     out.append(_check("wavefunction-map", "sin-as-printed-residual",
-                      res[HypergeometricArgument.SIN], math.inf, comparator="report",
+                      residual(_crs_wavefunction_plain_sin), math.inf, comparator="report",
                       detail="eigen-equation residual of the plain-sin convention; "
                              "orders of magnitude above the sin^2 form, which "
                              "settles the convention question"))
@@ -220,22 +235,23 @@ def suite_wavefunction_map() -> list[CheckResult]:
 
 
 def suite_constraint_ode() -> list[CheckResult]:
+    """Each family's named X against the A and B of its QesSpec."""
     params = PhysParams(lam=1.0)
     lam = params.lam
     xs = np.linspace(0.1, 5.0, 50)
     out = []
-    from .special_functions import theta_of_x
 
     def cos_l(l):
         return lambda x: np.cos(l * theta_of_x(x, lam))
 
-    cases = [("special-cos2theta", cos_l(2.0), -4 * lam),
-             ("example1-l=1", cos_l(1.0), -lam),
-             ("example1-l=2", cos_l(2.0), -4 * lam),
-             ("example1-l=3", cos_l(3.0), -9 * lam),
-             ("example2-sqrt(lam)x", lambda x: math.sqrt(lam) * x, lam)]
-    for name, X, A in cases:
-        worst = float(np.max(np.abs(crs.x_constraint_residual(X, A, 0.0, params, xs))))
+    cases = [("special-cos2theta", cos_l(2.0), crs.special_params(1.0, params)),
+             ("example1-l=1", cos_l(1.0), QesSpec.example1(1.0, 1.0, params)),
+             ("example1-l=2", cos_l(2.0), QesSpec.example1(2.0, 1.0, params)),
+             ("example1-l=3", cos_l(3.0), QesSpec.example1(3.0, 1.0, params)),
+             ("example2-sqrt(lam)x", lambda x: math.sqrt(lam) * x,
+              QesSpec.example2(1.0, params))]
+    for name, X, spec in cases:
+        worst = float(np.max(np.abs(crs.x_constraint_residual(X, spec.A, spec.B, params, xs))))
         out.append(_check("constraint-ode", name, worst, 1e-6,
                           detail="max |K X'' + lam x X' - A X - B| at 50 points in [0.1, 5]"))
     return out
@@ -243,6 +259,18 @@ def suite_constraint_ode() -> list[CheckResult]:
 
 # ----------------------------------------------------------------------
 # acceptance criterion 7: QES certification
+
+
+def _example1_half_angle_groundstate(l, mq, params: PhysParams, r):
+    """qes_example1_groundstate with the half-angle sine factor
+    sin((l/2) Upsilon) in place of sin(l Upsilon)."""
+    spec = QesSpec.example1(l, mq, params)
+    lam = params.lam
+    u = upsilon_of_r(r, lam)
+    ll2 = lam * l * l
+    return ((lam * r * r) ** -0.25 * (1 + lam * r * r) ** -0.5
+            * np.tan(0.5 * l * u) ** (spec.gamma / ll2)
+            * np.sin(0.5 * l * u) ** (spec.beta / ll2))
 
 
 @lru_cache(maxsize=None)
@@ -258,8 +286,7 @@ def _qes_measurements():
             prob, lambda r: higgs.qes_groundstate(mq, params, r, l))
         if l is not None:
             _, m["ex1_half_angle_constancy"] = rayleigh_quotient(
-                prob, lambda r: higgs.qes_example1_groundstate(
-                    l, mq, params, r, Example1SineFactor.HALF_ANGLE))
+                prob, lambda r: _example1_half_angle_groundstate(l, mq, params, r))
         num = lowest_eigenvalues(problems.qes_channel_problem(mq, mq, params, 8001, l=l), 1)
         m[ex + "_numeric_E0"] = float(num[0])
 
@@ -322,20 +349,13 @@ def suite_l2_reduction() -> list[CheckResult]:
     rs = np.logspace(math.log10(0.05), math.log10(20.0), 200)
     out = []
     for mq in (0.0, 1.0, 2.0, 0.5):
-        def diff_table(pts):
-            return (higgs.qes_example1_potential(2.0, mq, params, pts)
-                    - higgs.oscillator_potential(params, pts))
-
-        d1 = diff_table(rs)
-        d2 = diff_table(rs[::-1])[::-1]
-        repro = float(np.max(np.abs(d1 - d2)))
-        spread = float(np.max(np.abs(d1 - d1[0])))
-        maxabs = float(np.max(np.abs(d1)))
+        d = (higgs.qes_example1_potential(2.0, mq, params, rs)
+             - higgs.oscillator_potential(params, rs))
         out.append(_check(
-            "l2-reduction", f"reproducible-mprimeq={mq}", repro, 1e-10,
-            detail=f"difference to the plain oscillator: max |D| = {maxabs:.3e}, "
-                   f"max |D - D(r0)| = {spread:.3e}; constant in r and equal to "
-                   f"zero at roundoff, so the reduction claim holds exactly"))
+            "l2-reduction", f"difference-mprimeq={mq}", float(np.max(np.abs(d))), 1e-10,
+            detail="max |D| of D = V_l=2 - (1/2) m w^2 r^2 over 200 log-spaced radii "
+                   "in [0.05, 20]; zero at roundoff, so the reduction claim holds "
+                   "exactly"))
     return out
 
 
@@ -359,7 +379,6 @@ def suite_flat_limit() -> list[CheckResult]:
 
 
 def suite_special_functions() -> list[CheckResult]:
-    from .special_functions import gudermannian, theta_of_x, upsilon_of_r
     out = []
     worst = 0.0
     rs = np.logspace(-3, 3, 25)
@@ -383,14 +402,10 @@ def suite_crs_model() -> list[CheckResult]:
     params = PhysParams(lam=1.0)
     out = []
     worst = 0.0
-    from .special_functions import theta_of_x
     for mq in (0.0, 1.0, 2.0, 0.5):
         spec = crs.special_params(mq, params)
-        X = lambda x: crs.x_general(spec, params, x)
-        Xp = lambda x: (-2 * np.sin(2 * theta_of_x(x, params.lam))
-                        * math.sqrt(params.lam) / np.sqrt(1 + params.lam * x * x))
         xs = np.linspace(0.1, 5, 25)
-        a = crs.potential_general(spec, X, Xp, params, xs)
+        a = crs.potential_general(spec, params, xs)
         b = crs.crs_potential_special(mq, params, xs)
         worst = max(worst, float(np.max(np.abs(a - b) / np.abs(b))))
     out.append(_check("crs-model", "general-vs-special-potential", worst, 1e-9,
@@ -444,23 +459,17 @@ def suite_higgs_model() -> list[CheckResult]:
     # both construction routes of the cos(l Theta) potential
     l, mq = 3.0, 1.0
     spec = QesSpec.example1(l, mq, params)
-    from .special_functions import theta_of_x
-    X = lambda x: np.cos(l * theta_of_x(x, params.lam))
-    Xp = lambda x: (-l * np.sin(l * theta_of_x(x, params.lam))
-                    * math.sqrt(params.lam) / np.sqrt(1 + params.lam * x * x))
     rs = np.linspace(0.05, 0.95 * higgs.example1_branch_radius(l, params), 40)
     a = transform.map_potential(
-        mq, params, lambda x: crs.potential_general(spec, X, Xp, params, x), rs)
+        mq, params, lambda x: crs.potential_general(spec, params, x), rs)
     b = higgs.qes_example1_potential(l, mq, params, rs)
     worst = float(np.max(np.abs(a - b) / (np.abs(b) + 1.0)))
     out.append(_check("higgs-model", "example1-both-routes", worst, 1e-9,
                       detail="direct transcription vs factorization+map composition"))
     spec2 = QesSpec.example2(mq, params)
-    X2 = lambda x: math.sqrt(params.lam) * x
-    Xp2 = lambda x: math.sqrt(params.lam)
     rs = np.linspace(0.05, 30.0, 40)
     a = transform.map_potential(
-        mq, params, lambda x: crs.potential_general(spec2, X2, Xp2, params, x), rs)
+        mq, params, lambda x: crs.potential_general(spec2, params, x), rs)
     b = higgs.qes_example2_potential(mq, params, rs)
     worst2 = float(np.max(np.abs(a - b) / (np.abs(b) + 1.0)))
     out.append(_check("higgs-model", "example2-both-routes", worst2, 1e-9))

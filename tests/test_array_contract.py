@@ -23,10 +23,6 @@ def cos2theta(x):
     return np.cos(2 * theta_of_x(x, 1.0))
 
 
-def cos2theta_prime(x):
-    return -2 * np.sin(2 * theta_of_x(x, 1.0)) / np.sqrt(1 + x * x)
-
-
 # name -> (formula of the points, six valid points)
 FORMULAS = {
     "gudermannian": (gudermannian, [-40.0, -1.5, -1e-3, 0.0, 0.7, 30.0]),
@@ -42,7 +38,7 @@ FORMULAS = {
     "x_general": (lambda x: crs.x_general(SPECIAL, UNIT, x),
                   [-2.0, 0.0, 0.3, 0.8, 1.5, 4.0]),
     "potential_general": (
-        lambda x: crs.potential_general(SPECIAL, cos2theta, cos2theta_prime, UNIT, x),
+        lambda x: crs.potential_general(SPECIAL, UNIT, x),
         [0.05, 0.3, 0.8, 1.5, 2.0, 2.25]),
     "x_constraint_residual": (
         lambda x: crs.x_constraint_residual(cos2theta, -4.0, 0.0, UNIT, x),

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from curvosc import crs
-from curvosc.crs import HypergeometricArgument, QesSpec
+from curvosc.crs import QesSpec
 from curvosc.errors import (
-    ComplexResultError,
     DegenerateDerivativeError,
     NonpositiveCurvatureError,
     SingularPointError,
@@ -15,6 +14,7 @@ from curvosc.errors import (
 from curvosc.numerics import Grid1D, residual_norm
 from curvosc.params import PhysParams
 from curvosc.special_functions import theta_of_x
+from curvosc.verify import _crs_wavefunction_plain_sin
 
 UNIT = PhysParams()
 
@@ -80,10 +80,20 @@ class TestXGeneral:
         with pytest.raises(ZeroAError):
             crs.x_general(spec, UNIT, 1.0)
 
-    def test_positive_a_with_c2_rejected(self):
-        spec = QesSpec.build(A=1.0, B=0.0, C1=0.0, C2=1.0, mprime_q=0.0, params=UNIT)
-        with pytest.raises(ComplexResultError):
-            crs.x_general(spec, UNIT, 1.0)
+    def test_positive_a_with_c2_gives_sinh(self):
+        spec = QesSpec.build(A=4.0, B=0.0, C1=0.0, C2=1.5, mprime_q=0.0, params=UNIT)
+        for x in (-1.2, 0.3, 2.0):
+            assert crs.x_general(spec, UNIT, x) == pytest.approx(
+                1.5 * math.sinh(2 * theta_of_x(x, 1.0)), rel=1e-14)
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
+    def test_example2_is_sqrt_lam_x(self, lam):
+        p = PhysParams(lam=lam)
+        spec = QesSpec.example2(1.0, p)
+        assert crs.x_general(spec, p, 0.7) == pytest.approx(math.sqrt(lam) * 0.7, rel=1e-15)
+        xs = np.array([[-3.0, -0.4, 0.1], [0.9, 2.0, 5.0]])
+        np.testing.assert_allclose(crs.x_general(spec, p, xs), math.sqrt(lam) * xs,
+                                   rtol=1e-15, atol=0)
 
 
 class TestConstraint:
@@ -111,24 +121,20 @@ class TestPotentialGeneral:
     def test_constant_when_beta_gamma_zero(self):
         spec = QesSpec(A=-4.0, B=0.0, C1=1.0, C2=0.0, beta=0.0, gamma=0.0,
                        c_shift=3.25, mprime_q=0.0, delta=1.0)
-        X = lambda x: math.cos(2 * theta_of_x(x, 1.0))
-        Xp = lambda x: -2 * math.sin(2 * theta_of_x(x, 1.0)) / math.sqrt(1 + x * x)
         for x in (0.2, 1.0, 2.0):
-            assert crs.potential_general(spec, X, Xp, UNIT, x) == 3.25
+            assert crs.potential_general(spec, UNIT, x) == 3.25
 
     def test_degenerate_derivative_rejected(self):
+        # X = cos(2 Theta) is flat at x = 0
         spec = crs.special_params(0.0, UNIT)
         with pytest.raises(DegenerateDerivativeError):
-            crs.potential_general(spec, lambda x: 1.0, lambda x: 0.0, UNIT, 1.0)
+            crs.potential_general(spec, UNIT, 0.0)
 
     @pytest.mark.parametrize("mq", [0.0, 1.0, 2.0, 0.5])
     def test_matches_special_closed_form(self, mq):
         spec = crs.special_params(mq, UNIT)
-        X = lambda x: crs.x_general(spec, UNIT, x)
-        Xp = lambda x: (-2 * math.sin(2 * theta_of_x(x, 1.0))
-                        / math.sqrt(1 + x * x))
         for x in np.linspace(0.1, 5, 25):
-            a = crs.potential_general(spec, X, Xp, UNIT, float(x))
+            a = crs.potential_general(spec, UNIT, float(x))
             b = crs.crs_potential_special(mq, UNIT, float(x))
             assert a == pytest.approx(b, rel=1e-10)
 
@@ -180,8 +186,7 @@ class TestWavefunction:
         res = residual_norm(
             lambda x: crs.crs_operator_coefficients(UNIT, x),
             lambda x: crs.crs_potential_special(mq, UNIT, x),
-            lambda x: crs.crs_wavefunction_special_real(
-                (N, mq), UNIT, x, HypergeometricArgument.SIN),
+            lambda x: _crs_wavefunction_plain_sin((N, mq), UNIT, x),
             E, grid)
         assert res > 1e-2
 

@@ -13,11 +13,11 @@ from curvosc.errors import (
     NonpositiveParameterError,
     SingularPointError,
 )
-from curvosc.higgs import Example1SineFactor
 from curvosc.numerics import EndpointRule, Grid1D, rayleigh_quotient
 from curvosc.params import PhysParams
 from curvosc.problems import higgs_radial_problem, qes_channel_problem
 from curvosc.special_functions import gudermannian
+from curvosc.verify import _example1_half_angle_groundstate
 
 UNIT = PhysParams()
 
@@ -122,18 +122,19 @@ class TestExample1Potential:
             math.tan(math.pi / 3), rel=1e-15)
         assert math.isinf(higgs.example1_branch_radius(2.0, UNIT))
 
-    def test_cross_route_against_construction(self):
+    @pytest.mark.parametrize("l", [3.0, None], ids=["example1", "example2"])
+    def test_cross_route_against_construction(self, l):
         # direct transcription vs factorization potential + potential map
-        from curvosc.special_functions import theta_of_x
-        l, mq = 3.0, 1.0
-        spec = QesSpec.example1(l, mq, UNIT)
-        X = lambda x: math.cos(l * theta_of_x(x, 1.0))
-        Xp = lambda x: -l * math.sin(l * theta_of_x(x, 1.0)) / math.sqrt(1 + x * x)
-        rb = higgs.example1_branch_radius(l, UNIT)
-        for r in np.linspace(0.05, 0.95 * rb, 30):
+        mq = 1.0
+        if l is None:
+            spec, rs = QesSpec.example2(mq, UNIT), np.linspace(0.05, 30.0, 30)
+        else:
+            spec = QesSpec.example1(l, mq, UNIT)
+            rs = np.linspace(0.05, 0.95 * higgs.example1_branch_radius(l, UNIT), 30)
+        for r in rs:
             a = transform.map_potential(
-                mq, UNIT, lambda x: crs.potential_general(spec, X, Xp, UNIT, x), float(r))
-            b = higgs.qes_example1_potential(l, mq, UNIT, float(r))
+                mq, UNIT, lambda x: crs.potential_general(spec, UNIT, x), float(r))
+            b = higgs.qes_potential(mq, UNIT, float(r), l)
             assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
 
 
@@ -162,8 +163,7 @@ class TestExample1GroundState:
         mq = 1
         rs = np.linspace(0.1, 8.0, 60)
         ratios = np.array([
-            higgs.qes_example1_groundstate(2.0, mq, UNIT, float(r),
-                                           Example1SineFactor.HALF_ANGLE)
+            _example1_half_angle_groundstate(2.0, mq, UNIT, float(r))
             / higgs.higgs_wavefunction((0, mq), UNIT, float(r)) for r in rs])
         assert np.std(ratios) / abs(np.mean(ratios)) > 1e-1
 
