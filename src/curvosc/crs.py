@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateDerivativeError, SingularPointError, ZeroAError
+from .errors import DegenerateDerivativeError, NonpositiveCurvatureError, QuantumNumberError, \
+    SingularPointError, ZeroAError
 from .params import PhysParams, require_positive
 from .special_functions import hyp2f1_terminating, radial_quantum_number, theta_of_x
 
@@ -36,10 +36,10 @@ __all__ = [
     "QesSpec",
     "special_params",
     "x_general",
-    "x_constraint_residual",
     "potential_general",
     "crs_potential_special",
     "crs_wavefunction_special",
+    "oscillator_energy",
     "crs_energy",
     "crs_operator_coefficients",
     "x_pole",
@@ -52,10 +52,8 @@ class QesSpec:
 
     (A, B, C1, C2) fix its constraint solution, the real
     X = -B/A + C1 c(u Theta) + C2 s(u Theta) with u = sqrt(|A|/lam) and
-    (c, s) = (cos, sin) for A < 0, (cosh, sinh) for A > 0.  The derived
-    fields are fixed by the transformation conditions:
-    mprime_q = (beta+gamma)/(4 lam) - 1/2 and
-    delta = sqrt(1 + 4 m^2 omega^2/(lam^2 hbar^2)).
+    (c, s) = (cos, sin) for A < 0, (cosh, sinh) for A > 0.  The transformation
+    conditions fix (beta, gamma, C) from m'_Q = (beta+gamma)/(4 lam) - 1/2.
     """
 
     A: float
@@ -65,8 +63,6 @@ class QesSpec:
     beta: float
     gamma: float
     c_shift: float
-    mprime_q: float
-    delta: float
 
     @classmethod
     def build(cls, A: float, B: float, C1: float, C2: float,
@@ -82,8 +78,7 @@ class QesSpec:
         gamma = 2 * lam * mprime_q - lam * d
         c_shift = params.hbar**2 / (2 * params.mass) * (
             lam * (mprime_q**2 - 1) + mprime_q * lam * d)
-        return cls(A=A, B=B, C1=C1, C2=C2, beta=beta, gamma=gamma,
-                   c_shift=c_shift, mprime_q=mprime_q, delta=d)
+        return cls(A=A, B=B, C1=C1, C2=C2, beta=beta, gamma=gamma, c_shift=c_shift)
 
     @classmethod
     def example1(cls, l: float, mprime_q: float, params: PhysParams) -> "QesSpec":
@@ -115,8 +110,7 @@ def special_params(mprime_q: float, params: PhysParams) -> QesSpec:
     gamma = 2 * lam * mprime_q - surd
     c_shift = params.hbar**2 / (2 * params.mass) * (lam * (mprime_q**2 - 1) + mprime_q * surd)
     return QesSpec(A=-4 * lam, B=0.0, C1=1.0, C2=0.0, beta=beta, gamma=gamma,
-                   c_shift=c_shift, mprime_q=mprime_q,
-                   delta=surd / lam)
+                   c_shift=c_shift)
 
 
 def _x_and_slope(spec: QesSpec, params: PhysParams, x):
@@ -141,24 +135,6 @@ def _x_and_slope(spec: QesSpec, params: PhysParams, x):
 def x_general(spec: QesSpec, params: PhysParams, x):
     """The constraint solution X(x) of spec (see QesSpec)."""
     return _x_and_slope(spec, params, x)[0]
-
-
-def x_constraint_residual(Xfun: Callable, A: float, B: float, params: PhysParams, x):
-    """Residual of the constraint K X'' + lam x X' - A X - B at x.
-
-    Derivatives by central differences with step h = max(1e-4, 1e-4 |x|),
-    so the callable only needs point evaluation (on arrays, if x is one).
-    The step balances the O(h^2) truncation against the 4 eps K/h^2
-    rounding floor of the second difference; 1e-4 keeps both near 1e-7
-    for |x| <= 5.
-    """
-    lam = params.lam
-    x = np.asarray(x, float)
-    h = np.maximum(1e-4, 1e-4 * np.abs(x))
-    d1 = (Xfun(x + h) - Xfun(x - h)) / (2 * h)
-    d2 = (Xfun(x + h) - 2 * Xfun(x) + Xfun(x - h)) / h**2
-    K = 1 + lam * x**2
-    return K * d2 + lam * x * d1 - A * Xfun(x) - B
 
 
 def potential_general(spec: QesSpec, params: PhysParams, x):
@@ -229,18 +205,25 @@ def crs_wavefunction_special_real(qn, params: PhysParams, x):
     return (crs_wavefunction_special(qn, params, x) / phase).real
 
 
+def oscillator_energy(qn: tuple, params: PhysParams) -> float:
+    """The spectrum that the special model and the radial oscillator share,
+    E = hbar w' n + (lam hbar^2 / 2m) n^2 with n = 2N + |m'| + 1 and
+    w' = sqrt(omega^2 + hbar^2 lam^2 / (4 m^2)), for finite m' and lam >= 0
+    (lam = 0 is the flat oscillator hbar omega n)."""
+    if not (params.lam >= 0):
+        raise NonpositiveCurvatureError(f"the spectrum requires lam >= 0, got {params.lam}")
+    N, mp = qn
+    if not math.isfinite(mp):
+        raise QuantumNumberError(f"m' must be finite, got {mp}")
+    n = 2 * radial_quantum_number(N) + abs(mp) + 1
+    return params.hbar * params.omega_prime * n + params.lam * params.hbar**2 / (2 * params.mass) * n**2
+
+
 def crs_energy(qn: tuple, params: PhysParams) -> float:
-    """Spectrum of the special model:
-
-    E = hbar w' (2N + |m'| + 1) + (lam hbar^2 / 2m) (2N + |m'| + 1)^2,
-    w' = sqrt(omega^2 + hbar^2 lam^2 / (4 m^2)).
-
-    Requires lam > 0; the flat limit belongs to the radial-oscillator module.
-    """
-    lam = params.require_curvature()
-    N, mq = qn
-    n = 2 * radial_quantum_number(N) + abs(mq) + 1
-    return params.hbar * params.omega_prime * n + lam * params.hbar**2 / (2 * params.mass) * n**2
+    """Spectrum of the special model, oscillator_energy((N, m'_Q)) for lam > 0;
+    the flat limit belongs to the radial-oscillator module."""
+    params.require_curvature()
+    return oscillator_energy(qn, params)
 
 
 def crs_operator_coefficients(params: PhysParams, x):

@@ -11,8 +11,8 @@ class SeriesDomainError(CurvoscError):
 
 
 class QuantumNumberError(CurvoscError):
-    """A radial quantum number N is negative or not an integer, or too large
-    for the terminating series of a wavefunction."""
+    """A radial quantum number N is negative, not an integer or too large for
+    a wavefunction's terminating series, or an angular one m' is not finite."""
 
 
 class ParameterOverflowError(CurvoscError):
@@ -21,7 +21,7 @@ class ParameterOverflowError(CurvoscError):
 
 
 class NonpositiveCurvatureError(CurvoscError):
-    """An operation that needs lambda > 0 was called with lambda <= 0."""
+    """An operation that needs lambda > 0 (the spectrum: lambda >= 0) got less."""
 
 
 class NonpositiveParameterError(CurvoscError):
@@ -30,8 +30,8 @@ class NonpositiveParameterError(CurvoscError):
 
 
 class InfiniteBranchError(CurvoscError):
-    """The cos(l Theta) potential has no finite sec pole (l <= 2), so a
-    channel solve has no right end."""
+    """The cos(l Theta) potential has no finite sec pole (l <= 2), so its
+    branch radius, the right end of a channel solve, does not exist."""
 
 
 class NegativeRadiusError(CurvoscError):

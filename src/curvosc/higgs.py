@@ -9,8 +9,8 @@ eigenproblem is
                    + (3 lam - lam m'^2 + (15/4) lam^2 r^2 - m'^2/r^2) psi ]
     + V(r) psi = E psi.
 
-For V = (1/2) m omega^2 r^2 the eigenpairs are hypergeometric with spectrum
-E = hbar w' (2N+|m'|+1) + (lam hbar^2/2m)(2N+|m'|+1)^2.  The two
+For V = (1/2) m omega^2 r^2 the eigenpairs are hypergeometric, and the
+spectrum is the line model's, crs.oscillator_energy.  The two
 transplanted potential families below (cos(l Theta) and sqrt(lam) x source
 models) are solvable only in the single angular channel m' = m'_Q.
 
@@ -25,10 +25,11 @@ import math
 
 import numpy as np
 
-from .errors import NegativeRadiusError, ParameterOverflowError, SingularPointError
+from .errors import InfiniteBranchError, NegativeRadiusError, ParameterOverflowError, \
+    SingularPointError
 from .params import PhysParams, require_positive
-from .special_functions import gudermannian, hyp2f1_terminating, radial_quantum_number, upsilon_of_r
-from .crs import QesSpec
+from .special_functions import gudermannian, hyp2f1_terminating, upsilon_of_r
+from .crs import QesSpec, oscillator_energy
 
 __all__ = [
     "higgs_radial_coefficients",
@@ -91,19 +92,19 @@ def higgs_wavefunction(qn: tuple, params: PhysParams, r):
 
 
 def higgs_energy(qn: tuple, params: PhysParams) -> float:
-    """Radial oscillator spectrum; lam = 0 reduces to the flat 2D oscillator
-    hbar omega (2N + |m'| + 1)."""
-    N, mp = qn
-    n = 2 * radial_quantum_number(N) + abs(mp) + 1
-    return params.hbar * params.omega_prime * n + params.lam * params.hbar**2 / (2 * params.mass) * n**2
+    """Radial oscillator spectrum, the line model's oscillator_energy((N, m')) that
+    the map preserves; lam = 0 gives the flat 2D oscillator hbar omega (2N + |m'| + 1)."""
+    return oscillator_energy(qn, params)
 
 
 def example1_branch_radius(l: float, params: PhysParams) -> float:
-    """First sec singularity of the cos(l Theta) potential: the radius where
-    (l/2) Upsilon(r) = pi/2.  Infinite for l <= 2 (Upsilon < pi/2 always)."""
+    """First sec singularity of the cos(l Theta) potential, the right end of
+    its channel problems: the radius where (l/2) Upsilon(r) = pi/2.  There
+    is none for 0 < l <= 2 (Upsilon < pi/2 always): InfiniteBranchError."""
     lam = params.require_curvature()
+    require_positive("l", l)
     if l <= 2:
-        return math.inf
+        raise InfiniteBranchError("channel solver expects l > 2 (finite branch)")
     return math.tan(math.pi / l) / math.sqrt(lam)
 
 

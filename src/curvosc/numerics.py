@@ -210,8 +210,8 @@ class Grid1D:
     n: int
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
+            raise ValueError(f"need finite a < b, got [{self.a}, {self.b}]")
         if self.n < 3:
             raise ValueError(f"need n >= 3 interior points, got {self.n}")
 

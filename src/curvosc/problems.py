@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .crs import QesSpec, crs_operator_coefficients, crs_potential_special, x_pole
-from .errors import InfiniteBranchError, ParameterOverflowError
+from .errors import ParameterOverflowError
 from .higgs import (
     example1_branch_radius,
     higgs_radial_coefficients,
@@ -214,8 +214,6 @@ def qes_channel_problem(mprime: float, mprime_q: float, params: PhysParams, n: i
     else:
         spec = QesSpec.example1(l, mprime_q, params)
         rb = example1_branch_radius(l, params)
-        if not math.isfinite(rb):
-            raise InfiniteBranchError("channel solver expects l > 2 (finite branch)")
         b = rb - 1e-6
         right = EndpointRule.power((spec.beta - spec.gamma) / (lam * l * l), rb)
     s = qes_indicial_exponent(mprime_q, mprime, l)

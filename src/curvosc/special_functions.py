@@ -23,7 +23,7 @@ from .errors import (
 
 def radial_quantum_number(N) -> int:
     """N as an int, after checking that it is a nonnegative integer (an
-    integral float counts).  The spectra and the terminating series, and so
+    integral float counts).  The spectrum and the terminating series, and so
     both wavefunctions, take their N through this one check."""
     if not (N >= 0 and float(N).is_integer()):
         raise QuantumNumberError(f"N must be a nonnegative integer, got {N}")

@@ -182,11 +182,11 @@ GATES = {
         ("sin-as-printed-residual", "report", None),
     ],
     "constraint-ode": [
-        ("special-cos2theta", "<=", 1e-06),
-        ("example1-l=1", "<=", 1e-06),
-        ("example1-l=2", "<=", 1e-06),
-        ("example1-l=3", "<=", 1e-06),
-        ("example2-sqrt(lam)x", "<=", 1e-06),
+        ("special-cos2theta", "<=", 1e-08),
+        ("example1-l=1", "<=", 1e-08),
+        ("example1-l=2", "<=", 1e-08),
+        ("example1-l=3", "<=", 1e-08),
+        ("example2-sqrt(lam)x", "<=", 1e-08),
     ],
     "qes-certification": [
         ("example1-rayleigh-constancy", "<=", 1e-06),
@@ -228,7 +228,6 @@ GATES = {
     ],
     "transform-maps": [
         ("roundtrip", "<=", 1e-12),
-        ("spectrum-preservation-bitwise", "<=", 0.0),
         ("g-modulus-at-1", "<=", 1e-14),
     ],
     "numerics-oracle": [

@@ -19,10 +19,6 @@ UNIT = PhysParams()
 SPECIAL = crs.special_params(1.0, UNIT)
 
 
-def cos2theta(x):
-    return np.cos(2 * theta_of_x(x, 1.0))
-
-
 # name -> (formula of the points, six valid points)
 FORMULAS = {
     "gudermannian": (gudermannian, [-40.0, -1.5, -1e-3, 0.0, 0.7, 30.0]),
@@ -40,9 +36,6 @@ FORMULAS = {
     "potential_general": (
         lambda x: crs.potential_general(SPECIAL, UNIT, x),
         [0.05, 0.3, 0.8, 1.5, 2.0, 2.25]),
-    "x_constraint_residual": (
-        lambda x: crs.x_constraint_residual(cos2theta, -4.0, 0.0, UNIT, x),
-        [0.1, 0.3, 0.8, 1.5, 3.0, 5.0]),
     "higgs_radial_coefficients": (
         lambda r: higgs.higgs_radial_coefficients(2, UNIT, r),
         [-0.5, 0.05, 0.3, 1.0, 4.0, 20.0]),

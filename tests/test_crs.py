@@ -14,7 +14,7 @@ from curvosc.errors import (
 from curvosc.numerics import Grid1D, residual_norm
 from curvosc.params import PhysParams
 from curvosc.special_functions import theta_of_x
-from curvosc.verify import _crs_wavefunction_plain_sin
+from curvosc.verify import _constraint_residual, _crs_wavefunction_plain_sin
 
 UNIT = PhysParams()
 
@@ -23,7 +23,7 @@ class TestSpecialParams:
     def test_unit_values(self):
         spec = crs.special_params(0.0, UNIT)
         sqrt5 = math.sqrt(5.0)
-        assert spec.delta == pytest.approx(sqrt5, rel=1e-15)
+        assert spec.c_shift == pytest.approx(-0.5, rel=1e-15)
         assert spec.beta == pytest.approx(2 + sqrt5, rel=1e-15)
         assert spec.gamma == pytest.approx(-sqrt5, rel=1e-15)
 
@@ -97,30 +97,27 @@ class TestXGeneral:
 
 
 class TestConstraint:
+    """verify's constraint residual K X'' + lam x X' - A X - B."""
+
+    XS = np.linspace(0.1, 5, 50)
+
     def test_special_choice_satisfies(self):
-        lam = 1.0
-        X = lambda x: math.cos(2 * theta_of_x(x, lam))
-        worst = max(abs(crs.x_constraint_residual(X, -4 * lam, 0.0, UNIT, x))
-                    for x in np.linspace(0.1, 5, 50))
-        assert worst < 1e-6
+        X = lambda x: np.cos(2 * theta_of_x(x, 1.0))
+        assert np.max(np.abs(_constraint_residual(X, -4.0, 0.0, 1.0, self.XS))) < 1e-8
 
     def test_linear_solution_satisfies(self):
-        X = lambda x: math.sqrt(1.0) * x
-        worst = max(abs(crs.x_constraint_residual(X, 1.0, 0.0, UNIT, x))
-                    for x in np.linspace(0.1, 5, 50))
-        assert worst < 1e-6
+        assert np.max(np.abs(_constraint_residual(lambda x: x, 1.0, 0.0, 1.0, self.XS))) < 1e-8
 
     def test_wrong_input_has_known_residual(self):
         # X = x^2 with A = B = 0 leaves exactly 2K + 2 lam x^2
-        for x in (0.3, 1.0, 2.0):
-            res = crs.x_constraint_residual(lambda t: t * t, 0.0, 0.0, UNIT, x)
-            assert res == pytest.approx(2 * (1 + x * x) + 2 * x * x, rel=1e-6)
+        x = np.array([0.3, 1.0, 2.0])
+        np.testing.assert_allclose(_constraint_residual(lambda t: t * t, 0.0, 0.0, 1.0, x),
+                                   2 * (1 + x * x) + 2 * x * x, rtol=1e-9)
 
 
 class TestPotentialGeneral:
     def test_constant_when_beta_gamma_zero(self):
-        spec = QesSpec(A=-4.0, B=0.0, C1=1.0, C2=0.0, beta=0.0, gamma=0.0,
-                       c_shift=3.25, mprime_q=0.0, delta=1.0)
+        spec = QesSpec(A=-4.0, B=0.0, C1=1.0, C2=0.0, beta=0.0, gamma=0.0, c_shift=3.25)
         for x in (0.2, 1.0, 2.0):
             assert crs.potential_general(spec, UNIT, x) == 3.25
 

@@ -3,6 +3,8 @@ runs the suite it targets and asserts which of its checks fail."""
 
 import dataclasses
 
+import pytest
+
 from curvosc import higgs
 from curvosc.crs import QesSpec
 from curvosc.verify import run_suites
@@ -12,14 +14,16 @@ def failed(suite):
     return sorted(c.name for c in run_suites([suite]) if not c.passed)
 
 
-def test_constraint_ode_reads_a_from_the_spec(monkeypatch):
+@pytest.mark.parametrize("rel", [1e-4, 1e-7])
+def test_constraint_ode_reads_a_from_the_spec(monkeypatch, rel):
+    # 1e-7 moves the residual by 1.2e-7-9.5e-7: above the 1e-8 gate, below 1e-6
     example1 = QesSpec.example1
 
-    def off_by_1e_4(cls, l, mprime_q, params):
+    def off(cls, l, mprime_q, params):
         spec = example1(l, mprime_q, params)
-        return dataclasses.replace(spec, A=spec.A * (1 + 1e-4))
+        return dataclasses.replace(spec, A=spec.A * (1 + rel))
 
-    monkeypatch.setattr(QesSpec, "example1", classmethod(off_by_1e_4))
+    monkeypatch.setattr(QesSpec, "example1", classmethod(off))
     assert failed("constraint-ode") == ["example1-l=1", "example1-l=2", "example1-l=3"]
 
 

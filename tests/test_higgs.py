@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from curvosc import higgs
+from curvosc import crs, higgs
 from curvosc.errors import (
     CurvoscError,
+    NonpositiveCurvatureError,
     NonpositiveParameterError,
     ParameterOverflowError,
+    QuantumNumberError,
     SingularPointError,
 )
 from curvosc.numerics import Grid1D, residual_norm
@@ -122,3 +124,21 @@ class TestEnergy:
 
     def test_parity(self):
         assert higgs.higgs_energy((1, 2), UNIT) == higgs.higgs_energy((1, -2), UNIT)
+
+    @pytest.mark.parametrize("energy", [crs.oscillator_energy, crs.crs_energy,
+                                        higgs.higgs_energy], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("qn,lam,error", [
+        ((0, 0), -3.0, NonpositiveCurvatureError),
+        ((0, 0), math.nan, NonpositiveCurvatureError),
+        ((0, math.nan), 1.0, QuantumNumberError),
+        ((0, math.inf), 1.0, QuantumNumberError),
+        ((1, -math.inf), 0.5, QuantumNumberError),
+    ], ids=["lam<0", "lam=nan", "mprime=nan", "mprime=inf", "mprime=-inf"])
+    def test_outside_the_domain_is_a_curvosc_error(self, energy, qn, lam, error):
+        with pytest.raises(error) as exc:
+            energy(qn, PhysParams(lam=lam))
+        assert isinstance(exc.value, CurvoscError)
+
+    def test_shared_spectrum_takes_the_flat_limit(self):
+        p = PhysParams(lam=0.0, omega=1.3)
+        assert crs.oscillator_energy((2, 1), p) == pytest.approx(1.3 * 6, rel=1e-15)

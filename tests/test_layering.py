@@ -7,6 +7,7 @@ package root, so importing a model module loads no solver.  An import that
 points upward fails this test."""
 
 import ast
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,38 @@ def test_parser_sees_relative_and_late_imports(tmp_path):
                       "def f():\n    from .verify import run_suites\n"
                       "import curvosc.cli\nimport numpy\n")
     assert imported_modules(sample) == {"crs", "higgs", "numerics", "verify", "cli"}
+
+
+CLOSED_FORMS = ("*_energy", "*_wavefunction*", "*groundstate*")
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Names a source file imports from curvosc or reads as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("curvosc")):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+@pytest.mark.parametrize("name", ["numerics.py", "problems.py"])
+def test_oracle_reads_no_closed_form(name):
+    # the spectrum, eigenfunctions and ground states are what the oracle
+    # checks, so the oracle and its problem builders never evaluate one
+    closed = {n for n in referenced_names(SRC / name)
+              if any(fnmatch(n, pattern) for pattern in CLOSED_FORMS)}
+    assert not closed, f"{name} reads the closed form(s) {sorted(closed)}"
+
+
+def test_closed_form_patterns_cover_the_model_api():
+    from curvosc import crs, higgs
+    api = set(crs.__all__) | set(higgs.__all__)
+    assert {n for n in api if any(fnmatch(n, p) for p in CLOSED_FORMS)} >= {
+        "oscillator_energy", "crs_energy", "higgs_energy", "crs_wavefunction_special",
+        "higgs_wavefunction", "qes_groundstate"}
 
 
 def test_model_modules_load_without_the_solver(startup):

@@ -230,6 +230,12 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid1D(0.0, 1.0, 2)
 
+    @pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 0.0),
+                                     (0.0, math.nan), (math.nan, 1.0)])
+    def test_refuses_a_non_finite_end(self, a, b):
+        with pytest.raises(ValueError, match="need finite a < b"):
+            Grid1D(a, b, 10)
+
 
 class TestAssemble:
     def test_stencil_entries(self):

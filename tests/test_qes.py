@@ -15,7 +15,7 @@ from curvosc.errors import (
 )
 from curvosc.numerics import EndpointRule, Grid1D, rayleigh_quotient
 from curvosc.params import PhysParams
-from curvosc.problems import higgs_radial_problem, qes_channel_problem
+from curvosc.problems import higgs_radial_problem, qes_channel_problem, qes_rayleigh_problem
 from curvosc.special_functions import gudermannian
 from curvosc.verify import _example1_half_angle_groundstate
 
@@ -104,23 +104,29 @@ class TestExample1Potential:
             higgs.qes_example1_potential(l, 1.0, UNIT, np.array([0.05, 1.0]))
         assert str(potential.value) == str(spec.value) == f"l must be positive, got {l}"
 
+    @pytest.mark.parametrize("build", [
+        lambda l: qes_channel_problem(1.0, 1.0, UNIT, 100, l=l),
+        lambda l: qes_rayleigh_problem(1.0, UNIT, l=l),
+    ], ids=["channel", "rayleigh"])
     @pytest.mark.parametrize("l,error,message", [
         (0.0, NonpositiveParameterError, "l must be positive, got 0.0"),
         (-1.0, NonpositiveParameterError, "l must be positive, got -1.0"),
         (1.0, InfiniteBranchError, "channel solver expects l > 2 (finite branch)"),
+        (1.5, InfiniteBranchError, "channel solver expects l > 2 (finite branch)"),
         (2.0, InfiniteBranchError, "channel solver expects l > 2 (finite branch)"),
-    ], ids=["l=0", "l=-1", "l=1", "l=2"])
-    def test_channel_without_finite_branch_is_a_curvosc_error(self, l, error, message):
-        # l <= 0 is refused by the family spec, 0 < l <= 2 by the solver
+    ], ids=["l=0", "l=-1", "l=1", "l=1.5", "l=2"])
+    def test_channel_without_finite_branch_is_a_curvosc_error(self, l, error, message, build):
+        # l <= 0 is refused as a parameter, 0 < l <= 2 for want of a sec pole
         with pytest.raises(error) as exc:
-            qes_channel_problem(1.0, 1.0, UNIT, 100, l=l)
+            build(l)
         assert isinstance(exc.value, CurvoscError)
         assert str(exc.value) == message
 
     def test_branch_radius(self):
         assert higgs.example1_branch_radius(3.0, UNIT) == pytest.approx(
             math.tan(math.pi / 3), rel=1e-15)
-        assert math.isinf(higgs.example1_branch_radius(2.0, UNIT))
+        with pytest.raises(InfiniteBranchError):
+            higgs.example1_branch_radius(2.0, UNIT)
 
     @pytest.mark.parametrize("l", [3.0, None], ids=["example1", "example2"])
     def test_cross_route_against_construction(self, l):
