@@ -27,23 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDerivativeError, NonpositiveCurvatureError, QuantumNumberError, \
-    SingularPointError, ZeroAError
+from .errors import DegenerateDerivativeError, NonpositiveCurvatureError, ParameterOverflowError, \
+    QuantumNumberError, SingularPointError, ZeroAError
 from .params import PhysParams, require_positive
 from .special_functions import hyp2f1_terminating, radial_quantum_number, theta_of_x
-
-__all__ = [
-    "QesSpec",
-    "special_params",
-    "x_general",
-    "potential_general",
-    "crs_potential_special",
-    "crs_wavefunction_special",
-    "oscillator_energy",
-    "crs_energy",
-    "crs_operator_coefficients",
-    "x_pole",
-]
 
 
 @dataclass(frozen=True)
@@ -209,14 +196,19 @@ def oscillator_energy(qn: tuple, params: PhysParams) -> float:
     """The spectrum that the special model and the radial oscillator share,
     E = hbar w' n + (lam hbar^2 / 2m) n^2 with n = 2N + |m'| + 1 and
     w' = sqrt(omega^2 + hbar^2 lam^2 / (4 m^2)), for finite m' and lam >= 0
-    (lam = 0 is the flat oscillator hbar omega n)."""
+    (lam = 0 is the flat oscillator hbar omega n).  Formed in floats, so an
+    energy too large for a float is inf, which raises ParameterOverflowError."""
     if not (params.lam >= 0):
         raise NonpositiveCurvatureError(f"the spectrum requires lam >= 0, got {params.lam}")
     N, mp = qn
     if not math.isfinite(mp):
         raise QuantumNumberError(f"m' must be finite, got {mp}")
-    n = 2 * radial_quantum_number(N) + abs(mp) + 1
-    return params.hbar * params.omega_prime * n + params.lam * params.hbar**2 / (2 * params.mass) * n**2
+    n = 2.0 * radial_quantum_number(N) + abs(mp) + 1
+    hbar = params.hbar
+    E = hbar * params.omega_prime * n + params.lam * (hbar * hbar) / (2 * params.mass) * (n * n)
+    if not math.isfinite(E):
+        raise ParameterOverflowError(f"the spectrum overflows at n = {n:g}, lam = {params.lam:g}")
+    return E
 
 
 def crs_energy(qn: tuple, params: PhysParams) -> float:

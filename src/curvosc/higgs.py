@@ -31,20 +31,6 @@ from .params import PhysParams, require_positive
 from .special_functions import gudermannian, hyp2f1_terminating, upsilon_of_r
 from .crs import QesSpec, oscillator_energy
 
-__all__ = [
-    "higgs_radial_coefficients",
-    "oscillator_potential",
-    "higgs_wavefunction",
-    "higgs_energy",
-    "qes_example1_potential",
-    "qes_example1_groundstate",
-    "qes_example2_potential",
-    "qes_example2_groundstate",
-    "qes_potential",
-    "qes_groundstate",
-    "example1_branch_radius",
-]
-
 
 def higgs_radial_coefficients(mprime: int | float, params: PhysParams, r):
     """(p2, p1, p0) of angular channel m' with the -hbar^2/2m factor

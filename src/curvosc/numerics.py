@@ -154,21 +154,6 @@ from .errors import (
     ZeroNormError,
 )
 
-__all__ = [
-    "Grid1D",
-    "EndpointRule",
-    "SturmLiouvilleProblem",
-    "TridiagonalSystem",
-    "EigenResult",
-    "assemble",
-    "lowest_eigenvalues",
-    "lowest_eigenpairs",
-    "richardson_eigenvalues",
-    "derivatives",
-    "residual_norm",
-    "rayleigh_quotient",
-]
-
 _ORDERS = (4, 6, 8, 12, 16, 24)  # Gauss-Legendre ladder of the corner cells
 _QUAD_EPS = 1e-19                 # error bound each rung below the ceiling must meet
 _START_SEED = 2013  # start vector of the seeded eigenvalue polish

@@ -52,20 +52,6 @@ from .numerics import EndpointRule, Grid1D, SturmLiouvilleProblem, lowest_eigenp
     richardson_eigenvalues
 from .params import PhysParams
 
-__all__ = [
-    "higgs_radial_problem",
-    "higgs_polar_problem",
-    "higgs_oscillator_problem",
-    "crs_problem",
-    "crs_natural_problem",
-    "higgs_spectrum_numeric",
-    "crs_spectrum_numeric",
-    "crs_spectrum_numeric_wide",
-    "qes_channel_problem",
-    "qes_rayleigh_problem",
-    "qes_indicial_exponent",
-]
-
 _CRS_WALL = 1e-4    # distance of the natural-branch wall from the tan pole x* at lam <= 1
 
 
@@ -85,7 +71,7 @@ def higgs_radial_problem(mprime: int | float, params: PhysParams, V: Callable,
                          lambda r: np.asarray(r, float), grid, bc)
 
 
-def higgs_polar_problem(mprime: int | float, params: PhysParams, V: Callable,
+def _higgs_polar_problem(mprime: int | float, params: PhysParams, V: Callable,
                         grid: Grid1D, bc) -> SturmLiouvilleProblem:
     """Radial-channel problem rewritten in chi = arctan(sqrt(lam) r): the
     planar coefficients composed with r(chi)."""
@@ -124,7 +110,7 @@ def higgs_oscillator_problem(mprime: int, params: PhysParams,
     grid = Grid1D(0.0, math.pi / 2 - 1e-6, n)
     bc = (EndpointRule.power(abs(mprime), 0.0),
           EndpointRule.power(sig_eq, math.pi / 2))
-    return higgs_polar_problem(mprime, params, lambda r: oscillator_potential(params, r),
+    return _higgs_polar_problem(mprime, params, lambda r: oscillator_potential(params, r),
                                grid, bc)
 
 
@@ -176,7 +162,7 @@ def crs_spectrum_numeric_wide(mprime_q: float, params: PhysParams, k: int):
     return res.eigenvalues[in_well].tolist(), res.eigenvalues[~in_well].tolist()
 
 
-def qes_indicial_exponent(mprime_q: float, mprime: float,
+def _qes_indicial_exponent(mprime_q: float, mprime: float,
                           l: float | None = None) -> complex:
     """Origin indicial exponent of the radial channel mprime of a
     transplanted potential (cos(l Theta) for a number l, sqrt(lam) x for
@@ -216,7 +202,7 @@ def qes_channel_problem(mprime: float, mprime_q: float, params: PhysParams, n: i
         rb = example1_branch_radius(l, params)
         b = rb - 1e-6
         right = EndpointRule.power((spec.beta - spec.gamma) / (lam * l * l), rb)
-    s = qes_indicial_exponent(mprime_q, mprime, l)
+    s = _qes_indicial_exponent(mprime_q, mprime, l)
     if s.imag != 0:
         a, left = 1e-3, EndpointRule.dirichlet()
     elif l is None and mprime == mprime_q:

@@ -27,14 +27,6 @@ from .errors import OutOfImageError, SingularPointError
 from .params import PhysParams
 from .special_functions import theta_of_x, upsilon_of_r
 
-__all__ = [
-    "x_of_r",
-    "r_of_x",
-    "g_factor",
-    "map_potential",
-    "map_wavefunction",
-]
-
 # fixed convention of the wavefunction relation psi = g phi(x(r))
 G_CONSTANT = complex(-2.0, 2.0)      # -2 (1 - i)
 
@@ -80,9 +72,7 @@ def map_potential(mprime_q: float, params: PhysParams, Vq: Callable, r):
     coeff = 1 - 4 * mprime_q**2
     r = np.asarray(r, float)
     if np.any(r <= 0):
-        if coeff != 0:
-            raise SingularPointError("curvature shift singular at r = 0")
-        raise SingularPointError("map_potential needs r > 0")
+        raise SingularPointError(f"map_potential needs r > 0, got {np.min(r)}")
     shift = lam * params.hbar**2 / (8 * params.mass) * (1 + coeff * (1 + 1 / (lam * r * r)))
     return Vq(x_of_r(params, r)) + shift
 

@@ -34,8 +34,6 @@ from .numerics import (
 from .params import PhysParams
 from .special_functions import gudermannian, hyp2f1_terminating, theta_of_x, upsilon_of_r
 
-__all__ = ["CheckResult", "SUITES", "run_suites", "build_report", "ALL_SUITE_NAMES"]
-
 _WALLS = (EndpointRule.dirichlet(),) * 2
 
 

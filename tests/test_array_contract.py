@@ -67,6 +67,10 @@ FORMULAS = {
         lambda r: transform.map_potential(
             1.0, UNIT, lambda x: crs.crs_potential_special(1.0, UNIT, x), r),
         [0.05, 0.3, 1.0, 2.0, 5.0, 10.0]),
+    "map_potential(mprime_q=1/2)": (
+        lambda r: transform.map_potential(
+            0.5, UNIT, lambda x: crs.crs_potential_special(0.5, UNIT, x), r),
+        [0.05, 0.3, 1.0, 2.0, 5.0, 10.0]),
     "map_wavefunction": (
         lambda r: transform.map_wavefunction(
             UNIT, lambda x: crs.crs_wavefunction_special((1, 1), UNIT, x), r),
@@ -116,6 +120,7 @@ SINGULAR = [
     ("r_of_x", crs.x_pole(UNIT), OutOfImageError),
     ("g_factor", 0.0, SingularPointError),
     ("map_potential", 0.0, SingularPointError),
+    ("map_potential(mprime_q=1/2)", 0.0, SingularPointError),
 ]
 
 

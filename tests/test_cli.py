@@ -397,6 +397,22 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith(
             "error: unknown suite(s) ['no-such-suite']; available: ")
 
+    def test_verbose_lists_each_check_on_stderr(self, tmp_path, capsys):
+        plain, verbose = tmp_path / "plain.json", tmp_path / "verbose.json"
+        assert main(["verify", "--suite", "flat-limit", "--output", str(plain)]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["verify", "--suite", "flat-limit", "--verbose",
+                     "--output", str(verbose)]) == 0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert verbose.read_bytes() == plain.read_bytes()
+        names = [c["name"] for s in json.loads(plain.read_text())["suites"]
+                 for c in s["checks"]]
+        lines = err.splitlines()
+        assert len(lines) == len(names) > 0
+        for line, name in zip(lines, names):
+            assert line.startswith(f"PASS flat-limit/{name}: ")
+
     def test_determinism_byte_identical(self, tmp_path):
         args = ["verify", "--suite", "transform-closure", "--suite", "crs-model",
                 "--suite", "numerics-oracle"]

@@ -5,13 +5,13 @@ import dataclasses
 
 import pytest
 
-from curvosc import higgs
+from curvosc import crs, higgs
 from curvosc.crs import QesSpec
 from curvosc.verify import run_suites
 
 
-def failed(suite):
-    return sorted(c.name for c in run_suites([suite]) if not c.passed)
+def failed(*suites):
+    return sorted(c.name for c in run_suites(list(suites)) if not c.passed)
 
 
 @pytest.mark.parametrize("rel", [1e-4, 1e-7])
@@ -33,3 +33,16 @@ def test_l2_reduction_gates_the_difference(monkeypatch):
                         lambda *args: potential(*args) + 1e-6)
     assert failed("l2-reduction") == [f"difference-mprimeq={mq}"
                                       for mq in (0.0, 0.5, 1.0, 2.0)]
+
+
+@pytest.mark.parametrize("rel", [1e-7, 1e-9])
+def test_spectrum_gap_gates_the_shared_spectrum(monkeypatch, rel):
+    # higgs imports oscillator_energy by name, so both bindings are patched
+    energy = crs.oscillator_energy
+
+    def off(qn, params):
+        return energy(qn, params) * (1 + rel)
+
+    monkeypatch.setattr(crs, "oscillator_energy", off)
+    monkeypatch.setattr(higgs, "oscillator_energy", off)
+    assert failed("crs-model", "flat-limit", "higgs-model") == ["spectrum-gap-closed-form"]

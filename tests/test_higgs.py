@@ -133,7 +133,11 @@ class TestEnergy:
         ((0, math.nan), 1.0, QuantumNumberError),
         ((0, math.inf), 1.0, QuantumNumberError),
         ((1, -math.inf), 0.5, QuantumNumberError),
-    ], ids=["lam<0", "lam=nan", "mprime=nan", "mprime=inf", "mprime=-inf"])
+        ((0, 1e200), 1.0, ParameterOverflowError),
+        ((1, 0), 1e308, ParameterOverflowError),
+        ((1, 0), math.inf, ParameterOverflowError),
+    ], ids=["lam<0", "lam=nan", "mprime=nan", "mprime=inf", "mprime=-inf",
+            "mprime=1e200", "lam=1e308", "lam=inf"])
     def test_outside_the_domain_is_a_curvosc_error(self, energy, qn, lam, error):
         with pytest.raises(error) as exc:
             energy(qn, PhysParams(lam=lam))
@@ -142,3 +146,5 @@ class TestEnergy:
     def test_shared_spectrum_takes_the_flat_limit(self):
         p = PhysParams(lam=0.0, omega=1.3)
         assert crs.oscillator_energy((2, 1), p) == pytest.approx(1.3 * 6, rel=1e-15)
+        with pytest.raises(ParameterOverflowError):
+            higgs.higgs_energy((0, 1e200), p)
