@@ -261,11 +261,13 @@ def main(argv=None) -> int:
             with np.errstate(over="ignore", invalid="ignore"):
                 columns, rows = runner(args, params)
             if not all(v is None or math.isfinite(v) for row in rows for v in row):
-                raise ParameterOverflowError(f"{_TOO_LARGE}: the table has non-finite entries")
+                raise ParameterOverflowError("the table has non-finite entries")
     except (ValueError, OverflowError) as exc:
         if isinstance(exc, OverflowError):
             # Python float arithmetic raises where numpy returns inf
-            exc = ParameterOverflowError(_TOO_LARGE)
+            exc = _TOO_LARGE
+        elif isinstance(exc, ParameterOverflowError):
+            exc = f"{_TOO_LARGE}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

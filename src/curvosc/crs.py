@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateDerivativeError, NonpositiveCurvatureError, ParameterOverflowError, \
     QuantumNumberError, SingularPointError, ZeroAError
-from .params import PhysParams, require_positive
+from .params import PhysParams, finite_square, require_positive
 from .special_functions import hyp2f1_terminating, radial_quantum_number, theta_of_x
 
 
@@ -63,8 +63,8 @@ class QesSpec:
         d = params.delta
         beta = 2 * lam * (mprime_q + 1) + lam * d
         gamma = 2 * lam * mprime_q - lam * d
-        c_shift = params.hbar**2 / (2 * params.mass) * (
-            lam * (mprime_q**2 - 1) + mprime_q * lam * d)
+        c_shift = finite_square("hbar", params.hbar) / (2 * params.mass) * (
+            lam * (finite_square("m'_Q", mprime_q) - 1) + mprime_q * lam * d)
         return cls(A=A, B=B, C1=C1, C2=C2, beta=beta, gamma=gamma, c_shift=c_shift)
 
     @classmethod
@@ -72,7 +72,7 @@ class QesSpec:
         """The X = cos(l Theta) family: A = -lam l^2, B = 0, C1 = 1, C2 = 0."""
         lam = params.require_curvature()
         require_positive("l", l)
-        return cls.build(A=-lam * l**2, B=0.0, C1=1.0, C2=0.0,
+        return cls.build(A=-lam * finite_square("l", l), B=0.0, C1=1.0, C2=0.0,
                          mprime_q=mprime_q, params=params)
 
     @classmethod
@@ -92,10 +92,13 @@ def special_params(mprime_q: float, params: PhysParams) -> QesSpec:
     QesSpec.build with the same A, B, C1, C2; the test suite checks it.
     """
     lam = params.require_curvature()
-    surd = math.sqrt(lam**2 + 4 * params.mass**2 * params.omega**2 / params.hbar**2)
+    hbar2 = finite_square("hbar", params.hbar)
+    surd = math.sqrt(finite_square("lam", lam) + 4 * finite_square("mass", params.mass)
+                     * finite_square("omega", params.omega) / hbar2)
     beta = 2 * lam * (mprime_q + 1) + surd
     gamma = 2 * lam * mprime_q - surd
-    c_shift = params.hbar**2 / (2 * params.mass) * (lam * (mprime_q**2 - 1) + mprime_q * surd)
+    c_shift = hbar2 / (2 * params.mass) * (lam * (finite_square("m'_Q", mprime_q) - 1)
+                                           + mprime_q * surd)
     return QesSpec(A=-4 * lam, B=0.0, C1=1.0, C2=0.0, beta=beta, gamma=gamma,
                    c_shift=c_shift)
 
@@ -134,7 +137,8 @@ def potential_general(spec: QesSpec, params: PhysParams, x):
     K = 1 + params.lam * x**2
     bx = spec.beta * X + spec.gamma
     num = bx * bx + bx * (spec.A * X + spec.B)
-    return params.hbar**2 / (2 * params.mass) * num / (K * Xp * Xp) + spec.c_shift
+    f = finite_square("hbar", params.hbar) / (2 * params.mass)
+    return f * num / (K * Xp * Xp) + spec.c_shift
 
 
 def crs_potential_special(mprime_q: float, params: PhysParams, x):
@@ -146,15 +150,16 @@ def crs_potential_special(mprime_q: float, params: PhysParams, x):
     Singular at x = 0 unless the csc^2 coefficient vanishes (m' = +-1/2).
     """
     lam = params.require_curvature()
-    coeff = 1 - 4 * mprime_q**2
+    coeff = 1 - 4 * finite_square("m'_Q", mprime_q)
     at_origin = np.asarray(x, float) == 0
     if coeff != 0 and np.any(at_origin):
         raise SingularPointError("csc^2 Theta diverges at x = 0")
     th = theta_of_x(x, lam)
     # where x = 0 is allowed, coeff = 0 and the csc^2 term is 0 there
     csc_term = coeff / np.where(at_origin, 1.0, np.sin(th) ** 2)
-    return (0.5 * params.mass * params.omega**2 * (np.tan(th) / math.sqrt(lam)) ** 2
-            - lam * params.hbar**2 / (8 * params.mass) * (1 + csc_term))
+    return (0.5 * params.mass * finite_square("omega", params.omega)
+            * (np.tan(th) / math.sqrt(lam)) ** 2
+            - lam * finite_square("hbar", params.hbar) / (8 * params.mass) * (1 + csc_term))
 
 
 def crs_wavefunction_special(qn: tuple, params: PhysParams, x):
@@ -172,7 +177,7 @@ def crs_wavefunction_special(qn: tuple, params: PhysParams, x):
     if np.any(x <= 0):
         raise SingularPointError(
             f"wavefunction prefactor singular at x <= 0, got {np.min(x)}")
-    N, mq = qn
+    N, mq = radial_quantum_number(qn[0]), qn[1]
     wp = params.omega_prime
     th = theta_of_x(x, lam)
     s = np.sin(th)
@@ -226,7 +231,7 @@ def crs_operator_coefficients(params: PhysParams, x):
     for the eigenproblem p2 phi'' + p1 phi' + (p0 + V) phi = E phi.  Well
     defined for any lam including the flat case lam = 0.
     """
-    f = -params.hbar**2 / (2 * params.mass)
+    f = -finite_square("hbar", params.hbar) / (2 * params.mass)
     return f * (1 + params.lam * x**2), f * params.lam * x, 0.0
 
 

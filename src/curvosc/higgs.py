@@ -25,10 +25,10 @@ import math
 
 import numpy as np
 
-from .errors import InfiniteBranchError, NegativeRadiusError, ParameterOverflowError, \
-    SingularPointError
-from .params import PhysParams, require_positive
-from .special_functions import gudermannian, hyp2f1_terminating, upsilon_of_r
+from .errors import InfiniteBranchError, NegativeRadiusError, SingularPointError
+from .params import PhysParams, finite_square, require_positive
+from .special_functions import gudermannian, hyp2f1_terminating, radial_quantum_number, \
+    upsilon_of_r
 from .crs import QesSpec, oscillator_energy
 
 
@@ -39,21 +39,19 @@ def higgs_radial_coefficients(mprime: int | float, params: PhysParams, r):
     r = np.asarray(r, float)
     if np.any(r == 0):
         raise SingularPointError("radial coefficients singular at r = 0")
-    lam, mp = params.lam, mprime
-    lam2 = lam * lam
-    if not math.isfinite(lam2):
-        raise ParameterOverflowError(f"lam = {lam:g} overflows the radial coefficients")
-    f = -params.hbar**2 / (2 * params.mass)
+    lam = params.lam
+    lam2, mp2 = finite_square("lam", lam), finite_square("m'", mprime)
+    f = -finite_square("hbar", params.hbar) / (2 * params.mass)
     K = 1 + lam * r * r
     return (f * K * K,
             f * K * (1 + 5 * lam * r * r) / r,
-            f * (3 * lam - lam * mp**2 + 3.75 * lam2 * r * r - mp**2 / (r * r)))
+            f * (3 * lam - lam * mp2 + 3.75 * lam2 * r * r - mp2 / (r * r)))
 
 
 def oscillator_potential(params: PhysParams, r):
     """The oscillator potential (1/2) m omega^2 r^2."""
     r = np.asarray(r, float)
-    return 0.5 * params.mass * params.omega**2 * r * r
+    return 0.5 * params.mass * finite_square("omega", params.omega) * r * r
 
 
 def higgs_wavefunction(qn: tuple, params: PhysParams, r):
@@ -68,7 +66,7 @@ def higgs_wavefunction(qn: tuple, params: PhysParams, r):
     r = np.asarray(r, float)
     if np.any(r < 0):
         raise NegativeRadiusError(f"r must be nonnegative, got {np.min(r)}")
-    N, mp = qn
+    N, mp = radial_quantum_number(qn[0]), qn[1]
     wp = params.omega_prime
     z = lam * r * r / (1 + lam * r * r)
     expo = 1 + abs(mp) / 2 + params.mass * wp / (2 * params.hbar * lam)
@@ -117,14 +115,16 @@ def qes_example1_potential(l: float, mprime_q: float, params: PhysParams, r):
     if np.any(pole):
         raise SingularPointError(
             f"(l/2) Upsilon(r) hits a csc/sec pole at r = {r[pole].flat[0]}")
-    hm = params.hbar**2 / (8 * params.mass)
-    t1 = (hm * (1 - 4 * mprime_q**2) / (r * r)
+    hbar2 = finite_square("hbar", params.hbar)
+    hm = hbar2 / (8 * params.mass)
+    t1 = (hm * (1 - 4 * finite_square("m'_Q", mprime_q)) / (r * r)
           + hm * lam * (2 * (4 * mprime_q + 3) + 4 * (mprime_q + 1) * d))
-    t2 = -(lam * params.hbar**2 / (4 * params.mass * l * l)) * (
+    t2 = -(lam * hbar2 / (4 * params.mass * l * l)) * (
         10 + 8 * mprime_q * (mprime_q + 2) + 8 * (mprime_q + 1) * d
         + (l * l - 4 * mprime_q - 2) * (2 * mprime_q + 1) / (su * su)
         + (l * l - 4) * (1 + d) / (cu * cu))
-    t3 = (2 / (l * l)) * params.mass * params.omega**2 * (np.tan(u) / math.sqrt(lam))**2
+    t3 = (2 / (l * l)) * params.mass * finite_square("omega", params.omega) \
+        * (np.tan(u) / math.sqrt(lam))**2
     return t1 + t2 + t3
 
 
@@ -174,10 +174,11 @@ def qes_example2_potential(mprime_q: float, params: PhysParams, r):
     s = 1 / np.cosh(u)
     t = np.tanh(u)
     mq = mprime_q
-    t1 = 2 * params.mass * params.omega**2 / lam * (s - t) ** 2
-    hm = params.hbar**2 / (8 * params.mass)
+    t1 = 2 * params.mass * finite_square("omega", params.omega) / lam * (s - t) ** 2
+    hbar2 = finite_square("hbar", params.hbar)
+    hm = hbar2 / (8 * params.mass)
     t2 = hm * (1 - 4 * mq * mq) / (r * r) + hm * lam * (2 - 4 * mq * mq)
-    t3 = lam * params.hbar**2 / (2 * params.mass) * (
+    t3 = lam * hbar2 / (2 * params.mass) * (
         mq * (5 * mq - 3 * d) * s * s
         + (-2 + 2 * mq * (5 + 4 * mq) - 5 * d) * s * t
         + (6 + 5 * mq * (2 + mq) + 5 * (1 + mq) * d) * t * t)

@@ -58,11 +58,8 @@ the corner cells and all corner nodes in one flat array.
 
 All three changes keep K symmetric (the face factors multiply the same
 difference in both adjacent rows; the closure only adds to the diagonal).
-An optional ratio tie at the left endpoint, u_1 = tau u_2 (tau from the
-profile), eliminates the first interior point by symmetric Rayleigh-Ritz
-reduction; for a resonant indicial pair this suppresses the unwanted
-partner solution exactly at the two-point level.  The "decay" rule is the
-analogous closure for an infinite right endpoint with profile x^(-mu).
+The "decay" rule is the analogous closure for an infinite right endpoint
+with profile x^(-mu).
 
 Eigensolvers
 ------------
@@ -97,7 +94,7 @@ solves of verify (n = 16000, k = 8):
       8         1000            1       qes2 m'_Q = 0, lam = 0.65: a spurious
                                         coarse eigenvalue at -273
      16          500            0
-     32          250            8       qes2 guesses miss the ground state
+     32          250            1       qes2 m'_Q = 1, lam = 0.7: guesses 3 % off
 
 At 16 the certified values lie within 3e-8 relative of a bisection to
 relative accuracy, where the default bisection leaves up to 6e-6.
@@ -225,17 +222,15 @@ class EndpointRule:
     exponent: float = 0.0         # sigma for power, mu for decay
     center: float = 0.0           # singular point location for power
     series: tuple = ()            # (c1, c2, ...) profile corrections
-    tie: bool = False             # left only: eliminate adjacent point via profile ratio
 
     @classmethod
     def dirichlet(cls) -> "EndpointRule":
         return cls()
 
     @classmethod
-    def power(cls, sigma: float, center: float, series: Sequence[float] = (),
-              tie: bool = False) -> "EndpointRule":
-        return cls(kind="power", exponent=sigma, center=center,
-                   series=tuple(series), tie=tie)
+    def power(cls, sigma: float, center: float,
+              series: Sequence[float] = ()) -> "EndpointRule":
+        return cls(kind="power", exponent=sigma, center=center, series=tuple(series))
 
     @classmethod
     def decay(cls, mu: float) -> "EndpointRule":
@@ -293,17 +288,13 @@ class SturmLiouvilleProblem:
 
 @dataclass
 class TridiagonalSystem:
-    """Assembled K v = E M v with K symmetric tridiagonal, M positive diagonal.
-
-    A left ratio tie may have reduced the system; tie_left holds the
-    elimination ratio needed to reconstruct full-grid eigenvectors.
-    """
+    """Assembled K v = E M v with K symmetric tridiagonal, M positive diagonal,
+    one row per grid point."""
 
     k_diag: np.ndarray
     k_off: np.ndarray
     m_diag: np.ndarray
     grid: Grid1D
-    tie_left: float | None = None
 
     def standard_form(self) -> tuple[np.ndarray, np.ndarray]:
         """(d, e) of the similarity-transformed standard problem
@@ -311,13 +302,6 @@ class TridiagonalSystem:
         d = self.k_diag / self.m_diag
         e = self.k_off / np.sqrt(self.m_diag[:-1] * self.m_diag[1:])
         return d, e
-
-    def expand(self, u_reduced: np.ndarray) -> np.ndarray:
-        """Insert the tie-eliminated point back into reduced vectors (the
-        last axis runs over the grid)."""
-        if self.tie_left is None:
-            return u_reduced
-        return np.concatenate((self.tie_left * u_reduced[..., :1], u_reduced), axis=-1)
 
 
 @dataclass
@@ -338,8 +322,6 @@ def assemble(problem: SturmLiouvilleProblem) -> TridiagonalSystem:
     grid = problem.grid
     n, h = grid.n, grid.h
     left, right = problem.bc
-    if right.tie:
-        raise ValueError("the ratio tie is supported at the left endpoint only")
     x = grid.points()
     xf = grid.faces()
     pf = np.asarray(problem.p(xf), float)
@@ -399,17 +381,7 @@ def assemble(problem: SturmLiouvilleProblem) -> TridiagonalSystem:
         diag[0] = pf[1] * g[1] / h + qi[0] + closure[0]
     if right.kind != "dirichlet":
         diag[-1] = pf[-2] * g[-2] / h + qi[-1] + closure[1]
-
-    tie_left = None
-    if left.kind == "power" and left.tie:
-        tau = float(left.ratio(x[0], x[1]))
-        k11, k12, m11 = diag[0], off[0], wi[0]
-        diag, off, wi = diag[1:].copy(), off[1:].copy(), wi[1:].copy()
-        diag[0] += 2 * tau * k12 + tau * tau * k11
-        wi[0] += tau * tau * m11
-        tie_left = tau
-
-    return TridiagonalSystem(diag, off, wi, grid, tie_left)
+    return TridiagonalSystem(diag, off, wi, grid)
 
 
 def _rungs(rule: EndpointRule, mid: np.ndarray, half: np.ndarray) -> np.ndarray:
@@ -585,8 +557,7 @@ def _prolongation(coarse: TridiagonalSystem, fine: TridiagonalSystem,
     (the polar equator at lam = 0.001) and would blow the roundoff of v
     at the wall up into the start; a ratio that still overflows leaves a
     non-finite start, which the polish rejects.  Then v is scaled by the
-    fine M^(1/2).  A tie-eliminated point is restored before and dropped
-    after.
+    fine M^(1/2).
 
     The points, the wall ratios and both M^(1/2) are formed once, here;
     the map itself does only the stencil arithmetic of each vector."""
@@ -602,17 +573,16 @@ def _prolongation(coarse: TridiagonalSystem, fine: TridiagonalSystem,
         with np.errstate(all="ignore"):
             walls.append((w, m, a, b, float(rule.ratio(t[w], x[a])), 0.0,
                           float(rule.ratio(t[m], x[b]))))
-    tied = fine.tie_left is not None
 
     def prolong(u: np.ndarray) -> np.ndarray:
-        v = coarse.expand(u * unscale)
+        v = u * unscale
         vf = np.empty(2 * v.size + 1)
         vf[1::2] = v
         vf[4:-3:2] = (9 * (v[1:-2] + v[2:-1]) - v[:-3] - v[3:]) / 16
         for w, m, a, b, beside, near, far in walls:
             vf[w] = beside * v[a]
             vf[m] = near * v[a] + far * v[b]
-        return (vf[1:] if tied else vf) * scale
+        return vf * scale
 
     return prolong
 
@@ -675,16 +645,15 @@ def lowest_eigenpairs(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
     stebz/stein, see _bisection).  Back-transformed to K v = E M v,
     with normalized vectors; see EigenResult."""
     system, d, e = _standard_system(problem, k)
-    # rows ur are the unit eigenvectors of the standard form
-    ur = np.empty((k, d.size))
-    vals = _coarse_polished(problem, k, d, e, vectors=ur)
+    # rows v are the unit eigenvectors of the standard form
+    v = np.empty((k, d.size))
+    vals = _coarse_polished(problem, k, d, e, vectors=v)
     if vals is None:
         vals, u = _bisection(d, e, k)
-        ur = u.T
+        v = u.T
     _checked(vals, d, e)
     # back-transform all k pairs at once, in place
-    ur /= np.sqrt(system.m_diag)
-    v = system.expand(ur)
+    v /= np.sqrt(system.m_diag)
     wi_full = np.asarray(problem.w(problem.grid.points()), float)
     nrm = np.sqrt(np.sum(wi_full * v * v, axis=1) * problem.grid.h)
     if np.any(nrm == 0):

@@ -5,13 +5,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonpositiveCurvatureError, NonpositiveParameterError
+from .errors import NonpositiveCurvatureError, NonpositiveParameterError, ParameterOverflowError
 
 
 def require_positive(name: str, value: float) -> None:
     """Reject a parameter that must be positive but is zero, negative or nan."""
     if not (value > 0):
         raise NonpositiveParameterError(f"{name} must be positive, got {value}")
+
+
+def finite_square(name: str, value: float) -> float:
+    """value * value, rejecting a parameter without a finite square (float
+    ** would raise Python's bare OverflowError instead)."""
+    square = value * value
+    if not math.isfinite(square):
+        raise ParameterOverflowError(f"{name} = {value:g} has no finite square")
+    return square
 
 
 @dataclass(frozen=True)

@@ -206,14 +206,14 @@ def qes_channel_problem(mprime: float, mprime_q: float, params: PhysParams, n: i
     if s.imag != 0:
         a, left = 1e-3, EndpointRule.dirichlet()
     elif l is None and mprime == mprime_q:
-        # resonant pair {-1/2, +1/2}: the admixture ratio is genuine
-        # boundary data; take it from the local expansion of the
-        # closed-form family and pin it with the ratio tie
+        # resonant pair {-1/2, +1/2}: the admixture of the two roots is
+        # genuine boundary data; the profile's series, the local expansion
+        # of the closed-form family, fixes it
         f1 = -spec.gamma / math.sqrt(lam)
         f2 = spec.gamma * spec.gamma / (2 * lam) - (lam + spec.beta) / 2
         if not math.isfinite(f2):
             raise ParameterOverflowError(f"lam = {lam:g} overflows the origin series")
-        a, left = 0.0, EndpointRule.power(-0.5, 0.0, series=(f1, f2), tie=True)
+        a, left = 0.0, EndpointRule.power(-0.5, 0.0, series=(f1, f2))
     else:
         a, left = 0.0, EndpointRule.power(s.real, 0.0)
     return higgs_radial_problem(mprime, params, lambda r: qes_potential(mprime_q, params, r, l),

@@ -23,11 +23,15 @@ from .errors import (
 
 def radial_quantum_number(N) -> int:
     """N as an int, after checking that it is a nonnegative integer (an
-    integral float counts).  The spectrum and the terminating series, and so
-    both wavefunctions, take their N through this one check."""
-    if not (N >= 0 and float(N).is_integer()):
-        raise QuantumNumberError(f"N must be a nonnegative integer, got {N}")
-    return int(N)
+    integral float counts) that a float can hold.  The spectrum and the
+    terminating series, and so both wavefunctions, take their N through
+    this one check."""
+    try:
+        if N >= 0 and float(N).is_integer():
+            return int(N)
+    except OverflowError:
+        raise QuantumNumberError("N must be below 2^1024, the float range") from None
+    raise QuantumNumberError(f"N must be a nonnegative integer, got {N}")
 
 
 MAX_SERIES_N = 1000

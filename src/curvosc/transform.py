@@ -24,7 +24,7 @@ import numpy as np
 
 from .crs import x_pole
 from .errors import OutOfImageError, SingularPointError
-from .params import PhysParams
+from .params import PhysParams, finite_square
 from .special_functions import theta_of_x, upsilon_of_r
 
 # fixed convention of the wavefunction relation psi = g phi(x(r))
@@ -69,11 +69,12 @@ def map_potential(mprime_q: float, params: PhysParams, Vq: Callable, r):
     V_rad(r) = Vq(x(r)) + (lam hbar^2/8m) [1 + (1 - 4 m'_Q^2)(1 + 1/(lam r^2))].
     """
     lam = params.require_curvature()
-    coeff = 1 - 4 * mprime_q**2
+    coeff = 1 - 4 * finite_square("m'_Q", mprime_q)
     r = np.asarray(r, float)
     if np.any(r <= 0):
         raise SingularPointError(f"map_potential needs r > 0, got {np.min(r)}")
-    shift = lam * params.hbar**2 / (8 * params.mass) * (1 + coeff * (1 + 1 / (lam * r * r)))
+    shift = lam * finite_square("hbar", params.hbar) / (8 * params.mass) \
+        * (1 + coeff * (1 + 1 / (lam * r * r)))
     return Vq(x_of_r(params, r)) + shift
 
 

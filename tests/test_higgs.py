@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from curvosc import crs, higgs
+from curvosc import crs, higgs, transform
 from curvosc.errors import (
     CurvoscError,
     NonpositiveCurvatureError,
@@ -29,6 +30,52 @@ class TestPhysParams:
                            match=f"^{field} must be positive, got {value}$") as exc:
             PhysParams(**{field: value})
         assert isinstance(exc.value, CurvoscError)
+
+
+BIG = 1e200
+# formulas that square a parameter, each called with one parameter whose
+# square overflows, and that parameter's name
+SQUARES_A_PARAMETER = {
+    "crs_operator_coefficients": (
+        lambda: crs.crs_operator_coefficients(PhysParams(hbar=BIG), 1.0), "hbar"),
+    "crs_potential_special-mprime_q": (
+        lambda: crs.crs_potential_special(BIG, UNIT, 0.5), "m'_Q"),
+    "crs_potential_special-omega": (
+        lambda: crs.crs_potential_special(0.5, PhysParams(omega=BIG), 0.5), "omega"),
+    "map_potential-mprime_q": (
+        lambda: transform.map_potential(BIG, UNIT, lambda x: 0 * x, 1.0), "m'_Q"),
+    "map_potential-hbar": (
+        lambda: transform.map_potential(0.5, PhysParams(hbar=BIG), lambda x: 0 * x, 1.0),
+        "hbar"),
+    "oscillator_potential": (
+        lambda: higgs.oscillator_potential(PhysParams(omega=BIG), 1.0), "omega"),
+    "special_params": (lambda: crs.special_params(1.0, PhysParams(omega=BIG)), "omega"),
+    "example1-l": (lambda: crs.QesSpec.example1(BIG, 1.0, UNIT), "l"),
+    "example2-mprime_q": (lambda: crs.QesSpec.example2(BIG, UNIT), "m'_Q"),
+    "example2-hbar": (lambda: crs.QesSpec.example2(1.0, PhysParams(hbar=BIG)), "hbar"),
+    "potential_general": (lambda: crs.potential_general(
+        crs.QesSpec.example2(1.0, UNIT), PhysParams(hbar=BIG), 0.5), "hbar"),
+    "qes_example1_potential": (
+        lambda: higgs.qes_example1_potential(3.0, BIG, UNIT, 0.5), "m'_Q"),
+    "qes_example2_potential-omega": (
+        lambda: higgs.qes_example2_potential(1.0, PhysParams(omega=BIG), 0.5), "omega"),
+    "qes_example2_potential-hbar": (
+        lambda: higgs.qes_example2_potential(1.0, PhysParams(hbar=BIG), 0.5), "hbar"),
+    "higgs_radial_coefficients-hbar": (
+        lambda: higgs.higgs_radial_coefficients(0, PhysParams(hbar=BIG), 0.5), "hbar"),
+    "higgs_radial_coefficients-mprime": (
+        lambda: higgs.higgs_radial_coefficients(BIG, UNIT, 0.5), "m'"),
+}
+
+
+@pytest.mark.parametrize("case", SQUARES_A_PARAMETER)
+def test_overflowing_square_names_the_parameter(case):
+    # float ** raised Python's bare OverflowError (34, 'Numerical result out
+    # of range') in each of these
+    call, name = SQUARES_A_PARAMETER[case]
+    with pytest.raises(ParameterOverflowError,
+                       match=f"^{re.escape(name)} = 1e\\+200 has no finite square$"):
+        call()
 
 
 class TestOscillatorPotential:

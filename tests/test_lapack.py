@@ -27,7 +27,7 @@ def wide_crs_problem():
 
 PROBLEMS = {
     "polar-k50": (lambda: higgs_oscillator_problem(0, UNIT, 8001), 50),
-    "qes2-tied": (lambda: qes_channel_problem(1, 1, UNIT, 8001), 3),
+    "qes2-series": (lambda: qes_channel_problem(1, 1, UNIT, 8001), 3),
     "crs-wide": (wide_crs_problem, 8),
 }
 

@@ -104,12 +104,6 @@ def reference_assemble(prob):
         diag[0] = pf[1] * g[1] / h + q[0] + extra[0]
     if right.kind != "dirichlet":
         diag[-1] = pf[-2] * g[-2] / h + q[-1] + extra[1]
-    if left.tie:
-        phi, _ = scalar_profile(left)
-        tau = phi(x[0]) / phi(x[1])
-        diag[1] += 2 * tau * off[0] + tau * tau * diag[0]
-        w[1] += tau * tau * w[0]
-        diag, off, w = diag[1:], off[1:], w[1:]
     return diag, off, w
 
 
@@ -152,11 +146,6 @@ def full_order_assemble(prob):
         diag[0] = pf[1] * g[1] / h + q[0] + extra[0]
     if right.kind != "dirichlet":
         diag[-1] = pf[-2] * g[-2] / h + q[-1] + extra[1]
-    if left.tie:
-        tau = float(left.ratio(x[0], x[1]))
-        diag[1] += 2 * tau * off[0] + tau * tau * diag[0]
-        w[1] += tau * tau * w[0]
-        diag, off, w = diag[1:], off[1:], w[1:]
     return diag, off, w
 
 
@@ -173,12 +162,12 @@ def corner_problem(sigma, side, n=2001):
 
 def backward_errors(prob, vals, vectors):
     """||(K - E M) v|| / || |K||v| + |E| M|v| || of each pair (E, v), v the
-    columns of vectors on the full grid, on the assembled (tie-reduced)
-    system of prob: each residual held against the roundoff scale of its
-    own products, so a converged pair reads about 1e-16."""
+    columns of vectors on the grid, on the assembled system of prob: each
+    residual held against the roundoff scale of its own products, so a
+    converged pair reads about 1e-16."""
     system = assemble(prob)
     kd, ko, md = system.k_diag, system.k_off, system.m_diag
-    v = vectors.T[:, 1:] if system.tie_left is not None else vectors.T
+    v = vectors.T
     E = np.asarray(vals, float)[:, None]
     r = (kd - E * md) * v
     r[:, :-1] += ko * v[:, 1:]
@@ -196,11 +185,12 @@ def flat_oscillator(n=2000, a=-10.0, b=10.0):
                                  Grid1D(a, b, n))
 
 
-# problems whose corner nodes assemble lays out: two power corners, a tie
-# with a decay corner, and two corners that overlap on all 45 cells
+# problems whose corner nodes assemble lays out: two power corners, a power
+# corner with a series closure and a decay corner, and two corners that
+# overlap on all 45 cells
 CORNER_LAYOUTS = [
     pytest.param(higgs_oscillator_problem(1, PhysParams(lam=0.003), 2000), id="polar"),
-    pytest.param(qes_channel_problem(1, 1, UNIT, 1000), id="qes2-tie-decay"),
+    pytest.param(qes_channel_problem(1, 1, UNIT, 1000), id="qes2-series-decay"),
     pytest.param(SturmLiouvilleProblem(
         ONE, lambda x: 1 / x**2 + 1 / (1 - x) ** 2, ONE, Grid1D(0.0, 1.0, 45),
         (EndpointRule.power(1.5, 0.0), EndpointRule.power(2.0, 1.0))),
@@ -266,11 +256,11 @@ class TestAssemble:
 
 class TestCornerQuadrature:
     @pytest.mark.parametrize("prob", [
-        # power rule with series and tie at the left corner
+        # power rule with a series at the left corner
         SturmLiouvilleProblem(
             lambda x: 1 + x, lambda x: 2 / x**2 + x, lambda x: 1 + 0.5 * x**2,
             Grid1D(0.0, 2.0, 301),
-            (EndpointRule.power(1.5, 0.0, series=(0.4, -0.1), tie=True),
+            (EndpointRule.power(1.5, 0.0, series=(0.4, -0.1)),
              EndpointRule.dirichlet())),
         # decaying tail on the right, on a grid whose 2 corrected cells
         # span a tenth of it
@@ -284,7 +274,7 @@ class TestCornerQuadrature:
             lambda x: 2 - x, lambda x: 6 / (1 - x) ** 2, ONE,
             Grid1D(0.0, 1.0 - 1e-3, 45),
             (EndpointRule.dirichlet(), EndpointRule.power(3.0, 1.0))),
-    ], ids=["power-series-tie", "decay", "power-right"])
+    ], ids=["power-series", "decay", "power-right"])
     def test_matches_scalar_reference(self, prob):
         system = assemble(prob)
         for got, want in zip((system.k_diag, system.k_off, system.m_diag),
@@ -309,9 +299,9 @@ class TestCornerQuadrature:
         crs_problem(UNIT, lambda x: crs.crs_potential_special(1, UNIT, x),
                     Grid1D(1e-4, 10.0, 16000),
                     (EndpointRule.power(1.5, 0.0), EndpointRule.dirichlet())),
-        # tie-reduced resonant channel with series and a decay closure
+        # resonant channel closed by its series, with a decay closure
         qes_channel_problem(1, 1, UNIT, 4000),
-    ], ids=["polar-equator", "crs-tan-pole", "crs-wide", "qes2-tie"])
+    ], ids=["polar-equator", "crs-tan-pole", "crs-wide", "qes2-series"])
     def test_graded_orders_match_full_order_on_model_problems(self, prob):
         system = assemble(prob)
         for got, want in zip((system.k_diag, system.k_off, system.m_diag),
@@ -409,13 +399,6 @@ class TestCornerQuadrature:
         with pytest.raises(NonpositiveWeightError, match="weight w"):
             assemble(SturmLiouvilleProblem(ONE, ONE, w, grid, tuple(bc)))
 
-    def test_right_tie_rejected(self):
-        prob = SturmLiouvilleProblem(ONE, ONE, ONE, Grid1D(0.0, 1.0 - 1e-3, 50),
-                                     (EndpointRule.dirichlet(),
-                                      EndpointRule.power(3.0, 1.0, tie=True)))
-        with pytest.raises(ValueError, match="left endpoint only"):
-            assemble(prob)
-
     def test_ratio_survives_where_phi_underflows(self):
         rule = EndpointRule.power(1000.0, 0.0)
         h = 1e-3
@@ -490,10 +473,10 @@ class TestLowestEigenvalues:
             big = np.nonzero(np.abs(v) > 1e-8 * np.max(np.abs(v)))[0]
             assert v[big[0]] > 0
 
-    def test_tied_system_eigenvectors(self):
-        # the tie removes the first grid point from the solve; the returned
-        # eigenvectors are expanded back onto the full grid
-        rule = EndpointRule.power(1.5, 0.0, series=(0.4, -0.1), tie=True)
+    def test_series_closed_system_eigenvectors(self):
+        # a power corner with a series: one row per grid point, vectors
+        # normalized with the point-sampled weight
+        rule = EndpointRule.power(1.5, 0.0, series=(0.4, -0.1))
         prob = SturmLiouvilleProblem(lambda x: 1 + x, lambda x: 2 / x**2 + x,
                                      lambda x: 1 + 0.5 * x**2, Grid1D(0.0, 2.0, 301),
                                      (rule, EndpointRule.dirichlet()))
@@ -503,7 +486,6 @@ class TestLowestEigenvalues:
         for j in range(3):
             v = res.eigenvectors[:, j]
             assert np.sum(prob.w(x) * v * v) * prob.grid.h == pytest.approx(1.0, rel=1e-12)
-            assert v[0] == pytest.approx(float(rule.ratio(x[0], x[1])) * v[1], rel=1e-14)
             big = np.nonzero(np.abs(v) > 1e-8 * np.max(np.abs(v)))[0]
             assert v[big[0]] > 0
 
@@ -539,7 +521,7 @@ class TestLowestEigenvalues:
     @pytest.mark.parametrize("prob,k", [
         (higgs_oscillator_problem(0, UNIT, 8001), 50),
         (qes_channel_problem(1, 1, UNIT, 2001), 1),
-    ], ids=["polar-k50", "qes2-tied"])
+    ], ids=["polar-k50", "qes2-series"])
     def test_both_paths_bitwise_equal(self, prob, k):
         vals = lowest_eigenvalues(prob, k)
         assert vals.shape == (k,)
@@ -548,11 +530,11 @@ class TestLowestEigenvalues:
 
 class TestBackwardError:
     # converged pairs read roundoff against the componentwise scale
-    # |K||v| + |E| M|v|, on a deep polar solve, a resonant tied QES
-    # channel and the crs natural branch
+    # |K||v| + |E| M|v|, on a deep polar solve, a resonant QES channel
+    # closed by its series and the crs natural branch
     CASES = {
         "polar-k50": (higgs_oscillator_problem(0, UNIT, 8001), 50),
-        "qes2-tied": (qes_channel_problem(1, 1, UNIT, 2001), 1),
+        "qes2-series": (qes_channel_problem(1, 1, UNIT, 2001), 1),
         "crs-natural": (crs_natural_problem(1, UNIT, 4000), 3),
     }
 
@@ -782,11 +764,11 @@ def wide_crs_problem(mprime_q):
 
 
 def stein_vectors(prob, k):
-    """The k lowest eigenvectors (rows, on the full grid, weighted unit norm)
+    """The k lowest eigenvectors (rows, on the grid, weighted unit norm)
     by the bisection and inverse iteration (stebz/stein)."""
     system = assemble(prob)
     _, u = _bisection(*system.standard_form(), k)
-    v = system.expand(u.T / np.sqrt(system.m_diag))
+    v = u.T / np.sqrt(system.m_diag)
     w = np.asarray(prob.w(prob.grid.points()), float)
     return v / np.sqrt(np.sum(w * v * v, axis=1) * prob.grid.h)[:, None]
 
@@ -812,10 +794,9 @@ class TestSingleGridPolish:
     @pytest.mark.parametrize("case", ["guesses-miss-a-mode", "grid-too-small"])
     def test_fallback_is_the_bisection_bit_for_bit(self, case, monkeypatch):
         if case == "guesses-miss-a-mode":
-            # 250 coarse points miss the ground state of this channel: the
-            # guesses sit near modes 1-3, where the polish converges too
+            # the guesses of 250 coarse points do not certify on this channel
             monkeypatch.setattr(numerics, "_COARSEN", 32)
-            prob, k = qes_channel_problem(2, 2, UNIT, 8001), 3
+            prob, k = qes_channel_problem(1, 1, PhysParams(lam=0.7), 8001), 3
         else:
             # max(1000 // 16, 40 k) = 600 guess points, more than half of 1000
             prob, k = flat_oscillator(n=1000), 15

@@ -13,7 +13,7 @@ from curvosc.errors import (
     NonpositiveParameterError,
     SingularPointError,
 )
-from curvosc.numerics import EndpointRule, Grid1D, rayleigh_quotient
+from curvosc.numerics import EndpointRule, Grid1D, lowest_eigenvalues, rayleigh_quotient
 from curvosc.params import PhysParams
 from curvosc.problems import higgs_radial_problem, qes_channel_problem, qes_rayleigh_problem
 from curvosc.special_functions import gudermannian
@@ -258,3 +258,9 @@ class TestExample2GroundState:
             prob, lambda r: higgs.qes_example2_groundstate(mq, UNIT, r))
         assert constancy < 1e-6
         assert E0 == pytest.approx(higgs.higgs_energy((0, mq), UNIT), rel=1e-5)
+
+    def test_resonant_channel_solves_to_the_closed_form(self):
+        # m' = m'_Q has the indicial pair {-1/2, +1/2}; the series profile
+        # of the origin closure selects the closed-form family
+        E0 = lowest_eigenvalues(qes_channel_problem(1, 1, UNIT, 8001), 1)[0]
+        assert E0 == pytest.approx(crs.crs_energy((0, 1), UNIT), rel=1e-7)

@@ -19,6 +19,7 @@ from curvosc.special_functions import (
     MAX_SERIES_N,
     gudermannian,
     hyp2f1_terminating,
+    radial_quantum_number,
     theta_of_x,
     upsilon_of_r,
 )
@@ -130,6 +131,13 @@ class TestRadialQuantumNumber:
         # N = 1.5) and the wavefunctions raised a plain ValueError
         with pytest.raises(QuantumNumberError, match="N must be a nonnegative integer"):
             TAKES_N[name](N)
+
+    @pytest.mark.parametrize("name", ["radial_quantum_number", *TAKES_N])
+    def test_n_beyond_the_float_range_is_a_typed_error(self, name):
+        # float(N) raised Python's bare OverflowError for an int N >= 2^1024
+        call = TAKES_N.get(name, radial_quantum_number)
+        with pytest.raises(QuantumNumberError, match=r"^N must be below 2\^1024"):
+            call(10**400)
 
     @pytest.mark.parametrize("name", TAKES_N)
     def test_integral_n_of_any_type_is_the_int(self, name):
