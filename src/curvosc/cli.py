@@ -139,16 +139,15 @@ def run_spectrum(args, params: PhysParams):
                 rows.append([N, mp, float(ea), float(en), abs(en - ea) / abs(ea)])
     else:
         mq = args.mprime_q
-        prob = problems.qes_channel_problem(mq, mq, params, 8001, l=args.l)
+        prob = problems.qes_channel_problem(mq, mq, params, 2000, l=args.l)
         numeric = lowest_eigenvalues(prob, levels)
         # only the channel ground state has a closed form; its energy is
         # defined by the Rayleigh quotient of the printed state
         E0, _ = rayleigh_quotient(problems.qes_rayleigh_problem(mq, params, l=args.l),
                                   lambda r: higgs.qes_groundstate(mq, params, r, args.l))
         for N, en in enumerate(numeric):
-            ea = E0 if N == 0 else None
-            rel = abs(en - ea) / abs(ea) if ea is not None else None
-            rows.append([N, mq, ea if ea is None else float(ea), float(en), rel])
+            ea = float(E0) if N == 0 else None
+            rows.append([N, mq, ea, float(en), None if ea is None else abs(en - ea) / abs(ea)])
     return ["N", "mprime", "E_analytic", "E_numeric", "relative_error"], rows
 
 

@@ -63,8 +63,8 @@ class QesSpec:
         d = params.delta
         beta = 2 * lam * (mprime_q + 1) + lam * d
         gamma = 2 * lam * mprime_q - lam * d
-        c_shift = finite_square("hbar", params.hbar) / (2 * params.mass) * (
-            lam * (finite_square("m'_Q", mprime_q) - 1) + mprime_q * lam * d)
+        c_shift = params.kinetic * (lam * (finite_square("m'_Q", mprime_q) - 1)
+                                    + mprime_q * lam * d)
         return cls(A=A, B=B, C1=C1, C2=C2, beta=beta, gamma=gamma, c_shift=c_shift)
 
     @classmethod
@@ -82,6 +82,38 @@ class QesSpec:
         return cls.build(A=lam, B=0.0, C1=0.0, C2=1.0,
                          mprime_q=mprime_q, params=params)
 
+    def end_profile(self, params: PhysParams, end: float) -> tuple[float, tuple[float, float]]:
+        """(sigma, (c1, c2)) of the profile d^sigma (1 + c1 d + c2 d^2) of the channel-m'_Q
+        ground state at the end Theta = end of its polar interval (0, b), d = |Theta - end|.
+        In Theta = arctan(sqrt(lam) r) its log-derivative L = -cot(Theta)/2 - 3 tan(Theta)/2
+        - (beta X + gamma)/(lam X_Theta) = -(2 - cos 2Theta)/sin 2Theta - ... is a sum of
+        two ratios of Taylor series about the end (lam X_ThetaTheta = A X + B); from
+        +-L = sigma/d + a0 + a1 d + ..., c1 = a0 and c2 = (a0^2 + a1)/2."""
+        lam = params.require_curvature()
+        X0, slope = map(float, _x_and_slope(self, params, math.sinh(end) / math.sqrt(lam)))
+        X1, X2 = slope * math.cosh(end) / math.sqrt(lam), (self.A * X0 + self.B) / lam
+        c, s = math.cos(2 * end), math.sin(2 * end)
+        sigma, a0, a1 = (p - q / lam for p, q in zip(
+            _laurent((c - 2, -2 * s, -2 * c), (s, 2 * c, -2 * s, -4 * c / 3)),
+            _laurent((self.beta * X0 + self.gamma, self.beta * X1, self.beta * X2 / 2),
+                     (X1, X2, self.A * X1 / (2 * lam), self.A * X2 / (6 * lam)))))
+        # the interval starts at 0, so any other end is its right end, d = end - Theta
+        c1, c2 = (a0 if end == 0 else -a0), (a0 * a0 + a1) / 2
+        if not all(map(math.isfinite, (sigma, c1, c2))):
+            raise ParameterOverflowError(f"the end profile overflows at gamma/lam = "
+                                         f"{self.gamma / lam:g}, from m'_Q and m omega/(lam hbar)")
+        return sigma, (c1, c2)
+
+
+def _laurent(num, den) -> tuple[float, float, float]:
+    """(r, b0, b1) of num/den = r/t + b0 + b1 t + ... from the Taylor coefficients
+    num[0..2], den[0..3] about t = 0; den[0] is a zero where it is roundoff beside den[1]."""
+    e = den[1:] if abs(den[0]) <= 1e-12 * abs(den[1]) else den
+    q0 = num[0] / e[0]
+    q1 = (num[1] - q0 * e[1]) / e[0]
+    q2 = (num[2] - q0 * e[2] - q1 * e[1]) / e[0]
+    return (0.0, q0, q1) if e is den else (q0, q1, q2)
+
 
 def special_params(mprime_q: float, params: PhysParams) -> QesSpec:
     """QesSpec of the special model, with beta/gamma written in surd form.
@@ -91,14 +123,12 @@ def special_params(mprime_q: float, params: PhysParams) -> QesSpec:
     sqrt(lam^2 + 4 m^2 omega^2/hbar^2) = lam*delta, this equals
     QesSpec.build with the same A, B, C1, C2; the test suite checks it.
     """
-    lam = params.require_curvature()
-    hbar2 = finite_square("hbar", params.hbar)
+    lam, kinetic = params.require_curvature(), params.kinetic
     surd = math.sqrt(finite_square("lam", lam) + 4 * finite_square("mass", params.mass)
-                     * finite_square("omega", params.omega) / hbar2)
+                     * finite_square("omega", params.omega) / finite_square("hbar", params.hbar))
     beta = 2 * lam * (mprime_q + 1) + surd
     gamma = 2 * lam * mprime_q - surd
-    c_shift = hbar2 / (2 * params.mass) * (lam * (finite_square("m'_Q", mprime_q) - 1)
-                                           + mprime_q * surd)
+    c_shift = kinetic * (lam * (finite_square("m'_Q", mprime_q) - 1) + mprime_q * surd)
     return QesSpec(A=-4 * lam, B=0.0, C1=1.0, C2=0.0, beta=beta, gamma=gamma,
                    c_shift=c_shift)
 
@@ -137,8 +167,7 @@ def potential_general(spec: QesSpec, params: PhysParams, x):
     K = 1 + params.lam * x**2
     bx = spec.beta * X + spec.gamma
     num = bx * bx + bx * (spec.A * X + spec.B)
-    f = finite_square("hbar", params.hbar) / (2 * params.mass)
-    return f * num / (K * Xp * Xp) + spec.c_shift
+    return params.kinetic * num / (K * Xp * Xp) + spec.c_shift
 
 
 def crs_potential_special(mprime_q: float, params: PhysParams, x):
@@ -231,8 +260,8 @@ def crs_operator_coefficients(params: PhysParams, x):
     for the eigenproblem p2 phi'' + p1 phi' + (p0 + V) phi = E phi.  Well
     defined for any lam including the flat case lam = 0.
     """
-    f = -finite_square("hbar", params.hbar) / (2 * params.mass)
-    return f * (1 + params.lam * x**2), f * params.lam * x, 0.0
+    f = -params.kinetic
+    return f * (1 + params.lam * (x * x)), f * params.lam * x, 0.0
 
 
 def x_pole(params: PhysParams) -> float:

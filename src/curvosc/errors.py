@@ -20,6 +20,10 @@ class ParameterOverflowError(CurvoscError):
     floating point."""
 
 
+class ParameterUnderflowError(CurvoscError):
+    """A physical parameter is too small for a formula to stay a normal float."""
+
+
 class NonpositiveCurvatureError(CurvoscError):
     """An operation that needs lambda > 0 (the spectrum: lambda >= 0) got less."""
 

@@ -41,7 +41,7 @@ def higgs_radial_coefficients(mprime: int | float, params: PhysParams, r):
         raise SingularPointError("radial coefficients singular at r = 0")
     lam = params.lam
     lam2, mp2 = finite_square("lam", lam), finite_square("m'", mprime)
-    f = -finite_square("hbar", params.hbar) / (2 * params.mass)
+    f = -params.kinetic
     K = 1 + lam * r * r
     return (f * K * K,
             f * K * (1 + 5 * lam * r * r) / r,

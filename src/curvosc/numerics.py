@@ -87,17 +87,16 @@ lowest_eigenvalues, the single-grid solve, bisects the guess grid to the
 default tolerance, which is cheap; the bisection on the fine grid is the
 fallback.  Its callers want k <= 8, so the floor does not bind and the
 guess grid is n // 16, a ratio measured on 57 solves, the QES channels at
-the six lam of the benchmark (n = 8001, k = 3) and the three wide crs
+the six lam of the benchmark (n = 2000, k = 3) and the three wide crs
 solves of verify (n = 16000, k = 8):
 
-    ratio   guess n (QES)   fallbacks   cause
-      8         1000            1       qes2 m'_Q = 0, lam = 0.65: a spurious
-                                        coarse eigenvalue at -273
-     16          500            0
-     32          250            1       qes2 m'_Q = 1, lam = 0.7: guesses 3 % off
+    ratio   guess n (QES)   fallbacks
+      8          250            0
+     16          125            0
+     32          120            0       (the floor 40 k binds)
 
-At 16 the certified values lie within 3e-8 relative of a bisection to
-relative accuracy, where the default bisection leaves up to 6e-6.
+At 16 the certified values lie within 2e-10 relative of a bisection to
+relative accuracy, where the default bisection leaves up to 1.2e-8.
 lowest_eigenpairs is the same solve keeping the polished unit vectors (or
 stein's, after the fallback), plus the back-transform v = M^(-1/2) u and
 the normalization, for the callers that read eigenvectors; both apply the

@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonpositiveCurvatureError, NonpositiveParameterError, ParameterOverflowError
+from .errors import NonpositiveCurvatureError, NonpositiveParameterError, ParameterOverflowError, \
+    ParameterUnderflowError
 
 
 def require_positive(name: str, value: float) -> None:
@@ -46,6 +47,15 @@ class PhysParams:
         if not (self.lam > 0):
             raise NonpositiveCurvatureError(f"operation requires lam > 0, got {self.lam}")
         return self.lam
+
+    @property
+    def kinetic(self) -> float:
+        """hbar^2/2m, the factor of every kinetic term; below the normal floats
+        (2^-1022) the operators lose their derivative terms."""
+        f = finite_square("hbar", self.hbar) / (2 * self.mass)
+        if not f >= 2.0 ** -1022:
+            raise ParameterUnderflowError(f"hbar = {self.hbar:g} is too small: hbar^2/2m = {f:g}")
+        return f
 
     @property
     def omega_prime(self) -> float:

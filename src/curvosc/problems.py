@@ -19,18 +19,20 @@ weight once, here:
 numerics-oracle/self-adjointness-certificates checks p'/w = -p1 on both
 built problems.
 
-The spectrum protocols solve the radial problem in the polar angle
-chi = arctan(sqrt(lam) r).  The substitution p -> p/r', q -> q r',
-w -> w r' leaves the eigenvalues untouched, maps the infinite tail onto
-the compact interval (0, pi/2), and turns both endpoints into power-law
-corners the profile-corrected scheme handles at second order.  Endpoint
-exponents used below are indicial roots of the respective operators:
+The spectrum protocols and the solvable QES channels solve the radial
+problem in the polar angle chi = arctan(sqrt(lam) r).  The substitution
+p -> p/r', q -> q r', w -> w r' leaves the eigenvalues untouched, maps the
+infinite tail onto the compact interval (0, pi/2), and turns both endpoints
+into power-law corners the profile-corrected scheme handles at second
+order.  Endpoint exponents used below are indicial roots of the operators:
 
   radial at r=0:            psi ~ r^|m'|
   oscillator at the equator: psi ~ r^-(2 + m w'/(hbar lam)),
                              i.e. (pi/2 - chi)^(2 + m w'/(hbar lam))
   line model at x=0:         phi ~ x^(1/2+|m'|)
   line model at the tan pole: phi ~ (x*-x)^((1+delta)/2)
+  QES channel m' = m'_Q:     both ends limit-circle; the closed form's root
+                             and admixture, QesSpec.end_profile
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from typing import Callable
 import numpy as np
 
 from .crs import QesSpec, crs_operator_coefficients, crs_potential_special, x_pole
-from .errors import ParameterOverflowError
 from .higgs import (
     example1_branch_radius,
     higgs_radial_coefficients,
@@ -185,39 +186,36 @@ def qes_channel_problem(mprime: float, mprime_q: float, params: PhysParams, n: i
     """Radial problem of one angular channel of a transplanted potential,
     cos(l Theta) for a number l and sqrt(lam) x for l = None.
 
-    The cos(l Theta) domain ends just inside the first sec pole; the
-    sqrt(lam) x domain runs to b = 60 with the x^(-3/2) equator closure.
-    Channels whose origin exponent is complex (fall to the center) get a
-    plain Dirichlet wall at a small cutoff instead of a profile closure;
-    their ground state is cutoff-dominated, which is the expected signature
-    of a channel with no closed-form solution.
+    The solvable channel m' = m'_Q is solved in chi on (0, b - 1e-6), b the first
+    sec pole pi/l or the equator pi/2.  The others stay in r: the cos(l Theta)
+    domain ends just inside the first sec pole, the sqrt(lam) x domain runs to 60
+    with the x^(-3/2) equator closure.  Channels whose origin exponent is complex
+    (fall to the center) get a plain Dirichlet wall at a small cutoff instead of a
+    profile closure; their cutoff-dominated ground state shows no closed form.
     """
     lam = params.require_curvature()
-    if l is None:
-        spec = QesSpec.example2(mprime_q, params)
-        b = 60.0
-        right = EndpointRule.decay(1.5)
-    else:
-        spec = QesSpec.example1(l, mprime_q, params)
-        rb = example1_branch_radius(l, params)
-        b = rb - 1e-6
-        right = EndpointRule.power((spec.beta - spec.gamma) / (lam * l * l), rb)
+    spec = (QesSpec.example2(mprime_q, params) if l is None
+            else QesSpec.example1(l, mprime_q, params))
+    rb = None if l is None else example1_branch_radius(l, params)
+
+    def V(r):
+        return qes_potential(mprime_q, params, r, l)
+    if mprime == mprime_q:
+        b = math.pi / 2 if l is None else math.pi / l
+        (s0, c0), (sb, cb) = (spec.end_profile(params, end) for end in (0.0, b))
+        return _higgs_polar_problem(mprime, params, V, Grid1D(0.0, b - 1e-6, n),
+                                    (EndpointRule.power(s0, 0.0, c0),
+                                     EndpointRule.power(sb, b, cb)))
     s = _qes_indicial_exponent(mprime_q, mprime, l)
     if s.imag != 0:
         a, left = 1e-3, EndpointRule.dirichlet()
-    elif l is None and mprime == mprime_q:
-        # resonant pair {-1/2, +1/2}: the admixture of the two roots is
-        # genuine boundary data; the profile's series, the local expansion
-        # of the closed-form family, fixes it
-        f1 = -spec.gamma / math.sqrt(lam)
-        f2 = spec.gamma * spec.gamma / (2 * lam) - (lam + spec.beta) / 2
-        if not math.isfinite(f2):
-            raise ParameterOverflowError(f"lam = {lam:g} overflows the origin series")
-        a, left = 0.0, EndpointRule.power(-0.5, 0.0, series=(f1, f2))
     else:
         a, left = 0.0, EndpointRule.power(s.real, 0.0)
-    return higgs_radial_problem(mprime, params, lambda r: qes_potential(mprime_q, params, r, l),
-                                Grid1D(a, b, n), (left, right))
+    if l is None:
+        return higgs_radial_problem(mprime, params, V, Grid1D(a, 60.0, n),
+                                    (left, EndpointRule.decay(1.5)))
+    right = EndpointRule.power((spec.beta - spec.gamma) / (lam * l * l), rb)
+    return higgs_radial_problem(mprime, params, V, Grid1D(a, rb - 1e-6, n), (left, right))
 
 
 def qes_rayleigh_problem(mprime_q: float, params: PhysParams,

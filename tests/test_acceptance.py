@@ -192,8 +192,8 @@ GATES = {
         ("example1-rayleigh-constancy", "<=", 1e-06),
         ("example1-half-angle-constancy", "report", None),
         ("example2-rayleigh-constancy", "<=", 1e-06),
-        ("example1-ground-eigenvalue", "<=", 1e-04),
-        ("example2-ground-eigenvalue", "<=", 1e-04),
+        ("example1-ground-eigenvalue", "<=", 1e-06),
+        ("example2-ground-eigenvalue", "<=", 1e-06),
         ("example1-channel0-not-analytic", ">", 1e-02),
         ("example1-channel2-not-analytic", ">", 1e-02),
         ("example2-channel0-not-analytic", ">", 1e-02),

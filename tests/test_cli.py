@@ -175,11 +175,12 @@ class TestValidation:
 
     @pytest.mark.parametrize("model,lam", [(["higgs"], "1e150"),
                                            (["crs"], "1e150"),
-                                           (["qes2", "--mprime-q", "1"], "1e100")],
+                                           (["qes2", "--mprime-q", "1"], "1e150")],
                              ids=["higgs", "crs", "qes2"])
     def test_failed_lapack_eigensolve_is_one_error_line(self, model, lam, tmp_path, capsys):
         # finite but extreme entries make the LAPACK bisection fail; the
-        # user sees one typed error, not LAPACK's message
+        # user sees one typed error, not LAPACK's message.  qes2 answers at
+        # 1e100 since its channel is solved in the polar frame
         code, _ = run_to_file(tmp_path, "x.json",
                               ["spectrum", "--model", *model, "--lambda", lam])
         assert code == 1
@@ -187,6 +188,24 @@ class TestValidation:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "eigensolve failed" in err
         assert "LAPACK" not in err and "stebz" not in err
+
+    def test_qes2_answers_at_extreme_curvature(self, tmp_path):
+        # lam = 1e100 ended in "eigensolve failed" with the r-frame closures;
+        # the closed form is hbar w' n + (lam/2) n^2 = 3e100 at n = 2
+        code, text = run_to_file(tmp_path, "x.json", ["spectrum", "--model", "qes2",
+                                                      "--mprime-q", "1", "--lambda", "1e100"])
+        assert code == 0
+        assert json.loads(text)["rows"][0][3] == pytest.approx(3e100, rel=1e-6)
+
+    @pytest.mark.parametrize("model", [["crs"], ["higgs"], ["qes2", "--mprime-q", "1"]],
+                             ids=["crs", "higgs", "qes2"])
+    def test_tiny_hbar_is_one_error_line_naming_hbar(self, model, tmp_path, capsys):
+        # crs and higgs ended in "leading coefficient p must be positive at
+        # faces", qes2 blamed lam ("lam = 1 overflows the origin series")
+        code, text = run_to_file(tmp_path, "x.json",
+                                 ["spectrum", "--model", *model, "--hbar", "1e-200"])
+        assert code == 1 and text == ""
+        assert capsys.readouterr().err == "error: hbar = 1e-200 is too small: hbar^2/2m = 0\n"
 
     @pytest.mark.parametrize("lam", ["10", "1e4", "1e8", "1e9"])
     def test_crs_error_stays_flat_above_unit_curvature(self, lam, tmp_path):

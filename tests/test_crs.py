@@ -6,8 +6,10 @@ import pytest
 from curvosc import crs
 from curvosc.crs import QesSpec
 from curvosc.errors import (
+    CurvoscError,
     DegenerateDerivativeError,
     NonpositiveCurvatureError,
+    ParameterUnderflowError,
     SingularPointError,
     ZeroAError,
 )
@@ -49,6 +51,14 @@ class TestSpecialParams:
             assert a.beta == pytest.approx(b.beta, rel=1e-14)
             assert a.gamma == pytest.approx(b.gamma, rel=1e-14)
             assert a.c_shift == pytest.approx(b.c_shift, rel=1e-14)
+
+    @pytest.mark.parametrize("hbar,kinetic", [(1e-200, "0"), (1e-160, "4.99994e-321")])
+    def test_tiny_hbar_names_hbar(self, hbar, kinetic):
+        # hbar^2 = 0 in the surd raised a raw ZeroDivisionError
+        with pytest.raises(ParameterUnderflowError,
+                           match=f"^hbar = {hbar:g} is too small: hbar\\^2/2m = {kinetic}$") as exc:
+            crs.special_params(1.0, PhysParams(hbar=hbar))
+        assert isinstance(exc.value, CurvoscError)
 
     def test_rejects_flat(self):
         with pytest.raises(NonpositiveCurvatureError):
@@ -220,6 +230,13 @@ class TestEnergy:
 class TestOperatorCoefficients:
     def test_at_origin(self):
         assert crs.crs_operator_coefficients(UNIT, 0.0) == (-0.5, 0.0, 0.0)
+
+    def test_huge_point_gives_inf_as_a_float_and_in_an_array(self):
+        # a Python float point raised OverflowError (34, ...) from x**2
+        assert crs.crs_operator_coefficients(UNIT, 1e200) == (-math.inf, -5e199, 0.0)
+        with np.errstate(over="ignore"):
+            p2, p1, _ = crs.crs_operator_coefficients(UNIT, np.array([1e200, 1.0]))
+        assert p2.tolist() == [-math.inf, -1.0] and p1.tolist() == [-5e199, -0.5]
 
     def test_flat_everywhere(self):
         p = PhysParams(lam=0.0)

@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from curvosc import crs, higgs
+from curvosc import crs, higgs, verify
 from curvosc.crs import QesSpec
 from curvosc.verify import run_suites
 
@@ -46,3 +46,25 @@ def test_spectrum_gap_gates_the_shared_spectrum(monkeypatch, rel):
     monkeypatch.setattr(crs, "oscillator_energy", off)
     monkeypatch.setattr(higgs, "oscillator_energy", off)
     assert failed("crs-model", "flat-limit", "higgs-model") == ["spectrum-gap-closed-form"]
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda end, sigma, c1, c2: (-sigma if end == 0 else sigma, c1, c2),
+    lambda end, sigma, c1, c2: (sigma, 0.0, c2),
+], ids=["origin-partner-root", "c1=0"])
+def test_ground_eigenvalue_gates_the_end_profile(monkeypatch, mutate):
+    # the origin's indicial roots are +-sigma.  The partner root moves the
+    # two ground eigenvalues by 0.22 and 1.2 relative, c1 = 0 by 1.4e-5 and
+    # 7.2e-2, so a gate at 1e-4 would miss the first
+    profile = QesSpec.end_profile
+
+    def off(self, params, end):
+        sigma, (c1, c2) = profile(self, params, end)
+        sigma, c1, c2 = mutate(end, sigma, c1, c2)
+        return sigma, (c1, c2)
+
+    monkeypatch.setattr(QesSpec, "end_profile", off)
+    # the uncached measurements, so no mutated value stays in the cache
+    monkeypatch.setattr(verify, "_qes_measurements", verify._qes_measurements.__wrapped__)
+    assert failed("qes-certification") == ["example1-ground-eigenvalue",
+                                           "example2-ground-eigenvalue"]

@@ -185,12 +185,13 @@ def flat_oscillator(n=2000, a=-10.0, b=10.0):
                                  Grid1D(a, b, n))
 
 
-# problems whose corner nodes assemble lays out: two power corners, a power
-# corner with a series closure and a decay corner, and two corners that
-# overlap on all 45 cells
+# problems whose corner nodes assemble lays out: two power corners, two
+# power corners with series closures, a power corner and a decay corner,
+# and two corners that overlap on all 45 cells
 CORNER_LAYOUTS = [
     pytest.param(higgs_oscillator_problem(1, PhysParams(lam=0.003), 2000), id="polar"),
-    pytest.param(qes_channel_problem(1, 1, UNIT, 1000), id="qes2-series-decay"),
+    pytest.param(qes_channel_problem(1, 1, UNIT, 1000), id="qes2-series"),
+    pytest.param(qes_channel_problem(2, 1, UNIT, 1000), id="qes2-neighbour-decay"),
     pytest.param(SturmLiouvilleProblem(
         ONE, lambda x: 1 / x**2 + 1 / (1 - x) ** 2, ONE, Grid1D(0.0, 1.0, 45),
         (EndpointRule.power(1.5, 0.0), EndpointRule.power(2.0, 1.0))),
@@ -299,7 +300,7 @@ class TestCornerQuadrature:
         crs_problem(UNIT, lambda x: crs.crs_potential_special(1, UNIT, x),
                     Grid1D(1e-4, 10.0, 16000),
                     (EndpointRule.power(1.5, 0.0), EndpointRule.dirichlet())),
-        # resonant channel closed by its series, with a decay closure
+        # the solvable channel, closed at both ends by its series
         qes_channel_problem(1, 1, UNIT, 4000),
     ], ids=["polar-equator", "crs-tan-pole", "crs-wide", "qes2-series"])
     def test_graded_orders_match_full_order_on_model_problems(self, prob):
@@ -781,7 +782,7 @@ class TestSingleGridPolish:
         (3.0, 0), (3.0, 1), (3.0, 2), (4.0, 0), (4.0, 1), (4.0, 2),
         (None, 0), (None, 1), (None, 2)])
     def test_qes_channels_certified_near_relative_bisection(self, l, mprime_q, lam):
-        # the default bisection leaves up to 6e-6 relative on these channels
+        # the default bisection leaves up to 6.6e-9 relative on these channels
         prob = qes_channel_problem(mprime_q, mprime_q, PhysParams(lam=lam), 8001, l=l)
         d, e = assemble(prob).standard_form()
         certified = _coarse_polished(prob, 3, d, e)
@@ -794,9 +795,10 @@ class TestSingleGridPolish:
     @pytest.mark.parametrize("case", ["guesses-miss-a-mode", "grid-too-small"])
     def test_fallback_is_the_bisection_bit_for_bit(self, case, monkeypatch):
         if case == "guesses-miss-a-mode":
-            # the guesses of 250 coarse points do not certify on this channel
+            # the guesses of 250 coarse points do not certify on this channel,
+            # the m' = 0 neighbour of cos(4 Theta), m'_Q = 1 (500 points do)
             monkeypatch.setattr(numerics, "_COARSEN", 32)
-            prob, k = qes_channel_problem(1, 1, PhysParams(lam=0.7), 8001), 3
+            prob, k = qes_channel_problem(0, 1, PhysParams(lam=0.7), 8001, l=4.0), 3
         else:
             # max(1000 // 16, 40 k) = 600 guess points, more than half of 1000
             prob, k = flat_oscillator(n=1000), 15

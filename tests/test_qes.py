@@ -21,6 +21,17 @@ from curvosc.verify import _example1_half_angle_groundstate
 
 UNIT = PhysParams()
 
+# (l, m'_Q) of the nine solvable channels that the benchmark's qes-channels
+# workload solves; l = None is the sqrt(lam) x family
+QES_CHANNELS = [(l, mq) for l in (3.0, 4.0, None) for mq in (0, 1, 2)]
+QES_IDS = [f"{'qes2' if l is None else f'l={l:g}'}-mq={mq}" for l, mq in QES_CHANNELS]
+# perfbench/workloads.py QES_LAMBDAS
+BENCHMARK_LAMBDAS = (0.5, 0.65, 0.7, 0.8, 0.9, 1.0)
+
+
+def qes_spec(l, mq, params):
+    return QesSpec.example2(mq, params) if l is None else QesSpec.example1(l, mq, params)
+
 
 def example1_potential_regrouped(l, mq, params, r):
     """Second, independently grouped transcription of the cos(l Theta)
@@ -260,7 +271,77 @@ class TestExample2GroundState:
         assert E0 == pytest.approx(higgs.higgs_energy((0, mq), UNIT), rel=1e-5)
 
     def test_resonant_channel_solves_to_the_closed_form(self):
-        # m' = m'_Q has the indicial pair {-1/2, +1/2}; the series profile
-        # of the origin closure selects the closed-form family
+        # m' = m'_Q has the indicial pair {-1/2, +1/2} at the origin and
+        # {3/2, 5/2} at the equator; the series profiles of both end
+        # closures select the closed-form family
         E0 = lowest_eigenvalues(qes_channel_problem(1, 1, UNIT, 8001), 1)[0]
         assert E0 == pytest.approx(crs.crs_energy((0, 1), UNIT), rel=1e-7)
+
+
+class TestEndProfile:
+    @pytest.mark.parametrize("lam", [0.01, 0.5, 1.0, 10.0])
+    @pytest.mark.parametrize("l,mq", QES_CHANNELS, ids=QES_IDS)
+    def test_residues(self, l, mq, lam):
+        params = PhysParams(lam=lam)
+        spec = qes_spec(l, mq, params)
+        if l is None:
+            expected = ((0.0, -0.5), (math.pi / 2, 1.5))
+        else:
+            ll2 = lam * l * l
+            expected = ((0.0, -0.5 + (spec.beta + spec.gamma) / ll2),
+                        (math.pi / l, (spec.beta - spec.gamma) / ll2))
+        for end, sigma in expected:
+            assert spec.end_profile(params, end)[0] == pytest.approx(sigma, rel=1e-12, abs=1e-12)
+
+    def test_example2_origin_series(self):
+        params = PhysParams(lam=0.7, omega=1.3)
+        spec = QesSpec.example2(1.0, params)
+        g, b, lam = spec.gamma, spec.beta, params.lam
+        _, (c1, c2) = spec.end_profile(params, 0.0)
+        assert c1 == pytest.approx(-g / lam, rel=1e-14)
+        assert c2 == pytest.approx(g * g / (2 * lam * lam) - b / (2 * lam) - 2 / 3, rel=1e-13)
+
+    @pytest.mark.parametrize("lam", [0.01, 0.5, 1.0, 10.0])
+    @pytest.mark.parametrize("l,mq", QES_CHANNELS, ids=QES_IDS)
+    def test_series_is_the_local_expansion_of_the_ground_state(self, l, mq, lam):
+        # log psi0 - sigma log d = const + c1 d + (c2 - c1^2/2) d^2 + O(d^3),
+        # read off a degree-8 fit on d in [1e-3, 0.05] (measured: c1 to
+        # 6e-10, the d^2 coefficient to 2.5e-8); a wrong sigma leaves a
+        # log d term that no polynomial fits to 1e-9
+        params = PhysParams(lam=lam)
+        spec = qes_spec(l, mq, params)
+        top = 0.05
+        d = np.linspace(1e-3, top, 60)
+        for end in (0.0, math.pi / 2 if l is None else math.pi / l):
+            sigma, (c1, c2) = spec.end_profile(params, end)
+            theta = end + d if end == 0 else end - d
+            psi = higgs.qes_groundstate(mq, params, np.tan(theta) / math.sqrt(lam), l)
+            g = np.log(psi) - sigma * np.log(d)
+            coef = np.polynomial.polynomial.polyfit(d / top, g, 8)
+            assert np.max(np.abs(np.polynomial.polynomial.polyval(d / top, coef) - g)) < 1e-9
+            assert coef[1] / top == pytest.approx(c1, rel=1e-7, abs=1e-7)
+            k2 = c2 - c1 * c1 / 2
+            assert coef[2] / top**2 == pytest.approx(k2, rel=1e-6, abs=1e-6)
+
+
+class TestSolvableChannel:
+    # the channel m' = m'_Q in the polar frame, closed at both ends with
+    # QesSpec.end_profile, on the CLI's 2000 points
+    @pytest.mark.parametrize("lam,tol", [(lam, 1e-6) for lam in BENCHMARK_LAMBDAS]
+                             + [(0.1, 2e-6), (2.0, 2e-6), (10.0, 2e-6), (0.01, 1e-5)])
+    @pytest.mark.parametrize("l,mq", QES_CHANNELS, ids=QES_IDS)
+    def test_ground_state_is_the_closed_form(self, l, mq, lam, tol):
+        params = PhysParams(lam=lam)
+        vals = lowest_eigenvalues(qes_channel_problem(mq, mq, params, 2000, l=l), 3)
+        exact = crs.oscillator_energy((0, mq), params)
+        assert abs(vals[0] - exact) <= tol * exact
+        # and no spurious level below it
+        assert np.min(vals) >= exact * (1 - tol)
+
+    def test_coarse_grid_has_no_spurious_level(self):
+        # qes2 m'_Q = 0 at lam = 0.65 and n = 1000 had an eigenvalue at -273.57
+        # below 1.314, 4.282, 8.640 with the r-frame closures
+        params = PhysParams(lam=0.65)
+        vals = lowest_eigenvalues(qes_channel_problem(0, 0, params, 1000), 3)
+        assert vals == pytest.approx([1.3765, 4.8714, 9.2995], abs=1e-4)
+        assert vals[0] == pytest.approx(crs.oscillator_energy((0, 0), params), rel=1e-5)
