@@ -48,18 +48,16 @@ rule is c_m kappa^(2m) e^kappa, c_m = 2^(2m+1) (m!)^4 / ((2m+1) ((2m)!)^3)
 ladder _ORDERS = (4, 6, 8, 12, 16, 24) whose two bounds are both below
 _QUAD_EPS = 1e-19, a margin of a thousand below the rounding unit that
 also puts the cell touching a corner (tau = 1/2) at the ceiling.  24 is
-the ceiling, as are decay cells; tau uses the real distance to x0, so a
-grid cut short of its singular point grades too.  On the shipped problems
-the graded averages agree with all-24-point ones to 2e-12 relative of
-the assembled diagonal (the roundoff floor of the 24-point sums at sigma
-~ 100), while a corner of 1600 cells takes about 6600 nodes instead of
-38400.  q and w are called once each per system, on the points outside
-the corner cells and all corner nodes in one flat array.
+the ceiling; tau uses the real distance to x0, so a grid cut short of its
+singular point grades too.  On the shipped problems the graded averages
+agree with all-24-point ones to 2e-12 relative of the assembled diagonal
+(the roundoff floor of the 24-point sums at sigma ~ 100), while a corner
+of 1600 cells takes about 6600 nodes instead of 38400.  q and w are
+called once each per system, on the points outside the corner cells and
+all corner nodes in one flat array.
 
 All three changes keep K symmetric (the face factors multiply the same
 difference in both adjacent rows; the closure only adds to the diagonal).
-The "decay" rule is the analogous closure for an infinite right endpoint
-with profile x^(-mu).
 
 Eigensolvers
 ------------
@@ -217,9 +215,9 @@ class Grid1D:
 class EndpointRule:
     """Boundary treatment of one endpoint; see the module docstring."""
 
-    kind: str = "dirichlet"       # "dirichlet" | "power" | "decay"
-    exponent: float = 0.0         # sigma for power, mu for decay
-    center: float = 0.0           # singular point location for power
+    kind: str = "dirichlet"       # "dirichlet" | "power"
+    exponent: float = 0.0         # sigma of the power profile
+    center: float = 0.0           # singular point of the power profile
     series: tuple = ()            # (c1, c2, ...) profile corrections
 
     @classmethod
@@ -230,10 +228,6 @@ class EndpointRule:
     def power(cls, sigma: float, center: float,
               series: Sequence[float] = ()) -> "EndpointRule":
         return cls(kind="power", exponent=sigma, center=center, series=tuple(series))
-
-    @classmethod
-    def decay(cls, mu: float) -> "EndpointRule":
-        return cls(kind="decay", exponent=mu)
 
     @cached_property
     def _coefficients(self) -> tuple[np.ndarray, np.ndarray]:
@@ -251,24 +245,20 @@ class EndpointRule:
 
     def ratio(self, t, t0):
         """phi(t)/phi(t0) of the local regular profile, without forming phi."""
-        t, t0 = np.asarray(t, float), np.asarray(t0, float)
-        if self.kind == "power":
-            d, d0 = np.abs(t - self.center), np.abs(t0 - self.center)
-            return (d / d0) ** self.exponent * (self._poly(d) / self._poly(d0))
-        if self.kind == "decay":
-            return (t / t0) ** (-self.exponent)
-        raise ValueError(f"no profile for rule kind {self.kind!r}")
+        if self.kind != "power":
+            raise ValueError(f"no profile for rule kind {self.kind!r}")
+        d = np.abs(np.asarray(t, float) - self.center)
+        d0 = np.abs(np.asarray(t0, float) - self.center)
+        return (d / d0) ** self.exponent * (self._poly(d) / self._poly(d0))
 
     def log_derivative(self, t):
         """phi'(t)/phi(t) of the local regular profile."""
+        if self.kind != "power":
+            raise ValueError(f"no profile for rule kind {self.kind!r}")
         t = np.asarray(t, float)
-        if self.kind == "power":
-            d = np.abs(t - self.center)
-            return np.sign(t - self.center) * (
-                self.exponent / d + self._poly(d, derivative=True) / self._poly(d))
-        if self.kind == "decay":
-            return -self.exponent / t
-        raise ValueError(f"no profile for rule kind {self.kind!r}")
+        d = np.abs(t - self.center)
+        return np.sign(t - self.center) * (
+            self.exponent / d + self._poly(d, derivative=True) / self._poly(d))
 
 
 @dataclass(frozen=True)
@@ -332,7 +322,7 @@ def assemble(problem: SturmLiouvilleProblem) -> TridiagonalSystem:
     for side, rule in enumerate(problem.bc):
         if rule.kind == "dirichlet":
             continue
-        m = min(max(40, n // 5) if rule.kind == "power" else 2, n)   # corrected cells
+        m = min(max(40, n // 5), n)   # corrected cells
         # faces j (between x_{j-1} and x_j) and cells of this corner; face
         # terms are divided through by phi at the point of the pair farther
         # from the corner, so their ratios stay O(1) for any sigma
@@ -386,10 +376,7 @@ def assemble(problem: SturmLiouvilleProblem) -> TridiagonalSystem:
 def _rungs(rule: EndpointRule, mid: np.ndarray, half: np.ndarray) -> np.ndarray:
     """Index into _ORDERS of the Gauss-Legendre order of each corrected cell
     (centres mid, half-widths half): the lowest rung whose tau and kappa
-    bounds both hold, see the module docstring; decay cells keep the
-    ceiling."""
-    if rule.kind != "power":
-        return np.full(mid.shape, len(_ORDERS) - 1)
+    bounds both hold, see the module docstring."""
     tau = half / np.abs(mid - rule.center)
     return np.maximum(np.searchsorted(_TAU_MAX, tau),
                       np.searchsorted(_KAPPA_MAX, abs(rule.exponent) * tau))

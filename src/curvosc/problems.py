@@ -19,8 +19,8 @@ weight once, here:
 numerics-oracle/self-adjointness-certificates checks p'/w = -p1 on both
 built problems.
 
-The spectrum protocols and the solvable QES channels solve the radial
-problem in the polar angle chi = arctan(sqrt(lam) r).  The substitution
+The spectrum protocols and every QES channel solve the radial problem in
+the polar angle chi = arctan(sqrt(lam) r).  The substitution
 p -> p/r', q -> q r', w -> w r' leaves the eigenvalues untouched, maps the
 infinite tail onto the compact interval (0, pi/2), and turns both endpoints
 into power-law corners the profile-corrected scheme handles at second
@@ -33,6 +33,8 @@ order.  Endpoint exponents used below are indicial roots of the operators:
   line model at the tan pole: phi ~ (x*-x)^((1+delta)/2)
   QES channel m' = m'_Q:     both ends limit-circle; the closed form's root
                              and admixture, QesSpec.end_profile
+  other QES channels:        at the origin their own root, at the far end
+                             the closed form's, which no channel changes
 """
 
 from __future__ import annotations
@@ -186,45 +188,47 @@ def qes_channel_problem(mprime: float, mprime_q: float, params: PhysParams, n: i
     """Radial problem of one angular channel of a transplanted potential,
     cos(l Theta) for a number l and sqrt(lam) x for l = None.
 
-    The solvable channel m' = m'_Q is solved in chi on (0, b - 1e-6), b the first
-    sec pole pi/l or the equator pi/2.  The others stay in r: the cos(l Theta)
-    domain ends just inside the first sec pole, the sqrt(lam) x domain runs to 60
-    with the x^(-3/2) equator closure.  Channels whose origin exponent is complex
-    (fall to the center) get a plain Dirichlet wall at a small cutoff instead of a
-    profile closure; their cutoff-dominated ground state shows no closed form.
+    Every channel is solved in chi on (0, b - 1e-6), b the first sec pole pi/l
+    or the equator pi/2.  The far end takes the closed form's root there, which
+    no channel changes; the solvable channel m' = m'_Q takes the closed form's
+    series at both ends as well.  Other channels close the origin with their own
+    indicial root, or, where it is complex (fall to the center), with a plain
+    Dirichlet wall at chi = 1e-3; their cutoff-dominated ground state shows no
+    closed form.
     """
-    lam = params.require_curvature()
-    spec = (QesSpec.example2(mprime_q, params) if l is None
-            else QesSpec.example1(l, mprime_q, params))
-    rb = None if l is None else example1_branch_radius(l, params)
-
-    def V(r):
-        return qes_potential(mprime_q, params, r, l)
-    if mprime == mprime_q:
-        b = math.pi / 2 if l is None else math.pi / l
-        (s0, c0), (sb, cb) = (spec.end_profile(params, end) for end in (0.0, b))
-        return _higgs_polar_problem(mprime, params, V, Grid1D(0.0, b - 1e-6, n),
-                                    (EndpointRule.power(s0, 0.0, c0),
-                                     EndpointRule.power(sb, b, cb)))
-    s = _qes_indicial_exponent(mprime_q, mprime, l)
-    if s.imag != 0:
-        a, left = 1e-3, EndpointRule.dirichlet()
-    else:
-        a, left = 0.0, EndpointRule.power(s.real, 0.0)
     if l is None:
-        return higgs_radial_problem(mprime, params, V, Grid1D(a, 60.0, n),
-                                    (left, EndpointRule.decay(1.5)))
-    right = EndpointRule.power((spec.beta - spec.gamma) / (lam * l * l), rb)
-    return higgs_radial_problem(mprime, params, V, Grid1D(a, rb - 1e-6, n), (left, right))
+        spec, b = QesSpec.example2(mprime_q, params), math.pi / 2
+    else:
+        spec, b = QesSpec.example1(l, mprime_q, params), math.pi / l
+        example1_branch_radius(l, params)   # refuses l <= 2, which has no sec pole
+    sb, cb = spec.end_profile(params, b)
+    if mprime == mprime_q:
+        s0, c0 = spec.end_profile(params, 0.0)
+        a, left, right = 0.0, EndpointRule.power(s0, 0.0, c0), EndpointRule.power(sb, b, cb)
+    else:
+        s = _qes_indicial_exponent(mprime_q, mprime, l)
+        if s.imag != 0:
+            a, left = 1e-3, EndpointRule.dirichlet()
+        else:
+            a, left = 0.0, EndpointRule.power(s.real, 0.0)
+        right = EndpointRule.power(sb, b)
+    return _higgs_polar_problem(mprime, params, lambda r: qes_potential(mprime_q, params, r, l),
+                                Grid1D(a, b - 1e-6, n), (left, right))
 
 
 def qes_rayleigh_problem(mprime_q: float, params: PhysParams,
                          l: float | None = None) -> SturmLiouvilleProblem:
     """Channel m' = m'_Q of a transplanted potential between Dirichlet walls
-    clear of both endpoint singularities, [0.1, 0.9 r_b] for cos(l Theta)
-    (r_b the first sec pole) and [0.1, 25] for sqrt(lam) x, on 2000 points:
-    the problem on which the Rayleigh quotient of the closed-form ground
-    state is taken."""
-    b = 25.0 if l is None else 0.9 * example1_branch_radius(l, params)
+    clear of both endpoint singularities, on 2000 points: the problem on which
+    the Rayleigh quotient of the closed-form ground state is taken.  Above
+    lam = 1 the state shrinks like s = 1/sqrt(lam), and the walls with it:
+    [0.1 s, 25 s] for sqrt(lam) x, [min(0.1 s, r_b/8), 0.9 r_b] for
+    cos(l Theta), r_b the first sec pole; s = 1 for lam <= 1."""
+    s = 1 / math.sqrt(max(params.require_curvature(), 1.0))
+    if l is None:
+        a, b = 0.1 * s, 25.0 * s
+    else:
+        rb = example1_branch_radius(l, params)
+        a, b = min(0.1 * s, rb / 8), 0.9 * rb
     return higgs_radial_problem(mprime_q, params, lambda r: qes_potential(mprime_q, params, r, l),
-                                Grid1D(0.1, b, 2000), (EndpointRule.dirichlet(),) * 2)
+                                Grid1D(a, b, 2000), (EndpointRule.dirichlet(),) * 2)

@@ -300,12 +300,12 @@ def _qes_measurements():
         for channel in (mq - 1, mq + 1):
             prob = problems.qes_channel_problem(channel, mq, params, 2000, l=l)
             res = lowest_eigenpairs(prob, 1)
-            x = prob.grid.points()
+            r = np.tan(prob.grid.points()) / math.sqrt(params.lam)
             v = res.eigenvectors[:, 0]
-            i0, i1 = int(0.2 * x.size), int(0.8 * x.size)
+            i0, i1 = int(0.2 * r.size), int(0.8 * r.size)
             devs = []
             for mc in {channel, mq}:
-                ratio = v[i0:i1] / higgs.qes_groundstate(mc, params, x[i0:i1], l)
+                ratio = v[i0:i1] / higgs.qes_groundstate(mc, params, r[i0:i1], l)
                 devs.append(float(np.max(np.abs(ratio - np.mean(ratio)))
                                   / abs(np.mean(ratio))))
             m[f"{ex}_ch{channel}_min_dev"] = min(devs)

@@ -6,8 +6,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from curvosc import cli, verify
+from curvosc import cli, crs, verify
 from curvosc.cli import fmt_float, main, serialize_csv, serialize_json
+from curvosc.params import PhysParams
 
 
 def load_schema():
@@ -196,6 +197,27 @@ class TestValidation:
                                                       "--mprime-q", "1", "--lambda", "1e100"])
         assert code == 0
         assert json.loads(text)["rows"][0][3] == pytest.approx(3e100, rel=1e-6)
+
+    @pytest.mark.parametrize("model,lam,tol", [
+        (["qes1", "--l", "3"], "300", 1e-10),
+        (["qes1", "--l", "4"], "1e100", 1e-10),
+        (["qes1", "--l", "29"], "1", 1e-8),
+        (["qes1", "--l", "1000"], "1", 1e-5),
+        (["qes2"], "1e100", 1e-5),
+        (["qes2"], "3e-3", 1e-9),
+    ], ids=["l=3-lam=300", "l=4-lam=1e100", "l=29", "l=1000", "qes2-lam=1e100",
+            "qes2-lam=3e-3"])
+    def test_qes_analytic_energy_follows_the_state(self, model, lam, tol, tmp_path):
+        # the Rayleigh walls were fixed in r while the state shrinks like
+        # 1/sqrt(lam) above lam = 1: l = 3 at lam = 300 and l = 29 ended in
+        # "need finite a < b", qes2 at lam = 1e100 printed E_analytic =
+        # -2.8e194.  Below lam = 1 the walls stay put: widened like
+        # 1/sqrt(lam), they overflow the closed form at lam = 3e-3
+        code, text = run_to_file(tmp_path, "x.json", ["spectrum", "--model", *model,
+                                                      "--mprime-q", "1", "--lambda", lam])
+        assert code == 0
+        exact = crs.oscillator_energy((0, 1), PhysParams(lam=float(lam)))
+        assert json.loads(text)["rows"][0][2] == pytest.approx(exact, rel=tol)
 
     @pytest.mark.parametrize("model", [["crs"], ["higgs"], ["qes2", "--mprime-q", "1"]],
                              ids=["crs", "higgs", "qes2"])

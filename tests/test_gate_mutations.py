@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from curvosc import crs, higgs, verify
+from curvosc import crs, higgs, problems, verify
 from curvosc.crs import QesSpec
 from curvosc.verify import run_suites
 
@@ -68,3 +68,17 @@ def test_ground_eigenvalue_gates_the_end_profile(monkeypatch, mutate):
     monkeypatch.setattr(verify, "_qes_measurements", verify._qes_measurements.__wrapped__)
     assert failed("qes-certification") == ["example1-ground-eigenvalue",
                                            "example2-ground-eigenvalue"]
+
+
+def test_not_analytic_gates_the_neighbour_channels(monkeypatch):
+    # every channel built as m' = m'_Q: its ground state is the closed form,
+    # and the four deviations fall to 4.9e-8-6.9e-7, far below the 1e-2 gate
+    build = problems.qes_channel_problem
+
+    def solvable(mprime, mprime_q, params, n, l=None):
+        return build(mprime_q, mprime_q, params, n, l=l)
+
+    monkeypatch.setattr(problems, "qes_channel_problem", solvable)
+    monkeypatch.setattr(verify, "_qes_measurements", verify._qes_measurements.__wrapped__)
+    assert failed("qes-certification") == [f"example{example}-channel{channel}-not-analytic"
+                                           for example in (1, 2) for channel in (0, 2)]

@@ -39,10 +39,7 @@ ONE = lambda x: np.ones_like(np.asarray(x, float))
 
 
 def scalar_profile(rule):
-    """phi and phi' of an endpoint rule as plain scalar functions."""
-    if rule.kind == "decay":
-        mu = rule.exponent
-        return (lambda t: t ** -mu), (lambda t: -mu * t ** (-mu - 1))
+    """phi and phi' of a power rule as plain scalar functions."""
     sig, c, ser = rule.exponent, rule.center, rule.series
 
     def parts(t):
@@ -62,10 +59,10 @@ def scalar_profile(rule):
     return phi, dphi
 
 
-def corner_width(rule, n):
-    """Cells of a corner that assemble corrects: max(40, n // 5) at a power
-    corner, 2 at a decay corner, at most n."""
-    return min(max(40, n // 5) if rule.kind == "power" else 2, n)
+def corner_width(n):
+    """Cells of a power corner that assemble corrects: max(40, n // 5), at
+    most n."""
+    return min(max(40, n // 5), n)
 
 
 def reference_assemble(prob):
@@ -82,7 +79,7 @@ def reference_assemble(prob):
         if rule.kind == "dirichlet":
             continue
         phi, dphi = scalar_profile(rule)
-        m = corner_width(rule, n)
+        m = corner_width(n)
         faces = range(1, m) if side == 0 else range(max(n - m, 1), n)
         cells = range(m) if side == 0 else range(n - m, n)
         for j in faces:
@@ -122,7 +119,7 @@ def full_order_assemble(prob):
     for side, rule in enumerate(prob.bc):
         if rule.kind == "dirichlet":
             continue
-        m = corner_width(rule, n)
+        m = corner_width(n)
         if side == 0:
             j, i = np.arange(1, m), np.arange(m)
             ref = x[j]
@@ -186,21 +183,16 @@ def flat_oscillator(n=2000, a=-10.0, b=10.0):
 
 
 # problems whose corner nodes assemble lays out: two power corners, two
-# power corners with series closures, a power corner and a decay corner,
-# and two corners that overlap on all 45 cells
+# power corners with series closures, a bare power corner beside a power
+# corner (a neighbour channel), and two corners that overlap on all 45 cells
 CORNER_LAYOUTS = [
     pytest.param(higgs_oscillator_problem(1, PhysParams(lam=0.003), 2000), id="polar"),
     pytest.param(qes_channel_problem(1, 1, UNIT, 1000), id="qes2-series"),
-    pytest.param(qes_channel_problem(2, 1, UNIT, 1000), id="qes2-neighbour-decay"),
+    pytest.param(qes_channel_problem(2, 1, UNIT, 1000), id="qes2-neighbour"),
     pytest.param(SturmLiouvilleProblem(
         ONE, lambda x: 1 / x**2 + 1 / (1 - x) ** 2, ONE, Grid1D(0.0, 1.0, 45),
         (EndpointRule.power(1.5, 0.0), EndpointRule.power(2.0, 1.0))),
         id="overlapping-corners"),
-    # a decay corner alone, on its 2 cells
-    pytest.param(SturmLiouvilleProblem(
-        ONE, lambda x: x**2, ONE, Grid1D(1.0, 6.0, 300),
-        (EndpointRule.dirichlet(), EndpointRule.decay(1.5))),
-        id="decay-default-cells"),
 ]
 
 
@@ -263,19 +255,13 @@ class TestCornerQuadrature:
             Grid1D(0.0, 2.0, 301),
             (EndpointRule.power(1.5, 0.0, series=(0.4, -0.1)),
              EndpointRule.dirichlet())),
-        # decaying tail on the right, on a grid whose 2 corrected cells
-        # span a tenth of it
-        SturmLiouvilleProblem(
-            ONE, lambda x: 0.75 / x**2, lambda x: 1 / x,
-            Grid1D(0.5, 20.0, 19),
-            (EndpointRule.dirichlet(), EndpointRule.decay(1.5))),
         # power corner on the right, its 40 corrected cells over most of
         # the grid
         SturmLiouvilleProblem(
             lambda x: 2 - x, lambda x: 6 / (1 - x) ** 2, ONE,
             Grid1D(0.0, 1.0 - 1e-3, 45),
             (EndpointRule.dirichlet(), EndpointRule.power(3.0, 1.0))),
-    ], ids=["power-series", "decay", "power-right"])
+    ], ids=["power-series", "power-right"])
     def test_matches_scalar_reference(self, prob):
         system = assemble(prob)
         for got, want in zip((system.k_diag, system.k_off, system.m_diag),
@@ -300,9 +286,11 @@ class TestCornerQuadrature:
         crs_problem(UNIT, lambda x: crs.crs_potential_special(1, UNIT, x),
                     Grid1D(1e-4, 10.0, 16000),
                     (EndpointRule.power(1.5, 0.0), EndpointRule.dirichlet())),
-        # the solvable channel, closed at both ends by its series
+        # the solvable channel, closed at both ends by its series, and a
+        # neighbour channel, closed by bare roots
         qes_channel_problem(1, 1, UNIT, 4000),
-    ], ids=["polar-equator", "crs-tan-pole", "crs-wide", "qes2-series"])
+        qes_channel_problem(2, 1, UNIT, 2000),
+    ], ids=["polar-equator", "crs-tan-pole", "crs-wide", "qes2-series", "qes2-neighbour"])
     def test_graded_orders_match_full_order_on_model_problems(self, prob):
         system = assemble(prob)
         for got, want in zip((system.k_diag, system.k_off, system.m_diag),
@@ -325,8 +313,6 @@ class TestCornerQuadrature:
             assert np.all(np.diff(orders) <= 0)       # never more nodes farther out
             if gap == 0.0:
                 assert orders[0] == 24                # the cell touching the corner
-        decay = numerics._rungs(EndpointRule.decay(1.5), dist, half)
-        assert np.all(np.asarray(numerics._ORDERS)[decay] == 24)
 
     @staticmethod
     def counted(prob):
@@ -368,7 +354,7 @@ class TestCornerQuadrature:
         for side, rule in enumerate(prob.bc):
             if rule.kind == "dirichlet":
                 continue
-            m = corner_width(rule, n)
+            m = corner_width(n)
             i = np.arange(m) if side == 0 else np.arange(n - m, n)
             sampled[i] = False
             corners.append((rule, i))

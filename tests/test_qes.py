@@ -345,3 +345,12 @@ class TestSolvableChannel:
         vals = lowest_eigenvalues(qes_channel_problem(0, 0, params, 1000), 3)
         assert vals == pytest.approx([1.3765, 4.8714, 9.2995], abs=1e-4)
         assert vals[0] == pytest.approx(crs.oscillator_energy((0, 0), params), rel=1e-5)
+
+
+class TestNeighbourChannel:
+    def test_ground_eigenvalue_converges(self):
+        # the channel m' = 2 beside m'_Q = 1, closed at the equator by the
+        # closed form's root 3/2: n = 2000 and 8001 agree to 6.5e-6, where a
+        # cut at r = 60 left 1.8e-4
+        E0 = [lowest_eigenvalues(qes_channel_problem(2, 1, UNIT, n), 1)[0] for n in (2000, 8001)]
+        assert E0[0] == pytest.approx(E0[1], rel=2e-5)
