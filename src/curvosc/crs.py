@@ -152,11 +152,6 @@ def _x_and_slope(spec: QesSpec, params: PhysParams, x):
     return X, x_theta * math.sqrt(lam) / np.sqrt(1 + lam * x * x)
 
 
-def x_general(spec: QesSpec, params: PhysParams, x):
-    """The constraint solution X(x) of spec (see QesSpec)."""
-    return _x_and_slope(spec, params, x)[0]
-
-
 def potential_general(spec: QesSpec, params: PhysParams, x):
     """The factorization-method potential of spec's constraint solution X."""
     x = np.asarray(x, float)

@@ -14,12 +14,13 @@ the model modules; it is the independent check applied to them.
 
 Endpoint handling
 -----------------
-Plain Dirichlet walls are exact for limit-point endpoints.  Radial and
-inverse-square-type problems have singular endpoints where the regular
-solution behaves like |x - x0|^sigma; a Dirichlet wall at small distance
-then converges only like a power of the cutoff (or logarithmically, for
-sigma = 0 or the critical sigma = 1/2), far too slowly for the tolerances
-used here.  The "power" endpoint rule instead works with the local profile
+Plain Dirichlet walls, None in a problem's bc, are exact for limit-point
+endpoints.  Radial and inverse-square-type problems have singular
+endpoints where the regular solution behaves like |x - x0|^sigma; a
+Dirichlet wall at small distance then converges only like a power of the
+cutoff (or logarithmically, for sigma = 0 or the critical sigma = 1/2),
+far too slowly for the tolerances used here.  An EndpointRule instead
+works with the local power profile
 phi(x) = |x-x0|^sigma (1 + c1 d + c2 d^2 + ...), d = |x-x0|, and:
 
   * closes the boundary face with the profile flux fitted through the
@@ -213,21 +214,17 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class EndpointRule:
-    """Boundary treatment of one endpoint; see the module docstring."""
+    """Power profile of one endpoint; see the module docstring.  A Dirichlet
+    wall is no rule: None in a problem's bc."""
 
-    kind: str = "dirichlet"       # "dirichlet" | "power"
-    exponent: float = 0.0         # sigma of the power profile
-    center: float = 0.0           # singular point of the power profile
+    exponent: float               # sigma of the power profile
+    center: float                 # singular point of the power profile
     series: tuple = ()            # (c1, c2, ...) profile corrections
-
-    @classmethod
-    def dirichlet(cls) -> "EndpointRule":
-        return cls()
 
     @classmethod
     def power(cls, sigma: float, center: float,
               series: Sequence[float] = ()) -> "EndpointRule":
-        return cls(kind="power", exponent=sigma, center=center, series=tuple(series))
+        return cls(sigma, center, tuple(series))
 
     @cached_property
     def _coefficients(self) -> tuple[np.ndarray, np.ndarray]:
@@ -245,16 +242,12 @@ class EndpointRule:
 
     def ratio(self, t, t0):
         """phi(t)/phi(t0) of the local regular profile, without forming phi."""
-        if self.kind != "power":
-            raise ValueError(f"no profile for rule kind {self.kind!r}")
         d = np.abs(np.asarray(t, float) - self.center)
         d0 = np.abs(np.asarray(t0, float) - self.center)
         return (d / d0) ** self.exponent * (self._poly(d) / self._poly(d0))
 
     def log_derivative(self, t):
         """phi'(t)/phi(t) of the local regular profile."""
-        if self.kind != "power":
-            raise ValueError(f"no profile for rule kind {self.kind!r}")
         t = np.asarray(t, float)
         d = np.abs(t - self.center)
         return np.sign(t - self.center) * (
@@ -269,7 +262,7 @@ class SturmLiouvilleProblem:
     q: Callable[[np.ndarray], np.ndarray]
     w: Callable[[np.ndarray], np.ndarray]
     grid: Grid1D
-    bc: tuple[EndpointRule, EndpointRule] = (EndpointRule(), EndpointRule())
+    bc: tuple[EndpointRule | None, EndpointRule | None] = (None, None)   # None: Dirichlet
 
     def refined(self) -> "SturmLiouvilleProblem":
         return SturmLiouvilleProblem(self.p, self.q, self.w, self.grid.refined(), self.bc)
@@ -320,7 +313,7 @@ def assemble(problem: SturmLiouvilleProblem) -> TridiagonalSystem:
     sampled = np.ones(n, bool)        # points whose q, w are not cell averages
     corners = []
     for side, rule in enumerate(problem.bc):
-        if rule.kind == "dirichlet":
+        if rule is None:
             continue
         m = min(max(40, n // 5), n)   # corrected cells
         # faces j (between x_{j-1} and x_j) and cells of this corner; face
@@ -366,9 +359,9 @@ def assemble(problem: SturmLiouvilleProblem) -> TridiagonalSystem:
 
     off = -pf[1:-1] * g[1:-1] / h
     diag = (pf[:-1] * g[:-1] + pf[1:] * g[1:]) / h + qi
-    if left.kind != "dirichlet":
+    if left is not None:
         diag[0] = pf[1] * g[1] / h + qi[0] + closure[0]
-    if right.kind != "dirichlet":
+    if right is not None:
         diag[-1] = pf[-2] * g[-2] / h + qi[-1] + closure[1]
     return TridiagonalSystem(diag, off, wi, grid)
 
@@ -528,7 +521,7 @@ def _times(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _prolongation(coarse: TridiagonalSystem, fine: TridiagonalSystem,
-                  bc: tuple[EndpointRule, EndpointRule]
+                  bc: tuple[EndpointRule | None, EndpointRule | None]
                   ) -> Callable[[np.ndarray], np.ndarray]:
     """The map that carries a standard-form vector u of the coarse system
     to the fine system on the h/2 grid, as a start vector.  v = M^(-1/2) u
@@ -553,7 +546,7 @@ def _prolongation(coarse: TridiagonalSystem, fine: TridiagonalSystem,
     # point) and the weights of v at those coarse points
     walls = []
     for rule, (w, m, a, b) in zip(bc, ((0, 2, 0, 1), (-1, -3, -1, -2))):
-        if rule.kind == "dirichlet":
+        if rule is None:
             walls.append((w, m, a, b, 0.5, 0.5, 0.5))
             continue
         with np.errstate(all="ignore"):

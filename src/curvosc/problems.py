@@ -33,8 +33,10 @@ order.  Endpoint exponents used below are indicial roots of the operators:
   line model at the tan pole: phi ~ (x*-x)^((1+delta)/2)
   QES channel m' = m'_Q:     both ends limit-circle; the closed form's root
                              and admixture, QesSpec.end_profile
-  other QES channels:        at the origin their own root, at the far end
-                             the closed form's, which no channel changes
+  other QES channels:        at the origin sqrt(s0^2 + m'^2 - m'_Q^2), s0 the
+                             closed form's root, or a Dirichlet wall (None)
+                             where that is complex; at the far end the closed
+                             form's root, which no channel changes
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ def crs_spectrum_numeric_wide(mprime_q: float, params: PhysParams, k: int):
     of x*."""
     xs = x_pole(params)
     grid = Grid1D(1e-4, 10.0, 16000)
-    bc = (EndpointRule.power(0.5 + abs(mprime_q), 0.0), EndpointRule.dirichlet())
+    bc = (EndpointRule.power(0.5 + abs(mprime_q), 0.0), None)
     prob = crs_problem(params, lambda x: crs_potential_special(mprime_q, params, x),
                        grid, bc)
     res = lowest_eigenpairs(prob, k)
@@ -165,52 +167,31 @@ def crs_spectrum_numeric_wide(mprime_q: float, params: PhysParams, k: int):
     return res.eigenvalues[in_well].tolist(), res.eigenvalues[~in_well].tolist()
 
 
-def _qes_indicial_exponent(mprime_q: float, mprime: float,
-                          l: float | None = None) -> complex:
-    """Origin indicial exponent of the radial channel mprime of a
-    transplanted potential (cos(l Theta) for a number l, sqrt(lam) x for
-    l = None):
-
-    s^2 = 1/4 + m'^2 - m'_Q^2 [- 2 (l^2 - 4 m'_Q - 2)(2 m'_Q + 1)/l^4 for l].
-
-    Complex result means the channel falls to the center (supercritically
-    attractive origin); that is exactly the regime where no closed-form
-    state exists.
-    """
-    s2 = 0.25 + mprime**2 - mprime_q**2
-    if l is not None:
-        s2 -= 2 * (l * l - 4 * mprime_q - 2) * (2 * mprime_q + 1) / l**4
-    return complex(s2) ** 0.5
-
-
 def qes_channel_problem(mprime: float, mprime_q: float, params: PhysParams, n: int,
                         l: float | None = None) -> SturmLiouvilleProblem:
     """Radial problem of one angular channel of a transplanted potential,
     cos(l Theta) for a number l and sqrt(lam) x for l = None.
 
     Every channel is solved in chi on (0, b - 1e-6), b the first sec pole pi/l
-    or the equator pi/2.  The far end takes the closed form's root there, which
-    no channel changes; the solvable channel m' = m'_Q takes the closed form's
-    series at both ends as well.  Other channels close the origin with their own
-    indicial root, or, where it is complex (fall to the center), with a plain
-    Dirichlet wall at chi = 1e-3; their cutoff-dominated ground state shows no
-    closed form.
+    or the equator pi/2, and closed with QesSpec.end_profile, the closed form's
+    profile.  The far end takes its root there, which no channel changes; the
+    solvable channel m' = m'_Q takes its series at both ends as well.  Channel
+    m' differs from m'_Q by (m'^2 - m'_Q^2)/r^2, so at the origin it takes the
+    principal root s = sqrt(s0^2 + m'^2 - m'_Q^2) of the closed form's residue
+    s0, or, where s is complex (fall to the center), a plain Dirichlet wall at
+    chi = 1e-3; its cutoff-dominated ground state shows no closed form.
     """
     if l is None:
         spec, b = QesSpec.example2(mprime_q, params), math.pi / 2
     else:
         spec, b = QesSpec.example1(l, mprime_q, params), math.pi / l
         example1_branch_radius(l, params)   # refuses l <= 2, which has no sec pole
-    sb, cb = spec.end_profile(params, b)
+    (s0, c0), (sb, cb) = spec.end_profile(params, 0.0), spec.end_profile(params, b)
     if mprime == mprime_q:
-        s0, c0 = spec.end_profile(params, 0.0)
         a, left, right = 0.0, EndpointRule.power(s0, 0.0, c0), EndpointRule.power(sb, b, cb)
     else:
-        s = _qes_indicial_exponent(mprime_q, mprime, l)
-        if s.imag != 0:
-            a, left = 1e-3, EndpointRule.dirichlet()
-        else:
-            a, left = 0.0, EndpointRule.power(s.real, 0.0)
+        s2 = s0 * s0 + mprime * mprime - mprime_q * mprime_q
+        a, left = (0.0, EndpointRule.power(math.sqrt(s2), 0.0)) if s2 >= 0 else (1e-3, None)
         right = EndpointRule.power(sb, b)
     return _higgs_polar_problem(mprime, params, lambda r: qes_potential(mprime_q, params, r, l),
                                 Grid1D(a, b - 1e-6, n), (left, right))
@@ -231,4 +212,4 @@ def qes_rayleigh_problem(mprime_q: float, params: PhysParams,
         rb = example1_branch_radius(l, params)
         a, b = min(0.1 * s, rb / 8), 0.9 * rb
     return higgs_radial_problem(mprime_q, params, lambda r: qes_potential(mprime_q, params, r, l),
-                                Grid1D(a, b, 2000), (EndpointRule.dirichlet(),) * 2)
+                                Grid1D(a, b, 2000), (None, None))

@@ -20,7 +20,6 @@ import numpy as np
 from . import crs, higgs, problems, transform
 from .crs import QesSpec
 from .numerics import (
-    EndpointRule,
     Grid1D,
     SturmLiouvilleProblem,
     assemble,
@@ -34,7 +33,7 @@ from .numerics import (
 from .params import PhysParams
 from .special_functions import gudermannian, hyp2f1_terminating, theta_of_x, upsilon_of_r
 
-_WALLS = (EndpointRule.dirichlet(),) * 2
+_WALLS = (None, None)
 
 
 @dataclass

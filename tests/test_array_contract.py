@@ -31,8 +31,8 @@ FORMULAS = {
     "crs_wavefunction_special_real": (
         lambda x: crs.crs_wavefunction_special_real((1, 2), UNIT, x),
         [0.05, 0.3, 0.8, 1.5, 2.0, 2.25]),
-    "x_general": (lambda x: crs.x_general(SPECIAL, UNIT, x),
-                  [-2.0, 0.0, 0.3, 0.8, 1.5, 4.0]),
+    "_x_and_slope": (lambda x: crs._x_and_slope(SPECIAL, UNIT, x)[0],
+                     [-2.0, 0.0, 0.3, 0.8, 1.5, 4.0]),
     "potential_general": (
         lambda x: crs.potential_general(SPECIAL, UNIT, x),
         [0.05, 0.3, 0.8, 1.5, 2.0, 2.25]),

@@ -74,35 +74,37 @@ class TestSpecialParams:
         assert p.omega_prime == pytest.approx(lam * p.hbar * p.delta / (2 * p.mass), rel=1e-15)
 
 
-class TestXGeneral:
+class TestConstraintSolution:
+    """X(x) of a QesSpec, the first output of crs._x_and_slope."""
+
     def test_special_case_is_cos_2theta(self):
         spec = crs.special_params(1.0, UNIT)
         for x in (0.1, 0.7, 2.0):
-            assert crs.x_general(spec, UNIT, x) == pytest.approx(
+            assert crs._x_and_slope(spec, UNIT, x)[0] == pytest.approx(
                 math.cos(2 * theta_of_x(x, 1.0)), rel=1e-14)
 
     def test_cos_at_origin(self):
         spec = QesSpec.build(A=-1.0, B=0.0, C1=1.0, C2=0.0, mprime_q=0.0, params=UNIT)
-        assert crs.x_general(spec, UNIT, 0.0) == 1.0
+        assert crs._x_and_slope(spec, UNIT, 0.0)[0] == 1.0
 
     def test_zero_a_rejected(self):
         spec = QesSpec.build(A=0.0, B=1.0, C1=1.0, C2=0.0, mprime_q=0.0, params=UNIT)
         with pytest.raises(ZeroAError):
-            crs.x_general(spec, UNIT, 1.0)
+            crs._x_and_slope(spec, UNIT, 1.0)
 
     def test_positive_a_with_c2_gives_sinh(self):
         spec = QesSpec.build(A=4.0, B=0.0, C1=0.0, C2=1.5, mprime_q=0.0, params=UNIT)
         for x in (-1.2, 0.3, 2.0):
-            assert crs.x_general(spec, UNIT, x) == pytest.approx(
+            assert crs._x_and_slope(spec, UNIT, x)[0] == pytest.approx(
                 1.5 * math.sinh(2 * theta_of_x(x, 1.0)), rel=1e-14)
 
     @pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
     def test_example2_is_sqrt_lam_x(self, lam):
         p = PhysParams(lam=lam)
         spec = QesSpec.example2(1.0, p)
-        assert crs.x_general(spec, p, 0.7) == pytest.approx(math.sqrt(lam) * 0.7, rel=1e-15)
+        assert crs._x_and_slope(spec, p, 0.7)[0] == pytest.approx(math.sqrt(lam) * 0.7, rel=1e-15)
         xs = np.array([[-3.0, -0.4, 0.1], [0.9, 2.0, 5.0]])
-        np.testing.assert_allclose(crs.x_general(spec, p, xs), math.sqrt(lam) * xs,
+        np.testing.assert_allclose(crs._x_and_slope(spec, p, xs)[0], math.sqrt(lam) * xs,
                                    rtol=1e-15, atol=0)
 
 

@@ -48,6 +48,23 @@ def test_spectrum_gap_gates_the_shared_spectrum(monkeypatch, rel):
     assert failed("crs-model", "flat-limit", "higgs-model") == ["spectrum-gap-closed-form"]
 
 
+def test_spectrum_gates_the_origin_closure(monkeypatch):
+    # every power rule at the origin becomes a Dirichlet wall: only the m' = 0
+    # rows see it (0.108-0.157 relative), since a wall is exact for m' >= 1.
+    # The same swap at the equator or the tan pole passes every gate
+    # (higgs lam = 1 rows 3.7e-11-1.3e-10 -> 2.8e-8-3.6e-8), so the far-end
+    # closures are not gated at 1e-5
+    power = problems.EndpointRule.power.__func__
+
+    def off(cls, sigma, center, series=()):
+        return None if center == 0.0 else power(cls, sigma, center, series)
+
+    monkeypatch.setattr(problems.EndpointRule, "power", classmethod(off))
+    assert failed("higgs-spectrum", "crs-spectrum") == [
+        "lam=0.1-mprime=0", "lam=1.0-mprime=0", "natural-lam=0.1-mprimeq=0",
+        "natural-lam=1.0-mprimeq=0", "wide-lam=1-mprimeq=0"]
+
+
 @pytest.mark.parametrize("mutate", [
     lambda end, sigma, c1, c2: (-sigma if end == 0 else sigma, c1, c2),
     lambda end, sigma, c1, c2: (sigma, 0.0, c2),

@@ -20,7 +20,7 @@ UNIT = PhysParams()
 
 def wide_crs_problem():
     """The wide-domain crs problem of problems.crs_spectrum_numeric_wide."""
-    bc = (EndpointRule.power(1.5, 0.0), EndpointRule.dirichlet())
+    bc = (EndpointRule.power(1.5, 0.0), None)
     return crs_problem(UNIT, lambda x: crs.crs_potential_special(1, UNIT, x),
                        Grid1D(1e-4, 10.0, 16000), bc)
 

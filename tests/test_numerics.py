@@ -76,7 +76,7 @@ def reference_assemble(prob):
     g = np.full(n + 1, 1.0 / h)
     extra = [0.0, 0.0]
     for side, rule in enumerate(prob.bc):
-        if rule.kind == "dirichlet":
+        if rule is None:
             continue
         phi, dphi = scalar_profile(rule)
         m = corner_width(n)
@@ -97,9 +97,9 @@ def reference_assemble(prob):
     off = -pf[1:-1] * g[1:-1] / h
     diag = (pf[:-1] * g[:-1] + pf[1:] * g[1:]) / h + q
     left, right = prob.bc
-    if left.kind != "dirichlet":
+    if left is not None:
         diag[0] = pf[1] * g[1] / h + q[0] + extra[0]
-    if right.kind != "dirichlet":
+    if right is not None:
         diag[-1] = pf[-2] * g[-2] / h + q[-1] + extra[1]
     return diag, off, w
 
@@ -117,7 +117,7 @@ def full_order_assemble(prob):
     g = np.full(n + 1, 1.0 / h)
     extra = [0.0, 0.0]
     for side, rule in enumerate(prob.bc):
-        if rule.kind == "dirichlet":
+        if rule is None:
             continue
         m = corner_width(n)
         if side == 0:
@@ -139,9 +139,9 @@ def full_order_assemble(prob):
     off = -pf[1:-1] * g[1:-1] / h
     diag = (pf[:-1] * g[:-1] + pf[1:] * g[1:]) / h + q
     left, right = prob.bc
-    if left.kind != "dirichlet":
+    if left is not None:
         diag[0] = pf[1] * g[1] / h + q[0] + extra[0]
-    if right.kind != "dirichlet":
+    if right is not None:
         diag[-1] = pf[-2] * g[-2] / h + q[-1] + extra[1]
     return diag, off, w
 
@@ -150,7 +150,7 @@ def corner_problem(sigma, side, n=2001):
     """A power corner of exponent sigma on one end of (0, 1), q singular
     like d^(-5/2) at both ends, so that q phi is not a polynomial for any
     integer sigma."""
-    rules = [EndpointRule.dirichlet(), EndpointRule.dirichlet()]
+    rules = [None, None]
     rules[side] = EndpointRule.power(sigma, float(side))
     return SturmLiouvilleProblem(
         lambda x: 1 + 0.5 * x, lambda x: 2 / x**2.5 + 3 / (1 - x) ** 2.5 + x,
@@ -253,14 +253,13 @@ class TestCornerQuadrature:
         SturmLiouvilleProblem(
             lambda x: 1 + x, lambda x: 2 / x**2 + x, lambda x: 1 + 0.5 * x**2,
             Grid1D(0.0, 2.0, 301),
-            (EndpointRule.power(1.5, 0.0, series=(0.4, -0.1)),
-             EndpointRule.dirichlet())),
+            (EndpointRule.power(1.5, 0.0, series=(0.4, -0.1)), None)),
         # power corner on the right, its 40 corrected cells over most of
         # the grid
         SturmLiouvilleProblem(
             lambda x: 2 - x, lambda x: 6 / (1 - x) ** 2, ONE,
             Grid1D(0.0, 1.0 - 1e-3, 45),
-            (EndpointRule.dirichlet(), EndpointRule.power(3.0, 1.0))),
+            (None, EndpointRule.power(3.0, 1.0))),
     ], ids=["power-series", "power-right"])
     def test_matches_scalar_reference(self, prob):
         system = assemble(prob)
@@ -285,7 +284,7 @@ class TestCornerQuadrature:
         crs_natural_problem(1, UNIT, 4000),
         crs_problem(UNIT, lambda x: crs.crs_potential_special(1, UNIT, x),
                     Grid1D(1e-4, 10.0, 16000),
-                    (EndpointRule.power(1.5, 0.0), EndpointRule.dirichlet())),
+                    (EndpointRule.power(1.5, 0.0), None)),
         # the solvable channel, closed at both ends by its series, and a
         # neighbour channel, closed by bare roots
         qes_channel_problem(1, 1, UNIT, 4000),
@@ -352,7 +351,7 @@ class TestCornerQuadrature:
         sampled = np.ones(n, bool)
         corners = []
         for side, rule in enumerate(prob.bc):
-            if rule.kind == "dirichlet":
+            if rule is None:
                 continue
             m = corner_width(n)
             i = np.arange(m) if side == 0 else np.arange(n - m, n)
@@ -380,7 +379,7 @@ class TestCornerQuadrature:
         c = x[5] if side == 0 else x[-6]
         w = lambda t: np.where((t > c + 0.05 * h) & (t < c + 0.45 * h), -1.0, 1.0)
         assert np.all(w(x) > 0)
-        bc = [EndpointRule.dirichlet(), EndpointRule.dirichlet()]
+        bc = [None, None]
         bc[side] = EndpointRule.power(1.5, 0.0 if side == 0 else 1.0)
         assemble(SturmLiouvilleProblem(ONE, ONE, ONE, grid, tuple(bc)))
         with pytest.raises(NonpositiveWeightError, match="weight w"):
@@ -426,7 +425,7 @@ class TestCornerQuadrature:
         xf = grid.faces()
         q = lambda x: np.where((x > xf[2]) & (x < xf[3]), np.nan, 0.0 * x)
         prob = SturmLiouvilleProblem(ONE, q, ONE, grid,
-                                     (EndpointRule.power(1.0, 0.0), EndpointRule.dirichlet()))
+                                     (EndpointRule.power(1.0, 0.0), None))
         for solve in (lowest_eigenvalues, lowest_eigenpairs):
             with pytest.raises(UnresolvedError, match="non-finite"):
                 solve(prob, 2)
@@ -466,7 +465,7 @@ class TestLowestEigenvalues:
         rule = EndpointRule.power(1.5, 0.0, series=(0.4, -0.1))
         prob = SturmLiouvilleProblem(lambda x: 1 + x, lambda x: 2 / x**2 + x,
                                      lambda x: 1 + 0.5 * x**2, Grid1D(0.0, 2.0, 301),
-                                     (rule, EndpointRule.dirichlet()))
+                                     (rule, None))
         res = lowest_eigenpairs(prob, 3)
         x = prob.grid.points()
         assert res.eigenvectors.shape == (301, 3)
@@ -687,7 +686,7 @@ class TestSeededEigenvalues:
         # verify's planar-Dirichlet reference pair, where the pair's own
         # loose tolerance exceeded the lowest gaps
         prob = higgs_radial_problem(0, UNIT, lambda r: 0.5 * np.asarray(r) ** 2,
-                                    Grid1D(1e-4, 40.0, 2000), (EndpointRule.dirichlet(),) * 2)
+                                    Grid1D(1e-4, 40.0, 2000), (None, None))
         d, e = assemble(prob).standard_form()
         plain = _bisection(d, e, 3, eigvals_only=True)
         assert np.sqrt(np.finfo(float).eps) * _gershgorin(d, e)[1] > np.min(np.diff(plain))
@@ -745,7 +744,7 @@ class TestSeededEigenvalues:
 
 def wide_crs_problem(mprime_q):
     """The wide-domain crs problem of problems.crs_spectrum_numeric_wide."""
-    bc = (EndpointRule.power(0.5 + mprime_q, 0.0), EndpointRule.dirichlet())
+    bc = (EndpointRule.power(0.5 + mprime_q, 0.0), None)
     return crs_problem(UNIT, lambda x: crs.crs_potential_special(mprime_q, UNIT, x),
                        Grid1D(1e-4, 10.0, 16000), bc)
 
@@ -901,7 +900,7 @@ class TestRayleighQuotient:
         from curvosc.problems import higgs_radial_problem
         V = lambda r: 0.5 * np.asarray(r, float) ** 2
         return higgs_radial_problem(mp, UNIT, V, Grid1D(0.1, 12.0, n),
-                                    (EndpointRule.dirichlet(),) * 2)
+                                    (None, None))
 
     def test_exact_ground_state(self):
         prob = self._higgs_problem()
@@ -939,7 +938,7 @@ def five_evaluation_rayleigh(problem, psi):
 class TestRayleighGridStencils:
     def test_each_coefficient_and_psi_is_evaluated_once(self):
         prob = higgs_radial_problem(0, UNIT, lambda r: higgs.oscillator_potential(UNIT, r),
-                                    Grid1D(0.1, 12.0, 1200), (EndpointRule.dirichlet(),) * 2)
+                                    Grid1D(0.1, 12.0, 1200), (None, None))
         calls = {"psi": 0, "p": 0, "q": 0, "w": 0}
 
         def counted(name, fn):

@@ -13,7 +13,7 @@ from curvosc.errors import (
     NonpositiveParameterError,
     SingularPointError,
 )
-from curvosc.numerics import EndpointRule, Grid1D, lowest_eigenvalues, rayleigh_quotient
+from curvosc.numerics import Grid1D, lowest_eigenvalues, rayleigh_quotient
 from curvosc.params import PhysParams
 from curvosc.problems import higgs_radial_problem, qes_channel_problem, qes_rayleigh_problem
 from curvosc.special_functions import gudermannian
@@ -190,7 +190,7 @@ class TestExample1GroundState:
         grid = Grid1D(0.1, 0.9 * rb, 1500)
         V = lambda r: np.vectorize(
             lambda t: higgs.qes_example1_potential(l, mq, UNIT, float(t)))(r)
-        prob = higgs_radial_problem(mq, UNIT, V, grid, (EndpointRule.dirichlet(),) * 2)
+        prob = higgs_radial_problem(mq, UNIT, V, grid, (None, None))
         E0, constancy = rayleigh_quotient(
             prob, lambda r: higgs.qes_example1_groundstate(l, mq, UNIT, r))
         assert constancy < 1e-6
@@ -264,7 +264,7 @@ class TestExample2GroundState:
         grid = Grid1D(0.1, 25.0, 1500)
         V = lambda r: np.vectorize(
             lambda t: higgs.qes_example2_potential(mq, UNIT, float(t)))(r)
-        prob = higgs_radial_problem(mq, UNIT, V, grid, (EndpointRule.dirichlet(),) * 2)
+        prob = higgs_radial_problem(mq, UNIT, V, grid, (None, None))
         E0, constancy = rayleigh_quotient(
             prob, lambda r: higgs.qes_example2_groundstate(mq, UNIT, r))
         assert constancy < 1e-6
@@ -338,6 +338,16 @@ class TestSolvableChannel:
         # and no spurious level below it
         assert np.min(vals) >= exact * (1 - tol)
 
+    @pytest.mark.parametrize("mq", [0, 1, 2])
+    @pytest.mark.parametrize("l", [6.0, 8.0, 12.0, 16.0, 24.0])
+    def test_ground_state_is_the_closed_form_at_larger_l(self, l, mq):
+        # measured: at most 6.0e-7 relative; the error grows with l (2.1e-5
+        # at l = 100) as (0, pi/l) shrinks on a fixed number of points
+        vals = lowest_eigenvalues(qes_channel_problem(mq, mq, UNIT, 2000, l=l), 3)
+        exact = crs.oscillator_energy((0, mq), UNIT)
+        assert abs(vals[0] - exact) <= 1e-6 * exact
+        assert np.min(vals) >= exact * (1 - 1e-6)
+
     def test_coarse_grid_has_no_spurious_level(self):
         # qes2 m'_Q = 0 at lam = 0.65 and n = 1000 had an eigenvalue at -273.57
         # below 1.314, 4.282, 8.640 with the r-frame closures
@@ -354,3 +364,30 @@ class TestNeighbourChannel:
         # cut at r = 60 left 1.8e-4
         E0 = [lowest_eigenvalues(qes_channel_problem(2, 1, UNIT, n), 1)[0] for n in (2000, 8001)]
         assert E0[0] == pytest.approx(E0[1], rel=2e-5)
+
+    @pytest.mark.parametrize("lam", [0.01, 1.0, 7.0])
+    @pytest.mark.parametrize("step", [-1, 1])
+    @pytest.mark.parametrize("mq", [0, 1, 2])
+    @pytest.mark.parametrize("l", [3.0, 4.0, 7.0, None], ids=["l=3", "l=4", "l=7", "qes2"])
+    def test_origin_root_is_the_indicial_formula(self, l, mq, step, lam):
+        # the channel m' = m'_Q + step differs from m'_Q by (m'^2 - m'_Q^2)/r^2,
+        # so s^2 = 1/4 + m'^2 - m'_Q^2 [- 2 (l^2 - 4 m'_Q - 2)(2 m'_Q + 1)/l^4];
+        # the closed form's origin residue must reproduce the l-term
+        mprime = mq + step
+        s2 = 0.25 + mprime**2 - mq**2
+        if l is not None:
+            s2 -= 2 * (l * l - 4 * mq - 2) * (2 * mq + 1) / l**4
+        prob = qes_channel_problem(mprime, mq, PhysParams(lam=lam), 2000, l=l)
+        if s2 < 0:
+            assert prob.bc[0] is None and prob.grid.a == 1e-3
+        else:
+            assert prob.bc[0].exponent == pytest.approx(math.sqrt(s2), rel=1e-12)
+            assert prob.bc[0].series == () and prob.grid.a == 0.0
+        assert prob.bc[1].series == ()
+
+    @pytest.mark.parametrize("l", [3.0, None], ids=["l=3", "qes2"])
+    def test_falling_channel_takes_a_wall(self, l):
+        # m' = 0 beside m'_Q = 1: s^2 = 1/4 - 1 [- ...] < 0, fall to the center
+        prob = qes_channel_problem(0, 1, UNIT, 2000, l=l)
+        assert prob.bc[0] is None
+        assert prob.grid.a == 1e-3
