@@ -71,5 +71,9 @@ class ZeroNormError(CurvoscError):
     """Cannot normalize a vector with zero weighted norm."""
 
 
+class StateRangeError(CurvoscError):
+    """A state is zero or not finite in floating point where a formula divides by it."""
+
+
 class NodeDetectedError(CurvoscError):
     """A sign change was found where a nodeless function was required."""

@@ -134,7 +134,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -145,6 +144,7 @@ from .errors import (
     CurvoscError,
     NodeDetectedError,
     NonpositiveWeightError,
+    StateRangeError,
     UnresolvedError,
     ZeroNormError,
 )
@@ -226,19 +226,17 @@ class EndpointRule:
               series: Sequence[float] = ()) -> "EndpointRule":
         return cls(sigma, center, tuple(series))
 
-    @cached_property
-    def _coefficients(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients of the series factor 1 + c1 d + c2 d^2 + ... and of
-        its d-derivative, formed once per rule."""
-        c = np.array((1.0,) + self.series)
-        return c, np.polynomial.polynomial.polyder(c)
-
     def _poly(self, d, derivative: bool = False):
-        """Series factor 1 + c1 d + c2 d^2 + ..., or its d-derivative; the
-        constant 1 or 0 without a series."""
+        """Series factor 1 + c1 d + c2 d^2 + ..., or its d-derivative c1 +
+        2 c2 d + ..., by Horner's rule; the constant 1 or 0 without a series."""
         if not self.series:
             return 0.0 if derivative else 1.0
-        return np.polynomial.polynomial.polyval(d, self._coefficients[derivative])
+        c = [j * cj for j, cj in enumerate(self.series, 1)] if derivative \
+            else [1.0, *self.series]
+        out = c[-1]
+        for cj in c[-2::-1]:
+            out = cj + out * d
+        return out
 
     def ratio(self, t, t0):
         """phi(t)/phi(t0) of the local regular profile, without forming phi."""
@@ -738,7 +736,8 @@ def rayleigh_quotient(problem: SturmLiouvilleProblem, psi: Callable) -> tuple[fl
     w are evaluated once on the included points.
 
     Returns (weighted mean of e with weight w psi^2, std(e)/|mean(e)|).
-    Raises NodeDetectedError if psi changes sign on the included points.
+    Raises StateRangeError if psi is zero or not finite and NodeDetectedError
+    if it changes sign on the included points.
     """
     grid = problem.grid
     h = grid.h
@@ -754,6 +753,8 @@ def rayleigh_quotient(problem: SturmLiouvilleProblem, psi: Callable) -> tuple[fl
 
     fs = shifted(psi)
     f = fs[2]
+    if not np.all(np.isfinite(f) & (f != 0)):
+        raise StateRangeError("psi is zero or not finite on the Rayleigh quotient's points")
     if np.any(f[:-1] * f[1:] < 0):
         raise NodeDetectedError("psi changes sign; Rayleigh quotient needs a nodeless state")
     d1, d2 = _five_point(fs, h)

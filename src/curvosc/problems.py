@@ -20,23 +20,23 @@ numerics-oracle/self-adjointness-certificates checks p'/w = -p1 on both
 built problems.
 
 The spectrum protocols and every QES channel solve the radial problem in
-the polar angle chi = arctan(sqrt(lam) r).  The substitution
-p -> p/r', q -> q r', w -> w r' leaves the eigenvalues untouched, maps the
-infinite tail onto the compact interval (0, pi/2), and turns both endpoints
-into power-law corners the profile-corrected scheme handles at second
-order.  Endpoint exponents used below are indicial roots of the operators:
+the polar angle chi = arctan(sqrt(lam) r).  The substitution p -> p/r',
+q -> q r', w -> w r' leaves the eigenvalues untouched, maps the infinite
+tail onto the compact interval (0, pi/2), and turns both endpoints into
+power-law corners the profile-corrected scheme handles at second order.
+A grid closed by a power profile ends at the profile's singular point: no
+face or Gauss node comes closer than h/2 to it.  Endpoint exponents used
+below are indicial roots of the operators:
 
   radial at r=0:            psi ~ r^|m'|
-  oscillator at the equator: psi ~ r^-(2 + m w'/(hbar lam)),
-                             i.e. (pi/2 - chi)^(2 + m w'/(hbar lam))
+  oscillator at the equator: psi ~ (pi/2 - chi)^(2 + m w'/(hbar lam))
   line model at x=0:         phi ~ x^(1/2+|m'|)
   line model at the tan pole: phi ~ (x*-x)^((1+delta)/2)
   QES channel m' = m'_Q:     both ends limit-circle; the closed form's root
                              and admixture, QesSpec.end_profile
-  other QES channels:        at the origin sqrt(s0^2 + m'^2 - m'_Q^2), s0 the
-                             closed form's root, or a Dirichlet wall (None)
-                             where that is complex; at the far end the closed
-                             form's root, which no channel changes
+  other QES channels:        the closed form's root at the far end, and
+                             sqrt(s0^2 + m'^2 - m'_Q^2) from its origin root s0,
+                             or a Dirichlet wall (None) where that is complex
 """
 
 from __future__ import annotations
@@ -56,8 +56,6 @@ from .higgs import (
 from .numerics import EndpointRule, Grid1D, SturmLiouvilleProblem, lowest_eigenpairs, \
     richardson_eigenvalues
 from .params import PhysParams
-
-_CRS_WALL = 1e-4    # distance of the natural-branch wall from the tan pole x* at lam <= 1
 
 
 def _self_adjoint(coeffs: Callable, V: Callable, w: Callable, grid: Grid1D,
@@ -107,22 +105,20 @@ def crs_problem(params: PhysParams, V: Callable, grid: Grid1D, bc) -> SturmLiouv
 
 def higgs_oscillator_problem(mprime: int, params: PhysParams,
                              n: int) -> SturmLiouvilleProblem:
-    """Oscillator channel in the polar frame on (0, pi/2 - 1e-6), with
-    power closures at the origin and at the equator."""
+    """Oscillator channel in the polar frame on (0, pi/2), with power
+    closures at the origin and at the equator."""
     lam = params.require_curvature()
     sig_eq = 2 + params.mass * params.omega_prime / (params.hbar * lam)
-
-    grid = Grid1D(0.0, math.pi / 2 - 1e-6, n)
     bc = (EndpointRule.power(abs(mprime), 0.0),
           EndpointRule.power(sig_eq, math.pi / 2))
     return _higgs_polar_problem(mprime, params, lambda r: oscillator_potential(params, r),
-                               grid, bc)
+                               Grid1D(0.0, math.pi / 2, n), bc)
 
 
 def higgs_spectrum_numeric(mprime: int, params: PhysParams, k: int,
                            n: int = 4000) -> np.ndarray:
     """Richardson-extrapolated lowest k oscillator-channel eigenvalues.
-    Measured accuracy 7e-12-1.1e-10 relative for lam in [0.1, 1], k <= 3."""
+    Measured accuracy 3e-12-5e-11 relative for lam in [0.1, 1], k <= 3."""
     extrap, _, _ = richardson_eigenvalues(higgs_oscillator_problem(mprime, params, n), k)
     return extrap
 
@@ -130,16 +126,12 @@ def higgs_spectrum_numeric(mprime: int, params: PhysParams, k: int,
 def crs_natural_problem(mprime_q: float, params: PhysParams,
                         n: int) -> SturmLiouvilleProblem:
     """Special line model on its natural branch (0, x*), x* the first tan
-    pole, with power closures at the origin and at the wall.  The wall lies
-    _CRS_WALL below x* for lam <= 1; above, the cutoff shrinks with x* =
-    sinh(pi/2)/sqrt(lam), so it keeps its share of the branch."""
+    pole, with power closures at the origin and at the pole."""
     xs = x_pole(params)
-    sig_wall = (1 + params.delta) / 2
-    grid = Grid1D(0.0, xs - _CRS_WALL / math.sqrt(max(params.lam, 1.0)), n)
     bc = (EndpointRule.power(0.5 + abs(mprime_q), 0.0),
-          EndpointRule.power(sig_wall, xs))
+          EndpointRule.power((1 + params.delta) / 2, xs))
     return crs_problem(params, lambda x: crs_potential_special(mprime_q, params, x),
-                       grid, bc)
+                       Grid1D(0.0, xs, n), bc)
 
 
 def crs_spectrum_numeric(mprime_q: float, params: PhysParams, k: int,
@@ -150,20 +142,23 @@ def crs_spectrum_numeric(mprime_q: float, params: PhysParams, k: int,
     return extrap
 
 
+def crs_wide_problem(mprime_q: float, params: PhysParams) -> SturmLiouvilleProblem:
+    """Special line model on the wide domain (0, 10) across the tan pole x*,
+    n = 16000, with a power closure at the origin and a Dirichlet wall at 10."""
+    bc = (EndpointRule.power(0.5 + abs(mprime_q), 0.0), None)
+    return crs_problem(params, lambda x: crs_potential_special(mprime_q, params, x),
+                       Grid1D(0.0, 10.0, 16000), bc)
+
+
 def crs_spectrum_numeric_wide(mprime_q: float, params: PhysParams, k: int):
-    """Single-grid solve of the special model on the wide domain [1e-4, 10]
-    (n = 16000), which straddles the tan pole at x*.  Returns (first_well,
+    """Single-grid solve of crs_wide_problem.  Returns (first_well,
     interlopers): eigenvalues classified by the weighted mass fraction left
     of x*."""
-    xs = x_pole(params)
-    grid = Grid1D(1e-4, 10.0, 16000)
-    bc = (EndpointRule.power(0.5 + abs(mprime_q), 0.0), None)
-    prob = crs_problem(params, lambda x: crs_potential_special(mprime_q, params, x),
-                       grid, bc)
+    prob = crs_wide_problem(mprime_q, params)
     res = lowest_eigenpairs(prob, k)
-    x = grid.points()
+    x = prob.grid.points()
     mass = np.asarray(prob.w(x), float)[:, None] * res.eigenvectors ** 2
-    in_well = np.sum(mass[x < xs], axis=0) / np.sum(mass, axis=0) > 0.9
+    in_well = np.sum(mass[x < x_pole(params)], axis=0) / np.sum(mass, axis=0) > 0.9
     return res.eigenvalues[in_well].tolist(), res.eigenvalues[~in_well].tolist()
 
 
@@ -172,7 +167,7 @@ def qes_channel_problem(mprime: float, mprime_q: float, params: PhysParams, n: i
     """Radial problem of one angular channel of a transplanted potential,
     cos(l Theta) for a number l and sqrt(lam) x for l = None.
 
-    Every channel is solved in chi on (0, b - 1e-6), b the first sec pole pi/l
+    Every channel is solved in chi on (0, b), b the first sec pole pi/l
     or the equator pi/2, and closed with QesSpec.end_profile, the closed form's
     profile.  The far end takes its root there, which no channel changes; the
     solvable channel m' = m'_Q takes its series at both ends as well.  Channel
@@ -194,7 +189,7 @@ def qes_channel_problem(mprime: float, mprime_q: float, params: PhysParams, n: i
         a, left = (0.0, EndpointRule.power(math.sqrt(s2), 0.0)) if s2 >= 0 else (1e-3, None)
         right = EndpointRule.power(sb, b)
     return _higgs_polar_problem(mprime, params, lambda r: qes_potential(mprime_q, params, r, l),
-                                Grid1D(a, b - 1e-6, n), (left, right))
+                                Grid1D(a, b, n), (left, right))
 
 
 def qes_rayleigh_problem(mprime_q: float, params: PhysParams,

@@ -108,7 +108,7 @@ def suite_crs_spectrum() -> list[CheckResult]:
             num = problems.crs_spectrum_numeric(mq, params, 3, n=4000)
             rel = float(np.max(np.abs(num - exact) / exact))
             out.append(_check("crs-spectrum", f"natural-lam={lam}-mprimeq={mq}", rel, 1e-5,
-                              detail="domain (0, x*-1e-4), Richardson n=4000/8001"))
+                              detail="domain (0, x*), Richardson n=4000/8001"))
     params = PhysParams(lam=1.0)
     for mq in (0, 1, 2):
         exact = [crs.crs_energy((N, mq), params) for N in range(3)]
@@ -116,7 +116,7 @@ def suite_crs_spectrum() -> list[CheckResult]:
         rel = float(max(abs(fw - ex) / ex for fw, ex in zip(first_well, exact)))
         out.append(_check(
             "crs-spectrum", f"wide-lam=1-mprimeq={mq}", rel, 1e-5,
-            detail=f"domain [1e-4, 10] straddles the tan pole at x*=2.3013; "
+            detail=f"domain (0, 10) straddles the tan pole at x*=2.3013; "
                    f"{len(interlopers)} interloper state(s) beyond the pole among the "
                    f"lowest 8; states localized on (0, x*) reproduce the closed-form "
                    f"spectrum"))

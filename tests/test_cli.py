@@ -1,5 +1,6 @@
 import gc
 import json
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -229,16 +230,33 @@ class TestValidation:
         assert code == 1 and text == ""
         assert capsys.readouterr().err == "error: hbar = 1e-200 is too small: hbar^2/2m = 0\n"
 
-    @pytest.mark.parametrize("lam", ["10", "1e4", "1e8", "1e9"])
+    @pytest.mark.parametrize("lam", ["10", "1e4", "1e8", "1e9", "1e145"])
     def test_crs_error_stays_flat_above_unit_curvature(self, lam, tmp_path):
-        # above lam = 1 the wall cutoff shrinks with x* = sinh(pi/2)/sqrt(lam),
-        # so the wall keeps its share of the branch and the error its size
+        # the grid ends at the tan pole x* at every curvature, so the error
+        # keeps its lam = 1 size: about 9e-9 for m'_Q = 0 (the h^2 log term
+        # Richardson leaves) and 4e-12-7.2e-11 for m'_Q = 1, 2, where a grid
+        # cut at x* - 1e-4/sqrt(lam) reads 2.2e-9-2.7e-9
         code, text = run_to_file(tmp_path, "x.json",
                                  ["spectrum", "--model", "crs", "--lambda", lam])
         assert code == 0
         rows = json.loads(text)["rows"]
         assert len(rows) == 9
         assert max(row[-1] for row in rows) <= 1e-8
+        assert max(row[-1] for row in rows if row[1] >= 1) <= 1e-10
+
+    @pytest.mark.parametrize("model", [["qes1", "--l", "3"], ["qes2"]], ids=["qes1", "qes2"])
+    def test_overflowing_rayleigh_state_is_one_error_line(self, model, tmp_path, capsys):
+        # at lam = 1e-3 the closed-form state is zero or not finite on the
+        # Rayleigh window: qes1 divided by zero and both blamed "a flag is
+        # too large"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, text = run_to_file(tmp_path, "x.json", ["spectrum", "--model", *model,
+                                                          "--mprime-q", "1", "--lambda", "1e-3"])
+        assert code == 1 and text == ""
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err == \
+            "error: psi is zero or not finite on the Rayleigh quotient's points\n"
 
     def test_nonfinite_system_is_one_error_line(self, tmp_path, capsys):
         # at lam = 1e-6 the corner quadrature overflows while the system is

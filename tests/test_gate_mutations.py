@@ -50,9 +50,9 @@ def test_spectrum_gap_gates_the_shared_spectrum(monkeypatch, rel):
 
 def test_spectrum_gates_the_origin_closure(monkeypatch):
     # every power rule at the origin becomes a Dirichlet wall: only the m' = 0
-    # rows see it (0.108-0.157 relative), since a wall is exact for m' >= 1.
+    # rows see it (0.108-0.140 relative), since a wall is exact for m' >= 1.
     # The same swap at the equator or the tan pole passes every gate
-    # (higgs lam = 1 rows 3.7e-11-1.3e-10 -> 2.8e-8-3.6e-8), so the far-end
+    # (higgs lam = 1 rows 3.8e-11-4.8e-11 -> 2.8e-8-3.6e-8), so the far-end
     # closures are not gated at 1e-5
     power = problems.EndpointRule.power.__func__
 

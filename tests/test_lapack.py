@@ -10,25 +10,18 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal as scipy_eigh_tridiagonal
 
-from curvosc import _lapack, cli, crs, numerics
-from curvosc.numerics import EndpointRule, Grid1D, assemble, lowest_eigenpairs
+from curvosc import _lapack, cli, numerics
+from curvosc.numerics import assemble, lowest_eigenpairs
 from curvosc.params import PhysParams
-from curvosc.problems import crs_problem, higgs_oscillator_problem, qes_channel_problem
+from curvosc.problems import crs_wide_problem, higgs_oscillator_problem, qes_channel_problem
 
 UNIT = PhysParams()
-
-
-def wide_crs_problem():
-    """The wide-domain crs problem of problems.crs_spectrum_numeric_wide."""
-    bc = (EndpointRule.power(1.5, 0.0), None)
-    return crs_problem(UNIT, lambda x: crs.crs_potential_special(1, UNIT, x),
-                       Grid1D(1e-4, 10.0, 16000), bc)
 
 
 PROBLEMS = {
     "polar-k50": (lambda: higgs_oscillator_problem(0, UNIT, 8001), 50),
     "qes2-series": (lambda: qes_channel_problem(1, 1, UNIT, 8001), 3),
-    "crs-wide": (wide_crs_problem, 8),
+    "crs-wide": (lambda: crs_wide_problem(1, UNIT), 8),
 }
 
 

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from curvosc import crs, higgs, numerics
-from curvosc.errors import NodeDetectedError, NonpositiveWeightError, UnresolvedError
+from curvosc.errors import (
+    NodeDetectedError, NonpositiveWeightError, StateRangeError, UnresolvedError)
 from curvosc.numerics import (
     EndpointRule,
     Grid1D,
@@ -24,8 +25,8 @@ from curvosc.numerics import (
 from curvosc.params import PhysParams
 from curvosc.problems import (
     crs_natural_problem,
-    crs_problem,
     crs_spectrum_numeric,
+    crs_wide_problem,
     higgs_oscillator_problem,
     higgs_radial_problem,
     higgs_spectrum_numeric,
@@ -277,14 +278,11 @@ class TestCornerQuadrature:
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
 
     @pytest.mark.parametrize("prob", [
-        # grids that stop short of the singular point: the equator at
-        # pi/2 - 1e-6 (sigma ~ 12 at lam = 0.1), the tan pole at x* - 1e-4,
-        # the wide crs wall at 1e-4 from the origin
+        # grids that end at the singular point: the equator (sigma ~ 12 at
+        # lam = 0.1), the tan pole, the origin of the wide crs domain
         higgs_oscillator_problem(1, PhysParams(lam=0.1), 4000),
         crs_natural_problem(1, UNIT, 4000),
-        crs_problem(UNIT, lambda x: crs.crs_potential_special(1, UNIT, x),
-                    Grid1D(1e-4, 10.0, 16000),
-                    (EndpointRule.power(1.5, 0.0), None)),
+        crs_wide_problem(1, UNIT),
         # the solvable channel, closed at both ends by its series, and a
         # neighbour channel, closed by bare roots
         qes_channel_problem(1, 1, UNIT, 4000),
@@ -742,13 +740,6 @@ class TestSeededEigenvalues:
             assert np.max(np.abs(vals - ref) / ref) <= 1e-9
 
 
-def wide_crs_problem(mprime_q):
-    """The wide-domain crs problem of problems.crs_spectrum_numeric_wide."""
-    bc = (EndpointRule.power(0.5 + mprime_q, 0.0), None)
-    return crs_problem(UNIT, lambda x: crs.crs_potential_special(mprime_q, UNIT, x),
-                       Grid1D(1e-4, 10.0, 16000), bc)
-
-
 def stein_vectors(prob, k):
     """The k lowest eigenvectors (rows, on the grid, weighted unit norm)
     by the bisection and inverse iteration (stebz/stein)."""
@@ -795,7 +786,7 @@ class TestSingleGridPolish:
 
     @pytest.mark.parametrize("prob,k", [
         (higgs_oscillator_problem(0, UNIT, 8001), 50),
-        (wide_crs_problem(1), 8),
+        (crs_wide_problem(1, UNIT), 8),
         (qes_channel_problem(2, 1, UNIT, 2000), 1),
         (flat_oscillator(), 4),
     ], ids=["polar-k50", "crs-wide", "qes2-neighbour", "flat-k4"])
@@ -812,6 +803,21 @@ class TestSingleGridPolish:
 
 
 class TestSpectrumProtocols:
+    @pytest.mark.parametrize("prob", [
+        *(pytest.param(higgs_oscillator_problem(1, PhysParams(lam=lam), 100),
+                       id=f"higgs-lam={lam}") for lam in (0.001, 1.0)),
+        *(pytest.param(crs_natural_problem(1, PhysParams(lam=lam), 100),
+                       id=f"crs-lam={lam}") for lam in (0.1, 1.0, 1e9)),
+        pytest.param(crs_wide_problem(1, UNIT), id="crs-wide"),
+        *(pytest.param(qes_channel_problem(mp, 1, UNIT, 100, l=l), id=f"qes-l={l}-mprime={mp}")
+          for l in (3.0, 24.0, None) for mp in (0, 1, 2)),
+    ])
+    def test_every_profile_sits_at_its_grid_end(self, prob):
+        # a profile-closed end is the profile's singular point, exactly; the
+        # falling channels m' = 0 keep their wall at 1e-3
+        for rule, end in zip(prob.bc, (prob.grid.a, prob.grid.b)):
+            assert rule is None or rule.center == end
+
     def test_higgs_channel_matches_closed_form(self):
         exact = np.array([higgs.higgs_energy((N, 0), UNIT) for N in range(3)])
         num = higgs_spectrum_numeric(0, UNIT, 3, n=2000)
@@ -838,15 +844,9 @@ class TestSpectrumProtocols:
         # |phi| (sin^2 convention) against the discretized eigenvector,
         # up to one global scale, on the interior 80% of the grid
         mq = 1
-        xs = crs.x_pole(UNIT)
-        grid = Grid1D(0.0, xs - 1e-4, 3000)
-        V = lambda x: np.vectorize(
-            lambda t: crs.crs_potential_special(mq, UNIT, float(t)))(x)
-        bc = (EndpointRule.power(0.5 + mq, 0.0),
-              EndpointRule.power((1 + UNIT.delta) / 2, xs))
-        prob = crs_problem(UNIT, V, grid, bc)
+        prob = crs_natural_problem(mq, UNIT, 3000)
         res = lowest_eigenpairs(prob, 2)
-        x = grid.points()
+        x = prob.grid.points()
         for N in (0, 1):
             v = res.eigenvectors[:, N]
             ref = np.array([abs(crs.crs_wavefunction_special((N, mq), UNIT, float(t)))
@@ -920,6 +920,14 @@ class TestRayleighQuotient:
         prob = self._higgs_problem()
         with pytest.raises(NodeDetectedError):
             rayleigh_quotient(prob, lambda r: higgs.higgs_wavefunction((1, 0), UNIT, r))
+
+    @pytest.mark.parametrize("value", [0.0, np.inf, np.nan])
+    def test_zero_or_nonfinite_state_is_refused(self, value):
+        # an under- or overflowed state divided by zero or gave nan
+        prob = self._higgs_problem()
+        psi = lambda r: np.where(r > 6.0, value, higgs.higgs_wavefunction((0, 0), UNIT, r))
+        with pytest.raises(StateRangeError):
+            rayleigh_quotient(prob, psi)
 
 
 def five_evaluation_rayleigh(problem, psi):
