@@ -142,9 +142,10 @@ def run_spectrum(args, params: PhysParams):
         prob = problems.qes_channel_problem(mq, mq, params, 2000, l=args.l)
         numeric = lowest_eigenvalues(prob, levels)
         # only the channel ground state has a closed form; its energy is
-        # defined by the Rayleigh quotient of the printed state
+        # defined by the Rayleigh quotient of that state
+        spec = crs.QesSpec.transplanted(mq, params, args.l)
         E0, _ = rayleigh_quotient(problems.qes_rayleigh_problem(mq, params, l=args.l),
-                                  lambda r: higgs.qes_groundstate(mq, params, r, args.l))
+                                  lambda r: higgs.qes_groundstate(spec, params, r))
         for N, en in enumerate(numeric):
             ea = float(E0) if N == 0 else None
             rows.append([N, mq, ea, float(en), None if ea is None else abs(en - ea) / abs(ea)])
@@ -169,7 +170,8 @@ def run_wavefunction(args, params: PhysParams):
     elif args.model == "crs":
         v = crs.crs_wavefunction_special((args.N, args.mprime_q), params, xs)
     else:
-        v = higgs.qes_groundstate(args.mprime_q, params, xs, args.l)
+        v = higgs.qes_groundstate(crs.QesSpec.transplanted(args.mprime_q, params, args.l),
+                                  params, xs)
     return (["coordinate", "value_real", "value_imag"],
             np.column_stack((xs, np.real(v), np.imag(v))).tolist())
 

@@ -82,6 +82,26 @@ class QesSpec:
         return cls.build(A=lam, B=0.0, C1=0.0, C2=1.0,
                          mprime_q=mprime_q, params=params)
 
+    @classmethod
+    def transplanted(cls, mprime_q: float, params: PhysParams,
+                     l: float | None = None) -> "QesSpec":
+        """The spec of the cos(l Theta) family for a number l, of sqrt(lam) x for None."""
+        return cls.example2(mprime_q, params) if l is None else cls.example1(l, mprime_q, params)
+
+    def branch(self, params: PhysParams) -> tuple[float, float]:
+        """(u, t0): X is a function of t = u Theta, u = sqrt(|A|/lam), and X_Theta has
+        its first zero t > 0 at t0, inf if it has none."""
+        lam = params.require_curvature()
+        if self.A == 0:
+            raise ZeroAError("A = 0 leaves -B/A undefined")
+        if self.C1 == self.C2 == 0:
+            raise DegenerateDerivativeError("C1 = C2 = 0 leaves X constant, X_Theta = 0")
+        if self.A < 0:      # X_Theta/u = C2 cos t - C1 sin t = R cos(t + atan2(C1, C2))
+            t0 = (math.pi / 2 - math.atan2(self.C1, self.C2)) % math.pi or math.pi
+        else:               # X_Theta/u = C2 cosh t + C1 sinh t vanishes where tanh t = -C2/C1
+            t0 = math.atanh(-self.C2 / self.C1) if abs(self.C2) < abs(self.C1) else 0.0
+        return math.sqrt(abs(self.A) / lam), t0 if t0 > 0 else math.inf
+
     def end_profile(self, params: PhysParams, end: float) -> tuple[float, tuple[float, float]]:
         """(sigma, (c1, c2)) of the profile d^sigma (1 + c1 d + c2 d^2) of the channel-m'_Q
         ground state at the end Theta = end of its polar interval (0, b), d = |Theta - end|.
@@ -136,11 +156,9 @@ def special_params(mprime_q: float, params: PhysParams) -> QesSpec:
 def _x_and_slope(spec: QesSpec, params: PhysParams, x):
     """The constraint solution X(x) of spec and its slope
     dX/dx = X_Theta sqrt(lam)/sqrt(1 + lam x^2)."""
-    lam = params.require_curvature()
-    if spec.A == 0:
-        raise ZeroAError("A = 0 leaves -B/A undefined")
+    u, _ = spec.branch(params)
+    lam = params.lam
     x = np.asarray(x, float)
-    u = math.sqrt(abs(spec.A) / lam)
     th = u * theta_of_x(x, lam)
     if spec.A < 0:
         c, s = np.cos(th), np.sin(th)

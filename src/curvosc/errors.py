@@ -34,8 +34,8 @@ class NonpositiveParameterError(CurvoscError):
 
 
 class InfiniteBranchError(CurvoscError):
-    """The cos(l Theta) potential has no finite sec pole (l <= 2), so its
-    branch radius, the right end of a channel solve, does not exist."""
+    """An A < 0 spec's X_Theta has no zero below the equator (cos(l Theta), l <= 2),
+    so its branch radius, the sec pole where a channel solve ends, does not exist."""
 
 
 class NegativeRadiusError(CurvoscError):

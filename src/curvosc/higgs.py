@@ -12,7 +12,9 @@ eigenproblem is
 For V = (1/2) m omega^2 r^2 the eigenpairs are hypergeometric, and the
 spectrum is the line model's, crs.oscillator_energy.  The two
 transplanted potential families below (cos(l Theta) and sqrt(lam) x source
-models) are solvable only in the single angular channel m' = m'_Q.
+models) are solvable only in the single angular channel m' = m'_Q.  Every
+QesSpec transplants the same way: qes_groundstate(spec, params, r) is its
+channel ground state, and the printed ones are its example1/example2 points.
 
 Every r-dependent formula takes a float or an ndarray of radii and
 returns a scalar or an array of the same shape; it raises if any
@@ -81,15 +83,17 @@ def higgs_energy(qn: tuple, params: PhysParams) -> float:
     return oscillator_energy(qn, params)
 
 
-def example1_branch_radius(l: float, params: PhysParams) -> float:
-    """First sec singularity of the cos(l Theta) potential, the right end of
-    its channel problems: the radius where (l/2) Upsilon(r) = pi/2.  There
-    is none for 0 < l <= 2 (Upsilon < pi/2 always): InfiniteBranchError."""
-    lam = params.require_curvature()
-    require_positive("l", l)
-    if l <= 2:
-        raise InfiniteBranchError("channel solver expects l > 2 (finite branch)")
-    return math.tan(math.pi / l) / math.sqrt(lam)
+def qes_branch_radius(spec: QesSpec, params: PhysParams) -> float:
+    """Radius of the first zero of X_Theta below the equator, the transplanted potential's
+    first sec pole, where its channel problems end: tan(pi/l)/sqrt(lam) for cos(l Theta).
+    An A > 0 solution without one (sqrt(lam) x) ends at the equator: inf.  An A < 0 one
+    without (cos(l Theta), 0 < l <= 2) has no pole to end on: InfiniteBranchError."""
+    u, t0 = spec.branch(params)
+    if t0 / u < math.pi / 2:
+        return math.tan(t0 / u) / math.sqrt(params.lam)
+    if spec.A > 0:
+        return math.inf
+    raise InfiniteBranchError("channel solver expects l > 2 (finite branch)")
 
 
 def qes_example1_potential(l: float, mprime_q: float, params: PhysParams, r):
@@ -128,31 +132,6 @@ def qes_example1_potential(l: float, mprime_q: float, params: PhysParams, r):
     return t1 + t2 + t3
 
 
-def qes_example1_groundstate(l: float, mprime_q: float, params: PhysParams, r):
-    """Unnormalized channel-m'_Q ground state of the cos(l Theta) family,
-
-    psi0 = (lam r^2)^(-1/4) (1+lam r^2)^(-1/2)
-           [tan((l/2) U)]^(gamma/(lam l^2)) [sin(l U)]^(beta/(lam l^2)).
-
-    Only defined on the principal branch (l/2) Upsilon in (0, pi/2).
-    """
-    lam = params.require_curvature()
-    r = np.asarray(r, float)
-    if np.any(r <= 0):
-        raise SingularPointError(f"ground state needs r > 0, got {np.min(r)}")
-    spec = QesSpec.example1(l, mprime_q, params)
-    u = upsilon_of_r(r, lam)
-    off_branch = ~((0 < 0.5 * l * u) & (0.5 * l * u < math.pi / 2))
-    if np.any(off_branch):
-        raise SingularPointError(
-            f"r = {r[off_branch].flat[0]} lies outside the principal branch "
-            f"(l/2) Upsilon in (0, pi/2)")
-    ll2 = lam * l * l
-    return ((lam * r * r) ** -0.25 * (1 + lam * r * r) ** -0.5
-            * np.tan(0.5 * l * u) ** (spec.gamma / ll2)
-            * np.sin(l * u) ** (spec.beta / ll2))
-
-
 def qes_example2_potential(mprime_q: float, params: PhysParams, r):
     """Transplanted potential of the sqrt(lam) x source model:
 
@@ -185,26 +164,6 @@ def qes_example2_potential(mprime_q: float, params: PhysParams, r):
     return t1 + t2 + t3
 
 
-def qes_example2_groundstate(mprime_q: float, params: PhysParams, r):
-    """Unnormalized channel-m'_Q ground state of the sqrt(lam) x family:
-
-    psi0 = (lam r^2)^(-1/4) (1+lam r^2)^(-1/2) [sech U]^(beta/lam)
-           * exp(-(gamma/lam) gd(U)).
-
-    Diverges mildly (r^(-1/2)) at the origin; the weighted norm with
-    w(r) = r stays finite.
-    """
-    lam = params.require_curvature()
-    r = np.asarray(r, float)
-    if np.any(r <= 0):
-        raise SingularPointError(f"ground state needs r > 0, got {np.min(r)}")
-    spec = QesSpec.example2(mprime_q, params)
-    u = upsilon_of_r(r, lam)
-    return ((lam * r * r) ** -0.25 * (1 + lam * r * r) ** -0.5
-            * np.cosh(u) ** (-spec.beta / lam)
-            * np.exp(-(spec.gamma / lam) * gudermannian(u)))
-
-
 def qes_potential(mprime_q: float, params: PhysParams, r, l: float | None = None):
     """Transplanted potential of the cos(l Theta) family for a number l, of
     the sqrt(lam) x family for l = None."""
@@ -213,9 +172,40 @@ def qes_potential(mprime_q: float, params: PhysParams, r, l: float | None = None
     return qes_example1_potential(l, mprime_q, params, r)
 
 
-def qes_groundstate(mprime_q: float, params: PhysParams, r, l: float | None = None):
-    """Unnormalized channel-m'_Q ground state of the cos(l Theta) family
-    for a number l, of the sqrt(lam) x family for l = None."""
-    if l is None:
-        return qes_example2_groundstate(mprime_q, params, r)
-    return qes_example1_groundstate(l, mprime_q, params, r)
+def qes_groundstate(spec: QesSpec, params: PhysParams, r):
+    """Unnormalized channel-m'_Q ground state of the potential transplanted from spec,
+
+    psi0 = (lam r^2)^(-1/4) (1+lam r^2)^(-1/2) |X_Theta/(u R)|^(-beta/A)
+           exp(-((gamma - beta B/A)/lam) J),   J = int dTheta / X_Theta,
+
+    at Theta = Upsilon(r), the integral of the log-derivative that QesSpec.end_profile
+    expands.  In t = u Theta, u = sqrt(|A|/lam), and w = tan(t/2) (A < 0) or tanh(t/2)
+    (A > 0), u^2 J = 2 int dw/(a w^2 + 2 b w + c), (a, b, c) = (k C2, k C1, C2), k = sign(A):
+    a logarithm where R^2 = b^2 - a c > 0, a Gudermannian where R^2 < 0 and a pole where
+    R = 0 (X_Theta = u C2 e^(+-t)).  R is the amplitude of X_Theta/u, |C2| where R = 0.
+    Defined for r > 0 below the first zero of X_Theta.
+    """
+    u, t0 = spec.branch(params)
+    lam = params.lam
+    r = np.asarray(r, float)
+    if np.any(r <= 0):
+        raise SingularPointError(f"ground state needs r > 0, got {np.min(r)}")
+    t = u * upsilon_of_r(r, lam)
+    off_branch = ~(t < t0)
+    if np.any(off_branch):
+        raise SingularPointError(f"r = {r[off_branch].flat[0]} is past X_Theta's first zero")
+    k = math.copysign(1.0, spec.A)
+    cs, sn, half = (np.cos(t), np.sin(t), np.tan) if k < 0 else (np.cosh(t), np.sinh(t), np.tanh)
+    a, b, c = k * spec.C2, k * spec.C1, spec.C2
+    R2 = b * b - a * c
+    R = math.sqrt(abs(R2))
+    kappa = (spec.gamma - spec.beta * spec.B / spec.A) / (lam * u * u)
+    if R2 > 0:          # m = b + sign(b) R keeps the root w = -c/m free of cancellation
+        m, w = b + math.copysign(R, b), half(t / 2)
+        F = np.abs((m * w + c) / (a * w + m)) ** (-kappa * math.copysign(1 / R, b))
+    elif R2 < 0:        # X_Theta/u = +-R cosh(t + atanh(b/a)), the sign of a
+        F = np.exp(-kappa * gudermannian(t + math.atanh(b / a)) / math.copysign(R, a))
+    else:
+        F, R = np.exp(2 * kappa / (a * half(t / 2) + b)), abs(c)
+    return ((lam * r * r) ** -0.25 * (1 + lam * r * r) ** -0.5
+            * F * np.abs((c * cs + b * sn) / R) ** (-spec.beta / spec.A))

@@ -47,12 +47,8 @@ from typing import Callable
 import numpy as np
 
 from .crs import QesSpec, crs_operator_coefficients, crs_potential_special, x_pole
-from .higgs import (
-    example1_branch_radius,
-    higgs_radial_coefficients,
-    oscillator_potential,
-    qes_potential,
-)
+from .higgs import higgs_radial_coefficients, oscillator_potential, qes_branch_radius, \
+    qes_potential
 from .numerics import EndpointRule, Grid1D, SturmLiouvilleProblem, lowest_eigenpairs, \
     richardson_eigenvalues
 from .params import PhysParams
@@ -176,11 +172,9 @@ def qes_channel_problem(mprime: float, mprime_q: float, params: PhysParams, n: i
     s0, or, where s is complex (fall to the center), a plain Dirichlet wall at
     chi = 1e-3; its cutoff-dominated ground state shows no closed form.
     """
-    if l is None:
-        spec, b = QesSpec.example2(mprime_q, params), math.pi / 2
-    else:
-        spec, b = QesSpec.example1(l, mprime_q, params), math.pi / l
-        example1_branch_radius(l, params)   # refuses l <= 2, which has no sec pole
+    spec = QesSpec.transplanted(mprime_q, params, l)
+    qes_branch_radius(spec, params)     # refuses l <= 2, which has no sec pole
+    b = math.pi / 2 if l is None else math.pi / l
     (s0, c0), (sb, cb) = spec.end_profile(params, 0.0), spec.end_profile(params, b)
     if mprime == mprime_q:
         a, left, right = 0.0, EndpointRule.power(s0, 0.0, c0), EndpointRule.power(sb, b, cb)
@@ -194,17 +188,13 @@ def qes_channel_problem(mprime: float, mprime_q: float, params: PhysParams, n: i
 
 def qes_rayleigh_problem(mprime_q: float, params: PhysParams,
                          l: float | None = None) -> SturmLiouvilleProblem:
-    """Channel m' = m'_Q of a transplanted potential between Dirichlet walls
-    clear of both endpoint singularities, on 2000 points: the problem on which
-    the Rayleigh quotient of the closed-form ground state is taken.  Above
-    lam = 1 the state shrinks like s = 1/sqrt(lam), and the walls with it:
-    [0.1 s, 25 s] for sqrt(lam) x, [min(0.1 s, r_b/8), 0.9 r_b] for
-    cos(l Theta), r_b the first sec pole; s = 1 for lam <= 1."""
+    """Channel m' = m'_Q of a transplanted potential on 2000 points between Dirichlet
+    walls clear of both endpoint singularities, where the Rayleigh quotient of the
+    closed-form ground state is taken: [min(0.1 s, r_b/8), min(0.9 r_b, 25 s)], r_b =
+    qes_branch_radius (inf for sqrt(lam) x) and s = 1/sqrt(max(lam, 1)), the scale to
+    which the state shrinks above lam = 1."""
     s = 1 / math.sqrt(max(params.require_curvature(), 1.0))
-    if l is None:
-        a, b = 0.1 * s, 25.0 * s
-    else:
-        rb = example1_branch_radius(l, params)
-        a, b = min(0.1 * s, rb / 8), 0.9 * rb
+    rb = qes_branch_radius(QesSpec.transplanted(mprime_q, params, l), params)
     return higgs_radial_problem(mprime_q, params, lambda r: qes_potential(mprime_q, params, r, l),
-                                Grid1D(a, b, 2000), (None, None))
+                                Grid1D(min(0.1 * s, rb / 8), min(0.9 * rb, 25.0 * s), 2000),
+                                (None, None))

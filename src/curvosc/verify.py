@@ -76,7 +76,7 @@ def suite_higgs_spectrum() -> list[CheckResult]:
             exact = np.array([higgs.higgs_energy((N, mp), params) for N in range(3)])
             num = problems.higgs_spectrum_numeric(mp, params, 3, n=4000)
             rel = float(np.max(np.abs(num - exact) / exact))
-            out.append(_check("higgs-spectrum", f"lam={lam}-mprime={mp}", rel, 1e-5,
+            out.append(_check("higgs-spectrum", f"lam={lam}-mprime={mp}", rel, 1e-9,
                               detail="max rel err over N=0..2, Richardson n=4000/8001"))
     # reference measurement: the planar-coordinate recipe with plain
     # Dirichlet walls at [1e-4, 40]; reported to document why the polar
@@ -266,15 +266,11 @@ def suite_constraint_ode() -> list[CheckResult]:
 
 
 def _example1_half_angle_groundstate(l, mq, params: PhysParams, r):
-    """qes_example1_groundstate with the half-angle sine factor
-    sin((l/2) Upsilon) in place of sin(l Upsilon)."""
+    """The cos(l Theta) ground state with sin((l/2) Upsilon) in place of sin(l Upsilon)."""
     spec = QesSpec.example1(l, mq, params)
-    lam = params.lam
-    u = upsilon_of_r(r, lam)
-    ll2 = lam * l * l
-    return ((lam * r * r) ** -0.25 * (1 + lam * r * r) ** -0.5
-            * np.tan(0.5 * l * u) ** (spec.gamma / ll2)
-            * np.sin(0.5 * l * u) ** (spec.beta / ll2))
+    half = 0.5 * l * upsilon_of_r(r, params.lam)
+    return (higgs.qes_groundstate(spec, params, r)
+            * (2 * np.cos(half)) ** (-spec.beta / (params.lam * l * l)))
 
 
 @lru_cache(maxsize=None)
@@ -285,10 +281,11 @@ def _qes_measurements():
     m = {"closed_E0": crs.oscillator_energy((0, mq), params)}
     for example, l in ((1, 3.0), (2, None)):
         ex = f"ex{example}"
+        spec = QesSpec.transplanted(mq, params, l)
         prob = problems.qes_rayleigh_problem(mq, params, l=l)
         m[ex + "_E0"], m[ex + "_constancy"] = rayleigh_quotient(
-            prob, lambda r: higgs.qes_groundstate(mq, params, r, l))
-        if l is not None:
+            prob, lambda r: higgs.qes_groundstate(spec, params, r))
+        if example == 1:
             _, m["ex1_half_angle_constancy"] = rayleigh_quotient(
                 prob, lambda r: _example1_half_angle_groundstate(l, mq, params, r))
         num = lowest_eigenvalues(problems.qes_channel_problem(mq, mq, params, 2000, l=l), 1)
@@ -304,7 +301,8 @@ def _qes_measurements():
             i0, i1 = int(0.2 * r.size), int(0.8 * r.size)
             devs = []
             for mc in {channel, mq}:
-                ratio = v[i0:i1] / higgs.qes_groundstate(mc, params, r[i0:i1], l)
+                ratio = v[i0:i1] / higgs.qes_groundstate(QesSpec.transplanted(mc, params, l),
+                                                         params, r[i0:i1])
                 devs.append(float(np.max(np.abs(ratio - np.mean(ratio)))
                                   / abs(np.mean(ratio))))
             m[f"{ex}_ch{channel}_min_dev"] = min(devs)
@@ -463,7 +461,7 @@ def suite_higgs_model() -> list[CheckResult]:
     # both construction routes of the cos(l Theta) potential
     l, mq = 3.0, 1.0
     spec = QesSpec.example1(l, mq, params)
-    rs = np.linspace(0.05, 0.95 * higgs.example1_branch_radius(l, params), 40)
+    rs = np.linspace(0.05, 0.95 * higgs.qes_branch_radius(spec, params), 40)
     a = transform.map_potential(
         mq, params, lambda x: crs.potential_general(spec, params, x), rs)
     b = higgs.qes_example1_potential(l, mq, params, rs)

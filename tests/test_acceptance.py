@@ -149,12 +149,12 @@ def test_module_invariant_suites(verify_runs):
 # dropped check shows in the diff.
 GATES = {
     "higgs-spectrum": [
-        ("lam=0.1-mprime=0", "<=", 1e-05),
-        ("lam=0.1-mprime=1", "<=", 1e-05),
-        ("lam=0.1-mprime=2", "<=", 1e-05),
-        ("lam=1.0-mprime=0", "<=", 1e-05),
-        ("lam=1.0-mprime=1", "<=", 1e-05),
-        ("lam=1.0-mprime=2", "<=", 1e-05),
+        ("lam=0.1-mprime=0", "<=", 1e-09),
+        ("lam=0.1-mprime=1", "<=", 1e-09),
+        ("lam=0.1-mprime=2", "<=", 1e-09),
+        ("lam=1.0-mprime=0", "<=", 1e-09),
+        ("lam=1.0-mprime=1", "<=", 1e-09),
+        ("lam=1.0-mprime=2", "<=", 1e-09),
         ("planar-dirichlet-reference", "report", None),
     ],
     "crs-spectrum": [

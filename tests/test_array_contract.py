@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from curvosc import crs, higgs, transform
+from curvosc.crs import QesSpec
 from curvosc.errors import (
     DegenerateDerivativeError,
     NegativeRadiusError,
@@ -45,21 +46,18 @@ FORMULAS = {
                            [0.0, 0.05, 0.3, 1.0, 4.0, 20.0]),
     "qes_example1_potential": (lambda r: higgs.qes_example1_potential(3.0, 1.0, UNIT, r),
                                [1e-4, 0.05, 0.3, 1.0, 1.7, 4.0]),
-    "qes_example1_groundstate": (
-        lambda r: higgs.qes_example1_groundstate(3.0, 1.0, UNIT, r),
-        [1e-4, 0.05, 0.3, 1.0, 1.5, 1.73]),
     "qes_example2_potential": (lambda r: higgs.qes_example2_potential(1.0, UNIT, r),
                                [1e-4, 0.05, 0.3, 1.0, 10.0, 1e6]),
-    "qes_example2_groundstate": (lambda r: higgs.qes_example2_groundstate(1.0, UNIT, r),
-                                 [1e-4, 0.05, 0.3, 1.0, 10.0, 1e3]),
     "qes_potential(l=3)": (lambda r: higgs.qes_potential(1.0, UNIT, r, 3.0),
                            [1e-4, 0.05, 0.3, 1.0, 1.7, 4.0]),
     "qes_potential(l=None)": (lambda r: higgs.qes_potential(1.0, UNIT, r),
                               [1e-4, 0.05, 0.3, 1.0, 10.0, 1e6]),
-    "qes_groundstate(l=3)": (lambda r: higgs.qes_groundstate(1.0, UNIT, r, 3.0),
-                             [1e-4, 0.05, 0.3, 1.0, 1.5, 1.73]),
-    "qes_groundstate(l=None)": (lambda r: higgs.qes_groundstate(1.0, UNIT, r),
-                                [1e-4, 0.05, 0.3, 1.0, 10.0, 1e3]),
+    "qes_groundstate(example1)": (
+        lambda r: higgs.qes_groundstate(QesSpec.example1(3.0, 1.0, UNIT), UNIT, r),
+        [1e-4, 0.05, 0.3, 1.0, 1.5, 1.73]),
+    "qes_groundstate(example2)": (
+        lambda r: higgs.qes_groundstate(QesSpec.example2(1.0, UNIT), UNIT, r),
+        [1e-4, 0.05, 0.3, 1.0, 10.0, 1e3]),
     "x_of_r": (lambda r: transform.x_of_r(UNIT, r), [0.0, 1e-3, 0.3, 1.0, 10.0, 1e6]),
     "r_of_x": (lambda x: transform.r_of_x(UNIT, x), [0.0, 1e-3, 0.3, 1.0, 2.0, 2.3]),
     "g_factor": (lambda r: transform.g_factor(UNIT, r), [1e-3, 0.1, 0.3, 1.0, 5.0, 50.0]),
@@ -105,15 +103,12 @@ SINGULAR = [
     ("higgs_radial_coefficients", 0.0, SingularPointError),
     ("higgs_wavefunction", -0.5, NegativeRadiusError),
     ("qes_example1_potential", 0.0, SingularPointError),
-    ("qes_example1_groundstate", -1.0, SingularPointError),
-    ("qes_example1_groundstate", 2.0, SingularPointError),
     ("qes_example2_potential", 0.0, SingularPointError),
-    ("qes_example2_groundstate", -0.3, SingularPointError),
     ("qes_potential(l=3)", 0.0, SingularPointError),
     ("qes_potential(l=None)", 0.0, SingularPointError),
-    ("qes_groundstate(l=3)", -1.0, SingularPointError),
-    ("qes_groundstate(l=3)", 2.0, SingularPointError),
-    ("qes_groundstate(l=None)", -0.3, SingularPointError),
+    ("qes_groundstate(example1)", -1.0, SingularPointError),
+    ("qes_groundstate(example1)", 2.0, SingularPointError),
+    ("qes_groundstate(example2)", -0.3, SingularPointError),
     ("upsilon_of_r", -1e-3, NegativeRadiusError),
     ("x_of_r", -1.0, NegativeRadiusError),
     ("r_of_x", -0.1, OutOfImageError),

@@ -206,14 +206,19 @@ class TestValidation:
         (["qes1", "--l", "1000"], "1", 1e-5),
         (["qes2"], "1e100", 1e-5),
         (["qes2"], "3e-3", 1e-9),
+        (["qes1", "--l", "2.0000001"], "1", 1e-7),
+        (["qes1", "--l", "2.0000001"], "0.5", 1e-7),
     ], ids=["l=3-lam=300", "l=4-lam=1e100", "l=29", "l=1000", "qes2-lam=1e100",
-            "qes2-lam=3e-3"])
+            "qes2-lam=3e-3", "l=2.0000001", "l=2.0000001-lam=0.5"])
     def test_qes_analytic_energy_follows_the_state(self, model, lam, tol, tmp_path):
         # the Rayleigh walls were fixed in r while the state shrinks like
         # 1/sqrt(lam) above lam = 1: l = 3 at lam = 300 and l = 29 ended in
         # "need finite a < b", qes2 at lam = 1e100 printed E_analytic =
         # -2.8e194.  Below lam = 1 the walls stay put: widened like
-        # 1/sqrt(lam), they overflow the closed form at lam = 3e-3
+        # 1/sqrt(lam), they overflow the closed form at lam = 3e-3.  The
+        # right wall is the nearer of 0.9 r_b and 25 s: at l = 2.0000001 a
+        # wall at 0.9 r_b = 1.1e7 printed E_analytic = -2.5e7 (measured now:
+        # 3.7e-9 and 4.6e-9 off)
         code, text = run_to_file(tmp_path, "x.json", ["spectrum", "--model", *model,
                                                       "--mprime-q", "1", "--lambda", lam])
         assert code == 0

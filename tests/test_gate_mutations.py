@@ -50,10 +50,9 @@ def test_spectrum_gap_gates_the_shared_spectrum(monkeypatch, rel):
 
 def test_spectrum_gates_the_origin_closure(monkeypatch):
     # every power rule at the origin becomes a Dirichlet wall: only the m' = 0
-    # rows see it (0.108-0.140 relative), since a wall is exact for m' >= 1.
-    # The same swap at the equator or the tan pole passes every gate
-    # (higgs lam = 1 rows 3.8e-11-4.8e-11 -> 2.8e-8-3.6e-8), so the far-end
-    # closures are not gated at 1e-5
+    # rows see it (0.108-0.140 relative), since a wall is exact for m' >= 1
+    # (the higgs m' >= 1 rows read 5.5e-12-3.2e-11, under their 1e-9 gate).
+    # The same swap at the far end is the next test's mutation
     power = problems.EndpointRule.power.__func__
 
     def off(cls, sigma, center, series=()):
@@ -99,3 +98,18 @@ def test_not_analytic_gates_the_neighbour_channels(monkeypatch):
     monkeypatch.setattr(verify, "_qes_measurements", verify._qes_measurements.__wrapped__)
     assert failed("qes-certification") == [f"example{example}-channel{channel}-not-analytic"
                                            for example in (1, 2) for channel in (0, 2)]
+
+
+def test_spectrum_gates_the_equator_closure(monkeypatch):
+    # every power rule away from the origin becomes a Dirichlet wall: the
+    # higgs lam = 1 rows read 2.8e-8-3.6e-8 against the 1e-9 gate, the lam = 0.1
+    # rows stay at or below 2.8e-11.  The crs tan-pole swap reads 2.1e-10, below
+    # the m'_Q = 0 rows' 9.9e-9, so no crs-spectrum gate can tell it
+    power = problems.EndpointRule.power.__func__
+
+    def off(cls, sigma, center, series=()):
+        return None if center != 0.0 else power(cls, sigma, center, series)
+
+    monkeypatch.setattr(problems.EndpointRule, "power", classmethod(off))
+    assert failed("higgs-spectrum", "crs-spectrum") == [
+        "lam=1.0-mprime=0", "lam=1.0-mprime=1", "lam=1.0-mprime=2"]

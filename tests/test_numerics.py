@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from curvosc import crs, higgs, numerics
+from curvosc.crs import QesSpec
 from curvosc.errors import (
     NodeDetectedError, NonpositiveWeightError, StateRangeError, UnresolvedError)
 from curvosc.numerics import (
@@ -966,7 +967,8 @@ class TestRayleighGridStencils:
                              ids=["qes1-l3-mq1", "qes1-l4-mq2", "qes2-mq1"])
     def test_cli_problems_match_five_evaluations(self, mq, l, lam):
         params = PhysParams(lam=lam)
-        psi = lambda r: higgs.qes_groundstate(mq, params, r, l)
+        spec = QesSpec.transplanted(mq, params, l)
+        psi = lambda r: higgs.qes_groundstate(spec, params, r)
         prob = qes_rayleigh_problem(mq, params, l=l)
         E, constancy = rayleigh_quotient(prob, psi)
         assert E == pytest.approx(five_evaluation_rayleigh(prob, psi), rel=1e-10)

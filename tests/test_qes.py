@@ -1,4 +1,4 @@
-"""The two transplanted QES potential families and their ground states."""
+"""The two transplanted QES potential families, and the one ground state of every QesSpec."""
 
 import math
 
@@ -9,14 +9,16 @@ from curvosc import crs, higgs, transform
 from curvosc.crs import QesSpec
 from curvosc.errors import (
     CurvoscError,
+    DegenerateDerivativeError,
     InfiniteBranchError,
     NonpositiveParameterError,
     SingularPointError,
+    ZeroAError,
 )
 from curvosc.numerics import Grid1D, lowest_eigenvalues, rayleigh_quotient
 from curvosc.params import PhysParams
 from curvosc.problems import higgs_radial_problem, qes_channel_problem, qes_rayleigh_problem
-from curvosc.special_functions import gudermannian
+from curvosc.special_functions import gudermannian, upsilon_of_r
 from curvosc.verify import _example1_half_angle_groundstate
 
 UNIT = PhysParams()
@@ -29,8 +31,39 @@ QES_IDS = [f"{'qes2' if l is None else f'l={l:g}'}-mq={mq}" for l, mq in QES_CHA
 BENCHMARK_LAMBDAS = (0.5, 0.65, 0.7, 0.8, 0.9, 1.0)
 
 
-def qes_spec(l, mq, params):
-    return QesSpec.example2(mq, params) if l is None else QesSpec.example1(l, mq, params)
+def example1_groundstate_printed(l, mq, params, r):
+    """The paper's cos(l Theta) ground state as printed,
+
+    psi0 = (lam r^2)^(-1/4) (1+lam r^2)^(-1/2)
+           [tan((l/2) U)]^(gamma/(lam l^2)) [sin(l U)]^(beta/(lam l^2))."""
+    lam = params.lam
+    spec = QesSpec.example1(l, mq, params)
+    u = upsilon_of_r(r, lam)
+    ll2 = lam * l * l
+    return ((lam * r * r) ** -0.25 * (1 + lam * r * r) ** -0.5
+            * np.tan(0.5 * l * u) ** (spec.gamma / ll2)
+            * np.sin(l * u) ** (spec.beta / ll2))
+
+
+def example2_groundstate_printed(mq, params, r):
+    """The paper's sqrt(lam) x ground state as printed,
+
+    psi0 = (lam r^2)^(-1/4) (1+lam r^2)^(-1/2) [sech U]^(beta/lam)
+           * exp(-(gamma/lam) gd(U))."""
+    lam = params.lam
+    spec = QesSpec.example2(mq, params)
+    u = upsilon_of_r(r, lam)
+    return ((lam * r * r) ** -0.25 * (1 + lam * r * r) ** -0.5
+            * np.cosh(u) ** (-spec.beta / lam)
+            * np.exp(-(spec.gamma / lam) * gudermannian(u)))
+
+
+def ground1(l, mq, params, r):
+    return higgs.qes_groundstate(QesSpec.example1(l, mq, params), params, r)
+
+
+def ground2(mq, params, r):
+    return higgs.qes_groundstate(QesSpec.example2(mq, params), params, r)
 
 
 def example1_potential_regrouped(l, mq, params, r):
@@ -134,10 +167,11 @@ class TestExample1Potential:
         assert str(exc.value) == message
 
     def test_branch_radius(self):
-        assert higgs.example1_branch_radius(3.0, UNIT) == pytest.approx(
+        assert higgs.qes_branch_radius(QesSpec.example1(3.0, 1.0, UNIT), UNIT) == pytest.approx(
             math.tan(math.pi / 3), rel=1e-15)
         with pytest.raises(InfiniteBranchError):
-            higgs.example1_branch_radius(2.0, UNIT)
+            higgs.qes_branch_radius(QesSpec.example1(2.0, 1.0, UNIT), UNIT)
+        assert higgs.qes_branch_radius(QesSpec.example2(1.0, UNIT), UNIT) == math.inf
 
     @pytest.mark.parametrize("l", [3.0, None], ids=["example1", "example2"])
     def test_cross_route_against_construction(self, l):
@@ -147,7 +181,7 @@ class TestExample1Potential:
             spec, rs = QesSpec.example2(mq, UNIT), np.linspace(0.05, 30.0, 30)
         else:
             spec = QesSpec.example1(l, mq, UNIT)
-            rs = np.linspace(0.05, 0.95 * higgs.example1_branch_radius(l, UNIT), 30)
+            rs = np.linspace(0.05, 0.95 * higgs.qes_branch_radius(spec, UNIT), 30)
         for r in rs:
             a = transform.map_potential(
                 mq, UNIT, lambda x: crs.potential_general(spec, UNIT, x), float(r))
@@ -157,14 +191,14 @@ class TestExample1Potential:
 
 class TestExample1GroundState:
     def test_positive_on_branch(self):
-        rb = higgs.example1_branch_radius(3.0, UNIT)
+        rb = higgs.qes_branch_radius(QesSpec.example1(3.0, 1.0, UNIT), UNIT)
         for r in np.linspace(0.05, 0.99 * rb, 50):
-            assert higgs.qes_example1_groundstate(3.0, 1.0, UNIT, float(r)) > 0
+            assert ground1(3.0, 1.0, UNIT, float(r)) > 0
 
     def test_rejected_beyond_branch(self):
-        rb = higgs.example1_branch_radius(3.0, UNIT)
+        rb = higgs.qes_branch_radius(QesSpec.example1(3.0, 1.0, UNIT), UNIT)
         with pytest.raises(SingularPointError):
-            higgs.qes_example1_groundstate(3.0, 1.0, UNIT, 1.01 * rb)
+            ground1(3.0, 1.0, UNIT, 1.01 * rb)
 
     def test_l2_reproduces_radial_ground_state(self):
         # at l = 2 the potential is the plain oscillator; the ground state
@@ -172,7 +206,7 @@ class TestExample1GroundState:
         mq = 1
         rs = np.linspace(0.1, 8.0, 60)
         ratios = np.array([
-            higgs.qes_example1_groundstate(2.0, mq, UNIT, float(r))
+            ground1(2.0, mq, UNIT, float(r))
             / higgs.higgs_wavefunction((0, mq), UNIT, float(r)) for r in rs])
         assert np.std(ratios) / abs(np.mean(ratios)) < 1e-13
 
@@ -186,13 +220,13 @@ class TestExample1GroundState:
 
     def test_rayleigh_constancy(self):
         l, mq = 3.0, 1
-        rb = higgs.example1_branch_radius(l, UNIT)
+        rb = higgs.qes_branch_radius(QesSpec.example1(l, mq, UNIT), UNIT)
         grid = Grid1D(0.1, 0.9 * rb, 1500)
         V = lambda r: np.vectorize(
             lambda t: higgs.qes_example1_potential(l, mq, UNIT, float(t)))(r)
         prob = higgs_radial_problem(mq, UNIT, V, grid, (None, None))
         E0, constancy = rayleigh_quotient(
-            prob, lambda r: higgs.qes_example1_groundstate(l, mq, UNIT, r))
+            prob, lambda r: ground1(l, mq, UNIT, r))
         assert constancy < 1e-6
         # the defined ground energy coincides with the N=0 closed form of
         # the matching channel (a consequence of the construction)
@@ -234,7 +268,7 @@ class TestExample2Potential:
 class TestExample2GroundState:
     def test_positive(self):
         for r in np.logspace(-3, 2, 40):
-            assert higgs.qes_example2_groundstate(1.0, UNIT, float(r)) > 0
+            assert ground2(1.0, UNIT, float(r)) > 0
 
     def test_gudermannian_factor_drops_when_gamma_zero(self):
         # gamma = 0 needs delta = 2 m': with lam = 1, omega = sqrt(3)/2,
@@ -246,7 +280,7 @@ class TestExample2GroundState:
             u = math.atan(r)
             expected = ((r * r) ** -0.25 * (1 + r * r) ** -0.5
                         * math.cosh(u) ** -spec.beta)
-            assert higgs.qes_example2_groundstate(1.0, params, r) == \
+            assert ground2(1.0, params, r) == \
                 pytest.approx(expected, rel=1e-14)
 
     def test_uses_gudermannian(self):
@@ -256,7 +290,7 @@ class TestExample2GroundState:
         expected = ((r * r) ** -0.25 * (1 + r * r) ** -0.5
                     * math.cosh(u) ** -spec.beta
                     * math.exp(-spec.gamma * gudermannian(u)))
-        assert higgs.qes_example2_groundstate(1.0, UNIT, r) == \
+        assert ground2(1.0, UNIT, r) == \
             pytest.approx(expected, rel=1e-14)
 
     def test_rayleigh_constancy(self):
@@ -266,7 +300,7 @@ class TestExample2GroundState:
             lambda t: higgs.qes_example2_potential(mq, UNIT, float(t)))(r)
         prob = higgs_radial_problem(mq, UNIT, V, grid, (None, None))
         E0, constancy = rayleigh_quotient(
-            prob, lambda r: higgs.qes_example2_groundstate(mq, UNIT, r))
+            prob, lambda r: ground2(mq, UNIT, r))
         assert constancy < 1e-6
         assert E0 == pytest.approx(higgs.higgs_energy((0, mq), UNIT), rel=1e-5)
 
@@ -278,12 +312,91 @@ class TestExample2GroundState:
         assert E0 == pytest.approx(crs.crs_energy((0, 1), UNIT), rel=1e-7)
 
 
+# general members (lam, omega, m'_Q, A/lam, B, C1, C2, right wall), one or more of
+# each shape of X_Theta/u: C2 cos t - C1 sin t (A < 0, with a zero below the
+# equator and without), C2 cosh t + C1 sinh t with |C2| > |C1| (cosh-like),
+# |C1| > |C2| (sinh-like, with a zero at r_b and without) and C1 = +-C2 (exponential).
+# A wall of None stands for 0.9 r_b, r_b = qes_branch_radius
+MEMBERS = [
+    (0.85, 0.73, 0.0, -4.96, -0.81, 0.17, 0.82, None),
+    (0.67, 0.63, 1.5, -1.6, 0.10, -0.88, 0.13, 8.0),
+    (1.62, 1.2, 1.5, 1.94, 0.59, 0.40, -0.51, 6.0),
+    (1.11, 1.5, 0.0, 3.95, 0.99, 0.64, -0.43, None),
+    (0.97, 1.1, 0.0, 3.88, -0.88, -0.87, -0.58, 8.0),
+    (1.0, 1.2, 1.0, 2.5, 0.3, 0.7, 0.7, 8.0),
+    (1.0, 1.2, 1.0, 2.5, -0.4, -0.5, 0.5, 4.0),
+]
+MEMBER_IDS = ["cos", "cos-no-zero", "cosh", "sinh", "sinh-no-zero", "exp", "exp-decaying"]
+
+
+def member(lam, omega, mq, a, B, C1, C2):
+    params = PhysParams(lam=lam, omega=omega)
+    return QesSpec.build(a * lam, B, C1, C2, mq, params), params
+
+
+class TestGroundStateFormula:
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.3, 300.0])
+    @pytest.mark.parametrize("l", [3.0, 4.0, 5.5, 24.0, None],
+                             ids=["l=3", "l=4", "l=5.5", "l=24", "sqrt(lam)x"])
+    def test_matches_the_printed_forms(self, l, lam):
+        b = math.pi / 2 if l is None else math.pi / l
+        for omega in (0.7, 1.3):
+            params = PhysParams(lam=lam, omega=omega)
+            r = np.tan(np.linspace(1e-4, 0.999, 200) * b) / math.sqrt(lam)
+            for mq in (0.0, 1.0, 1.5, 2.0):
+                printed = (example2_groundstate_printed(mq, params, r) if l is None
+                           else example1_groundstate_printed(l, mq, params, r))
+                psi = higgs.qes_groundstate(QesSpec.transplanted(mq, params, l), params, r)
+                assert np.max(np.abs(psi / printed - 1)) <= 1e-13
+
+    @pytest.mark.parametrize("lam,omega,mq,a,B,C1,C2,right", MEMBERS, ids=MEMBER_IDS)
+    def test_member_is_the_channel_ground_state(self, lam, omega, mq, a, B, C1, C2, right):
+        # the Rayleigh quotient of the state on the factorization potential,
+        # mapped to the radial channel, is constant and is the N = 0 level
+        # (measured: constancy 1.0e-6-3.2e-6, energy 1.2e-11-1.9e-9)
+        spec, params = member(lam, omega, mq, a, B, C1, C2)
+        right = right or 0.9 * higgs.qes_branch_radius(spec, params)
+        V = lambda r: transform.map_potential(
+            mq, params, lambda x: crs.potential_general(spec, params, x), r)
+        prob = higgs_radial_problem(mq, params, V,
+                                    Grid1D(0.1 / math.sqrt(lam), right, 16000), (None, None))
+        E0, constancy = rayleigh_quotient(prob, lambda r: higgs.qes_groundstate(spec, params, r))
+        assert constancy <= 1e-5
+        assert E0 == pytest.approx(crs.oscillator_energy((0, mq), params), rel=1e-7)
+
+    @pytest.mark.parametrize("index", [0, 3], ids=["cos", "sinh"])
+    def test_refused_past_the_first_zero(self, index):
+        spec, params = member(*MEMBERS[index][:-1])
+        rb = higgs.qes_branch_radius(spec, params)
+        assert math.isfinite(rb) and higgs.qes_groundstate(spec, params, 0.999 * rb) > 0
+        with pytest.raises(SingularPointError):
+            higgs.qes_groundstate(spec, params, np.array([0.5 * rb, 1.001 * rb]))
+
+    @pytest.mark.parametrize("r", [0.0, -1.0])
+    def test_refused_at_nonpositive_radius(self, r):
+        spec, params = member(*MEMBERS[2][:-1])
+        with pytest.raises(SingularPointError):
+            higgs.qes_groundstate(spec, params, r)
+
+    @pytest.mark.parametrize("A,C1,C2,error", [
+        (0.0, 1.0, 0.0, ZeroAError),
+        (-2.0, 0.0, 0.0, DegenerateDerivativeError),
+        (2.0, 0.0, 0.0, DegenerateDerivativeError),
+    ], ids=["A=0", "constant-X-cos", "constant-X-cosh"])
+    def test_degenerate_spec_is_refused(self, A, C1, C2, error):
+        spec = QesSpec.build(A, 0.5, C1, C2, 1.0, UNIT)
+        with pytest.raises(error):
+            higgs.qes_groundstate(spec, UNIT, 1.0)
+        with pytest.raises(error):
+            higgs.qes_branch_radius(spec, UNIT)
+
+
 class TestEndProfile:
     @pytest.mark.parametrize("lam", [0.01, 0.5, 1.0, 10.0])
     @pytest.mark.parametrize("l,mq", QES_CHANNELS, ids=QES_IDS)
     def test_residues(self, l, mq, lam):
         params = PhysParams(lam=lam)
-        spec = qes_spec(l, mq, params)
+        spec = QesSpec.transplanted(mq, params, l)
         if l is None:
             expected = ((0.0, -0.5), (math.pi / 2, 1.5))
         else:
@@ -309,13 +422,13 @@ class TestEndProfile:
         # 6e-10, the d^2 coefficient to 2.5e-8); a wrong sigma leaves a
         # log d term that no polynomial fits to 1e-9
         params = PhysParams(lam=lam)
-        spec = qes_spec(l, mq, params)
+        spec = QesSpec.transplanted(mq, params, l)
         top = 0.05
         d = np.linspace(1e-3, top, 60)
         for end in (0.0, math.pi / 2 if l is None else math.pi / l):
             sigma, (c1, c2) = spec.end_profile(params, end)
             theta = end + d if end == 0 else end - d
-            psi = higgs.qes_groundstate(mq, params, np.tan(theta) / math.sqrt(lam), l)
+            psi = higgs.qes_groundstate(spec, params, np.tan(theta) / math.sqrt(lam))
             g = np.log(psi) - sigma * np.log(d)
             coef = np.polynomial.polynomial.polyfit(d / top, g, 8)
             assert np.max(np.abs(np.polynomial.polynomial.polyval(d / top, coef) - g)) < 1e-9
