@@ -138,13 +138,12 @@ def run_spectrum(args, params: PhysParams):
             for N, (ea, en) in enumerate(zip(analytic, numeric)):
                 rows.append([N, mp, float(ea), float(en), abs(en - ea) / abs(ea)])
     else:
-        mq = args.mprime_q
-        prob = problems.qes_channel_problem(mq, mq, params, 2000, l=args.l)
+        mq, spec = args.mprime_q, crs.QesSpec.transplanted(args.mprime_q, params, args.l)
+        prob = problems.qes_channel_problem(mq, spec, params, 2000)
         numeric = lowest_eigenvalues(prob, levels)
         # only the channel ground state has a closed form; its energy is
         # defined by the Rayleigh quotient of that state
-        spec = crs.QesSpec.transplanted(mq, params, args.l)
-        E0, _ = rayleigh_quotient(problems.qes_rayleigh_problem(mq, params, l=args.l),
+        E0, _ = rayleigh_quotient(problems.qes_rayleigh_problem(spec, params),
                                   lambda r: higgs.qes_groundstate(spec, params, r))
         for N, en in enumerate(numeric):
             ea = float(E0) if N == 0 else None
@@ -159,7 +158,7 @@ def run_potential(args, params: PhysParams):
     elif args.model == "crs":
         v = crs.crs_potential_special(args.mprime_q, params, xs)
     else:
-        v = higgs.qes_potential(args.mprime_q, params, xs, args.l)
+        v = higgs.qes_potential(crs.QesSpec.transplanted(args.mprime_q, params, args.l), params, xs)
     return ["coordinate", "V"], np.column_stack((xs, v)).tolist()
 
 
@@ -170,8 +169,8 @@ def run_wavefunction(args, params: PhysParams):
     elif args.model == "crs":
         v = crs.crs_wavefunction_special((args.N, args.mprime_q), params, xs)
     else:
-        v = higgs.qes_groundstate(crs.QesSpec.transplanted(args.mprime_q, params, args.l),
-                                  params, xs)
+        spec = crs.QesSpec.transplanted(args.mprime_q, params, args.l)
+        v = higgs.qes_groundstate(spec, params, xs)
     return (["coordinate", "value_real", "value_imag"],
             np.column_stack((xs, np.real(v), np.imag(v))).tolist())
 

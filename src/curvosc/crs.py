@@ -10,13 +10,14 @@ with the solvable potential family
     V(x) = (hbar^2/2m) [(beta X + gamma)^2 + (beta X + gamma)(A X + B)]
            / [K (dX/dx)^2] + C,
 
-where X(x) solves the constraint K X'' + lam x X' = A X + B.  The special
-choice X = cos(2 Theta(x)), Theta = arcsinh(sqrt(lam) x), with a specific
-(beta, gamma, A, B, C) bundle makes V a trigonometric Poschl-Teller-like
-well whose spectrum is known in closed form.
+where X(x) solves the constraint K X'' + lam x X' = A X + B.  In
+Theta = arcsinh(sqrt(lam) x), K (dX/dx)^2 = lam X_Theta^2, so potential_theta
+states V at the angles Theta, where the radial model reads it.  The special
+choice X = cos(2 Theta) with a specific (beta, gamma, A, B, C) bundle makes V
+a trigonometric Poschl-Teller-like well whose spectrum is known in closed form.
 
-Every position-dependent formula takes a float or an ndarray of points x
-and returns a scalar or an array of the same shape; it raises if any
+Every other position-dependent formula takes a float or an ndarray of points
+x and returns a scalar or an array of the same shape; it raises if any
 requested point is singular.
 """
 
@@ -40,7 +41,8 @@ class QesSpec:
     (A, B, C1, C2) fix its constraint solution, the real
     X = -B/A + C1 c(u Theta) + C2 s(u Theta) with u = sqrt(|A|/lam) and
     (c, s) = (cos, sin) for A < 0, (cosh, sinh) for A > 0.  The transformation
-    conditions fix (beta, gamma, C) from m'_Q = (beta+gamma)/(4 lam) - 1/2.
+    conditions fix (beta, gamma, C) from m'_Q = (beta+gamma)/(4 lam) - 1/2,
+    which is kept as given: the sum is not exact in floats.
     """
 
     A: float
@@ -50,6 +52,7 @@ class QesSpec:
     beta: float
     gamma: float
     c_shift: float
+    mprime_q: float
 
     @classmethod
     def build(cls, A: float, B: float, C1: float, C2: float,
@@ -65,7 +68,8 @@ class QesSpec:
         gamma = 2 * lam * mprime_q - lam * d
         c_shift = params.kinetic * (lam * (finite_square("m'_Q", mprime_q) - 1)
                                     + mprime_q * lam * d)
-        return cls(A=A, B=B, C1=C1, C2=C2, beta=beta, gamma=gamma, c_shift=c_shift)
+        return cls(A=A, B=B, C1=C1, C2=C2, beta=beta, gamma=gamma, c_shift=c_shift,
+                   mprime_q=mprime_q)
 
     @classmethod
     def example1(cls, l: float, mprime_q: float, params: PhysParams) -> "QesSpec":
@@ -110,8 +114,8 @@ class QesSpec:
         two ratios of Taylor series about the end (lam X_ThetaTheta = A X + B); from
         +-L = sigma/d + a0 + a1 d + ..., c1 = a0 and c2 = (a0^2 + a1)/2."""
         lam = params.require_curvature()
-        X0, slope = map(float, _x_and_slope(self, params, math.sinh(end) / math.sqrt(lam)))
-        X1, X2 = slope * math.cosh(end) / math.sqrt(lam), (self.A * X0 + self.B) / lam
+        X0, X1 = map(float, _x_and_x_theta(self, params, end))
+        X2 = (self.A * X0 + self.B) / lam
         c, s = math.cos(2 * end), math.sin(2 * end)
         sigma, a0, a1 = (p - q / lam for p, q in zip(
             _laurent((c - 2, -2 * s, -2 * c), (s, 2 * c, -2 * s, -4 * c / 3)),
@@ -150,37 +154,38 @@ def special_params(mprime_q: float, params: PhysParams) -> QesSpec:
     gamma = 2 * lam * mprime_q - surd
     c_shift = kinetic * (lam * (finite_square("m'_Q", mprime_q) - 1) + mprime_q * surd)
     return QesSpec(A=-4 * lam, B=0.0, C1=1.0, C2=0.0, beta=beta, gamma=gamma,
-                   c_shift=c_shift)
+                   c_shift=c_shift, mprime_q=mprime_q)
 
 
-def _x_and_slope(spec: QesSpec, params: PhysParams, x):
-    """The constraint solution X(x) of spec and its slope
-    dX/dx = X_Theta sqrt(lam)/sqrt(1 + lam x^2)."""
+def _x_and_x_theta(spec: QesSpec, params: PhysParams, theta):
+    """The constraint solution X of spec and its derivative X_Theta at the angles Theta."""
     u, _ = spec.branch(params)
-    lam = params.lam
-    x = np.asarray(x, float)
-    th = u * theta_of_x(x, lam)
+    t = u * np.asarray(theta, float)
     if spec.A < 0:
-        c, s = np.cos(th), np.sin(th)
+        c, s = np.cos(t), np.sin(t)
         x_theta = u * (spec.C2 * c - spec.C1 * s)
     else:
-        c, s = np.cosh(th), np.sinh(th)
+        c, s = np.cosh(t), np.sinh(t)
         x_theta = u * (spec.C1 * s + spec.C2 * c)
-    X = -spec.B / spec.A + spec.C1 * c + spec.C2 * s
-    return X, x_theta * math.sqrt(lam) / np.sqrt(1 + lam * x * x)
+    return -spec.B / spec.A + spec.C1 * c + spec.C2 * s, x_theta
+
+
+def potential_theta(spec: QesSpec, params: PhysParams, theta):
+    """The factorization-method potential of spec at the angles Theta,
+    (hbar^2/2m lam) (b/X_Theta) ((b + A X + B)/X_Theta) + C with b = beta X + gamma,
+    divided before it is multiplied so that no intermediate overflows where V does not."""
+    X, x_theta = _x_and_x_theta(spec, params, theta)
+    if np.any(np.abs(x_theta) < 1e-14):
+        raise DegenerateDerivativeError(
+            f"|X_Theta| = {np.min(np.abs(x_theta))} at a requested point; potential singular")
+    bx = spec.beta * X + spec.gamma
+    return (params.kinetic / params.lam * (bx / x_theta) * ((bx + spec.A * X + spec.B) / x_theta)
+            + spec.c_shift)
 
 
 def potential_general(spec: QesSpec, params: PhysParams, x):
-    """The factorization-method potential of spec's constraint solution X."""
-    x = np.asarray(x, float)
-    X, Xp = _x_and_slope(spec, params, x)
-    if np.any(np.abs(Xp) < 1e-14):
-        raise DegenerateDerivativeError(
-            f"|dX/dx| = {np.min(np.abs(Xp))} at a requested x; potential singular")
-    K = 1 + params.lam * x**2
-    bx = spec.beta * X + spec.gamma
-    num = bx * bx + bx * (spec.A * X + spec.B)
-    return params.kinetic * num / (K * Xp * Xp) + spec.c_shift
+    """The factorization-method potential of spec at the points x, potential_theta at Theta(x)."""
+    return potential_theta(spec, params, theta_of_x(x, params.require_curvature()))
 
 
 def crs_potential_special(mprime_q: float, params: PhysParams, x):

@@ -35,7 +35,7 @@ class NonpositiveParameterError(CurvoscError):
 
 class InfiniteBranchError(CurvoscError):
     """An A < 0 spec's X_Theta has no zero below the equator (cos(l Theta), l <= 2),
-    so its branch radius, the sec pole where a channel solve ends, does not exist."""
+    so its branch radius, the pole where a channel solve ends, does not exist."""
 
 
 class NegativeRadiusError(CurvoscError):
@@ -51,7 +51,7 @@ class ZeroAError(CurvoscError):
 
 
 class DegenerateDerivativeError(CurvoscError):
-    """dX/dx is (numerically) zero where the potential needs to divide by it."""
+    """X_Theta, and so dX/dx, is (numerically) zero where the potential divides by it."""
 
 
 class OutOfImageError(CurvoscError):

@@ -10,11 +10,11 @@ eigenproblem is
     + V(r) psi = E psi.
 
 For V = (1/2) m omega^2 r^2 the eigenpairs are hypergeometric, and the
-spectrum is the line model's, crs.oscillator_energy.  The two
-transplanted potential families below (cos(l Theta) and sqrt(lam) x source
-models) are solvable only in the single angular channel m' = m'_Q.  Every
-QesSpec transplants the same way: qes_groundstate(spec, params, r) is its
-channel ground state, and the printed ones are its example1/example2 points.
+spectrum is the line model's, crs.oscillator_energy.  Every QesSpec
+transplants through one map: qes_potential(spec, params, r) is its potential,
+solvable only in the single angular channel m' = m'_Q, and
+qes_groundstate(spec, params, r) that channel's ground state.  The paper's
+cos(l Theta) and sqrt(lam) x families are its example1/example2 points.
 
 Every r-dependent formula takes a float or an ndarray of radii and
 returns a scalar or an array of the same shape; it raises if any
@@ -28,10 +28,11 @@ import math
 import numpy as np
 
 from .errors import InfiniteBranchError, NegativeRadiusError, SingularPointError
-from .params import PhysParams, finite_square, require_positive
+from .params import PhysParams, finite_square
 from .special_functions import gudermannian, hyp2f1_terminating, radial_quantum_number, \
     upsilon_of_r
-from .crs import QesSpec, oscillator_energy
+from .crs import QesSpec, oscillator_energy, potential_theta
+from .transform import curvature_shift
 
 
 def higgs_radial_coefficients(mprime: int | float, params: PhysParams, r):
@@ -93,83 +94,17 @@ def qes_branch_radius(spec: QesSpec, params: PhysParams) -> float:
         return math.tan(t0 / u) / math.sqrt(params.lam)
     if spec.A > 0:
         return math.inf
-    raise InfiniteBranchError("channel solver expects l > 2 (finite branch)")
+    raise InfiniteBranchError("X_Theta has no zero below the equator, so the channel has "
+                              "no finite branch (cos(l Theta) needs l > 2)")
 
 
-def qes_example1_potential(l: float, mprime_q: float, params: PhysParams, r):
-    """Transplanted potential of the cos(l Theta) source model, term by term:
-
-    V(r) = (hbar^2/8m r^2) [1 - 4 m'^2 + 2 lam r^2 (4 m'+3) + 4 lam r^2 (m'+1) delta]
-         - (lam hbar^2/4m l^2) [10 + 8 m'(m'+2) + 8 (m'+1) delta
-                + (l^2-4m'-2)(2m'+1) csc^2((l/2) U) + (l^2-4)(1+delta) sec^2((l/2) U)]
-         + (2/l^2) m omega^2 [tan((l/2) U)/sqrt(lam)]^2,   U = Upsilon(r).
-
-    The first bracket is evaluated in expanded form (the 1/r^2 piece split
-    off exactly) so small r never suffers 0*inf cancellation.
-    """
-    lam = params.require_curvature()
-    require_positive("l", l)
-    r = np.asarray(r, float)
-    if np.any(r <= 0):
-        raise SingularPointError(f"potential needs r > 0, got {np.min(r)}")
-    d = params.delta
-    u = 0.5 * l * upsilon_of_r(r, lam)
-    su, cu = np.sin(u), np.cos(u)
-    pole = (su == 0) | (cu == 0)
-    if np.any(pole):
-        raise SingularPointError(
-            f"(l/2) Upsilon(r) hits a csc/sec pole at r = {r[pole].flat[0]}")
-    hbar2 = finite_square("hbar", params.hbar)
-    hm = hbar2 / (8 * params.mass)
-    t1 = (hm * (1 - 4 * finite_square("m'_Q", mprime_q)) / (r * r)
-          + hm * lam * (2 * (4 * mprime_q + 3) + 4 * (mprime_q + 1) * d))
-    t2 = -(lam * hbar2 / (4 * params.mass * l * l)) * (
-        10 + 8 * mprime_q * (mprime_q + 2) + 8 * (mprime_q + 1) * d
-        + (l * l - 4 * mprime_q - 2) * (2 * mprime_q + 1) / (su * su)
-        + (l * l - 4) * (1 + d) / (cu * cu))
-    t3 = (2 / (l * l)) * params.mass * finite_square("omega", params.omega) \
-        * (np.tan(u) / math.sqrt(lam))**2
-    return t1 + t2 + t3
-
-
-def qes_example2_potential(mprime_q: float, params: PhysParams, r):
-    """Transplanted potential of the sqrt(lam) x source model:
-
-    V(r) = (2 m omega^2/lam) (sech U - tanh U)^2
-         + (hbar^2/8m r^2) [1 + 2 lam r^2 - 4 m'^2 (1 + lam r^2)]
-         + (lam hbar^2/2m) { m'(5m' - 3 delta) sech^2 U
-             + [-2 + 2m'(5+4m') - 5 delta] sech U tanh U
-             + [6 + 5m'(2+m') + 5(1+m') delta] tanh^2 U },   U = Upsilon(r).
-
-    Smooth for all r > 0 (the hyperbolic factors take the bounded argument
-    U < pi/2); the middle bracket is evaluated in expanded form.
-    """
-    lam = params.require_curvature()
-    r = np.asarray(r, float)
-    if np.any(r <= 0):
-        raise SingularPointError(f"potential needs r > 0, got {np.min(r)}")
-    d = params.delta
-    u = upsilon_of_r(r, lam)
-    s = 1 / np.cosh(u)
-    t = np.tanh(u)
-    mq = mprime_q
-    t1 = 2 * params.mass * finite_square("omega", params.omega) / lam * (s - t) ** 2
-    hbar2 = finite_square("hbar", params.hbar)
-    hm = hbar2 / (8 * params.mass)
-    t2 = hm * (1 - 4 * mq * mq) / (r * r) + hm * lam * (2 - 4 * mq * mq)
-    t3 = lam * hbar2 / (2 * params.mass) * (
-        mq * (5 * mq - 3 * d) * s * s
-        + (-2 + 2 * mq * (5 + 4 * mq) - 5 * d) * s * t
-        + (6 + 5 * mq * (2 + mq) + 5 * (1 + mq) * d) * t * t)
-    return t1 + t2 + t3
-
-
-def qes_potential(mprime_q: float, params: PhysParams, r, l: float | None = None):
-    """Transplanted potential of the cos(l Theta) family for a number l, of
-    the sqrt(lam) x family for l = None."""
-    if l is None:
-        return qes_example2_potential(mprime_q, params, r)
-    return qes_example1_potential(l, mprime_q, params, r)
+def qes_potential(spec: QesSpec, params: PhysParams, r):
+    """Potential transplanted from spec into channel m'_Q, crs.potential_theta at
+    Theta = Upsilon(r) plus the map's curvature shift, for r > 0 where X_Theta does not
+    vanish.  It grows as m omega^2/lam, so an omega without a finite square is named."""
+    shift = curvature_shift(spec.mprime_q, params, r)
+    finite_square("omega", params.omega)
+    return potential_theta(spec, params, upsilon_of_r(r, params.lam)) + shift
 
 
 def qes_groundstate(spec: QesSpec, params: PhysParams, r):

@@ -19,10 +19,10 @@ weight once, here:
 numerics-oracle/self-adjointness-certificates checks p'/w = -p1 on both
 built problems.
 
-The spectrum protocols and every QES channel solve the radial problem in
-the polar angle chi = arctan(sqrt(lam) r).  The substitution p -> p/r',
-q -> q r', w -> w r' leaves the eigenvalues untouched, maps the infinite
-tail onto the compact interval (0, pi/2), and turns both endpoints into
+The spectrum protocols and the channels of every QesSpec solve the radial
+problem in the polar angle chi = arctan(sqrt(lam) r).  The substitution
+p -> p/r', q -> q r', w -> w r' leaves the eigenvalues untouched, maps the
+infinite tail onto the compact interval (0, pi/2), and turns both endpoints into
 power-law corners the profile-corrected scheme handles at second order.
 A grid closed by a power profile ends at the profile's singular point: no
 face or Gauss node comes closer than h/2 to it.  Endpoint exponents used
@@ -158,13 +158,13 @@ def crs_spectrum_numeric_wide(mprime_q: float, params: PhysParams, k: int):
     return res.eigenvalues[in_well].tolist(), res.eigenvalues[~in_well].tolist()
 
 
-def qes_channel_problem(mprime: float, mprime_q: float, params: PhysParams, n: int,
-                        l: float | None = None) -> SturmLiouvilleProblem:
-    """Radial problem of one angular channel of a transplanted potential,
-    cos(l Theta) for a number l and sqrt(lam) x for l = None.
+def qes_channel_problem(mprime: float, spec: QesSpec, params: PhysParams,
+                        n: int) -> SturmLiouvilleProblem:
+    """Radial problem of one angular channel of the potential transplanted from spec.
 
-    Every channel is solved in chi on (0, b), b the first sec pole pi/l
-    or the equator pi/2, and closed with QesSpec.end_profile, the closed form's
+    Every channel is solved in chi on (0, b), b = min(t0/u, pi/2) from
+    spec.branch: the first zero of X_Theta (the sec pole pi/l of cos(l Theta))
+    or the equator, and closed with QesSpec.end_profile, the closed form's
     profile.  The far end takes its root there, which no channel changes; the
     solvable channel m' = m'_Q takes its series at both ends as well.  Channel
     m' differs from m'_Q by (m'^2 - m'_Q^2)/r^2, so at the origin it takes the
@@ -172,9 +172,9 @@ def qes_channel_problem(mprime: float, mprime_q: float, params: PhysParams, n: i
     s0, or, where s is complex (fall to the center), a plain Dirichlet wall at
     chi = 1e-3; its cutoff-dominated ground state shows no closed form.
     """
-    spec = QesSpec.transplanted(mprime_q, params, l)
-    qes_branch_radius(spec, params)     # refuses l <= 2, which has no sec pole
-    b = math.pi / 2 if l is None else math.pi / l
+    qes_branch_radius(spec, params)     # refuses an A < 0 spec with no zero to end on
+    u, t0 = spec.branch(params)
+    b, mprime_q = min(t0 / u, math.pi / 2), spec.mprime_q
     (s0, c0), (sb, cb) = spec.end_profile(params, 0.0), spec.end_profile(params, b)
     if mprime == mprime_q:
         a, left, right = 0.0, EndpointRule.power(s0, 0.0, c0), EndpointRule.power(sb, b, cb)
@@ -182,19 +182,18 @@ def qes_channel_problem(mprime: float, mprime_q: float, params: PhysParams, n: i
         s2 = s0 * s0 + mprime * mprime - mprime_q * mprime_q
         a, left = (0.0, EndpointRule.power(math.sqrt(s2), 0.0)) if s2 >= 0 else (1e-3, None)
         right = EndpointRule.power(sb, b)
-    return _higgs_polar_problem(mprime, params, lambda r: qes_potential(mprime_q, params, r, l),
+    return _higgs_polar_problem(mprime, params, lambda r: qes_potential(spec, params, r),
                                 Grid1D(a, b, n), (left, right))
 
 
-def qes_rayleigh_problem(mprime_q: float, params: PhysParams,
-                         l: float | None = None) -> SturmLiouvilleProblem:
-    """Channel m' = m'_Q of a transplanted potential on 2000 points between Dirichlet
-    walls clear of both endpoint singularities, where the Rayleigh quotient of the
-    closed-form ground state is taken: [min(0.1 s, r_b/8), min(0.9 r_b, 25 s)], r_b =
-    qes_branch_radius (inf for sqrt(lam) x) and s = 1/sqrt(max(lam, 1)), the scale to
-    which the state shrinks above lam = 1."""
+def qes_rayleigh_problem(spec: QesSpec, params: PhysParams) -> SturmLiouvilleProblem:
+    """Channel m' = m'_Q of the potential transplanted from spec on 2000 points between
+    Dirichlet walls clear of both endpoint singularities, where the Rayleigh quotient of
+    the closed-form ground state is taken: [min(0.1 s, r_b/8), min(0.9 r_b, 25 s)], r_b =
+    qes_branch_radius (inf where X_Theta has no zero) and s = 1/sqrt(max(lam, 1)), the
+    scale to which the state shrinks above lam = 1."""
     s = 1 / math.sqrt(max(params.require_curvature(), 1.0))
-    rb = qes_branch_radius(QesSpec.transplanted(mprime_q, params, l), params)
-    return higgs_radial_problem(mprime_q, params, lambda r: qes_potential(mprime_q, params, r, l),
+    rb = qes_branch_radius(spec, params)
+    return higgs_radial_problem(spec.mprime_q, params, lambda r: qes_potential(spec, params, r),
                                 Grid1D(min(0.1 * s, rb / 8), min(0.9 * rb, 25.0 * s), 2000),
                                 (None, None))

@@ -4,7 +4,7 @@ oscillator on the line and the curved radial oscillator.
 The coordinate map is x(r) = sinh(Upsilon(r))/sqrt(lam) with
 Upsilon = arctan(sqrt(lam) r), under which the two intrinsic coordinates
 coincide: Theta(x(r)) = Upsilon(r).  Wavefunctions map through
-psi(r) = g(r) phi(x(r)) and potentials through a curvature-induced shift.
+psi(r) = g(r) phi(x(r)) and potentials through curvature_shift.
 Both models must share one lam and the angular channel must equal the
 fixed parameter m'_Q of the source model.  Each map takes its model
 arguments first, then params, then the points, and rejects lam <= 0.
@@ -63,19 +63,24 @@ def g_factor(params: PhysParams, r):
     return G_CONSTANT * (lam * r * r) ** -0.25 * (1 + lam * r * r) ** -0.5
 
 
-def map_potential(mprime_q: float, params: PhysParams, Vq: Callable, r):
-    """Radial potential from a line potential of channel m'_Q:
+def curvature_shift(mprime_q: float, params: PhysParams, r):
+    """The potential map's curvature-induced shift of channel m'_Q,
 
-    V_rad(r) = Vq(x(r)) + (lam hbar^2/8m) [1 + (1 - 4 m'_Q^2)(1 + 1/(lam r^2))].
+    (lam hbar^2/8m) [1 + (1 - 4 m'_Q^2)(1 + 1/(lam r^2))].
     """
     lam = params.require_curvature()
     coeff = 1 - 4 * finite_square("m'_Q", mprime_q)
     r = np.asarray(r, float)
     if np.any(r <= 0):
-        raise SingularPointError(f"map_potential needs r > 0, got {np.min(r)}")
-    shift = lam * finite_square("hbar", params.hbar) / (8 * params.mass) \
+        raise SingularPointError(f"potential needs r > 0, got {np.min(r)}")
+    return lam * finite_square("hbar", params.hbar) / (8 * params.mass) \
         * (1 + coeff * (1 + 1 / (lam * r * r)))
-    return Vq(x_of_r(params, r)) + shift
+
+
+def map_potential(mprime_q: float, params: PhysParams, Vq: Callable, r):
+    """Radial potential from a line potential of channel m'_Q:
+    V_rad(r) = Vq(x(r)) + curvature_shift(mprime_q, params, r)."""
+    return curvature_shift(mprime_q, params, r) + Vq(x_of_r(params, r))
 
 
 def map_wavefunction(params: PhysParams, phi: Callable, r):

@@ -30,7 +30,8 @@ from .numerics import (
     residual_norm,
     richardson_eigenvalues,
 )
-from .params import PhysParams
+from .errors import SingularPointError
+from .params import PhysParams, finite_square, require_positive
 from .special_functions import gudermannian, hyp2f1_terminating, theta_of_x, upsilon_of_r
 
 _WALLS = (None, None)
@@ -265,6 +266,64 @@ def suite_constraint_ode() -> list[CheckResult]:
 # acceptance criterion 7: QES certification
 
 
+def _example1_potential_printed(l: float, mprime_q: float, params: PhysParams, r):
+    """The paper's cos(l Theta) potential as printed, the reference for higgs.qes_potential:
+
+    V(r) = (hbar^2/8m r^2) [1 - 4 m'^2 + 2 lam r^2 (4 m'+3) + 4 lam r^2 (m'+1) delta]
+         - (lam hbar^2/4m l^2) [10 + 8 m'(m'+2) + 8 (m'+1) delta
+                + (l^2-4m'-2)(2m'+1) csc^2((l/2) U) + (l^2-4)(1+delta) sec^2((l/2) U)]
+         + (2/l^2) m omega^2 [tan((l/2) U)/sqrt(lam)]^2,   U = Upsilon(r),
+
+    the first bracket expanded so that small r suffers no 0*inf cancellation."""
+    lam = params.require_curvature()
+    require_positive("l", l)
+    r = np.asarray(r, float)
+    if np.any(r <= 0):
+        raise SingularPointError(f"potential needs r > 0, got {np.min(r)}")
+    d = params.delta
+    u = 0.5 * l * upsilon_of_r(r, lam)
+    su, cu = np.sin(u), np.cos(u)
+    hbar2 = finite_square("hbar", params.hbar)
+    hm = hbar2 / (8 * params.mass)
+    t1 = (hm * (1 - 4 * finite_square("m'_Q", mprime_q)) / (r * r)
+          + hm * lam * (2 * (4 * mprime_q + 3) + 4 * (mprime_q + 1) * d))
+    t2 = -(lam * hbar2 / (4 * params.mass * l * l)) * (
+        10 + 8 * mprime_q * (mprime_q + 2) + 8 * (mprime_q + 1) * d
+        + (l * l - 4 * mprime_q - 2) * (2 * mprime_q + 1) / (su * su)
+        + (l * l - 4) * (1 + d) / (cu * cu))
+    t3 = (2 / (l * l)) * params.mass * finite_square("omega", params.omega) \
+        * (np.tan(u) / math.sqrt(lam))**2
+    return t1 + t2 + t3
+
+
+def _example2_potential_printed(mprime_q: float, params: PhysParams, r):
+    """The paper's sqrt(lam) x potential as printed, the reference for higgs.qes_potential:
+
+    V(r) = (2 m omega^2/lam) (sech U - tanh U)^2
+         + (hbar^2/8m r^2) [1 + 2 lam r^2 - 4 m'^2 (1 + lam r^2)]
+         + (lam hbar^2/2m) { m'(5m' - 3 delta) sech^2 U
+             + [-2 + 2m'(5+4m') - 5 delta] sech U tanh U
+             + [6 + 5m'(2+m') + 5(1+m') delta] tanh^2 U },   U = Upsilon(r),
+
+    the middle bracket expanded."""
+    lam = params.require_curvature()
+    r = np.asarray(r, float)
+    if np.any(r <= 0):
+        raise SingularPointError(f"potential needs r > 0, got {np.min(r)}")
+    d, mq = params.delta, mprime_q
+    u = upsilon_of_r(r, lam)
+    s, t = 1 / np.cosh(u), np.tanh(u)
+    t1 = 2 * params.mass * finite_square("omega", params.omega) / lam * (s - t) ** 2
+    hbar2 = finite_square("hbar", params.hbar)
+    hm = hbar2 / (8 * params.mass)
+    t2 = hm * (1 - 4 * mq * mq) / (r * r) + hm * lam * (2 - 4 * mq * mq)
+    t3 = lam * hbar2 / (2 * params.mass) * (
+        mq * (5 * mq - 3 * d) * s * s
+        + (-2 + 2 * mq * (5 + 4 * mq) - 5 * d) * s * t
+        + (6 + 5 * mq * (2 + mq) + 5 * (1 + mq) * d) * t * t)
+    return t1 + t2 + t3
+
+
 def _example1_half_angle_groundstate(l, mq, params: PhysParams, r):
     """The cos(l Theta) ground state with sin((l/2) Upsilon) in place of sin(l Upsilon)."""
     spec = QesSpec.example1(l, mq, params)
@@ -282,19 +341,19 @@ def _qes_measurements():
     for example, l in ((1, 3.0), (2, None)):
         ex = f"ex{example}"
         spec = QesSpec.transplanted(mq, params, l)
-        prob = problems.qes_rayleigh_problem(mq, params, l=l)
+        prob = problems.qes_rayleigh_problem(spec, params)
         m[ex + "_E0"], m[ex + "_constancy"] = rayleigh_quotient(
             prob, lambda r: higgs.qes_groundstate(spec, params, r))
         if example == 1:
             _, m["ex1_half_angle_constancy"] = rayleigh_quotient(
                 prob, lambda r: _example1_half_angle_groundstate(l, mq, params, r))
-        num = lowest_eigenvalues(problems.qes_channel_problem(mq, mq, params, 2000, l=l), 1)
+        num = lowest_eigenvalues(problems.qes_channel_problem(mq, spec, params, 2000), 1)
         m[ex + "_numeric_E0"] = float(num[0])
 
         # neighbor channels: ground state must not be proportional to any
         # closed-form candidate
         for channel in (mq - 1, mq + 1):
-            prob = problems.qes_channel_problem(channel, mq, params, 2000, l=l)
+            prob = problems.qes_channel_problem(channel, spec, params, 2000)
             res = lowest_eigenpairs(prob, 1)
             r = np.tan(prob.grid.points()) / math.sqrt(params.lam)
             v = res.eigenvectors[:, 0]
@@ -351,7 +410,7 @@ def suite_l2_reduction() -> list[CheckResult]:
     rs = np.logspace(math.log10(0.05), math.log10(20.0), 200)
     out = []
     for mq in (0.0, 1.0, 2.0, 0.5):
-        d = (higgs.qes_example1_potential(2.0, mq, params, rs)
+        d = (_example1_potential_printed(2.0, mq, params, rs)
              - higgs.oscillator_potential(params, rs))
         out.append(_check(
             "l2-reduction", f"difference-mprimeq={mq}", float(np.max(np.abs(d))), 1e-10,
@@ -458,21 +517,18 @@ def suite_higgs_model() -> list[CheckResult]:
             nodes = int(np.sum(vals[:-1] * vals[1:] < 0))
             nodes_bad = max(nodes_bad, abs(nodes - N))
     out.append(_check("higgs-model", "node-count-equals-N", nodes_bad, 0.0))
-    # both construction routes of the cos(l Theta) potential
+    # the printed potentials against the spec potential that the solver reads
     l, mq = 3.0, 1.0
     spec = QesSpec.example1(l, mq, params)
     rs = np.linspace(0.05, 0.95 * higgs.qes_branch_radius(spec, params), 40)
-    a = transform.map_potential(
-        mq, params, lambda x: crs.potential_general(spec, params, x), rs)
-    b = higgs.qes_example1_potential(l, mq, params, rs)
+    a = higgs.qes_potential(spec, params, rs)
+    b = _example1_potential_printed(l, mq, params, rs)
     worst = float(np.max(np.abs(a - b) / (np.abs(b) + 1.0)))
     out.append(_check("higgs-model", "example1-both-routes", worst, 1e-9,
-                      detail="direct transcription vs factorization+map composition"))
-    spec2 = QesSpec.example2(mq, params)
+                      detail="printed transcription vs the spec's potential at Theta = Upsilon(r)"))
     rs = np.linspace(0.05, 30.0, 40)
-    a = transform.map_potential(
-        mq, params, lambda x: crs.potential_general(spec2, params, x), rs)
-    b = higgs.qes_example2_potential(mq, params, rs)
+    a = higgs.qes_potential(QesSpec.example2(mq, params), params, rs)
+    b = _example2_potential_printed(mq, params, rs)
     worst2 = float(np.max(np.abs(a - b) / (np.abs(b) + 1.0)))
     out.append(_check("higgs-model", "example2-both-routes", worst2, 1e-9))
     return out

@@ -2,10 +2,12 @@
 gives an array of the same shape whose entries equal the scalar results,
 and an array with one singular point raises what the scalar call raises."""
 
+import math
+
 import numpy as np
 import pytest
 
-from curvosc import crs, higgs, transform
+from curvosc import crs, higgs, transform, verify
 from curvosc.crs import QesSpec
 from curvosc.errors import (
     DegenerateDerivativeError,
@@ -18,6 +20,10 @@ from curvosc.special_functions import gudermannian, theta_of_x, upsilon_of_r
 
 UNIT = PhysParams()
 SPECIAL = crs.special_params(1.0, UNIT)
+EXAMPLE1, EXAMPLE2 = QesSpec.example1(3.0, 1.0, UNIT), QesSpec.example2(1.0, UNIT)
+# the cosh-like general member of test_qes.MEMBERS: X_Theta has no zero
+MEMBER_PARAMS = PhysParams(lam=1.62, omega=1.2)
+MEMBER = QesSpec.build(1.94 * 1.62, 0.59, 0.40, -0.51, 1.5, MEMBER_PARAMS)
 
 
 # name -> (formula of the points, six valid points)
@@ -32,8 +38,10 @@ FORMULAS = {
     "crs_wavefunction_special_real": (
         lambda x: crs.crs_wavefunction_special_real((1, 2), UNIT, x),
         [0.05, 0.3, 0.8, 1.5, 2.0, 2.25]),
-    "_x_and_slope": (lambda x: crs._x_and_slope(SPECIAL, UNIT, x)[0],
-                     [-2.0, 0.0, 0.3, 0.8, 1.5, 4.0]),
+    "_x_and_x_theta": (lambda t: crs._x_and_x_theta(SPECIAL, UNIT, t),
+                       [-2.0, 0.0, 0.3, 0.8, 1.5, 4.0]),
+    "potential_theta": (lambda t: crs.potential_theta(SPECIAL, UNIT, t),
+                        [-1.5, -0.3, 0.05, 0.3, 0.8, 1.5]),
     "potential_general": (
         lambda x: crs.potential_general(SPECIAL, UNIT, x),
         [0.05, 0.3, 0.8, 1.5, 2.0, 2.25]),
@@ -44,13 +52,17 @@ FORMULAS = {
                              [-2.0, 0.0, 0.05, 0.3, 4.0, 20.0]),
     "higgs_wavefunction": (lambda r: higgs.higgs_wavefunction((2, 1), UNIT, r),
                            [0.0, 0.05, 0.3, 1.0, 4.0, 20.0]),
-    "qes_example1_potential": (lambda r: higgs.qes_example1_potential(3.0, 1.0, UNIT, r),
-                               [1e-4, 0.05, 0.3, 1.0, 1.7, 4.0]),
-    "qes_example2_potential": (lambda r: higgs.qes_example2_potential(1.0, UNIT, r),
-                               [1e-4, 0.05, 0.3, 1.0, 10.0, 1e6]),
-    "qes_potential(l=3)": (lambda r: higgs.qes_potential(1.0, UNIT, r, 3.0),
-                           [1e-4, 0.05, 0.3, 1.0, 1.7, 4.0]),
-    "qes_potential(l=None)": (lambda r: higgs.qes_potential(1.0, UNIT, r),
+    "_example1_potential_printed": (
+        lambda r: verify._example1_potential_printed(3.0, 1.0, UNIT, r),
+        [1e-4, 0.05, 0.3, 1.0, 1.7, 4.0]),
+    "_example2_potential_printed": (
+        lambda r: verify._example2_potential_printed(1.0, UNIT, r),
+        [1e-4, 0.05, 0.3, 1.0, 10.0, 1e6]),
+    "qes_potential(example1)": (lambda r: higgs.qes_potential(EXAMPLE1, UNIT, r),
+                                [1e-4, 0.05, 0.3, 1.0, 1.7, 4.0]),
+    "qes_potential(example2)": (lambda r: higgs.qes_potential(EXAMPLE2, UNIT, r),
+                                [1e-4, 0.05, 0.3, 1.0, 10.0, 1e6]),
+    "qes_potential(member)": (lambda r: higgs.qes_potential(MEMBER, MEMBER_PARAMS, r),
                               [1e-4, 0.05, 0.3, 1.0, 10.0, 1e6]),
     "qes_groundstate(example1)": (
         lambda r: higgs.qes_groundstate(QesSpec.example1(3.0, 1.0, UNIT), UNIT, r),
@@ -100,12 +112,15 @@ SINGULAR = [
     ("crs_potential_special", 0.0, SingularPointError),
     ("crs_wavefunction_special", 0.0, SingularPointError),
     ("potential_general", 0.0, DegenerateDerivativeError),
+    ("potential_theta", 0.0, DegenerateDerivativeError),
     ("higgs_radial_coefficients", 0.0, SingularPointError),
     ("higgs_wavefunction", -0.5, NegativeRadiusError),
-    ("qes_example1_potential", 0.0, SingularPointError),
-    ("qes_example2_potential", 0.0, SingularPointError),
-    ("qes_potential(l=3)", 0.0, SingularPointError),
-    ("qes_potential(l=None)", 0.0, SingularPointError),
+    ("_example1_potential_printed", 0.0, SingularPointError),
+    ("_example2_potential_printed", 0.0, SingularPointError),
+    ("qes_potential(example1)", 0.0, SingularPointError),
+    ("qes_potential(example1)", math.tan(math.pi / 3), DegenerateDerivativeError),
+    ("qes_potential(example2)", 0.0, SingularPointError),
+    ("qes_potential(member)", -1.0, SingularPointError),
     ("qes_groundstate(example1)", -1.0, SingularPointError),
     ("qes_groundstate(example1)", 2.0, SingularPointError),
     ("qes_groundstate(example2)", -0.3, SingularPointError),

@@ -75,36 +75,40 @@ class TestSpecialParams:
 
 
 class TestConstraintSolution:
-    """X(x) of a QesSpec, the first output of crs._x_and_slope."""
+    """X of a QesSpec at Theta(x), the first output of crs._x_and_x_theta."""
+
+    @staticmethod
+    def X(spec, params, x):
+        return crs._x_and_x_theta(spec, params, theta_of_x(x, params.lam))[0]
 
     def test_special_case_is_cos_2theta(self):
         spec = crs.special_params(1.0, UNIT)
         for x in (0.1, 0.7, 2.0):
-            assert crs._x_and_slope(spec, UNIT, x)[0] == pytest.approx(
+            assert self.X(spec, UNIT, x) == pytest.approx(
                 math.cos(2 * theta_of_x(x, 1.0)), rel=1e-14)
 
     def test_cos_at_origin(self):
         spec = QesSpec.build(A=-1.0, B=0.0, C1=1.0, C2=0.0, mprime_q=0.0, params=UNIT)
-        assert crs._x_and_slope(spec, UNIT, 0.0)[0] == 1.0
+        assert self.X(spec, UNIT, 0.0) == 1.0
 
     def test_zero_a_rejected(self):
         spec = QesSpec.build(A=0.0, B=1.0, C1=1.0, C2=0.0, mprime_q=0.0, params=UNIT)
         with pytest.raises(ZeroAError):
-            crs._x_and_slope(spec, UNIT, 1.0)
+            self.X(spec, UNIT, 1.0)
 
     def test_positive_a_with_c2_gives_sinh(self):
         spec = QesSpec.build(A=4.0, B=0.0, C1=0.0, C2=1.5, mprime_q=0.0, params=UNIT)
         for x in (-1.2, 0.3, 2.0):
-            assert crs._x_and_slope(spec, UNIT, x)[0] == pytest.approx(
+            assert self.X(spec, UNIT, x) == pytest.approx(
                 1.5 * math.sinh(2 * theta_of_x(x, 1.0)), rel=1e-14)
 
     @pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
     def test_example2_is_sqrt_lam_x(self, lam):
         p = PhysParams(lam=lam)
         spec = QesSpec.example2(1.0, p)
-        assert crs._x_and_slope(spec, p, 0.7)[0] == pytest.approx(math.sqrt(lam) * 0.7, rel=1e-15)
+        assert self.X(spec, p, 0.7) == pytest.approx(math.sqrt(lam) * 0.7, rel=1e-15)
         xs = np.array([[-3.0, -0.4, 0.1], [0.9, 2.0, 5.0]])
-        np.testing.assert_allclose(crs._x_and_slope(spec, p, xs)[0], math.sqrt(lam) * xs,
+        np.testing.assert_allclose(self.X(spec, p, xs), math.sqrt(lam) * xs,
                                    rtol=1e-15, atol=0)
 
 
@@ -129,7 +133,8 @@ class TestConstraint:
 
 class TestPotentialGeneral:
     def test_constant_when_beta_gamma_zero(self):
-        spec = QesSpec(A=-4.0, B=0.0, C1=1.0, C2=0.0, beta=0.0, gamma=0.0, c_shift=3.25)
+        spec = QesSpec(A=-4.0, B=0.0, C1=1.0, C2=0.0, beta=0.0, gamma=0.0, c_shift=3.25,
+                       mprime_q=0.0)
         for x in (0.2, 1.0, 2.0):
             assert crs.potential_general(spec, UNIT, x) == 3.25
 

@@ -28,8 +28,8 @@ def test_constraint_ode_reads_a_from_the_spec(monkeypatch, rel):
 
 
 def test_l2_reduction_gates_the_difference(monkeypatch):
-    potential = higgs.qes_example1_potential
-    monkeypatch.setattr(higgs, "qes_example1_potential",
+    potential = verify._example1_potential_printed
+    monkeypatch.setattr(verify, "_example1_potential_printed",
                         lambda *args: potential(*args) + 1e-6)
     assert failed("l2-reduction") == [f"difference-mprimeq={mq}"
                                       for mq in (0.0, 0.5, 1.0, 2.0)]
@@ -86,13 +86,24 @@ def test_ground_eigenvalue_gates_the_end_profile(monkeypatch, mutate):
                                            "example2-ground-eigenvalue"]
 
 
+def test_both_routes_gate_the_curvature_shift(monkeypatch):
+    # the shift of the spec potential off by 1e-8 relative: the both-routes
+    # checks read 1.1e-8 and 1.0e-8 against their 1e-9 gates, and the example2
+    # ground eigenvalue 5.0e-6 against 1e-6
+    shift = higgs.curvature_shift
+    monkeypatch.setattr(higgs, "curvature_shift", lambda *args: shift(*args) * (1 + 1e-8))
+    monkeypatch.setattr(verify, "_qes_measurements", verify._qes_measurements.__wrapped__)
+    assert failed("higgs-model", "qes-certification") == [
+        "example1-both-routes", "example2-both-routes", "example2-ground-eigenvalue"]
+
+
 def test_not_analytic_gates_the_neighbour_channels(monkeypatch):
     # every channel built as m' = m'_Q: its ground state is the closed form,
     # and the four deviations fall to 4.9e-8-6.9e-7, far below the 1e-2 gate
     build = problems.qes_channel_problem
 
-    def solvable(mprime, mprime_q, params, n, l=None):
-        return build(mprime_q, mprime_q, params, n, l=l)
+    def solvable(mprime, spec, params, n):
+        return build(spec.mprime_q, spec, params, n)
 
     monkeypatch.setattr(problems, "qes_channel_problem", solvable)
     monkeypatch.setattr(verify, "_qes_measurements", verify._qes_measurements.__wrapped__)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -55,12 +56,13 @@ SQUARES_A_PARAMETER = {
     "example2-hbar": (lambda: crs.QesSpec.example2(1.0, PhysParams(hbar=BIG)), "hbar"),
     "potential_general": (lambda: crs.potential_general(
         crs.QesSpec.example2(1.0, UNIT), PhysParams(hbar=BIG), 0.5), "hbar"),
-    "qes_example1_potential": (
-        lambda: higgs.qes_example1_potential(3.0, BIG, UNIT, 0.5), "m'_Q"),
-    "qes_example2_potential-omega": (
-        lambda: higgs.qes_example2_potential(1.0, PhysParams(omega=BIG), 0.5), "omega"),
-    "qes_example2_potential-hbar": (
-        lambda: higgs.qes_example2_potential(1.0, PhysParams(hbar=BIG), 0.5), "hbar"),
+    "qes_potential-mprime_q": (lambda: higgs.qes_potential(
+        dataclasses.replace(crs.QesSpec.example1(3.0, 1.0, UNIT), mprime_q=BIG), UNIT, 0.5),
+        "m'_Q"),
+    "qes_potential-omega": (lambda: higgs.qes_potential(
+        crs.QesSpec.example2(1.0, PhysParams(omega=BIG)), PhysParams(omega=BIG), 0.5), "omega"),
+    "qes_potential-hbar": (lambda: higgs.qes_potential(
+        crs.QesSpec.example2(1.0, UNIT), PhysParams(hbar=BIG), 0.5), "hbar"),
     "higgs_radial_coefficients-hbar": (
         lambda: higgs.higgs_radial_coefficients(0, PhysParams(hbar=BIG), 0.5), "hbar"),
     "higgs_radial_coefficients-mprime": (

@@ -11,6 +11,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal as scipy_eigh_tridiagonal
 
 from curvosc import _lapack, cli, numerics
+from curvosc.crs import QesSpec
 from curvosc.numerics import assemble, lowest_eigenpairs
 from curvosc.params import PhysParams
 from curvosc.problems import crs_wide_problem, higgs_oscillator_problem, qes_channel_problem
@@ -20,7 +21,7 @@ UNIT = PhysParams()
 
 PROBLEMS = {
     "polar-k50": (lambda: higgs_oscillator_problem(0, UNIT, 8001), 50),
-    "qes2-series": (lambda: qes_channel_problem(1, 1, UNIT, 8001), 3),
+    "qes2-series": (lambda: qes_channel_problem(1, QesSpec.example2(1, UNIT), UNIT, 8001), 3),
     "crs-wide": (lambda: crs_wide_problem(1, UNIT), 8),
 }
 
@@ -75,7 +76,7 @@ def test_forced_fallback_gives_identical_results(tmp_path, monkeypatch, capsys):
     module, source = _lapack._load()
     assert source == "scipy.linalg.lapack"
     d, e, k = standard_form("polar-k50")
-    prob = qes_channel_problem(1, 1, UNIT, 8001)
+    prob = qes_channel_problem(1, QesSpec.example2(1, UNIT), UNIT, 8001)
 
     def results():
         w, v = _lapack.eigh_tridiagonal(d, e, select_range=(0, k - 1))

@@ -36,6 +36,8 @@ from curvosc.problems import (
 )
 
 UNIT = PhysParams()
+# the sqrt(lam) x family at m'_Q = 1 and unit parameters
+QES2 = QesSpec.example2(1, UNIT)
 
 ONE = lambda x: np.ones_like(np.asarray(x, float))
 
@@ -189,8 +191,8 @@ def flat_oscillator(n=2000, a=-10.0, b=10.0):
 # corner (a neighbour channel), and two corners that overlap on all 45 cells
 CORNER_LAYOUTS = [
     pytest.param(higgs_oscillator_problem(1, PhysParams(lam=0.003), 2000), id="polar"),
-    pytest.param(qes_channel_problem(1, 1, UNIT, 1000), id="qes2-series"),
-    pytest.param(qes_channel_problem(2, 1, UNIT, 1000), id="qes2-neighbour"),
+    pytest.param(qes_channel_problem(1, QES2, UNIT, 1000), id="qes2-series"),
+    pytest.param(qes_channel_problem(2, QES2, UNIT, 1000), id="qes2-neighbour"),
     pytest.param(SturmLiouvilleProblem(
         ONE, lambda x: 1 / x**2 + 1 / (1 - x) ** 2, ONE, Grid1D(0.0, 1.0, 45),
         (EndpointRule.power(1.5, 0.0), EndpointRule.power(2.0, 1.0))),
@@ -286,8 +288,8 @@ class TestCornerQuadrature:
         crs_wide_problem(1, UNIT),
         # the solvable channel, closed at both ends by its series, and a
         # neighbour channel, closed by bare roots
-        qes_channel_problem(1, 1, UNIT, 4000),
-        qes_channel_problem(2, 1, UNIT, 2000),
+        qes_channel_problem(1, QES2, UNIT, 4000),
+        qes_channel_problem(2, QES2, UNIT, 2000),
     ], ids=["polar-equator", "crs-tan-pole", "crs-wide", "qes2-series", "qes2-neighbour"])
     def test_graded_orders_match_full_order_on_model_problems(self, prob):
         system = assemble(prob)
@@ -505,7 +507,7 @@ class TestLowestEigenvalues:
 
     @pytest.mark.parametrize("prob,k", [
         (higgs_oscillator_problem(0, UNIT, 8001), 50),
-        (qes_channel_problem(1, 1, UNIT, 2001), 1),
+        (qes_channel_problem(1, QES2, UNIT, 2001), 1),
     ], ids=["polar-k50", "qes2-series"])
     def test_both_paths_bitwise_equal(self, prob, k):
         vals = lowest_eigenvalues(prob, k)
@@ -519,7 +521,7 @@ class TestBackwardError:
     # closed by its series and the crs natural branch
     CASES = {
         "polar-k50": (higgs_oscillator_problem(0, UNIT, 8001), 50),
-        "qes2-series": (qes_channel_problem(1, 1, UNIT, 2001), 1),
+        "qes2-series": (qes_channel_problem(1, QES2, UNIT, 2001), 1),
         "crs-natural": (crs_natural_problem(1, UNIT, 4000), 3),
     }
 
@@ -760,7 +762,9 @@ class TestSingleGridPolish:
         (None, 0), (None, 1), (None, 2)])
     def test_qes_channels_certified_near_relative_bisection(self, l, mprime_q, lam):
         # the default bisection leaves up to 6.6e-9 relative on these channels
-        prob = qes_channel_problem(mprime_q, mprime_q, PhysParams(lam=lam), 8001, l=l)
+        params = PhysParams(lam=lam)
+        prob = qes_channel_problem(mprime_q, QesSpec.transplanted(mprime_q, params, l), params,
+                                   8001)
         d, e = assemble(prob).standard_form()
         certified = _coarse_polished(prob, 3, d, e)
         assert certified is not None
@@ -775,7 +779,8 @@ class TestSingleGridPolish:
             # the guesses of 250 coarse points do not certify on this channel,
             # the m' = 0 neighbour of cos(4 Theta), m'_Q = 1 (500 points do)
             monkeypatch.setattr(numerics, "_COARSEN", 32)
-            prob, k = qes_channel_problem(0, 1, PhysParams(lam=0.7), 8001, l=4.0), 3
+            params = PhysParams(lam=0.7)
+            prob, k = qes_channel_problem(0, QesSpec.example1(4.0, 1, params), params, 8001), 3
         else:
             # max(1000 // 16, 40 k) = 600 guess points, more than half of 1000
             prob, k = flat_oscillator(n=1000), 15
@@ -788,7 +793,7 @@ class TestSingleGridPolish:
     @pytest.mark.parametrize("prob,k", [
         (higgs_oscillator_problem(0, UNIT, 8001), 50),
         (crs_wide_problem(1, UNIT), 8),
-        (qes_channel_problem(2, 1, UNIT, 2000), 1),
+        (qes_channel_problem(2, QES2, UNIT, 2000), 1),
         (flat_oscillator(), 4),
     ], ids=["polar-k50", "crs-wide", "qes2-neighbour", "flat-k4"])
     def test_polished_pairs_match_stein(self, prob, k):
@@ -810,7 +815,8 @@ class TestSpectrumProtocols:
         *(pytest.param(crs_natural_problem(1, PhysParams(lam=lam), 100),
                        id=f"crs-lam={lam}") for lam in (0.1, 1.0, 1e9)),
         pytest.param(crs_wide_problem(1, UNIT), id="crs-wide"),
-        *(pytest.param(qes_channel_problem(mp, 1, UNIT, 100, l=l), id=f"qes-l={l}-mprime={mp}")
+        *(pytest.param(qes_channel_problem(mp, QesSpec.transplanted(1, UNIT, l), UNIT, 100),
+                       id=f"qes-l={l}-mprime={mp}")
           for l in (3.0, 24.0, None) for mp in (0, 1, 2)),
     ])
     def test_every_profile_sits_at_its_grid_end(self, prob):
@@ -969,7 +975,7 @@ class TestRayleighGridStencils:
         params = PhysParams(lam=lam)
         spec = QesSpec.transplanted(mq, params, l)
         psi = lambda r: higgs.qes_groundstate(spec, params, r)
-        prob = qes_rayleigh_problem(mq, params, l=l)
+        prob = qes_rayleigh_problem(spec, params)
         E, constancy = rayleigh_quotient(prob, psi)
         assert E == pytest.approx(five_evaluation_rayleigh(prob, psi), rel=1e-10)
         assert constancy < 1e-6

@@ -1,6 +1,8 @@
-"""The two transplanted QES potential families, and the one ground state of every QesSpec."""
+"""The one transplanted potential and the one ground state of every QesSpec, held
+against the paper's two printed families."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from curvosc.numerics import Grid1D, lowest_eigenvalues, rayleigh_quotient
 from curvosc.params import PhysParams
 from curvosc.problems import higgs_radial_problem, qes_channel_problem, qes_rayleigh_problem
 from curvosc.special_functions import gudermannian, upsilon_of_r
-from curvosc.verify import _example1_half_angle_groundstate
+from curvosc.verify import _example1_half_angle_groundstate, _example1_potential_printed, \
+    _example2_potential_printed
 
 UNIT = PhysParams()
 
@@ -56,6 +59,28 @@ def example2_groundstate_printed(mq, params, r):
     return ((lam * r * r) ** -0.25 * (1 + lam * r * r) ** -0.5
             * np.cosh(u) ** (-spec.beta / lam)
             * np.exp(-(spec.gamma / lam) * gudermannian(u)))
+
+
+# each family's potential as printed and as the spec potential that the solver reads;
+# every property test of a family takes both
+POTENTIAL1 = {"printed": _example1_potential_printed,
+              "spec": lambda l, mq, params, r: higgs.qes_potential(
+                  QesSpec.example1(l, mq, params), params, r)}
+POTENTIAL2 = {"printed": _example2_potential_printed,
+              "spec": lambda mq, params, r: higgs.qes_potential(
+                  QesSpec.example2(mq, params), params, r)}
+NO_BRANCH = ("X_Theta has no zero below the equator, so the channel has no finite branch "
+             "(cos(l Theta) needs l > 2)")
+
+
+@pytest.fixture(params=list(POTENTIAL1))
+def potential1(request):
+    return POTENTIAL1[request.param]
+
+
+@pytest.fixture(params=list(POTENTIAL2))
+def potential2(request):
+    return POTENTIAL2[request.param]
 
 
 def ground1(l, mq, params, r):
@@ -105,31 +130,31 @@ def example2_potential_regrouped(mq, params, r):
 
 
 class TestExample1Potential:
-    def test_frozen_value(self):
+    def test_frozen_value(self, potential1):
         # independently computed at l=3, m'_Q=1, r=1, unit parameters
-        assert higgs.qes_example1_potential(3.0, 1.0, UNIT, 1.0) == pytest.approx(
+        assert potential1(3.0, 1.0, UNIT, 1.0) == pytest.approx(
             -0.393934752909152, rel=1e-12)
 
     @pytest.mark.parametrize("r", [0.3, 1.0, 1.5])
     @pytest.mark.parametrize("mq", [0.0, 1.0, 2.0])
-    def test_two_transcriptions_agree(self, r, mq):
-        a = higgs.qes_example1_potential(3.0, mq, UNIT, r)
+    def test_two_transcriptions_agree(self, r, mq, potential1):
+        a = potential1(3.0, mq, UNIT, r)
         b = example1_potential_regrouped(3.0, mq, UNIT, r)
         assert a == pytest.approx(b, rel=1e-12)
 
-    def test_small_r_inverse_square_coefficient(self):
+    def test_small_r_inverse_square_coefficient(self, potential1):
         # r^2 V -> (hbar^2/8m)(1-4m'^2) - (hbar^2/m l^4)(l^2-4m'-2)(2m'+1),
         # the bracket term plus the csc^2 pole of the middle term
         l, mq = 3.0, 1.0
         expect = (1 - 4 * mq**2) / 8 - (l * l - 4 * mq - 2) * (2 * mq + 1) / l**4
         for r in (1e-5, 1e-6):
-            assert higgs.qes_example1_potential(l, mq, UNIT, r) * r * r == \
+            assert potential1(l, mq, UNIT, r) * r * r == \
                 pytest.approx(expect, rel=1e-6)
 
     @pytest.mark.parametrize("mq", [0.0, 1.0, 2.0, 0.5])
-    def test_l2_reduction_is_exact(self, mq):
+    def test_l2_reduction_is_exact(self, mq, potential1):
         for r in np.logspace(-1, 1.2, 40):
-            diff = higgs.qes_example1_potential(2.0, mq, UNIT, float(r)) - 0.5 * r * r
+            diff = potential1(2.0, mq, UNIT, float(r)) - 0.5 * r * r
             assert abs(diff) < 1e-10
 
     def test_spec_rejects_nonpositive_l(self):
@@ -139,25 +164,25 @@ class TestExample1Potential:
                 QesSpec.example1(l, 1.0, UNIT)
 
     @pytest.mark.parametrize("l", [0.0, -3.0])
-    def test_potential_rejects_nonpositive_l_like_the_spec(self, l):
+    def test_potential_rejects_nonpositive_l_like_the_spec(self, l, potential1):
         # cos(l Theta) is even in l, so l = -3 gave the l = 3 potential and
         # l = 0 a csc/sec pole error instead of naming l
         with pytest.raises(NonpositiveParameterError) as spec:
             QesSpec.example1(l, 1.0, UNIT)
         with pytest.raises(NonpositiveParameterError) as potential:
-            higgs.qes_example1_potential(l, 1.0, UNIT, np.array([0.05, 1.0]))
+            potential1(l, 1.0, UNIT, np.array([0.05, 1.0]))
         assert str(potential.value) == str(spec.value) == f"l must be positive, got {l}"
 
     @pytest.mark.parametrize("build", [
-        lambda l: qes_channel_problem(1.0, 1.0, UNIT, 100, l=l),
-        lambda l: qes_rayleigh_problem(1.0, UNIT, l=l),
+        lambda l: qes_channel_problem(1.0, QesSpec.example1(l, 1.0, UNIT), UNIT, 100),
+        lambda l: qes_rayleigh_problem(QesSpec.example1(l, 1.0, UNIT), UNIT),
     ], ids=["channel", "rayleigh"])
     @pytest.mark.parametrize("l,error,message", [
         (0.0, NonpositiveParameterError, "l must be positive, got 0.0"),
         (-1.0, NonpositiveParameterError, "l must be positive, got -1.0"),
-        (1.0, InfiniteBranchError, "channel solver expects l > 2 (finite branch)"),
-        (1.5, InfiniteBranchError, "channel solver expects l > 2 (finite branch)"),
-        (2.0, InfiniteBranchError, "channel solver expects l > 2 (finite branch)"),
+        (1.0, InfiniteBranchError, NO_BRANCH),
+        (1.5, InfiniteBranchError, NO_BRANCH),
+        (2.0, InfiniteBranchError, NO_BRANCH),
     ], ids=["l=0", "l=-1", "l=1", "l=1.5", "l=2"])
     def test_channel_without_finite_branch_is_a_curvosc_error(self, l, error, message, build):
         # l <= 0 is refused as a parameter, 0 < l <= 2 for want of a sec pole
@@ -175,7 +200,7 @@ class TestExample1Potential:
 
     @pytest.mark.parametrize("l", [3.0, None], ids=["example1", "example2"])
     def test_cross_route_against_construction(self, l):
-        # direct transcription vs factorization potential + potential map
+        # the spec potential in Theta vs factorization potential in x + potential map
         mq = 1.0
         if l is None:
             spec, rs = QesSpec.example2(mq, UNIT), np.linspace(0.05, 30.0, 30)
@@ -185,7 +210,7 @@ class TestExample1Potential:
         for r in rs:
             a = transform.map_potential(
                 mq, UNIT, lambda x: crs.potential_general(spec, UNIT, x), float(r))
-            b = higgs.qes_potential(mq, UNIT, float(r), l)
+            b = higgs.qes_potential(spec, UNIT, float(r))
             assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
 
 
@@ -223,7 +248,7 @@ class TestExample1GroundState:
         rb = higgs.qes_branch_radius(QesSpec.example1(l, mq, UNIT), UNIT)
         grid = Grid1D(0.1, 0.9 * rb, 1500)
         V = lambda r: np.vectorize(
-            lambda t: higgs.qes_example1_potential(l, mq, UNIT, float(t)))(r)
+            lambda t: _example1_potential_printed(l, mq, UNIT, float(t)))(r)
         prob = higgs_radial_problem(mq, UNIT, V, grid, (None, None))
         E0, constancy = rayleigh_quotient(
             prob, lambda r: ground1(l, mq, UNIT, r))
@@ -234,18 +259,18 @@ class TestExample1GroundState:
 
 
 class TestExample2Potential:
-    def test_frozen_value(self):
-        assert higgs.qes_example2_potential(0.0, UNIT, 1.0) == pytest.approx(
+    def test_frozen_value(self, potential2):
+        assert potential2(0.0, UNIT, 1.0) == pytest.approx(
             0.826305158570773, rel=1e-12)
 
     @pytest.mark.parametrize("r", [0.3, 1.0, 10.0])
     @pytest.mark.parametrize("mq", [0.0, 1.0, 2.0])
-    def test_two_transcriptions_agree(self, r, mq):
-        a = higgs.qes_example2_potential(mq, UNIT, r)
+    def test_two_transcriptions_agree(self, r, mq, potential2):
+        a = potential2(mq, UNIT, r)
         b = example2_potential_regrouped(mq, UNIT, r)
         assert a == pytest.approx(b, rel=1e-12)
 
-    def test_finite_limit_at_infinity(self):
+    def test_finite_limit_at_infinity(self, potential2):
         # Upsilon -> pi/2: sech(pi/2) ~ 0.39854, tanh(pi/2) ~ 0.91715
         mq = 1.0
         d = UNIT.delta
@@ -255,14 +280,31 @@ class TestExample2Potential:
                  + 0.5 * (mq * (5 * mq - 3 * d) * s * s
                           + (-2 + 2 * mq * (5 + 4 * mq) - 5 * d) * s * t
                           + (6 + 5 * mq * (2 + mq) + 5 * (1 + mq) * d) * t * t))
-        assert higgs.qes_example2_potential(mq, UNIT, 1e7) == pytest.approx(limit, rel=1e-6)
-        assert higgs.qes_example2_potential(mq, UNIT, 1e8) == pytest.approx(limit, rel=1e-8)
+        assert potential2(mq, UNIT, 1e7) == pytest.approx(limit, rel=1e-6)
+        assert potential2(mq, UNIT, 1e8) == pytest.approx(limit, rel=1e-8)
 
-    def test_half_integer_channel_finite_near_origin(self):
+    def test_half_integer_channel_finite_near_origin(self, potential2):
         # m' = 1/2 cancels the 1/r^2 part of the bracket exactly
         d = UNIT.delta
         v0 = (2.0 + 1.0 / 8.0 + 0.5 * (0.5 * (2.5 - 3 * d)))
-        assert higgs.qes_example2_potential(0.5, UNIT, 1e-9) == pytest.approx(v0, rel=1e-8)
+        assert potential2(0.5, UNIT, 1e-9) == pytest.approx(v0, rel=1e-8)
+
+
+class TestPrintedForms:
+    @pytest.mark.parametrize("lam", [0.01, 0.5, 0.65, 1.0, 300.0])
+    @pytest.mark.parametrize("l", [3.0, 4.0, 24.0, None],
+                             ids=["l=3", "l=4", "l=24", "sqrt(lam)x"])
+    def test_are_the_spec_potential(self, l, lam):
+        # both printed potentials are points of the one spec potential, from
+        # chi = 1e-7 to within 1e-7 of the branch end b (measured: 9.6e-14 of |V| + 1)
+        params = PhysParams(lam=lam)
+        b = math.pi / 2 if l is None else math.pi / l
+        r = np.tan(np.linspace(1e-7, b - 1e-7, 400)) / math.sqrt(lam)
+        for mq in (0.0, 1.0, 2.0):
+            printed = (_example2_potential_printed(mq, params, r) if l is None
+                       else _example1_potential_printed(l, mq, params, r))
+            V = higgs.qes_potential(QesSpec.transplanted(mq, params, l), params, r)
+            assert np.max(np.abs(V - printed) / (np.abs(printed) + 1)) <= 1e-12
 
 
 class TestExample2GroundState:
@@ -297,7 +339,7 @@ class TestExample2GroundState:
         mq = 1
         grid = Grid1D(0.1, 25.0, 1500)
         V = lambda r: np.vectorize(
-            lambda t: higgs.qes_example2_potential(mq, UNIT, float(t)))(r)
+            lambda t: _example2_potential_printed(mq, UNIT, float(t)))(r)
         prob = higgs_radial_problem(mq, UNIT, V, grid, (None, None))
         E0, constancy = rayleigh_quotient(
             prob, lambda r: ground2(mq, UNIT, r))
@@ -308,7 +350,8 @@ class TestExample2GroundState:
         # m' = m'_Q has the indicial pair {-1/2, +1/2} at the origin and
         # {3/2, 5/2} at the equator; the series profiles of both end
         # closures select the closed-form family
-        E0 = lowest_eigenvalues(qes_channel_problem(1, 1, UNIT, 8001), 1)[0]
+        E0 = lowest_eigenvalues(qes_channel_problem(1, QesSpec.example2(1, UNIT), UNIT, 8001),
+                                1)[0]
         assert E0 == pytest.approx(crs.crs_energy((0, 1), UNIT), rel=1e-7)
 
 
@@ -445,7 +488,8 @@ class TestSolvableChannel:
     @pytest.mark.parametrize("l,mq", QES_CHANNELS, ids=QES_IDS)
     def test_ground_state_is_the_closed_form(self, l, mq, lam, tol):
         params = PhysParams(lam=lam)
-        vals = lowest_eigenvalues(qes_channel_problem(mq, mq, params, 2000, l=l), 3)
+        spec = QesSpec.transplanted(mq, params, l)
+        vals = lowest_eigenvalues(qes_channel_problem(mq, spec, params, 2000), 3)
         exact = crs.oscillator_energy((0, mq), params)
         assert abs(vals[0] - exact) <= tol * exact
         # and no spurious level below it
@@ -456,7 +500,8 @@ class TestSolvableChannel:
     def test_ground_state_is_the_closed_form_at_larger_l(self, l, mq):
         # measured: at most 6.0e-7 relative; the error grows with l (2.1e-5
         # at l = 100) as (0, pi/l) shrinks on a fixed number of points
-        vals = lowest_eigenvalues(qes_channel_problem(mq, mq, UNIT, 2000, l=l), 3)
+        spec = QesSpec.example1(l, mq, UNIT)
+        vals = lowest_eigenvalues(qes_channel_problem(mq, spec, UNIT, 2000), 3)
         exact = crs.oscillator_energy((0, mq), UNIT)
         assert abs(vals[0] - exact) <= 1e-6 * exact
         assert np.min(vals) >= exact * (1 - 1e-6)
@@ -465,9 +510,24 @@ class TestSolvableChannel:
         # qes2 m'_Q = 0 at lam = 0.65 and n = 1000 had an eigenvalue at -273.57
         # below 1.314, 4.282, 8.640 with the r-frame closures
         params = PhysParams(lam=0.65)
-        vals = lowest_eigenvalues(qes_channel_problem(0, 0, params, 1000), 3)
+        vals = lowest_eigenvalues(qes_channel_problem(0, QesSpec.example2(0, params), params, 1000),
+                                  3)
         assert vals == pytest.approx([1.3765, 4.8714, 9.2995], abs=1e-4)
         assert vals[0] == pytest.approx(crs.oscillator_energy((0, 0), params), rel=1e-5)
+
+    @pytest.mark.parametrize("name", ["cos", "cosh", "sinh", "exp", "exp-decaying"])
+    def test_member_ground_state_is_the_closed_form(self, name):
+        # any real member solves through its spec: measured 2.9e-7-1.35e-6 at n = 2000.
+        # sinh-no-zero is left out: its error changes sign with n, the truncated
+        # origin series of ROADMAP item 15
+        spec, params = member(*MEMBERS[MEMBER_IDS.index(name)][:-1])
+        E0 = lowest_eigenvalues(qes_channel_problem(spec.mprime_q, spec, params, 2000), 1)[0]
+        assert abs(E0 / crs.oscillator_energy((0, spec.mprime_q), params) - 1) <= 2e-6
+
+    def test_member_without_a_branch_end_is_refused(self):
+        spec, params = member(*MEMBERS[MEMBER_IDS.index("cos-no-zero")][:-1])
+        with pytest.raises(InfiniteBranchError, match=re.escape(NO_BRANCH)):
+            qes_channel_problem(spec.mprime_q, spec, params, 2000)
 
 
 class TestNeighbourChannel:
@@ -475,7 +535,8 @@ class TestNeighbourChannel:
         # the channel m' = 2 beside m'_Q = 1, closed at the equator by the
         # closed form's root 3/2: n = 2000 and 8001 agree to 6.5e-6, where a
         # cut at r = 60 left 1.8e-4
-        E0 = [lowest_eigenvalues(qes_channel_problem(2, 1, UNIT, n), 1)[0] for n in (2000, 8001)]
+        spec = QesSpec.example2(1, UNIT)
+        E0 = [lowest_eigenvalues(qes_channel_problem(2, spec, UNIT, n), 1)[0] for n in (2000, 8001)]
         assert E0[0] == pytest.approx(E0[1], rel=2e-5)
 
     @pytest.mark.parametrize("lam", [0.01, 1.0, 7.0])
@@ -490,7 +551,8 @@ class TestNeighbourChannel:
         s2 = 0.25 + mprime**2 - mq**2
         if l is not None:
             s2 -= 2 * (l * l - 4 * mq - 2) * (2 * mq + 1) / l**4
-        prob = qes_channel_problem(mprime, mq, PhysParams(lam=lam), 2000, l=l)
+        params = PhysParams(lam=lam)
+        prob = qes_channel_problem(mprime, QesSpec.transplanted(mq, params, l), params, 2000)
         if s2 < 0:
             assert prob.bc[0] is None and prob.grid.a == 1e-3
         else:
@@ -501,6 +563,6 @@ class TestNeighbourChannel:
     @pytest.mark.parametrize("l", [3.0, None], ids=["l=3", "qes2"])
     def test_falling_channel_takes_a_wall(self, l):
         # m' = 0 beside m'_Q = 1: s^2 = 1/4 - 1 [- ...] < 0, fall to the center
-        prob = qes_channel_problem(0, 1, UNIT, 2000, l=l)
+        prob = qes_channel_problem(0, QesSpec.transplanted(1, UNIT, l), UNIT, 2000)
         assert prob.bc[0] is None
         assert prob.grid.a == 1e-3
