@@ -130,11 +130,11 @@ def run_spectrum(args, params: PhysParams):
     levels = args.n_max + 1
     rows = []
     if args.model in ("higgs", "crs"):
-        solve, energy = {"higgs": (problems.higgs_spectrum_numeric, higgs.higgs_energy),
-                         "crs": (problems.crs_spectrum_numeric, crs.crs_energy)}[args.model]
+        solve = {"higgs": problems.higgs_spectrum_numeric,
+                 "crs": problems.crs_spectrum_numeric}[args.model]
         for mp in range((2 if args.mprime_max is None else args.mprime_max) + 1):
             numeric = solve(mp, params, levels)
-            analytic = [energy((N, mp), params) for N in range(levels)]
+            analytic = [crs.oscillator_energy((N, mp), params) for N in range(levels)]
             for N, (ea, en) in enumerate(zip(analytic, numeric)):
                 rows.append([N, mp, float(ea), float(en), abs(en - ea) / abs(ea)])
     else:

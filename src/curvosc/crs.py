@@ -263,13 +263,6 @@ def oscillator_energy(qn: tuple, params: PhysParams) -> float:
     return E
 
 
-def crs_energy(qn: tuple, params: PhysParams) -> float:
-    """Spectrum of the special model, oscillator_energy((N, m'_Q)) for lam > 0;
-    the flat limit belongs to the radial-oscillator module."""
-    params.require_curvature()
-    return oscillator_energy(qn, params)
-
-
 def crs_operator_coefficients(params: PhysParams, x):
     """Coefficient triple (p2, p1, p0) of the kinetic operator,
 

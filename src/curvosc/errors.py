@@ -64,7 +64,7 @@ class NonpositiveWeightError(CurvoscError):
 
 class UnresolvedError(CurvoscError):
     """The discrete problem cannot resolve the requested eigenvalues: they lie
-    too close to the spectral edge, or the assembled system is not finite."""
+    too close to the spectral edge or to its roundoff, or the system is not finite."""
 
 
 class ZeroNormError(CurvoscError):

@@ -10,7 +10,7 @@ eigenproblem is
     + V(r) psi = E psi.
 
 For V = (1/2) m omega^2 r^2 the eigenpairs are hypergeometric, and the
-spectrum is the line model's, crs.oscillator_energy.  Every QesSpec
+spectrum is the line model's: crs.oscillator_energy states both.  Every QesSpec
 transplants through one map: qes_potential(spec, params, r) is its potential,
 solvable only in the single angular channel m' = m'_Q, and
 qes_groundstate(spec, params, r) that channel's ground state.  The paper's
@@ -31,7 +31,7 @@ from .errors import InfiniteBranchError, NegativeRadiusError, SingularPointError
 from .params import PhysParams, finite_square
 from .special_functions import gudermannian, hyp2f1_terminating, radial_quantum_number, \
     upsilon_of_r
-from .crs import QesSpec, oscillator_energy, potential_theta
+from .crs import QesSpec, potential_theta
 from .transform import curvature_shift
 
 
@@ -76,12 +76,6 @@ def higgs_wavefunction(qn: tuple, params: PhysParams, r):
     b_par = N + abs(mp) + 1 + params.mass * wp / (lam * params.hbar)
     return (r ** abs(mp) * (1 / (1 + lam * r * r)) ** expo
             * hyp2f1_terminating(N, b_par, abs(mp) + 1, z))
-
-
-def higgs_energy(qn: tuple, params: PhysParams) -> float:
-    """Radial oscillator spectrum, the line model's oscillator_energy((N, m')) that
-    the map preserves; lam = 0 gives the flat 2D oscillator hbar omega (2N + |m'| + 1)."""
-    return oscillator_energy(qn, params)
 
 
 def qes_branch_radius(spec: QesSpec, params: PhysParams) -> float:

@@ -23,8 +23,8 @@ far too slowly for the tolerances used here.  An EndpointRule instead
 works with the local power profile
 phi(x) = |x-x0|^sigma (1 + c1 d + c2 d^2 + ...), d = |x-x0|, and:
 
-  * closes the boundary face with the profile flux fitted through the
-    adjacent interior point,
+  * closes the boundary face with its own derivative factor, the profile
+    flux phi'(face)/phi(x) fitted through the interior point x beside it,
   * replaces the face derivative factors 1/h near the corner by
     phi'(face)/(phi(x_i) - phi(x_{i-1})), exact on the profile,
   * replaces q_i, w_i near the corner by profile-weighted cell averages
@@ -58,7 +58,7 @@ called once each per system, on the points outside the corner cells and
 all corner nodes in one flat array.
 
 All three changes keep K symmetric (the face factors multiply the same
-difference in both adjacent rows; the closure only adds to the diagonal).
+difference in both adjacent rows; a boundary face has one row only).
 
 Eigensolvers
 ------------
@@ -99,8 +99,8 @@ relative accuracy, where the default bisection leaves up to 1.2e-8.
 lowest_eigenpairs is the same solve keeping the polished unit vectors (or
 stein's, after the fallback), plus the back-transform v = M^(-1/2) u and
 the normalization, for the callers that read eigenvectors; both apply the
-same guards (k budget, finite system, spectral edge, strictly ascending
-values) and return bitwise-equal eigenvalues.
+same guards (k budget, finite system, spectral edge, roundoff floor, strictly
+ascending values) and return bitwise-equal eigenvalues.
 
 richardson_eigenvalues solves both of its grids through lowest_eigenvalues
 with guesses of its own.  The coarse grid bisects the guess grid to the
@@ -156,6 +156,7 @@ _INVERSE_STEPS = 2  # fewest fixed-shift steps per guess before the Rayleigh ste
 _RQI_STEPS = 6      # most Rayleigh-quotient steps per eigenvalue
 _COARSEN = 16       # grid ratio of the guess grid
 _GUESS_POINTS = 40  # least points of the guess grid per wanted eigenvalue
+_ROUNDOFF = 1e3     # an |E_0| of at most this many eps times the spectral edge is roundoff
 
 
 def _ladder() -> tuple[np.ndarray, np.ndarray]:
@@ -220,11 +221,6 @@ class EndpointRule:
     exponent: float               # sigma of the power profile
     center: float                 # singular point of the power profile
     series: tuple = ()            # (c1, c2, ...) profile corrections
-
-    @classmethod
-    def power(cls, sigma: float, center: float,
-              series: Sequence[float] = ()) -> "EndpointRule":
-        return cls(sigma, center, tuple(series))
 
     def _poly(self, d, derivative: bool = False):
         """Series factor 1 + c1 d + c2 d^2 + ..., or its d-derivative c1 +
@@ -301,13 +297,11 @@ def assemble(problem: SturmLiouvilleProblem) -> TridiagonalSystem:
     """Build the symmetric tridiagonal generalized eigensystem."""
     grid = problem.grid
     n, h = grid.n, grid.h
-    left, right = problem.bc
     x = grid.points()
     xf = grid.faces()
     pf = np.asarray(problem.p(xf), float)
 
     g = np.full(n + 1, 1.0 / h)       # face derivative factors
-    closure = [0.0, 0.0]
     sampled = np.ones(n, bool)        # points whose q, w are not cell averages
     corners = []
     for side, rule in enumerate(problem.bc):
@@ -320,11 +314,11 @@ def assemble(problem: SturmLiouvilleProblem) -> TridiagonalSystem:
         if side == 0:
             j = np.arange(1, m)
             ref, cells = x[j], range(0, m)
-            closure[0] = pf[0] * rule.log_derivative(xf[0]) * rule.ratio(xf[0], x[0]) / h
+            g[0] = rule.log_derivative(xf[0]) * rule.ratio(xf[0], x[0])
         else:
             j = np.arange(max(n - m, 1), n)
             ref, cells = x[j - 1], range(max(n - m, 0), n)
-            closure[1] = -pf[n] * rule.log_derivative(xf[n]) * rule.ratio(xf[n], x[n - 1]) / h
+            g[n] = -rule.log_derivative(xf[n]) * rule.ratio(xf[n], x[n - 1])
         dp = rule.ratio(x[j], ref) - rule.ratio(x[j - 1], ref)
         flux = rule.log_derivative(xf[j]) * rule.ratio(xf[j], ref)
         g[j] = np.divide(flux, dp, out=g[j], where=dp != 0)
@@ -357,10 +351,6 @@ def assemble(problem: SturmLiouvilleProblem) -> TridiagonalSystem:
 
     off = -pf[1:-1] * g[1:-1] / h
     diag = (pf[:-1] * g[:-1] + pf[1:] * g[1:]) / h + qi
-    if left is not None:
-        diag[0] = pf[1] * g[1] / h + qi[0] + closure[0]
-    if right is not None:
-        diag[-1] = pf[-2] * g[-2] / h + qi[-1] + closure[1]
     return TridiagonalSystem(diag, off, wi, grid)
 
 
@@ -407,8 +397,11 @@ def _bisection(d: np.ndarray, e: np.ndarray, k: int, **options):
 
 def _checked(vals: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """vals, after the guards of both solvers: clear of the spectral edge
-    of (d, e) and strictly ascending."""
+    of (d, e), the lowest above its roundoff, and strictly ascending."""
     edge = float(np.max(d) + 2 * np.max(np.abs(e)))
+    if abs(vals[0]) <= _ROUNDOFF * np.finfo(float).eps * edge:
+        raise UnresolvedError(f"lowest eigenvalue {vals[0]:.6g} is within the roundoff of the "
+                              f"spectral edge {edge:.6g}, {_ROUNDOFF:g} eps of it")
     if vals[-1] > 0.95 * edge:
         raise UnresolvedError(
             f"eigenvalue {vals[-1]:.6g} within 5% of the spectral edge {edge:.6g}")

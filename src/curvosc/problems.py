@@ -105,8 +105,7 @@ def higgs_oscillator_problem(mprime: int, params: PhysParams,
     closures at the origin and at the equator."""
     lam = params.require_curvature()
     sig_eq = 2 + params.mass * params.omega_prime / (params.hbar * lam)
-    bc = (EndpointRule.power(abs(mprime), 0.0),
-          EndpointRule.power(sig_eq, math.pi / 2))
+    bc = (EndpointRule(abs(mprime), 0.0), EndpointRule(sig_eq, math.pi / 2))
     return _higgs_polar_problem(mprime, params, lambda r: oscillator_potential(params, r),
                                Grid1D(0.0, math.pi / 2, n), bc)
 
@@ -124,8 +123,7 @@ def crs_natural_problem(mprime_q: float, params: PhysParams,
     """Special line model on its natural branch (0, x*), x* the first tan
     pole, with power closures at the origin and at the pole."""
     xs = x_pole(params)
-    bc = (EndpointRule.power(0.5 + abs(mprime_q), 0.0),
-          EndpointRule.power((1 + params.delta) / 2, xs))
+    bc = (EndpointRule(0.5 + abs(mprime_q), 0.0), EndpointRule((1 + params.delta) / 2, xs))
     return crs_problem(params, lambda x: crs_potential_special(mprime_q, params, x),
                        Grid1D(0.0, xs, n), bc)
 
@@ -141,7 +139,7 @@ def crs_spectrum_numeric(mprime_q: float, params: PhysParams, k: int,
 def crs_wide_problem(mprime_q: float, params: PhysParams) -> SturmLiouvilleProblem:
     """Special line model on the wide domain (0, 10) across the tan pole x*,
     n = 16000, with a power closure at the origin and a Dirichlet wall at 10."""
-    bc = (EndpointRule.power(0.5 + abs(mprime_q), 0.0), None)
+    bc = (EndpointRule(0.5 + abs(mprime_q), 0.0), None)
     return crs_problem(params, lambda x: crs_potential_special(mprime_q, params, x),
                        Grid1D(0.0, 10.0, 16000), bc)
 
@@ -177,11 +175,11 @@ def qes_channel_problem(mprime: float, spec: QesSpec, params: PhysParams,
     b, mprime_q = min(t0 / u, math.pi / 2), spec.mprime_q
     (s0, c0), (sb, cb) = spec.end_profile(params, 0.0), spec.end_profile(params, b)
     if mprime == mprime_q:
-        a, left, right = 0.0, EndpointRule.power(s0, 0.0, c0), EndpointRule.power(sb, b, cb)
+        a, left, right = 0.0, EndpointRule(s0, 0.0, c0), EndpointRule(sb, b, cb)
     else:
         s2 = s0 * s0 + mprime * mprime - mprime_q * mprime_q
-        a, left = (0.0, EndpointRule.power(math.sqrt(s2), 0.0)) if s2 >= 0 else (1e-3, None)
-        right = EndpointRule.power(sb, b)
+        a, left = (0.0, EndpointRule(math.sqrt(s2), 0.0)) if s2 >= 0 else (1e-3, None)
+        right = EndpointRule(sb, b)
     return _higgs_polar_problem(mprime, params, lambda r: qes_potential(spec, params, r),
                                 Grid1D(a, b, n), (left, right))
 

@@ -74,7 +74,7 @@ def suite_higgs_spectrum() -> list[CheckResult]:
     for lam in (0.1, 1.0):
         params = PhysParams(lam=lam)
         for mp in (0, 1, 2):
-            exact = np.array([higgs.higgs_energy((N, mp), params) for N in range(3)])
+            exact = np.array([crs.oscillator_energy((N, mp), params) for N in range(3)])
             num = problems.higgs_spectrum_numeric(mp, params, 3, n=4000)
             rel = float(np.max(np.abs(num - exact) / exact))
             out.append(_check("higgs-spectrum", f"lam={lam}-mprime={mp}", rel, 1e-9,
@@ -87,7 +87,7 @@ def suite_higgs_spectrum() -> list[CheckResult]:
         0, params, lambda r: higgs.oscillator_potential(params, r),
         Grid1D(1e-4, 40.0, 2000), _WALLS)
     extrap, _, _ = richardson_eigenvalues(prob, 3)
-    exact = np.array([higgs.higgs_energy((N, 0), params) for N in range(3)])
+    exact = np.array([crs.oscillator_energy((N, 0), params) for N in range(3)])
     rel = float(np.max(np.abs(extrap - exact) / exact))
     out.append(_check("higgs-spectrum", "planar-dirichlet-reference", rel, math.inf,
                       comparator="report",
@@ -105,14 +105,14 @@ def suite_crs_spectrum() -> list[CheckResult]:
     for lam in (0.1, 1.0):
         params = PhysParams(lam=lam)
         for mq in (0, 1, 2):
-            exact = np.array([crs.crs_energy((N, mq), params) for N in range(3)])
+            exact = np.array([crs.oscillator_energy((N, mq), params) for N in range(3)])
             num = problems.crs_spectrum_numeric(mq, params, 3, n=4000)
             rel = float(np.max(np.abs(num - exact) / exact))
             out.append(_check("crs-spectrum", f"natural-lam={lam}-mprimeq={mq}", rel, 1e-5,
                               detail="domain (0, x*), Richardson n=4000/8001"))
     params = PhysParams(lam=1.0)
     for mq in (0, 1, 2):
-        exact = [crs.crs_energy((N, mq), params) for N in range(3)]
+        exact = [crs.oscillator_energy((N, mq), params) for N in range(3)]
         first_well, interlopers = problems.crs_spectrum_numeric_wide(mq, params, 8)
         rel = float(max(abs(fw - ex) / ex for fw, ex in zip(first_well, exact)))
         out.append(_check(
@@ -135,7 +135,7 @@ def suite_eigen_residual() -> list[CheckResult]:
     worst_pair = None
     for N in range(4):
         for mp in range(4):
-            E = higgs.higgs_energy((N, mp), params)
+            E = crs.oscillator_energy((N, mp), params)
             res = residual_norm(
                 lambda r: higgs.higgs_radial_coefficients(mp, params, r),
                 lambda r: higgs.oscillator_potential(params, r),
@@ -208,7 +208,7 @@ def suite_wavefunction_map() -> list[CheckResult]:
                              f"worst at (N, m'_Q) = {worst_pair}"))
     # eigen-equation residuals of the two sine conventions (N=1, m'_Q=1)
     mq, N = 1, 1
-    E = crs.crs_energy((N, mq), params)
+    E = crs.oscillator_energy((N, mq), params)
     grid = Grid1D(0.1, 0.9 * crs.x_pole(params), 500)
 
     def residual(phi):
@@ -430,7 +430,7 @@ def suite_flat_limit() -> list[CheckResult]:
     for N in range(3):
         for mp in range(3):
             flat = params.hbar * params.omega * (2 * N + mp + 1)
-            worst = max(worst, abs(higgs.higgs_energy((N, mp), params) - flat))
+            worst = max(worst, abs(crs.oscillator_energy((N, mp), params) - flat))
     return [_check("flat-limit", "lam=1e-8", worst, 1e-6,
                    detail="max |E - hbar w (2N+|m'|+1)| over (N, m') in {0..2}^2")]
 
@@ -486,7 +486,8 @@ def suite_crs_model() -> list[CheckResult]:
     gap_worst = 0.0
     for N in (1, 2, 3):
         for mq in (0, 1, 2):
-            gap = crs.crs_energy((N, mq), params) - crs.crs_energy((N - 1, mq), params)
+            gap = (crs.oscillator_energy((N, mq), params)
+                   - crs.oscillator_energy((N - 1, mq), params))
             closed = (2 * params.hbar * params.omega_prime
                       + params.lam * params.hbar**2 / (2 * params.mass)
                       * (8 * N + 4 * abs(mq)))
@@ -505,8 +506,8 @@ def suite_higgs_model() -> list[CheckResult]:
             parity = max(parity, float(np.max(np.abs(
                 higgs.higgs_wavefunction((N, mp), params, rs)
                 - higgs.higgs_wavefunction((N, -mp), params, rs)))))
-            parity = max(parity, abs(higgs.higgs_energy((N, mp), params)
-                                     - higgs.higgs_energy((N, -mp), params)))
+            parity = max(parity, abs(crs.oscillator_energy((N, mp), params)
+                                     - crs.oscillator_energy((N, -mp), params)))
     out.append(_check("higgs-model", "mprime-parity", parity, 0.0,
                       detail="outputs depend on m' only through |m'|"))
     rs = np.linspace(1e-3, 25, 4000)

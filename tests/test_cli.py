@@ -271,6 +271,22 @@ class TestValidation:
         assert code == 1
         assert capsys.readouterr().err == "error: assembled system has non-finite entries\n"
 
+    @pytest.mark.parametrize("l", ["1e4", "1e6", "1e10"])
+    def test_ground_level_in_roundoff_is_one_error_line(self, l, tmp_path, capsys):
+        # unguarded, l = 1e10 gives E_numeric = -2.7e11 against the closed form 4.236
+        code, text = run_to_file(tmp_path, "x.json",
+                                 ["spectrum", "--model", "qes1", "--l", l, "--mprime-q", "1"])
+        assert code == 1 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: lowest eigenvalue ") and err.count("\n") == 1
+        assert "within the roundoff of the spectral edge" in err
+
+    def test_large_l_above_the_roundoff_floor_answers(self, tmp_path):
+        # l = 1000 reads E_0/edge = 5.2e-12, 23 times the floor
+        code, text = run_to_file(tmp_path, "x.json",
+                                 ["spectrum", "--model", "qes1", "--l", "1000", "--mprime-q", "1"])
+        assert code == 0 and len(json.loads(text)["rows"]) == 3
+
     @pytest.mark.parametrize("model", [["higgs"], ["crs", "--mprime-q", "0"]],
                              ids=["higgs", "crs"])
     def test_n_above_the_series_cap_is_one_error_line(self, model, tmp_path, capsys):

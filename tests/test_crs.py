@@ -184,7 +184,7 @@ class TestWavefunction:
     def test_eigen_equation_residual_sin_squared(self):
         # the sin^2 convention satisfies the eigen-equation
         mq, N = 0, 1
-        E = crs.crs_energy((N, mq), UNIT)
+        E = crs.oscillator_energy((N, mq), UNIT)
         grid = Grid1D(0.1, 0.9 * crs.x_pole(UNIT), 400)
         res = residual_norm(
             lambda x: crs.crs_operator_coefficients(UNIT, x),
@@ -195,7 +195,7 @@ class TestWavefunction:
 
     def test_plain_sin_convention_fails_equation(self):
         mq, N = 0, 1
-        E = crs.crs_energy((N, mq), UNIT)
+        E = crs.oscillator_energy((N, mq), UNIT)
         grid = Grid1D(0.1, 0.9 * crs.x_pole(UNIT), 400)
         res = residual_norm(
             lambda x: crs.crs_operator_coefficients(UNIT, x),
@@ -212,26 +212,22 @@ class TestWavefunction:
 class TestEnergy:
     def test_unit_ground_state(self):
         # omega' = sqrt(5)/2, E = sqrt(5)/2 + 1/2
-        assert crs.crs_energy((0, 0), UNIT) == pytest.approx(
+        assert crs.oscillator_energy((0, 0), UNIT) == pytest.approx(
             math.sqrt(5) / 2 + 0.5, rel=1e-15)
 
     def test_increasing_in_n(self):
         for mq in (0, 1, 2):
-            es = [crs.crs_energy((N, mq), UNIT) for N in range(5)]
+            es = [crs.oscillator_energy((N, mq), UNIT) for N in range(5)]
             assert all(b > a for a, b in zip(es, es[1:]))
 
     def test_gap_closed_form(self):
         p = PhysParams(lam=0.7, omega=1.2)
         for N in (1, 2, 3):
             for mq in (0, 1):
-                gap = crs.crs_energy((N, mq), p) - crs.crs_energy((N - 1, mq), p)
+                gap = crs.oscillator_energy((N, mq), p) - crs.oscillator_energy((N - 1, mq), p)
                 closed = (2 * p.hbar * p.omega_prime
                           + p.lam * p.hbar**2 / (2 * p.mass) * (8 * N + 4 * abs(mq)))
                 assert gap == pytest.approx(closed, rel=1e-13)
-
-    def test_rejects_flat(self):
-        with pytest.raises(NonpositiveCurvatureError):
-            crs.crs_energy((0, 0), PhysParams(lam=0.0))
 
 
 class TestOperatorCoefficients:

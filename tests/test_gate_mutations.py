@@ -3,6 +3,7 @@ runs the suite it targets and asserts which of its checks fail."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from curvosc import crs, higgs, problems, verify
@@ -37,14 +38,12 @@ def test_l2_reduction_gates_the_difference(monkeypatch):
 
 @pytest.mark.parametrize("rel", [1e-7, 1e-9])
 def test_spectrum_gap_gates_the_shared_spectrum(monkeypatch, rel):
-    # higgs imports oscillator_energy by name, so both bindings are patched
     energy = crs.oscillator_energy
 
     def off(qn, params):
         return energy(qn, params) * (1 + rel)
 
     monkeypatch.setattr(crs, "oscillator_energy", off)
-    monkeypatch.setattr(higgs, "oscillator_energy", off)
     assert failed("crs-model", "flat-limit", "higgs-model") == ["spectrum-gap-closed-form"]
 
 
@@ -53,12 +52,12 @@ def test_spectrum_gates_the_origin_closure(monkeypatch):
     # rows see it (0.108-0.140 relative), since a wall is exact for m' >= 1
     # (the higgs m' >= 1 rows read 5.5e-12-3.2e-11, under their 1e-9 gate).
     # The same swap at the far end is the next test's mutation
-    power = problems.EndpointRule.power.__func__
+    rule = problems.EndpointRule
 
-    def off(cls, sigma, center, series=()):
-        return None if center == 0.0 else power(cls, sigma, center, series)
+    def off(sigma, center, series=()):
+        return None if center == 0.0 else rule(sigma, center, series)
 
-    monkeypatch.setattr(problems.EndpointRule, "power", classmethod(off))
+    monkeypatch.setattr(problems, "EndpointRule", off)
     assert failed("higgs-spectrum", "crs-spectrum") == [
         "lam=0.1-mprime=0", "lam=1.0-mprime=0", "natural-lam=0.1-mprimeq=0",
         "natural-lam=1.0-mprimeq=0", "wide-lam=1-mprimeq=0"]
@@ -116,11 +115,51 @@ def test_spectrum_gates_the_equator_closure(monkeypatch):
     # higgs lam = 1 rows read 2.8e-8-3.6e-8 against the 1e-9 gate, the lam = 0.1
     # rows stay at or below 2.8e-11.  The crs tan-pole swap reads 2.1e-10, below
     # the m'_Q = 0 rows' 9.9e-9, so no crs-spectrum gate can tell it
-    power = problems.EndpointRule.power.__func__
+    rule = problems.EndpointRule
 
-    def off(cls, sigma, center, series=()):
-        return None if center != 0.0 else power(cls, sigma, center, series)
+    def off(sigma, center, series=()):
+        return None if center != 0.0 else rule(sigma, center, series)
 
-    monkeypatch.setattr(problems.EndpointRule, "power", classmethod(off))
+    monkeypatch.setattr(problems, "EndpointRule", off)
     assert failed("higgs-spectrum", "crs-spectrum") == [
         "lam=1.0-mprime=0", "lam=1.0-mprime=1", "lam=1.0-mprime=2"]
+
+
+def test_gudermannian_increasing_gates_monotonicity(monkeypatch):
+    # sin is odd, so gudermannian-odd still passes; it turns back at pi/2
+    monkeypatch.setattr(verify, "gudermannian", np.sin)
+    assert failed("special-functions") == ["gudermannian-increasing"]
+
+
+@pytest.mark.parametrize("factor,suites,fails", [
+    (lambda mprime, r: 1 + 1e-3 * np.sign(mprime),
+     ("higgs-model", "wavefunction-map", "eigen-residual"), ["mprime-parity"]),
+    (lambda mprime, r: np.asarray(r, float) - 1, ("higgs-model",), ["node-count-equals-N"]),
+], ids=["odd-in-mprime", "node-at-r=1"])
+def test_higgs_model_gates_the_wavefunction(monkeypatch, factor, suites, fails):
+    # a factor constant in r leaves the map's ratio constancy and the
+    # residual untouched, so only the parity identity can tell it
+    wavefunction = higgs.higgs_wavefunction
+
+    def off(qn, params, r):
+        return wavefunction(qn, params, r) * factor(qn[1], r)
+
+    monkeypatch.setattr(higgs, "higgs_wavefunction", off)
+    assert failed(*suites) == fails
+
+
+@pytest.mark.parametrize("dgamma,fails", [
+    (-1e-9, ["beta-minus-gamma", "general-vs-special-potential"]),
+    (1e-9, ["general-vs-special-potential", "mprimeq-roundtrip"]),
+], ids=["sum-kept", "difference-kept"])
+def test_crs_model_gates_the_surd_bundle(monkeypatch, dgamma, fails):
+    # beta + 1e-9 with gamma -+ 1e-9 keeps beta + gamma or beta - gamma; the
+    # constraint ODE reads only A and B, so it passes either way
+    special = crs.special_params
+
+    def off(mprime_q, params):
+        spec = special(mprime_q, params)
+        return dataclasses.replace(spec, beta=spec.beta + 1e-9, gamma=spec.gamma + dgamma)
+
+    monkeypatch.setattr(crs, "special_params", off)
+    assert failed("crs-model", "constraint-ode") == fails

@@ -141,7 +141,7 @@ class TestWavefunction:
     @pytest.mark.parametrize("N", [0, 1, 2])
     @pytest.mark.parametrize("mp", [0, 1, 2])
     def test_eigen_equation_residual(self, N, mp):
-        E = higgs.higgs_energy((N, mp), UNIT)
+        E = crs.oscillator_energy((N, mp), UNIT)
         grid = Grid1D(0.05, 20.0, 800)
         res = residual_norm(
             lambda r: higgs.higgs_radial_coefficients(mp, UNIT, r),
@@ -159,23 +159,21 @@ class TestWavefunction:
 class TestEnergy:
     def test_flat_ground_state(self):
         p = PhysParams(lam=0.0, omega=1.7)
-        assert higgs.higgs_energy((0, 0), p) == pytest.approx(1.7, rel=1e-15)
-        assert higgs.higgs_energy((1, 2), p) == pytest.approx(1.7 * 5, rel=1e-15)
+        assert crs.oscillator_energy((0, 0), p) == pytest.approx(1.7, rel=1e-15)
+        assert crs.oscillator_energy((1, 2), p) == pytest.approx(1.7 * 5, rel=1e-15)
 
     def test_unit_ground_state(self):
-        assert higgs.higgs_energy((0, 0), UNIT) == pytest.approx(
+        assert crs.oscillator_energy((0, 0), UNIT) == pytest.approx(
             math.sqrt(5) / 2 + 0.5, rel=1e-15)
 
     def test_degenerate_pairs(self):
         # E depends only on 2N + |m'| + 1
-        assert higgs.higgs_energy((2, 1), UNIT) == higgs.higgs_energy((1, 3), UNIT)
-        assert higgs.higgs_energy((3, 0), UNIT) == higgs.higgs_energy((0, 6), UNIT)
+        assert crs.oscillator_energy((2, 1), UNIT) == crs.oscillator_energy((1, 3), UNIT)
+        assert crs.oscillator_energy((3, 0), UNIT) == crs.oscillator_energy((0, 6), UNIT)
 
     def test_parity(self):
-        assert higgs.higgs_energy((1, 2), UNIT) == higgs.higgs_energy((1, -2), UNIT)
+        assert crs.oscillator_energy((1, 2), UNIT) == crs.oscillator_energy((1, -2), UNIT)
 
-    @pytest.mark.parametrize("energy", [crs.oscillator_energy, crs.crs_energy,
-                                        higgs.higgs_energy], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("qn,lam,error", [
         ((0, 0), -3.0, NonpositiveCurvatureError),
         ((0, 0), math.nan, NonpositiveCurvatureError),
@@ -187,13 +185,13 @@ class TestEnergy:
         ((1, 0), math.inf, ParameterOverflowError),
     ], ids=["lam<0", "lam=nan", "mprime=nan", "mprime=inf", "mprime=-inf",
             "mprime=1e200", "lam=1e308", "lam=inf"])
-    def test_outside_the_domain_is_a_curvosc_error(self, energy, qn, lam, error):
+    def test_outside_the_domain_is_a_curvosc_error(self, qn, lam, error):
         with pytest.raises(error) as exc:
-            energy(qn, PhysParams(lam=lam))
+            crs.oscillator_energy(qn, PhysParams(lam=lam))
         assert isinstance(exc.value, CurvoscError)
 
     def test_shared_spectrum_takes_the_flat_limit(self):
         p = PhysParams(lam=0.0, omega=1.3)
         assert crs.oscillator_energy((2, 1), p) == pytest.approx(1.3 * 6, rel=1e-15)
         with pytest.raises(ParameterOverflowError):
-            higgs.higgs_energy((0, 1e200), p)
+            crs.oscillator_energy((0, 1e200), p)

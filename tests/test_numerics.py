@@ -155,7 +155,7 @@ def corner_problem(sigma, side, n=2001):
     like d^(-5/2) at both ends, so that q phi is not a polynomial for any
     integer sigma."""
     rules = [None, None]
-    rules[side] = EndpointRule.power(sigma, float(side))
+    rules[side] = EndpointRule(sigma, float(side))
     return SturmLiouvilleProblem(
         lambda x: 1 + 0.5 * x, lambda x: 2 / x**2.5 + 3 / (1 - x) ** 2.5 + x,
         lambda x: 1 + x**2, Grid1D(0.0, 1.0, n), tuple(rules))
@@ -195,7 +195,7 @@ CORNER_LAYOUTS = [
     pytest.param(qes_channel_problem(2, QES2, UNIT, 1000), id="qes2-neighbour"),
     pytest.param(SturmLiouvilleProblem(
         ONE, lambda x: 1 / x**2 + 1 / (1 - x) ** 2, ONE, Grid1D(0.0, 1.0, 45),
-        (EndpointRule.power(1.5, 0.0), EndpointRule.power(2.0, 1.0))),
+        (EndpointRule(1.5, 0.0), EndpointRule(2.0, 1.0))),
         id="overlapping-corners"),
 ]
 
@@ -234,6 +234,17 @@ class TestAssemble:
         assert sys_.k_diag == pytest.approx(2 / h**2 + x**2)
         assert sys_.m_diag == pytest.approx(np.ones(10))
 
+    @pytest.mark.parametrize("ends", [(0, 1), (0,), (1,)], ids=["both", "left", "right"])
+    def test_linear_profile_end_faces_are_dirichlet_walls(self, ends):
+        # on d^1 every profile factor is exact at 1/h, so a sigma = 1 rule
+        # assembles the walls' K and M; with both ends it reads 2.9e-14
+        walls = SturmLiouvilleProblem(ONE, lambda x: 2 * ONE(x), ONE, Grid1D(0.0, 1.0, 301))
+        bc = tuple(EndpointRule(1.0, float(side)) if side in ends else None for side in (0, 1))
+        rules = SturmLiouvilleProblem(walls.p, walls.q, walls.w, walls.grid, bc)
+        a, b = assemble(walls), assemble(rules)
+        for x, y in ((a.k_diag, b.k_diag), (a.k_off, b.k_off), (a.m_diag, b.m_diag)):
+            assert np.max(np.abs(y - x) / np.abs(x)) <= 1e-13
+
     def test_nonpositive_weight_rejected(self):
         prob = SturmLiouvilleProblem(ONE, ONE, lambda x: np.asarray(x, float) - 0.5,
                                      Grid1D(0.0, 1.0, 9))
@@ -257,13 +268,13 @@ class TestCornerQuadrature:
         SturmLiouvilleProblem(
             lambda x: 1 + x, lambda x: 2 / x**2 + x, lambda x: 1 + 0.5 * x**2,
             Grid1D(0.0, 2.0, 301),
-            (EndpointRule.power(1.5, 0.0, series=(0.4, -0.1)), None)),
+            (EndpointRule(1.5, 0.0, series=(0.4, -0.1)), None)),
         # power corner on the right, its 40 corrected cells over most of
         # the grid
         SturmLiouvilleProblem(
             lambda x: 2 - x, lambda x: 6 / (1 - x) ** 2, ONE,
             Grid1D(0.0, 1.0 - 1e-3, 45),
-            (None, EndpointRule.power(3.0, 1.0))),
+            (None, EndpointRule(3.0, 1.0))),
     ], ids=["power-series", "power-right"])
     def test_matches_scalar_reference(self, prob):
         system = assemble(prob)
@@ -308,7 +319,7 @@ class TestCornerQuadrature:
         half = np.full(dist.shape, h / 2)
         for centre, mid in ((0.0, dist), (5.0, 5.0 - dist)):
             orders = np.asarray(numerics._ORDERS)[
-                numerics._rungs(EndpointRule.power(sigma, centre), mid, half)]
+                numerics._rungs(EndpointRule(sigma, centre), mid, half)]
             assert orders.max() <= 24 and orders.min() >= 4
             assert np.all(np.diff(orders) <= 0)       # never more nodes farther out
             if gap == 0.0:
@@ -381,13 +392,13 @@ class TestCornerQuadrature:
         w = lambda t: np.where((t > c + 0.05 * h) & (t < c + 0.45 * h), -1.0, 1.0)
         assert np.all(w(x) > 0)
         bc = [None, None]
-        bc[side] = EndpointRule.power(1.5, 0.0 if side == 0 else 1.0)
+        bc[side] = EndpointRule(1.5, 0.0 if side == 0 else 1.0)
         assemble(SturmLiouvilleProblem(ONE, ONE, ONE, grid, tuple(bc)))
         with pytest.raises(NonpositiveWeightError, match="weight w"):
             assemble(SturmLiouvilleProblem(ONE, ONE, w, grid, tuple(bc)))
 
     def test_ratio_survives_where_phi_underflows(self):
-        rule = EndpointRule.power(1000.0, 0.0)
+        rule = EndpointRule(1000.0, 0.0)
         h = 1e-3
         assert h**1000.0 == 0.0
         for t, t0 in ((h, 1.5 * h), (1.5 * h, h)):
@@ -400,7 +411,7 @@ class TestCornerQuadrature:
         # without a series the profile is |t - c|^sigma: ratio and
         # log-derivative are the bare formulas, bit for bit
         sig, c = 1.7, 0.3
-        rule = EndpointRule.power(sig, c)
+        rule = EndpointRule(sig, c)
         t = np.concatenate((np.linspace(-2.0, 0.29, 40), np.linspace(0.31, 2.0, 40)))
         t0 = t[::-1]
         assert np.array_equal(rule.ratio(t, t0), (np.abs(t - c) / np.abs(t0 - c)) ** sig)
@@ -410,7 +421,7 @@ class TestCornerQuadrature:
         # with a series: poly(d) and poly'(d) by numpy's Horner evaluation,
         # bit for bit, however often the rule is called
         sig, c, ser = -0.5, 0.0, (0.4, -0.1, 0.02)
-        rule = EndpointRule.power(sig, c, series=ser)
+        rule = EndpointRule(sig, c, series=ser)
         P = np.polynomial.polynomial
         t = np.linspace(0.01, 2.0, 50)
         t0 = t[::-1]
@@ -426,7 +437,7 @@ class TestCornerQuadrature:
         xf = grid.faces()
         q = lambda x: np.where((x > xf[2]) & (x < xf[3]), np.nan, 0.0 * x)
         prob = SturmLiouvilleProblem(ONE, q, ONE, grid,
-                                     (EndpointRule.power(1.0, 0.0), None))
+                                     (EndpointRule(1.0, 0.0), None))
         for solve in (lowest_eigenvalues, lowest_eigenpairs):
             with pytest.raises(UnresolvedError, match="non-finite"):
                 solve(prob, 2)
@@ -463,7 +474,7 @@ class TestLowestEigenvalues:
     def test_series_closed_system_eigenvectors(self):
         # a power corner with a series: one row per grid point, vectors
         # normalized with the point-sampled weight
-        rule = EndpointRule.power(1.5, 0.0, series=(0.4, -0.1))
+        rule = EndpointRule(1.5, 0.0, series=(0.4, -0.1))
         prob = SturmLiouvilleProblem(lambda x: 1 + x, lambda x: 2 / x**2 + x,
                                      lambda x: 1 + 0.5 * x**2, Grid1D(0.0, 2.0, 301),
                                      (rule, None))
@@ -504,6 +515,42 @@ class TestLowestEigenvalues:
         for solve in (lowest_eigenvalues, lowest_eigenpairs):
             with pytest.raises(UnresolvedError, match="spectral edge"):
                 solve(prob, 3)
+
+    @pytest.mark.parametrize("E0", [2e-13, -2e-13, 0.0])
+    def test_roundoff_floor_guard(self, E0):
+        # the edge max d + 2 max|e| is 1, so the floor is 1e3 eps = 2.2e-13
+        d, e = np.full(8, 0.5), np.full(7, 0.25)
+        with pytest.raises(UnresolvedError, match="roundoff"):
+            numerics._checked(np.array([E0, 0.1]), d, e)
+        assert numerics._checked(np.array([3e-13, 0.1]), d, e)[0] == 3e-13
+
+    @pytest.mark.parametrize("l", [1e4, 1e6, 1e10])
+    def test_qes_ground_level_below_the_roundoff_floor_is_refused(self, l):
+        # E_0/edge reads 4.9e-14 at l = 1e4 and -3.4e-15 above; unguarded, the
+        # channel gives 3.96, -2739 and -2.7e11 against the closed form 4.236
+        spec = QesSpec.example1(l, 1, UNIT)
+        for solve in (lowest_eigenvalues, lowest_eigenpairs):
+            with pytest.raises(UnresolvedError, match="roundoff"):
+                solve(qes_channel_problem(1, spec, UNIT, 2000), 3)
+
+    @pytest.mark.parametrize("prob,least", [
+        (qes_channel_problem(1, QesSpec.example1(3, 1, UNIT), UNIT, 2000), 5.7e-7),
+        (qes_channel_problem(0, QesSpec.example1(1000, 0, UNIT), UNIT, 2000), 1.9e-12),
+        (qes_channel_problem(0, QesSpec.example1(100, 0, UNIT), UNIT, 2000), 1.9e-10),
+        (qes_channel_problem(0, QesSpec.example2(0, PhysParams(lam=1e-3)),
+                             PhysParams(lam=1e-3), 2000), 1.8e-4),
+        (qes_channel_problem(0, QesSpec.example2(0, PhysParams(lam=1e100)),
+                             PhysParams(lam=1e100), 2000), 3e-7),
+        (higgs_oscillator_problem(0, PhysParams(lam=0.001), 8001), 1.7e-10),
+        (crs_natural_problem(0, PhysParams(lam=0.01), 8001), 5.8e-10),
+    ], ids=["qes1-l3", "qes1-l1000", "qes1-l100", "qes2-lam1e-3", "qes2-lam1e100",
+            "higgs-lam1e-3", "crs-lam1e-2"])
+    def test_resolved_ground_levels_clear_the_roundoff_floor(self, prob, least):
+        # the smallest E_0/edge of a shipped command, 1.7e-10 (higgs, the
+        # fine grid at lam = 0.001), lies 770 times above the floor
+        d, e = assemble(prob).standard_form()
+        E0 = lowest_eigenvalues(prob, 1)[0]
+        assert E0 / (np.max(d) + 2 * np.max(np.abs(e))) >= least
 
     @pytest.mark.parametrize("prob,k", [
         (higgs_oscillator_problem(0, UNIT, 8001), 50),
@@ -826,12 +873,12 @@ class TestSpectrumProtocols:
             assert rule is None or rule.center == end
 
     def test_higgs_channel_matches_closed_form(self):
-        exact = np.array([higgs.higgs_energy((N, 0), UNIT) for N in range(3)])
+        exact = np.array([crs.oscillator_energy((N, 0), UNIT) for N in range(3)])
         num = higgs_spectrum_numeric(0, UNIT, 3, n=2000)
         assert np.max(np.abs(num - exact) / exact) < 1e-7
 
     def test_crs_channel_matches_closed_form(self):
-        exact = np.array([crs.crs_energy((N, 1), UNIT) for N in range(3)])
+        exact = np.array([crs.oscillator_energy((N, 1), UNIT) for N in range(3)])
         num = crs_spectrum_numeric(1, UNIT, 3, n=2000)
         assert np.max(np.abs(num - exact) / exact) < 1e-6
 
@@ -840,10 +887,9 @@ class TestSpectrumProtocols:
     def test_small_curvature(self, model, lam):
         # wall exponents near 100 and 1000: d**sigma alone under/overflows
         params = PhysParams(lam=lam)
-        energy = higgs.higgs_energy if model == "higgs" else crs.crs_energy
         solve = higgs_spectrum_numeric if model == "higgs" else crs_spectrum_numeric
         for mp in (0, 1, 2):
-            exact = np.array([energy((N, mp), params) for N in range(3)])
+            exact = np.array([crs.oscillator_energy((N, mp), params) for N in range(3)])
             num = solve(mp, params, 3)
             assert np.max(np.abs(num - exact) / exact) < 1e-5
 
@@ -891,7 +937,7 @@ class TestResidualNorm:
 
     def test_exact_pair_small_then_perturbed_jumps(self):
         mp = 0
-        E = higgs.higgs_energy((0, mp), UNIT)
+        E = crs.oscillator_energy((0, mp), UNIT)
         grid = Grid1D(0.05, 20.0, 500)
         args = (
             lambda r: higgs.higgs_radial_coefficients(mp, UNIT, r),
@@ -913,7 +959,7 @@ class TestRayleighQuotient:
         prob = self._higgs_problem()
         E, c = rayleigh_quotient(prob, lambda r: higgs.higgs_wavefunction((0, 0), UNIT, r))
         assert c < 1e-6
-        assert E == pytest.approx(higgs.higgs_energy((0, 0), UNIT), rel=1e-6)
+        assert E == pytest.approx(crs.oscillator_energy((0, 0), UNIT), rel=1e-6)
 
     def test_mixture_is_not_constant(self):
         prob = self._higgs_problem()

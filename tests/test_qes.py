@@ -255,7 +255,7 @@ class TestExample1GroundState:
         assert constancy < 1e-6
         # the defined ground energy coincides with the N=0 closed form of
         # the matching channel (a consequence of the construction)
-        assert E0 == pytest.approx(higgs.higgs_energy((0, mq), UNIT), rel=1e-7)
+        assert E0 == pytest.approx(crs.oscillator_energy((0, mq), UNIT), rel=1e-7)
 
 
 class TestExample2Potential:
@@ -344,7 +344,7 @@ class TestExample2GroundState:
         E0, constancy = rayleigh_quotient(
             prob, lambda r: ground2(mq, UNIT, r))
         assert constancy < 1e-6
-        assert E0 == pytest.approx(higgs.higgs_energy((0, mq), UNIT), rel=1e-5)
+        assert E0 == pytest.approx(crs.oscillator_energy((0, mq), UNIT), rel=1e-5)
 
     def test_resonant_channel_solves_to_the_closed_form(self):
         # m' = m'_Q has the indicial pair {-1/2, +1/2} at the origin and
@@ -352,7 +352,7 @@ class TestExample2GroundState:
         # closures select the closed-form family
         E0 = lowest_eigenvalues(qes_channel_problem(1, QesSpec.example2(1, UNIT), UNIT, 8001),
                                 1)[0]
-        assert E0 == pytest.approx(crs.crs_energy((0, 1), UNIT), rel=1e-7)
+        assert E0 == pytest.approx(crs.oscillator_energy((0, 1), UNIT), rel=1e-7)
 
 
 # general members (lam, omega, m'_Q, A/lam, B, C1, C2, right wall), one or more of

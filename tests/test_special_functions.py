@@ -115,8 +115,7 @@ class TestHyp2F1:
 
 # every formula that takes a radial quantum number N, called at (N, m' = 1)
 TAKES_N = {
-    "higgs_energy": lambda N: higgs.higgs_energy((N, 1), PhysParams()),
-    "crs_energy": lambda N: crs.crs_energy((N, 1), PhysParams()),
+    "oscillator_energy": lambda N: crs.oscillator_energy((N, 1), PhysParams()),
     "higgs_wavefunction": lambda N: higgs.higgs_wavefunction((N, 1), PhysParams(), 0.5),
     "crs_wavefunction_special": lambda N: crs.crs_wavefunction_special(
         (N, 1), PhysParams(), 0.5),
