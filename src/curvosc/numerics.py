@@ -62,8 +62,9 @@ difference in both adjacent rows; a boundary face has one row only).
 
 Eigensolvers
 ------------
-All solve the standard form M^(-1/2) K M^(-1/2) u = E u.  None bisects
-to full accuracy where it can polish instead: each eigenvalue starts from
+All solve the standard form T u = E u, T = M^(-1/2) K M^(-1/2), which
+assemble returns as (d, e) beside the diagonal m of M.  None bisects to
+full accuracy where it can polish instead: each eigenvalue starts from
 a guess, and inverse and Rayleigh-quotient steps (LAPACK gtsv solves) take
 its vector to a residual at the roundoff level.  The residual bound puts
 one eigenvalue in each interval rho +- residual; the values stand only if
@@ -262,39 +263,10 @@ class SturmLiouvilleProblem:
         return SturmLiouvilleProblem(self.p, self.q, self.w, self.grid.refined(), self.bc)
 
 
-@dataclass
-class TridiagonalSystem:
-    """Assembled K v = E M v with K symmetric tridiagonal, M positive diagonal,
-    one row per grid point."""
-
-    k_diag: np.ndarray
-    k_off: np.ndarray
-    m_diag: np.ndarray
-    grid: Grid1D
-
-    def standard_form(self) -> tuple[np.ndarray, np.ndarray]:
-        """(d, e) of the similarity-transformed standard problem
-        M^(-1/2) K M^(-1/2) u = E u."""
-        d = self.k_diag / self.m_diag
-        e = self.k_off / np.sqrt(self.m_diag[:-1] * self.m_diag[1:])
-        return d, e
-
-
-@dataclass
-class EigenResult:
-    """Lowest eigenpairs of a discretized problem, from lowest_eigenpairs.
-
-    Eigenvalues ascend strictly; eigenvectors are sampled on the problem's
-    grid.points() and normalized to sum(w_i v_i^2 h) = 1 with the first
-    significant component positive.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray          # shape (n, k)
-
-
-def assemble(problem: SturmLiouvilleProblem) -> TridiagonalSystem:
-    """Build the symmetric tridiagonal generalized eigensystem."""
+def assemble(problem: SturmLiouvilleProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, e, m) of the discretized K v = E M v, one row per grid point:
+    the diagonal d and off-diagonal e of its standard form
+    T = M^(-1/2) K M^(-1/2), and the positive diagonal m of M."""
     grid = problem.grid
     n, h = grid.n, grid.h
     x = grid.points()
@@ -349,9 +321,9 @@ def assemble(problem: SturmLiouvilleProblem) -> TridiagonalSystem:
         wi[i] = np.bincount(cell, wv[at:at + u.size] * f, minlength=i.size)
         at += u.size
 
-    off = -pf[1:-1] * g[1:-1] / h
-    diag = (pf[:-1] * g[:-1] + pf[1:] * g[1:]) / h + qi
-    return TridiagonalSystem(diag, off, wi, grid)
+    d = ((pf[:-1] * g[:-1] + pf[1:] * g[1:]) / h + qi) / wi
+    e = -pf[1:-1] * g[1:-1] / h / np.sqrt(wi[:-1] * wi[1:])
+    return d, e, wi
 
 
 def _rungs(rule: EndpointRule, mid: np.ndarray, half: np.ndarray) -> np.ndarray:
@@ -364,9 +336,9 @@ def _rungs(rule: EndpointRule, mid: np.ndarray, half: np.ndarray) -> np.ndarray:
 
 
 def _standard_system(problem: SturmLiouvilleProblem, k: int
-                     ) -> tuple[TridiagonalSystem, np.ndarray, np.ndarray]:
-    """Front end of both solvers: the k budget, the assembled system and
-    its standard form (d, e), which must be finite.  Overflow and invalid
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Front end of both solvers: the k budget and the assembled (d, e, m),
+    whose standard form (d, e) must be finite.  Overflow and invalid
     operations on the way are not reported as numpy warnings: the
     finiteness check that follows turns them into one typed error."""
     n = problem.grid.n
@@ -375,11 +347,10 @@ def _standard_system(problem: SturmLiouvilleProblem, k: int
     if k > n // 4:
         raise UnresolvedError(f"k = {k} exceeds resolved-mode budget n/4 = {n // 4}")
     with np.errstate(all="ignore"):
-        system = assemble(problem)
-        d, e = system.standard_form()
+        d, e, m = assemble(problem)
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise UnresolvedError("assembled system has non-finite entries")
-    return system, d, e
+    return d, e, m
 
 
 def _bisection(d: np.ndarray, e: np.ndarray, k: int, **options):
@@ -511,11 +482,11 @@ def _times(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
     return r
 
 
-def _prolongation(coarse: TridiagonalSystem, fine: TridiagonalSystem,
+def _prolongation(grid: Grid1D, coarse_m: np.ndarray, fine_m: np.ndarray,
                   bc: tuple[EndpointRule | None, EndpointRule | None]
                   ) -> Callable[[np.ndarray], np.ndarray]:
-    """The map that carries a standard-form vector u of the coarse system
-    to the fine system on the h/2 grid, as a start vector.  v = M^(-1/2) u
+    """The map that carries a standard-form vector u on grid, M = diag(coarse_m),
+    to the h/2 grid, M = diag(fine_m), as a start vector.  v = M^(-1/2) u
     is injected at the shared points and interpolated at the midpoints by
     the cubic rule (-1, 9, 9, -1)/16.  Where that stencil does not reach,
     at the fine point beside each wall and the first midpoint, v is linear
@@ -531,8 +502,8 @@ def _prolongation(coarse: TridiagonalSystem, fine: TridiagonalSystem,
 
     The points, the wall ratios and both M^(1/2) are formed once, here;
     the map itself does only the stencil arithmetic of each vector."""
-    unscale, scale = 1 / np.sqrt(coarse.m_diag), np.sqrt(fine.m_diag)
-    x, t = coarse.grid.points(), fine.grid.points()
+    unscale, scale = 1 / np.sqrt(coarse_m), np.sqrt(fine_m)
+    x, t = grid.points(), grid.refined().points()
     # (point beside the wall, first midpoint, nearest and next coarse
     # point) and the weights of v at those coarse points
     walls = []
@@ -576,7 +547,7 @@ def _coarse_polished(problem: SturmLiouvilleProblem, k: int, d: np.ndarray,
     coarse = SturmLiouvilleProblem(problem.p, problem.q, problem.w,
                                    Grid1D(grid.a, grid.b, n), problem.bc)
     try:
-        _, cd, ce = _standard_system(coarse, k)
+        cd, ce, _ = _standard_system(coarse, k)
         tol = np.sqrt(np.finfo(float).eps) * _gershgorin(cd, ce)[1] if loose else 0.0
         guesses = _bisection(cd, ce, k, eigvals_only=True, tol=tol)
         if loose and np.any(np.diff(guesses) <= 4 * tol):
@@ -595,26 +566,31 @@ def lowest_eigenvalues(problem: SturmLiouvilleProblem, k: int, *,
     stebz, see _bisection).  No eigenvector is kept.
 
     _polish is private to richardson_eigenvalues, which solves both grids
-    of a pair here: _polish(system, d, e) returns the k certified lowest
-    eigenvalues of the standard form (d, e), or None, on which the
-    bisection runs.  All paths apply the same guards."""
-    system, d, e = _standard_system(problem, k)
+    of a pair here: _polish(d, e, m) of the assembled system returns the k
+    certified lowest eigenvalues of its standard form (d, e), or None, on
+    which the bisection runs.  All paths apply the same guards."""
+    d, e, m = _standard_system(problem, k)
     if _polish is None:
         vals = _coarse_polished(problem, k, d, e)
     else:
-        vals = _polish(system, d, e)
+        vals = _polish(d, e, m)
     if vals is None:
         vals = _bisection(d, e, k, eigvals_only=True)
     return _checked(vals, d, e)
 
 
-def lowest_eigenpairs(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
-    """k smallest eigenpairs, polished from coarse-grid guesses as in
-    lowest_eigenvalues, whose values they equal bit for bit; where those
-    cannot be certified, by bisection plus inverse iteration (LAPACK
-    stebz/stein, see _bisection).  Back-transformed to K v = E M v,
-    with normalized vectors; see EigenResult."""
-    system, d, e = _standard_system(problem, k)
+def lowest_eigenpairs(problem: SturmLiouvilleProblem, k: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of the k smallest eigenpairs, as
+    np.linalg.eigh returns them: the values strictly ascending, the (n, k)
+    vectors as columns sampled on grid.points(), back-transformed to
+    K v = E M v and normalized to sum(w v^2) h = 1, with w the point-sampled
+    weight and the first significant entry positive.
+
+    Polished from coarse-grid guesses as in lowest_eigenvalues, whose
+    values they equal bit for bit; where those cannot be certified, by
+    bisection plus inverse iteration (LAPACK stebz/stein, see _bisection)."""
+    d, e, m = _standard_system(problem, k)
     # rows v are the unit eigenvectors of the standard form
     v = np.empty((k, d.size))
     vals = _coarse_polished(problem, k, d, e, vectors=v)
@@ -623,7 +599,7 @@ def lowest_eigenpairs(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
         v = u.T
     _checked(vals, d, e)
     # back-transform all k pairs at once, in place
-    v /= np.sqrt(system.m_diag)
+    v /= np.sqrt(m)
     wi_full = np.asarray(problem.w(problem.grid.points()), float)
     nrm = np.sqrt(np.sum(wi_full * v * v, axis=1) * problem.grid.h)
     if np.any(nrm == 0):
@@ -633,7 +609,7 @@ def lowest_eigenpairs(problem: SturmLiouvilleProblem, k: int) -> EigenResult:
     lead = np.argmax(av > 1e-8 * np.max(av, axis=1, keepdims=True), axis=1)
     del av
     v *= np.sign(v[np.arange(k), lead])[:, None]     # first significant entry > 0
-    return EigenResult(vals, v.T)
+    return vals, v.T
 
 
 def richardson_eigenvalues(problem: SturmLiouvilleProblem, k: int
@@ -652,19 +628,20 @@ def richardson_eigenvalues(problem: SturmLiouvilleProblem, k: int
     starts from the coarse values instead of vectors."""
     carried = []
 
-    def coarse_polish(system, d, e):
+    def coarse_polish(d, e, m):
         # single precision is ample for a start vector and halves the block
         vectors = np.empty((k, d.size), np.float32)
         vals = _coarse_polished(problem, k, d, e, vectors=vectors, loose=True)
         if vals is not None:
-            carried.append((system, vectors))
+            carried.append((m, vectors))
         return vals
 
-    def fine_polish(system, d, e):
+    def fine_polish(d, e, m):
         if not carried:
             return _polished(d, e, shifts=coarse)
-        csys, vectors = carried.pop()
-        return _polished(d, e, starts=map(_prolongation(csys, system, problem.bc), vectors))
+        coarse_m, vectors = carried.pop()
+        prolong = _prolongation(problem.grid, coarse_m, m, problem.bc)
+        return _polished(d, e, starts=map(prolong, vectors))
 
     # each grid is one call of the public lowest_eigenvalues, not of
     # _polished alone: so each keeps the guards and the bisection fallback,

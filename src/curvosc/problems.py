@@ -149,11 +149,11 @@ def crs_spectrum_numeric_wide(mprime_q: float, params: PhysParams, k: int):
     interlopers): eigenvalues classified by the weighted mass fraction left
     of x*."""
     prob = crs_wide_problem(mprime_q, params)
-    res = lowest_eigenpairs(prob, k)
+    vals, vectors = lowest_eigenpairs(prob, k)
     x = prob.grid.points()
-    mass = np.asarray(prob.w(x), float)[:, None] * res.eigenvectors ** 2
+    mass = np.asarray(prob.w(x), float)[:, None] * vectors ** 2
     in_well = np.sum(mass[x < x_pole(params)], axis=0) / np.sum(mass, axis=0) > 0.9
-    return res.eigenvalues[in_well].tolist(), res.eigenvalues[~in_well].tolist()
+    return vals[in_well].tolist(), vals[~in_well].tolist()
 
 
 def qes_channel_problem(mprime: float, spec: QesSpec, params: PhysParams,

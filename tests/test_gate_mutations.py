@@ -8,6 +8,7 @@ import pytest
 
 from curvosc import crs, higgs, problems, verify
 from curvosc.crs import QesSpec
+from curvosc.params import PhysParams
 from curvosc.verify import run_suites
 
 
@@ -163,3 +164,88 @@ def test_crs_model_gates_the_surd_bundle(monkeypatch, dgamma, fails):
 
     monkeypatch.setattr(crs, "special_params", off)
     assert failed("crs-model", "constraint-ode") == fails
+
+
+def test_flat_oscillator_gates_the_extrapolation(monkeypatch):
+    # the coarse grid passed off as the extrapolation reads 1.6e-5 against 1e-6
+    pair = verify.richardson_eigenvalues
+
+    def off(prob, k):
+        _, coarse, fine = pair(prob, k)
+        return coarse, coarse, fine
+
+    monkeypatch.setattr(verify, "richardson_eigenvalues", off)
+    assert failed("numerics-oracle") == ["flat-oscillator"]
+
+
+@pytest.mark.parametrize("k,change,fails", [
+    (1, lambda E, n: 1 + (E - 1) * n / 500, ["convergence-order-low"]),
+    (1, lambda E, n: 1 + 1e4 * (E - 1) ** 2, ["convergence-order-high"]),
+    (3, lambda E, n: E * (1 + 1e-9), ["dense-eigensolve-agreement"]),
+], ids=["first-order", "fourth-order", "tridiagonal-off"])
+def test_numerics_oracle_gates_the_solver(monkeypatch, k, change, fails):
+    # the ground-state error of a first- or a fourth-order scheme at k = 1,
+    # the only k the convergence orders read: both measured orders read 1.0,
+    # or 4.0.  At k = 3 the values the dense solve checks are off by 1e-9
+    # relative, against its 1e-10 gate
+    solve = verify.lowest_eigenvalues
+
+    def off(prob, j):
+        vals = solve(prob, j)
+        return change(vals, prob.grid.n) if j == k else vals
+
+    monkeypatch.setattr(verify, "lowest_eigenvalues", off)
+    assert failed("numerics-oracle") == fails
+
+
+def test_node_counts_gate_the_vector_order(monkeypatch):
+    # the vectors in reverse order: all 4 node counts miss
+    pairs = verify.lowest_eigenpairs
+
+    def off(prob, k):
+        vals, vectors = pairs(prob, k)
+        return vals, vectors[:, ::-1]
+
+    monkeypatch.setattr(verify, "lowest_eigenpairs", off)
+    assert failed("numerics-oracle") == ["sturm-node-counts"]
+
+
+def test_certificates_gate_the_line_weight(monkeypatch):
+    # w = (1 + lam x^2)^-1, p and q rescaled by it: self-adjoint, but not
+    # the line operator, whose weight is (1 + lam x^2)^(-1/2); p'/w + p1
+    # reads 1.25.  The dense and tridiagonal solves still agree (5.7e-13)
+    build = problems.crs_problem
+
+    def off(params, V, grid, bc):
+        prob = build(params, V, grid, bc)
+        w = lambda x: 1 / (1 + params.lam * np.asarray(x, float) ** 2)
+        return problems.SturmLiouvilleProblem(lambda x: prob.p(x) * w(x) / prob.w(x),
+                                              lambda x: prob.q(x) * w(x) / prob.w(x),
+                                              w, grid, bc)
+
+    monkeypatch.setattr(problems, "crs_problem", off)
+    assert failed("numerics-oracle") == ["self-adjointness-certificates"]
+
+
+def test_omega_prime_gates_the_delta_identity(monkeypatch):
+    # off by 1e-9 relative: the identity reads 1.1e-9 against 1e-12; the gap
+    # closed form moves with the spectrum and the flat limit stays below 1e-6
+    omega_prime = PhysParams.omega_prime
+    monkeypatch.setattr(PhysParams, "omega_prime",
+                        property(lambda self: omega_prime.fget(self) * (1 + 1e-9)))
+    assert failed("crs-model", "flat-limit") == ["omega-prime-vs-delta"]
+
+
+def test_determinism_gates_a_drifting_reading(monkeypatch):
+    # the first reading of flat-limit grows by one on each call
+    calls = []
+    flat_limit = verify.suite_flat_limit
+
+    def off():
+        checks = flat_limit()
+        calls.append(None)
+        return [dataclasses.replace(checks[0], measured=checks[0].measured + len(calls)),
+                *checks[1:]]
+
+    monkeypatch.setattr(verify, "suite_flat_limit", off)
+    assert failed("determinism") == ["repeated-pipeline-bytes"]
