@@ -214,10 +214,11 @@ def crs_wavefunction_special(qn: tuple, params: PhysParams, x):
     constant phase from the [-sin^2(2 Theta)]^(-3/4) prefactor):
 
     phi(x) = [-sin^2(2 Theta)]^(-3/4) sin^2(Theta) (tan Theta / sqrt(lam))^|m'|
-             * base^(1 + |m'|/2 + m w'/(2 hbar lam))
-             * 2F1(-N, N + |m'| + 1 + m w'/(lam hbar); |m'| + 1; arg)
+             * (cos^2 Theta)^(1 + |m'|/2 + m w'/(2 hbar lam))
+             * 2F1(-N, N + |m'| + 1 + m w'/(lam hbar); |m'| + 1; sin^2 Theta),
 
-    with (base, arg) = (cos^2 Theta, sin^2 Theta).
+    the cos^2 power taken as (1 + tan^2 Theta)^-expo through log1p: at small
+    lam cos^2 Theta rounds to 1 while the exponent grows like 1/(2 lam).
     """
     lam = params.require_curvature()
     x = np.asarray(x, float)
@@ -227,15 +228,13 @@ def crs_wavefunction_special(qn: tuple, params: PhysParams, x):
     N, mq = radial_quantum_number(qn[0]), qn[1]
     wp = params.omega_prime
     th = theta_of_x(x, lam)
-    s = np.sin(th)
-    c = np.cos(th)
+    s, t = np.sin(th), np.tan(th)
     pref = (-(np.sin(2 * th) ** 2) + 0j) ** (-0.75)
     expo = 1 + abs(mq) / 2 + params.mass * wp / (2 * params.hbar * lam)
-    base, arg = c * c, s * s
     b_par = N + abs(mq) + 1 + params.mass * wp / (lam * params.hbar)
-    hyp = hyp2f1_terminating(N, b_par, abs(mq) + 1, arg)
-    return (pref * s * s * (np.tan(th) / math.sqrt(lam)) ** abs(mq)
-            * (base + 0j) ** expo * hyp)
+    hyp = hyp2f1_terminating(N, b_par, abs(mq) + 1, s * s)
+    return (pref * s * s * (t / math.sqrt(lam)) ** abs(mq)
+            * np.exp(-expo * np.log1p(t * t)) * hyp)
 
 
 def crs_wavefunction_special_real(qn, params: PhysParams, x):

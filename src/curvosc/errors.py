@@ -67,10 +67,6 @@ class UnresolvedError(CurvoscError):
     too close to the spectral edge or to its roundoff, or the system is not finite."""
 
 
-class ZeroNormError(CurvoscError):
-    """Cannot normalize a vector with zero weighted norm."""
-
-
 class StateRangeError(CurvoscError):
     """A state is zero or not finite in floating point where a formula divides by it."""
 

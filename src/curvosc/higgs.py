@@ -63,7 +63,9 @@ def higgs_wavefunction(qn: tuple, params: PhysParams, r):
     psi = r^|m'| (1/(1+lam r^2))^(1+|m'|/2+m w'/(2 hbar lam))
           * 2F1(-N, N+|m'|+1+m w'/(lam hbar); |m'|+1; lam r^2/(1+lam r^2)).
 
-    At r = 0 this is 1 for m' = 0 and 0 otherwise.
+    At r = 0 this is 1 for m' = 0 and 0 otherwise.  The power is taken as
+    exp(-expo log1p(lam r^2)): at small lam 1/(1 + lam r^2) rounds to 1 while
+    expo grows like 1/(2 lam).
     """
     lam = params.require_curvature()
     r = np.asarray(r, float)
@@ -74,7 +76,7 @@ def higgs_wavefunction(qn: tuple, params: PhysParams, r):
     z = lam * r * r / (1 + lam * r * r)
     expo = 1 + abs(mp) / 2 + params.mass * wp / (2 * params.hbar * lam)
     b_par = N + abs(mp) + 1 + params.mass * wp / (lam * params.hbar)
-    return (r ** abs(mp) * (1 / (1 + lam * r * r)) ** expo
+    return (r ** abs(mp) * np.exp(-expo * np.log1p(lam * r * r))
             * hyp2f1_terminating(N, b_par, abs(mp) + 1, z))
 
 

@@ -98,8 +98,9 @@ solves of verify (n = 16000, k = 8):
 At 16 the certified values lie within 2e-10 relative of a bisection to
 relative accuracy, where the default bisection leaves up to 1.2e-8.
 lowest_eigenpairs is the same solve keeping the polished unit vectors (or
-stein's, after the fallback), plus the back-transform v = M^(-1/2) u and
-the normalization, for the callers that read eigenvectors; both apply the
+stein's, after the fallback), plus the back-transform v = (M h)^(-1/2) u,
+for the callers that read eigenvectors: the u are unit vectors of T, so
+the v are orthonormal in the assembled M, V^T M V h = I.  Both apply the
 same guards (k budget, finite system, spectral edge, roundoff floor, strictly
 ascending values) and return bitwise-equal eigenvalues.
 
@@ -147,7 +148,6 @@ from .errors import (
     NonpositiveWeightError,
     StateRangeError,
     UnresolvedError,
-    ZeroNormError,
 )
 
 _ORDERS = (4, 6, 8, 12, 16, 24)  # Gauss-Legendre ladder of the corner cells
@@ -584,8 +584,8 @@ def lowest_eigenpairs(problem: SturmLiouvilleProblem, k: int
     """(eigenvalues, eigenvectors) of the k smallest eigenpairs, as
     np.linalg.eigh returns them: the values strictly ascending, the (n, k)
     vectors as columns sampled on grid.points(), back-transformed to
-    K v = E M v and normalized to sum(w v^2) h = 1, with w the point-sampled
-    weight and the first significant entry positive.
+    K v = E M v, orthonormal in the assembled weights (V^T M V h = I, M =
+    diag(m) of assemble), and with the first significant entry positive.
 
     Polished from coarse-grid guesses as in lowest_eigenvalues, whose
     values they equal bit for bit; where those cannot be certified, by
@@ -598,13 +598,8 @@ def lowest_eigenpairs(problem: SturmLiouvilleProblem, k: int
         vals, u = _bisection(d, e, k)
         v = u.T
     _checked(vals, d, e)
-    # back-transform all k pairs at once, in place
-    v /= np.sqrt(m)
-    wi_full = np.asarray(problem.w(problem.grid.points()), float)
-    nrm = np.sqrt(np.sum(wi_full * v * v, axis=1) * problem.grid.h)
-    if np.any(nrm == 0):
-        raise ZeroNormError("eigenvector with zero weighted norm")
-    v /= nrm[:, None]
+    # back-transform all k unit rows at once, in place: v^T M v h = 1
+    v /= np.sqrt(m * problem.grid.h)
     av = np.abs(v)
     lead = np.argmax(av > 1e-8 * np.max(av, axis=1, keepdims=True), axis=1)
     del av

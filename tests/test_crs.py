@@ -208,6 +208,14 @@ class TestWavefunction:
         with pytest.raises(SingularPointError):
             crs.crs_wavefunction_special((0, 0), UNIT, 0.0)
 
+    def test_flat_limit_at_small_lam(self):
+        # (cos^2 Theta)^expo with expo ~ 1/(2 lam): a base rounded to 1 left
+        # the ground state 1e-2 off sqrt(x) exp(-x^2/2) in shape at lam = 1e-14
+        x = np.linspace(0.5, 3.0, 26)
+        phi = crs.crs_wavefunction_special_real((0, 0), PhysParams(lam=1e-14), x)
+        ratio = phi / (np.sqrt(x) * np.exp(-x * x / 2))
+        assert (np.max(ratio) - np.min(ratio)) / abs(np.mean(ratio)) <= 1e-12
+
 
 class TestEnergy:
     def test_unit_ground_state(self):

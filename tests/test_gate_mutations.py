@@ -49,10 +49,11 @@ def test_spectrum_gap_gates_the_shared_spectrum(monkeypatch, rel):
 
 
 def test_spectrum_gates_the_origin_closure(monkeypatch):
-    # every power rule at the origin becomes a Dirichlet wall: only the m' = 0
-    # rows see it (0.108-0.140 relative), since a wall is exact for m' >= 1
-    # (the higgs m' >= 1 rows read 5.5e-12-3.2e-11, under their 1e-9 gate).
-    # The same swap at the far end is the next test's mutation
+    # every power rule at the origin becomes a Dirichlet wall: the m' = 0
+    # rows read 0.108-0.140 relative.  A wall is exact enough for m' = 2 and
+    # for the higgs m' = 1 rows (8.6e-13-3.7e-11, under their 1e-10 and 1e-9
+    # gates), not for the crs natural m'_Q = 1 rows (2.9e-8 and 1.3e-8
+    # against 1e-10).  The same swap at the far end is the next test's mutation
     rule = problems.EndpointRule
 
     def off(sigma, center, series=()):
@@ -61,7 +62,8 @@ def test_spectrum_gates_the_origin_closure(monkeypatch):
     monkeypatch.setattr(problems, "EndpointRule", off)
     assert failed("higgs-spectrum", "crs-spectrum") == [
         "lam=0.1-mprime=0", "lam=1.0-mprime=0", "natural-lam=0.1-mprimeq=0",
-        "natural-lam=1.0-mprimeq=0", "wide-lam=1-mprimeq=0"]
+        "natural-lam=0.1-mprimeq=1", "natural-lam=1.0-mprimeq=0",
+        "natural-lam=1.0-mprimeq=1", "wide-lam=1-mprimeq=0"]
 
 
 @pytest.mark.parametrize("mutate", [
@@ -114,8 +116,10 @@ def test_not_analytic_gates_the_neighbour_channels(monkeypatch):
 def test_spectrum_gates_the_equator_closure(monkeypatch):
     # every power rule away from the origin becomes a Dirichlet wall: the
     # higgs lam = 1 rows read 2.8e-8-3.6e-8 against the 1e-9 gate, the lam = 0.1
-    # rows stay at or below 2.8e-11.  The crs tan-pole swap reads 2.1e-10, below
-    # the m'_Q = 0 rows' 9.9e-9, so no crs-spectrum gate can tell it
+    # rows stay at or below 2.8e-11.  The crs tan-pole swap moves the natural
+    # lam = 1, m'_Q >= 1 rows to 2.1e-10 and 2.2e-10 against their 1e-10 gate;
+    # the lam = 0.1 rows (3.4e-11, 2.1e-11) and the m'_Q = 0 rows, gated at
+    # 1e-7, still pass
     rule = problems.EndpointRule
 
     def off(sigma, center, series=()):
@@ -123,7 +127,8 @@ def test_spectrum_gates_the_equator_closure(monkeypatch):
 
     monkeypatch.setattr(problems, "EndpointRule", off)
     assert failed("higgs-spectrum", "crs-spectrum") == [
-        "lam=1.0-mprime=0", "lam=1.0-mprime=1", "lam=1.0-mprime=2"]
+        "lam=1.0-mprime=0", "lam=1.0-mprime=1", "lam=1.0-mprime=2",
+        "natural-lam=1.0-mprimeq=1", "natural-lam=1.0-mprimeq=2"]
 
 
 def test_gudermannian_increasing_gates_monotonicity(monkeypatch):

@@ -155,6 +155,13 @@ class TestWavefunction:
             assert higgs.higgs_wavefunction((1, 2), UNIT, r) == \
                 higgs.higgs_wavefunction((1, -2), UNIT, r)
 
+    def test_gaussian_limit_at_small_lam(self):
+        # (1 + lam r^2)^-expo with expo ~ 1/(2 lam): a base rounded to 1
+        # left the ground state 5e-3 off exp(-r^2/2) at lam = 1e-14
+        r = np.linspace(0.5, 3.0, 26)
+        psi = higgs.higgs_wavefunction((0, 0), PhysParams(lam=1e-14), r)
+        assert np.max(np.abs(psi / np.exp(-r * r / 2) - 1)) <= 1e-12
+
 
 class TestEnergy:
     def test_flat_ground_state(self):

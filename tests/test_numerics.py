@@ -472,17 +472,20 @@ class TestLowestEigenvalues:
 
     def test_series_closed_system_eigenvectors(self):
         # a power corner with a series: one row per grid point, vectors
-        # normalized with the point-sampled weight
+        # orthonormal in the assembled weights, V^T M V h = I, where the
+        # profile-weighted corner cells make m differ from the sampled w
         rule = EndpointRule(1.5, 0.0, series=(0.4, -0.1))
         prob = SturmLiouvilleProblem(lambda x: 1 + x, lambda x: 2 / x**2 + x,
                                      lambda x: 1 + 0.5 * x**2, Grid1D(0.0, 2.0, 301),
                                      (rule, None))
         _, vectors = lowest_eigenpairs(prob, 3)
-        x = prob.grid.points()
+        _, _, m = assemble(prob)
         assert vectors.shape == (301, 3)
+        assert not np.allclose(m, prob.w(prob.grid.points()), rtol=1e-12, atol=0)
+        gram = vectors.T @ (m[:, None] * vectors) * prob.grid.h
+        assert np.max(np.abs(gram - np.eye(3))) <= 1e-12
         for j in range(3):
             v = vectors[:, j]
-            assert np.sum(prob.w(x) * v * v) * prob.grid.h == pytest.approx(1.0, rel=1e-12)
             big = np.nonzero(np.abs(v) > 1e-8 * np.max(np.abs(v)))[0]
             assert v[big[0]] > 0
 
@@ -785,13 +788,11 @@ class TestSeededEigenvalues:
 
 
 def stein_vectors(prob, k):
-    """The k lowest eigenvectors (rows, on the grid, weighted unit norm)
-    by the bisection and inverse iteration (stebz/stein)."""
+    """The k lowest eigenvectors (rows, on the grid, unit norm in the
+    assembled weights) by the bisection and inverse iteration (stebz/stein)."""
     d, e, m = assemble(prob)
     _, u = _bisection(d, e, k)
-    v = u.T / np.sqrt(m)
-    w = np.asarray(prob.w(prob.grid.points()), float)
-    return v / np.sqrt(np.sum(w * v * v, axis=1) * prob.grid.h)[:, None]
+    return u.T / np.sqrt(m * prob.grid.h)
 
 
 class TestSingleGridPolish:
@@ -839,12 +840,11 @@ class TestSingleGridPolish:
     ], ids=["polar-k50", "crs-wide", "qes2-neighbour", "flat-k4"])
     def test_polished_pairs_match_stein(self, prob, k):
         # the deep polar solve and the pairs that verify reads
-        d, e, _ = assemble(prob)
+        d, e, m = assemble(prob)
         assert _coarse_polished(prob, k, d, e) is not None
         vals, vectors = lowest_eigenpairs(prob, k)
         ref = stein_vectors(prob, k)
-        w = np.asarray(prob.w(prob.grid.points()), float)
-        overlap = np.abs(np.sum(w * ref * vectors.T, axis=1)) * prob.grid.h
+        overlap = np.abs(np.sum(m * ref * vectors.T, axis=1)) * prob.grid.h
         assert np.all(overlap >= 1 - 1e-10)
         assert np.all(backward_errors(prob, vals, vectors) < 1e-13)
 
