@@ -88,7 +88,8 @@ default tolerance, which is cheap; the bisection on the fine grid is the
 fallback.  Its callers want k <= 8, so the floor does not bind and the
 guess grid is n // 16, a ratio measured on 57 solves, the QES channels at
 the six lam of the benchmark (n = 2000, k = 3) and the three wide crs
-solves of verify (n = 16000, k = 8):
+solves of verify (n = 16000, k = 8), single grids at the time; verify now
+solves those as Richardson pairs:
 
     ratio   guess n (QES)   fallbacks
       8          250            0
@@ -107,11 +108,12 @@ ascending values) and return bitwise-equal eigenvalues.
 richardson_eigenvalues solves both of its grids through lowest_eigenvalues
 with guesses of its own.  The coarse grid bisects the guess grid to the
 loose tolerance tol = sqrt(eps) ||T_g||, T_g the guess grid's standard
-form, and keeps its unit vectors; the fine grid starts each eigenvalue
-from its coarse vector carried to the h/2 grid (_prolongation, built once
-per pair).  ||T_g|| grows like 1/h_g^2, so tol is 4-256 times smaller than
-that of the pair's own coarse grid, which could not separate the lowest
-gaps of the planar Dirichlet reference or of the channels at lam <= 0.01.
+form, and keeps its unit vectors, which the pair hands out; the fine grid
+starts each eigenvalue from its coarse vector carried to the h/2 grid
+(_prolongation, built once per pair).  ||T_g|| grows like 1/h_g^2, so
+tol is 4-256 times smaller than that of the pair's own coarse grid, which
+could not separate the lowest gaps of the planar Dirichlet reference or of
+the channels at lam <= 0.01.
 Where two loose guesses still lie within 4 tol of each other the guess
 grid is bisected again to the default tolerance: over k = 50, n = 4000
 pairs at lam from 0.001 to 10 the polish failed from guesses that close
@@ -129,7 +131,9 @@ the grid lam in {0.001, ..., 10}, omega in {0.5, 2}, m' in {0, 1, 2}:
 
 The one left is crs at lam = 0.003, omega = 2, m' = 0, where default
 guesses on 2000 points do not certify either and a loose bisection on the
-pair's own coarse grid falls back too.
+pair's own coarse grid falls back too.  A coarse fallback takes stein's
+vectors from its bisection, whose values equal the values-only bisection
+bit for bit, so the fine grid starts from vectors there as well.
 """
 
 from __future__ import annotations
@@ -568,7 +572,9 @@ def lowest_eigenvalues(problem: SturmLiouvilleProblem, k: int, *,
     _polish is private to richardson_eigenvalues, which solves both grids
     of a pair here: _polish(d, e, m) of the assembled system returns the k
     certified lowest eigenvalues of its standard form (d, e), or None, on
-    which the bisection runs.  All paths apply the same guards."""
+    which the bisection runs.  The coarse grid's hook never returns None:
+    it falls back to _bisection with stein's vectors itself, so only the
+    fine grid uses the fallback here.  All paths apply the same guards."""
     d, e, m = _standard_system(problem, k)
     if _polish is None:
         vals = _coarse_polished(problem, k, d, e)
@@ -608,43 +614,47 @@ def lowest_eigenpairs(problem: SturmLiouvilleProblem, k: int
 
 
 def richardson_eigenvalues(problem: SturmLiouvilleProblem, k: int
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues on the grid and its h/2 refinement plus the second-order
     Richardson combination (4 E_fine - E_coarse)/3.  Returns (extrapolated,
-    coarse eigenvalues, fine eigenvalues).
+    coarse eigenvalues, fine eigenvalues, vectors), vectors the coarse
+    grid's k unit eigenvectors u of its standard form T as (k, n) float32
+    rows: u^2 is the mass m v^2 h of the back-transformed v = (M h)^(-1/2) u.
 
     Both grids are polished to relative accuracy (see _polished).  The
     coarse grid starts from the guesses of a loose bisection on its guess
-    grid (see _coarse_polished) and keeps its k unit vectors; the fine
-    grid starts each eigenvalue from its coarse vector, prolonged, without
-    fixed-shift steps.  Both grids are solved through lowest_eigenvalues,
-    so each keeps its guards and falls back to the bisection where its
-    values cannot be certified; after a coarse fallback the fine grid
-    starts from the coarse values instead of vectors."""
-    carried = []
+    grid (see _coarse_polished) and keeps its k unit vectors; where its
+    values cannot be certified it falls back to the bisection with stein's
+    vectors (_bisection), so the fine grid always starts each eigenvalue
+    from its coarse vector, prolonged, without fixed-shift steps.  Both
+    grids are solved through lowest_eigenvalues, so each keeps its guards,
+    and the fine grid falls back to the bisection where its values cannot
+    be certified."""
+    carried = []    # the coarse grid's weights m and unit vectors
 
     def coarse_polish(d, e, m):
         # single precision is ample for a start vector and halves the block
         vectors = np.empty((k, d.size), np.float32)
         vals = _coarse_polished(problem, k, d, e, vectors=vectors, loose=True)
-        if vals is not None:
-            carried.append((m, vectors))
+        if vals is None:
+            vals, u = _bisection(d, e, k)
+            vectors[:] = u.T
+        carried.append((m, vectors))
         return vals
 
     def fine_polish(d, e, m):
-        if not carried:
-            return _polished(d, e, shifts=coarse)
-        coarse_m, vectors = carried.pop()
+        coarse_m, vectors = carried[0]
         prolong = _prolongation(problem.grid, coarse_m, m, problem.bc)
         return _polished(d, e, starts=map(prolong, vectors))
 
     # each grid is one call of the public lowest_eigenvalues, not of
-    # _polished alone: so each keeps the guards and the bisection fallback,
+    # _polished alone: so each keeps the guards (the coarse hook runs its
+    # own bisection fallback, the fine grid that of lowest_eigenvalues),
     # and the benchmark's layer tracer (perfbench/layers.py), which times
     # the second such call under this one as the fine grid, sees both
     coarse = lowest_eigenvalues(problem, k, _polish=coarse_polish)
     fine = lowest_eigenvalues(problem.refined(), k, _polish=fine_polish)
-    return (4 * fine - coarse) / 3, coarse, fine
+    return (4 * fine - coarse) / 3, coarse, fine, carried[0][1]
 
 
 def _on(x: np.ndarray, value) -> np.ndarray:

@@ -49,8 +49,7 @@ import numpy as np
 from .crs import QesSpec, crs_operator_coefficients, crs_potential_special, x_pole
 from .higgs import higgs_radial_coefficients, oscillator_potential, qes_branch_radius, \
     qes_potential
-from .numerics import EndpointRule, Grid1D, SturmLiouvilleProblem, lowest_eigenpairs, \
-    richardson_eigenvalues
+from .numerics import EndpointRule, Grid1D, SturmLiouvilleProblem, richardson_eigenvalues
 from .params import PhysParams
 
 
@@ -114,7 +113,7 @@ def higgs_spectrum_numeric(mprime: int, params: PhysParams, k: int,
                            n: int = 4000) -> np.ndarray:
     """Richardson-extrapolated lowest k oscillator-channel eigenvalues.
     Measured accuracy 3e-12-5e-11 relative for lam in [0.1, 1], k <= 3."""
-    extrap, _, _ = richardson_eigenvalues(higgs_oscillator_problem(mprime, params, n), k)
+    extrap, *_ = richardson_eigenvalues(higgs_oscillator_problem(mprime, params, n), k)
     return extrap
 
 
@@ -132,28 +131,32 @@ def crs_spectrum_numeric(mprime_q: float, params: PhysParams, k: int,
                          n: int = 4000) -> np.ndarray:
     """Richardson-extrapolated spectrum of the special line model on its
     natural branch."""
-    extrap, _, _ = richardson_eigenvalues(crs_natural_problem(mprime_q, params, n), k)
+    extrap, *_ = richardson_eigenvalues(crs_natural_problem(mprime_q, params, n), k)
     return extrap
 
 
-def crs_wide_problem(mprime_q: float, params: PhysParams) -> SturmLiouvilleProblem:
+def crs_wide_problem(mprime_q: float, params: PhysParams,
+                     n: int) -> SturmLiouvilleProblem:
     """Special line model on the wide domain (0, 10) across the tan pole x*,
-    n = 16000, with a power closure at the origin and a Dirichlet wall at 10."""
+    with a power closure at the origin and a Dirichlet wall at 10."""
     bc = (EndpointRule(0.5 + abs(mprime_q), 0.0), None)
     return crs_problem(params, lambda x: crs_potential_special(mprime_q, params, x),
-                       Grid1D(0.0, 10.0, 16000), bc)
+                       Grid1D(0.0, 10.0, n), bc)
 
 
-def crs_spectrum_numeric_wide(mprime_q: float, params: PhysParams, k: int):
-    """Single-grid solve of crs_wide_problem.  Returns (first_well,
-    interlopers): eigenvalues classified by the weighted mass fraction left
-    of x*."""
-    prob = crs_wide_problem(mprime_q, params)
-    vals, vectors = lowest_eigenpairs(prob, k)
-    x = prob.grid.points()
-    mass = np.asarray(prob.w(x), float)[:, None] * vectors ** 2
-    in_well = np.sum(mass[x < x_pole(params)], axis=0) / np.sum(mass, axis=0) > 0.9
-    return vals[in_well].tolist(), vals[~in_well].tolist()
+def crs_spectrum_numeric_wide(mprime_q: float, params: PhysParams,
+                              k: int) -> tuple[list[float], list[float]]:
+    """Richardson-extrapolated lowest k eigenvalues of crs_wide_problem at
+    n = 4000/8001, returned as (first_well, interlopers): a state lies in
+    the first well when more than 0.9 of its M-weighted mass lies left of
+    x*, read from the pair's coarse unit vectors u of the standard form,
+    whose u^2 is that mass (m v^2 h for the back-transformed v)."""
+    prob = crs_wide_problem(mprime_q, params, 4000)
+    extrap, _, _, mass = richardson_eigenvalues(prob, k)
+    mass *= mass
+    in_well = np.sum(mass[:, prob.grid.points() < x_pole(params)], axis=1) \
+        / np.sum(mass, axis=1) > 0.9
+    return extrap[in_well].tolist(), extrap[~in_well].tolist()
 
 
 def qes_channel_problem(mprime: float, spec: QesSpec, params: PhysParams,

@@ -86,7 +86,7 @@ def suite_higgs_spectrum() -> list[CheckResult]:
     prob = problems.higgs_radial_problem(
         0, params, lambda r: higgs.oscillator_potential(params, r),
         Grid1D(1e-4, 40.0, 2000), _WALLS)
-    extrap, _, _ = richardson_eigenvalues(prob, 3)
+    extrap, *_ = richardson_eigenvalues(prob, 3)
     exact = np.array([crs.oscillator_energy((N, 0), params) for N in range(3)])
     rel = float(np.max(np.abs(extrap - exact) / exact))
     out.append(_check("higgs-spectrum", "planar-dirichlet-reference", rel, math.inf,
@@ -115,15 +115,17 @@ def suite_crs_spectrum() -> list[CheckResult]:
                               detail="domain (0, x*), Richardson n=4000/8001"))
     params = PhysParams(lam=1.0)
     for mq in (0, 1, 2):
-        exact = [crs.oscillator_energy((N, mq), params) for N in range(3)]
+        exact = np.array([crs.oscillator_energy((N, mq), params) for N in range(3)])
         first_well, interlopers = problems.crs_spectrum_numeric_wide(mq, params, 8)
-        rel = float(max(abs(fw - ex) / ex for fw, ex in zip(first_well, exact)))
+        # a level of N = 0..2 missing from the first well fails the row
+        rel = float(np.max(np.abs(first_well[:3] - exact) / exact)) \
+            if len(first_well) >= 3 else math.inf
         out.append(_check(
-            "crs-spectrum", f"wide-lam=1-mprimeq={mq}", rel, 1e-5,
+            "crs-spectrum", f"wide-lam=1-mprimeq={mq}", rel, 1e-6 if mq == 0 else 1e-7,
             detail=f"domain (0, 10) straddles the tan pole at x*=2.3013; "
                    f"{len(interlopers)} interloper state(s) beyond the pole among the "
                    f"lowest 8; states localized on (0, x*) reproduce the closed-form "
-                   f"spectrum"))
+                   f"spectrum, Richardson n=4000/8001"))
     return out
 
 
@@ -549,7 +551,7 @@ def suite_numerics_oracle() -> list[CheckResult]:
         lambda x: np.asarray(x, float) ** 2,
         lambda x: np.ones_like(np.asarray(x, float)),
         Grid1D(-10.0, 10.0, 2000))
-    extrap, _, _ = richardson_eigenvalues(prob, 3)
+    extrap, *_ = richardson_eigenvalues(prob, 3)
     worst = float(np.max(np.abs(extrap - np.array([1.0, 3.0, 5.0]))
                          / np.array([1.0, 3.0, 5.0])))
     out.append(_check("numerics-oracle", "flat-oscillator", worst, 1e-6))

@@ -52,8 +52,9 @@ def test_spectrum_gates_the_origin_closure(monkeypatch):
     # every power rule at the origin becomes a Dirichlet wall: the m' = 0
     # rows read 0.108-0.140 relative.  A wall is exact enough for m' = 2 and
     # for the higgs m' = 1 rows (8.6e-13-3.7e-11, under their 1e-10 and 1e-9
-    # gates), not for the crs natural m'_Q = 1 rows (2.9e-8 and 1.3e-8
-    # against 1e-10).  The same swap at the far end is the next test's mutation
+    # gates; the wide m'_Q = 2 row reads 1.4e-8 against 1e-7), not for the
+    # crs m'_Q = 1 rows (natural 2.9e-8 and 1.3e-8 against 1e-10, wide 2.3e-7
+    # against 1e-7).  The same swap at the far end is the next test's mutation
     rule = problems.EndpointRule
 
     def off(sigma, center, series=()):
@@ -63,7 +64,7 @@ def test_spectrum_gates_the_origin_closure(monkeypatch):
     assert failed("higgs-spectrum", "crs-spectrum") == [
         "lam=0.1-mprime=0", "lam=1.0-mprime=0", "natural-lam=0.1-mprimeq=0",
         "natural-lam=0.1-mprimeq=1", "natural-lam=1.0-mprimeq=0",
-        "natural-lam=1.0-mprimeq=1", "wide-lam=1-mprimeq=0"]
+        "natural-lam=1.0-mprimeq=1", "wide-lam=1-mprimeq=0", "wide-lam=1-mprimeq=1"]
 
 
 @pytest.mark.parametrize("mutate", [
@@ -176,11 +177,42 @@ def test_flat_oscillator_gates_the_extrapolation(monkeypatch):
     pair = verify.richardson_eigenvalues
 
     def off(prob, k):
-        _, coarse, fine = pair(prob, k)
-        return coarse, coarse, fine
+        _, coarse, fine, vectors = pair(prob, k)
+        return coarse, coarse, fine, vectors
 
     monkeypatch.setattr(verify, "richardson_eigenvalues", off)
     assert failed("numerics-oracle") == ["flat-oscillator"]
+
+
+def test_spectrum_rows_gate_the_extrapolation(monkeypatch):
+    # the coarse grid passed off as the extrapolation: the higgs and natural
+    # crs rows read 2.0e-7-1.7e-6, the wide rows 3.7e-6, 1.3e-5 and 1.4e-5,
+    # so every gated row of both suites fails
+    pair = problems.richardson_eigenvalues
+
+    def off(prob, k):
+        _, coarse, fine, vectors = pair(prob, k)
+        return coarse, coarse, fine, vectors
+
+    monkeypatch.setattr(problems, "richardson_eigenvalues", off)
+    assert failed("higgs-spectrum", "crs-spectrum") == sorted(
+        [f"lam={lam}-mprime={mp}" for lam in (0.1, 1.0) for mp in (0, 1, 2)]
+        + [f"natural-lam={lam}-mprimeq={mq}" for lam in (0.1, 1.0) for mq in (0, 1, 2)]
+        + [f"wide-lam=1-mprimeq={mq}" for mq in (0, 1, 2)])
+
+
+@pytest.mark.parametrize("kept", [2, 0])
+def test_wide_rows_need_three_first_well_states(monkeypatch, kept):
+    # fewer first-well states than the levels N = 0..2 they are held to:
+    # each wide row fails, with no level dropped and no error raised
+    wide = problems.crs_spectrum_numeric_wide
+
+    def off(*args, **kwargs):
+        first_well, interlopers = wide(*args, **kwargs)
+        return first_well[:kept], interlopers
+
+    monkeypatch.setattr(problems, "crs_spectrum_numeric_wide", off)
+    assert failed("crs-spectrum") == [f"wide-lam=1-mprimeq={mq}" for mq in (0, 1, 2)]
 
 
 @pytest.mark.parametrize("k,change,fails", [

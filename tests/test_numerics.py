@@ -22,11 +22,12 @@ from curvosc.numerics import (
     richardson_eigenvalues,
 )
 from curvosc.numerics import (
-    _bisection, _coarse_polished, _gershgorin, _polished, _prolongation)
+    _bisection, _coarse_polished, _gershgorin, _polished, _prolongation, _times)
 from curvosc.params import PhysParams
 from curvosc.problems import (
     crs_natural_problem,
     crs_spectrum_numeric,
+    crs_spectrum_numeric_wide,
     crs_wide_problem,
     higgs_oscillator_problem,
     higgs_radial_problem,
@@ -299,7 +300,7 @@ class TestCornerQuadrature:
         # lam = 0.1), the tan pole, the origin of the wide crs domain
         higgs_oscillator_problem(1, PhysParams(lam=0.1), 4000),
         crs_natural_problem(1, UNIT, 4000),
-        crs_wide_problem(1, UNIT),
+        crs_wide_problem(1, UNIT, 16000),
         # the solvable channel, closed at both ends by its series, and a
         # neighbour channel, closed by bare roots
         qes_channel_problem(1, QES2, UNIT, 4000),
@@ -449,7 +450,7 @@ class TestLowestEigenvalues:
         assert vals[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_richardson(self):
-        extrap, coarse, fine = richardson_eigenvalues(flat_oscillator(n=500), 2)
+        extrap, coarse, fine, _ = richardson_eigenvalues(flat_oscillator(n=500), 2)
         exact = np.array([1.0, 3.0])
         assert np.max(np.abs(extrap - exact)) < 1e-7
         assert np.max(np.abs(coarse - exact)) > np.max(np.abs(extrap - exact))
@@ -655,7 +656,7 @@ class TestSeededEigenvalues:
     def test_matches_relative_accuracy_bisection(self, case, seeded_references):
         prob, k = SEEDED_CASES[case]
         assert all(vals is not None for vals in polished_pair(prob, k))
-        _, coarse, fine = richardson_eigenvalues(prob, k)
+        _, coarse, fine, _ = richardson_eigenvalues(prob, k)
         for vals, ref in zip((coarse, fine), seeded_references[case]):
             assert np.max(np.abs(vals - ref) / ref) <= 1e-9
 
@@ -721,7 +722,7 @@ class TestSeededEigenvalues:
         prob = build(1, PhysParams(lam=lam), 4000)
         certified = polished_pair(prob, k)
         assert all(vals is not None for vals in certified)
-        _, coarse, fine = richardson_eigenvalues(prob, k)
+        _, coarse, fine, _ = richardson_eigenvalues(prob, k)
         for vals, hand, grid in zip((coarse, fine), certified, (prob, prob.refined())):
             assert np.array_equal(vals, hand)
             ref = relative_bisection(grid, k)
@@ -737,10 +738,10 @@ class TestSeededEigenvalues:
         assert np.sqrt(np.finfo(float).eps) * _gershgorin(d, e)[1] > np.min(np.diff(plain))
         assert all(vals is not None for vals in polished_pair(prob, 3))
 
-    def test_coarse_fallback_starts_the_fine_grid_from_the_coarse_values(self, monkeypatch):
+    def test_coarse_fallback_starts_the_fine_grid_from_stein_vectors(self, monkeypatch):
         # loose guesses that skip a mode fail the coarse certificate; the
-        # coarse grid falls back to the bisection and the fine grid starts
-        # from its values
+        # coarse grid falls back to the bisection, and the fine grid starts
+        # from stein's vectors of that bisection, prolonged
         prob, k = SEEDED_CASES["crs-k3"]
         bisection = numerics._bisection
 
@@ -750,12 +751,28 @@ class TestSeededEigenvalues:
             return np.delete(bisection(d, e, k + 1, tol=tol, **options), 1)
 
         monkeypatch.setattr(numerics, "_bisection", skipping)
-        _, coarse, fine = richardson_eigenvalues(prob, k)
+        _, coarse, fine, vectors = richardson_eigenvalues(prob, k)
         monkeypatch.undo()
-        d, e, _ = assemble(prob)
+        d, e, m = assemble(prob)
         assert np.array_equal(coarse, _bisection(d, e, k, eigvals_only=True))
-        fd, fe, _ = assemble(prob.refined())
-        assert np.array_equal(fine, _polished(fd, fe, shifts=coarse))
+        assert np.array_equal(vectors, _bisection(d, e, k)[1].T.astype(np.float32))
+        fd, fe, fm = assemble(prob.refined())
+        prolong = _prolongation(prob.grid, m, fm, prob.bc)
+        assert np.array_equal(fine, _polished(fd, fe, starts=map(prolong, vectors)))
+
+    @pytest.mark.parametrize("case", SEEDED_CASES)
+    def test_pair_hands_out_the_coarse_unit_vectors(self, case):
+        # (k, n) float32 rows, orthonormal to single-precision roundoff, each
+        # an eigenvector of the coarse standard form T to that roundoff
+        prob, k = SEEDED_CASES[case]
+        _, coarse, _, vectors = richardson_eigenvalues(prob, k)
+        assert vectors.dtype == np.float32 and vectors.shape == (k, prob.grid.n)
+        u, eps = vectors.astype(float), np.finfo(np.float32).eps
+        assert np.max(np.abs(u @ u.T - np.eye(k))) <= eps
+        d, e, _ = assemble(prob)
+        norm = _gershgorin(d, e)[1]
+        for x, rho in zip(u, coarse):
+            assert np.linalg.norm(_times(d, e, x) - rho * x) <= eps * norm
 
     def test_repeats_bit_for_bit(self):
         prob, k = SEEDED_CASES["polar-k50"]
@@ -780,7 +797,7 @@ class TestSeededEigenvalues:
         prob = build(mprime, params, 4000)
         certified = polished_pair(prob, k)
         assert all(vals is not None for vals in certified)
-        _, coarse, fine = richardson_eigenvalues(prob, k)
+        _, coarse, fine, _ = richardson_eigenvalues(prob, k)
         for vals, hand, grid in zip((coarse, fine), certified, (prob, prob.refined())):
             assert np.array_equal(vals, hand)
             ref = relative_bisection(grid, k)
@@ -834,7 +851,7 @@ class TestSingleGridPolish:
 
     @pytest.mark.parametrize("prob,k", [
         (higgs_oscillator_problem(0, UNIT, 8001), 50),
-        (crs_wide_problem(1, UNIT), 8),
+        (crs_wide_problem(1, UNIT, 16000), 8),
         (qes_channel_problem(2, QES2, UNIT, 2000), 1),
         (flat_oscillator(), 4),
     ], ids=["polar-k50", "crs-wide", "qes2-neighbour", "flat-k4"])
@@ -855,7 +872,7 @@ class TestSpectrumProtocols:
                        id=f"higgs-lam={lam}") for lam in (0.001, 1.0)),
         *(pytest.param(crs_natural_problem(1, PhysParams(lam=lam), 100),
                        id=f"crs-lam={lam}") for lam in (0.1, 1.0, 1e9)),
-        pytest.param(crs_wide_problem(1, UNIT), id="crs-wide"),
+        pytest.param(crs_wide_problem(1, UNIT, 16000), id="crs-wide"),
         *(pytest.param(qes_channel_problem(mp, QesSpec.transplanted(1, UNIT, l), UNIT, 100),
                        id=f"qes-l={l}-mprime={mp}")
           for l in (3.0, 24.0, None) for mp in (0, 1, 2)),
@@ -904,6 +921,20 @@ class TestSpectrumProtocols:
             mask = rs > 1e-2 * rs.max()
             dev = np.max(np.abs(np.abs(vs[mask]) * scale - rs[mask]) / rs[mask])
             assert dev < 1e-4
+
+    @pytest.mark.parametrize("mprime_q", [0, 1, 2])
+    def test_wide_classification_matches_the_eigenpairs(self, mprime_q):
+        # the pair's coarse unit vectors put the same states in the first
+        # well as the back-transformed vectors of a single-grid solve of the
+        # same problem, by their mass in the assembled weights (1 in total)
+        prob = crs_wide_problem(mprime_q, UNIT, 4000)
+        first_well, interlopers = crs_spectrum_numeric_wide(mprime_q, UNIT, 8)
+        _, vectors = lowest_eigenpairs(prob, 8)
+        mass = assemble(prob)[2][:, None] * vectors ** 2 * prob.grid.h
+        in_well = np.sum(mass[prob.grid.points() < crs.x_pole(UNIT)], axis=0) > 0.9
+        extrap = richardson_eigenvalues(prob, 8)[0]
+        assert first_well == extrap[in_well].tolist()
+        assert interlopers == extrap[~in_well].tolist()
 
 
 class TestDerivatives:
