@@ -1,4 +1,6 @@
-"""The three LAPACK routines the solver calls (dgtsv, dstebz, dstein), taken
+"""The three LAPACK routines the solver calls (dgtsv, dstebz, dstein), and
+dsterf, all eigenvalues of a symmetric tridiagonal by implicit QL, which
+verify's numerics-oracle checks the solver against; all four are taken
 from scipy's compiled f2py module without importing scipy.linalg.
 
 The package init of scipy.linalg costs about 0.35 s per process (it pulls
@@ -50,6 +52,7 @@ def _load():
 
 _flapack, SOURCE = _load()
 dgtsv, dstebz, dstein = _flapack.dgtsv, _flapack.dstebz, _flapack.dstein
+dsterf = _flapack.dsterf
 
 
 def _check(info: int, driver: str) -> None:

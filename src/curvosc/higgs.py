@@ -38,17 +38,31 @@ from .transform import curvature_shift
 def higgs_radial_coefficients(mprime: int | float, params: PhysParams, r):
     """(p2, p1, p0) of angular channel m' with the -hbar^2/2m factor
     applied, so the eigenproblem reads p2 psi'' + p1 psi' + p0 psi + V psi
-    = E psi.  Singular at r = 0."""
+    = E psi: higgs_radial_leading, p1 = -(hbar^2/2m) (1+lam r^2)(1+5 lam
+    r^2)/r and higgs_radial_zeroth.  Singular at r = 0."""
+    p0 = higgs_radial_zeroth(mprime, params, r)
+    r = np.asarray(r, float)
+    lam = params.lam
+    K = 1 + lam * r * r
+    return higgs_radial_leading(params, r), -params.kinetic * K * (1 + 5 * lam * r * r) / r, p0
+
+
+def higgs_radial_leading(params: PhysParams, r):
+    """p2 = -(hbar^2/2m) (1+lam r^2)^2, the same in every angular channel."""
+    r = np.asarray(r, float)
+    K = 1 + params.lam * r * r
+    return -params.kinetic * K * K
+
+
+def higgs_radial_zeroth(mprime: int | float, params: PhysParams, r):
+    """p0 = -(hbar^2/2m) (3 lam - lam m'^2 + (15/4) lam^2 r^2 - m'^2/r^2) of
+    angular channel m'.  Singular at r = 0."""
     r = np.asarray(r, float)
     if np.any(r == 0):
         raise SingularPointError("radial coefficients singular at r = 0")
     lam = params.lam
     lam2, mp2 = finite_square("lam", lam), finite_square("m'", mprime)
-    f = -params.kinetic
-    K = 1 + lam * r * r
-    return (f * K * K,
-            f * K * (1 + 5 * lam * r * r) / r,
-            f * (3 * lam - lam * mp2 + 3.75 * lam2 * r * r - mp2 / (r * r)))
+    return -params.kinetic * (3 * lam - lam * mp2 + 3.75 * lam2 * r * r - mp2 / (r * r))
 
 
 def oscillator_potential(params: PhysParams, r):

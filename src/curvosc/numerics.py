@@ -53,9 +53,10 @@ the ceiling; tau uses the real distance to x0, so a grid cut short of its
 singular point grades too.  On the shipped problems the graded averages
 agree with all-24-point ones to 2e-12 relative of the assembled diagonal
 (the roundoff floor of the 24-point sums at sigma ~ 100), while a corner
-of 1600 cells takes about 6600 nodes instead of 38400.  q and w are
-called once each per system, on the points outside the corner cells and
-all corner nodes in one flat array.
+of 1600 cells takes about 6600 nodes instead of 38400.  A problem hands
+out q and w from one evaluation, qw(t) -> (q, w), which is called once
+per system, on the points outside the corner cells and all corner nodes
+in one flat array.
 
 All three changes keep K symmetric (the face factors multiply the same
 difference in both adjacent rows; a boundary face has one row only).
@@ -139,7 +140,7 @@ bit for bit, so the fine grid starts from vectors there as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -255,16 +256,16 @@ class EndpointRule:
 
 @dataclass(frozen=True)
 class SturmLiouvilleProblem:
-    """-(p psi')' + q psi = E w psi on grid, with endpoint rules bc."""
+    """-(p psi')' + q psi = E w psi on grid, with endpoint rules bc; qw(t)
+    returns the pair (q(t), w(t)), both from one evaluation at the points t."""
 
     p: Callable[[np.ndarray], np.ndarray]
-    q: Callable[[np.ndarray], np.ndarray]
-    w: Callable[[np.ndarray], np.ndarray]
+    qw: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     grid: Grid1D
     bc: tuple[EndpointRule | None, EndpointRule | None] = (None, None)   # None: Dirichlet
 
     def refined(self) -> "SturmLiouvilleProblem":
-        return SturmLiouvilleProblem(self.p, self.q, self.w, self.grid.refined(), self.bc)
+        return replace(self, grid=self.grid.refined())
 
 
 def assemble(problem: SturmLiouvilleProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -279,23 +280,25 @@ def assemble(problem: SturmLiouvilleProblem) -> tuple[np.ndarray, np.ndarray, np
 
     g = np.full(n + 1, 1.0 / h)       # face derivative factors
     sampled = np.ones(n, bool)        # points whose q, w are not cell averages
-    corners = []
+    nodes, corners = [], []
     for side, rule in enumerate(problem.bc):
         if rule is None:
             continue
         m = min(max(40, n // 5), n)   # corrected cells
         # faces j (between x_{j-1} and x_j) and cells of this corner; face
         # terms are divided through by phi at the point of the pair farther
-        # from the corner, so their ratios stay O(1) for any sigma
+        # from the corner, so their ratios stay O(1) for any sigma, and
+        # that point's own ratio is one
         if side == 0:
             j = np.arange(1, m)
             ref, cells = x[j], range(0, m)
             g[0] = rule.log_derivative(xf[0]) * rule.ratio(xf[0], x[0])
+            dp = 1.0 - rule.ratio(x[j - 1], ref)
         else:
             j = np.arange(max(n - m, 1), n)
             ref, cells = x[j - 1], range(max(n - m, 0), n)
             g[n] = -rule.log_derivative(xf[n]) * rule.ratio(xf[n], x[n - 1])
-        dp = rule.ratio(x[j], ref) - rule.ratio(x[j - 1], ref)
+            dp = rule.ratio(x[j], ref) - 1.0
         flux = rule.log_derivative(xf[j]) * rule.ratio(xf[j], ref)
         g[j] = np.divide(flux, dp, out=g[j], where=dp != 0)
         i = np.arange(cells.start, cells.stop)
@@ -309,21 +312,24 @@ def assemble(problem: SturmLiouvilleProblem) -> tuple[np.ndarray, np.ndarray, np
         t = mid[cell] + half[cell] * _NODES[row]
         f = rule.ratio(t, x[i[cell]]) * (half / h)[cell] * _WEIGHTS[row]
         sampled[i] = False
-        corners.append((i, cell, t, f))
+        nodes.append(t)
+        corners.append((i, cell, f))
 
-    # one q and one w call per system, on the sampled points and all nodes
-    t = np.concatenate([x[sampled]] + [c[2] for c in corners])
-    qv, wv = np.asarray(problem.q(t), float), np.asarray(problem.w(t), float)
+    # one qw call per system, on the sampled points and all nodes; the
+    # corners' own node arrays go once the flat one holds them
+    t = np.concatenate([x[sampled], *nodes])
+    nodes.clear()
+    qv, wv = (np.asarray(v, float) for v in problem.qw(t))
     if np.any(wv <= 0):
         raise NonpositiveWeightError("weight w must be positive on the interior")
     if np.any(pf <= 0):
         raise NonpositiveWeightError("leading coefficient p must be positive at faces")
     qi, wi, at = np.empty(n), np.empty(n), np.count_nonzero(sampled)
     qi[sampled], wi[sampled] = qv[:at], wv[:at]
-    for i, cell, u, f in corners:
-        qi[i] = np.bincount(cell, qv[at:at + u.size] * f, minlength=i.size)
-        wi[i] = np.bincount(cell, wv[at:at + u.size] * f, minlength=i.size)
-        at += u.size
+    for i, cell, f in corners:
+        qi[i] = np.bincount(cell, qv[at:at + cell.size] * f, minlength=i.size)
+        wi[i] = np.bincount(cell, wv[at:at + cell.size] * f, minlength=i.size)
+        at += cell.size
 
     d = ((pf[:-1] * g[:-1] + pf[1:] * g[1:]) / h + qi) / wi
     e = -pf[1:-1] * g[1:-1] / h / np.sqrt(wi[:-1] * wi[1:])
@@ -548,8 +554,7 @@ def _coarse_polished(problem: SturmLiouvilleProblem, k: int, d: np.ndarray,
     n = max(grid.n // _COARSEN, _GUESS_POINTS * k)
     if n > grid.n // 2:
         return None
-    coarse = SturmLiouvilleProblem(problem.p, problem.q, problem.w,
-                                   Grid1D(grid.a, grid.b, n), problem.bc)
+    coarse = replace(problem, grid=Grid1D(grid.a, grid.b, n))
     try:
         cd, ce, _ = _standard_system(coarse, k)
         tol = np.sqrt(np.finfo(float).eps) * _gershgorin(cd, ce)[1] if loose else 0.0
@@ -707,8 +712,8 @@ def rayleigh_quotient(problem: SturmLiouvilleProblem, psi: Callable) -> tuple[fl
 
     psi and p are evaluated once each, on the grid points the stencils
     touch (the included points and two more at each side); the five
-    shifted samples of each stencil are slices of those two arrays.  q and
-    w are evaluated once on the included points.
+    shifted samples of each stencil are slices of those two arrays.  qw is
+    evaluated once, on the included points.
 
     Returns (weighted mean of e with weight w psi^2, std(e)/|mean(e)|).
     Raises StateRangeError if psi is zero or not finite and NodeDetectedError
@@ -735,8 +740,7 @@ def rayleigh_quotient(problem: SturmLiouvilleProblem, psi: Callable) -> tuple[fl
     d1, d2 = _five_point(fs, h)
     ps = shifted(problem.p)
     pv, dp = ps[2], _five_point(ps, h)[0]
-    qv = _on(x, problem.q(x))
-    wv = _on(x, problem.w(x))
+    qv, wv = (_on(x, v) for v in problem.qw(x))
     e = (-pv * d2 - dp * d1 + qv * f) / (wv * f)
     weight = wv * f * f
     mean_w = float(np.sum(weight * e) / np.sum(weight))

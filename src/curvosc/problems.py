@@ -16,8 +16,19 @@ weight once, here:
   line operator:    w(x) = (1+lam x^2)^(-1/2), since (w K)'/w = lam x for
                     K = 1+lam x^2.
 
-numerics-oracle/self-adjointness-certificates checks p'/w = -p1 on both
-built problems.
+The line operator is solved in the radial gauge, for u = x^(-1/2) phi,
+the paper's g(r) ~ (lam r^2)^(-1/4) on the line.  The operator on u has
+the triple (p2, p1 + p2/x, p0 + p1/(2x) - p2/(4x^2)) and the weight x w,
+and the same rule gives
+
+  p~ = x p,   w~ = x w,   q~ = x q - p'/2 + p/(4x),   p' = -w p1.
+
+The 1/x^2 parts of V and p2/(4x^2) cancel, so the origin exponent falls
+from 1/2 + |m'_Q| to |m'_Q|, as on the radial side, and the double
+indicial root of m'_Q = 0 leaves no x^(1/2) log x solution, whose h^2 log h
+error the Richardson pair could not remove.  The mass w~ u^2 = w phi^2 is
+unchanged.  numerics-oracle/self-adjointness-certificates checks p'/w =
+-p1 on both built problems, with the gauged drift p1 + p2/x for the line.
 
 The spectrum protocols and the channels of every QesSpec solve the radial
 problem in the polar angle chi = arctan(sqrt(lam) r).  The substitution
@@ -30,8 +41,8 @@ below are indicial roots of the operators:
 
   radial at r=0:            psi ~ r^|m'|
   oscillator at the equator: psi ~ (pi/2 - chi)^(2 + m w'/(hbar lam))
-  line model at x=0:         phi ~ x^(1/2+|m'|)
-  line model at the tan pole: phi ~ (x*-x)^((1+delta)/2)
+  line model at x=0:         u ~ x^|m'|
+  line model at the tan pole: u ~ (x*-x)^((1+delta)/2)
   QES channel m' = m'_Q:     both ends limit-circle; the closed form's root
                              and admixture, QesSpec.end_profile
   other QES channels:        the closed form's root at the far end, and
@@ -47,25 +58,29 @@ from typing import Callable
 import numpy as np
 
 from .crs import QesSpec, crs_operator_coefficients, crs_potential_special, x_pole
-from .higgs import higgs_radial_coefficients, oscillator_potential, qes_branch_radius, \
-    qes_potential
+from .higgs import higgs_radial_leading, higgs_radial_zeroth, oscillator_potential, \
+    qes_branch_radius, qes_potential
 from .numerics import EndpointRule, Grid1D, SturmLiouvilleProblem, richardson_eigenvalues
 from .params import PhysParams
 
 
-def _self_adjoint(coeffs: Callable, V: Callable, w: Callable, grid: Grid1D,
+def _self_adjoint(p2: Callable, p0: Callable, V: Callable, w: Callable, grid: Grid1D,
                   bc) -> SturmLiouvilleProblem:
-    """The self-adjoint form of the operator with coefficient triple
-    coeffs(t) = (p2, p1, p0), potential V and weight w."""
-    return SturmLiouvilleProblem(lambda t: -w(t) * coeffs(t)[0],
-                                 lambda t: w(t) * (V(t) + coeffs(t)[2]),
-                                 w, grid, bc)
+    """The self-adjoint form of the operator with leading and zeroth
+    coefficients p2(t) and p0(t), potential V and weight w: p reads p2
+    only, and qw takes q and w from one w(t), one V(t) and one p0(t)."""
+    def qw(t):
+        wt = w(t)
+        return wt * (V(t) + p0(t)), wt
+
+    return SturmLiouvilleProblem(lambda t: -w(t) * p2(t), qw, grid, bc)
 
 
 def higgs_radial_problem(mprime: int | float, params: PhysParams, V: Callable,
                          grid: Grid1D, bc) -> SturmLiouvilleProblem:
     """Radial-channel problem in the planar coordinate r."""
-    return _self_adjoint(lambda r: higgs_radial_coefficients(mprime, params, r), V,
+    return _self_adjoint(lambda r: higgs_radial_leading(params, r),
+                         lambda r: higgs_radial_zeroth(mprime, params, r), V,
                          lambda r: np.asarray(r, float), grid, bc)
 
 
@@ -77,25 +92,34 @@ def _higgs_polar_problem(mprime: int | float, params: PhysParams, V: Callable,
     sq = math.sqrt(lam)
     planar = higgs_radial_problem(mprime, params, V, grid, bc)
 
-    def r_of(c):
-        return np.tan(c) / sq
+    def frame(c):
+        """r(chi) and dr/dchi."""
+        return np.tan(c) / sq, 1.0 / (sq * np.cos(c) ** 2)
 
-    def drdc(c):
-        return 1.0 / (sq * np.cos(c) ** 2)
+    def p(c):
+        r, drdc = frame(c)
+        return planar.p(r) / drdc
 
-    return SturmLiouvilleProblem(
-        lambda c: planar.p(r_of(c)) / drdc(c),
-        lambda c: planar.q(r_of(c)) * drdc(c),
-        lambda c: planar.w(r_of(c)) * drdc(c),
-        grid, bc)
+    def qw(c):
+        r, drdc = frame(c)
+        q, w = planar.qw(r)
+        return q * drdc, w * drdc
+
+    return SturmLiouvilleProblem(p, qw, grid, bc)
 
 
 def crs_problem(params: PhysParams, V: Callable, grid: Grid1D, bc) -> SturmLiouvilleProblem:
-    """Line-model problem in x."""
+    """Line-model problem in x for u = x^(-1/2) phi, the radial gauge of the
+    module docstring: the operator on u has the triple (p2, p1 + p2/x, p0
+    + p1/(2x) - p2/(4x^2)) and the weight x w."""
     lam = params.require_curvature()
-    return _self_adjoint(lambda x: crs_operator_coefficients(params, x), V,
-                         lambda x: 1.0 / np.sqrt(1 + lam * np.asarray(x, float) ** 2),
-                         grid, bc)
+
+    def gauged_p0(x):
+        p2, p1, p0 = crs_operator_coefficients(params, x)
+        return p0 + p1 / (2 * x) - p2 / (4 * x * x)
+
+    return _self_adjoint(lambda x: crs_operator_coefficients(params, x)[0], gauged_p0, V,
+                         lambda x: x / np.sqrt(1 + lam * np.asarray(x, float) ** 2), grid, bc)
 
 
 def higgs_oscillator_problem(mprime: int, params: PhysParams,
@@ -122,7 +146,7 @@ def crs_natural_problem(mprime_q: float, params: PhysParams,
     """Special line model on its natural branch (0, x*), x* the first tan
     pole, with power closures at the origin and at the pole."""
     xs = x_pole(params)
-    bc = (EndpointRule(0.5 + abs(mprime_q), 0.0), EndpointRule((1 + params.delta) / 2, xs))
+    bc = (EndpointRule(abs(mprime_q), 0.0), EndpointRule((1 + params.delta) / 2, xs))
     return crs_problem(params, lambda x: crs_potential_special(mprime_q, params, x),
                        Grid1D(0.0, xs, n), bc)
 
@@ -139,7 +163,7 @@ def crs_wide_problem(mprime_q: float, params: PhysParams,
                      n: int) -> SturmLiouvilleProblem:
     """Special line model on the wide domain (0, 10) across the tan pole x*,
     with a power closure at the origin and a Dirichlet wall at 10."""
-    bc = (EndpointRule(0.5 + abs(mprime_q), 0.0), None)
+    bc = (EndpointRule(abs(mprime_q), 0.0), None)
     return crs_problem(params, lambda x: crs_potential_special(mprime_q, params, x),
                        Grid1D(0.0, 10.0, n), bc)
 

@@ -66,9 +66,9 @@ def test_criterion_01_higgs_spectrum(verify_runs):
 
 def test_criterion_02_crs_spectrum(verify_runs):
     """Line-model eigenvalues match the closed-form spectrum: on the natural
-    branch to 1e-10 for m'_Q >= 1 and 1e-7 for m'_Q = 0, on the wide domain
-    to 1e-7 for m'_Q >= 1 and 1e-6 for m'_Q = 0; the wide domain adds
-    interloper states beyond the tan pole, reported per channel."""
+    branch to 1e-10 and on the wide domain to 1e-7, for m'_Q in {0, 1, 2};
+    the wide domain adds interloper states beyond the tan pole, reported
+    per channel."""
     _run(verify_runs, 2, "crs spectrum", "crs-spectrum")
 
 
@@ -159,13 +159,13 @@ GATES = {
         ("planar-dirichlet-reference", "report", None),
     ],
     "crs-spectrum": [
-        ("natural-lam=0.1-mprimeq=0", "<=", 1e-07),
+        ("natural-lam=0.1-mprimeq=0", "<=", 1e-10),
         ("natural-lam=0.1-mprimeq=1", "<=", 1e-10),
         ("natural-lam=0.1-mprimeq=2", "<=", 1e-10),
-        ("natural-lam=1.0-mprimeq=0", "<=", 1e-07),
+        ("natural-lam=1.0-mprimeq=0", "<=", 1e-10),
         ("natural-lam=1.0-mprimeq=1", "<=", 1e-10),
         ("natural-lam=1.0-mprimeq=2", "<=", 1e-10),
-        ("wide-lam=1-mprimeq=0", "<=", 1e-06),
+        ("wide-lam=1-mprimeq=0", "<=", 1e-07),
         ("wide-lam=1-mprimeq=1", "<=", 1e-07),
         ("wide-lam=1-mprimeq=2", "<=", 1e-07),
     ],
@@ -237,7 +237,7 @@ GATES = {
         ("convergence-order-high", "<=", 2.2),
         ("sturm-node-counts", "<=", 0.0),
         ("self-adjointness-certificates", "<=", 1e-08),
-        ("dense-eigensolve-agreement", "<=", 1e-10),
+        ("ql-eigensolve-agreement", "<=", 1e-10),
     ],
     "determinism": [
         ("repeated-pipeline-bytes", "<=", 0.0),

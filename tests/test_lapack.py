@@ -1,20 +1,24 @@
-"""curvosc._lapack: the three LAPACK routines come from scipy's compiled
-module without importing scipy.linalg, and its eigh_tridiagonal returns
-what scipy.linalg.eigh_tridiagonal, the reference here, returns, bit for
-bit, on the file-loaded module and on the scipy.linalg.lapack fallback."""
+"""curvosc._lapack: the solver's three LAPACK routines and verify's dsterf
+come from scipy's compiled module without importing scipy.linalg, its
+eigh_tridiagonal returns what scipy.linalg.eigh_tridiagonal, the
+reference here, returns, bit for bit, on the file-loaded module and on the
+scipy.linalg.lapack fallback, and dsterf what
+scipy.linalg.eigvalsh_tridiagonal returns through sterf; no command calls
+numpy.linalg."""
 
 import sys
 from functools import cache
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal as scipy_eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal as scipy_eigh_tridiagonal, eigvalsh_tridiagonal
 
-from curvosc import _lapack, cli, numerics
+from curvosc import _lapack, cli, numerics, verify
 from curvosc.crs import QesSpec
 from curvosc.numerics import assemble, lowest_eigenpairs
 from curvosc.params import PhysParams
-from curvosc.problems import crs_wide_problem, higgs_oscillator_problem, qes_channel_problem
+from curvosc.problems import crs_natural_problem, crs_wide_problem, higgs_oscillator_problem, \
+    qes_channel_problem
 
 UNIT = PhysParams()
 
@@ -63,6 +67,28 @@ def test_vectors_match_scipy(case):
     assert np.array_equal(w, ref_w) and np.array_equal(v, ref_v)
 
 
+def test_dsterf_matches_scipy():
+    # the whole spectrum of verify's ql-eigensolve-agreement system
+    d, e, _ = assemble(crs_natural_problem(1, PhysParams(lam=1.0), 200))
+    vals, info = _lapack.dsterf(d, e)
+    assert info == 0
+    assert np.array_equal(vals, eigvalsh_tridiagonal(d, e, lapack_driver="sterf"))
+
+
+def test_no_command_calls_numpy_linalg(tmp_path, monkeypatch):
+    # a dense numpy.linalg call pages in numpy's own OpenBLAS, whose worker
+    # spins a core on after the call; verify and the solver keep to scipy's
+    # LAPACK.  numpy.polynomial's Gauss-Legendre tables, built at import,
+    # are left out
+    def refused(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, refused)
+    for args in (["verify", "--suite", "numerics-oracle"], ["spectrum", "--model", "higgs"]):
+        assert cli.main(args + ["--output", str(tmp_path / "x.json")]) == 0
+
+
 class Refused:
     """An extension loader that cannot load anything."""
 
@@ -80,13 +106,14 @@ def test_forced_fallback_gives_identical_results(tmp_path, monkeypatch, capsys):
 
     def results():
         w, v = _lapack.eigh_tridiagonal(d, e, select_range=(0, k - 1))
-        return w, v, *lowest_eigenpairs(prob, 3)
+        return w, v, *lowest_eigenpairs(prob, 3), verify.dsterf(d[:200], e[:199])[0]
 
     before = results()
-    for name in ("dgtsv", "dstebz", "dstein"):
+    for name in ("dgtsv", "dstebz", "dstein", "dsterf"):
         monkeypatch.setattr(_lapack, name, getattr(module, name))
-        if hasattr(numerics, name):
-            monkeypatch.setattr(numerics, name, getattr(module, name))
+        for user in (numerics, verify):
+            if hasattr(user, name):
+                monkeypatch.setattr(user, name, getattr(module, name))
     for a, b in zip(before, results()):
         assert np.array_equal(a, b)
     # a LAPACK failure still ends in the typed error

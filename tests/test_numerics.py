@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,6 +44,11 @@ QES2 = QesSpec.example2(1, UNIT)
 ONE = lambda x: np.ones_like(np.asarray(x, float))
 
 
+def separate(p, q, w, grid, bc=(None, None)):
+    """The problem of p, q and w given as one function each."""
+    return SturmLiouvilleProblem(p, lambda t: (q(t), w(t)), grid, bc)
+
+
 def scalar_profile(rule):
     """phi and phi' of a power rule as plain scalar functions."""
     sig, c, ser = rule.exponent, rule.center, rule.series
@@ -84,7 +90,7 @@ def reference_assemble(prob):
     n, h = prob.grid.n, prob.grid.h
     x, xf = prob.grid.points(), prob.grid.faces()
     pf = prob.p(xf)
-    q, w = np.array(prob.q(x), float), np.array(prob.w(x), float)
+    q, w = (np.array(v, float) for v in prob.qw(x))
     g = np.full(n + 1, 1.0 / h)
     extra = [0.0, 0.0]
     for side, rule in enumerate(prob.bc):
@@ -100,8 +106,8 @@ def reference_assemble(prob):
             lo, hi = xf[i], xf[i + 1]
             t = 0.5 * (hi + lo) + 0.5 * (hi - lo) * gx
             weight = 0.5 * (hi - lo) * gw * np.array([phi(tk) for tk in t]) / (phi(x[i]) * h)
-            q[i] = np.dot(weight, prob.q(t))
-            w[i] = np.dot(weight, prob.w(t))
+            qt, wt = prob.qw(t)
+            q[i], w[i] = np.dot(weight, qt), np.dot(weight, wt)
         if side == 0:
             extra[0] = pf[0] * dphi(xf[0]) / phi(x[0]) / h
         else:
@@ -125,7 +131,7 @@ def full_order_assemble(prob):
     n, h = prob.grid.n, prob.grid.h
     x, xf = prob.grid.points(), prob.grid.faces()
     pf = prob.p(xf)
-    q, w = np.array(prob.q(x), float), np.array(prob.w(x), float)
+    q, w = (np.array(v, float) for v in prob.qw(x))
     g = np.full(n + 1, 1.0 / h)
     extra = [0.0, 0.0]
     for side, rule in enumerate(prob.bc):
@@ -146,8 +152,8 @@ def full_order_assemble(prob):
         half = 0.5 * (xf[i + 1] - xf[i])
         t = 0.5 * (xf[i + 1] + xf[i])[:, None] + half[:, None] * gx
         weight = rule.ratio(t, x[i, None]) * (half / h)[:, None] * gw
-        q[i] = np.sum(prob.q(t) * weight, axis=1)
-        w[i] = np.sum(prob.w(t) * weight, axis=1)
+        qt, wt = prob.qw(t)
+        q[i], w[i] = np.sum(qt * weight, axis=1), np.sum(wt * weight, axis=1)
     off = -pf[1:-1] * g[1:-1] / h
     diag = (pf[:-1] * g[:-1] + pf[1:] * g[1:]) / h + q
     left, right = prob.bc
@@ -164,7 +170,7 @@ def corner_problem(sigma, side, n=2001):
     integer sigma."""
     rules = [None, None]
     rules[side] = EndpointRule(sigma, float(side))
-    return SturmLiouvilleProblem(
+    return separate(
         lambda x: 1 + 0.5 * x, lambda x: 2 / x**2.5 + 3 / (1 - x) ** 2.5 + x,
         lambda x: 1 + x**2, Grid1D(0.0, 1.0, n), tuple(rules))
 
@@ -190,8 +196,7 @@ def backward_errors(prob, vals, vectors):
 
 def flat_oscillator(n=2000, a=-10.0, b=10.0):
     # -psi'' + x^2 psi: eigenvalues 2k + 1
-    return SturmLiouvilleProblem(ONE, lambda x: np.asarray(x, float) ** 2, ONE,
-                                 Grid1D(a, b, n))
+    return separate(ONE, lambda x: np.asarray(x, float) ** 2, ONE, Grid1D(a, b, n))
 
 
 # problems whose corner nodes assemble lays out: two power corners, two
@@ -201,7 +206,7 @@ CORNER_LAYOUTS = [
     pytest.param(higgs_oscillator_problem(1, PhysParams(lam=0.003), 2000), id="polar"),
     pytest.param(qes_channel_problem(1, QES2, UNIT, 1000), id="qes2-series"),
     pytest.param(qes_channel_problem(2, QES2, UNIT, 1000), id="qes2-neighbour"),
-    pytest.param(SturmLiouvilleProblem(
+    pytest.param(separate(
         ONE, lambda x: 1 / x**2 + 1 / (1 - x) ** 2, ONE, Grid1D(0.0, 1.0, 45),
         (EndpointRule(1.5, 0.0), EndpointRule(2.0, 1.0))),
         id="overlapping-corners"),
@@ -246,15 +251,14 @@ class TestAssemble:
     def test_linear_profile_end_faces_are_dirichlet_walls(self, ends):
         # on d^1 every profile factor is exact at 1/h, so a sigma = 1 rule
         # assembles the walls' system; with both ends it reads 2.9e-14
-        walls = SturmLiouvilleProblem(ONE, lambda x: 2 * ONE(x), ONE, Grid1D(0.0, 1.0, 301))
+        walls = separate(ONE, lambda x: 2 * ONE(x), ONE, Grid1D(0.0, 1.0, 301))
         bc = tuple(EndpointRule(1.0, float(side)) if side in ends else None for side in (0, 1))
-        rules = SturmLiouvilleProblem(walls.p, walls.q, walls.w, walls.grid, bc)
+        rules = replace(walls, bc=bc)
         for x, y in zip(assemble(walls), assemble(rules)):
             assert np.max(np.abs(y - x) / np.abs(x)) <= 1e-13
 
     def test_nonpositive_weight_rejected(self):
-        prob = SturmLiouvilleProblem(ONE, ONE, lambda x: np.asarray(x, float) - 0.5,
-                                     Grid1D(0.0, 1.0, 9))
+        prob = separate(ONE, ONE, lambda x: np.asarray(x, float) - 0.5, Grid1D(0.0, 1.0, 9))
         with pytest.raises(NonpositiveWeightError):
             assemble(prob)
 
@@ -272,13 +276,13 @@ class TestAssemble:
 class TestCornerQuadrature:
     @pytest.mark.parametrize("prob", [
         # power rule with a series at the left corner
-        SturmLiouvilleProblem(
+        separate(
             lambda x: 1 + x, lambda x: 2 / x**2 + x, lambda x: 1 + 0.5 * x**2,
             Grid1D(0.0, 2.0, 301),
             (EndpointRule(1.5, 0.0, series=(0.4, -0.1)), None)),
         # power corner on the right, its 40 corrected cells over most of
         # the grid
-        SturmLiouvilleProblem(
+        separate(
             lambda x: 2 - x, lambda x: 6 / (1 - x) ** 2, ONE,
             Grid1D(0.0, 1.0 - 1e-3, 45),
             (None, EndpointRule(3.0, 1.0))),
@@ -329,25 +333,21 @@ class TestCornerQuadrature:
 
     @staticmethod
     def counted(prob):
-        """prob with q and w wrapped to record the arrays they receive."""
-        seen = {"q": [], "w": []}
+        """prob with qw wrapped to record the arrays it receives."""
+        seen = []
 
-        def wrap(name, f):
-            def g(t):
-                seen[name].append(np.array(t))
-                return f(t)
-            return g
+        def qw(t):
+            seen.append(np.array(t))
+            return prob.qw(t)
 
-        return (SturmLiouvilleProblem(prob.p, wrap("q", prob.q), wrap("w", prob.w),
-                                      prob.grid, prob.bc), seen)
+        return replace(prob, qw=qw), seen
 
     @pytest.mark.parametrize("prob", CORNER_LAYOUTS + [
         pytest.param(flat_oscillator(n=50), id="dirichlet")])
-    def test_one_q_and_one_w_call(self, prob):
+    def test_one_qw_call(self, prob):
         wrapped, seen = self.counted(prob)
         got = assemble(wrapped)
-        assert len(seen["q"]) == 1 and len(seen["w"]) == 1
-        assert np.array_equal(seen["q"][0], seen["w"][0])
+        assert len(seen) == 1
         for a, b in zip(got, assemble(prob)):
             assert np.array_equal(a, b)
 
@@ -357,7 +357,7 @@ class TestCornerQuadrature:
         # node, each corner's nodes strictly inside the cell they average
         wrapped, seen = self.counted(prob)
         assemble(wrapped)
-        t = seen["q"][0]
+        t = seen[0]
         n = prob.grid.n
         x, xf = prob.grid.points(), prob.grid.faces()
         sampled = np.ones(n, bool)
@@ -393,9 +393,9 @@ class TestCornerQuadrature:
         assert np.all(w(x) > 0)
         bc = [None, None]
         bc[side] = EndpointRule(1.5, 0.0 if side == 0 else 1.0)
-        assemble(SturmLiouvilleProblem(ONE, ONE, ONE, grid, tuple(bc)))
+        assemble(separate(ONE, ONE, ONE, grid, tuple(bc)))
         with pytest.raises(NonpositiveWeightError, match="weight w"):
-            assemble(SturmLiouvilleProblem(ONE, ONE, w, grid, tuple(bc)))
+            assemble(separate(ONE, ONE, w, grid, tuple(bc)))
 
     def test_ratio_survives_where_phi_underflows(self):
         rule = EndpointRule(1000.0, 0.0)
@@ -436,8 +436,7 @@ class TestCornerQuadrature:
         grid = Grid1D(0.0, 1.0, 200)
         xf = grid.faces()
         q = lambda x: np.where((x > xf[2]) & (x < xf[3]), np.nan, 0.0 * x)
-        prob = SturmLiouvilleProblem(ONE, q, ONE, grid,
-                                     (EndpointRule(1.0, 0.0), None))
+        prob = separate(ONE, q, ONE, grid, (EndpointRule(1.0, 0.0), None))
         for solve in (lowest_eigenvalues, lowest_eigenpairs):
             with pytest.raises(UnresolvedError, match="non-finite"):
                 solve(prob, 2)
@@ -476,13 +475,12 @@ class TestLowestEigenvalues:
         # orthonormal in the assembled weights, V^T M V h = I, where the
         # profile-weighted corner cells make m differ from the sampled w
         rule = EndpointRule(1.5, 0.0, series=(0.4, -0.1))
-        prob = SturmLiouvilleProblem(lambda x: 1 + x, lambda x: 2 / x**2 + x,
-                                     lambda x: 1 + 0.5 * x**2, Grid1D(0.0, 2.0, 301),
-                                     (rule, None))
+        prob = separate(lambda x: 1 + x, lambda x: 2 / x**2 + x, lambda x: 1 + 0.5 * x**2,
+                        Grid1D(0.0, 2.0, 301), (rule, None))
         _, vectors = lowest_eigenpairs(prob, 3)
         _, _, m = assemble(prob)
         assert vectors.shape == (301, 3)
-        assert not np.allclose(m, prob.w(prob.grid.points()), rtol=1e-12, atol=0)
+        assert not np.allclose(m, prob.qw(prob.grid.points())[1], rtol=1e-12, atol=0)
         gram = vectors.T @ (m[:, None] * vectors) * prob.grid.h
         assert np.max(np.abs(gram - np.eye(3))) <= 1e-12
         for j in range(3):
@@ -513,7 +511,7 @@ class TestLowestEigenvalues:
     def test_spectral_edge_guard(self):
         # q = 1e9 lifts the whole spectrum to within 5 % of the edge
         # max(d) + 2 max|e| of the standard form
-        prob = SturmLiouvilleProblem(ONE, lambda x: 1e9 * ONE(x), ONE, Grid1D(0.0, 1.0, 100))
+        prob = separate(ONE, lambda x: 1e9 * ONE(x), ONE, Grid1D(0.0, 1.0, 100))
         for solve in (lowest_eigenvalues, lowest_eigenpairs):
             with pytest.raises(UnresolvedError, match="spectral edge"):
                 solve(prob, 3)
@@ -608,8 +606,7 @@ def polished_pair(prob, k):
     fails (for both where the coarse one fails)."""
     d, e, m = assemble(prob)
     grid = prob.grid
-    guess = SturmLiouvilleProblem(prob.p, prob.q, prob.w, Grid1D(
-        grid.a, grid.b, max(grid.n // 16, 40 * k)), prob.bc)
+    guess = replace(prob, grid=Grid1D(grid.a, grid.b, max(grid.n // 16, 40 * k)))
     gd, ge, _ = assemble(guess)
     tol = np.sqrt(np.finfo(float).eps) * _gershgorin(gd, ge)[1]
     guesses = eigh_tridiagonal(gd, ge, eigvals_only=True, select="i",
@@ -866,6 +863,54 @@ class TestSingleGridPolish:
         assert np.all(backward_errors(prob, vals, vectors) < 1e-13)
 
 
+def polar_from_the_triple(mprime, params, V, prob):
+    """prob, a radial channel in the polar frame, rebuilt from the full
+    coefficient triple with q and w as separate functions."""
+    sq = math.sqrt(params.lam)
+    coeffs = lambda r: higgs.higgs_radial_coefficients(mprime, params, r)
+    r_of = lambda c: np.tan(c) / sq
+    drdc = lambda c: 1.0 / (sq * np.cos(c) ** 2)
+    return separate(lambda c: -r_of(c) * coeffs(r_of(c))[0] / drdc(c),
+                    lambda c: r_of(c) * (V(r_of(c)) + coeffs(r_of(c))[2]) * drdc(c),
+                    lambda c: r_of(c) * drdc(c), prob.grid, prob.bc)
+
+
+def line_from_the_triple(mprime_q, params, prob):
+    """prob, a line problem in the radial gauge, rebuilt from the full
+    coefficient triple with q and w as separate functions."""
+    coeffs = lambda x: crs.crs_operator_coefficients(params, x)
+    V = lambda x: crs.crs_potential_special(mprime_q, params, x)
+    w = lambda x: x / np.sqrt(1 + params.lam * x ** 2)
+    p0 = lambda x: coeffs(x)[2] + coeffs(x)[1] / (2 * x) - coeffs(x)[0] / (4 * x * x)
+    return separate(lambda x: -w(x) * coeffs(x)[0], lambda x: w(x) * (V(x) + p0(x)), w,
+                    prob.grid, prob.bc)
+
+
+HALF = PhysParams(lam=0.5)
+
+
+@pytest.mark.parametrize("prob,reference", [
+    pytest.param(higgs_oscillator_problem(1, HALF, 500),
+                 lambda p: polar_from_the_triple(
+                     1, HALF, lambda r: higgs.oscillator_potential(HALF, r), p),
+                 id="higgs-polar"),
+    pytest.param(crs_natural_problem(0, UNIT, 500),
+                 lambda p: line_from_the_triple(0, UNIT, p), id="crs-natural"),
+    pytest.param(crs_wide_problem(1, UNIT, 500),
+                 lambda p: line_from_the_triple(1, UNIT, p), id="crs-wide"),
+    *(pytest.param(qes_channel_problem(mprime, QES2, UNIT, 500),
+                   lambda p, mprime=mprime: polar_from_the_triple(
+                       mprime, UNIT, lambda r: higgs.qes_potential(QES2, UNIT, r), p),
+                   id=f"qes2-channel{mprime}")
+      for mprime in (0, 1, 2)),
+])
+def test_joint_qw_matches_the_full_triple(prob, reference):
+    # p from the leading coefficient alone and q, w from one evaluation of
+    # the zeroth: the assembled system of the full triple, bit for bit
+    for got, want in zip(assemble(prob), assemble(reference(prob))):
+        assert np.array_equal(got, want)
+
+
 class TestSpectrumProtocols:
     @pytest.mark.parametrize("prob", [
         *(pytest.param(higgs_oscillator_problem(1, PhysParams(lam=lam), 100),
@@ -905,14 +950,15 @@ class TestSpectrumProtocols:
             assert np.max(np.abs(num - exact) / exact) < 1e-5
 
     def test_crs_eigenvector_matches_wavefunction(self):
-        # |phi| (sin^2 convention) against the discretized eigenvector,
-        # up to one global scale, on the interior 80% of the grid
+        # |phi| (sin^2 convention) against the discretized eigenvector u of
+        # the radial gauge, phi = x^(1/2) u, up to one global scale, on the
+        # interior 80% of the grid
         mq = 1
         prob = crs_natural_problem(mq, UNIT, 3000)
         _, vectors = lowest_eigenpairs(prob, 2)
         x = prob.grid.points()
         for N in (0, 1):
-            v = vectors[:, N]
+            v = np.sqrt(x) * vectors[:, N]
             ref = np.array([abs(crs.crs_wavefunction_special((N, mq), UNIT, float(t)))
                             for t in x])
             i0, i1 = int(0.1 * x.size), int(0.9 * x.size)
@@ -1016,8 +1062,9 @@ def five_evaluation_rayleigh(problem, psi):
     x = grid.points()[10: grid.n - 10]
     f, d1, d2 = derivatives(psi, x, grid.h)
     pv, dp, _ = derivatives(problem.p, x, grid.h)
-    e = (-pv * d2 - dp * d1 + problem.q(x) * f) / (problem.w(x) * f)
-    weight = problem.w(x) * f * f
+    q, w = problem.qw(x)
+    e = (-pv * d2 - dp * d1 + q * f) / (w * f)
+    weight = w * f * f
     return float(np.sum(weight * e) / np.sum(weight))
 
 
@@ -1025,7 +1072,7 @@ class TestRayleighGridStencils:
     def test_each_coefficient_and_psi_is_evaluated_once(self):
         prob = higgs_radial_problem(0, UNIT, lambda r: higgs.oscillator_potential(UNIT, r),
                                     Grid1D(0.1, 12.0, 1200), (None, None))
-        calls = {"psi": 0, "p": 0, "q": 0, "w": 0}
+        calls = {"psi": 0, "p": 0, "qw": 0}
 
         def counted(name, fn):
             def wrapper(x):
@@ -1033,11 +1080,10 @@ class TestRayleighGridStencils:
                 return fn(x)
             return wrapper
 
-        counting = SturmLiouvilleProblem(counted("p", prob.p), counted("q", prob.q),
-                                         counted("w", prob.w), prob.grid, prob.bc)
+        counting = replace(prob, p=counted("p", prob.p), qw=counted("qw", prob.qw))
         rayleigh_quotient(counting, counted(
             "psi", lambda r: higgs.higgs_wavefunction((0, 0), UNIT, r)))
-        assert calls == {"psi": 1, "p": 1, "q": 1, "w": 1}
+        assert calls == {"psi": 1, "p": 1, "qw": 1}
 
     @pytest.mark.parametrize("lam", [0.5, 1.0])
     @pytest.mark.parametrize("mq,l", [(1.0, 3.0), (2.0, 4.0), (1.0, None)],
