@@ -31,7 +31,8 @@ import numpy as np
 from .errors import DegenerateDerivativeError, NonpositiveCurvatureError, ParameterOverflowError, \
     QuantumNumberError, SingularPointError, ZeroAError
 from .params import PhysParams, finite_square, require_positive
-from .special_functions import hyp2f1_terminating, radial_quantum_number, theta_of_x
+from .special_functions import gudermannian, hyp2f1_terminating, radial_quantum_number, \
+    theta_of_x
 
 
 @dataclass(frozen=True)
@@ -106,37 +107,24 @@ class QesSpec:
             t0 = math.atanh(-self.C2 / self.C1) if abs(self.C2) < abs(self.C1) else 0.0
         return math.sqrt(abs(self.A) / lam), t0 if t0 > 0 else math.inf
 
-    def end_profile(self, params: PhysParams, end: float) -> tuple[float, tuple[float, float]]:
-        """(sigma, (c1, c2)) of the profile d^sigma (1 + c1 d + c2 d^2) of the channel-m'_Q
-        ground state at the end Theta = end of its polar interval (0, b), d = |Theta - end|.
-        In Theta = arctan(sqrt(lam) r) its log-derivative L = -cot(Theta)/2 - 3 tan(Theta)/2
-        - (beta X + gamma)/(lam X_Theta) = -(2 - cos 2Theta)/sin 2Theta - ... is a sum of
-        two ratios of Taylor series about the end (lam X_ThetaTheta = A X + B); from
-        +-L = sigma/d + a0 + a1 d + ..., c1 = a0 and c2 = (a0^2 + a1)/2."""
+    def end_profile(self, params: PhysParams, end: float) -> float:
+        """The exponent sigma of the channel-m'_Q ground state ~ d^sigma at the end Theta =
+        end of its polar interval (0, b), d = |Theta - end|: the residue there of its
+        log-derivative -cot(Theta)/2 - 3 tan(Theta)/2 - (beta X + gamma)/(lam X_Theta) =
+        -(2 - cos 2Theta)/sin 2Theta - ..., the sum of num/den' over its two ratios num/den
+        whose den vanishes there, to roundoff beside den' (lam X_ThetaTheta = A X + B)."""
         lam = params.require_curvature()
-        X0, X1 = map(float, _x_and_x_theta(self, params, end))
-        X2 = (self.A * X0 + self.B) / lam
-        c, s = math.cos(2 * end), math.sin(2 * end)
-        sigma, a0, a1 = (p - q / lam for p, q in zip(
-            _laurent((c - 2, -2 * s, -2 * c), (s, 2 * c, -2 * s, -4 * c / 3)),
-            _laurent((self.beta * X0 + self.gamma, self.beta * X1, self.beta * X2 / 2),
-                     (X1, X2, self.A * X1 / (2 * lam), self.A * X2 / (6 * lam)))))
-        # the interval starts at 0, so any other end is its right end, d = end - Theta
-        c1, c2 = (a0 if end == 0 else -a0), (a0 * a0 + a1) / 2
-        if not all(map(math.isfinite, (sigma, c1, c2))):
+        u, _ = self.branch(params)
+        X0, X1 = map(float, _x_and_x_theta(self, u, u * end)[:2])
+        c = math.cos(2 * end)
+        sigma = sum(num / slope for num, den, slope in (
+            (c - 2, math.sin(2 * end), 2 * c),
+            (-(self.beta * X0 + self.gamma) / lam, X1, (self.A * X0 + self.B) / lam))
+            if abs(den) <= 1e-12 * abs(slope))
+        if not math.isfinite(sigma):
             raise ParameterOverflowError(f"the end profile overflows at gamma/lam = "
                                          f"{self.gamma / lam:g}, from m'_Q and m omega/(lam hbar)")
-        return sigma, (c1, c2)
-
-
-def _laurent(num, den) -> tuple[float, float, float]:
-    """(r, b0, b1) of num/den = r/t + b0 + b1 t + ... from the Taylor coefficients
-    num[0..2], den[0..3] about t = 0; den[0] is a zero where it is roundoff beside den[1]."""
-    e = den[1:] if abs(den[0]) <= 1e-12 * abs(den[1]) else den
-    q0 = num[0] / e[0]
-    q1 = (num[1] - q0 * e[1]) / e[0]
-    q2 = (num[2] - q0 * e[2] - q1 * e[1]) / e[0]
-    return (0.0, q0, q1) if e is den else (q0, q1, q2)
+        return sigma
 
 
 def special_params(mprime_q: float, params: PhysParams) -> QesSpec:
@@ -157,24 +145,58 @@ def special_params(mprime_q: float, params: PhysParams) -> QesSpec:
                    c_shift=c_shift, mprime_q=mprime_q)
 
 
-def _x_and_x_theta(spec: QesSpec, params: PhysParams, theta):
-    """The constraint solution X of spec and its derivative X_Theta at the angles Theta."""
-    u, _ = spec.branch(params)
-    t = u * np.asarray(theta, float)
+def _x_and_x_theta(spec: QesSpec, u: float, t):
+    """X of spec, X_Theta and, for A < 0, w = tan(t/2) (else None) at t = u Theta.  There
+    cos t = 2/(1 + w^2) - 1 and sin t = w 2/(1 + w^2): one tan costs a quarter of both."""
     if spec.A < 0:
-        c, s = np.cos(t), np.sin(t)
+        w = np.tan(t / 2)
+        g = 2 / (1 + w * w)
+        c, s = g - 1, g * w
         x_theta = u * (spec.C2 * c - spec.C1 * s)
     else:
-        c, s = np.cosh(t), np.sinh(t)
+        w, c, s = None, np.cosh(t), np.sinh(t)
         x_theta = u * (spec.C1 * s + spec.C2 * c)
-    return -spec.B / spec.A + spec.C1 * c + spec.C2 * s, x_theta
+    return -spec.B / spec.A + spec.C1 * c + spec.C2 * s, x_theta, w
+
+
+def log_groundstate(spec: QesSpec, params: PhysParams, theta):
+    """(log phi0, d log phi0/dTheta) of the line ground state at the angles Theta below the
+    first zero of X_Theta, phi0 = |X_Theta/(u R)|^(-beta/A) exp(-((gamma - beta B/A)/lam) J),
+    J = int dTheta/X_Theta, so d log phi0/dTheta = -(beta X + gamma)/(lam X_Theta).  In
+    w = tan(t/2) (A < 0) or tanh(t/2) (A > 0), u^2 J = 2 int dw/(a w^2 + 2 b w + c), (a, b,
+    c) = (k C2, k C1, C2), k = sign(A): a logarithm where R^2 = b^2 - a c > 0, a Gudermannian
+    where R^2 < 0 and a pole where R = 0 (X_Theta = u C2 e^(+-t)).  R is the amplitude of
+    X_Theta/u, |C2| where R = 0.  As a logarithm the state overflows nowhere."""
+    u, t0 = spec.branch(params)
+    lam = params.lam
+    t = u * np.asarray(theta, float)
+    if np.any(~(t < t0)):
+        raise SingularPointError(f"Theta = {np.max(t) / u} is past X_Theta's first zero")
+    X, x_theta, w = _x_and_x_theta(spec, u, t)
+    k = math.copysign(1.0, spec.A)
+    a, b, c = k * spec.C2, k * spec.C1, spec.C2
+    R2 = b * b - a * c
+    R = math.sqrt(abs(R2))
+    kappa = (spec.gamma - spec.beta * spec.B / spec.A) / (lam * u * u)
+    if w is None and R2 >= 0:
+        w = np.tanh(t / 2)
+    if R2 > 0:          # m = b + sign(b) R keeps the root w = -c/m free of cancellation
+        m = b + math.copysign(R, b)
+        j = np.log(np.abs((m * w + c) / (a * w + m))) * math.copysign(1 / R, b)
+    elif R2 < 0:        # X_Theta/u = +-R cosh(t + atanh(b/a)), the sign of a
+        j = gudermannian(t + math.atanh(b / a)) / math.copysign(R, a)
+    else:
+        j, R = -2 / (a * w + b), abs(c)
+    return (-spec.beta / spec.A * np.log(np.abs(x_theta / (u * R))) - kappa * j,
+            -(spec.beta * X + spec.gamma) / (lam * x_theta))
 
 
 def potential_theta(spec: QesSpec, params: PhysParams, theta):
     """The factorization-method potential of spec at the angles Theta,
     (hbar^2/2m lam) (b/X_Theta) ((b + A X + B)/X_Theta) + C with b = beta X + gamma,
     divided before it is multiplied so that no intermediate overflows where V does not."""
-    X, x_theta = _x_and_x_theta(spec, params, theta)
+    u, _ = spec.branch(params)
+    X, x_theta, _ = _x_and_x_theta(spec, u, u * np.asarray(theta, float))
     if np.any(np.abs(x_theta) < 1e-14):
         raise DegenerateDerivativeError(
             f"|X_Theta| = {np.min(np.abs(x_theta))} at a requested point; potential singular")

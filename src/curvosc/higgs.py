@@ -29,9 +29,8 @@ import numpy as np
 
 from .errors import InfiniteBranchError, NegativeRadiusError, SingularPointError
 from .params import PhysParams, finite_square
-from .special_functions import gudermannian, hyp2f1_terminating, radial_quantum_number, \
-    upsilon_of_r
-from .crs import QesSpec, potential_theta
+from .special_functions import hyp2f1_terminating, radial_quantum_number, upsilon_of_r
+from .crs import QesSpec, log_groundstate, potential_theta
 from .transform import curvature_shift
 
 
@@ -120,37 +119,14 @@ def qes_potential(spec: QesSpec, params: PhysParams, r):
 def qes_groundstate(spec: QesSpec, params: PhysParams, r):
     """Unnormalized channel-m'_Q ground state of the potential transplanted from spec,
 
-    psi0 = (lam r^2)^(-1/4) (1+lam r^2)^(-1/2) |X_Theta/(u R)|^(-beta/A)
-           exp(-((gamma - beta B/A)/lam) J),   J = int dTheta / X_Theta,
+    psi0 = (lam r^2)^(-1/4) (1+lam r^2)^(-1/2) exp(log phi0(Upsilon(r))),
 
-    at Theta = Upsilon(r), the integral of the log-derivative that QesSpec.end_profile
-    expands.  In t = u Theta, u = sqrt(|A|/lam), and w = tan(t/2) (A < 0) or tanh(t/2)
-    (A > 0), u^2 J = 2 int dw/(a w^2 + 2 b w + c), (a, b, c) = (k C2, k C1, C2), k = sign(A):
-    a logarithm where R^2 = b^2 - a c > 0, a Gudermannian where R^2 < 0 and a pole where
-    R = 0 (X_Theta = u C2 e^(+-t)).  R is the amplitude of X_Theta/u, |C2| where R = 0.
-    Defined for r > 0 below the first zero of X_Theta.
+    with log phi0 the line ground state of crs.log_groundstate.  Defined for r > 0
+    below the first zero of X_Theta.
     """
-    u, t0 = spec.branch(params)
-    lam = params.lam
     r = np.asarray(r, float)
     if np.any(r <= 0):
         raise SingularPointError(f"ground state needs r > 0, got {np.min(r)}")
-    t = u * upsilon_of_r(r, lam)
-    off_branch = ~(t < t0)
-    if np.any(off_branch):
-        raise SingularPointError(f"r = {r[off_branch].flat[0]} is past X_Theta's first zero")
-    k = math.copysign(1.0, spec.A)
-    cs, sn, half = (np.cos(t), np.sin(t), np.tan) if k < 0 else (np.cosh(t), np.sinh(t), np.tanh)
-    a, b, c = k * spec.C2, k * spec.C1, spec.C2
-    R2 = b * b - a * c
-    R = math.sqrt(abs(R2))
-    kappa = (spec.gamma - spec.beta * spec.B / spec.A) / (lam * u * u)
-    if R2 > 0:          # m = b + sign(b) R keeps the root w = -c/m free of cancellation
-        m, w = b + math.copysign(R, b), half(t / 2)
-        F = np.abs((m * w + c) / (a * w + m)) ** (-kappa * math.copysign(1 / R, b))
-    elif R2 < 0:        # X_Theta/u = +-R cosh(t + atanh(b/a)), the sign of a
-        F = np.exp(-kappa * gudermannian(t + math.atanh(b / a)) / math.copysign(R, a))
-    else:
-        F, R = np.exp(2 * kappa / (a * half(t / 2) + b)), abs(c)
-    return ((lam * r * r) ** -0.25 * (1 + lam * r * r) ** -0.5
-            * F * np.abs((c * cs + b * sn) / R) ** (-spec.beta / spec.A))
+    lam = params.lam
+    log_phi, _ = log_groundstate(spec, params, upsilon_of_r(r, lam))
+    return (lam * r * r) ** -0.25 * (1 + lam * r * r) ** -0.5 * np.exp(log_phi)

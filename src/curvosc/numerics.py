@@ -9,8 +9,10 @@ form:
     K_ii = (p_{i-1/2} + p_{i+1/2}) / h^2 + q_i,   K_{i,i+1} = -p_{i+1/2}/h^2,
     M = diag(w_i),          K v = E M v.
 
-This module never evaluates any closed-form spectrum or wavefunction of
-the model modules; it is the independent check applied to them.
+This module imports no model module and evaluates no closed form of its
+own; it is the independent check applied to them.  The one closed form it
+reads is an end profile a problem hands over to close a limit-circle end;
+the eigenvalues still come from p, q and w.
 
 Endpoint handling
 -----------------
@@ -20,8 +22,8 @@ endpoints where the regular solution behaves like |x - x0|^sigma; a
 Dirichlet wall at small distance then converges only like a power of the
 cutoff (or logarithmically, for sigma = 0 or the critical sigma = 1/2),
 far too slowly for the tolerances used here.  An EndpointRule instead
-works with the local power profile
-phi(x) = |x-x0|^sigma (1 + c1 d + c2 d^2 + ...), d = |x-x0|, and:
+works with a local profile phi, the power |x-x0|^sigma or a closed form
+handed over as one callable t -> (log phi, phi'/phi), and:
 
   * closes the boundary face with its own derivative factor, the profile
     flux phi'(face)/phi(x) fitted through the interior point x beside it,
@@ -33,9 +35,10 @@ phi(x) = |x-x0|^sigma (1 + c1 d + c2 d^2 + ...), d = |x-x0|, and:
 
 phi itself is never formed: for sigma in the hundreds (small curvature)
 d^sigma overflows far from the corner and underflows next to it.  Every
-profile quantity is built from the ratio phi(t)/phi(t0) =
-(d/d0)^sigma poly(d)/poly(d0) and the log-derivative phi'/phi, each taken
-against a nearby point, which stay finite wherever the corrections matter.
+profile quantity is built from the ratio phi(t)/phi(t0), (d/d0)^sigma or
+exp(log phi(t) - log phi(t0)), and the log-derivative phi'/phi, each taken
+against a nearby point, which stay finite wherever the corrections matter;
+the profile is evaluated once per corner point, face and node.
 The cell averages are Gauss-Legendre sums whose order is graded with the
 distance from the corner.  Away from the singular point x0 the integrand
 q phi is analytic, and on a cell of half-width hc whose centre lies at
@@ -221,37 +224,29 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class EndpointRule:
-    """Power profile of one endpoint; see the module docstring.  A Dirichlet
+    """Local profile of one endpoint; see the module docstring.  A Dirichlet
     wall is no rule: None in a problem's bc."""
 
-    exponent: float               # sigma of the power profile
-    center: float                 # singular point of the power profile
-    series: tuple = ()            # (c1, c2, ...) profile corrections
+    exponent: float               # sigma, the profile's power at its singular point
+    center: float                 # singular point of the profile
+    profile: Callable | None = None   # t -> (log phi, phi'/phi); None: |t - center|^sigma
 
-    def _poly(self, d, derivative: bool = False):
-        """Series factor 1 + c1 d + c2 d^2 + ..., or its d-derivative c1 +
-        2 c2 d + ..., by Horner's rule; the constant 1 or 0 without a series."""
-        if not self.series:
-            return 0.0 if derivative else 1.0
-        c = [j * cj for j, cj in enumerate(self.series, 1)] if derivative \
-            else [1.0, *self.series]
-        out = c[-1]
-        for cj in c[-2::-1]:
-            out = cj + out * d
-        return out
+    def sample(self, t):
+        """(v, phi'/phi) at the points t, v = |t - center| for the power and
+        log phi for a profile: phi(t)/phi(t0) is sample_ratio(v, v0)."""
+        t = np.asarray(t, float)
+        if self.profile is not None:
+            return self.profile(t)
+        e = t - self.center
+        return np.abs(e), self.exponent / e
+
+    def sample_ratio(self, v, v0):
+        """phi(t)/phi(t0) from the samples v of t and v0 of t0."""
+        return (v / v0) ** self.exponent if self.profile is None else np.exp(v - v0)
 
     def ratio(self, t, t0):
         """phi(t)/phi(t0) of the local regular profile, without forming phi."""
-        d = np.abs(np.asarray(t, float) - self.center)
-        d0 = np.abs(np.asarray(t0, float) - self.center)
-        return (d / d0) ** self.exponent * (self._poly(d) / self._poly(d0))
-
-    def log_derivative(self, t):
-        """phi'(t)/phi(t) of the local regular profile."""
-        t = np.asarray(t, float)
-        d = np.abs(t - self.center)
-        return np.sign(t - self.center) * (
-            self.exponent / d + self._poly(d, derivative=True) / self._poly(d))
+        return self.sample_ratio(self.sample(t)[0], self.sample(t0)[0])
 
 
 @dataclass(frozen=True)
@@ -285,23 +280,15 @@ def assemble(problem: SturmLiouvilleProblem) -> tuple[np.ndarray, np.ndarray, np
         if rule is None:
             continue
         m = min(max(40, n // 5), n)   # corrected cells
-        # faces j (between x_{j-1} and x_j) and cells of this corner; face
-        # terms are divided through by phi at the point of the pair farther
-        # from the corner, so their ratios stay O(1) for any sigma, and
-        # that point's own ratio is one
+        # cells i of this corner, and the faces (face j lies between x_{j-1}
+        # and x_j) and points its face terms read: each is divided through by
+        # phi at the point of its pair farther from the corner, so its ratios
+        # stay O(1) for any sigma, and that point's own ratio is one
         if side == 0:
-            j = np.arange(1, m)
-            ref, cells = x[j], range(0, m)
-            g[0] = rule.log_derivative(xf[0]) * rule.ratio(xf[0], x[0])
-            dp = 1.0 - rule.ratio(x[j - 1], ref)
+            i, on_faces, on_points = np.arange(m), slice(0, m), slice(0, m)
         else:
-            j = np.arange(max(n - m, 1), n)
-            ref, cells = x[j - 1], range(max(n - m, 0), n)
-            g[n] = -rule.log_derivative(xf[n]) * rule.ratio(xf[n], x[n - 1])
-            dp = rule.ratio(x[j], ref) - 1.0
-        flux = rule.log_derivative(xf[j]) * rule.ratio(xf[j], ref)
-        g[j] = np.divide(flux, dp, out=g[j], where=dp != 0)
-        i = np.arange(cells.start, cells.stop)
+            lo = max(n - m, 1)
+            i, on_faces, on_points = np.arange(n - m, n), slice(lo, n + 1), slice(lo - 1, n)
         mid, half = 0.5 * (xf[i + 1] + xf[i]), 0.5 * (xf[i + 1] - xf[i])
         # all nodes of the corner in one flat array: node k lies in cell
         # cell[k] and takes row[k] of the concatenated rule tables
@@ -310,7 +297,21 @@ def assemble(problem: SturmLiouvilleProblem) -> tuple[np.ndarray, np.ndarray, np
         cell = np.repeat(np.arange(i.size), count)
         row = np.arange(cell.size) + np.repeat(_FIRST[rung] - np.cumsum(count) + count, count)
         t = mid[cell] + half[cell] * _NODES[row]
-        f = rule.ratio(t, x[i[cell]]) * (half / h)[cell] * _WEIGHTS[row]
+        # the profile once per point: the corner's grid points, faces and nodes
+        pts, faces = x[on_points], xf[on_faces]
+        v, slope = rule.sample(np.concatenate([pts, faces, t]))
+        vx, vf, vt = np.split(v, [pts.size, pts.size + faces.size])
+        flux = slope[pts.size:pts.size + faces.size] * rule.sample_ratio(vf, vx)
+        del slope               # not held through the cell weights below
+        if side == 0:           # faces 0..m-1 against x_0..x_{m-1}
+            g[0] = flux[0]
+            dp = 1.0 - rule.sample_ratio(vx[:-1], vx[1:])
+            g[1:m] = np.divide(flux[1:], dp, out=g[1:m], where=dp != 0)
+        else:                   # faces lo..n against x_{lo-1}..x_{n-1}
+            g[n] = -flux[-1]
+            dp = rule.sample_ratio(vx[1:], vx[:-1]) - 1.0
+            g[lo:n] = np.divide(flux[:-1], dp, out=g[lo:n], where=dp != 0)
+        f = rule.sample_ratio(vt, vx[i[cell] - on_points.start]) * (half / h)[cell] * _WEIGHTS[row]
         sampled[i] = False
         nodes.append(t)
         corners.append((i, cell, f))

@@ -43,8 +43,8 @@ below are indicial roots of the operators:
   oscillator at the equator: psi ~ (pi/2 - chi)^(2 + m w'/(hbar lam))
   line model at x=0:         u ~ x^|m'|
   line model at the tan pole: u ~ (x*-x)^((1+delta)/2)
-  QES channel m' = m'_Q:     both ends limit-circle; the closed form's root
-                             and admixture, QesSpec.end_profile
+  QES channel m' = m'_Q:     both ends limit-circle; closed by the ground state
+                             itself, crs.log_groundstate
   other QES channels:        the closed form's root at the far end, and
                              sqrt(s0^2 + m'^2 - m'_Q^2) from its origin root s0,
                              or a Dirichlet wall (None) where that is complex
@@ -57,7 +57,8 @@ from typing import Callable
 
 import numpy as np
 
-from .crs import QesSpec, crs_operator_coefficients, crs_potential_special, x_pole
+from .crs import QesSpec, crs_operator_coefficients, crs_potential_special, log_groundstate, \
+    x_pole
 from .higgs import higgs_radial_leading, higgs_radial_zeroth, oscillator_potential, \
     qes_branch_radius, qes_potential
 from .numerics import EndpointRule, Grid1D, SturmLiouvilleProblem, richardson_eigenvalues
@@ -189,9 +190,11 @@ def qes_channel_problem(mprime: float, spec: QesSpec, params: PhysParams,
 
     Every channel is solved in chi on (0, b), b = min(t0/u, pi/2) from
     spec.branch: the first zero of X_Theta (the sec pole pi/l of cos(l Theta))
-    or the equator, and closed with QesSpec.end_profile, the closed form's
-    profile.  The far end takes its root there, which no channel changes; the
-    solvable channel m' = m'_Q takes its series at both ends as well.  Channel
+    or the equator.  The solvable channel m' = m'_Q is closed at both ends by
+    its ground state itself, log psi0 = log phi0 - log(T (1 + T^2))/2 in chi,
+    T = tan chi, from crs.log_groundstate, with QesSpec.end_profile's
+    residues grading the corner quadrature.  The other channels take the
+    residue's bare power at the far end, which no channel changes.  Channel
     m' differs from m'_Q by (m'^2 - m'_Q^2)/r^2, so at the origin it takes the
     principal root s = sqrt(s0^2 + m'^2 - m'_Q^2) of the closed form's residue
     s0, or, where s is complex (fall to the center), a plain Dirichlet wall at
@@ -200,9 +203,14 @@ def qes_channel_problem(mprime: float, spec: QesSpec, params: PhysParams,
     qes_branch_radius(spec, params)     # refuses an A < 0 spec with no zero to end on
     u, t0 = spec.branch(params)
     b, mprime_q = min(t0 / u, math.pi / 2), spec.mprime_q
-    (s0, c0), (sb, cb) = spec.end_profile(params, 0.0), spec.end_profile(params, b)
+    s0, sb = spec.end_profile(params, 0.0), spec.end_profile(params, b)
     if mprime == mprime_q:
-        a, left, right = 0.0, EndpointRule(s0, 0.0, c0), EndpointRule(sb, b, cb)
+        def closed_form(c):
+            T = np.tan(c)
+            log_phi, slope = log_groundstate(spec, params, c)
+            return log_phi - 0.5 * np.log(T * (1 + T * T)), slope - (1 + 3 * T * T) / (2 * T)
+
+        a, left, right = 0.0, EndpointRule(s0, 0.0, closed_form), EndpointRule(sb, b, closed_form)
     else:
         s2 = s0 * s0 + mprime * mprime - mprime_q * mprime_q
         a, left = (0.0, EndpointRule(math.sqrt(s2), 0.0)) if s2 >= 0 else (1e-3, None)

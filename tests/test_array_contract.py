@@ -38,8 +38,10 @@ FORMULAS = {
     "crs_wavefunction_special_real": (
         lambda x: crs.crs_wavefunction_special_real((1, 2), UNIT, x),
         [0.05, 0.3, 0.8, 1.5, 2.0, 2.25]),
-    "_x_and_x_theta": (lambda t: crs._x_and_x_theta(SPECIAL, UNIT, t),
+    "_x_and_x_theta": (lambda t: crs._x_and_x_theta(SPECIAL, 2.0, 2.0 * t),
                        [-2.0, 0.0, 0.3, 0.8, 1.5, 4.0]),
+    "log_groundstate": (lambda t: crs.log_groundstate(SPECIAL, UNIT, t),
+                        [0.05, 0.3, 0.8, 1.2, 1.5, 1.55]),
     "potential_theta": (lambda t: crs.potential_theta(SPECIAL, UNIT, t),
                         [-1.5, -0.3, 0.05, 0.3, 0.8, 1.5]),
     "potential_general": (
@@ -113,6 +115,7 @@ SINGULAR = [
     ("crs_wavefunction_special", 0.0, SingularPointError),
     ("potential_general", 0.0, DegenerateDerivativeError),
     ("potential_theta", 0.0, DegenerateDerivativeError),
+    ("log_groundstate", 1.6, SingularPointError),
     ("higgs_radial_coefficients", 0.0, SingularPointError),
     ("higgs_wavefunction", -0.5, NegativeRadiusError),
     ("_example1_potential_printed", 0.0, SingularPointError),

@@ -248,19 +248,24 @@ class TestValidation:
         assert len(rows) == 9
         assert max(row[-1] for row in rows) <= 1e-10
 
-    @pytest.mark.parametrize("model", [["qes1", "--l", "3"], ["qes2"]], ids=["qes1", "qes2"])
-    def test_overflowing_rayleigh_state_is_one_error_line(self, model, tmp_path, capsys):
-        # at lam = 1e-3 the closed-form state is zero or not finite on the
-        # Rayleigh window: qes1 divided by zero and both blamed "a flag is
-        # too large"
+    def test_overflowing_rayleigh_state_is_one_error_line(self, tmp_path, capsys):
+        # at lam = 1e-3 the qes2 closed-form state is not finite on the
+        # Rayleigh window: one typed error, no numpy warning before it
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, text = run_to_file(tmp_path, "x.json", ["spectrum", "--model", *model,
+            code, text = run_to_file(tmp_path, "x.json", ["spectrum", "--model", "qes2",
                                                           "--mprime-q", "1", "--lambda", "1e-3"])
         assert code == 1 and text == ""
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert capsys.readouterr().err == \
             "error: psi is zero or not finite on the Rayleigh quotient's points\n"
+
+    def test_small_lambda_qes1_answers(self, tmp_path):
+        # the state as a logarithm stays finite where its factors overflowed
+        code, text = run_to_file(tmp_path, "x.json", ["spectrum", "--model", "qes1", "--l", "3",
+                                                      "--mprime-q", "1", "--lambda", "1e-3"])
+        exact = crs.oscillator_energy((0, 1), PhysParams(lam=1e-3))
+        assert code == 0 and abs(json.loads(text)["rows"][0][3] / exact - 1) <= 1e-10
 
     def test_nonfinite_system_is_one_error_line(self, tmp_path, capsys):
         # at lam = 1e-6 the corner quadrature overflows while the system is

@@ -79,7 +79,8 @@ class TestConstraintSolution:
 
     @staticmethod
     def X(spec, params, x):
-        return crs._x_and_x_theta(spec, params, theta_of_x(x, params.lam))[0]
+        u, _ = spec.branch(params)
+        return crs._x_and_x_theta(spec, u, u * theta_of_x(x, params.lam))[0]
 
     def test_special_case_is_cos_2theta(self):
         spec = crs.special_params(1.0, UNIT)

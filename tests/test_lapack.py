@@ -25,7 +25,7 @@ UNIT = PhysParams()
 
 PROBLEMS = {
     "polar-k50": (lambda: higgs_oscillator_problem(0, UNIT, 8001), 50),
-    "qes2-series": (lambda: qes_channel_problem(1, QesSpec.example2(1, UNIT), UNIT, 8001), 3),
+    "qes2-profile": (lambda: qes_channel_problem(1, QesSpec.example2(1, UNIT), UNIT, 8001), 3),
     "crs-wide": (lambda: crs_wide_problem(1, UNIT, 16000), 8),
 }
 

@@ -50,24 +50,17 @@ def separate(p, q, w, grid, bc=(None, None)):
 
 
 def scalar_profile(rule):
-    """phi and phi' of a power rule as plain scalar functions."""
-    sig, c, ser = rule.exponent, rule.center, rule.series
+    """phi and phi' of a rule as plain scalar functions, phi from its log."""
+    sig, c = rule.exponent, rule.center
+    closed = rule.profile or (lambda t: (sig * math.log(abs(t - c)), sig / (t - c)))
+    phi = lambda t: math.exp(float(closed(t)[0]))
+    return phi, lambda t: float(closed(t)[1]) * phi(t)
 
-    def parts(t):
-        d = abs(t - c)
-        poly = 1 + sum(cj * d ** (j + 1) for j, cj in enumerate(ser))
-        dpoly = sum((j + 1) * cj * d ** j for j, cj in enumerate(ser))
-        return d, poly, dpoly
 
-    def phi(t):
-        d, poly, _ = parts(t)
-        return d ** sig * poly
-
-    def dphi(t):
-        d, poly, dpoly = parts(t)
-        return math.copysign(1.0, t - c) * (sig * d ** (sig - 1) * poly + d ** sig * dpoly)
-
-    return phi, dphi
+# a corner at 0 closed by the profile phi = t^1.5 (1 + 0.4 t - 0.1 t^2)
+PROFILE_RULE = EndpointRule(1.5, 0.0, lambda t: (
+    1.5 * np.log(t) + np.log(1 + 0.4 * t - 0.1 * t * t),
+    1.5 / t + (0.4 - 0.2 * t) / (1 + 0.4 * t - 0.1 * t * t)))
 
 
 def corner_width(n):
@@ -125,7 +118,7 @@ def reference_assemble(prob):
 def full_order_assemble(prob):
     """The assembled entries with every corrected cell averaged by the
     24-point Gauss-Legendre rule, all cells of a corner at once; the profile
-    enters through EndpointRule.ratio and log_derivative, so any sigma
+    enters through EndpointRule.ratio and sample, so any sigma
     stays finite.  K and M as (d, e, m)."""
     gx, gw = np.polynomial.legendre.leggauss(24)
     n, h = prob.grid.n, prob.grid.h
@@ -141,13 +134,13 @@ def full_order_assemble(prob):
         if side == 0:
             j, i = np.arange(1, m), np.arange(m)
             ref = x[j]
-            extra[0] = pf[0] * rule.log_derivative(xf[0]) * rule.ratio(xf[0], x[0]) / h
+            extra[0] = pf[0] * rule.sample(xf[0])[1] * rule.ratio(xf[0], x[0]) / h
         else:
             j, i = np.arange(max(n - m, 1), n), np.arange(n - m, n)
             ref = x[j - 1]
-            extra[1] = -pf[n] * rule.log_derivative(xf[n]) * rule.ratio(xf[n], x[n - 1]) / h
+            extra[1] = -pf[n] * rule.sample(xf[n])[1] * rule.ratio(xf[n], x[n - 1]) / h
         dp = rule.ratio(x[j], ref) - rule.ratio(x[j - 1], ref)
-        flux = rule.log_derivative(xf[j]) * rule.ratio(xf[j], ref)
+        flux = rule.sample(xf[j])[1] * rule.ratio(xf[j], ref)
         g[j] = np.divide(flux, dp, out=g[j], where=dp != 0)    # sigma = 0 keeps 1/h
         half = 0.5 * (xf[i + 1] - xf[i])
         t = 0.5 * (xf[i + 1] + xf[i])[:, None] + half[:, None] * gx
@@ -200,11 +193,11 @@ def flat_oscillator(n=2000, a=-10.0, b=10.0):
 
 
 # problems whose corner nodes assemble lays out: two power corners, two
-# power corners with series closures, a bare power corner beside a power
+# corners closed by the ground state, a bare power corner beside a power
 # corner (a neighbour channel), and two corners that overlap on all 45 cells
 CORNER_LAYOUTS = [
     pytest.param(higgs_oscillator_problem(1, PhysParams(lam=0.003), 2000), id="polar"),
-    pytest.param(qes_channel_problem(1, QES2, UNIT, 1000), id="qes2-series"),
+    pytest.param(qes_channel_problem(1, QES2, UNIT, 1000), id="qes2-profile"),
     pytest.param(qes_channel_problem(2, QES2, UNIT, 1000), id="qes2-neighbour"),
     pytest.param(separate(
         ONE, lambda x: 1 / x**2 + 1 / (1 - x) ** 2, ONE, Grid1D(0.0, 1.0, 45),
@@ -275,18 +268,17 @@ class TestAssemble:
 
 class TestCornerQuadrature:
     @pytest.mark.parametrize("prob", [
-        # power rule with a series at the left corner
+        # profile rule at the left corner
         separate(
             lambda x: 1 + x, lambda x: 2 / x**2 + x, lambda x: 1 + 0.5 * x**2,
-            Grid1D(0.0, 2.0, 301),
-            (EndpointRule(1.5, 0.0, series=(0.4, -0.1)), None)),
+            Grid1D(0.0, 2.0, 301), (PROFILE_RULE, None)),
         # power corner on the right, its 40 corrected cells over most of
         # the grid
         separate(
             lambda x: 2 - x, lambda x: 6 / (1 - x) ** 2, ONE,
             Grid1D(0.0, 1.0 - 1e-3, 45),
             (None, EndpointRule(3.0, 1.0))),
-    ], ids=["power-series", "power-right"])
+    ], ids=["profile-left", "power-right"])
     def test_matches_scalar_reference(self, prob):
         for got, want in zip(assemble(prob), reference_assemble(prob)):
             assert got.shape == want.shape
@@ -305,11 +297,11 @@ class TestCornerQuadrature:
         higgs_oscillator_problem(1, PhysParams(lam=0.1), 4000),
         crs_natural_problem(1, UNIT, 4000),
         crs_wide_problem(1, UNIT, 16000),
-        # the solvable channel, closed at both ends by its series, and a
-        # neighbour channel, closed by bare roots
+        # the solvable channel, closed at both ends by its ground state, and
+        # a neighbour channel, closed by bare roots
         qes_channel_problem(1, QES2, UNIT, 4000),
         qes_channel_problem(2, QES2, UNIT, 2000),
-    ], ids=["polar-equator", "crs-tan-pole", "crs-wide", "qes2-series", "qes2-neighbour"])
+    ], ids=["polar-equator", "crs-tan-pole", "crs-wide", "qes2-profile", "qes2-neighbour"])
     def test_graded_orders_match_full_order_on_model_problems(self, prob):
         for got, want in zip(assemble(prob), full_order_assemble(prob)):
             assert got.shape == want.shape
@@ -405,32 +397,33 @@ class TestCornerQuadrature:
             r = float(rule.ratio(t, t0))
             assert math.isfinite(r) and r > 0
             assert r == pytest.approx(math.exp(1000.0 * math.log(t / t0)), rel=1e-12)
-        assert float(rule.log_derivative(h)) == pytest.approx(1000.0 / h, rel=1e-14)
+        assert float(rule.sample(h)[1]) == pytest.approx(1000.0 / h, rel=1e-14)
 
-    def test_empty_series_is_the_bare_power(self):
-        # without a series the profile is |t - c|^sigma: ratio and
+    def test_power_rule_is_the_bare_power(self):
+        # without a profile the rule is |t - c|^sigma: ratio and
         # log-derivative are the bare formulas, bit for bit
         sig, c = 1.7, 0.3
         rule = EndpointRule(sig, c)
         t = np.concatenate((np.linspace(-2.0, 0.29, 40), np.linspace(0.31, 2.0, 40)))
         t0 = t[::-1]
         assert np.array_equal(rule.ratio(t, t0), (np.abs(t - c) / np.abs(t0 - c)) ** sig)
-        assert np.array_equal(rule.log_derivative(t), np.sign(t - c) * (sig / np.abs(t - c)))
+        assert np.array_equal(rule.sample(t)[1], np.sign(t - c) * (sig / np.abs(t - c)))
 
-    def test_series_is_the_horner_polynomial(self):
-        # with a series: poly(d) and poly'(d) by numpy's Horner evaluation,
-        # bit for bit, however often the rule is called
-        sig, c, ser = -0.5, 0.0, (0.4, -0.1, 0.02)
-        rule = EndpointRule(sig, c, series=ser)
-        P = np.polynomial.polynomial
+    def test_profile_rule_reads_its_pair(self):
+        # with a profile: the ratio is exp(log phi(t) - log phi(t0)) and the
+        # log-derivative the profile's own, bit for bit
         t = np.linspace(0.01, 2.0, 50)
-        t0 = t[::-1]
-        d, d0 = np.abs(t - c), np.abs(t0 - c)
-        poly = lambda x: P.polyval(x, (1.0,) + ser)
-        dpoly = P.polyval(d, P.polyder((1.0,) + ser))
-        for _ in range(2):
-            assert np.array_equal(rule.ratio(t, t0), (d / d0) ** sig * (poly(d) / poly(d0)))
-            assert np.array_equal(rule.log_derivative(t), np.sign(t - c) * (sig / d + dpoly / poly(d)))
+        (log_phi, slope), (log_phi0, _) = PROFILE_RULE.profile(t), PROFILE_RULE.profile(t[::-1])
+        assert np.array_equal(PROFILE_RULE.ratio(t, t[::-1]), np.exp(log_phi - log_phi0))
+        assert np.array_equal(PROFILE_RULE.sample(t)[1], slope)
+
+    def test_profile_read_once_per_point(self):
+        # each corner reads its profile once, at distinct grid points, faces and nodes
+        prob, seen = qes_channel_problem(1, QES2, UNIT, 1000), []
+        traced = [replace(rule, profile=lambda t, f=rule.profile: seen.append(t) or f(t))
+                  for rule in prob.bc]
+        assemble(replace(prob, bc=tuple(traced)))
+        assert len(seen) == 2 and all(np.unique(t).size == t.size for t in seen)
 
     def test_nonfinite_system_raises_typed_error(self):
         grid = Grid1D(0.0, 1.0, 200)
@@ -470,11 +463,11 @@ class TestLowestEigenvalues:
             big = np.nonzero(np.abs(v) > 1e-8 * np.max(np.abs(v)))[0]
             assert v[big[0]] > 0
 
-    def test_series_closed_system_eigenvectors(self):
-        # a power corner with a series: one row per grid point, vectors
+    def test_profile_closed_system_eigenvectors(self):
+        # a corner closed by a profile: one row per grid point, vectors
         # orthonormal in the assembled weights, V^T M V h = I, where the
         # profile-weighted corner cells make m differ from the sampled w
-        rule = EndpointRule(1.5, 0.0, series=(0.4, -0.1))
+        rule = PROFILE_RULE
         prob = separate(lambda x: 1 + x, lambda x: 2 / x**2 + x, lambda x: 1 + 0.5 * x**2,
                         Grid1D(0.0, 2.0, 301), (rule, None))
         _, vectors = lowest_eigenpairs(prob, 3)
@@ -555,7 +548,7 @@ class TestLowestEigenvalues:
     @pytest.mark.parametrize("prob,k", [
         (higgs_oscillator_problem(0, UNIT, 8001), 50),
         (qes_channel_problem(1, QES2, UNIT, 2001), 1),
-    ], ids=["polar-k50", "qes2-series"])
+    ], ids=["polar-k50", "qes2-profile"])
     def test_both_paths_bitwise_equal(self, prob, k):
         vals = lowest_eigenvalues(prob, k)
         assert vals.shape == (k,)
@@ -565,10 +558,10 @@ class TestLowestEigenvalues:
 class TestBackwardError:
     # converged pairs read roundoff against the componentwise scale
     # |K||v| + |E| M|v|, on a deep polar solve, a resonant QES channel
-    # closed by its series and the crs natural branch
+    # closed by its ground state and the crs natural branch
     CASES = {
         "polar-k50": (higgs_oscillator_problem(0, UNIT, 8001), 50),
-        "qes2-series": (qes_channel_problem(1, QES2, UNIT, 2001), 1),
+        "qes2-profile": (qes_channel_problem(1, QES2, UNIT, 2001), 1),
         "crs-natural": (crs_natural_problem(1, UNIT, 4000), 3),
     }
 

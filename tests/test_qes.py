@@ -17,7 +17,8 @@ from curvosc.errors import (
     SingularPointError,
     ZeroAError,
 )
-from curvosc.numerics import Grid1D, lowest_eigenvalues, rayleigh_quotient
+from curvosc.numerics import Grid1D, lowest_eigenvalues, rayleigh_quotient, \
+    richardson_eigenvalues
 from curvosc.params import PhysParams
 from curvosc.problems import higgs_radial_problem, qes_channel_problem, qes_rayleigh_problem
 from curvosc.special_functions import gudermannian, upsilon_of_r
@@ -348,8 +349,8 @@ class TestExample2GroundState:
 
     def test_resonant_channel_solves_to_the_closed_form(self):
         # m' = m'_Q has the indicial pair {-1/2, +1/2} at the origin and
-        # {3/2, 5/2} at the equator; the series profiles of both end
-        # closures select the closed-form family
+        # {3/2, 5/2} at the equator; the ground state that closes both ends
+        # selects the closed-form family
         E0 = lowest_eigenvalues(qes_channel_problem(1, QesSpec.example2(1, UNIT), UNIT, 8001),
                                 1)[0]
         assert E0 == pytest.approx(crs.oscillator_energy((0, 1), UNIT), rel=1e-7)
@@ -447,42 +448,29 @@ class TestEndProfile:
             expected = ((0.0, -0.5 + (spec.beta + spec.gamma) / ll2),
                         (math.pi / l, (spec.beta - spec.gamma) / ll2))
         for end, sigma in expected:
-            assert spec.end_profile(params, end)[0] == pytest.approx(sigma, rel=1e-12, abs=1e-12)
-
-    def test_example2_origin_series(self):
-        params = PhysParams(lam=0.7, omega=1.3)
-        spec = QesSpec.example2(1.0, params)
-        g, b, lam = spec.gamma, spec.beta, params.lam
-        _, (c1, c2) = spec.end_profile(params, 0.0)
-        assert c1 == pytest.approx(-g / lam, rel=1e-14)
-        assert c2 == pytest.approx(g * g / (2 * lam * lam) - b / (2 * lam) - 2 / 3, rel=1e-13)
+            assert spec.end_profile(params, end) == pytest.approx(sigma, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("lam", [0.01, 0.5, 1.0, 10.0])
     @pytest.mark.parametrize("l,mq", QES_CHANNELS, ids=QES_IDS)
-    def test_series_is_the_local_expansion_of_the_ground_state(self, l, mq, lam):
-        # log psi0 - sigma log d = const + c1 d + (c2 - c1^2/2) d^2 + O(d^3),
-        # read off a degree-8 fit on d in [1e-3, 0.05] (measured: c1 to
-        # 6e-10, the d^2 coefficient to 2.5e-8); a wrong sigma leaves a
-        # log d term that no polynomial fits to 1e-9
+    def test_residue_is_the_local_power_of_the_ground_state(self, l, mq, lam):
+        # log psi0 - sigma log d is analytic at the end: a degree-8 fit on d
+        # in [1e-3, 0.05] meets it to 1e-9, where a wrong sigma leaves a
+        # log d term that no polynomial fits
         params = PhysParams(lam=lam)
         spec = QesSpec.transplanted(mq, params, l)
         top = 0.05
         d = np.linspace(1e-3, top, 60)
         for end in (0.0, math.pi / 2 if l is None else math.pi / l):
-            sigma, (c1, c2) = spec.end_profile(params, end)
             theta = end + d if end == 0 else end - d
             psi = higgs.qes_groundstate(spec, params, np.tan(theta) / math.sqrt(lam))
-            g = np.log(psi) - sigma * np.log(d)
+            g = np.log(psi) - spec.end_profile(params, end) * np.log(d)
             coef = np.polynomial.polynomial.polyfit(d / top, g, 8)
             assert np.max(np.abs(np.polynomial.polynomial.polyval(d / top, coef) - g)) < 1e-9
-            assert coef[1] / top == pytest.approx(c1, rel=1e-7, abs=1e-7)
-            k2 = c2 - c1 * c1 / 2
-            assert coef[2] / top**2 == pytest.approx(k2, rel=1e-6, abs=1e-6)
 
 
 class TestSolvableChannel:
-    # the channel m' = m'_Q in the polar frame, closed at both ends with
-    # QesSpec.end_profile, on the CLI's 2000 points
+    # the channel m' = m'_Q in the polar frame, closed at both ends by its
+    # ground state, on the CLI's 2000 points
     @pytest.mark.parametrize("lam,tol", [(lam, 1e-6) for lam in BENCHMARK_LAMBDAS]
                              + [(0.1, 2e-6), (2.0, 2e-6), (10.0, 2e-6), (0.01, 1e-5)])
     @pytest.mark.parametrize("l,mq", QES_CHANNELS, ids=QES_IDS)
@@ -515,14 +503,15 @@ class TestSolvableChannel:
         assert vals == pytest.approx([1.3765, 4.8714, 9.2995], abs=1e-4)
         assert vals[0] == pytest.approx(crs.oscillator_energy((0, 0), params), rel=1e-5)
 
-    @pytest.mark.parametrize("name", ["cos", "cosh", "sinh", "exp", "exp-decaying"])
+    @pytest.mark.parametrize("name", ["cos", "cosh", "sinh", "sinh-no-zero", "exp",
+                                      "exp-decaying"])
     def test_member_ground_state_is_the_closed_form(self, name):
-        # any real member solves through its spec: measured 2.9e-7-1.35e-6 at n = 2000.
-        # sinh-no-zero is left out: its error changes sign with n, the truncated
-        # origin series of ROADMAP item 15
+        # any real member solves through its spec: the 2000/4001 Richardson
+        # pair reads 3.9e-11-1.5e-9, where single grids at n = 2000 read up to
+        # 2.6e-6 (exp-decaying), both converging at order 2
         spec, params = member(*MEMBERS[MEMBER_IDS.index(name)][:-1])
-        E0 = lowest_eigenvalues(qes_channel_problem(spec.mprime_q, spec, params, 2000), 1)[0]
-        assert abs(E0 / crs.oscillator_energy((0, spec.mprime_q), params) - 1) <= 2e-6
+        E0 = richardson_eigenvalues(qes_channel_problem(spec.mprime_q, spec, params, 2000), 1)[0][0]
+        assert abs(E0 / crs.oscillator_energy((0, spec.mprime_q), params) - 1) <= 1e-8
 
     def test_member_without_a_branch_end_is_refused(self):
         spec, params = member(*MEMBERS[MEMBER_IDS.index("cos-no-zero")][:-1])
@@ -557,12 +546,5 @@ class TestNeighbourChannel:
             assert prob.bc[0] is None and prob.grid.a == 1e-3
         else:
             assert prob.bc[0].exponent == pytest.approx(math.sqrt(s2), rel=1e-12)
-            assert prob.bc[0].series == () and prob.grid.a == 0.0
-        assert prob.bc[1].series == ()
-
-    @pytest.mark.parametrize("l", [3.0, None], ids=["l=3", "qes2"])
-    def test_falling_channel_takes_a_wall(self, l):
-        # m' = 0 beside m'_Q = 1: s^2 = 1/4 - 1 [- ...] < 0, fall to the center
-        prob = qes_channel_problem(0, QesSpec.transplanted(1, UNIT, l), UNIT, 2000)
-        assert prob.bc[0] is None
-        assert prob.grid.a == 1e-3
+            assert prob.bc[0].profile is None and prob.grid.a == 0.0
+        assert prob.bc[1].profile is None
