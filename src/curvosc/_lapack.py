@@ -1,16 +1,19 @@
 """The three LAPACK routines the solver calls (dgtsv, dstebz, dstein), and
 dsterf, all eigenvalues of a symmetric tridiagonal by implicit QL, which
 verify's numerics-oracle checks the solver against; all four are taken
-from scipy's compiled f2py module without importing scipy.linalg.
+from scipy's compiled f2py module without importing scipy or scipy.linalg.
 
 The package init of scipy.linalg costs about 0.35 s per process (it pulls
 in scipy's array-API shim, which imports numpy.f2py, numpy.testing and
 numpy.ma), about half of a fresh `curvosc spectrum` run, and curvosc uses
-nothing of it but these routines.  So this module imports only the
-top-level scipy package (its distributor init, about 16 ms) and loads
+nothing of it but these routines, nor of scipy's own package init (17-25
+ms after numpy).  So this module imports no scipy package at all: it asks
+the import system where the scipy package lies (importlib.util.find_spec,
+which reads the path and executes nothing) and loads
 scipy/linalg/_flapack<EXTENSION_SUFFIX> from its file.  A _flapack that is
-already imported is reused; where the file cannot be loaded, the routines
-come from the public scipy.linalg.lapack.  SOURCE names the path taken.
+already imported is reused; where the file cannot be found or loaded, the
+routines come from the public scipy.linalg.lapack.  SOURCE names the path
+taken.
 
 eigh_tridiagonal selects by index only.  It is the stebz/stein path that
 scipy.linalg.eigh_tridiagonal takes for select="i": the same calls with
@@ -21,11 +24,10 @@ from __future__ import annotations
 
 import sys
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 _NAME = "scipy.linalg._flapack"
 
@@ -36,7 +38,10 @@ def _load():
     "scipy.linalg.lapack"."""
     if _NAME in sys.modules:
         return sys.modules[_NAME], "sys.modules"
-    finder = FileFinder(str(Path(scipy.__file__).parent / "linalg"),
+    # where the scipy package lies, from the import system's finders;
+    # scipy/__init__ does not run
+    location = find_spec("scipy").submodule_search_locations[0]
+    finder = FileFinder(str(Path(location) / "linalg"),
                         (ExtensionFileLoader, EXTENSION_SUFFIXES))
     try:
         spec = finder.find_spec(_NAME)

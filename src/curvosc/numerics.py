@@ -56,7 +56,12 @@ the ceiling; tau uses the real distance to x0, so a grid cut short of its
 singular point grades too.  On the shipped problems the graded averages
 agree with all-24-point ones to 2e-12 relative of the assembled diagonal
 (the roundoff floor of the 24-point sums at sigma ~ 100), while a corner
-of 1600 cells takes about 6600 nodes instead of 38400.  A problem hands
+of 1600 cells takes about 6600 nodes instead of 38400.  The rule tables
+are built at import by Halley steps on the Legendre recurrence
+(_gauss_legendre, about 0.6 ms), with neither numpy.polynomial nor a
+dense numpy.linalg eigensolve: their nodes are numpy's leggauss nodes to
+1.1e-16, and they integrate x^(2j), j < m, to 1.3e-15 relative, where
+leggauss(24) is off by 5.2e-14.  A problem hands
 out q and w from one evaluation, qw(t) -> (q, w), which is called once
 per system, on the points outside the corner cells and all corner nodes
 in one flat array.
@@ -81,7 +86,9 @@ extended-precision Sturm count to 1e-12-4e-11 relative, where the default
 bisection leaves 2e-11-2.4e-9 and even bisection to relative accuracy
 (ABSTOL = 2 underflow) up to 7.5e-10.  The three LAPACK routines (gtsv,
 stebz, stein) come from curvosc._lapack, which takes them from scipy's
-compiled module without importing scipy.linalg.
+compiled module without importing scipy or scipy.linalg.  Where a polish
+starts from a guess alone, its start vector is a fixed hash of the row
+index (_start), so no random-number generator is loaded.
 
 The guesses come from the same problem on a guess grid of max(n //
 _COARSEN, _GUESS_POINTS k) points, _COARSEN = 16 and _GUESS_POINTS = 40;
@@ -147,7 +154,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-import numpy.random  # noqa: F401  (np.random is lazy; pay its import here, not in a solve)
 
 from ._lapack import dgtsv, dstebz, eigh_tridiagonal
 from .errors import (
@@ -186,8 +192,38 @@ def _ladder() -> tuple[np.ndarray, np.ndarray]:
     return np.array(tau), np.array(kappa)
 
 
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss-Legendre rules of _ORDERS, rule after
+    rule, each rule's nodes ascending.  All roots of all rules at once go
+    through two steps of Halley's method, Newton's method with the second
+    derivative that Legendre's equation gives, from Tricomi's estimate
+    (Abramowitz & Stegun 22.16.6); P_m and P_m' come from the three-term
+    recurrence, each node running it to the degree m of its own rule.  The
+    weights 2 / ((1 - x^2) P_m'^2) take P_m' carried to the final node, and
+    each rule is made exactly symmetric."""
+    m = np.repeat(_ORDERS, _ORDERS)                 # degree of each node's rule
+    first = np.repeat(_FIRST, _ORDERS)
+    i = np.arange(m.size) - first                   # index within its rule
+    x = -(1 - (m - 1) / (8.0 * m ** 3)) * np.cos(np.pi * (i + 0.75) / (m + 0.5))
+    live = np.searchsorted(m, np.arange(_ORDERS[-1]), side="right")  # first node with m > j
+    for _ in range(2):
+        p0, p = np.ones(m.size), x.copy()
+        for j in range(1, _ORDERS[-1]):              # (p0, p) = (P_(j-1), P_j) -> (P_j, P_(j+1))
+            s = live[j]
+            p0[s:], p[s:] = p[s:], ((2 * j + 1) * x[s:] * p[s:] - j * p0[s:]) / (j + 1)
+        dp = m * (x * p - p0) / (x * x - 1)
+        d2p = (2 * x * dp - m * (m + 1) * p) / (1 - x * x)
+        step = p / dp
+        step /= 1 - step * d2p / (2 * dp)
+        x -= step
+        dp -= step * d2p
+    w = 2 / ((1 - x * x) * dp * dp)
+    mirror = first + m - 1 - i
+    return (x - x[mirror]) / 2, (w + w[mirror]) / 2
+
+
 _FIRST = np.cumsum((0,) + _ORDERS[:-1])  # first row of each rule in the tables below
-_NODES, _WEIGHTS = map(np.concatenate, zip(*map(np.polynomial.legendre.leggauss, _ORDERS)))
+_NODES, _WEIGHTS = _gauss_legendre()
 _TAU_MAX, _KAPPA_MAX = _ladder()
 
 
@@ -415,37 +451,48 @@ def _polished(d: np.ndarray, e: np.ndarray, starts=None, shifts=None,
 
     starts are start vectors, one per eigenvalue (any iterable, so callers
     can build them one at a time); shifts are guesses of the eigenvalues.
-    With shifts, each eigenvalue starts from one fixed vector and its shift
-    stays at its guess (inverse iteration) for at least _INVERSE_STEPS
-    steps, and until the Rayleigh quotient of the iterate lies nearer its
-    own guess than either neighbouring one: a start poor in the wanted
-    eigenvector cannot then converge to a neighbour.  Then Rayleigh-
-    quotient steps (LAPACK gtsv solves) run until the residual of the unit
-    vector is at most tol = 8 eps ||T||.  Between steps the Rayleigh
-    quotient and residual come from the solve itself: for a unit x and
-    (T - s) y = x, the vector y/|y| has quotient s + x.y/y.y and residual
-    sqrt(1/y.y - (x.y/y.y)^2).  That estimate ignores the roundoff in y,
-    so the final residual r is formed explicitly; the vector stands if
-    r <= 8 tol (the roundoff floor of a computed vector reached 10 eps ||T||
-    on the polar m' = 1 channel at n = 16003).  Each interval rho +- (r + tol)
-    then holds an eigenvalue; if the intervals are disjoint and ascending
-    and one Sturm count below the last of them finds exactly as many
-    eigenvalues, the rho are the lowest ones (Parlett, The Symmetric
-    Eigenvalue Problem, ch. 4).  vectors, if given, receives the unit
-    vectors as rows.  The fixed start is a seeded normal vector, normalized
-    once per solve, so a solve repeats bit for bit; each other start is
-    normalized and takes its Rayleigh quotient as its first shift."""
+    Each step is a LAPACK gtsv solve, and its Rayleigh quotient and
+    residual come from the solve itself: for a unit x and (T - s) y = x,
+    the vector y/|y| has quotient rho = s + x.y/y.y and residual
+    sqrt(1/y.y - (x.y/y.y)^2).  With shifts, each eigenvalue starts from
+    one fixed vector and its shift stays at its guess (inverse iteration)
+    for at least _INVERSE_STEPS steps, and until the whole interval rho +-
+    residual lies nearer its own guess than either neighbouring one: a
+    start poor in the wanted eigenvector cannot then converge to a
+    neighbour.  rho alone is not enough where the guesses are off by a
+    good part of the gap: on the crs natural channels m' = 0 and 1 at
+    lam = 0.003, omega = 2, n = 4000, k = 50 the guesses lie 0.7 below
+    levels 4.5 apart, a rho inside its own window after two steps could
+    still lie nearer the level below, and the polish failed for 2 of the
+    seeds 1-20 of the fixed start (for none with the interval).  Then
+    Rayleigh-quotient steps run until the residual is at most tol / 8 =
+    eps ||T||, tol = 8 eps ||T||.  A stop at tol itself let the last step
+    land anywhere below tol, and the backward error with it: on the qes2
+    profile channel at n = 2001 it read up to 4.0e-13 over the seeds 1-20,
+    and at most 1.1e-14 with the stop at tol / 8.  The estimate ignores
+    the roundoff in y, so the final residual r is formed explicitly; the
+    vector stands if r <= 8 tol (the roundoff floor of a computed vector
+    reached 10 eps ||T|| on the polar m' = 1 channel at n = 16003).  Each
+    interval rho +- (r + tol) then holds an eigenvalue; if the intervals
+    are disjoint and ascending and one Sturm count below the last of them
+    finds exactly as many eigenvalues, the rho are the lowest ones
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 4).  vectors, if
+    given, receives the unit vectors as rows.  The fixed start is _start's
+    seeded hash, normalized once per solve, so a solve repeats bit for bit;
+    each other start is normalized and takes its Rayleigh quotient as its
+    first shift."""
     spread, norm = _gershgorin(d, e)
     tol = 8 * np.finfo(float).eps * norm
     fixed = 0
     if shifts is not None:
-        x0 = np.random.default_rng(_START_SEED).standard_normal(d.size)
+        x0 = _start(d.size)
         x0 /= math.sqrt(_dot(x0, x0))
         starts, fixed = (x0 for _ in shifts), _INVERSE_STEPS
     vals, radii = [], []
     for j, x in enumerate(starts):
         if fixed:
-            # the shift follows the Rayleigh quotient only inside (lo, hi)
+            # the shift follows the Rayleigh quotient only once rho +- the
+            # residual lies inside (lo, hi)
             shift = float(shifts[j])
             lo = (shifts[j - 1] + shift) / 2 if j else -np.inf
             hi = (shift + shifts[j + 1]) / 2 if j + 1 < len(shifts) else np.inf
@@ -459,9 +506,11 @@ def _polished(d: np.ndarray, e: np.ndarray, starts=None, shifts=None,
                 return None
             x = y / np.sqrt(yy)
             rho = shift + xy / yy
-            if step + 1 >= fixed and lo < rho < hi:
+            est2 = 1 / yy - (xy / yy) ** 2     # squared residual, estimated
+            est = math.sqrt(max(est2, 0.0))
+            if step + 1 >= fixed and lo < rho - est and rho + est < hi:
                 shift = rho
-                if 1 / yy - (xy / yy) ** 2 <= tol * tol:
+                if est2 <= (tol / 8) ** 2:
                     break
         else:
             return None
@@ -483,6 +532,21 @@ def _polished(d: np.ndarray, e: np.ndarray, starts=None, shifts=None,
     floor = float(np.min(d - spread)) - tol
     count, *_, info = dstebz(d, e, 1, floor, hi[-1], 0, 0, hi[-1] - floor, b"E")
     return vals if info == 0 and count == vals.size else None
+
+
+def _start(n: int) -> np.ndarray:
+    """The fixed start vector of the seeded polish: entry i is splitmix64
+    (Steele, Lea & Flood, OOPSLA 2014) of the counter _START_SEED + (i + 1)
+    times its golden-ratio increment, its top 52 bits k mapped to (k + 1/2)
+    2^-51 - 1 in (-1, 1), exactly.  The uint64 products wrap modulo 2^64,
+    as the hash wants."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(_START_SEED)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(factor)
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(12)).astype(float) + 0.5) * 2.0 ** -51 - 1
 
 
 def _times(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:

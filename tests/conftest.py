@@ -19,8 +19,8 @@ import curvosc.crs, curvosc.higgs, curvosc.transform, curvosc.special_functions,
 facts = {"after_models": [m for m in ("scipy", "curvosc.numerics", "curvosc._lapack")
                           if m in sys.modules]}
 import curvosc.cli as cli, curvosc.verify, curvosc._lapack as lapack
-facts.update({"scipy.linalg": "scipy.linalg" in sys.modules,
-              "numpy.random": "numpy.random" in sys.modules,
+facts.update({"imported": [m for m in ("scipy", "scipy.linalg", "numpy.random",
+                                       "numpy.polynomial") if m in sys.modules],
               "lapack_source": lapack.SOURCE,
               "parsers_at_import": cli._parser.cache_info().currsize})
 for _ in range(2):

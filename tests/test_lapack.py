@@ -1,10 +1,10 @@
 """curvosc._lapack: the solver's three LAPACK routines and verify's dsterf
-come from scipy's compiled module without importing scipy.linalg, its
+come from scipy's compiled module without importing scipy or scipy.linalg, its
 eigh_tridiagonal returns what scipy.linalg.eigh_tridiagonal, the
 reference here, returns, bit for bit, on the file-loaded module and on the
 scipy.linalg.lapack fallback, and dsterf what
-scipy.linalg.eigvalsh_tridiagonal returns through sterf; no command calls
-numpy.linalg."""
+scipy.linalg.eigvalsh_tridiagonal returns through sterf; neither importing
+the solver nor any command calls numpy.linalg."""
 
 import sys
 from functools import cache
@@ -43,8 +43,9 @@ def loose(d, e):
 
 
 def test_startup_leaves_scipy_linalg_unimported(startup):
-    assert [startup["scipy.linalg"], startup["numpy.random"], startup["lapack_source"]] \
-        == [False, True, "extension file"]
+    # the CLI and verify load neither scipy's package inits nor numpy's
+    # random and polynomial packages, and take _flapack from its file
+    assert [startup["imported"], startup["lapack_source"]] == [[], "extension file"]
 
 
 @pytest.mark.parametrize("loose_tol", [False, True], ids=["default-tol", "loose-tol"])
@@ -75,18 +76,22 @@ def test_dsterf_matches_scipy():
     assert np.array_equal(vals, eigvalsh_tridiagonal(d, e, lapack_driver="sterf"))
 
 
-def test_no_command_calls_numpy_linalg(tmp_path, monkeypatch):
+def test_no_command_calls_numpy_linalg(tmp_path, fresh_python):
     # a dense numpy.linalg call pages in numpy's own OpenBLAS, whose worker
-    # spins a core on after the call; verify and the solver keep to scipy's
-    # LAPACK.  numpy.polynomial's Gauss-Legendre tables, built at import,
-    # are left out
-    def refused(*args, **kwargs):
-        raise AssertionError("numpy.linalg called")
-
-    for name in ("eigvalsh", "eigh"):
-        monkeypatch.setattr(np.linalg, name, refused)
-    for args in (["verify", "--suite", "numerics-oracle"], ["spectrum", "--model", "higgs"]):
-        assert cli.main(args + ["--output", str(tmp_path / "x.json")]) == 0
+    # spins a core on after the call; the solver keeps to scipy's LAPACK
+    # from its import on (the Gauss-Legendre tables are built at import),
+    # and so do verify and the spectra
+    out, _ = fresh_python(
+        "import numpy as np\n"
+        "def refused(*args, **kwargs):\n"
+        "    raise AssertionError('numpy.linalg called')\n"
+        "for name in ('eigvalsh', 'eigh', 'eig'):\n"
+        "    setattr(np.linalg, name, refused)\n"
+        "import curvosc.numerics, curvosc.cli as cli\n"
+        "for args in (['verify', '--suite', 'numerics-oracle'], ['spectrum', '--model', 'higgs']):\n"
+        f"    assert cli.main(args + ['--output', {str(tmp_path / 'x.json')!r}]) == 0, args\n"
+        "print('ok')")
+    assert out == "ok\n"
 
 
 class Refused:

@@ -284,6 +284,20 @@ class TestCornerQuadrature:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
 
+    @pytest.mark.parametrize("rung", range(len(numerics._ORDERS)),
+                             ids=[f"m{m}" for m in numerics._ORDERS])
+    def test_gauss_legendre_tables(self, rung):
+        # each m-point rule integrates x^(2j), j < m, over [-1, 1] to
+        # roundoff, and is symmetric, so the odd powers integrate to zero;
+        # its nodes are numpy's
+        m, first = numerics._ORDERS[rung], numerics._FIRST[rung]
+        x, w = numerics._NODES[first:first + m], numerics._WEIGHTS[first:first + m]
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        exact = 2 / (2 * np.arange(m) + 1)
+        moments = np.array([np.sum(w * x ** (2 * j)) for j in range(m)])
+        assert np.max(np.abs(moments - exact) / exact) <= 1e-14
+        assert np.max(np.abs(x - np.polynomial.legendre.leggauss(m)[0])) <= 2e-16
+
     @pytest.mark.parametrize("side", [0, 1], ids=["left", "right"])
     @pytest.mark.parametrize("sigma", [-0.5, 0.0, 0.5, 1.0, 3.0, 22.0, 102.0])
     def test_graded_orders_match_full_order(self, sigma, side):
@@ -565,8 +579,14 @@ class TestBackwardError:
         "crs-natural": (crs_natural_problem(1, UNIT, 4000), 3),
     }
 
-    @pytest.mark.parametrize("case", CASES)
-    def test_converged_pairs_read_roundoff(self, case):
+    # where the polish stops does not depend on its fixed start: every seed
+    # of it reads roundoff (the deep polar solve, 0.1 s a seed, runs at the
+    # shipped seed only)
+    @pytest.mark.parametrize("case,seed", [("polar-k50", numerics._START_SEED)] + [
+        (case, seed) for case in ("qes2-profile", "crs-natural")
+        for seed in (*range(1, 21), numerics._START_SEED)])
+    def test_converged_pairs_read_roundoff(self, case, seed, monkeypatch):
+        monkeypatch.setattr(numerics, "_START_SEED", seed)
         prob, k = self.CASES[case]
         errors = backward_errors(prob, *lowest_eigenpairs(prob, k))
         assert errors.shape == (k,)
@@ -617,6 +637,27 @@ def polished_pair(prob, k):
     return coarse, fine
 
 
+def splitmix64(state):
+    """The splitmix64 output of a 64-bit state, in Python integers."""
+    mask = 2 ** 64 - 1
+    z = state & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def test_start_vector_is_the_seeded_counter_hash():
+    # entry i hashes the counter seed + (i + 1) golden-ratio steps, its top
+    # 52 bits k mapped to (k + 1/2) 2^-51 - 1; no entry depends on n
+    assert splitmix64(1234567 + 0x9E3779B97F4A7C15) == 6457827717110365317
+    x = numerics._start(8001)
+    want = [((splitmix64(numerics._START_SEED + (i + 1) * 0x9E3779B97F4A7C15) >> 12) + 0.5)
+            * 2.0 ** -51 - 1 for i in (0, 1, 2, 4000, 8000)]
+    assert x[[0, 1, 2, 4000, 8000]].tolist() == want
+    assert np.array_equal(x[:100], numerics._start(100))
+    assert np.all(np.abs(x) < 1) and abs(np.mean(x)) < 0.05 and abs(np.var(x) - 1 / 3) < 0.02
+
+
 def polish_with(**starts):
     """A _polish hook for lowest_eigenvalues that polishes from the given
     starts or shifts."""
@@ -649,6 +690,17 @@ class TestSeededEigenvalues:
         _, coarse, fine, _ = richardson_eigenvalues(prob, k)
         for vals, ref in zip((coarse, fine), seeded_references[case]):
             assert np.max(np.abs(vals - ref) / ref) <= 1e-9
+
+    @pytest.mark.parametrize("mprime", [0, 1])
+    def test_guesses_off_by_part_of_the_gap_certify(self, mprime):
+        # the guesses of the k = 50 coarse grid lie 0.7 below levels 4.5
+        # apart; the shift leaves each guess only once rho +- the residual
+        # lies in its window, so the polish does not slip to the level below
+        prob = crs_natural_problem(mprime, PhysParams(lam=0.003, omega=2.0), 4000)
+        d, e, _ = assemble(prob)
+        vals = _coarse_polished(prob, 50, d, e, loose=True)
+        assert vals is not None
+        assert np.max(np.abs(vals - relative_bisection(prob, 50)) / vals) <= 1e-9
 
     def test_bad_guesses_fall_back_to_bisection(self):
         prob, k = SEEDED_CASES["crs-k3"]
@@ -825,11 +877,18 @@ class TestSingleGridPolish:
     @pytest.mark.parametrize("case", ["guesses-miss-a-mode", "grid-too-small"])
     def test_fallback_is_the_bisection_bit_for_bit(self, case, monkeypatch):
         if case == "guesses-miss-a-mode":
-            # the guesses of 250 coarse points do not certify on this channel,
-            # the m' = 0 neighbour of cos(4 Theta), m'_Q = 1 (500 points do)
-            monkeypatch.setattr(numerics, "_COARSEN", 32)
-            params = PhysParams(lam=0.7)
-            prob, k = qes_channel_problem(0, QesSpec.example1(4.0, 1, params), params, 8001), 3
+            # the guess grid's bisection drops the lowest mode: the values
+            # polished from its guesses are the k modes above it, which the
+            # Sturm count refuses
+            prob, k = flat_oscillator(), 3
+            bisection = numerics._bisection
+
+            def dropped(d, e, k, **options):
+                if d.size == prob.grid.n:
+                    return bisection(d, e, k, **options)
+                return bisection(d, e, k + 1, **options)[1:]
+
+            monkeypatch.setattr(numerics, "_bisection", dropped)
         else:
             # max(1000 // 16, 40 k) = 600 guess points, more than half of 1000
             prob, k = flat_oscillator(n=1000), 15
