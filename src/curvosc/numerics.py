@@ -23,15 +23,17 @@ Dirichlet wall at small distance then converges only like a power of the
 cutoff (or logarithmically, for sigma = 0 or the critical sigma = 1/2),
 far too slowly for the tolerances used here.  An EndpointRule instead
 works with a local profile phi, the power |x-x0|^sigma or a closed form
-handed over as one callable t -> (log phi, phi'/phi), and:
+handed over as one callable t -> (log phi, phi'/phi).  It corrects the
+max(40, n // 5) cells nearest the corner, at most n, each in q_i, w_i and
+in its face toward the corner, the boundary face included:
 
-  * closes the boundary face with its own derivative factor, the profile
-    flux phi'(face)/phi(x) fitted through the interior point x beside it,
-  * replaces the face derivative factors 1/h near the corner by
-    phi'(face)/(phi(x_i) - phi(x_{i-1})), exact on the profile,
-  * replaces q_i, w_i near the corner by profile-weighted cell averages
-    int q phi / (phi(x_i) h), so the divergent 1/x^2 parts of q are
-    integrated exactly against the profile instead of point-sampled.
+  * the boundary face takes its own derivative factor, the profile flux
+    phi'(face)/phi(x) fitted through the interior point x beside it,
+  * the other corrected faces take phi'(face)/(phi(x_i) - phi(x_{i-1}))
+    in place of 1/h, exact on the profile,
+  * q_i, w_i become profile-weighted cell averages int q phi / (phi(x_i)
+    h), so the divergent 1/x^2 parts of q are integrated exactly against
+    the profile instead of point-sampled.
 
 phi itself is never formed: for sigma in the hundreds (small curvature)
 d^sigma overflows far from the corner and underflows next to it.  Every
@@ -61,13 +63,14 @@ are built at import by Halley steps on the Legendre recurrence
 (_gauss_legendre, about 0.6 ms), with neither numpy.polynomial nor a
 dense numpy.linalg eigensolve: their nodes are numpy's leggauss nodes to
 1.1e-16, and they integrate x^(2j), j < m, to 1.3e-15 relative, where
-leggauss(24) is off by 5.2e-14.  A problem hands
-out q and w from one evaluation, qw(t) -> (q, w), which is called once
-per system, on the points outside the corner cells and all corner nodes
-in one flat array.
+leggauss(24) is off by 5.2e-14.  A problem hands out q and w from one
+evaluation, qw(t) -> (q, w), which is called once per system, on the
+points outside the corner cells and all corner nodes in one flat array.
 
 All three changes keep K symmetric (the face factors multiply the same
-difference in both adjacent rows; a boundary face has one row only).
+difference in both adjacent rows; a boundary face has one row only).  The
+corner is written once, in its own outward frame, so a problem and its
+mirror image t -> a + b - t assemble mirrored systems.
 
 Eigensolvers
 ------------
@@ -280,10 +283,6 @@ class EndpointRule:
         """phi(t)/phi(t0) from the samples v of t and v0 of t0."""
         return (v / v0) ** self.exponent if self.profile is None else np.exp(v - v0)
 
-    def ratio(self, t, t0):
-        """phi(t)/phi(t0) of the local regular profile, without forming phi."""
-        return self.sample_ratio(self.sample(t)[0], self.sample(t0)[0])
-
 
 @dataclass(frozen=True)
 class SturmLiouvilleProblem:
@@ -305,8 +304,7 @@ def assemble(problem: SturmLiouvilleProblem) -> tuple[np.ndarray, np.ndarray, np
     T = M^(-1/2) K M^(-1/2), and the positive diagonal m of M."""
     grid = problem.grid
     n, h = grid.n, grid.h
-    x = grid.points()
-    xf = grid.faces()
+    x, xf = grid.points(), grid.faces()
     pf = np.asarray(problem.p(xf), float)
 
     g = np.full(n + 1, 1.0 / h)       # face derivative factors
@@ -316,15 +314,12 @@ def assemble(problem: SturmLiouvilleProblem) -> tuple[np.ndarray, np.ndarray, np
         if rule is None:
             continue
         m = min(max(40, n // 5), n)   # corrected cells
-        # cells i of this corner, and the faces (face j lies between x_{j-1}
-        # and x_j) and points its face terms read: each is divided through by
-        # phi at the point of its pair farther from the corner, so its ratios
-        # stay O(1) for any sigma, and that point's own ratio is one
-        if side == 0:
-            i, on_faces, on_points = np.arange(m), slice(0, m), slice(0, m)
-        else:
-            lo = max(n - m, 1)
-            i, on_faces, on_points = np.arange(n - m, n), slice(lo, n + 1), slice(lo - 1, n)
+        # the corner in its own outward frame: cells i nearest it first, each
+        # correcting its face toward it, s the outward sign.  Each face term
+        # is divided through by phi(x_i) of its own cell, so its ratios stay
+        # O(1) for any sigma, and x_i's own ratio is one
+        i = np.arange(m) if side == 0 else np.arange(n - 1, n - 1 - m, -1)
+        face, s = i + side, 1 - 2 * side    # face j lies between x_{j-1} and x_j
         mid, half = 0.5 * (xf[i + 1] + xf[i]), 0.5 * (xf[i + 1] - xf[i])
         # all nodes of the corner in one flat array: node k lies in cell
         # cell[k] and takes row[k] of the concatenated rule tables
@@ -334,20 +329,14 @@ def assemble(problem: SturmLiouvilleProblem) -> tuple[np.ndarray, np.ndarray, np
         row = np.arange(cell.size) + np.repeat(_FIRST[rung] - np.cumsum(count) + count, count)
         t = mid[cell] + half[cell] * _NODES[row]
         # the profile once per point: the corner's grid points, faces and nodes
-        pts, faces = x[on_points], xf[on_faces]
-        v, slope = rule.sample(np.concatenate([pts, faces, t]))
-        vx, vf, vt = np.split(v, [pts.size, pts.size + faces.size])
-        flux = slope[pts.size:pts.size + faces.size] * rule.sample_ratio(vf, vx)
+        v, slope = rule.sample(np.concatenate([x[i], xf[face], t]))
+        vx, vf, vt = np.split(v, [m, 2 * m])
+        flux = s * slope[m:2 * m] * rule.sample_ratio(vf, vx)
         del slope               # not held through the cell weights below
-        if side == 0:           # faces 0..m-1 against x_0..x_{m-1}
-            g[0] = flux[0]
-            dp = 1.0 - rule.sample_ratio(vx[:-1], vx[1:])
-            g[1:m] = np.divide(flux[1:], dp, out=g[1:m], where=dp != 0)
-        else:                   # faces lo..n against x_{lo-1}..x_{n-1}
-            g[n] = -flux[-1]
-            dp = rule.sample_ratio(vx[1:], vx[:-1]) - 1.0
-            g[lo:n] = np.divide(flux[:-1], dp, out=g[lo:n], where=dp != 0)
-        f = rule.sample_ratio(vt, vx[i[cell] - on_points.start]) * (half / h)[cell] * _WEIGHTS[row]
+        # dp = 1 - phi(nearer point)/phi(x_i), the ratio 0 at the wall
+        dp = 1.0 - np.concatenate([[0.0], rule.sample_ratio(vx[:-1], vx[1:])])
+        g[face] = np.divide(flux, dp, out=g[face], where=dp != 0)
+        f = rule.sample_ratio(vt, vx[cell]) * (half / h)[cell] * _WEIGHTS[row]
         sampled[i] = False
         nodes.append(t)
         corners.append((i, cell, f))
@@ -587,8 +576,9 @@ def _prolongation(grid: Grid1D, coarse_m: np.ndarray, fine_m: np.ndarray,
             walls.append((w, m, a, b, 0.5, 0.5, 0.5))
             continue
         with np.errstate(all="ignore"):
-            walls.append((w, m, a, b, float(rule.ratio(t[w], x[a])), 0.0,
-                          float(rule.ratio(t[m], x[b]))))
+            v = rule.sample([t[w], t[m], x[a], x[b]])[0]
+            beside, far = rule.sample_ratio(v[:2], v[2:]).tolist()
+        walls.append((w, m, a, b, beside, 0.0, far))
 
     def prolong(u: np.ndarray) -> np.ndarray:
         v = u * unscale

@@ -238,7 +238,7 @@ class TestValidation:
     @pytest.mark.parametrize("lam", ["10", "1e4", "1e8", "1e9", "1e145"])
     def test_crs_error_stays_flat_above_unit_curvature(self, lam, tmp_path):
         # the grid ends at the tan pole x* at every curvature, so the error
-        # keeps its lam = 1 size: 4.0e-12-5.1e-11 for m'_Q = 0, 1, 2 (the
+        # keeps its lam = 1 size: 3.4e-14-8.0e-11 for m'_Q = 0, 1, 2 (the
         # radial gauge leaves m'_Q = 0 no h^2 log term), where a grid cut at
         # x* - 1e-4/sqrt(lam) read 2.2e-9-2.7e-9
         code, text = run_to_file(tmp_path, "x.json",

@@ -52,8 +52,8 @@ def test_spectrum_gates_the_origin_closure(monkeypatch):
     # every power rule at the origin becomes a Dirichlet wall: the m' = 0
     # rows read 0.113-0.160 relative.  Where the solution vanishes there as
     # r^|m'| (the line's in the radial gauge), a wall is exact enough for
-    # m' >= 1: the higgs rows read 5.5e-12-3.7e-11 against 1e-9, the natural
-    # crs rows 2.4e-13-2.0e-11 against 1e-10 and the wide ones 1.25e-8 and
+    # m' >= 1: the higgs rows read 5.2e-12-1.3e-11 against 1e-9, the natural
+    # crs rows 7.3e-13-1.3e-11 against 1e-10 and the wide ones 1.25e-8 and
     # 1.39e-8 against 1e-7.  The same swap at the far end is the next test's
     # mutation
     rule = problems.EndpointRule
@@ -97,7 +97,7 @@ def test_both_routes_gate_the_curvature_shift(monkeypatch):
 
 def test_not_analytic_gates_the_neighbour_channels(monkeypatch):
     # every channel built as m' = m'_Q: its ground state is the closed form,
-    # and the four deviations fall to 4.9e-8-6.9e-7, far below the 1e-2 gate
+    # and the four deviations fall to 8.3e-8-3.7e-7, far below the 1e-2 gate
     build = problems.qes_channel_problem
 
     def solvable(mprime, spec, params, n):

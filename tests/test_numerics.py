@@ -63,6 +63,11 @@ PROFILE_RULE = EndpointRule(1.5, 0.0, lambda t: (
     1.5 / t + (0.4 - 0.2 * t) / (1 + 0.4 * t - 0.1 * t * t)))
 
 
+def profile_ratio(rule, t, t0):
+    """phi(t)/phi(t0) of rule's profile, from its samples at t and t0."""
+    return rule.sample_ratio(rule.sample(t)[0], rule.sample(t0)[0])
+
+
 def corner_width(n):
     """Cells of a power corner that assemble corrects: max(40, n // 5), at
     most n."""
@@ -91,7 +96,7 @@ def reference_assemble(prob):
             continue
         phi, dphi = scalar_profile(rule)
         m = corner_width(n)
-        faces = range(1, m) if side == 0 else range(max(n - m, 1), n)
+        faces = range(1, m) if side == 0 else range(n - m + 1, n)
         cells = range(m) if side == 0 else range(n - m, n)
         for j in faces:
             g[j] = dphi(xf[j]) / (phi(x[j]) - phi(x[j - 1]))
@@ -118,7 +123,7 @@ def reference_assemble(prob):
 def full_order_assemble(prob):
     """The assembled entries with every corrected cell averaged by the
     24-point Gauss-Legendre rule, all cells of a corner at once; the profile
-    enters through EndpointRule.ratio and sample, so any sigma
+    enters through EndpointRule.sample and sample_ratio, so any sigma
     stays finite.  K and M as (d, e, m)."""
     gx, gw = np.polynomial.legendre.leggauss(24)
     n, h = prob.grid.n, prob.grid.h
@@ -134,17 +139,17 @@ def full_order_assemble(prob):
         if side == 0:
             j, i = np.arange(1, m), np.arange(m)
             ref = x[j]
-            extra[0] = pf[0] * rule.sample(xf[0])[1] * rule.ratio(xf[0], x[0]) / h
+            extra[0] = pf[0] * rule.sample(xf[0])[1] * profile_ratio(rule, xf[0], x[0]) / h
         else:
-            j, i = np.arange(max(n - m, 1), n), np.arange(n - m, n)
+            j, i = np.arange(n - m + 1, n), np.arange(n - m, n)
             ref = x[j - 1]
-            extra[1] = -pf[n] * rule.sample(xf[n])[1] * rule.ratio(xf[n], x[n - 1]) / h
-        dp = rule.ratio(x[j], ref) - rule.ratio(x[j - 1], ref)
-        flux = rule.sample(xf[j])[1] * rule.ratio(xf[j], ref)
+            extra[1] = -pf[n] * rule.sample(xf[n])[1] * profile_ratio(rule, xf[n], x[n - 1]) / h
+        dp = profile_ratio(rule, x[j], ref) - profile_ratio(rule, x[j - 1], ref)
+        flux = rule.sample(xf[j])[1] * profile_ratio(rule, xf[j], ref)
         g[j] = np.divide(flux, dp, out=g[j], where=dp != 0)    # sigma = 0 keeps 1/h
         half = 0.5 * (xf[i + 1] - xf[i])
         t = 0.5 * (xf[i + 1] + xf[i])[:, None] + half[:, None] * gx
-        weight = rule.ratio(t, x[i, None]) * (half / h)[:, None] * gw
+        weight = profile_ratio(rule, t, x[i, None]) * (half / h)[:, None] * gw
         qt, wt = prob.qw(t)
         q[i], w[i] = np.sum(qt * weight, axis=1), np.sum(wt * weight, axis=1)
     off = -pf[1:-1] * g[1:-1] / h
@@ -305,6 +310,18 @@ class TestCornerQuadrature:
                              full_order_assemble(corner_problem(sigma, side))):
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
 
+    @pytest.mark.parametrize("sigma", [-0.5, 0.5, 3.0, 22.0, 102.0])
+    def test_mirror_image_assembles_the_mirrored_system(self, sigma):
+        # the corner at 0 and its mirror image at 1, p, q and w composed
+        # with t -> 1 - t: both corners are one rule in their outward
+        # frames, so the systems agree row for row, reversed, up to the
+        # rounding of the mirrored grid points (7.5e-11 in m at sigma = 1000)
+        prob = corner_problem(sigma, 0)
+        mirror = replace(prob, p=lambda t: prob.p(1 - t), qw=lambda t: prob.qw(1 - t),
+                         bc=(None, EndpointRule(sigma, 1.0)))
+        for got, want in zip(assemble(mirror), assemble(prob)):
+            assert np.max(np.abs(got[::-1] - want) / np.abs(want)) <= 1e-11
+
     @pytest.mark.parametrize("prob", [
         # grids that end at the singular point: the equator (sigma ~ 12 at
         # lam = 0.1), the tan pole, the origin of the wide crs domain
@@ -360,7 +377,8 @@ class TestCornerQuadrature:
     @pytest.mark.parametrize("prob", CORNER_LAYOUTS)
     def test_each_corner_cell_gets_its_rung_node_count(self, prob):
         # the model sees the points outside the corners, then every corner
-        # node, each corner's nodes strictly inside the cell they average
+        # node, each corner's nodes strictly inside the cell they average,
+        # the cells nearest the corner first
         wrapped, seen = self.counted(prob)
         assemble(wrapped)
         t = seen[0]
@@ -372,7 +390,7 @@ class TestCornerQuadrature:
             if rule is None:
                 continue
             m = corner_width(n)
-            i = np.arange(m) if side == 0 else np.arange(n - m, n)
+            i = np.arange(m) if side == 0 else np.arange(n - 1, n - 1 - m, -1)
             sampled[i] = False
             corners.append((rule, i))
         assert np.array_equal(t[:np.count_nonzero(sampled)], x[sampled])
@@ -383,7 +401,7 @@ class TestCornerQuadrature:
             nodes = t[at:at + count.sum()]
             cell = np.repeat(i, count)
             assert np.all((nodes > xf[cell]) & (nodes < xf[cell + 1]))
-            assert np.array_equal(np.bincount(np.searchsorted(xf, nodes) - 1 - i[0],
+            assert np.array_equal(np.bincount(np.abs(np.searchsorted(xf, nodes) - 1 - i[0]),
                                               minlength=i.size), count)
             at += count.sum()
         assert at == t.size
@@ -408,7 +426,7 @@ class TestCornerQuadrature:
         h = 1e-3
         assert h**1000.0 == 0.0
         for t, t0 in ((h, 1.5 * h), (1.5 * h, h)):
-            r = float(rule.ratio(t, t0))
+            r = float(profile_ratio(rule, t, t0))
             assert math.isfinite(r) and r > 0
             assert r == pytest.approx(math.exp(1000.0 * math.log(t / t0)), rel=1e-12)
         assert float(rule.sample(h)[1]) == pytest.approx(1000.0 / h, rel=1e-14)
@@ -420,7 +438,7 @@ class TestCornerQuadrature:
         rule = EndpointRule(sig, c)
         t = np.concatenate((np.linspace(-2.0, 0.29, 40), np.linspace(0.31, 2.0, 40)))
         t0 = t[::-1]
-        assert np.array_equal(rule.ratio(t, t0), (np.abs(t - c) / np.abs(t0 - c)) ** sig)
+        assert np.array_equal(profile_ratio(rule, t, t0), (np.abs(t - c) / np.abs(t0 - c)) ** sig)
         assert np.array_equal(rule.sample(t)[1], np.sign(t - c) * (sig / np.abs(t - c)))
 
     def test_profile_rule_reads_its_pair(self):
@@ -428,7 +446,8 @@ class TestCornerQuadrature:
         # log-derivative the profile's own, bit for bit
         t = np.linspace(0.01, 2.0, 50)
         (log_phi, slope), (log_phi0, _) = PROFILE_RULE.profile(t), PROFILE_RULE.profile(t[::-1])
-        assert np.array_equal(PROFILE_RULE.ratio(t, t[::-1]), np.exp(log_phi - log_phi0))
+        assert np.array_equal(profile_ratio(PROFILE_RULE, t, t[::-1]),
+                              np.exp(log_phi - log_phi0))
         assert np.array_equal(PROFILE_RULE.sample(t)[1], slope)
 
     def test_profile_read_once_per_point(self):

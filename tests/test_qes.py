@@ -486,7 +486,7 @@ class TestSolvableChannel:
     @pytest.mark.parametrize("mq", [0, 1, 2])
     @pytest.mark.parametrize("l", [6.0, 8.0, 12.0, 16.0, 24.0])
     def test_ground_state_is_the_closed_form_at_larger_l(self, l, mq):
-        # measured: at most 6.0e-7 relative; the error grows with l (2.1e-5
+        # measured: at most 7.2e-7 relative; the error grows with l (2.1e-5
         # at l = 100) as (0, pi/l) shrinks on a fixed number of points
         spec = QesSpec.example1(l, mq, UNIT)
         vals = lowest_eigenvalues(qes_channel_problem(mq, spec, UNIT, 2000), 3)
@@ -507,7 +507,7 @@ class TestSolvableChannel:
                                       "exp-decaying"])
     def test_member_ground_state_is_the_closed_form(self, name):
         # any real member solves through its spec: the 2000/4001 Richardson
-        # pair reads 3.9e-11-1.5e-9, where single grids at n = 2000 read up to
+        # pair reads 9.7e-12-1.3e-9, where single grids at n = 2000 read up to
         # 2.6e-6 (exp-decaying), both converging at order 2
         spec, params = member(*MEMBERS[MEMBER_IDS.index(name)][:-1])
         E0 = richardson_eigenvalues(qes_channel_problem(spec.mprime_q, spec, params, 2000), 1)[0][0]
