@@ -40,7 +40,11 @@ def _load():
         return sys.modules[_NAME], "sys.modules"
     # where the scipy package lies, from the import system's finders;
     # scipy/__init__ does not run
-    location = find_spec("scipy").submodule_search_locations[0]
+    scipy = find_spec("scipy")
+    if scipy is None:
+        raise ImportError("curvosc needs scipy>=1.13 for its LAPACK routines, "
+                          "and no scipy package was found")
+    location = scipy.submodule_search_locations[0]
     finder = FileFinder(str(Path(location) / "linalg"),
                         (ExtensionFileLoader, EXTENSION_SUFFIXES))
     try:

@@ -20,12 +20,13 @@ from functools import cache
 import numpy as np
 
 from . import crs, higgs, problems, transform
-from .errors import ParameterOverflowError
+from .errors import ParameterOverflowError, PrecisionLossError
 from .numerics import lowest_eigenvalues, rayleigh_quotient
 from .params import PhysParams
 
 MODELS = ("higgs", "crs", "qes1", "qes2")
 _TOO_LARGE = "a flag is too large for floating point"
+_CLOSURE_GATE = 1e-12   # verify's transform-closure gate
 
 
 def fmt_float(x) -> str:
@@ -176,11 +177,24 @@ def run_wavefunction(args, params: PhysParams):
 
 
 def run_transform_check(args, params: PhysParams):
+    """The mapped potential against m omega^2 r^2/2 at the tabulated radii.
+    The map's shift cancels the line potential down to that target, so each
+    brings its roundoff, eps times its size, into the difference; a table
+    whose roundoff exceeds _CLOSURE_GATE of the target at any radius is
+    refused, as its difference would read that roundoff."""
     mq = args.mprime_q if args.mprime_q is not None else 0.0
     rs = np.logspace(-0.5, 1.0, args.grid_n)
-    mapped = transform.map_potential(
-        mq, params, lambda x: crs.crs_potential_special(mq, params, x), rs)
+    line = lambda x: crs.crs_potential_special(mq, params, x)
+    mapped = transform.map_potential(mq, params, line, rs)
     target = higgs.oscillator_potential(params, rs)
+    roundoff = np.finfo(float).eps * (np.abs(line(transform.x_of_r(params, rs)))
+                                      + np.abs(transform.curvature_shift(mq, params, rs)))
+    worst = float(np.max(roundoff / target))
+    if worst > _CLOSURE_GATE:
+        raise PrecisionLossError(
+            f"--lambda {params.lam:g} at --mprime-q {mq:g} leaves the mapped potential a "
+            f"roundoff of {worst:.1e} of m omega^2 r^2/2, above the {_CLOSURE_GATE:g} "
+            f"that transform-check holds")
     return (["r", "mapped_V", "half_m_omega2_r2", "difference"],
             np.column_stack((rs, mapped, target, mapped - target)).tolist())
 

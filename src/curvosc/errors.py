@@ -20,6 +20,11 @@ class ParameterOverflowError(CurvoscError):
     floating point."""
 
 
+class PrecisionLossError(CurvoscError):
+    """A parameter leaves a result's roundoff above the accuracy that the
+    command holds it to: a cancellation in floating point eats its digits."""
+
+
 class ParameterUnderflowError(CurvoscError):
     """A physical parameter is too small for a formula to stay a normal float."""
 

@@ -96,46 +96,43 @@ index (_start), so no random-number generator is loaded.
 The guesses come from the same problem on a guess grid of max(n //
 _COARSEN, _GUESS_POINTS k) points, _COARSEN = 16 and _GUESS_POINTS = 40;
 a guess grid of more than n/2 points would cost about as much as the
-bisection it replaces, so the solve falls back at once.
-lowest_eigenvalues, the single-grid solve, bisects the guess grid to the
-default tolerance, which is cheap; the bisection on the fine grid is the
-fallback.  Its callers want k <= 8, so the floor does not bind and the
-guess grid is n // 16, a ratio measured on 57 solves, the QES channels at
-the six lam of the benchmark (n = 2000, k = 3) and the three wide crs
-solves of verify (n = 16000, k = 8), single grids at the time; verify now
-solves those as Richardson pairs:
+bisection it replaces, so the solve falls back at once.  Every solve takes
+its guesses by one rule: the guess grid is bisected to the loose tolerance
+tol = sqrt(eps) ||T_g||, T_g the guess grid's standard form, and bisected
+again to the default tolerance where two guesses lie within 4 tol of each
+other.  ||T_g|| grows like 1/h_g^2, so tol is 4-256 times smaller than that
+of a pair's own coarse grid, which could not separate the lowest gaps of
+the planar Dirichlet reference or of the channels at lam <= 0.01.  Over
+k = 50, n = 4000 pairs at lam from 0.001 to 10 the polish failed from
+guesses that close (min gap / tol of 0, 0.75, 1, 2.25 and 2.6) and
+certified from all others (3.6 and up; 13 and up at lam >= 0.1).  On the
+single grids the rule certifies all that a default-tolerance bisection of
+the guess grid certified: over 6476 QES channel solves (n = 2000, lam from
+0.001 to 300, omega 0.5-2, l from 2.01 to 100 and the sqrt(lam) x family,
+m'_Q from 0 to 3.5 with both neighbour channels) and verify's single
+grids, no guess set crowded, the 5804 solves certified by both stayed
+certified (one more, qes1 at l = 6, lam = 0.9, omega = 0.5, m'_Q = 1, did
+too), and their values moved by at most 1.4e-8 relative, 0.004 of the
+sum of the two certificate radii.
 
-    ratio   guess n (QES)   fallbacks
-      8          250            0
-     16          125            0
-     32          120            0       (the floor 40 k binds)
-
-At 16 the certified values lie within 2e-10 relative of a bisection to
-relative accuracy, where the default bisection leaves up to 1.2e-8.
-lowest_eigenpairs is the same solve keeping the polished unit vectors (or
-stein's, after the fallback), plus the back-transform v = (M h)^(-1/2) u,
-for the callers that read eigenvectors: the u are unit vectors of T, so
-the v are orthonormal in the assembled M, V^T M V h = I.  Both apply the
-same guards (k budget, finite system, spectral edge, roundoff floor, strictly
-ascending values) and return bitwise-equal eigenvalues.
+lowest_eigenvalues is the single-grid solve; the bisection on its grid is
+the fallback.  lowest_eigenpairs is the same solve keeping the polished
+unit vectors (or stein's, after the fallback), plus the back-transform v =
+(M h)^(-1/2) u, for the callers that read eigenvectors: the u are unit
+vectors of T, so the v are orthonormal in the assembled M, V^T M V h = I.
+Both apply the same guards (k budget, finite system, spectral edge,
+roundoff floor, strictly ascending values) and return bitwise-equal
+eigenvalues.
 
 richardson_eigenvalues solves both of its grids through lowest_eigenvalues
-with guesses of its own.  The coarse grid bisects the guess grid to the
-loose tolerance tol = sqrt(eps) ||T_g||, T_g the guess grid's standard
-form, and keeps its unit vectors, which the pair hands out; the fine grid
-starts each eigenvalue from its coarse vector carried to the h/2 grid
-(_prolongation, built once per pair).  ||T_g|| grows like 1/h_g^2, so
-tol is 4-256 times smaller than that of the pair's own coarse grid, which
-could not separate the lowest gaps of the planar Dirichlet reference or of
-the channels at lam <= 0.01.
-Where two loose guesses still lie within 4 tol of each other the guess
-grid is bisected again to the default tolerance: over k = 50, n = 4000
-pairs at lam from 0.001 to 10 the polish failed from guesses that close
-(min gap / tol of 0, 0.75, 1, 2.25 and 2.6) and certified from all others
-(3.6 and up; 13 and up at lam >= 0.1).  The floor of 40 points per
-eigenvalue comes from k = 50 on a 2-core VM: over 32 higgs and crs pairs
-(lam in [0.1, 1], omega in [0.5, 2], m' in {0, 1}), and over 102 pairs on
-the grid lam in {0.001, ..., 10}, omega in {0.5, 2}, m' in {0, 1, 2}:
+with guesses of its own.  The coarse grid is solved as lowest_eigenpairs
+solves, with the same guesses and so the same values, and keeps its unit
+vectors, which the pair hands out; the fine grid starts each eigenvalue
+from its coarse vector carried to the h/2 grid (_prolongation, built once
+per pair).  The floor of 40 points per eigenvalue comes from k = 50 on a
+2-core VM: over 32 higgs and crs pairs (lam in [0.1, 1], omega in [0.5,
+2], m' in {0, 1}), and over 102 pairs on the grid lam in {0.001, ..., 10},
+omega in {0.5, 2}, m' in {0, 1, 2}:
 
     floor   guess n   coarse fallbacks   coarse fallbacks   ms per pair
                        (32, lam >= 0.1)   (102, all lam)     (32)
@@ -418,8 +415,9 @@ def _checked(vals: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a.b by numpy's own einsum loop: no a * b temporary, and no BLAS dot,
-    whose thread wake-up costs more than the sum at these sizes."""
+    """a.b by numpy's own einsum loop, whose order of the sums is fixed: a
+    BLAS dot sums in an order of its build's choosing, and numpy's
+    OpenBLAS ddot moved certified values by up to 6e-11."""
     return float(np.einsum("i,i->", a, b))
 
 
@@ -594,17 +592,13 @@ def _prolongation(grid: Grid1D, coarse_m: np.ndarray, fine_m: np.ndarray,
 
 
 def _coarse_polished(problem: SturmLiouvilleProblem, k: int, d: np.ndarray,
-                     e: np.ndarray, vectors: np.ndarray | None = None,
-                     loose: bool = False) -> np.ndarray | None:
+                     e: np.ndarray, vectors: np.ndarray | None = None) -> np.ndarray | None:
     """The k lowest eigenvalues of the standard form (d, e) of problem,
-    polished (see _polished, which fills vectors) from guesses that a
-    bisection finds on the same problem with a guess grid of max(n //
-    _COARSEN, _GUESS_POINTS k) points: to the default tolerance, or with
-    loose to tol = sqrt(eps) ||T_g|| of that grid's own standard form T_g,
-    and again to the default one where two of those guesses lie within
-    4 tol.  None where they cannot be certified, where the guess grid has
-    more than half the n points of problem's (it would cost about as much
-    as the bisection it replaces) or where it fails a guard of its own."""
+    polished (see _polished, which fills vectors) from the guesses of the
+    one rule of the module docstring, bisected on problem's guess grid.
+    None where they cannot be certified, where the guess grid has more
+    than half the n points of problem's (it would cost about as much as the
+    bisection it replaces) or where it fails a guard of its own."""
     grid = problem.grid
     n = max(grid.n // _COARSEN, _GUESS_POINTS * k)
     if n > grid.n // 2:
@@ -612,14 +606,28 @@ def _coarse_polished(problem: SturmLiouvilleProblem, k: int, d: np.ndarray,
     coarse = replace(problem, grid=Grid1D(grid.a, grid.b, n))
     try:
         cd, ce, _ = _standard_system(coarse, k)
-        tol = np.sqrt(np.finfo(float).eps) * _gershgorin(cd, ce)[1] if loose else 0.0
+        tol = np.sqrt(np.finfo(float).eps) * _gershgorin(cd, ce)[1]
         guesses = _bisection(cd, ce, k, eigvals_only=True, tol=tol)
-        if loose and np.any(np.diff(guesses) <= 4 * tol):
+        if np.any(np.diff(guesses) <= 4 * tol):
             # guesses that close may not tell their eigenvalues apart
             guesses = _bisection(cd, ce, k, eigvals_only=True)
     except CurvoscError:
         return None
     return _polished(d, e, shifts=guesses, vectors=vectors)
+
+
+def _eigenpairs(problem: SturmLiouvilleProblem, k: int, d: np.ndarray, e: np.ndarray,
+                vectors: np.ndarray) -> np.ndarray:
+    """The k lowest eigenvalues of the standard form (d, e) of problem, and
+    their unit vectors written into the rows of vectors: polished from
+    guesses (_coarse_polished), and where those cannot be certified by the
+    bisection and inverse iteration (stebz/stein, _bisection), whose values
+    equal the values-only bisection bit for bit."""
+    vals = _coarse_polished(problem, k, d, e, vectors)
+    if vals is None:
+        vals, u = _bisection(d, e, k)
+        vectors[:] = u.T
+    return vals
 
 
 def lowest_eigenvalues(problem: SturmLiouvilleProblem, k: int, *,
@@ -636,10 +644,7 @@ def lowest_eigenvalues(problem: SturmLiouvilleProblem, k: int, *,
     it falls back to _bisection with stein's vectors itself, so only the
     fine grid uses the fallback here.  All paths apply the same guards."""
     d, e, m = _standard_system(problem, k)
-    if _polish is None:
-        vals = _coarse_polished(problem, k, d, e)
-    else:
-        vals = _polish(d, e, m)
+    vals = _coarse_polished(problem, k, d, e) if _polish is None else _polish(d, e, m)
     if vals is None:
         vals = _bisection(d, e, k, eigvals_only=True)
     return _checked(vals, d, e)
@@ -653,17 +658,13 @@ def lowest_eigenpairs(problem: SturmLiouvilleProblem, k: int
     K v = E M v, orthonormal in the assembled weights (V^T M V h = I, M =
     diag(m) of assemble), and with the first significant entry positive.
 
-    Polished from coarse-grid guesses as in lowest_eigenvalues, whose
+    Polished from guess-grid guesses as in lowest_eigenvalues, whose
     values they equal bit for bit; where those cannot be certified, by
     bisection plus inverse iteration (LAPACK stebz/stein, see _bisection)."""
     d, e, m = _standard_system(problem, k)
     # rows v are the unit eigenvectors of the standard form
     v = np.empty((k, d.size))
-    vals = _coarse_polished(problem, k, d, e, vectors=v)
-    if vals is None:
-        vals, u = _bisection(d, e, k)
-        v = u.T
-    _checked(vals, d, e)
+    vals = _checked(_eigenpairs(problem, k, d, e, v), d, e)
     # back-transform all k unit rows at once, in place: v^T M v h = 1
     v /= np.sqrt(m * problem.grid.h)
     av = np.abs(v)
@@ -682,25 +683,20 @@ def richardson_eigenvalues(problem: SturmLiouvilleProblem, k: int
     rows: u^2 is the mass m v^2 h of the back-transformed v = (M h)^(-1/2) u.
 
     Both grids are polished to relative accuracy (see _polished).  The
-    coarse grid starts from the guesses of a loose bisection on its guess
-    grid (see _coarse_polished) and keeps its k unit vectors; where its
-    values cannot be certified it falls back to the bisection with stein's
-    vectors (_bisection), so the fine grid always starts each eigenvalue
-    from its coarse vector, prolonged, without fixed-shift steps.  Both
-    grids are solved through lowest_eigenvalues, so each keeps its guards,
-    and the fine grid falls back to the bisection where its values cannot
-    be certified."""
+    coarse grid is solved as lowest_eigenpairs solves it (_eigenpairs) and
+    keeps its k unit vectors; where its values cannot be certified they
+    come from the bisection with stein's vectors, so the fine grid always
+    starts each eigenvalue from its coarse vector, prolonged, without
+    fixed-shift steps.  Both grids are solved through lowest_eigenvalues,
+    so each keeps its guards, and the fine grid falls back to the
+    bisection where its values cannot be certified."""
     carried = []    # the coarse grid's weights m and unit vectors
 
     def coarse_polish(d, e, m):
         # single precision is ample for a start vector and halves the block
         vectors = np.empty((k, d.size), np.float32)
-        vals = _coarse_polished(problem, k, d, e, vectors=vectors, loose=True)
-        if vals is None:
-            vals, u = _bisection(d, e, k)
-            vectors[:] = u.T
         carried.append((m, vectors))
-        return vals
+        return _eigenpairs(problem, k, d, e, vectors)
 
     def fine_polish(d, e, m):
         coarse_m, vectors = carried[0]

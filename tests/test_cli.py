@@ -419,6 +419,30 @@ class TestTables:
         jsonschema.validate(doc, load_schema())
         assert all(abs(row[3]) < 1e-10 for row in doc["rows"])
 
+    @pytest.mark.parametrize("mprime_q", ["0", "0.5", "1"])
+    @pytest.mark.parametrize("lam", ["0.1", "1", "10", "100"])
+    def test_transform_check_answers_where_it_holds_its_digits(self, lam, mprime_q, tmp_path):
+        # the roundoff estimate eps (|V_line| + |shift|) reads at most
+        # 2.6e-13 of m omega^2 r^2/2 here, and the difference stays under
+        # verify's transform-closure gate
+        code, text = run_to_file(tmp_path, "tc.json", [
+            "transform-check", "--mprime-q", mprime_q, "--lambda", lam])
+        assert code == 0
+        assert max(abs(row[3]) / row[2] for row in json.loads(text)["rows"]) <= 1e-12
+
+    @pytest.mark.parametrize("mprime_q", ["0", "0.5", "1"])
+    @pytest.mark.parametrize("lam", ["1e3", "1e6", "1e10", "1e16"])
+    def test_transform_check_refuses_a_lambda_past_its_digits(self, lam, mprime_q, tmp_path,
+                                                              capsys):
+        # the shift cancels the line potential down to m omega^2 r^2/2, and
+        # at m'_Q = 0 the difference read 5.5e-13, 7.6e-10, 3.8e-6 and 1.0
+        # of it here, with exit 0; the roundoff estimate reads 1.1e-12 and up
+        code, _ = run_to_file(tmp_path, "tc.json", [
+            "transform-check", "--mprime-q", mprime_q, "--lambda", lam])
+        assert code == 1 and not (tmp_path / "tc.json").exists()
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --lambda ") and err.count("\n") == 1
+
 
 class TestExactBytes:
     # pure IEEE arithmetic at two grid points, so the bytes hold on every platform

@@ -114,7 +114,7 @@ def test_spectrum_gates_the_equator_closure(monkeypatch):
     # higgs lam = 1 rows read 2.8e-8-3.6e-8 against the 1e-9 gate, the lam = 0.1
     # rows stay at or below 2.8e-11.  The crs tan-pole swap moves the natural
     # lam = 1 rows to 1.8e-10-2.1e-10 against their 1e-10 gate; the lam = 0.1
-    # rows (1.4e-11-3.8e-11) still pass
+    # rows still pass
     rule = problems.EndpointRule
 
     def off(sigma, center, profile=None):

@@ -48,6 +48,15 @@ def test_startup_leaves_scipy_linalg_unimported(startup):
     assert [startup["imported"], startup["lapack_source"]] == [[], "extension file"]
 
 
+def test_missing_scipy_is_one_import_error(monkeypatch):
+    # without scipy the import system finds no package: the loader names
+    # the declared dependency instead of reading a None spec's attributes
+    monkeypatch.delitem(sys.modules, _lapack._NAME, raising=False)
+    monkeypatch.setattr(_lapack, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match=r"scipy>=1\.13"):
+        _lapack._load()
+
+
 @pytest.mark.parametrize("loose_tol", [False, True], ids=["default-tol", "loose-tol"])
 @pytest.mark.parametrize("case", PROBLEMS)
 def test_values_match_scipy(case, loose_tol):

@@ -717,7 +717,7 @@ class TestSeededEigenvalues:
         # lies in its window, so the polish does not slip to the level below
         prob = crs_natural_problem(mprime, PhysParams(lam=0.003, omega=2.0), 4000)
         d, e, _ = assemble(prob)
-        vals = _coarse_polished(prob, 50, d, e, loose=True)
+        vals = _coarse_polished(prob, 50, d, e)
         assert vals is not None
         assert np.max(np.abs(vals - relative_bisection(prob, 50)) / vals) <= 1e-9
 
@@ -932,6 +932,54 @@ class TestSingleGridPolish:
         overlap = np.abs(np.sum(m * ref * vectors.T, axis=1)) * prob.grid.h
         assert np.all(overlap >= 1 - 1e-10)
         assert np.all(backward_errors(prob, vals, vectors) < 1e-13)
+
+    def test_one_guess_rule_on_the_benchmark_channels(self, monkeypatch):
+        # the 54 QES channel spectra of the benchmark's qes-channels
+        # workload, n = 2000 and k = 3: every solve bisects its guess grid
+        # once, to the loose tolerance, so no guess set crowds and none
+        # falls back to the bisection of its own grid.  The single-grid
+        # values, the eigenpairs and the coarse grid of a pair share the
+        # rule, and so their values, bit for bit
+        configs = [(l, mprime_q, lam) for l in (3.0, 4.0, None) for mprime_q in (0, 1, 2)
+                   for lam in (0.5, 0.65, 0.7, 0.8, 0.9, 1.0)]
+        bisect, build, solve = numerics._bisection, numerics.assemble, numerics.lowest_eigenvalues
+        bisections, systems, coarse = [], {}, []
+
+        def recorded(d, e, k, tol=0.0, **options):
+            bisections.append((d.size, tol))
+            return bisect(d, e, k, tol=tol, **options)
+
+        def built_once(problem):
+            # the three solves share each system, which is only faster
+            if problem not in systems:
+                systems[problem] = build(problem)
+            return systems[problem]
+
+        class FineGrid(Exception):
+            """The pair reaches its fine grid, which this test does not solve."""
+
+        def coarse_only(problem, k, _polish):
+            if problem.grid.n != 2000:
+                raise FineGrid
+            coarse.append(solve(problem, k, _polish=_polish))
+            return coarse[-1]
+
+        monkeypatch.setattr(numerics, "_bisection", recorded)
+        monkeypatch.setattr(numerics, "assemble", built_once)
+        monkeypatch.setattr(numerics, "lowest_eigenvalues", coarse_only)
+        for l, mprime_q, lam in configs:
+            params = PhysParams(lam=lam)
+            prob = qes_channel_problem(mprime_q, QesSpec.transplanted(mprime_q, params, l),
+                                       params, 2000)
+            bisections.clear()
+            vals = lowest_eigenvalues(prob, 3)
+            pair_vals = lowest_eigenpairs(prob, 3)[0]
+            with pytest.raises(FineGrid):
+                richardson_eigenvalues(prob, 3)
+            assert [size for size, _ in bisections] == [125] * 3
+            assert all(tol > 0 for _, tol in bisections)
+            assert np.array_equal(pair_vals, vals) and np.array_equal(coarse[-1], vals)
+        assert len(coarse) == len(configs) == 54
 
 
 def polar_from_the_triple(mprime, params, V, prob):
