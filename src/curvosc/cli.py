@@ -20,7 +20,12 @@ from functools import cache
 import numpy as np
 
 from . import crs, higgs, problems, transform
-from .errors import ParameterOverflowError, PrecisionLossError
+from .errors import (
+    NegativeRadiusError,
+    ParameterOverflowError,
+    PrecisionLossError,
+    SingularPointError,
+)
 from .numerics import lowest_eigenvalues, rayleigh_quotient
 from .params import PhysParams
 
@@ -152,26 +157,50 @@ def run_spectrum(args, params: PhysParams):
     return ["N", "mprime", "E_analytic", "E_numeric", "relative_error"], rows
 
 
-def run_potential(args, params: PhysParams):
+def _tabulate(args, params: PhysParams, formula):
+    """(xs, formula(xs)) on the --grid-min..--grid-max table.  A grid that
+    leaves the formula's domain is refused with the formula's own error
+    type, naming the flag at fault: --grid-min where the formula refuses
+    that end alone, else --grid-max, beside the channel's branch radius for
+    a QES model."""
     xs = np.linspace(args.grid_min, args.grid_max, args.grid_n)
+    try:
+        return xs, formula(xs)
+    except (SingularPointError, NegativeRadiusError) as exc:
+        try:
+            formula(xs[:1])
+        except (SingularPointError, NegativeRadiusError):
+            where = f"--grid-min {args.grid_min:g}"
+        else:
+            where = f"--grid-max {args.grid_max:g}"
+            if args.model in ("qes1", "qes2"):
+                spec = crs.QesSpec.transplanted(args.mprime_q, params, args.l)
+                where += f" (branch radius {higgs.qes_branch_radius(spec, params):.6g})"
+        raise type(exc)(f"{where} is outside the domain of {args.command} "
+                        f"--model {args.model}: {exc}") from exc
+
+
+def run_potential(args, params: PhysParams):
     if args.model == "higgs":
-        v = higgs.oscillator_potential(params, xs)
+        formula = lambda x: higgs.oscillator_potential(params, x)
     elif args.model == "crs":
-        v = crs.crs_potential_special(args.mprime_q, params, xs)
+        formula = lambda x: crs.crs_potential_special(args.mprime_q, params, x)
     else:
-        v = higgs.qes_potential(crs.QesSpec.transplanted(args.mprime_q, params, args.l), params, xs)
+        spec = crs.QesSpec.transplanted(args.mprime_q, params, args.l)
+        formula = lambda x: higgs.qes_potential(spec, params, x)
+    xs, v = _tabulate(args, params, formula)
     return ["coordinate", "V"], np.column_stack((xs, v)).tolist()
 
 
 def run_wavefunction(args, params: PhysParams):
-    xs = np.linspace(args.grid_min, args.grid_max, args.grid_n)
     if args.model == "higgs":
-        v = higgs.higgs_wavefunction((args.N, args.mprime), params, xs)
+        formula = lambda x: higgs.higgs_wavefunction((args.N, args.mprime), params, x)
     elif args.model == "crs":
-        v = crs.crs_wavefunction_special((args.N, args.mprime_q), params, xs)
+        formula = lambda x: crs.crs_wavefunction_special((args.N, args.mprime_q), params, x)
     else:
         spec = crs.QesSpec.transplanted(args.mprime_q, params, args.l)
-        v = higgs.qes_groundstate(spec, params, xs)
+        formula = lambda x: higgs.qes_groundstate(spec, params, x)
+    xs, v = _tabulate(args, params, formula)
     return (["coordinate", "value_real", "value_imag"],
             np.column_stack((xs, np.real(v), np.imag(v))).tolist())
 

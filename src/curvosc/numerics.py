@@ -12,7 +12,9 @@ form:
 This module imports no model module and evaluates no closed form of its
 own; it is the independent check applied to them.  The one closed form it
 reads is an end profile a problem hands over to close a limit-circle end;
-the eigenvalues still come from p, q and w.
+the eigenvalues still come from p, q and w.  The docstrings state rules
+and their reasons; the readings behind them are kept in CHANGES.md and
+the BENCH_*.json entries, named where a rule rests on one.
 
 Endpoint handling
 -----------------
@@ -55,17 +57,15 @@ ladder _ORDERS = (4, 6, 8, 12, 16, 24) whose two bounds are both below
 _QUAD_EPS = 1e-19, a margin of a thousand below the rounding unit that
 also puts the cell touching a corner (tau = 1/2) at the ceiling.  24 is
 the ceiling; tau uses the real distance to x0, so a grid cut short of its
-singular point grades too.  On the shipped problems the graded averages
-agree with all-24-point ones to 2e-12 relative of the assembled diagonal
-(the roundoff floor of the 24-point sums at sigma ~ 100), while a corner
-of 1600 cells takes about 6600 nodes instead of 38400.  The rule tables
-are built at import by Halley steps on the Legendre recurrence
-(_gauss_legendre, about 0.6 ms), with neither numpy.polynomial nor a
-dense numpy.linalg eigensolve: their nodes are numpy's leggauss nodes to
-1.1e-16, and they integrate x^(2j), j < m, to 1.3e-15 relative, where
-leggauss(24) is off by 5.2e-14.  A problem hands out q and w from one
-evaluation, qw(t) -> (q, w), which is called once per system, on the
-points outside the corner cells and all corner nodes in one flat array.
+singular point grades too.  The graded sums agree with all-24-point ones
+to the latter's roundoff, on a fraction of the nodes (CHANGES.md,
+"Graded-order corner quadrature").  The rule tables are built at import
+by Halley steps on the Legendre recurrence (_gauss_legendre), with
+neither numpy.polynomial nor a dense numpy.linalg eigensolve, and are at
+least as accurate as numpy's leggauss (CHANGES.md, "Import only what
+runs").  A problem hands out q and w from one evaluation, qw(t) -> (q,
+w), called once per system on the points outside the corner cells and
+all corner nodes in one flat array.
 
 All three changes keep K symmetric (the face factors multiply the same
 difference in both adjacent rows; a boundary face has one row only).  The
@@ -76,73 +76,53 @@ Eigensolvers
 ------------
 All solve the standard form T u = E u, T = M^(-1/2) K M^(-1/2), which
 assemble returns as (d, e) beside the diagonal m of M.  None bisects to
-full accuracy where it can polish instead: each eigenvalue starts from
-a guess, and inverse and Rayleigh-quotient steps (LAPACK gtsv solves) take
-its vector to a residual at the roundoff level.  The residual bound puts
-one eigenvalue in each interval rho +- residual; the values stand only if
-the intervals are disjoint and one Sturm count (stebz) shows they hold the
-k lowest (Parlett, The Symmetric Eigenvalue Problem, ch. 4).  Otherwise
-the Sturm-sequence bisection to the default tolerance eps ||T|| (LAPACK
-stebz) runs, which is also the reference the tests compare against.  On
-the polar problem at n = 4000 and 8001 the polished values agree with an
-extended-precision Sturm count to 1e-12-4e-11 relative, where the default
-bisection leaves 2e-11-2.4e-9 and even bisection to relative accuracy
-(ABSTOL = 2 underflow) up to 7.5e-10.  The three LAPACK routines (gtsv,
-stebz, stein) come from curvosc._lapack, which takes them from scipy's
-compiled module without importing scipy or scipy.linalg.  Where a polish
-starts from a guess alone, its start vector is a fixed hash of the row
-index (_start), so no random-number generator is loaded.
+full accuracy where it can polish instead, as polished values lie nearer
+an extended-precision Sturm count than a bisection to the default or to
+relative accuracy (CHANGES.md, "Both Richardson grids are polished"):
+each eigenvalue starts from a guess, and inverse and Rayleigh-quotient
+steps (LAPACK gtsv solves) take its vector to a residual at the roundoff
+level.  The residual bound puts one eigenvalue in each interval rho +-
+residual; the values stand only if the intervals are disjoint and one
+Sturm count (stebz) shows they hold the k lowest (Parlett, The Symmetric
+Eigenvalue Problem, ch. 4).  Otherwise the Sturm-sequence bisection to
+the default tolerance eps ||T|| (LAPACK stebz) runs, which is also the
+reference the tests compare against.  gtsv, stebz and stein come from
+curvosc._lapack, which takes them from scipy's compiled module without
+importing scipy or scipy.linalg.  A polish from a guess alone starts from
+a fixed hash of the row index (_start), so no random-number generator is
+loaded.
 
 The guesses come from the same problem on a guess grid of max(n //
-_COARSEN, _GUESS_POINTS k) points, _COARSEN = 16 and _GUESS_POINTS = 40;
-a guess grid of more than n/2 points would cost about as much as the
-bisection it replaces, so the solve falls back at once.  Every solve takes
-its guesses by one rule: the guess grid is bisected to the loose tolerance
-tol = sqrt(eps) ||T_g||, T_g the guess grid's standard form, and bisected
-again to the default tolerance where two guesses lie within 4 tol of each
-other.  ||T_g|| grows like 1/h_g^2, so tol is 4-256 times smaller than that
-of a pair's own coarse grid, which could not separate the lowest gaps of
-the planar Dirichlet reference or of the channels at lam <= 0.01.  Over
-k = 50, n = 4000 pairs at lam from 0.001 to 10 the polish failed from
-guesses that close (min gap / tol of 0, 0.75, 1, 2.25 and 2.6) and
-certified from all others (3.6 and up; 13 and up at lam >= 0.1).  On the
-single grids the rule certifies all that a default-tolerance bisection of
-the guess grid certified: over 6476 QES channel solves (n = 2000, lam from
-0.001 to 300, omega 0.5-2, l from 2.01 to 100 and the sqrt(lam) x family,
-m'_Q from 0 to 3.5 with both neighbour channels) and verify's single
-grids, no guess set crowded, the 5804 solves certified by both stayed
-certified (one more, qes1 at l = 6, lam = 0.9, omega = 0.5, m'_Q = 1, did
-too), and their values moved by at most 1.4e-8 relative, 0.004 of the
-sum of the two certificate radii.
+_COARSEN, _GUESS_POINTS k) points, _COARSEN = 16; of 10, 20 and 40,
+_GUESS_POINTS = 40 lets the fewest k = 50 coarse grids fall back, at no
+more time per pair (CHANGES.md, "Richardson pairs are cheaper").  A guess
+grid of more than n/2 points would cost about as much as the bisection
+it replaces, so the solve falls back at once.  Every solve takes its
+guesses by one rule: the guess grid is bisected to the loose tolerance
+tol = sqrt(eps) ||T_g||, T_g the guess grid's standard form, and again to
+the default tolerance where two guesses lie within 4 tol of each other,
+since the polish fails from guesses that close (same entry).  That
+re-bisection runs for 30 of 102 solvable k = 50 pairs at n = 4000, all
+at lam <= 0.03, and for none at k = 3 (CHANGES.md, "numerics states each
+rule once").  ||T_g|| grows like 1/h_g^2, so tol is 4-256 times smaller
+than that of a pair's own coarse grid, which could not separate the
+lowest gaps of the planar Dirichlet reference or of the channels at
+lam <= 0.01.  On the single grids the rule certifies all that a
+default-tolerance bisection of the guess grid certified, and moves their
+values by a small part of the certificate radii
+(BENCH_2026-10-20-one-guess-rule.json, "guess_rule_sweep").
 
-lowest_eigenvalues is the single-grid solve; the bisection on its grid is
-the fallback.  lowest_eigenpairs is the same solve keeping the polished
-unit vectors (or stein's, after the fallback), plus the back-transform v =
-(M h)^(-1/2) u, for the callers that read eigenvectors: the u are unit
-vectors of T, so the v are orthonormal in the assembled M, V^T M V h = I.
-Both apply the same guards (k budget, finite system, spectral edge,
-roundoff floor, strictly ascending values) and return bitwise-equal
-eigenvalues.
+lowest_eigenvalues is the single-grid solve, the bisection on its grid
+the fallback; lowest_eigenpairs is the same solve keeping its unit vectors
+for the callers that read eigenvectors.  Both apply the same guards (k
+budget, finite system, spectral edge, roundoff floor, strictly ascending
+values) and return bitwise-equal eigenvalues.
 
-richardson_eigenvalues solves both of its grids through lowest_eigenvalues
-with guesses of its own.  The coarse grid is solved as lowest_eigenpairs
-solves, with the same guesses and so the same values, and keeps its unit
-vectors, which the pair hands out; the fine grid starts each eigenvalue
-from its coarse vector carried to the h/2 grid (_prolongation, built once
-per pair).  The floor of 40 points per eigenvalue comes from k = 50 on a
-2-core VM: over 32 higgs and crs pairs (lam in [0.1, 1], omega in [0.5,
-2], m' in {0, 1}), and over 102 pairs on the grid lam in {0.001, ..., 10},
-omega in {0.5, 2}, m' in {0, 1, 2}:
-
-    floor   guess n   coarse fallbacks   coarse fallbacks   ms per pair
-                       (32, lam >= 0.1)   (102, all lam)     (32)
-    10 k      500          7                 54                 71
-    20 k     1000          0                 17                 64
-    40 k     2000          0                  1                 67
-
-The one left is crs at lam = 0.003, omega = 2, m' = 0, where default
-guesses on 2000 points do not certify either and a loose bisection on the
-pair's own coarse grid falls back too.  A coarse fallback takes stein's
+richardson_eigenvalues solves both of its grids through lowest_eigenvalues.
+The coarse grid is solved as lowest_eigenpairs solves it, to the same
+values, and keeps its unit vectors, which the pair hands out; the fine
+grid starts each eigenvalue from its coarse vector carried to the h/2 grid
+(_prolongation, built once per pair).  A coarse fallback takes stein's
 vectors from its bisection, whose values equal the values-only bisection
 bit for bit, so the fine grid starts from vectors there as well.
 """
@@ -416,8 +396,7 @@ def _checked(vals: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """a.b by numpy's own einsum loop, whose order of the sums is fixed: a
-    BLAS dot sums in an order of its build's choosing, and numpy's
-    OpenBLAS ddot moved certified values by up to 6e-11."""
+    BLAS dot sums in an order of its build's choosing (ROADMAP item 3)."""
     return float(np.einsum("i,i->", a, b))
 
 
@@ -447,27 +426,22 @@ def _polished(d: np.ndarray, e: np.ndarray, starts=None, shifts=None,
     residual lies nearer its own guess than either neighbouring one: a
     start poor in the wanted eigenvector cannot then converge to a
     neighbour.  rho alone is not enough where the guesses are off by a
-    good part of the gap: on the crs natural channels m' = 0 and 1 at
-    lam = 0.003, omega = 2, n = 4000, k = 50 the guesses lie 0.7 below
-    levels 4.5 apart, a rho inside its own window after two steps could
-    still lie nearer the level below, and the polish failed for 2 of the
-    seeds 1-20 of the fixed start (for none with the interval).  Then
-    Rayleigh-quotient steps run until the residual is at most tol / 8 =
-    eps ||T||, tol = 8 eps ||T||.  A stop at tol itself let the last step
-    land anywhere below tol, and the backward error with it: on the qes2
-    profile channel at n = 2001 it read up to 4.0e-13 over the seeds 1-20,
-    and at most 1.1e-14 with the stop at tol / 8.  The estimate ignores
-    the roundoff in y, so the final residual r is formed explicitly; the
-    vector stands if r <= 8 tol (the roundoff floor of a computed vector
-    reached 10 eps ||T|| on the polar m' = 1 channel at n = 16003).  Each
+    good part of the gap: a rho inside its own window can still lie
+    nearer the level below.  Then Rayleigh-quotient steps run until the
+    residual is at most tol / 8 = eps ||T||, tol = 8 eps ||T||: a stop at
+    tol itself lets the last step land anywhere below tol, and the
+    backward error with it (both: CHANGES.md, "Import only what runs").
+    The estimate ignores the roundoff in y, so the final residual r is
+    formed explicitly; the vector stands if r <= 8 tol, since the roundoff
+    floor of a computed vector lies above tol on long grids (CHANGES.md,
+    "Richardson's fine grid starts from the coarse eigenvalues").  Each
     interval rho +- (r + tol) then holds an eigenvalue; if the intervals
     are disjoint and ascending and one Sturm count below the last of them
-    finds exactly as many eigenvalues, the rho are the lowest ones
-    (Parlett, The Symmetric Eigenvalue Problem, ch. 4).  vectors, if
-    given, receives the unit vectors as rows.  The fixed start is _start's
-    seeded hash, normalized once per solve, so a solve repeats bit for bit;
-    each other start is normalized and takes its Rayleigh quotient as its
-    first shift."""
+    finds exactly as many eigenvalues, the rho are the lowest ones (see
+    the module docstring).  vectors, if given, receives the unit vectors
+    as rows.  The fixed start is _start's seeded hash, normalized once per
+    solve, so a solve repeats bit for bit; each other start is normalized
+    and takes its Rayleigh quotient as its first shift."""
     spread, norm = _gershgorin(d, e)
     tol = 8 * np.finfo(float).eps * norm
     fixed = 0
@@ -551,9 +525,9 @@ def _prolongation(grid: Grid1D, coarse_m: np.ndarray, fine_m: np.ndarray,
     to the h/2 grid, M = diag(fine_m), as a start vector.  v = M^(-1/2) u
     is injected at the shared points and interpolated at the midpoints by
     the cubic rule (-1, 9, 9, -1)/16.  Where that stencil does not reach,
-    at the fine point beside each wall and the first midpoint, v is linear
-    to zero at a Dirichlet wall.  At a profile wall v follows phi, the
-    local profile of the endpoint rule in bc, so v/phi is carried from the
+    at the fine point beside each wall and the first midpoint, v follows
+    phi, the local profile of the wall's rule in bc, a Dirichlet wall (None)
+    being the power-1 profile at the grid end: v/phi is carried from the
     nearest coarse point to the point beside the wall and from the next
     coarse point to the midpoint.  Not from the nearest: its ratio
     phi(midpoint)/phi(nearest) = (3/2)^sigma reaches 1e176 at sigma = 1002
@@ -569,23 +543,21 @@ def _prolongation(grid: Grid1D, coarse_m: np.ndarray, fine_m: np.ndarray,
     # (point beside the wall, first midpoint, nearest and next coarse
     # point) and the weights of v at those coarse points
     walls = []
-    for rule, (w, m, a, b) in zip(bc, ((0, 2, 0, 1), (-1, -3, -1, -2))):
-        if rule is None:
-            walls.append((w, m, a, b, 0.5, 0.5, 0.5))
-            continue
+    for rule, end, (w, m, a, b) in zip(bc, (grid.a, grid.b), ((0, 2, 0, 1), (-1, -3, -1, -2))):
+        rule = rule or EndpointRule(1.0, end)
         with np.errstate(all="ignore"):
             v = rule.sample([t[w], t[m], x[a], x[b]])[0]
             beside, far = rule.sample_ratio(v[:2], v[2:]).tolist()
-        walls.append((w, m, a, b, beside, 0.0, far))
+        walls.append((w, m, a, b, beside, far))
 
     def prolong(u: np.ndarray) -> np.ndarray:
         v = u * unscale
         vf = np.empty(2 * v.size + 1)
         vf[1::2] = v
         vf[4:-3:2] = (9 * (v[1:-2] + v[2:-1]) - v[:-3] - v[3:]) / 16
-        for w, m, a, b, beside, near, far in walls:
+        for w, m, a, b, beside, far in walls:
             vf[w] = beside * v[a]
-            vf[m] = near * v[a] + far * v[b]
+            vf[m] = far * v[b]
         return vf * scale
 
     return prolong
@@ -595,10 +567,8 @@ def _coarse_polished(problem: SturmLiouvilleProblem, k: int, d: np.ndarray,
                      e: np.ndarray, vectors: np.ndarray | None = None) -> np.ndarray | None:
     """The k lowest eigenvalues of the standard form (d, e) of problem,
     polished (see _polished, which fills vectors) from the guesses of the
-    one rule of the module docstring, bisected on problem's guess grid.
-    None where they cannot be certified, where the guess grid has more
-    than half the n points of problem's (it would cost about as much as the
-    bisection it replaces) or where it fails a guard of its own."""
+    module docstring's one rule; None where they cannot be certified, where
+    the guess grid has more than n/2 points or where it fails a guard."""
     grid = problem.grid
     n = max(grid.n // _COARSEN, _GUESS_POINTS * k)
     if n > grid.n // 2:
@@ -618,10 +588,9 @@ def _coarse_polished(problem: SturmLiouvilleProblem, k: int, d: np.ndarray,
 
 def _eigenpairs(problem: SturmLiouvilleProblem, k: int, d: np.ndarray, e: np.ndarray,
                 vectors: np.ndarray) -> np.ndarray:
-    """The k lowest eigenvalues of the standard form (d, e) of problem, and
-    their unit vectors written into the rows of vectors: polished from
-    guesses (_coarse_polished), and where those cannot be certified by the
-    bisection and inverse iteration (stebz/stein, _bisection), whose values
+    """The k lowest eigenvalues of the standard form (d, e) of problem, their
+    unit vectors written into the rows of vectors: polished
+    (_coarse_polished), else by stebz/stein (_bisection), whose values
     equal the values-only bisection bit for bit."""
     vals = _coarse_polished(problem, k, d, e, vectors)
     if vals is None:
@@ -633,16 +602,16 @@ def _eigenpairs(problem: SturmLiouvilleProblem, k: int, d: np.ndarray, e: np.nda
 def lowest_eigenvalues(problem: SturmLiouvilleProblem, k: int, *,
                        _polish: Callable | None = None) -> np.ndarray:
     """k smallest eigenvalues, ascending, polished from the guesses of a
-    coarser guess grid (see _coarse_polished); where they cannot
-    be certified, by bisection on the Sturm-sequence sign count (LAPACK
-    stebz, see _bisection).  No eigenvector is kept.
+    coarser guess grid (see _coarse_polished); where they cannot be
+    certified, by the Sturm-sequence bisection (see _bisection).  No
+    eigenvector is kept.
 
     _polish is private to richardson_eigenvalues, which solves both grids
     of a pair here: _polish(d, e, m) of the assembled system returns the k
     certified lowest eigenvalues of its standard form (d, e), or None, on
-    which the bisection runs.  The coarse grid's hook never returns None:
-    it falls back to _bisection with stein's vectors itself, so only the
-    fine grid uses the fallback here.  All paths apply the same guards."""
+    which the bisection runs.  The coarse grid's hook runs its own fallback
+    (_eigenpairs), so only the fine grid's uses this one.  All paths apply
+    the same guards."""
     d, e, m = _standard_system(problem, k)
     vals = _coarse_polished(problem, k, d, e) if _polish is None else _polish(d, e, m)
     if vals is None:
@@ -654,9 +623,10 @@ def lowest_eigenpairs(problem: SturmLiouvilleProblem, k: int
                       ) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues, eigenvectors) of the k smallest eigenpairs, as
     np.linalg.eigh returns them: the values strictly ascending, the (n, k)
-    vectors as columns sampled on grid.points(), back-transformed to
-    K v = E M v, orthonormal in the assembled weights (V^T M V h = I, M =
-    diag(m) of assemble), and with the first significant entry positive.
+    vectors as columns sampled on grid.points(), v = (M h)^(-1/2) u of the
+    unit vectors u of T and so orthonormal in the assembled weights
+    (V^T M V h = I, M = diag(m) of assemble), with the first significant
+    entry positive.
 
     Polished from guess-grid guesses as in lowest_eigenvalues, whose
     values they equal bit for bit; where those cannot be certified, by
@@ -682,14 +652,8 @@ def richardson_eigenvalues(problem: SturmLiouvilleProblem, k: int
     grid's k unit eigenvectors u of its standard form T as (k, n) float32
     rows: u^2 is the mass m v^2 h of the back-transformed v = (M h)^(-1/2) u.
 
-    Both grids are polished to relative accuracy (see _polished).  The
-    coarse grid is solved as lowest_eigenpairs solves it (_eigenpairs) and
-    keeps its k unit vectors; where its values cannot be certified they
-    come from the bisection with stein's vectors, so the fine grid always
-    starts each eigenvalue from its coarse vector, prolonged, without
-    fixed-shift steps.  Both grids are solved through lowest_eigenvalues,
-    so each keeps its guards, and the fine grid falls back to the
-    bisection where its values cannot be certified."""
+    Both grids are solved as the module docstring says; the fine grid
+    starts from the prolonged coarse vectors without fixed-shift steps."""
     carried = []    # the coarse grid's weights m and unit vectors
 
     def coarse_polish(d, e, m):
@@ -742,11 +706,10 @@ def residual_norm(coeffs: Callable, V: Callable, psi: Callable, E: float,
     triple of a model module and derivatives by 5-point central stencils.
 
     coeffs and V are evaluated once on the grid array, psi once per stencil
-    offset; any of them may return constants.  The stencil step is
-    1e-3 (1 + |x|), independent of the sampling grid and growing with |x|
-    so the relative resolution stays uniform on radial problems.  Points
-    where |psi| < 1e-10 max|psi| are excluded from the maximum.
-    """
+    offset; any of them may return constants.  The stencil step is 1e-3
+    (1 + |x|), independent of the sampling grid and growing with |x| so
+    the relative resolution stays uniform on radial problems.  Points where
+    |psi| < 1e-10 max|psi| are excluded from the maximum."""
     x = grid.points()
     f, d1, d2 = derivatives(psi, x, 1e-3 * (1 + np.abs(x)))
     p2, p1, p0 = (_on(x, c) for c in coeffs(x))
@@ -768,8 +731,7 @@ def rayleigh_quotient(problem: SturmLiouvilleProblem, psi: Callable) -> tuple[fl
 
     Returns (weighted mean of e with weight w psi^2, std(e)/|mean(e)|).
     Raises StateRangeError if psi is zero or not finite and NodeDetectedError
-    if it changes sign on the included points.
-    """
+    if it changes sign on the included points."""
     grid = problem.grid
     h = grid.h
     t = grid.points()[8: grid.n - 8]

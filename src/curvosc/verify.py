@@ -66,20 +66,30 @@ def _ratio_constancy(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(values - mean) ** 2)) / abs(mean))
 
 
-# ----------------------------------------------------------------------
-# acceptance criterion 1: oscillator spectrum vs the discretized operator
-
-
-def suite_higgs_spectrum() -> list[CheckResult]:
+def _closed_form_rows(suite, spectrum, name, gate, detail) -> list[CheckResult]:
+    """One row per lam in (0.1, 1) and m' in (0, 1, 2): the largest relative
+    error over N = 0..2 of spectrum(m', params, 3, n=4000) against the
+    shared closed form oscillator_energy((N, m')); name is a pattern in lam
+    and mp."""
     out = []
     for lam in (0.1, 1.0):
         params = PhysParams(lam=lam)
         for mp in (0, 1, 2):
             exact = np.array([crs.oscillator_energy((N, mp), params) for N in range(3)])
-            num = problems.higgs_spectrum_numeric(mp, params, 3, n=4000)
+            num = spectrum(mp, params, 3, n=4000)
             rel = float(np.max(np.abs(num - exact) / exact))
-            out.append(_check("higgs-spectrum", f"lam={lam}-mprime={mp}", rel, 1e-9,
-                              detail="max rel err over N=0..2, Richardson n=4000/8001"))
+            out.append(_check(suite, name.format(lam=lam, mp=mp), rel, gate, detail=detail))
+    return out
+
+
+# ----------------------------------------------------------------------
+# acceptance criterion 1: oscillator spectrum vs the discretized operator
+
+
+def suite_higgs_spectrum() -> list[CheckResult]:
+    out = _closed_form_rows("higgs-spectrum", problems.higgs_spectrum_numeric,
+                            "lam={lam}-mprime={mp}", 1e-9,
+                            "max rel err over N=0..2, Richardson n=4000/8001")
     # reference measurement: the planar-coordinate recipe with plain
     # Dirichlet walls at [1e-4, 40]; reported to document why the polar
     # protocol is used instead
@@ -102,15 +112,9 @@ def suite_higgs_spectrum() -> list[CheckResult]:
 
 
 def suite_crs_spectrum() -> list[CheckResult]:
-    out = []
-    for lam in (0.1, 1.0):
-        params = PhysParams(lam=lam)
-        for mq in (0, 1, 2):
-            exact = np.array([crs.oscillator_energy((N, mq), params) for N in range(3)])
-            num = problems.crs_spectrum_numeric(mq, params, 3, n=4000)
-            rel = float(np.max(np.abs(num - exact) / exact))
-            out.append(_check("crs-spectrum", f"natural-lam={lam}-mprimeq={mq}", rel, 1e-10,
-                              detail="domain (0, x*), Richardson n=4000/8001"))
+    out = _closed_form_rows("crs-spectrum", problems.crs_spectrum_numeric,
+                            "natural-lam={lam}-mprimeq={mp}", 1e-10,
+                            "domain (0, x*), Richardson n=4000/8001")
     params = PhysParams(lam=1.0)
     for mq in (0, 1, 2):
         exact = np.array([crs.oscillator_energy((N, mq), params) for N in range(3)])
@@ -598,16 +602,19 @@ def suite_numerics_oracle() -> list[CheckResult]:
                              "the line's in the radial gauge"))
     # the solver's polished values against the whole spectrum of the same
     # assembled standard form (d, e), corner corrections included, by
-    # LAPACK's implicit QL (dsterf), which shares no step with the solver
-    cprob = problems.crs_natural_problem(1, params, 200)
+    # LAPACK's implicit QL (dsterf), which shares no step with the solver.
+    # n = 300 keeps the 120-point guess grid under n/2, so the solve is the
+    # polish, not the bisection; a QL that fails (info != 0) fails the check
+    cprob = problems.crs_natural_problem(1, params, 300)
     d, e, _ = assemble(cprob)
-    ql = dsterf(d, e)[0][:3]
+    ql, info = dsterf(d, e)
     tri = lowest_eigenvalues(cprob, 3)
-    out.append(_check("numerics-oracle", "ql-eigensolve-agreement",
-                      float(np.max(np.abs(tri - ql) / np.abs(ql))), 1e-10,
-                      detail="lowest 3 of the whole spectrum of the assembled standard form "
-                             "by implicit QL (LAPACK sterf) vs the polished solve, crs "
-                             "natural branch m'_Q=1, n=200"))
+    rel = float(np.max(np.abs(tri - ql[:3]) / np.abs(ql[:3]))) if info == 0 else math.inf
+    out.append(_check("numerics-oracle", "ql-eigensolve-agreement", rel, 1e-10,
+                      detail="lowest 3 eigenvalues polished from guess-grid guesses vs the "
+                             "lowest 3 of the whole spectrum of the same assembled standard "
+                             "form by implicit QL (LAPACK sterf, info 0), crs natural "
+                             "branch m'_Q=1, n=300"))
     return out
 
 

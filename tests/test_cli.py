@@ -9,6 +9,7 @@ import pytest
 
 from curvosc import cli, crs, verify
 from curvosc.cli import fmt_float, main, serialize_csv, serialize_json
+from curvosc.errors import CurvoscError
 from curvosc.params import PhysParams
 
 
@@ -164,6 +165,29 @@ class TestValidation:
             "potential", "--model", "crs", "--mprime-q", "1", "--grid-min", "0"])
         assert code == 1
         assert "x = 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,flag", [
+        (["wavefunction", "--model", "qes1", "--l", "3", "--mprime-q", "1"],
+         "--grid-max 5 (branch radius 1.73205)"),
+        (["wavefunction", "--model", "qes2", "--mprime-q", "1", "--grid-min", "0"], "--grid-min 0"),
+        (["wavefunction", "--model", "crs", "--mprime-q", "0", "--grid-min", "0"], "--grid-min 0"),
+        (["potential", "--model", "crs", "--mprime-q", "1", "--grid-min", "0"], "--grid-min 0"),
+        (["potential", "--model", "qes2", "--mprime-q", "1", "--grid-min", "0"], "--grid-min 0"),
+        (["wavefunction", "--model", "higgs", "--grid-min", "-1"], "--grid-min -1"),
+    ], ids=["qes1-wavefunction", "qes2-wavefunction", "crs-wavefunction", "crs-potential",
+            "qes2-potential", "higgs-wavefunction"])
+    def test_grid_outside_the_domain_names_its_flag(self, args, flag, tmp_path, capsys):
+        # each ended in the formula's own message, which names no flag; the
+        # qes1 default grid runs past tan(pi/3)/sqrt(lam), its branch radius
+        code, _ = run_to_file(tmp_path, "x.json", args)
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and not (tmp_path / "x.json").exists()
+        assert err.startswith(f"error: {flag} is outside the domain of {' '.join(args[:3])}: ")
+        assert err.count("\n") == 1
+        parsed = cli._parser().parse_args(args)
+        runner = {"potential": cli.run_potential, "wavefunction": cli.run_wavefunction}[args[0]]
+        with pytest.raises(CurvoscError):
+            runner(parsed, cli._validate(parsed))
 
     @pytest.mark.parametrize("lam", ["1e200", "1e300"])
     @pytest.mark.parametrize("model", [["higgs"], ["crs"], ["qes2", "--mprime-q", "1"]],

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from curvosc import crs, higgs, problems, verify
+from curvosc import crs, higgs, numerics, problems, verify
 from curvosc.crs import QesSpec
 from curvosc.params import PhysParams
 from curvosc.verify import run_suites
@@ -227,6 +227,37 @@ def test_numerics_oracle_gates_the_solver(monkeypatch, k, change, fails):
 
     monkeypatch.setattr(verify, "lowest_eigenvalues", off)
     assert failed("numerics-oracle") == fails
+
+
+def test_ql_check_reads_the_polished_solve(monkeypatch):
+    # the QL check's own grid, the one dsterf sees, is solved by the polish:
+    # no default-tolerance bisection of it runs, only the loose one of its
+    # guess grid
+    sizes, bisections = [], []
+    ql, bisection = verify.dsterf, numerics._bisection
+
+    def recorded_ql(d, e):
+        sizes.append(d.size)
+        return ql(d, e)
+
+    def recorded(d, e, k, **options):
+        bisections.append((d.size, "tol" in options))
+        return bisection(d, e, k, **options)
+
+    monkeypatch.setattr(verify, "dsterf", recorded_ql)
+    monkeypatch.setattr(numerics, "_bisection", recorded)
+    assert failed("numerics-oracle") == []
+    n, = sizes
+    assert (n, False) not in bisections
+
+
+def test_ql_check_fails_on_a_failed_ql(monkeypatch):
+    # a non-zero info from dsterf fails the check, whatever its values read
+    ql = verify.dsterf
+    monkeypatch.setattr(verify, "dsterf", lambda d, e: (ql(d, e)[0], 1))
+    checks = [c for c in run_suites(["numerics-oracle"]) if c.name == "ql-eigensolve-agreement"]
+    assert [c.passed for c in checks] == [False]
+    assert checks[0].measured == np.inf
 
 
 def test_node_counts_gate_the_vector_order(monkeypatch):

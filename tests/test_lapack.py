@@ -79,7 +79,7 @@ def test_vectors_match_scipy(case):
 
 def test_dsterf_matches_scipy():
     # the whole spectrum of verify's ql-eigensolve-agreement system
-    d, e, _ = assemble(crs_natural_problem(1, PhysParams(lam=1.0), 200))
+    d, e, _ = assemble(crs_natural_problem(1, PhysParams(lam=1.0), 300))
     vals, info = _lapack.dsterf(d, e)
     assert info == 0
     assert np.array_equal(vals, eigvalsh_tridiagonal(d, e, lapack_driver="sterf"))

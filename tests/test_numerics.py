@@ -677,6 +677,21 @@ def test_start_vector_is_the_seeded_counter_hash():
     assert np.all(np.abs(x) < 1) and abs(np.mean(x)) < 0.05 and abs(np.var(x) - 1 / 3) < 0.02
 
 
+def test_dirichlet_wall_carries_as_the_power_one_profile():
+    # a carried start has one wall rule: a Dirichlet end is the power-1
+    # profile at the grid end, so v reaches the point beside the wall as
+    # v[a]/2 and the first midpoint as 3 v[b]/4
+    grid = Grid1D(-1.0, 2.0, 50)
+    m, fm = np.linspace(1.0, 2.0, 50), np.linspace(2.0, 3.0, 101)
+    u = np.sin(np.arange(1.0, 51.0))
+    walls = _prolongation(grid, m, fm, (None, None))(u)
+    powers = _prolongation(grid, m, fm, (EndpointRule(1.0, -1.0), EndpointRule(1.0, 2.0)))(u)
+    assert np.array_equal(walls, powers)
+    v, vf = u / np.sqrt(m), walls / np.sqrt(fm)
+    assert np.allclose(vf[[0, 2, -1, -3]], [v[0] / 2, 3 * v[1] / 4, v[-1] / 2, 3 * v[-2] / 4],
+                       rtol=1e-14, atol=0)
+
+
 def polish_with(**starts):
     """A _polish hook for lowest_eigenvalues that polishes from the given
     starts or shifts."""
