@@ -44,17 +44,19 @@ def _load():
     if scipy is None:
         raise ImportError("curvosc needs scipy>=1.13 for its LAPACK routines, "
                           "and no scipy package was found")
-    location = scipy.submodule_search_locations[0]
-    finder = FileFinder(str(Path(location) / "linalg"),
-                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
-    try:
-        spec = finder.find_spec(_NAME)
-        if spec is not None:
-            module = module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module, "extension file"
-    except (ImportError, OSError):
-        pass
+    # the first location that holds the file; a spec without locations
+    # (None or []) takes the fallback
+    for location in scipy.submodule_search_locations or ():
+        finder = FileFinder(str(Path(location) / "linalg"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        try:
+            spec = finder.find_spec(_NAME)
+            if spec is not None:
+                module = module_from_spec(spec)
+                spec.loader.exec_module(module)
+                return module, "extension file"
+        except (ImportError, OSError):
+            pass
     from scipy.linalg import lapack
     return lapack, "scipy.linalg.lapack"
 

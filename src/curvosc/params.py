@@ -71,3 +71,12 @@ class PhysParams:
         """
         lam = self.require_curvature()
         return math.hypot(1.0, 2 * self.mass * self.omega / (lam * self.hbar))
+
+    def canonical(self) -> tuple["PhysParams", float]:
+        """(hbar = 1, m = 1/2, lam = 1, omega = nu), nu = 2 m omega/(hbar lam),
+        and the unit lam hbar^2/2m: the higgs and crs spectra depend on nu
+        alone, E = unit E(nu), with the same delta; needs lam > 0."""
+        lam = self.require_curvature()
+        # a nu below the floats acts as 0, and so does their least positive value
+        nu = max(2 * self.mass * self.omega / (lam * self.hbar), math.ulp(0.0))
+        return PhysParams(mass=0.5, hbar=1.0, omega=nu, lam=1.0), lam * self.kinetic

@@ -30,7 +30,7 @@ error the Richardson pair could not remove.  The mass w~ u^2 = w phi^2 is
 unchanged.  numerics-oracle/self-adjointness-certificates checks p'/w =
 -p1 on both built problems, with the gauged drift p1 + p2/x for the line.
 
-The spectrum protocols and the channels of every QesSpec solve the radial
+The oscillator channel and the channels of every QesSpec solve the radial
 problem in the polar angle chi = arctan(sqrt(lam) r).  The substitution
 p -> p/r', q -> q r', w -> w r' leaves the eigenvalues untouched, maps the
 infinite tail onto the compact interval (0, pi/2), and turns both endpoints into
@@ -48,6 +48,12 @@ below are indicial roots of the operators:
   other QES channels:        the closed form's root at the far end, and
                              sqrt(s0^2 + m'^2 - m'_Q^2) from its origin root s0,
                              or a Dirichlet wall (None) where that is complex
+
+richardson_spectrum, the one Richardson protocol of the higgs and crs spectra,
+builds and solves its problem at PhysParams.canonical (hbar = 1, m = 1/2, lam =
+1, omega = nu = 2 m omega/(hbar lam)), where the spectrum depends on nu alone,
+and returns the levels times the unit lam hbar^2/2m.  The builders themselves,
+and the QES channels, take physical parameters as given.
 """
 
 from __future__ import annotations
@@ -127,19 +133,10 @@ def higgs_oscillator_problem(mprime: int, params: PhysParams,
                              n: int) -> SturmLiouvilleProblem:
     """Oscillator channel in the polar frame on (0, pi/2), with power
     closures at the origin and at the equator."""
-    lam = params.require_curvature()
-    sig_eq = 2 + params.mass * params.omega_prime / (params.hbar * lam)
+    sig_eq = 2 + params.mass * params.omega_prime / (params.hbar * params.require_curvature())
     bc = (EndpointRule(abs(mprime), 0.0), EndpointRule(sig_eq, math.pi / 2))
     return _higgs_polar_problem(mprime, params, lambda r: oscillator_potential(params, r),
                                Grid1D(0.0, math.pi / 2, n), bc)
-
-
-def higgs_spectrum_numeric(mprime: int, params: PhysParams, k: int,
-                           n: int = 4000) -> np.ndarray:
-    """Richardson-extrapolated lowest k oscillator-channel eigenvalues.
-    Measured accuracy 3e-12-5e-11 relative for lam in [0.1, 1], k <= 3."""
-    extrap, *_ = richardson_eigenvalues(higgs_oscillator_problem(mprime, params, n), k)
-    return extrap
 
 
 def crs_natural_problem(mprime_q: float, params: PhysParams,
@@ -152,36 +149,38 @@ def crs_natural_problem(mprime_q: float, params: PhysParams,
                        Grid1D(0.0, xs, n), bc)
 
 
-def crs_spectrum_numeric(mprime_q: float, params: PhysParams, k: int,
-                         n: int = 4000) -> np.ndarray:
-    """Richardson-extrapolated spectrum of the special line model on its
-    natural branch."""
-    extrap, *_ = richardson_eigenvalues(crs_natural_problem(mprime_q, params, n), k)
-    return extrap
-
-
-def crs_wide_problem(mprime_q: float, params: PhysParams,
-                     n: int) -> SturmLiouvilleProblem:
-    """Special line model on the wide domain (0, 10) across the tan pole x*,
-    with a power closure at the origin and a Dirichlet wall at 10."""
+def crs_wide_problem(mprime_q: float, params: PhysParams, n: int,
+                     end: float = 10.0) -> SturmLiouvilleProblem:
+    """Special line model on the wide domain (0, end) across the tan pole x*,
+    with a power closure at the origin and a Dirichlet wall at end."""
     bc = (EndpointRule(abs(mprime_q), 0.0), None)
     return crs_problem(params, lambda x: crs_potential_special(mprime_q, params, x),
-                       Grid1D(0.0, 10.0, n), bc)
+                       Grid1D(0.0, end, n), bc)
+
+
+def richardson_spectrum(build: Callable, mprime: float, params: PhysParams, k: int,
+                        n: int = 4000) -> tuple[np.ndarray, np.ndarray, SturmLiouvilleProblem]:
+    """The lowest k levels of problem = build(mprime, canonical, n), solved in the
+    canonical units of PhysParams.canonical, as (unit times its Richardson-extrapolated
+    eigenvalues, the pair's coarse unit vectors, problem)."""
+    canonical, unit = params.canonical()
+    problem = build(mprime, canonical, n)
+    extrap, _, _, vectors = richardson_eigenvalues(problem, k)
+    return unit * extrap, vectors, problem
 
 
 def crs_spectrum_numeric_wide(mprime_q: float, params: PhysParams,
                               k: int) -> tuple[list[float], list[float]]:
-    """Richardson-extrapolated lowest k eigenvalues of crs_wide_problem at
-    n = 4000/8001, returned as (first_well, interlopers): a state lies in
-    the first well when more than 0.9 of its M-weighted mass lies left of
-    x*, read from the pair's coarse unit vectors u of the standard form,
-    whose u^2 is that mass (m v^2 h for the back-transformed v)."""
-    prob = crs_wide_problem(mprime_q, params, 4000)
-    extrap, _, _, mass = richardson_eigenvalues(prob, k)
-    mass *= mass
-    in_well = np.sum(mass[:, prob.grid.points() < x_pole(params)], axis=1) \
-        / np.sum(mass, axis=1) > 0.9
-    return extrap[in_well].tolist(), extrap[~in_well].tolist()
+    """The lowest k levels of crs_wide_problem on (0, 10) in x, (0, 10 sqrt(lam)) in the
+    canonical x, at n = 4000/8001, returned as (first_well, interlopers): a state lies
+    in the first well when more than 0.9 of its M-weighted mass lies left of x*, read
+    from the pair's coarse unit vectors u of the standard form, whose u^2 is that mass
+    (m v^2 h for the back-transformed v)."""
+    levels, u, prob = richardson_spectrum(lambda mq, canonical, n: crs_wide_problem(
+        mq, canonical, n, 10 * math.sqrt(params.lam)), mprime_q, params, k)
+    in_well = np.sum(u[:, prob.grid.points() < x_pole(params.canonical()[0])] ** 2, axis=1) \
+        / np.sum(u ** 2, axis=1) > 0.9
+    return levels[in_well].tolist(), levels[~in_well].tolist()
 
 
 def qes_channel_problem(mprime: float, spec: QesSpec, params: PhysParams,

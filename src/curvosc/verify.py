@@ -66,19 +66,24 @@ def _ratio_constancy(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(values - mean) ** 2)) / abs(mean))
 
 
-def _closed_form_rows(suite, spectrum, name, gate, detail) -> list[CheckResult]:
+def _closed_form_error(levels, mp, params: PhysParams) -> float:
+    """The largest relative error of levels N = 0..2 against the shared
+    closed form oscillator_energy((N, m')); inf where fewer are given."""
+    exact = np.array([crs.oscillator_energy((N, mp), params) for N in range(3)])
+    return float(np.max(np.abs(levels[:3] - exact) / exact)) if len(levels) >= 3 else math.inf
+
+
+def _closed_form_rows(suite, build, name, gate, detail) -> list[CheckResult]:
     """One row per lam in (0.1, 1) and m' in (0, 1, 2): the largest relative
-    error over N = 0..2 of spectrum(m', params, 3, n=4000) against the
-    shared closed form oscillator_energy((N, m')); name is a pattern in lam
-    and mp."""
+    error over N = 0..2 of problems.richardson_spectrum(build, m', params, 3)
+    against the closed form; name is a pattern in lam and mp."""
     out = []
     for lam in (0.1, 1.0):
         params = PhysParams(lam=lam)
         for mp in (0, 1, 2):
-            exact = np.array([crs.oscillator_energy((N, mp), params) for N in range(3)])
-            num = spectrum(mp, params, 3, n=4000)
-            rel = float(np.max(np.abs(num - exact) / exact))
-            out.append(_check(suite, name.format(lam=lam, mp=mp), rel, gate, detail=detail))
+            num = problems.richardson_spectrum(build, mp, params, 3)[0]
+            out.append(_check(suite, name.format(lam=lam, mp=mp),
+                              _closed_form_error(num, mp, params), gate, detail=detail))
     return out
 
 
@@ -87,7 +92,7 @@ def _closed_form_rows(suite, spectrum, name, gate, detail) -> list[CheckResult]:
 
 
 def suite_higgs_spectrum() -> list[CheckResult]:
-    out = _closed_form_rows("higgs-spectrum", problems.higgs_spectrum_numeric,
+    out = _closed_form_rows("higgs-spectrum", problems.higgs_oscillator_problem,
                             "lam={lam}-mprime={mp}", 1e-9,
                             "max rel err over N=0..2, Richardson n=4000/8001")
     # reference measurement: the planar-coordinate recipe with plain
@@ -98,8 +103,7 @@ def suite_higgs_spectrum() -> list[CheckResult]:
         0, params, lambda r: higgs.oscillator_potential(params, r),
         Grid1D(1e-4, 40.0, 2000), _WALLS)
     extrap, *_ = richardson_eigenvalues(prob, 3)
-    exact = np.array([crs.oscillator_energy((N, 0), params) for N in range(3)])
-    rel = float(np.max(np.abs(extrap - exact) / exact))
+    rel = _closed_form_error(extrap, 0, params)
     out.append(_check("higgs-spectrum", "planar-dirichlet-reference", rel, math.inf,
                       comparator="report",
                       detail="Dirichlet walls at [1e-4, 40]: limited by domain "
@@ -112,16 +116,14 @@ def suite_higgs_spectrum() -> list[CheckResult]:
 
 
 def suite_crs_spectrum() -> list[CheckResult]:
-    out = _closed_form_rows("crs-spectrum", problems.crs_spectrum_numeric,
+    out = _closed_form_rows("crs-spectrum", problems.crs_natural_problem,
                             "natural-lam={lam}-mprimeq={mp}", 1e-10,
                             "domain (0, x*), Richardson n=4000/8001")
     params = PhysParams(lam=1.0)
     for mq in (0, 1, 2):
-        exact = np.array([crs.oscillator_energy((N, mq), params) for N in range(3)])
         first_well, interlopers = problems.crs_spectrum_numeric_wide(mq, params, 8)
         # a level of N = 0..2 missing from the first well fails the row
-        rel = float(np.max(np.abs(first_well[:3] - exact) / exact)) \
-            if len(first_well) >= 3 else math.inf
+        rel = _closed_form_error(first_well, mq, params)
         out.append(_check(
             "crs-spectrum", f"wide-lam=1-mprimeq={mq}", rel, 1e-7,
             detail=f"domain (0, 10) straddles the tan pole at x*=2.3013; "
@@ -626,7 +628,8 @@ def suite_determinism() -> list[CheckResult]:
     def snapshot():
         """Check names plus the bit pattern of every measured float."""
         checks = suite_transform_closure() + suite_flat_limit()
-        num = problems.higgs_spectrum_numeric(0, PhysParams(lam=1.0), 2, n=500)
+        num = problems.richardson_spectrum(problems.higgs_oscillator_problem, 0,
+                                           PhysParams(lam=1.0), 2, n=500)[0]
         values = np.array([c.measured for c in checks] + list(num), float)
         return [c.name for c in checks], values.tobytes()
 

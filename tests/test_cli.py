@@ -7,7 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from curvosc import cli, crs, verify
+from curvosc import _lapack, cli, crs, verify
 from curvosc.cli import fmt_float, main, serialize_csv, serialize_json
 from curvosc.errors import CurvoscError
 from curvosc.params import PhysParams
@@ -193,20 +193,40 @@ class TestValidation:
     @pytest.mark.parametrize("model", [["higgs"], ["crs"], ["qes2", "--mprime-q", "1"]],
                              ids=["higgs", "crs", "qes2"])
     def test_overflowing_curvature_is_exit_one(self, model, lam, tmp_path, capsys):
-        code, _ = run_to_file(tmp_path, "x.json",
-                              ["spectrum", "--model", *model, "--lambda", lam])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        # qes2 overflows in one error line; the higgs and crs spectra, solved
+        # at nu = 2 m omega/(hbar lam), answer (they read "no finite square"
+        # and "eigensolve failed" when solved in physical units)
+        code, text = run_to_file(tmp_path, "x.json",
+                                 ["spectrum", "--model", *model, "--lambda", lam])
+        if model[0] == "qes2":
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert code == 0
+            rows = json.loads(text)["rows"]
+            assert len(rows) == 9
+            assert max(row[-1] for row in rows) <= 1e-9
+
+    @pytest.mark.parametrize("model", ["higgs", "crs"])
+    def test_nu_below_the_floats_answers(self, model, tmp_path):
+        # nu = 2 m omega/(hbar lam) = 2e-330 rounds to 0, which no omega may
+        # be; it is solved as the least positive float, which also acts as 0
+        code, text = run_to_file(tmp_path, "x.json", ["spectrum", "--model", model,
+                                                      "--lambda", "1e30", "--omega", "1e-300"])
+        assert code == 0
+        assert max(row[-1] for row in json.loads(text)["rows"]) <= 1e-9
 
     @pytest.mark.parametrize("model,lam", [(["higgs"], "1e150"),
                                            (["crs"], "1e150"),
                                            (["qes2", "--mprime-q", "1"], "1e150")],
                              ids=["higgs", "crs", "qes2"])
-    def test_failed_lapack_eigensolve_is_one_error_line(self, model, lam, tmp_path, capsys):
-        # finite but extreme entries make the LAPACK bisection fail; the
-        # user sees one typed error, not LAPACK's message.  qes2 answers at
-        # 1e100 since its channel is solved in the polar frame
+    def test_failed_lapack_eigensolve_is_one_error_line(self, model, lam, tmp_path, capsys,
+                                                        monkeypatch):
+        # a LAPACK bisection that fails, as finite but extreme entries can make
+        # it (info 1 here): the user sees one typed error, not LAPACK's message
+        stebz = _lapack.dstebz
+        monkeypatch.setattr(_lapack, "dstebz", lambda *args: (*stebz(*args)[:-1], 1))
         code, _ = run_to_file(tmp_path, "x.json",
                               ["spectrum", "--model", *model, "--lambda", lam])
         assert code == 1
@@ -261,10 +281,11 @@ class TestValidation:
 
     @pytest.mark.parametrize("lam", ["10", "1e4", "1e8", "1e9", "1e145"])
     def test_crs_error_stays_flat_above_unit_curvature(self, lam, tmp_path):
-        # the grid ends at the tan pole x* at every curvature, so the error
-        # keeps its lam = 1 size: 3.4e-14-8.0e-11 for m'_Q = 0, 1, 2 (the
-        # radial gauge leaves m'_Q = 0 no h^2 log term), where a grid cut at
-        # x* - 1e-4/sqrt(lam) read 2.2e-9-2.7e-9
+        # the grid ends at the tan pole x* at every curvature, and the solve
+        # sees only nu = 2/lam, so the error keeps its lam = 1 size: the worst
+        # row reads 2.0e-11-5.0e-11 for m'_Q = 0, 1, 2 (the radial gauge
+        # leaves m'_Q = 0 no h^2 log term), where a grid cut at x* -
+        # 1e-4/sqrt(lam) read 2.2e-9-2.7e-9
         code, text = run_to_file(tmp_path, "x.json",
                                  ["spectrum", "--model", "crs", "--lambda", lam])
         assert code == 0

@@ -52,8 +52,8 @@ def test_spectrum_gates_the_origin_closure(monkeypatch):
     # every power rule at the origin becomes a Dirichlet wall: the m' = 0
     # rows read 0.113-0.160 relative.  Where the solution vanishes there as
     # r^|m'| (the line's in the radial gauge), a wall is exact enough for
-    # m' >= 1: the higgs rows read 5.2e-12-1.3e-11 against 1e-9, the natural
-    # crs rows 7.3e-13-1.3e-11 against 1e-10 and the wide ones 1.25e-8 and
+    # m' >= 1: the higgs rows read 5.4e-13-1.3e-11 against 1e-9, the natural
+    # crs rows 1.0e-12-1.3e-11 against 1e-10 and the wide ones 1.25e-8 and
     # 1.39e-8 against 1e-7.  The same swap at the far end is the next test's
     # mutation
     rule = problems.EndpointRule

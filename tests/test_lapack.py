@@ -8,6 +8,7 @@ the solver nor any command calls numpy.linalg."""
 
 import sys
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,6 +56,17 @@ def test_missing_scipy_is_one_import_error(monkeypatch):
     monkeypatch.setattr(_lapack, "find_spec", lambda name: None)
     with pytest.raises(ImportError, match=r"scipy>=1\.13"):
         _lapack._load()
+
+
+@pytest.mark.parametrize("locations", [None, []], ids=["none", "empty"])
+def test_scipy_spec_without_locations_takes_the_fallback(monkeypatch, locations):
+    # a spec that names no directory to look in loads scipy.linalg.lapack;
+    # indexing its locations raised TypeError (None) or IndexError ([])
+    monkeypatch.delitem(sys.modules, _lapack._NAME, raising=False)
+    monkeypatch.setattr(_lapack, "find_spec",
+                        lambda name: SimpleNamespace(submodule_search_locations=locations))
+    module, source = _lapack._load()
+    assert source == "scipy.linalg.lapack" and module.dstebz is not None
 
 
 @pytest.mark.parametrize("loose_tol", [False, True], ids=["default-tol", "loose-tol"])
@@ -130,7 +142,9 @@ def test_forced_fallback_gives_identical_results(tmp_path, monkeypatch, capsys):
                 monkeypatch.setattr(user, name, getattr(module, name))
     for a, b in zip(before, results()):
         assert np.array_equal(a, b)
-    # a LAPACK failure still ends in the typed error
+    # a LAPACK failure (info 1) still ends in the typed error
+    stebz = _lapack.dstebz
+    monkeypatch.setattr(_lapack, "dstebz", lambda *args: (*stebz(*args)[:-1], 1))
     assert cli.main(["spectrum", "--model", "crs", "--lambda", "1e150",
                      "--output", str(tmp_path / "x.json")]) == 1
     err = capsys.readouterr().err

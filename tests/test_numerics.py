@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -27,14 +28,13 @@ from curvosc.numerics import (
 from curvosc.params import PhysParams
 from curvosc.problems import (
     crs_natural_problem,
-    crs_spectrum_numeric,
     crs_spectrum_numeric_wide,
     crs_wide_problem,
     higgs_oscillator_problem,
     higgs_radial_problem,
-    higgs_spectrum_numeric,
     qes_channel_problem,
     qes_rayleigh_problem,
+    richardson_spectrum,
 )
 
 UNIT = PhysParams()
@@ -1064,23 +1064,39 @@ class TestSpectrumProtocols:
 
     def test_higgs_channel_matches_closed_form(self):
         exact = np.array([crs.oscillator_energy((N, 0), UNIT) for N in range(3)])
-        num = higgs_spectrum_numeric(0, UNIT, 3, n=2000)
+        num, *_ = richardson_spectrum(higgs_oscillator_problem, 0, UNIT, 3, n=2000)
         assert np.max(np.abs(num - exact) / exact) < 1e-7
 
     def test_crs_channel_matches_closed_form(self):
         exact = np.array([crs.oscillator_energy((N, 1), UNIT) for N in range(3)])
-        num = crs_spectrum_numeric(1, UNIT, 3, n=2000)
+        num, *_ = richardson_spectrum(crs_natural_problem, 1, UNIT, 3, n=2000)
         assert np.max(np.abs(num - exact) / exact) < 1e-6
+
+    @pytest.mark.parametrize("nu", [0.3, 2.0, 15.0])
+    @pytest.mark.parametrize("build", [higgs_oscillator_problem, crs_natural_problem],
+                             ids=["higgs", "crs"])
+    def test_scaled_spectrum_depends_on_nu_alone(self, build, nu):
+        # E/(lam hbar^2/2m) at 20 seeded (lam, omega, hbar, m) of one nu =
+        # 2 m omega/(hbar lam); lam, hbar and m are powers of two, so nu is
+        # exact.  Solved in physical units, such draws spread 1.5e-11-2.6e-11
+        rng = random.Random(f"nu:{nu}")
+        scaled = []
+        for _ in range(20):
+            lam, hbar, mass = (2.0 ** rng.randint(-6, 6) for _ in range(3))
+            params = PhysParams(mass, hbar, nu * hbar * lam / (2 * mass), lam)
+            levels, *_ = richardson_spectrum(build, 1, params, 3, n=500)
+            scaled.append(levels / (lam * hbar * hbar / (2 * mass)))
+        assert np.max(np.abs(np.array(scaled) / scaled[0] - 1)) <= 1e-14
 
     @pytest.mark.parametrize("model,lam", [
         ("higgs", 0.01), ("higgs", 0.001), ("crs", 0.01), ("crs", 0.001)])
     def test_small_curvature(self, model, lam):
         # wall exponents near 100 and 1000: d**sigma alone under/overflows
         params = PhysParams(lam=lam)
-        solve = higgs_spectrum_numeric if model == "higgs" else crs_spectrum_numeric
+        build = higgs_oscillator_problem if model == "higgs" else crs_natural_problem
         for mp in (0, 1, 2):
             exact = np.array([crs.oscillator_energy((N, mp), params) for N in range(3)])
-            num = solve(mp, params, 3)
+            num, *_ = richardson_spectrum(build, mp, params, 3)
             assert np.max(np.abs(num - exact) / exact) < 1e-5
 
     def test_crs_eigenvector_matches_wavefunction(self):
