@@ -139,8 +139,7 @@ def run_spectrum(args, params: PhysParams):
         build = {"higgs": problems.higgs_oscillator_problem,
                  "crs": problems.crs_natural_problem}[args.model]
         for mp in range((2 if args.mprime_max is None else args.mprime_max) + 1):
-            # [0] alone: the pair's vectors are freed before the next channel
-            numeric = problems.richardson_spectrum(build, mp, params, levels)[0]
+            numeric = problems.richardson_spectrum(build, mp, params, levels)
             analytic = [crs.oscillator_energy((N, mp), params) for N in range(levels)]
             for N, (ea, en) in enumerate(zip(analytic, numeric)):
                 rows.append([N, mp, float(ea), float(en), abs(en - ea) / abs(ea)])

@@ -133,7 +133,8 @@ def higgs_oscillator_problem(mprime: int, params: PhysParams,
                              n: int) -> SturmLiouvilleProblem:
     """Oscillator channel in the polar frame on (0, pi/2), with power
     closures at the origin and at the equator."""
-    sig_eq = 2 + params.mass * params.omega_prime / (params.hbar * params.require_curvature())
+    lam = params.require_curvature()
+    sig_eq = 2 + params.mass * params.omega_prime / (params.hbar * lam)
     bc = (EndpointRule(abs(mprime), 0.0), EndpointRule(sig_eq, math.pi / 2))
     return _higgs_polar_problem(mprime, params, lambda r: oscillator_potential(params, r),
                                Grid1D(0.0, math.pi / 2, n), bc)
@@ -159,27 +160,28 @@ def crs_wide_problem(mprime_q: float, params: PhysParams, n: int,
 
 
 def richardson_spectrum(build: Callable, mprime: float, params: PhysParams, k: int,
-                        n: int = 4000) -> tuple[np.ndarray, np.ndarray, SturmLiouvilleProblem]:
-    """The lowest k levels of problem = build(mprime, canonical, n), solved in the
-    canonical units of PhysParams.canonical, as (unit times its Richardson-extrapolated
-    eigenvalues, the pair's coarse unit vectors, problem)."""
+                        n: int = 4000) -> np.ndarray:
+    """The lowest k levels of build(mprime, canonical, n), solved in the canonical
+    units of PhysParams.canonical: unit times its Richardson-extrapolated eigenvalues."""
     canonical, unit = params.canonical()
-    problem = build(mprime, canonical, n)
-    extrap, _, _, vectors = richardson_eigenvalues(problem, k)
-    return unit * extrap, vectors, problem
+    extrap, *_ = richardson_eigenvalues(build(mprime, canonical, n), k)
+    return unit * extrap
 
 
 def crs_spectrum_numeric_wide(mprime_q: float, params: PhysParams,
                               k: int) -> tuple[list[float], list[float]]:
     """The lowest k levels of crs_wide_problem on (0, 10) in x, (0, 10 sqrt(lam)) in the
-    canonical x, at n = 4000/8001, returned as (first_well, interlopers): a state lies
-    in the first well when more than 0.9 of its M-weighted mass lies left of x*, read
-    from the pair's coarse unit vectors u of the standard form, whose u^2 is that mass
-    (m v^2 h for the back-transformed v)."""
-    levels, u, prob = richardson_spectrum(lambda mq, canonical, n: crs_wide_problem(
-        mq, canonical, n, 10 * math.sqrt(params.lam)), mprime_q, params, k)
-    in_well = np.sum(u[:, prob.grid.points() < x_pole(params.canonical()[0])] ** 2, axis=1) \
-        / np.sum(u ** 2, axis=1) > 0.9
+    canonical x of PhysParams.canonical, at n = 4000/8001, returned as (first_well,
+    interlopers): a state lies in the first well when more than 0.9 of its M-weighted
+    mass lies left of x*, read from the pair's coarse unit vectors u of the standard
+    form, whose u^2 is that mass (m v^2 h for the back-transformed v)."""
+    canonical, unit = params.canonical()
+    prob = crs_wide_problem(mprime_q, canonical, 4000, 10 * math.sqrt(params.lam))
+    extrap, _, _, mass = richardson_eigenvalues(prob, k)
+    levels = unit * extrap
+    mass *= mass
+    in_well = np.sum(mass[:, prob.grid.points() < x_pole(canonical)], axis=1) \
+        / np.sum(mass, axis=1) > 0.9
     return levels[in_well].tolist(), levels[~in_well].tolist()
 
 

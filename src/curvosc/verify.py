@@ -81,7 +81,7 @@ def _closed_form_rows(suite, build, name, gate, detail) -> list[CheckResult]:
     for lam in (0.1, 1.0):
         params = PhysParams(lam=lam)
         for mp in (0, 1, 2):
-            num = problems.richardson_spectrum(build, mp, params, 3)[0]
+            num = problems.richardson_spectrum(build, mp, params, 3)
             out.append(_check(suite, name.format(lam=lam, mp=mp),
                               _closed_form_error(num, mp, params), gate, detail=detail))
     return out
@@ -629,7 +629,7 @@ def suite_determinism() -> list[CheckResult]:
         """Check names plus the bit pattern of every measured float."""
         checks = suite_transform_closure() + suite_flat_limit()
         num = problems.richardson_spectrum(problems.higgs_oscillator_problem, 0,
-                                           PhysParams(lam=1.0), 2, n=500)[0]
+                                           PhysParams(lam=1.0), 2, n=500)
         values = np.array([c.measured for c in checks] + list(num), float)
         return [c.name for c in checks], values.tobytes()
 

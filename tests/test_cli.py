@@ -223,10 +223,13 @@ class TestValidation:
                              ids=["higgs", "crs", "qes2"])
     def test_failed_lapack_eigensolve_is_one_error_line(self, model, lam, tmp_path, capsys,
                                                         monkeypatch):
-        # a LAPACK bisection that fails, as finite but extreme entries can make
-        # it (info 1 here): the user sees one typed error, not LAPACK's message
-        stebz = _lapack.dstebz
-        monkeypatch.setattr(_lapack, "dstebz", lambda *args: (*stebz(*args)[:-1], 1))
+        # finite but extreme entries make the LAPACK bisection fail: the user
+        # sees one typed error, not LAPACK's message.  qes2 reaches that
+        # failure at 1e150 (it answers up to 1e100); the higgs and crs spectra,
+        # solved at nu, answer there, so their bisection reports info 1 instead
+        if model[0] != "qes2":
+            stebz = _lapack.dstebz
+            monkeypatch.setattr(_lapack, "dstebz", lambda *args: (*stebz(*args)[:-1], 1))
         code, _ = run_to_file(tmp_path, "x.json",
                               ["spectrum", "--model", *model, "--lambda", lam])
         assert code == 1
