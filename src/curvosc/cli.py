@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from functools import cache
 
@@ -25,9 +26,10 @@ from .errors import (
     ParameterOverflowError,
     PrecisionLossError,
     SingularPointError,
+    UnresolvedError,
 )
 from .numerics import lowest_eigenvalues, rayleigh_quotient
-from .params import PhysParams
+from .params import NU_FLAGS, PhysParams
 
 MODELS = ("higgs", "crs", "qes1", "qes2")
 _TOO_LARGE = "a flag is too large for floating point"
@@ -139,7 +141,11 @@ def run_spectrum(args, params: PhysParams):
         build = {"higgs": problems.higgs_oscillator_problem,
                  "crs": problems.crs_natural_problem}[args.model]
         for mp in range((2 if args.mprime_max is None else args.mprime_max) + 1):
-            numeric = problems.richardson_spectrum(build, mp, params, levels)
+            try:
+                numeric = problems.richardson_spectrum(build, mp, params, levels)
+            except UnresolvedError as exc:
+                raise UnresolvedError(f"{exc} at nu = 2m omega/(hbar lam) = "
+                                      f"{params.canonical()[0].omega:g}, {NU_FLAGS}") from exc
             analytic = [crs.oscillator_energy((N, mp), params) for N in range(levels)]
             for N, (ea, en) in enumerate(zip(analytic, numeric)):
                 rows.append([N, mp, float(ea), float(en), abs(en - ea) / abs(ea)])
@@ -207,17 +213,15 @@ def run_wavefunction(args, params: PhysParams):
 
 def run_transform_check(args, params: PhysParams):
     """The mapped potential against m omega^2 r^2/2 at the tabulated radii.
-    The map's shift cancels the line potential down to that target, so each
-    brings its roundoff, eps times its size, into the difference; a table
-    whose roundoff exceeds _CLOSURE_GATE of the target at any radius is
-    refused, as its difference would read that roundoff."""
+    The map's shift cancels the line potential down to that target, so the
+    difference reads the roundoff of their terms; a table whose roundoff
+    bound exceeds _CLOSURE_GATE of the target at any radius is refused."""
     mq = args.mprime_q if args.mprime_q is not None else 0.0
     rs = np.logspace(-0.5, 1.0, args.grid_n)
     line = lambda x: crs.crs_potential_special(mq, params, x)
     mapped = transform.map_potential(mq, params, line, rs)
     target = higgs.oscillator_potential(params, rs)
-    roundoff = np.finfo(float).eps * (np.abs(line(transform.x_of_r(params, rs)))
-                                      + np.abs(transform.curvature_shift(mq, params, rs)))
+    roundoff = crs.crs_potential_special_roundoff(mq, params, transform.x_of_r(params, rs))
     worst = float(np.max(roundoff / target))
     if worst > _CLOSURE_GATE:
         raise PrecisionLossError(
@@ -226,6 +230,27 @@ def run_transform_check(args, params: PhysParams):
             f"that transform-check holds")
     return (["r", "mapped_V", "half_m_omega2_r2", "difference"],
             np.column_stack((rs, mapped, target, mapped - target)).tolist())
+
+
+@cache
+def _steady_heap() -> None:
+    """Fix glibc's heap thresholds for the rest of the process, unless the
+    user set them (MALLOC_TRIM_THRESHOLD_, MALLOC_MMAP_THRESHOLD_ or a
+    glibc.malloc tunable); other C libraries keep their heap.  glibc would
+    otherwise hand each system's short-lived arrays back to the kernel and
+    fault them in again for the next.  The mmap threshold lies above the
+    largest array of one system (0.8 MB, the k = 50 float32 coarse block),
+    the trim threshold above what one command frees at once (1.8 MB for an
+    8001-point assembly, 2.6 MB for a 50-level spectrum)."""
+    import platform
+    tunables = os.getenv("GLIBC_TUNABLES", "")
+    if platform.libc_ver()[0] == "glibc" and "glibc.malloc." not in tunables \
+            and not {"MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_"} & os.environ.keys():
+        import ctypes
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 1 << 20)    # M_MMAP_THRESHOLD
+        mallopt(-1, 8 << 20)    # M_TRIM_THRESHOLD
 
 
 @cache
@@ -288,6 +313,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command line and return its exit code."""
+    _steady_heap()
     args = _parser().parse_args(argv)
     verify = args.command == "verify"
     try:

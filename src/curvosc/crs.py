@@ -210,14 +210,9 @@ def potential_general(spec: QesSpec, params: PhysParams, x):
     return potential_theta(spec, params, theta_of_x(x, params.require_curvature()))
 
 
-def crs_potential_special(mprime_q: float, params: PhysParams, x):
-    """Closed form of the special-model potential,
-
-    V(x) = (1/2) m omega^2 (tan Theta / sqrt(lam))^2
-           - (lam hbar^2 / 8m) [1 + (1 - 4 m'^2) csc^2 Theta].
-
-    Singular at x = 0 unless the csc^2 coefficient vanishes (m' = +-1/2).
-    """
+def _special_terms(mprime_q: float, params: PhysParams, x):
+    """Theta and the terms of crs_potential_special: (1/2) m omega^2 (tan
+    Theta / sqrt(lam))^2, lam hbar^2/8m and (1 - 4 m'^2) csc^2 Theta."""
     lam = params.require_curvature()
     coeff = 1 - 4 * finite_square("m'_Q", mprime_q)
     at_origin = np.asarray(x, float) == 0
@@ -226,9 +221,39 @@ def crs_potential_special(mprime_q: float, params: PhysParams, x):
     th = theta_of_x(x, lam)
     # where x = 0 is allowed, coeff = 0 and the csc^2 term is 0 there
     csc_term = coeff / np.where(at_origin, 1.0, np.sin(th) ** 2)
-    return (0.5 * params.mass * finite_square("omega", params.omega)
-            * (np.tan(th) / math.sqrt(lam)) ** 2
-            - lam * finite_square("hbar", params.hbar) / (8 * params.mass) * (1 + csc_term))
+    return (th, 0.5 * params.mass * finite_square("omega", params.omega)
+            * (np.tan(th) / math.sqrt(lam)) ** 2,
+            lam * finite_square("hbar", params.hbar) / (8 * params.mass), csc_term)
+
+
+def crs_potential_special(mprime_q: float, params: PhysParams, x):
+    """Closed form of the special-model potential,
+
+    V(x) = (1/2) m omega^2 (tan Theta / sqrt(lam))^2
+           - (lam hbar^2 / 8m) [1 + (1 - 4 m'^2) csc^2 Theta].
+
+    Singular at x = 0 unless the csc^2 coefficient vanishes (m' = +-1/2).
+    """
+    _, oscillator, curvature, csc_term = _special_terms(mprime_q, params, x)
+    return oscillator - curvature * (1 + csc_term)
+
+
+def crs_potential_special_roundoff(mprime_q: float, params: PhysParams, x):
+    """A bound on the roundoff that crs_potential_special at a rounded x
+    brings into a sum with the radial shift that cancels its curvature term,
+
+    eps [8 T (1 + 2 Theta/sin 2 Theta) + L (1 + 2 |1 - 4 m'^2| csc^2 Theta) + 4 |C|],
+
+    T the oscillator term, L = lam hbar^2/8m and C = L (1 + (1 - 4 m'^2)
+    csc^2 Theta) the curvature term.  Each term enters by its magnitude, T
+    grown by 2 Theta/sin 2 Theta, the condition number of tan Theta in
+    Theta, which carries a few ulps of x; C is itself a difference, so its
+    parts enter as well as its value.
+    """
+    th, oscillator, curvature, csc_term = _special_terms(mprime_q, params, x)
+    return np.finfo(float).eps * (8 * oscillator * (1 + 1 / np.sinc(2 * th / math.pi))
+                                  + curvature * (1 + 2 * np.abs(csc_term))
+                                  + 4 * np.abs(curvature * (1 + csc_term)))
 
 
 def crs_wavefunction_special(qn: tuple, params: PhysParams, x):

@@ -9,6 +9,10 @@ from .errors import NonpositiveCurvatureError, NonpositiveParameterError, Parame
     ParameterUnderflowError
 
 
+# the command-line flags of nu = 2m omega/(hbar lam), for a message that names it
+NU_FLAGS = "from --lambda, --omega, --mass and --hbar"
+
+
 def require_positive(name: str, value: float) -> None:
     """Reject a parameter that must be positive but is zero, negative or nan."""
     if not (value > 0):
@@ -75,8 +79,11 @@ class PhysParams:
     def canonical(self) -> tuple["PhysParams", float]:
         """(hbar = 1, m = 1/2, lam = 1, omega = nu), nu = 2 m omega/(hbar lam),
         and the unit lam hbar^2/2m: the higgs and crs spectra depend on nu
-        alone, E = unit E(nu), with the same delta; needs lam > 0."""
+        alone, E = unit E(nu), with the same delta; needs lam > 0 and a nu
+        whose square is finite."""
         lam = self.require_curvature()
+        unit = lam * self.kinetic
         # a nu below the floats acts as 0, and so does their least positive value
         nu = max(2 * self.mass * self.omega / (lam * self.hbar), math.ulp(0.0))
-        return PhysParams(mass=0.5, hbar=1.0, omega=nu, lam=1.0), lam * self.kinetic
+        finite_square(f"nu = 2m omega/(hbar lam) ({NU_FLAGS})", nu)
+        return PhysParams(mass=0.5, hbar=1.0, omega=nu, lam=1.0), unit

@@ -22,10 +22,12 @@ import curvosc.cli as cli, curvosc.verify, curvosc._lapack as lapack
 facts.update({"imported": [m for m in ("scipy", "scipy.linalg", "numpy.random",
                                        "numpy.polynomial") if m in sys.modules],
               "lapack_source": lapack.SOURCE,
-              "parsers_at_import": cli._parser.cache_info().currsize})
+              "parsers_at_import": cli._parser.cache_info().currsize,
+              "heap_at_import": cli._steady_heap.cache_info().currsize})
 for _ in range(2):
     cli.main(["potential", "--model", "higgs", "--output", os.devnull])
 facts["parsers_built"] = cli._parser.cache_info().misses
+facts["heap_set"] = cli._steady_heap.cache_info().misses
 print(json.dumps(facts))
 """
 

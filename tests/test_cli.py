@@ -1,15 +1,21 @@
+import ctypes
 import gc
 import json
+import platform
+import resource
+import types
 import warnings
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from curvosc import _lapack, cli, crs, verify
+from curvosc import _lapack, cli, crs, higgs, transform, verify
 from curvosc.cli import fmt_float, main, serialize_csv, serialize_json
-from curvosc.errors import CurvoscError
+from curvosc.errors import CurvoscError, ParameterOverflowError, PrecisionLossError, \
+    UnresolvedError
 from curvosc.params import PhysParams
 
 
@@ -321,7 +327,26 @@ class TestValidation:
         code, _ = run_to_file(tmp_path, "x.json",
                               ["spectrum", "--model", "higgs", "--lambda", "1e-6"])
         assert code == 1
-        assert capsys.readouterr().err == "error: assembled system has non-finite entries\n"
+        assert capsys.readouterr().err == (
+            "error: assembled system has non-finite entries at nu = 2m omega/(hbar lam) = 2e+06, "
+            "from --lambda, --omega, --mass and --hbar\n")
+
+    @pytest.mark.parametrize("args,error", [
+        (["crs", "--lambda", "1e-200"], ParameterOverflowError),
+        (["higgs", "--lambda", "1e-200"], ParameterOverflowError),
+        (["higgs", "--lambda", "0.001", "--omega", "1.65"], UnresolvedError),
+    ], ids=["crs-nu-overflows", "higgs-nu-overflows", "higgs-nonfinite-system"])
+    def test_large_nu_names_its_flags(self, args, error, tmp_path, capsys):
+        # nu = 2e+200 was reported as "omega = 2e+200 has no finite square",
+        # and the non-finite system named no flag at all
+        code, text = run_to_file(tmp_path, "x.json", ["spectrum", "--model", *args])
+        assert code == 1 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nu = 2m omega/(hbar lam)" in err and "--lambda" in err
+        parsed = cli._parser().parse_args(["spectrum", "--model", *args])
+        with pytest.raises(error):
+            cli.run_spectrum(parsed, cli._validate(parsed))
 
     @pytest.mark.parametrize("l", ["1e4", "1e6", "1e10"])
     def test_ground_level_in_roundoff_is_one_error_line(self, l, tmp_path, capsys):
@@ -470,9 +495,9 @@ class TestTables:
     @pytest.mark.parametrize("mprime_q", ["0", "0.5", "1"])
     @pytest.mark.parametrize("lam", ["0.1", "1", "10", "100"])
     def test_transform_check_answers_where_it_holds_its_digits(self, lam, mprime_q, tmp_path):
-        # the roundoff estimate eps (|V_line| + |shift|) reads at most
-        # 2.6e-13 of m omega^2 r^2/2 here, and the difference stays under
-        # verify's transform-closure gate
+        # the roundoff bound reads at most 9.5e-13 of m omega^2 r^2/2 here
+        # (m'_Q = 1, lam = 100), and the difference stays under verify's
+        # transform-closure gate
         code, text = run_to_file(tmp_path, "tc.json", [
             "transform-check", "--mprime-q", mprime_q, "--lambda", lam])
         assert code == 0
@@ -484,12 +509,40 @@ class TestTables:
                                                               capsys):
         # the shift cancels the line potential down to m omega^2 r^2/2, and
         # at m'_Q = 0 the difference read 5.5e-13, 7.6e-10, 3.8e-6 and 1.0
-        # of it here, with exit 0; the roundoff estimate reads 1.1e-12 and up
+        # of it here, with exit 0; the roundoff bound reads 2.8e-12 and up
         code, _ = run_to_file(tmp_path, "tc.json", [
             "transform-check", "--mprime-q", mprime_q, "--lambda", lam])
         assert code == 1 and not (tmp_path / "tc.json").exists()
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: --lambda ") and err.count("\n") == 1
+
+    def test_transform_check_answers_only_within_its_digits(self):
+        # seeded draws over the envelope; at every radius the difference lies
+        # within crs_potential_special_roundoff, and every table that answers
+        # reads at most 1e-12 of m omega^2 r^2/2 (eps (|V_line| + |shift|)
+        # let a table reading 1.19e-12 answer at m'_Q = 1, lam = 420)
+        rng = np.random.default_rng(44)
+        answered = 0
+        for _ in range(400):
+            mq, omega = float(rng.uniform(0, 3.5)), float(rng.choice([0.5, 1.0, 2.0]))
+            lam, n = float(10 ** rng.uniform(-1, 16)), int(rng.choice([20, 100, 500]))
+            args = cli._parser().parse_args([
+                "transform-check", "--mprime-q", repr(mq), "--omega", repr(omega),
+                "--lambda", repr(lam), "--grid-n", str(n)])
+            params = cli._validate(args)
+            rs = np.logspace(-0.5, 1.0, n)
+            line = lambda x: crs.crs_potential_special(mq, params, x)
+            difference = (transform.map_potential(mq, params, line, rs)
+                          - higgs.oscillator_potential(params, rs))
+            bound = crs.crs_potential_special_roundoff(mq, params, transform.x_of_r(params, rs))
+            assert np.all(np.abs(difference) <= bound)
+            try:
+                _, rows = cli.run_transform_check(args, params)
+            except PrecisionLossError:
+                continue
+            answered += 1
+            assert max(abs(d) / t for _, _, t, d in rows) <= 1e-12
+        assert answered >= 20
 
 
 class TestExactBytes:
@@ -626,3 +679,66 @@ class TestSharedParser:
         # calls of main build one
         assert startup["parsers_at_import"] == 0
         assert startup["parsers_built"] == 1
+
+
+class TestSteadyHeap:
+    """cli.main fixes glibc's heap thresholds once per process."""
+
+    @staticmethod
+    def recorded_mallopt(monkeypatch) -> list:
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        for name in ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_", "GLIBC_TUNABLES"):
+            monkeypatch.delenv(name, raising=False)
+        return calls
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap thresholds")
+    def test_warm_verify_faults_in_no_pages(self, tmp_path):
+        # with glibc's dynamic thresholds each system's arrays went back to
+        # the kernel: a warm crs-spectrum pass took about 3,200 minor faults
+        args = ["verify", "--suite", "crs-spectrum", "--output", str(tmp_path / "rep.json")]
+        for _ in range(2):
+            assert main(args) == 0
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert main(args) == 0
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 10
+
+    def test_glibc_gets_both_thresholds(self, monkeypatch):
+        calls = self.recorded_mallopt(monkeypatch)
+        monkeypatch.setattr(platform, "libc_ver", lambda: ("glibc", "2.36"))
+        monkeypatch.setenv("GLIBC_TUNABLES", "glibc.rtld.optional_static_tls=2048")
+        cli._steady_heap.__wrapped__()
+        assert calls == [(-3, 1 << 20), (-1, 8 << 20)]     # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+    @pytest.mark.parametrize("libc,env", [
+        (("", ""), {}),
+        (("glibc", "2.36"), {"MALLOC_TRIM_THRESHOLD_": "131072"}),
+        (("glibc", "2.36"), {"MALLOC_MMAP_THRESHOLD_": "131072"}),
+        (("glibc", "2.36"), {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}),
+    ], ids=["other-libc", "trim-set", "mmap-set", "malloc-tunable-set"])
+    def test_other_libcs_and_user_settings_keep_their_heap(self, libc, env, monkeypatch):
+        calls = self.recorded_mallopt(monkeypatch)
+        monkeypatch.setattr(platform, "libc_ver", lambda: libc)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        cli._steady_heap.__wrapped__()
+        assert calls == []
+
+    def test_import_sets_nothing_and_main_sets_once(self, startup):
+        assert startup["heap_at_import"] == 0
+        assert startup["heap_set"] == 1
+
+    def test_readings_are_bit_identical_under_the_policy(self, fresh_python):
+        out, _ = fresh_python(
+            "from curvosc import cli, verify\n"
+            "read = lambda: [c.measured.hex() for c in verify.run_suites(['crs-spectrum'])]\n"
+            "before = read()\n"
+            "cli._steady_heap()\n"
+            "print(len(before), before == read())\n")
+        count, same = out.split()
+        assert int(count) > 0 and same == "True"
