@@ -18,6 +18,9 @@ import os
 import sys
 from functools import cache
 
+# no command calls a threaded BLAS routine: one thread, unless the user set it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import crs, higgs, problems, transform
@@ -32,6 +35,8 @@ from .numerics import lowest_eigenvalues, rayleigh_quotient
 from .params import NU_FLAGS, PhysParams
 
 MODELS = ("higgs", "crs", "qes1", "qes2")
+# the grid each spectrum solves on: the Richardson pair's coarse grid, the QES channel's one
+_SPECTRUM_N = {"higgs": 4000, "crs": 4000, "qes1": 2000, "qes2": 2000}
 _TOO_LARGE = "a flag is too large for floating point"
 _CLOSURE_GATE = 1e-12   # verify's transform-closure gate
 
@@ -124,6 +129,10 @@ def _validate(args) -> PhysParams:
         value = getattr(args, dest, None)
         if value is not None and value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
+    # the solver resolves at most n/4 levels of an n-point grid
+    if command == "spectrum" and args.n_max >= _SPECTRUM_N[model] // 4:
+        raise ValueError(f"--n-max must be at most {_SPECTRUM_N[model] // 4 - 1} for spectrum "
+                         f"--model {model}, got {args.n_max}")
     params.require_curvature()
     for flag, dest in (("--mass", "mass"), ("--hbar", "hbar"), ("--omega", "omega"),
                        ("--lambda", "lam"), ("--mprime-q", "mprime_q"), ("--l", "l"),
@@ -142,7 +151,8 @@ def run_spectrum(args, params: PhysParams):
                  "crs": problems.crs_natural_problem}[args.model]
         for mp in range((2 if args.mprime_max is None else args.mprime_max) + 1):
             try:
-                numeric = problems.richardson_spectrum(build, mp, params, levels)
+                numeric = problems.richardson_spectrum(build, mp, params, levels,
+                                                       _SPECTRUM_N[args.model])
             except UnresolvedError as exc:
                 raise UnresolvedError(f"{exc} at nu = 2m omega/(hbar lam) = "
                                       f"{params.canonical()[0].omega:g}, {NU_FLAGS}") from exc
@@ -151,7 +161,7 @@ def run_spectrum(args, params: PhysParams):
                 rows.append([N, mp, float(ea), float(en), abs(en - ea) / abs(ea)])
     else:
         mq, spec = args.mprime_q, crs.QesSpec.transplanted(args.mprime_q, params, args.l)
-        prob = problems.qes_channel_problem(mq, spec, params, 2000)
+        prob = problems.qes_channel_problem(mq, spec, params, _SPECTRUM_N[args.model])
         numeric = lowest_eigenvalues(prob, levels)
         # only the channel ground state has a closed form; its energy is
         # defined by the Rayleigh quotient of that state

@@ -748,14 +748,16 @@ def rayleigh_quotient(problem: SturmLiouvilleProblem, psi: Callable) -> tuple[fl
     f = fs[2]
     if not np.all(np.isfinite(f) & (f != 0)):
         raise StateRangeError("psi is zero or not finite on the Rayleigh quotient's points")
-    if np.any(f[:-1] * f[1:] < 0):
+    if np.any(np.signbit(f[:-1]) != np.signbit(f[1:])):
         raise NodeDetectedError("psi changes sign; Rayleigh quotient needs a nodeless state")
     d1, d2 = _five_point(fs, h)
     ps = shifted(problem.p)
     pv, dp = ps[2], _five_point(ps, h)[0]
     qv, wv = (_on(x, v) for v in problem.qw(x))
     e = (-pv * d2 - dp * d1 + qv * f) / (wv * f)
-    weight = wv * f * f
+    # psi scaled by a power of two, exactly, so that its square cannot overflow
+    g = np.ldexp(f, -np.frexp(np.max(np.abs(f)))[1])
+    weight = wv * g * g
     mean_w = float(np.sum(weight * e) / np.sum(weight))
     constancy = float(np.std(e) / abs(np.mean(e)))
     return mean_w, constancy

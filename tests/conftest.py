@@ -32,12 +32,15 @@ print(json.dumps(facts))
 """
 
 
-def run_fresh_python(code):
+def run_fresh_python(code, unset=()):
     """(stdout, stderr) of code run by a new interpreter, which has imported
-    nothing yet and finds this checkout's curvosc."""
+    nothing yet and finds this checkout's curvosc, with the environment
+    variables named in unset removed."""
     src = Path(curvosc.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    for name in unset:
+        env.pop(name, None)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     return done.stdout, done.stderr

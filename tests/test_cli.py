@@ -314,6 +314,30 @@ class TestValidation:
         assert capsys.readouterr().err == \
             "error: psi is zero or not finite on the Rayleigh quotient's points\n"
 
+    def test_large_rayleigh_state_answers(self, tmp_path):
+        # the state reaches 9.7e194 on the Rayleigh window: its square
+        # overflowed the weight w psi^2, and the table was refused as "a flag
+        # is too large for floating point"
+        omega, lam = "1.3708728794381846", "0.002546955898564424"
+        code, text = run_to_file(tmp_path, "x.json", ["spectrum", "--model", "qes2",
+                                                      "--mprime-q", "10", "--lambda", lam,
+                                                      "--omega", omega])
+        assert code == 0
+        exact = crs.oscillator_energy((0, 10), PhysParams(lam=float(lam), omega=float(omega)))
+        assert json.loads(text)["rows"][0][2] == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize("model", [["higgs", "--mprime-max", "0"],
+                                       ["crs", "--mprime-max", "0"],
+                                       ["qes2", "--mprime-q", "1"]],
+                             ids=["higgs", "crs", "qes2"])
+    def test_n_max_past_the_grid_names_n_max(self, model, tmp_path, capsys):
+        # k = n_max + 1 above n/4 of the grid was blamed on the nu flags
+        code, text = run_to_file(tmp_path, "x.json",
+                                 ["spectrum", "--model", *model, "--n-max", "1000"])
+        assert code == 1 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: --n-max must be at most ") and err.count("\n") == 1
+
     def test_small_lambda_qes1_answers(self, tmp_path):
         # the state as a logarithm stays finite where its factors overflowed
         code, text = run_to_file(tmp_path, "x.json", ["spectrum", "--model", "qes1", "--l", "3",
@@ -742,3 +766,29 @@ class TestSteadyHeap:
             "print(len(before), before == read())\n")
         count, same = out.split()
         assert int(count) > 0 and same == "True"
+
+
+class TestOneBlasThread:
+    """Importing the CLI caps OpenBLAS at one thread before numpy loads,
+    unless the user set a count; the library leaves the environment alone.
+    The test process has imported curvosc.cli, so its children hold the
+    variable unless it is removed."""
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="Linux's task list")
+    def test_cli_import_runs_one_thread(self, fresh_python):
+        # numpy's and scipy's OpenBLAS each started a pool: 3 threads on 2 cores
+        out, _ = fresh_python(
+            "import os, curvosc.cli\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))\n",
+            unset=["OPENBLAS_NUM_THREADS"])
+        assert out.split() == ["1", "1"]
+
+    def test_library_sets_nothing_and_a_user_setting_wins(self, fresh_python):
+        out, _ = fresh_python(
+            "import os, curvosc, curvosc.numerics, curvosc.problems, curvosc.verify, "
+            "curvosc.crs, curvosc.higgs, curvosc.transform, curvosc.special_functions\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "os.environ['OPENBLAS_NUM_THREADS'] = '2'\n"
+            "import curvosc.cli\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'])\n", unset=["OPENBLAS_NUM_THREADS"])
+        assert out.split() == ["None", "2"]

@@ -1195,6 +1195,14 @@ class TestRayleighQuotient:
         with pytest.raises(NodeDetectedError):
             rayleigh_quotient(prob, lambda r: higgs.higgs_wavefunction((1, 0), UNIT, r))
 
+    @pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600])
+    def test_state_scaled_by_a_power_of_two_reads_the_same_bits(self, scale):
+        # the weight w psi^2 overflowed (2^600) or underflowed (2^-600), and
+        # the weighted mean read nan
+        prob = self._higgs_problem()
+        psi = lambda r: higgs.higgs_wavefunction((0, 0), UNIT, r)
+        assert rayleigh_quotient(prob, lambda r: scale * psi(r)) == rayleigh_quotient(prob, psi)
+
     @pytest.mark.parametrize("value", [0.0, np.inf, np.nan])
     def test_zero_or_nonfinite_state_is_refused(self, value):
         # an under- or overflowed state divided by zero or gave nan
