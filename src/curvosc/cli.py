@@ -4,8 +4,8 @@ Commands: spectrum, potential, wavefunction, verify, transform-check.
 Output is JSON (default; the only form of verify) or CSV, written to
 --output or stdout, with deterministic float formatting (17 significant
 digits, lowercase e), so identical configurations produce byte-identical
-files.  Units default to
-hbar = m = 1 with omega and lambda free.
+files.  Units default to hbar = m = 1 with omega and lambda free.  The
+spectrum rows are verify.spectrum's; this module checks flags and formats.
 
 Exit codes: 0 success, 1 configuration error, 2 verify-suite failure.
 """
@@ -23,20 +23,16 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import crs, higgs, problems, transform
+from . import crs, higgs, transform
 from .errors import (
     NegativeRadiusError,
     ParameterOverflowError,
     PrecisionLossError,
     SingularPointError,
-    UnresolvedError,
 )
-from .numerics import lowest_eigenvalues, rayleigh_quotient
-from .params import NU_FLAGS, PhysParams
+from .params import PhysParams
 
 MODELS = ("higgs", "crs", "qes1", "qes2")
-# the grid each spectrum solves on: the Richardson pair's coarse grid, the QES channel's one
-_SPECTRUM_N = {"higgs": 4000, "crs": 4000, "qes1": 2000, "qes2": 2000}
 _TOO_LARGE = "a flag is too large for floating point"
 _CLOSURE_GATE = 1e-12   # verify's transform-closure gate
 
@@ -130,9 +126,11 @@ def _validate(args) -> PhysParams:
         if value is not None and value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
     # the solver resolves at most n/4 levels of an n-point grid
-    if command == "spectrum" and args.n_max >= _SPECTRUM_N[model] // 4:
-        raise ValueError(f"--n-max must be at most {_SPECTRUM_N[model] // 4 - 1} for spectrum "
-                         f"--model {model}, got {args.n_max}")
+    if command == "spectrum":
+        from .verify import SPECTRUM_N
+        if args.n_max >= SPECTRUM_N[model] // 4:
+            raise ValueError(f"--n-max must be at most {SPECTRUM_N[model] // 4 - 1} for "
+                             f"spectrum --model {model}, got {args.n_max}")
     params.require_curvature()
     for flag, dest in (("--mass", "mass"), ("--hbar", "hbar"), ("--omega", "omega"),
                        ("--lambda", "lam"), ("--mprime-q", "mprime_q"), ("--l", "l"),
@@ -144,33 +142,13 @@ def _validate(args) -> PhysParams:
 
 
 def run_spectrum(args, params: PhysParams):
-    levels = args.n_max + 1
-    rows = []
+    from .verify import spectrum
     if args.model in ("higgs", "crs"):
-        build = {"higgs": problems.higgs_oscillator_problem,
-                 "crs": problems.crs_natural_problem}[args.model]
-        for mp in range((2 if args.mprime_max is None else args.mprime_max) + 1):
-            try:
-                numeric = problems.richardson_spectrum(build, mp, params, levels,
-                                                       _SPECTRUM_N[args.model])
-            except UnresolvedError as exc:
-                raise UnresolvedError(f"{exc} at nu = 2m omega/(hbar lam) = "
-                                      f"{params.canonical()[0].omega:g}, {NU_FLAGS}") from exc
-            analytic = [crs.oscillator_energy((N, mp), params) for N in range(levels)]
-            for N, (ea, en) in enumerate(zip(analytic, numeric)):
-                rows.append([N, mp, float(ea), float(en), abs(en - ea) / abs(ea)])
+        mprimes, spec = range((2 if args.mprime_max is None else args.mprime_max) + 1), None
     else:
-        mq, spec = args.mprime_q, crs.QesSpec.transplanted(args.mprime_q, params, args.l)
-        prob = problems.qes_channel_problem(mq, spec, params, _SPECTRUM_N[args.model])
-        numeric = lowest_eigenvalues(prob, levels)
-        # only the channel ground state has a closed form; its energy is
-        # defined by the Rayleigh quotient of that state
-        E0, _ = rayleigh_quotient(problems.qes_rayleigh_problem(spec, params),
-                                  lambda r: higgs.qes_groundstate(spec, params, r))
-        for N, en in enumerate(numeric):
-            ea = float(E0) if N == 0 else None
-            rows.append([N, mq, ea, float(en), None if ea is None else abs(en - ea) / abs(ea)])
-    return ["N", "mprime", "E_analytic", "E_numeric", "relative_error"], rows
+        mprimes, spec = (args.mprime_q,), crs.QesSpec.transplanted(args.mprime_q, params, args.l)
+    return (["N", "mprime", "E_analytic", "E_numeric", "relative_error"],
+            spectrum(args.model, params, args.n_max + 1, mprimes, spec))
 
 
 def _tabulate(args, params: PhysParams, formula):

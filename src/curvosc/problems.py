@@ -160,7 +160,7 @@ def crs_wide_problem(mprime_q: float, params: PhysParams, n: int,
 
 
 def richardson_spectrum(build: Callable, mprime: float, params: PhysParams, k: int,
-                        n: int = 4000) -> np.ndarray:
+                        n: int) -> np.ndarray:
     """The lowest k levels of build(mprime, canonical, n), solved in the canonical
     units of PhysParams.canonical: unit times its Richardson-extrapolated eigenvalues."""
     canonical, unit = params.canonical()

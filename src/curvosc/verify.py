@@ -1,7 +1,8 @@
 """Verification suites: every analytic claim of the model modules checked
 against the independent finite-difference oracle, plus the module-level
 invariants.  The CLI `verify` command and the acceptance test module both
-run these.
+run these, and the CLI `spectrum` command prints the rows of `spectrum`, the
+one protocol that pairs each model's numerical spectrum with its closed form.
 
 Each check records the measured number, the tolerance it was held to, and
 a comparator; "report" entries are informational measurements that cannot
@@ -31,8 +32,8 @@ from .numerics import (
     residual_norm,
     richardson_eigenvalues,
 )
-from .errors import SingularPointError
-from .params import PhysParams, finite_square, require_positive
+from .errors import SingularPointError, UnresolvedError
+from .params import NU_FLAGS, PhysParams, finite_square, require_positive
 from .special_functions import gudermannian, hyp2f1_terminating, theta_of_x, upsilon_of_r
 
 _WALLS = (None, None)
@@ -73,17 +74,46 @@ def _closed_form_error(levels, mp, params: PhysParams) -> float:
     return float(np.max(np.abs(levels[:3] - exact) / exact)) if len(levels) >= 3 else math.inf
 
 
-def _closed_form_rows(suite, build, name, gate, detail) -> list[CheckResult]:
-    """One row per lam in (0.1, 1) and m' in (0, 1, 2): the largest relative
-    error over N = 0..2 of problems.richardson_spectrum(build, m', params, 3)
-    against the closed form; name is a pattern in lam and mp."""
+# the grid each spectrum solves on: the Richardson pair's coarse grid, the QES channel's one
+SPECTRUM_N = {"higgs": 4000, "crs": 4000, "qes1": 2000, "qes2": 2000}
+
+
+def spectrum(model: str, params: PhysParams, k: int, mprimes,
+             spec: QesSpec | None = None) -> list[list]:
+    """Rows [N, m', E_analytic, E_numeric, relative_error] of the lowest k levels of model
+    in each channel m' of mprimes, on SPECTRUM_N[model] points: for higgs and crs the
+    Richardson pair against oscillator_energy((N, m')); for qes1 and qes2 one grid, mprimes
+    holding spec's m'_Q, whose ground state alone has a closed form, its Rayleigh quotient."""
+    n, rows = SPECTRUM_N[model], []
+    build = {"higgs": problems.higgs_oscillator_problem,
+             "crs": problems.crs_natural_problem}.get(model)
+    for mp in mprimes:
+        if build is not None:
+            try:
+                numeric = problems.richardson_spectrum(build, mp, params, k, n)
+            except UnresolvedError as exc:
+                raise UnresolvedError(f"{exc} at nu = 2m omega/(hbar lam) = "
+                                      f"{params.canonical()[0].omega:g}, {NU_FLAGS}") from exc
+            analytic = [float(crs.oscillator_energy((N, mp), params)) for N in range(k)]
+        else:
+            numeric = lowest_eigenvalues(problems.qes_channel_problem(mp, spec, params, n), k)
+            E0, _ = rayleigh_quotient(problems.qes_rayleigh_problem(spec, params),
+                                      lambda r: higgs.qes_groundstate(spec, params, r))
+            analytic = [float(E0)] + [None] * (len(numeric) - 1)
+        for N, (ea, en) in enumerate(zip(analytic, numeric)):
+            rows.append([N, mp, ea, float(en), None if ea is None else abs(en - ea) / abs(ea)])
+    return rows
+
+
+def _closed_form_rows(model, name, gate, detail) -> list[CheckResult]:
+    """The model's spectrum suite, one row per lam in (0.1, 1) and m' in (0, 1, 2): the
+    largest relative error over N = 0..2 of spectrum; name is a pattern in lam and mp."""
     out = []
     for lam in (0.1, 1.0):
-        params = PhysParams(lam=lam)
+        rows = spectrum(model, PhysParams(lam=lam), 3, (0, 1, 2))
         for mp in (0, 1, 2):
-            num = problems.richardson_spectrum(build, mp, params, 3)
-            out.append(_check(suite, name.format(lam=lam, mp=mp),
-                              _closed_form_error(num, mp, params), gate, detail=detail))
+            out.append(_check(f"{model}-spectrum", name.format(lam=lam, mp=mp),
+                              max(row[4] for row in rows if row[1] == mp), gate, detail=detail))
     return out
 
 
@@ -92,8 +122,7 @@ def _closed_form_rows(suite, build, name, gate, detail) -> list[CheckResult]:
 
 
 def suite_higgs_spectrum() -> list[CheckResult]:
-    out = _closed_form_rows("higgs-spectrum", problems.higgs_oscillator_problem,
-                            "lam={lam}-mprime={mp}", 1e-9,
+    out = _closed_form_rows("higgs", "lam={lam}-mprime={mp}", 1e-9,
                             "max rel err over N=0..2, Richardson n=4000/8001")
     # reference measurement: the planar-coordinate recipe with plain
     # Dirichlet walls at [1e-4, 40]; reported to document why the polar
@@ -116,8 +145,7 @@ def suite_higgs_spectrum() -> list[CheckResult]:
 
 
 def suite_crs_spectrum() -> list[CheckResult]:
-    out = _closed_form_rows("crs-spectrum", problems.crs_natural_problem,
-                            "natural-lam={lam}-mprimeq={mp}", 1e-10,
+    out = _closed_form_rows("crs", "natural-lam={lam}-mprimeq={mp}", 1e-10,
                             "domain (0, x*), Richardson n=4000/8001")
     params = PhysParams(lam=1.0)
     for mq in (0, 1, 2):
@@ -366,17 +394,18 @@ def _qes_measurements() -> tuple[CheckResult, ...]:
                 comparator="report",
                 detail="half-angle sine variant: Rayleigh quotient far from constant, "
                        "so that form is not an eigenfunction of the matching potential"))
-        prob = problems.qes_channel_problem(mq, spec, params, 2000)
+        n = SPECTRUM_N[f"qes{example}"]
+        prob = problems.qes_channel_problem(mq, spec, params, n)
         numeric = float(lowest_eigenvalues(prob, 1)[0])
         ground.append(_check(suite, f"example{example}-ground-eigenvalue",
                              abs(numeric - exact) / exact, 1e-6,
                              detail=f"numeric {numeric:.10g} vs closed form {exact:.10g}, "
-                                    f"channel m' = m'_Q = 1, n = 2000"))
+                                    f"channel m' = m'_Q = 1, n = {n}"))
 
         # neighbor channels: ground state must not be proportional to any
         # closed-form candidate
         for channel in (mq - 1, mq + 1):
-            prob = problems.qes_channel_problem(channel, spec, params, 2000)
+            prob = problems.qes_channel_problem(channel, spec, params, n)
             v = lowest_eigenpairs(prob, 1)[1][:, 0]
             r = np.tan(prob.grid.points()) / math.sqrt(params.lam)
             i0, i1 = int(0.2 * r.size), int(0.8 * r.size)

@@ -12,13 +12,16 @@ import pytest
 import curvosc
 
 # What a new process loads, in the order a user loads it: first the model
-# modules alone, then the CLI, whose parser is built on the first call.
+# modules alone, then the CLI, whose parser is built on the first call, then
+# the checks and the solver.
 STARTUP = """
 import json, os, sys
+solver = lambda: [m for m in ("scipy", "curvosc.numerics", "curvosc._lapack") if m in sys.modules]
 import curvosc.crs, curvosc.higgs, curvosc.transform, curvosc.special_functions, curvosc.params
-facts = {"after_models": [m for m in ("scipy", "curvosc.numerics", "curvosc._lapack")
-                          if m in sys.modules]}
-import curvosc.cli as cli, curvosc.verify, curvosc._lapack as lapack
+facts = {"after_models": solver()}
+import curvosc.cli as cli
+facts["after_cli"] = solver()
+import curvosc.verify, curvosc._lapack as lapack
 facts.update({"imported": [m for m in ("scipy", "scipy.linalg", "numpy.random",
                                        "numpy.polynomial") if m in sys.modules],
               "lapack_source": lapack.SOURCE,

@@ -326,17 +326,20 @@ class TestValidation:
         exact = crs.oscillator_energy((0, 10), PhysParams(lam=float(lam), omega=float(omega)))
         assert json.loads(text)["rows"][0][2] == pytest.approx(exact, rel=1e-9)
 
-    @pytest.mark.parametrize("model", [["higgs", "--mprime-max", "0"],
-                                       ["crs", "--mprime-max", "0"],
-                                       ["qes2", "--mprime-q", "1"]],
-                             ids=["higgs", "crs", "qes2"])
-    def test_n_max_past_the_grid_names_n_max(self, model, tmp_path, capsys):
-        # k = n_max + 1 above n/4 of the grid was blamed on the nu flags
-        code, text = run_to_file(tmp_path, "x.json",
-                                 ["spectrum", "--model", *model, "--n-max", "1000"])
-        assert code == 1 and text == ""
-        err = capsys.readouterr().err
-        assert err.startswith("error: --n-max must be at most ") and err.count("\n") == 1
+    @pytest.mark.parametrize("model,bound", [(["higgs", "--mprime-max", "0"], 999),
+                                             (["crs", "--mprime-max", "0"], 999),
+                                             (["qes1", "--l", "3", "--mprime-q", "1"], 499),
+                                             (["qes2", "--mprime-q", "1"], 499)],
+                             ids=["higgs", "crs", "qes1", "qes2"])
+    def test_n_max_past_the_grid_names_n_max(self, model, bound, tmp_path, capsys):
+        # k = n_max + 1 above n/4 of the grid was blamed on the nu flags; the
+        # first refused value and one far past it both print the bound
+        for n_max in sorted({bound + 1, 1000}):
+            code, text = run_to_file(tmp_path, "x.json",
+                                     ["spectrum", "--model", *model, "--n-max", str(n_max)])
+            assert code == 1 and text == ""
+            assert capsys.readouterr().err == (f"error: --n-max must be at most {bound} for "
+                                               f"spectrum --model {model[0]}, got {n_max}\n")
 
     def test_small_lambda_qes1_answers(self, tmp_path):
         # the state as a logarithm stays finite where its factors overflowed
@@ -645,6 +648,20 @@ class TestVerifyCommand:
         assert len(lines) == len(names) > 0
         for line, name in zip(lines, names):
             assert line.startswith(f"PASS flat-limit/{name}: ")
+
+    @pytest.mark.parametrize("model,name", [("higgs", "lam=0.1-mprime={}"),
+                                            ("crs", "natural-lam=0.1-mprimeq={}")],
+                             ids=["higgs", "crs"])
+    def test_spectrum_prints_what_verify_gates(self, model, name, tmp_path):
+        # one protocol: the CLI's largest relative error over N in each
+        # channel m' is, bit for bit, the measured value of verify's row
+        code, text = run_to_file(tmp_path, "x.json",
+                                 ["spectrum", "--model", model, "--lambda", "0.1"])
+        assert code == 0
+        rows = json.loads(text)["rows"]
+        measured = {c.name: c.measured for c in verify.run_suites([f"{model}-spectrum"])}
+        for mp in (0, 1, 2):
+            assert max(row[4] for row in rows if row[1] == mp) == measured[name.format(mp)]
 
     def test_determinism_byte_identical(self, tmp_path):
         args = ["verify", "--suite", "transform-closure", "--suite", "crs-model",

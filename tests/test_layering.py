@@ -4,7 +4,8 @@ Model modules sit at the bottom, the numerical oracle beside them, the
 problem builders and check suites above, and the CLI on top.  The LAPACK
 loader under the oracle imports no curvosc module, and neither does the
 package root, so importing a model module loads no solver.  An import that
-points upward fails this test."""
+points upward fails this test.  The CLI reaches the solver only through
+verify's spectrum protocol, so importing it loads no solver either."""
 
 import ast
 import inspect
@@ -58,6 +59,13 @@ def forbidden(module: str) -> set[str]:
 def test_no_upward_import(path):
     upward = imported_modules(path) & forbidden(path.stem)
     assert not upward, f"{path.name} imports {sorted(upward)} from a layer above it"
+
+
+def test_cli_imports_no_solver_name():
+    # the CLI formats verify.spectrum's rows; the protocol itself, with the
+    # builders and the oracle it calls, lives below the CLI
+    solver = imported_modules(SRC / "cli.py") & {"numerics", "problems", "_lapack"}
+    assert not solver, f"cli.py imports {sorted(solver)}"
 
 
 def test_parser_sees_relative_and_late_imports(tmp_path):
@@ -128,3 +136,10 @@ def test_model_modules_load_without_the_solver(startup):
     # crs, higgs, transform, special_functions and params, imported first in
     # a fresh interpreter, load neither scipy nor the oracle
     assert startup["after_models"] == []
+
+
+def test_cli_loads_without_the_solver(startup):
+    # a fresh import of the CLI, after the model modules, loads neither
+    # scipy nor the oracle; a spectrum or verify command loads the oracle
+    # through verify
+    assert startup["after_cli"] == []

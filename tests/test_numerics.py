@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from curvosc import crs, higgs, numerics
+from curvosc import crs, higgs, numerics, verify
 from curvosc.crs import QesSpec
 from curvosc.errors import (
     NodeDetectedError, NonpositiveWeightError, StateRangeError, UnresolvedError)
@@ -1092,12 +1092,9 @@ class TestSpectrumProtocols:
         ("higgs", 0.01), ("higgs", 0.001), ("crs", 0.01), ("crs", 0.001)])
     def test_small_curvature(self, model, lam):
         # wall exponents near 100 and 1000: d**sigma alone under/overflows
-        params = PhysParams(lam=lam)
-        build = higgs_oscillator_problem if model == "higgs" else crs_natural_problem
-        for mp in (0, 1, 2):
-            exact = np.array([crs.oscillator_energy((N, mp), params) for N in range(3)])
-            num = richardson_spectrum(build, mp, params, 3)
-            assert np.max(np.abs(num - exact) / exact) < 1e-5
+        rows = verify.spectrum(model, PhysParams(lam=lam), 3, (0, 1, 2))
+        assert [row[:2] for row in rows] == [[N, mp] for mp in (0, 1, 2) for N in range(3)]
+        assert max(row[4] for row in rows) < 1e-5
 
     def test_crs_eigenvector_matches_wavefunction(self):
         # |phi| (sin^2 convention) against the discretized eigenvector u of
