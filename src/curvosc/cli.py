@@ -7,7 +7,9 @@ digits, lowercase e), so identical configurations produce byte-identical
 files.  Units default to hbar = m = 1 with omega and lambda free.  The
 spectrum rows are verify.spectrum's; this module checks flags and formats.
 
-Exit codes: 0 success, 1 configuration error, 2 verify-suite failure.
+Exit codes: 0 success, 1 configuration error, 2 verify-suite failure.  An
+error is one line, `error: <message> (<flags>)`: the flags of the inputs
+that a CurvoscError blames, which this module alone names.
 """
 
 from __future__ import annotations
@@ -24,16 +26,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import crs, higgs, transform
-from .errors import (
-    NegativeRadiusError,
-    ParameterOverflowError,
-    PrecisionLossError,
-    SingularPointError,
-)
+from .errors import NegativeRadiusError, PrecisionLossError, SingularPointError, UnresolvedError
 from .params import PhysParams
 
 MODELS = ("higgs", "crs", "qes1", "qes2")
-_TOO_LARGE = "a flag is too large for floating point"
 _CLOSURE_GATE = 1e-12   # verify's transform-closure gate
 
 
@@ -89,6 +85,13 @@ def serialize_csv(columns: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _flag(name: str) -> str:
+    """The flag that sets an input, by the input's library name (as in
+    CurvoscError.inputs) or argparse dest: --lambda for lam, else the dest
+    with "-" for "_"."""
+    return "--lambda" if name == "lam" else "--" + name.replace("_", "-")
+
+
 def _validate(args) -> PhysParams:
     """The physical parameters of a table command, after checking its
     flags; the first failed check raises ValueError with the one line the
@@ -102,16 +105,15 @@ def _validate(args) -> PhysParams:
         raise ValueError("model qes1 requires --l")
     if l is not None and model != "qes1":
         raise ValueError("--l only applies to model qes1")
-    # a flag the model does not read is refused, not ignored
-    if args.mprime_q is not None and (model == "higgs" or (model, command) == ("crs", "spectrum")):
-        raise ValueError(f"--mprime-q does not apply to {command} --model {model}")
-    if model in ("qes1", "qes2") and getattr(args, "mprime_max", None) is not None:
-        raise ValueError(f"--mprime-max does not apply to {command} --model {model}")
-    if command == "wavefunction":
-        reads = {"higgs": ("N", "mprime"), "crs": ("N",)}.get(model, ())
-        for flag in ("N", "mprime"):
-            if getattr(args, flag) != 0 and flag not in reads:
-                raise ValueError(f"--{flag} does not apply to wavefunction --model {model}")
+    # a flag the model does not read is refused, not ignored: one given, or
+    # for --N and --mprime, whose default 0 cannot be told apart, one not 0
+    for dest, unset, unread in (
+            ("mprime_q", None, model == "higgs" or (model, command) == ("crs", "spectrum")),
+            ("mprime_max", None, model in ("qes1", "qes2")),
+            ("N", 0, command == "wavefunction" and model not in ("higgs", "crs")),
+            ("mprime", 0, command == "wavefunction" and model != "higgs")):
+        if unread and getattr(args, dest, unset) != unset:
+            raise ValueError(f"{_flag(dest)} does not apply to {command} --model {model}")
     needs_channel = model in ("qes1", "qes2") or (
         model == "crs" and command in ("potential", "wavefunction"))
     if needs_channel and args.mprime_q is None:
@@ -120,11 +122,10 @@ def _validate(args) -> PhysParams:
     if model in ("qes1", "qes2") and not args.mprime_q >= 0:
         raise ValueError(f"--mprime-q must be at least 0 for model {model}, "
                          f"got {args.mprime_q}")
-    for flag, dest, least in (("--n-max", "n_max", 0), ("--mprime-max", "mprime_max", 0),
-                              ("--N", "N", 0), ("--grid-n", "grid_n", 1)):
+    for dest, least in (("n_max", 0), ("mprime_max", 0), ("N", 0), ("grid_n", 1)):
         value = getattr(args, dest, None)
         if value is not None and value < least:
-            raise ValueError(f"{flag} must be at least {least}, got {value}")
+            raise ValueError(f"{_flag(dest)} must be at least {least}, got {value}")
     # the solver resolves at most n/4 levels of an n-point grid
     if command == "spectrum":
         from .verify import SPECTRUM_N
@@ -132,12 +133,10 @@ def _validate(args) -> PhysParams:
             raise ValueError(f"--n-max must be at most {SPECTRUM_N[model] // 4 - 1} for "
                              f"spectrum --model {model}, got {args.n_max}")
     params.require_curvature()
-    for flag, dest in (("--mass", "mass"), ("--hbar", "hbar"), ("--omega", "omega"),
-                       ("--lambda", "lam"), ("--mprime-q", "mprime_q"), ("--l", "l"),
-                       ("--grid-min", "grid_min"), ("--grid-max", "grid_max")):
+    for dest in ("mass", "hbar", "omega", "lam", "mprime_q", "l", "grid_min", "grid_max"):
         value = getattr(args, dest, None)
         if value is not None and not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value}")
+            raise ValueError(f"{_flag(dest)} must be finite, got {value}")
     return params
 
 
@@ -313,19 +312,20 @@ def main(argv=None) -> int:
             runner = {"spectrum": run_spectrum, "potential": run_potential,
                       "wavefunction": run_wavefunction,
                       "transform-check": run_transform_check}[args.command]
-            # a huge but finite flag shows as inf or nan in the table, which
-            # is refused below, so numpy's warnings about it are not wanted
+            # a value that no check caught shows as inf or nan in the table,
+            # which is refused below by its row, so numpy's warnings are not wanted
             with np.errstate(over="ignore", invalid="ignore"):
                 columns, rows = runner(args, params)
-            if not all(v is None or math.isfinite(v) for row in rows for v in row):
-                raise ParameterOverflowError("the table has non-finite entries")
+            keys = 2 if args.command == "spectrum" else 1
+            for row in rows:
+                if not all(v is None or math.isfinite(v) for v in row):
+                    at = ", ".join(f"{c} = {v:g}" for c, v in zip(columns, row[:keys]))
+                    raise UnresolvedError(f"the table row at {at} has non-finite entries")
     except (ValueError, OverflowError) as exc:
-        if isinstance(exc, OverflowError):
-            # Python float arithmetic raises where numpy returns inf
-            exc = _TOO_LARGE
-        elif isinstance(exc, ParameterOverflowError):
-            exc = f"{_TOO_LARGE}: {exc}"
-        print(f"error: {exc}", file=sys.stderr)
+        # Python float arithmetic raises OverflowError where numpy returns inf
+        line = "a flag is too large for floating point" if isinstance(exc, OverflowError) else exc
+        flags = ", ".join(map(_flag, getattr(exc, "inputs", ())))
+        print(f"error: {line}" + (f" ({flags})" if flags else ""), file=sys.stderr)
         return 1
 
     code = 0

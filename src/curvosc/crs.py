@@ -67,7 +67,7 @@ class QesSpec:
         d = params.delta
         beta = 2 * lam * (mprime_q + 1) + lam * d
         gamma = 2 * lam * mprime_q - lam * d
-        c_shift = params.kinetic * (lam * (finite_square("m'_Q", mprime_q) - 1)
+        c_shift = params.kinetic * (lam * (finite_square("mprime_q", mprime_q) - 1)
                                     + mprime_q * lam * d)
         return cls(A=A, B=B, C1=C1, C2=C2, beta=beta, gamma=gamma, c_shift=c_shift,
                    mprime_q=mprime_q)
@@ -140,7 +140,7 @@ def special_params(mprime_q: float, params: PhysParams) -> QesSpec:
                      * finite_square("omega", params.omega) / finite_square("hbar", params.hbar))
     beta = 2 * lam * (mprime_q + 1) + surd
     gamma = 2 * lam * mprime_q - surd
-    c_shift = kinetic * (lam * (finite_square("m'_Q", mprime_q) - 1) + mprime_q * surd)
+    c_shift = kinetic * (lam * (finite_square("mprime_q", mprime_q) - 1) + mprime_q * surd)
     return QesSpec(A=-4 * lam, B=0.0, C1=1.0, C2=0.0, beta=beta, gamma=gamma,
                    c_shift=c_shift, mprime_q=mprime_q)
 
@@ -214,7 +214,7 @@ def _special_terms(mprime_q: float, params: PhysParams, x):
     """Theta and the terms of crs_potential_special: (1/2) m omega^2 (tan
     Theta / sqrt(lam))^2, lam hbar^2/8m and (1 - 4 m'^2) csc^2 Theta."""
     lam = params.require_curvature()
-    coeff = 1 - 4 * finite_square("m'_Q", mprime_q)
+    coeff = 1 - 4 * finite_square("mprime_q", mprime_q)
     at_origin = np.asarray(x, float) == 0
     if coeff != 0 and np.any(at_origin):
         raise SingularPointError("csc^2 Theta diverges at x = 0")

@@ -60,7 +60,7 @@ def higgs_radial_zeroth(mprime: int | float, params: PhysParams, r):
     if np.any(r == 0):
         raise SingularPointError("radial coefficients singular at r = 0")
     lam = params.lam
-    lam2, mp2 = finite_square("lam", lam), finite_square("m'", mprime)
+    lam2, mp2 = finite_square("lam", lam), finite_square("mprime", mprime)
     return -params.kinetic * (3 * lam - lam * mp2 + 3.75 * lam2 * r * r - mp2 / (r * r))
 
 

@@ -9,22 +9,23 @@ from .errors import NonpositiveCurvatureError, NonpositiveParameterError, Parame
     ParameterUnderflowError
 
 
-# the command-line flags of nu = 2m omega/(hbar lam), for a message that names it
-NU_FLAGS = "from --lambda, --omega, --mass and --hbar"
+# the inputs that nu = 2m omega/(hbar lam) is formed from
+NU_INPUTS = ("lam", "omega", "mass", "hbar")
 
 
 def require_positive(name: str, value: float) -> None:
     """Reject a parameter that must be positive but is zero, negative or nan."""
     if not (value > 0):
-        raise NonpositiveParameterError(f"{name} must be positive, got {value}")
+        raise NonpositiveParameterError(f"{name} must be positive, got {value}", (name,))
 
 
-def finite_square(name: str, value: float) -> float:
+def finite_square(name: str, value: float, inputs: tuple[str, ...] | None = None) -> float:
     """value * value, rejecting a parameter without a finite square (float
-    ** would raise Python's bare OverflowError instead)."""
+    ** would raise Python's bare OverflowError instead).  The error blames
+    inputs, by default the input that name is."""
     square = value * value
     if not math.isfinite(square):
-        raise ParameterOverflowError(f"{name} = {value:g} has no finite square")
+        raise ParameterOverflowError(f"{name} = {value:g} has no finite square", inputs or (name,))
     return square
 
 
@@ -49,7 +50,7 @@ class PhysParams:
     def require_curvature(self) -> float:
         """Return lam, rejecting lam <= 0."""
         if not (self.lam > 0):
-            raise NonpositiveCurvatureError(f"operation requires lam > 0, got {self.lam}")
+            raise NonpositiveCurvatureError(f"operation requires lam > 0, got {self.lam}", ("lam",))
         return self.lam
 
     @property
@@ -58,7 +59,8 @@ class PhysParams:
         (2^-1022) the operators lose their derivative terms."""
         f = finite_square("hbar", self.hbar) / (2 * self.mass)
         if not f >= 2.0 ** -1022:
-            raise ParameterUnderflowError(f"hbar = {self.hbar:g} is too small: hbar^2/2m = {f:g}")
+            raise ParameterUnderflowError(f"hbar = {self.hbar:g} is too small: hbar^2/2m = {f:g}",
+                                          ("hbar", "mass"))
         return f
 
     @property
@@ -85,5 +87,5 @@ class PhysParams:
         unit = lam * self.kinetic
         # a nu below the floats acts as 0, and so does their least positive value
         nu = max(2 * self.mass * self.omega / (lam * self.hbar), math.ulp(0.0))
-        finite_square(f"nu = 2m omega/(hbar lam) ({NU_FLAGS})", nu)
+        finite_square("nu = 2m omega/(hbar lam)", nu, NU_INPUTS)
         return PhysParams(mass=0.5, hbar=1.0, omega=nu, lam=1.0), unit

@@ -51,7 +51,8 @@ def hyp2f1_terminating(N: int, b: float, c: float, z):
     """
     N = radial_quantum_number(N)
     if N > MAX_SERIES_N:
-        raise QuantumNumberError(f"N must be at most {MAX_SERIES_N} in a wavefunction, got {N}")
+        raise QuantumNumberError(f"N must be at most {MAX_SERIES_N} in a wavefunction, got {N}",
+                                 ("N",))
     a = b - N
     if not (a > 0 and c > 0):
         raise SeriesDomainError(f"the series needs b > N and c > 0, got N={N}, b={b}, c={c}")

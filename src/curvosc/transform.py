@@ -69,7 +69,7 @@ def curvature_shift(mprime_q: float, params: PhysParams, r):
     (lam hbar^2/8m) [1 + (1 - 4 m'_Q^2)(1 + 1/(lam r^2))].
     """
     lam = params.require_curvature()
-    coeff = 1 - 4 * finite_square("m'_Q", mprime_q)
+    coeff = 1 - 4 * finite_square("mprime_q", mprime_q)
     r = np.asarray(r, float)
     if np.any(r <= 0):
         raise SingularPointError(f"potential needs r > 0, got {np.min(r)}")

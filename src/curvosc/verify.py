@@ -32,8 +32,8 @@ from .numerics import (
     residual_norm,
     richardson_eigenvalues,
 )
-from .errors import SingularPointError, UnresolvedError
-from .params import NU_FLAGS, PhysParams, finite_square, require_positive
+from .errors import CurvoscError, SingularPointError
+from .params import NU_INPUTS, PhysParams, finite_square, require_positive
 from .special_functions import gudermannian, hyp2f1_terminating, theta_of_x, upsilon_of_r
 
 _WALLS = (None, None)
@@ -83,25 +83,30 @@ def spectrum(model: str, params: PhysParams, k: int, mprimes,
     """Rows [N, m', E_analytic, E_numeric, relative_error] of the lowest k levels of model
     in each channel m' of mprimes, on SPECTRUM_N[model] points: for higgs and crs the
     Richardson pair against oscillator_energy((N, m')); for qes1 and qes2 one grid, mprimes
-    holding spec's m'_Q, whose ground state alone has a closed form, its Rayleigh quotient."""
+    holding spec's m'_Q, whose ground state alone has a closed form, its Rayleigh quotient.
+    An error of a solve that blames no input blames every input the solve reads: nu's
+    four (and the message gives nu), for QES also m'_Q and l."""
     n, rows = SPECTRUM_N[model], []
     build = {"higgs": problems.higgs_oscillator_problem,
              "crs": problems.crs_natural_problem}.get(model)
-    for mp in mprimes:
-        if build is not None:
-            try:
+    reads = NU_INPUTS + {"qes1": ("mprime_q", "l"), "qes2": ("mprime_q",)}.get(model, ())
+    try:
+        for mp in mprimes:
+            if build is not None:
                 numeric = problems.richardson_spectrum(build, mp, params, k, n)
-            except UnresolvedError as exc:
-                raise UnresolvedError(f"{exc} at nu = 2m omega/(hbar lam) = "
-                                      f"{params.canonical()[0].omega:g}, {NU_FLAGS}") from exc
-            analytic = [float(crs.oscillator_energy((N, mp), params)) for N in range(k)]
-        else:
-            numeric = lowest_eigenvalues(problems.qes_channel_problem(mp, spec, params, n), k)
-            E0, _ = rayleigh_quotient(problems.qes_rayleigh_problem(spec, params),
-                                      lambda r: higgs.qes_groundstate(spec, params, r))
-            analytic = [float(E0)] + [None] * (len(numeric) - 1)
-        for N, (ea, en) in enumerate(zip(analytic, numeric)):
-            rows.append([N, mp, ea, float(en), None if ea is None else abs(en - ea) / abs(ea)])
+                analytic = [float(crs.oscillator_energy((N, mp), params)) for N in range(k)]
+            else:
+                numeric = lowest_eigenvalues(problems.qes_channel_problem(mp, spec, params, n), k)
+                E0, _ = rayleigh_quotient(problems.qes_rayleigh_problem(spec, params),
+                                          lambda r: higgs.qes_groundstate(spec, params, r))
+                analytic = [float(E0)] + [None] * (len(numeric) - 1)
+            for N, (ea, en) in enumerate(zip(analytic, numeric)):
+                rows.append([N, mp, ea, float(en), None if ea is None else abs(en - ea) / abs(ea)])
+    except CurvoscError as exc:
+        if exc.inputs:
+            raise
+        at = f" at nu = 2m omega/(hbar lam) = {params.canonical()[0].omega:g}" if build else ""
+        raise type(exc)(f"{exc}{at}", reads) from exc
     return rows
 
 
@@ -322,7 +327,7 @@ def _example1_potential_printed(l: float, mprime_q: float, params: PhysParams, r
     su, cu = np.sin(u), np.cos(u)
     hbar2 = finite_square("hbar", params.hbar)
     hm = hbar2 / (8 * params.mass)
-    t1 = (hm * (1 - 4 * finite_square("m'_Q", mprime_q)) / (r * r)
+    t1 = (hm * (1 - 4 * finite_square("mprime_q", mprime_q)) / (r * r)
           + hm * lam * (2 * (4 * mprime_q + 3) + 4 * (mprime_q + 1) * d))
     t2 = -(lam * hbar2 / (4 * params.mass * l * l)) * (
         10 + 8 * mprime_q * (mprime_q + 2) + 8 * (mprime_q + 1) * d

@@ -1,7 +1,9 @@
+import argparse
 import ctypes
 import gc
 import json
 import platform
+import re
 import resource
 import types
 import warnings
@@ -22,6 +24,9 @@ from curvosc.params import PhysParams
 def load_schema():
     with resources.files("curvosc").joinpath("schemas/output.schema.json").open() as fh:
         return json.load(fh)
+
+
+NO_SQUARE_MQ = "mprime_q = 1e+200 has no finite square (--mprime-q)"
 
 
 def run_to_file(tmp_path: Path, name: str, args: list[str]) -> tuple[int, str]:
@@ -158,7 +163,7 @@ class TestValidation:
         code, text = run_to_file(tmp_path, "x.json", args + (
             [] if command == "spectrum" else ["--grid-n", "2"]))
         assert code == 1 and text == ""
-        assert capsys.readouterr().err == f"error: l must be positive, got {float(l)}\n"
+        assert capsys.readouterr().err == f"error: l must be positive, got {float(l)} (--l)\n"
 
     def test_negative_crs_channel_is_accepted(self, tmp_path):
         # the crs potential depends on m'_Q only through m'_Q^2
@@ -286,7 +291,8 @@ class TestValidation:
         code, text = run_to_file(tmp_path, "x.json",
                                  ["spectrum", "--model", *model, "--hbar", "1e-200"])
         assert code == 1 and text == ""
-        assert capsys.readouterr().err == "error: hbar = 1e-200 is too small: hbar^2/2m = 0\n"
+        assert capsys.readouterr().err == \
+            "error: hbar = 1e-200 is too small: hbar^2/2m = 0 (--hbar, --mass)\n"
 
     @pytest.mark.parametrize("lam", ["10", "1e4", "1e8", "1e9", "1e145"])
     def test_crs_error_stays_flat_above_unit_curvature(self, lam, tmp_path):
@@ -311,8 +317,9 @@ class TestValidation:
                                                           "--mprime-q", "1", "--lambda", "1e-3"])
         assert code == 1 and text == ""
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert capsys.readouterr().err == \
-            "error: psi is zero or not finite on the Rayleigh quotient's points\n"
+        assert capsys.readouterr().err == (
+            "error: psi is zero or not finite on the Rayleigh quotient's points "
+            "(--lambda, --omega, --mass, --hbar, --mprime-q)\n")
 
     def test_large_rayleigh_state_answers(self, tmp_path):
         # the state reaches 9.7e194 on the Rayleigh window: its square
@@ -355,8 +362,8 @@ class TestValidation:
                               ["spectrum", "--model", "higgs", "--lambda", "1e-6"])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: assembled system has non-finite entries at nu = 2m omega/(hbar lam) = 2e+06, "
-            "from --lambda, --omega, --mass and --hbar\n")
+            "error: assembled system has non-finite entries at nu = 2m omega/(hbar lam) = 2e+06 "
+            "(--lambda, --omega, --mass, --hbar)\n")
 
     @pytest.mark.parametrize("args,error", [
         (["crs", "--lambda", "1e-200"], ParameterOverflowError),
@@ -399,7 +406,7 @@ class TestValidation:
                                                       "--N", "1000000000", "--grid-n", "2"])
         assert code == 1 and text == ""
         assert capsys.readouterr().err == \
-            "error: N must be at most 1000 in a wavefunction, got 1000000000\n"
+            "error: N must be at most 1000 in a wavefunction, got 1000000000 (--N)\n"
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--mass", "0", "mass must be positive, got 0.0"),
@@ -412,7 +419,7 @@ class TestValidation:
         code, text = run_to_file(tmp_path, "x.json",
                                  ["spectrum", "--model", "higgs", flag, value])
         assert code == 1 and text == ""
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message} ({flag})\n"
 
     @pytest.mark.parametrize("args,flag", [
         (["potential", "--model", "crs", "--mprime-q", "1", "--grid-max", "nan"], "--grid-max"),
@@ -428,25 +435,26 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} must be finite, got ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("args", [
-        ["transform-check", "--mprime-q", "1e200"],
-        ["potential", "--model", "crs", "--mprime-q", "1e200", "--grid-n", "2"],
-        ["potential", "--model", "qes1", "--l", "3", "--mprime-q", "1e200", "--grid-n", "2"],
-        ["spectrum", "--model", "qes2", "--mprime-q", "1e200"],
-        ["potential", "--model", "qes2", "--mprime-q", "1e200", "--grid-n", "2"],
-        ["wavefunction", "--model", "crs", "--mprime-q", "1e200", "--grid-n", "2"],
-        ["potential", "--model", "higgs", "--grid-max", "1e200", "--grid-n", "2"],
+    @pytest.mark.parametrize("args,line", [
+        (["transform-check", "--mprime-q", "1e200"], NO_SQUARE_MQ),
+        (["potential", "--model", "crs", "--mprime-q", "1e200", "--grid-n", "2"], NO_SQUARE_MQ),
+        (["potential", "--model", "qes1", "--l", "3", "--mprime-q", "1e200", "--grid-n", "2"],
+         NO_SQUARE_MQ),
+        (["spectrum", "--model", "qes2", "--mprime-q", "1e200"], NO_SQUARE_MQ),
+        (["potential", "--model", "qes2", "--mprime-q", "1e200", "--grid-n", "2"], NO_SQUARE_MQ),
+        (["wavefunction", "--model", "crs", "--mprime-q", "1e200", "--grid-n", "2"],
+         "the table row at coordinate = 5 has non-finite entries"),
+        (["potential", "--model", "higgs", "--grid-max", "1e200", "--grid-n", "2"],
+         "the table row at coordinate = 1e+200 has non-finite entries"),
     ], ids=["transform-check", "crs-potential", "qes1-potential", "qes2-spectrum",
             "qes2-potential", "crs-wavefunction", "higgs-potential"])
-    def test_huge_finite_flag_is_one_error_line(self, args, tmp_path, capsys):
+    def test_huge_finite_flag_is_one_error_line(self, args, line, tmp_path, capsys):
         # the first four raised a raw OverflowError, the last three printed
-        # tables of nan or inf and exited 0
+        # tables of nan or inf and exited 0; a table value that no formula
+        # refuses names its row, not a flag
         code, _ = run_to_file(tmp_path, "x.json", args)
         assert code == 1 and not (tmp_path / "x.json").exists()
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: a flag is too large for floating point")
-        assert err.count("\n") == 1
+        assert capsys.readouterr() == ("", f"error: {line}\n")
 
     @pytest.mark.parametrize("args", [
         ["spectrum", "--model", "qes1", "--l", "3", "--mprime-q", "1"],
@@ -469,6 +477,77 @@ class TestValidation:
         monkeypatch.setattr(cli, "run_potential", broken)
         with pytest.raises(RuntimeError, match="bug in a runner"):
             run_to_file(tmp_path, "x.json", ["potential", "--model", "higgs"])
+
+
+# every command of CI's one-error-line list (.github/workflows/tests.yml)
+# and those that named no flag or blamed one the user did not set
+ERROR_LINES = [line.strip() for line in """
+    transform-check --mprime-q 1e200
+    transform-check --mprime-q 0 --lambda 1e16
+    potential --model crs --mprime-q 1e200 --grid-n 2
+    potential --model qes1 --l 3 --mprime-q 1e200 --grid-n 2
+    spectrum --model qes2 --mprime-q 1e200
+    potential --model qes2 --mprime-q 1e200 --grid-n 2
+    wavefunction --model crs --mprime-q 1e200 --grid-n 2
+    potential --model higgs --grid-max 1e200 --grid-n 2
+    potential --model higgs --grid-n 2 --output /nonexistent/dir/x.json
+    spectrum --model higgs --mprime-q 1
+    potential --model higgs --mprime-q 1 --grid-n 2
+    wavefunction --model higgs --mprime-q 1 --grid-n 2
+    spectrum --model crs --lambda 0.1 --mprime-q 1
+    wavefunction --model qes1 --l 3 --mprime-q 1 --N 1 --grid-n 2
+    wavefunction --model qes2 --mprime-q 1 --mprime 1 --grid-n 2
+    wavefunction --model crs --mprime-q 0 --mprime 1 --grid-n 2
+    spectrum --model qes1 --l 3 --mprime-q 1 --mprime-max 0
+    potential --model qes1 --l -3 --mprime-q 1 --grid-n 2
+    potential --model qes1 --l 0 --mprime-q 1 --grid-n 2
+    wavefunction --model higgs --N 1000000000 --grid-n 2
+    spectrum --model crs --hbar 1e-200
+    spectrum --model qes2 --mprime-q 1 --lambda 1e-3
+    potential --model qes2 --mprime-q 1 --omega 1e200 --grid-n 2
+    spectrum --model qes1 --l 3 --mprime-q 1 --omega 1e200
+    spectrum --model qes1 --l 1e4 --mprime-q 1
+    spectrum --model qes1 --l 1e10 --mprime-q 1
+    wavefunction --model qes1 --l 3 --mprime-q 1 --grid-n 2
+    potential --model qes2 --mprime-q 1 --grid-min 0 --grid-n 2
+    spectrum --model crs --lambda 1e-200
+    spectrum --model higgs --lambda 0.001 --omega 1.65
+    spectrum --model higgs --n-max 1000 --mprime-max 0
+    spectrum --model qes1 --l 3 --mprime-q 1 --n-max 500
+    spectrum --model higgs --lambda 1e-6
+    wavefunction --model qes1 --l 3 --mprime-q 1 --lambda 1e-4
+    wavefunction --model qes2 --mprime-q 1 --lambda 1e-5
+""".strip().splitlines()]
+
+
+class TestErrorLines:
+    @pytest.mark.parametrize("command", ERROR_LINES)
+    def test_one_line_names_what_caused_it(self, command, capsys):
+        # 16 of CI's 31 flag errors named none of the command's flags, and a
+        # tiny --lambda was blamed as "a flag is too large for floating point":
+        # each line names a flag the command sets, its table row or its output
+        argv = command.split()
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", err)) & set(argv)
+        row = err.startswith("error: the table row at ")
+        path = "--output" in argv and \
+            err.startswith(f"error: cannot write {argv[argv.index('--output') + 1]}: ")
+        assert named or row or path, err
+
+    @pytest.mark.parametrize("name", ["mass", "hbar", "omega", "lam", "mprime_q", "l", "N"])
+    def test_each_input_is_written_as_its_flag(self, name):
+        # an error's inputs are the parser's dests; cli._flag writes each as
+        # the option that sets it
+        sub, = (a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert (name, cli._flag(name)) in {(a.dest, option) for p in sub.choices.values()
+                                           for a in p._actions for option in a.option_strings}
+
+    def test_covers_the_ci_list(self):
+        workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+        listed = re.search(r"done <<'EOF'\n(.*?)\n *EOF", workflow.read_text(), re.S)
+        assert {line.strip() for line in listed.group(1).splitlines()} <= set(ERROR_LINES)
 
 
 class TestTables:

@@ -58,7 +58,7 @@ class TestSpecialParams:
         with pytest.raises(ParameterUnderflowError,
                            match=f"^hbar = {hbar:g} is too small: hbar\\^2/2m = {kinetic}$") as exc:
             crs.special_params(1.0, PhysParams(hbar=hbar))
-        assert isinstance(exc.value, CurvoscError)
+        assert isinstance(exc.value, CurvoscError) and exc.value.inputs == ("hbar", "mass")
 
     def test_rejects_flat(self):
         with pytest.raises(NonpositiveCurvatureError):

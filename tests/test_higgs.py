@@ -30,7 +30,7 @@ class TestPhysParams:
         with pytest.raises(NonpositiveParameterError,
                            match=f"^{field} must be positive, got {value}$") as exc:
             PhysParams(**{field: value})
-        assert isinstance(exc.value, CurvoscError)
+        assert isinstance(exc.value, CurvoscError) and exc.value.inputs == (field,)
 
 
 BIG = 1e200
@@ -40,11 +40,11 @@ SQUARES_A_PARAMETER = {
     "crs_operator_coefficients": (
         lambda: crs.crs_operator_coefficients(PhysParams(hbar=BIG), 1.0), "hbar"),
     "crs_potential_special-mprime_q": (
-        lambda: crs.crs_potential_special(BIG, UNIT, 0.5), "m'_Q"),
+        lambda: crs.crs_potential_special(BIG, UNIT, 0.5), "mprime_q"),
     "crs_potential_special-omega": (
         lambda: crs.crs_potential_special(0.5, PhysParams(omega=BIG), 0.5), "omega"),
     "map_potential-mprime_q": (
-        lambda: transform.map_potential(BIG, UNIT, lambda x: 0 * x, 1.0), "m'_Q"),
+        lambda: transform.map_potential(BIG, UNIT, lambda x: 0 * x, 1.0), "mprime_q"),
     "map_potential-hbar": (
         lambda: transform.map_potential(0.5, PhysParams(hbar=BIG), lambda x: 0 * x, 1.0),
         "hbar"),
@@ -52,13 +52,13 @@ SQUARES_A_PARAMETER = {
         lambda: higgs.oscillator_potential(PhysParams(omega=BIG), 1.0), "omega"),
     "special_params": (lambda: crs.special_params(1.0, PhysParams(omega=BIG)), "omega"),
     "example1-l": (lambda: crs.QesSpec.example1(BIG, 1.0, UNIT), "l"),
-    "example2-mprime_q": (lambda: crs.QesSpec.example2(BIG, UNIT), "m'_Q"),
+    "example2-mprime_q": (lambda: crs.QesSpec.example2(BIG, UNIT), "mprime_q"),
     "example2-hbar": (lambda: crs.QesSpec.example2(1.0, PhysParams(hbar=BIG)), "hbar"),
     "potential_general": (lambda: crs.potential_general(
         crs.QesSpec.example2(1.0, UNIT), PhysParams(hbar=BIG), 0.5), "hbar"),
     "qes_potential-mprime_q": (lambda: higgs.qes_potential(
         dataclasses.replace(crs.QesSpec.example1(3.0, 1.0, UNIT), mprime_q=BIG), UNIT, 0.5),
-        "m'_Q"),
+        "mprime_q"),
     "qes_potential-omega": (lambda: higgs.qes_potential(
         crs.QesSpec.example2(1.0, PhysParams(omega=BIG)), PhysParams(omega=BIG), 0.5), "omega"),
     "qes_potential-hbar": (lambda: higgs.qes_potential(
@@ -66,7 +66,7 @@ SQUARES_A_PARAMETER = {
     "higgs_radial_coefficients-hbar": (
         lambda: higgs.higgs_radial_coefficients(0, PhysParams(hbar=BIG), 0.5), "hbar"),
     "higgs_radial_coefficients-mprime": (
-        lambda: higgs.higgs_radial_coefficients(BIG, UNIT, 0.5), "m'"),
+        lambda: higgs.higgs_radial_coefficients(BIG, UNIT, 0.5), "mprime"),
 }
 
 
@@ -76,8 +76,10 @@ def test_overflowing_square_names_the_parameter(case):
     # of range') in each of these
     call, name = SQUARES_A_PARAMETER[case]
     with pytest.raises(ParameterOverflowError,
-                       match=f"^{re.escape(name)} = 1e\\+200 has no finite square$"):
+                       match=f"^{re.escape(name)} = 1e\\+200 has no finite square$") as exc:
         call()
+    # the error blames the input by its library name
+    assert exc.value.inputs == (name,)
 
 
 class TestOscillatorPotential:

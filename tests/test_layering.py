@@ -5,10 +5,12 @@ problem builders and check suites above, and the CLI on top.  The LAPACK
 loader under the oracle imports no curvosc module, and neither does the
 package root, so importing a model module loads no solver.  An import that
 points upward fails this test.  The CLI reaches the solver only through
-verify's spectrum protocol, so importing it loads no solver either."""
+verify's spectrum protocol, so importing it loads no solver either, and it
+alone writes the command-line flags that an error blames."""
 
 import ast
 import inspect
+import re
 from fnmatch import fnmatch
 from pathlib import Path
 
@@ -115,6 +117,29 @@ def test_problems_read_the_ground_state_only_to_close_an_end():
     builder, = (f for f in tree.body if getattr(f, "name", "") == "qes_channel_problem")
     nested = [f for f in ast.walk(builder) if isinstance(f, ast.FunctionDef) and f is not builder]
     assert reads(tree) == sum(map(reads, nested)) > 0
+
+
+def flag_literals(path: Path) -> set[str]:
+    """The string literals of a source file, f-string parts and docstrings
+    included, that hold a command-line flag: "--" and a letter, not inside a word."""
+    return {node.value for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and re.search(r"(?<![\w-])--[A-Za-z]", node.value)}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "cli.py"),
+                         ids=lambda p: p.name)
+def test_only_the_cli_names_a_flag(path):
+    # an error below the CLI names its inputs by their library names
+    # (CurvoscError.inputs), and cli.main alone writes them as flags
+    assert not flag_literals(path), f"{path.name} holds a command-line flag"
+
+
+def test_flag_literals_include_fstring_parts(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text('a = f"{x} from --lambda"\nb = "--mass"\nc = "x---omega"\n'
+                      'd = "2 -- 1"\n')
+    assert flag_literals(sample) == {" from --lambda", "--mass"}
 
 
 def public_functions(module) -> set[str]:

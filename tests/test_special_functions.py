@@ -109,8 +109,9 @@ class TestHyp2F1:
 
     def test_rejects_n_above_the_cap(self):
         hyp2f1_terminating(MAX_SERIES_N, MAX_SERIES_N + 2.0, 1.0, 0.5)
-        with pytest.raises(QuantumNumberError, match=f"at most {MAX_SERIES_N}"):
+        with pytest.raises(QuantumNumberError, match=f"at most {MAX_SERIES_N}") as exc:
             hyp2f1_terminating(MAX_SERIES_N + 1, MAX_SERIES_N + 3.0, 1.0, 0.5)
+        assert exc.value.inputs == ("N",)
 
 
 # every formula that takes a radial quantum number N, called at (N, m' = 1)
