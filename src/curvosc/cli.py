@@ -227,8 +227,8 @@ def _steady_heap() -> None:
     otherwise hand each system's short-lived arrays back to the kernel and
     fault them in again for the next.  The mmap threshold lies above the
     largest array of one system (0.8 MB, the k = 50 float32 coarse block),
-    the trim threshold above what one command frees at once (1.8 MB for an
-    8001-point assembly, 2.6 MB for a 50-level spectrum)."""
+    the trim threshold above what one command frees at once (1.5 MB for an
+    8001-point assembly, 2.3 MB for a 50-level spectrum)."""
     import platform
     tunables = os.getenv("GLIBC_TUNABLES", "")
     if platform.libc_ver()[0] == "glibc" and "glibc.malloc." not in tunables \

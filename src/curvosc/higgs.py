@@ -97,14 +97,15 @@ def qes_branch_radius(spec: QesSpec, params: PhysParams) -> float:
     """Radius of the first zero of X_Theta below the equator, the transplanted potential's
     first sec pole, where its channel problems end: tan(pi/l)/sqrt(lam) for cos(l Theta).
     An A > 0 solution without one (sqrt(lam) x) ends at the equator: inf.  An A < 0 one
-    without (cos(l Theta), 0 < l <= 2) has no pole to end on: InfiniteBranchError."""
+    without (cos(l Theta), 0 < l <= 2) has no pole to end on: InfiniteBranchError, whose
+    input is l, as that branch depends on l alone."""
     u, t0 = spec.branch(params)
     if t0 / u < math.pi / 2:
         return math.tan(t0 / u) / math.sqrt(params.lam)
     if spec.A > 0:
         return math.inf
     raise InfiniteBranchError("X_Theta has no zero below the equator, so the channel has "
-                              "no finite branch (cos(l Theta) needs l > 2)")
+                              "no finite branch (cos(l Theta) needs l > 2)", ("l",))
 
 
 def qes_potential(spec: QesSpec, params: PhysParams, r):

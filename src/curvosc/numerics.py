@@ -65,7 +65,10 @@ neither numpy.polynomial nor a dense numpy.linalg eigensolve, and are at
 least as accurate as numpy's leggauss (CHANGES.md, "Import only what
 runs").  A problem hands out q and w from one evaluation, qw(t) -> (q,
 w), called once per system on the points outside the corner cells and
-all corner nodes in one flat array.
+all corner nodes in one flat array.  Only what is read after that call
+lives through it: the flat array, each corner's rows, node cells and
+weights (the rest of a corner dies in _corner) and p times the face
+factors.
 
 All three changes keep K symmetric (the face factors multiply the same
 difference in both adjacent rows; a boundary face has one row only).  The
@@ -99,15 +102,15 @@ more time per pair (CHANGES.md, "Richardson pairs are cheaper").  A guess
 grid of more than n/2 points would cost about as much as the bisection
 it replaces, so the solve falls back at once.  Every solve takes its
 guesses by one rule: the guess grid is bisected to the loose tolerance
-tol = sqrt(eps) ||T_g||, T_g the guess grid's standard form, and again to
-the default tolerance where two guesses lie within 4 tol of each other,
-since the polish fails from guesses that close (same entry).  That
-re-bisection runs for 30 of 102 solvable k = 50 pairs at n = 4000, all
-at lam <= 0.03, and for none at k = 3 (CHANGES.md, "numerics states each
-rule once").  ||T_g|| grows like 1/h_g^2, so tol is 4-256 times smaller
-than that of a pair's own coarse grid, which could not separate the
-lowest gaps of the planar Dirichlet reference or of the channels at
-lam <= 0.01.  On the single grids the rule certifies all that a
+tol = sqrt(eps) ||T_g||, T_g the guess grid's standard form, and once any
+two guesses lie within 4 tol of each other, the whole guess set is
+bisected again to the default tolerance, since the polish fails from
+guesses that close (same entry).  ||T_g|| grows like 1/h_g^2, so tol is
+4-256 times smaller than that of a pair's own coarse grid, which could not
+separate the lowest gaps of the planar Dirichlet reference or of the
+channels at large nu = 2m omega/(hbar lam).  How often the re-bisection
+runs is a reading, kept in CHANGES.md ("numerics states each rule once"
+and its satellites).  On the single grids the rule certifies all that a
 default-tolerance bisection of the guess grid certified, and moves their
 values by a small part of the certificate radii
 (BENCH_2026-10-20-one-guess-rule.json, "guess_rule_sweep").
@@ -283,50 +286,27 @@ def assemble(problem: SturmLiouvilleProblem) -> tuple[np.ndarray, np.ndarray, np
     n, h = grid.n, grid.h
     x, xf = grid.points(), grid.faces()
     pf = np.asarray(problem.p(xf), float)
+    if np.any(pf <= 0):
+        raise NonpositiveWeightError("leading coefficient p must be positive at faces")
 
     g = np.full(n + 1, 1.0 / h)       # face derivative factors
     sampled = np.ones(n, bool)        # points whose q, w are not cell averages
     nodes, corners = [], []
     for side, rule in enumerate(problem.bc):
-        if rule is None:
-            continue
-        m = min(max(40, n // 5), n)   # corrected cells
-        # the corner in its own outward frame: cells i nearest it first, each
-        # correcting its face toward it, s the outward sign.  Each face term
-        # is divided through by phi(x_i) of its own cell, so its ratios stay
-        # O(1) for any sigma, and x_i's own ratio is one
-        i = np.arange(m) if side == 0 else np.arange(n - 1, n - 1 - m, -1)
-        face, s = i + side, 1 - 2 * side    # face j lies between x_{j-1} and x_j
-        mid, half = 0.5 * (xf[i + 1] + xf[i]), 0.5 * (xf[i + 1] - xf[i])
-        # all nodes of the corner in one flat array: node k lies in cell
-        # cell[k] and takes row[k] of the concatenated rule tables
-        rung = _rungs(rule, mid, half)
-        count = np.asarray(_ORDERS)[rung]
-        cell = np.repeat(np.arange(i.size), count)
-        row = np.arange(cell.size) + np.repeat(_FIRST[rung] - np.cumsum(count) + count, count)
-        t = mid[cell] + half[cell] * _NODES[row]
-        # the profile once per point: the corner's grid points, faces and nodes
-        v, slope = rule.sample(np.concatenate([x[i], xf[face], t]))
-        vx, vf, vt = np.split(v, [m, 2 * m])
-        flux = s * slope[m:2 * m] * rule.sample_ratio(vf, vx)
-        del slope               # not held through the cell weights below
-        # dp = 1 - phi(nearer point)/phi(x_i), the ratio 0 at the wall
-        dp = 1.0 - np.concatenate([[0.0], rule.sample_ratio(vx[:-1], vx[1:])])
-        g[face] = np.divide(flux, dp, out=g[face], where=dp != 0)
-        f = rule.sample_ratio(vt, vx[cell]) * (half / h)[cell] * _WEIGHTS[row]
-        sampled[i] = False
-        nodes.append(t)
-        corners.append((i, cell, f))
+        if rule is not None:
+            i, t, cell, f = _corner(rule, side, x, xf, h, g)
+            sampled[i] = False
+            nodes.append(t)
+            corners.append((i, cell, f))
 
     # one qw call per system, on the sampled points and all nodes; the
-    # corners' own node arrays go once the flat one holds them
+    # points, faces, p and the corners' own node arrays go before it
     t = np.concatenate([x[sampled], *nodes])
-    nodes.clear()
+    g *= pf                           # p times each face's derivative factor
+    del x, xf, pf, nodes
     qv, wv = (np.asarray(v, float) for v in problem.qw(t))
     if np.any(wv <= 0):
         raise NonpositiveWeightError("weight w must be positive on the interior")
-    if np.any(pf <= 0):
-        raise NonpositiveWeightError("leading coefficient p must be positive at faces")
     qi, wi, at = np.empty(n), np.empty(n), np.count_nonzero(sampled)
     qi[sampled], wi[sampled] = qv[:at], wv[:at]
     for i, cell, f in corners:
@@ -334,9 +314,44 @@ def assemble(problem: SturmLiouvilleProblem) -> tuple[np.ndarray, np.ndarray, np
         wi[i] = np.bincount(cell, wv[at:at + cell.size] * f, minlength=i.size)
         at += cell.size
 
-    d = ((pf[:-1] * g[:-1] + pf[1:] * g[1:]) / h + qi) / wi
-    e = -pf[1:-1] * g[1:-1] / h / np.sqrt(wi[:-1] * wi[1:])
+    d = ((g[:-1] + g[1:]) / h + qi) / wi
+    e = -g[1:-1] / h / np.sqrt(wi[:-1] * wi[1:])
     return d, e, wi
+
+
+def _corner(rule: EndpointRule, side: int, x: np.ndarray, xf: np.ndarray, h: float,
+            g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The corner of side 0 (left) or 1 (right) of assemble's grid, points x
+    and faces xf, corrected by rule (see the module docstring): writes the
+    factors of its corrected faces into g and returns (i, t, cell, f), its
+    corrected rows i, nearest the corner first, its quadrature nodes t and
+    each node's index cell into i and weight f.  The rest dies here."""
+    n = x.size
+    m = min(max(40, n // 5), n)   # corrected cells
+    # the corner in its own outward frame: cells i nearest it first, each
+    # correcting its face toward it, s the outward sign.  Each face term
+    # is divided through by phi(x_i) of its own cell, so its ratios stay
+    # O(1) for any sigma, and x_i's own ratio is one
+    i = np.arange(m) if side == 0 else np.arange(n - 1, n - 1 - m, -1)
+    face, s = i + side, 1 - 2 * side    # face j lies between x_{j-1} and x_j
+    mid, half = 0.5 * (xf[i + 1] + xf[i]), 0.5 * (xf[i + 1] - xf[i])
+    # all nodes of the corner in one flat array: node k lies in cell
+    # cell[k] and takes row[k] of the concatenated rule tables
+    rung = _rungs(rule, mid, half)
+    count = np.asarray(_ORDERS)[rung]
+    cell = np.repeat(np.arange(i.size), count)
+    row = np.arange(cell.size) + np.repeat(_FIRST[rung] - np.cumsum(count) + count, count)
+    t = mid[cell] + half[cell] * _NODES[row]
+    # the profile once per point: the corner's grid points, faces and nodes
+    v, slope = rule.sample(np.concatenate([x[i], xf[face], t]))
+    vx, vf, vt = np.split(v, [m, 2 * m])
+    flux = s * slope[m:2 * m] * rule.sample_ratio(vf, vx)
+    del slope               # not held through the cell weights below
+    # dp = 1 - phi(nearer point)/phi(x_i), the ratio 0 at the wall
+    dp = 1.0 - np.concatenate([[0.0], rule.sample_ratio(vx[:-1], vx[1:])])
+    g[face] = np.divide(flux, dp, out=g[face], where=dp != 0)
+    f = rule.sample_ratio(vt, vx[cell]) * (half / h)[cell] * _WEIGHTS[row]
+    return i, t, cell, f
 
 
 def _rungs(rule: EndpointRule, mid: np.ndarray, half: np.ndarray) -> np.ndarray:

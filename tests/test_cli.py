@@ -165,6 +165,17 @@ class TestValidation:
         assert code == 1 and text == ""
         assert capsys.readouterr().err == f"error: l must be positive, got {float(l)} (--l)\n"
 
+    @pytest.mark.parametrize("l", ["1", "2"])
+    def test_l_without_a_branch_blames_l_alone(self, l, tmp_path, capsys):
+        # the cos(l Theta) branch depends on l alone; the line blamed all six
+        # inputs the QES solve reads, four of them flags the user never set
+        code, text = run_to_file(tmp_path, "x.json",
+                                 ["spectrum", "--model", "qes1", "--l", l, "--mprime-q", "1"])
+        assert code == 1 and text == ""
+        assert capsys.readouterr().err == (
+            "error: X_Theta has no zero below the equator, so the channel has no finite "
+            "branch (cos(l Theta) needs l > 2) (--l)\n")
+
     def test_negative_crs_channel_is_accepted(self, tmp_path):
         # the crs potential depends on m'_Q only through m'_Q^2
         code, text = run_to_file(tmp_path, "x.json", [
@@ -508,6 +519,7 @@ ERROR_LINES = [line.strip() for line in """
     spectrum --model qes1 --l 3 --mprime-q 1 --omega 1e200
     spectrum --model qes1 --l 1e4 --mprime-q 1
     spectrum --model qes1 --l 1e10 --mprime-q 1
+    spectrum --model qes1 --l 2 --mprime-q 1
     wavefunction --model qes1 --l 3 --mprime-q 1 --grid-n 2
     potential --model qes2 --mprime-q 1 --grid-min 0 --grid-n 2
     spectrum --model crs --lambda 1e-200

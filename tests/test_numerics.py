@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -373,6 +374,29 @@ class TestCornerQuadrature:
         assert len(seen) == 1
         for a, b in zip(got, assemble(prob)):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("prob", [
+        pytest.param(higgs_oscillator_problem(1, UNIT, 8001), id="higgs-power"),
+        pytest.param(crs_natural_problem(1, UNIT, 8001), id="crs-power"),
+        pytest.param(qes_channel_problem(1, QES2, UNIT, 2000), id="qes2-profile")])
+    def test_qw_runs_beside_a_small_working_set(self, prob):
+        # through the one model evaluation assemble keeps the flat node array,
+        # the corners' cells and weights and p times the face factors: 7.1-7.5
+        # float64 words a point, where the corners' bookkeeping held 13.6-14.2
+        live = []
+
+        def qw(t):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return prob.qw(t)
+
+        wrapped = replace(prob, qw=qw)
+        assemble(wrapped)                   # lazy set-up outside the count
+        tracemalloc.start()
+        try:
+            assemble(wrapped)
+        finally:
+            tracemalloc.stop()
+        assert live[-1] <= 10 * 8 * prob.grid.n
 
     @pytest.mark.parametrize("prob", CORNER_LAYOUTS)
     def test_each_corner_cell_gets_its_rung_node_count(self, prob):
