@@ -142,12 +142,10 @@ def _validate(args) -> PhysParams:
 
 def run_spectrum(args, params: PhysParams):
     from .verify import spectrum
-    if args.model in ("higgs", "crs"):
-        mprimes, spec = range((2 if args.mprime_max is None else args.mprime_max) + 1), None
-    else:
-        mprimes, spec = (args.mprime_q,), crs.QesSpec.transplanted(args.mprime_q, params, args.l)
+    mprimes = (args.mprime_q,) if args.model in ("qes1", "qes2") \
+        else range((2 if args.mprime_max is None else args.mprime_max) + 1)
     return (["N", "mprime", "E_analytic", "E_numeric", "relative_error"],
-            spectrum(args.model, params, args.n_max + 1, mprimes, spec))
+            spectrum(args.model, params, args.n_max + 1, mprimes, args.l))
 
 
 def _tabulate(args, params: PhysParams, formula):

@@ -80,12 +80,16 @@ class PhysParams:
 
     def canonical(self) -> tuple["PhysParams", float]:
         """(hbar = 1, m = 1/2, lam = 1, omega = nu), nu = 2 m omega/(hbar lam),
-        and the unit lam hbar^2/2m: the higgs and crs spectra depend on nu
-        alone, E = unit E(nu), with the same delta; needs lam > 0 and a nu
-        whose square is finite."""
+        and the unit lam hbar^2/2m: every spectrum, higgs, crs and each QES
+        channel, depends on nu alone, E = unit E(nu), with the same delta;
+        needs lam > 0, a nu whose square is finite and, as kinetic does of
+        hbar^2/2m, a unit that is a normal float."""
         lam = self.require_curvature()
         unit = lam * self.kinetic
         # a nu below the floats acts as 0, and so does their least positive value
         nu = max(2 * self.mass * self.omega / (lam * self.hbar), math.ulp(0.0))
         finite_square("nu = 2m omega/(hbar lam)", nu, NU_INPUTS)
+        if not unit >= 2.0 ** -1022:
+            raise ParameterUnderflowError(f"the energy unit lam hbar^2/2m = {unit:g} is too small",
+                                          ("lam", "hbar", "mass"))
         return PhysParams(mass=0.5, hbar=1.0, omega=nu, lam=1.0), unit

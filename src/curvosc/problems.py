@@ -49,11 +49,12 @@ below are indicial roots of the operators:
                              sqrt(s0^2 + m'^2 - m'_Q^2) from its origin root s0,
                              or a Dirichlet wall (None) where that is complex
 
-richardson_spectrum, the one Richardson protocol of the higgs and crs spectra,
-builds and solves its problem at PhysParams.canonical (hbar = 1, m = 1/2, lam =
-1, omega = nu = 2 m omega/(hbar lam)), where the spectrum depends on nu alone,
-and returns the levels times the unit lam hbar^2/2m.  The builders themselves,
-and the QES channels, take physical parameters as given.
+The builders take physical parameters as given.  verify.spectrum builds every
+spectrum's problems, the higgs and crs channels and the QES channels alike, at
+PhysParams.canonical (hbar = 1, m = 1/2, lam = 1, omega = nu = 2 m omega/(hbar
+lam)), where the spectrum depends on nu alone, and scales the levels by the unit
+lam hbar^2/2m; qes_rayleigh_problem alone is built in physical units, as its
+walls are placed in physical r.
 """
 
 from __future__ import annotations
@@ -157,15 +158,6 @@ def crs_wide_problem(mprime_q: float, params: PhysParams, n: int,
     bc = (EndpointRule(abs(mprime_q), 0.0), None)
     return crs_problem(params, lambda x: crs_potential_special(mprime_q, params, x),
                        Grid1D(0.0, end, n), bc)
-
-
-def richardson_spectrum(build: Callable, mprime: float, params: PhysParams, k: int,
-                        n: int) -> np.ndarray:
-    """The lowest k levels of build(mprime, canonical, n), solved in the canonical
-    units of PhysParams.canonical: unit times its Richardson-extrapolated eigenvalues."""
-    canonical, unit = params.canonical()
-    extrap, *_ = richardson_eigenvalues(build(mprime, canonical, n), k)
-    return unit * extrap
 
 
 def crs_spectrum_numeric_wide(mprime_q: float, params: PhysParams,

@@ -79,13 +79,17 @@ SPECTRUM_N = {"higgs": 4000, "crs": 4000, "qes1": 2000, "qes2": 2000}
 
 
 def spectrum(model: str, params: PhysParams, k: int, mprimes,
-             spec: QesSpec | None = None) -> list[list]:
+             l: float | None = None) -> list[list]:
     """Rows [N, m', E_analytic, E_numeric, relative_error] of the lowest k levels of model
-    in each channel m' of mprimes, on SPECTRUM_N[model] points: for higgs and crs the
-    Richardson pair against oscillator_energy((N, m')); for qes1 and qes2 one grid, mprimes
-    holding spec's m'_Q, whose ground state alone has a closed form, its Rayleigh quotient.
-    An error of a solve that blames no input blames every input the solve reads: nu's
-    four (and the message gives nu), for QES also m'_Q and l."""
+    in each channel m' of mprimes, on SPECTRUM_N[model] points.  Every model is solved at
+    params.canonical(), where its spectrum depends on nu alone, and its levels are scaled
+    by the unit lam hbar^2/2m: for higgs and crs the Richardson pair against
+    oscillator_energy((N, m')); for qes1 (family l) and qes2 one grid in the channel m' =
+    m'_Q of QesSpec.transplanted(m', canonical, l), whose ground state alone has a closed
+    form, its Rayleigh quotient in physical units.  An error of a solve that blames no
+    input blames every input the solve reads, nu's four (and the message gives nu), for
+    QES also m'_Q and l."""
+    canonical, unit = params.canonical()
     n, rows = SPECTRUM_N[model], []
     build = {"higgs": problems.higgs_oscillator_problem,
              "crs": problems.crs_natural_problem}.get(model)
@@ -93,20 +97,22 @@ def spectrum(model: str, params: PhysParams, k: int, mprimes,
     try:
         for mp in mprimes:
             if build is not None:
-                numeric = problems.richardson_spectrum(build, mp, params, k, n)
+                levels = richardson_eigenvalues(build(mp, canonical, n), k)[0]
                 analytic = [float(crs.oscillator_energy((N, mp), params)) for N in range(k)]
             else:
-                numeric = lowest_eigenvalues(problems.qes_channel_problem(mp, spec, params, n), k)
+                spec, nu_spec = (QesSpec.transplanted(mp, p, l) for p in (params, canonical))
+                levels = lowest_eigenvalues(
+                    problems.qes_channel_problem(mp, nu_spec, canonical, n), k)
                 E0, _ = rayleigh_quotient(problems.qes_rayleigh_problem(spec, params),
                                           lambda r: higgs.qes_groundstate(spec, params, r))
-                analytic = [float(E0)] + [None] * (len(numeric) - 1)
-            for N, (ea, en) in enumerate(zip(analytic, numeric)):
+                analytic = [float(E0)] + [None] * (len(levels) - 1)
+            for N, (ea, en) in enumerate(zip(analytic, unit * levels)):
                 rows.append([N, mp, ea, float(en), None if ea is None else abs(en - ea) / abs(ea)])
     except CurvoscError as exc:
         if exc.inputs:
             raise
-        at = f" at nu = 2m omega/(hbar lam) = {params.canonical()[0].omega:g}" if build else ""
-        raise type(exc)(f"{exc}{at}", reads) from exc
+        raise type(exc)(f"{exc} at nu = 2m omega/(hbar lam) = {canonical.omega:g}",
+                        reads) from exc
     return rows
 
 
@@ -662,8 +668,8 @@ def suite_determinism() -> list[CheckResult]:
     def snapshot():
         """Check names plus the bit pattern of every measured float."""
         checks = suite_transform_closure() + suite_flat_limit()
-        num = problems.richardson_spectrum(problems.higgs_oscillator_problem, 0,
-                                           PhysParams(lam=1.0), 2, n=500)
+        num = richardson_eigenvalues(
+            problems.higgs_oscillator_problem(0, PhysParams(lam=1.0), 500), 2)[0]
         values = np.array([c.measured for c in checks] + list(num), float)
         return [c.name for c in checks], values.tobytes()
 

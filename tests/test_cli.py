@@ -239,34 +239,33 @@ class TestValidation:
         assert code == 0
         assert max(row[-1] for row in json.loads(text)["rows"]) <= 1e-9
 
-    @pytest.mark.parametrize("model,lam", [(["higgs"], "1e150"),
-                                           (["crs"], "1e150"),
-                                           (["qes2", "--mprime-q", "1"], "1e150")],
+    @pytest.mark.parametrize("model", [["higgs"], ["crs"], ["qes2", "--mprime-q", "1"]],
                              ids=["higgs", "crs", "qes2"])
-    def test_failed_lapack_eigensolve_is_one_error_line(self, model, lam, tmp_path, capsys,
+    def test_failed_lapack_eigensolve_is_one_error_line(self, model, tmp_path, capsys,
                                                         monkeypatch):
-        # finite but extreme entries make the LAPACK bisection fail: the user
-        # sees one typed error, not LAPACK's message.  qes2 reaches that
-        # failure at 1e150 (it answers up to 1e100); the higgs and crs spectra,
-        # solved at nu, answer there, so their bisection reports info 1 instead
-        if model[0] != "qes2":
-            stebz = _lapack.dstebz
-            monkeypatch.setattr(_lapack, "dstebz", lambda *args: (*stebz(*args)[:-1], 1))
+        # finite but extreme entries made the LAPACK bisection fail: the user
+        # sees one typed error, not LAPACK's message.  Every spectrum, solved
+        # at nu, now answers at lam = 1e150 (qes2 failed there in physical
+        # units), so the bisection is made to report info 1
+        stebz = _lapack.dstebz
+        monkeypatch.setattr(_lapack, "dstebz", lambda *args: (*stebz(*args)[:-1], 1))
         code, _ = run_to_file(tmp_path, "x.json",
-                              ["spectrum", "--model", *model, "--lambda", lam])
+                              ["spectrum", "--model", *model, "--lambda", "1e150"])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "eigensolve failed" in err
         assert "LAPACK" not in err and "stebz" not in err
 
-    def test_qes2_answers_at_extreme_curvature(self, tmp_path):
-        # lam = 1e100 ended in "eigensolve failed" with the r-frame closures;
-        # the closed form is hbar w' n + (lam/2) n^2 = 3e100 at n = 2
+    @pytest.mark.parametrize("lam", ["1e100", "1e150"])
+    def test_qes2_answers_at_extreme_curvature(self, lam, tmp_path):
+        # lam = 1e100 ended in "eigensolve failed" with the r-frame closures,
+        # and 1e150 so in physical units; the closed form is hbar w' n +
+        # (lam/2) n^2 = 3 lam at n = 2
         code, text = run_to_file(tmp_path, "x.json", ["spectrum", "--model", "qes2",
-                                                      "--mprime-q", "1", "--lambda", "1e100"])
+                                                      "--mprime-q", "1", "--lambda", lam])
         assert code == 0
-        assert json.loads(text)["rows"][0][3] == pytest.approx(3e100, rel=1e-6)
+        assert json.loads(text)["rows"][0][3] == pytest.approx(3 * float(lam), rel=1e-6)
 
     @pytest.mark.parametrize("model,lam,tol", [
         (["qes1", "--l", "3"], "300", 1e-10),
@@ -305,6 +304,29 @@ class TestValidation:
         assert capsys.readouterr().err == \
             "error: hbar = 1e-200 is too small: hbar^2/2m = 0 (--hbar, --mass)\n"
 
+    @pytest.mark.parametrize("model", [["crs"], ["higgs"], ["qes2", "--mprime-q", "1"]],
+                             ids=["crs", "higgs", "qes2"])
+    def test_energy_unit_below_the_floats_is_one_error_line(self, model, tmp_path, capsys):
+        # nu = 1, but lam hbar^2/2m = 5e-337 rounds to 0: higgs and crs ended
+        # in "the table row at N = 0, mprime = 0 has non-finite entries", and
+        # qes2, solved at nu, printed E_numeric = 0 with exit 0
+        code, text = run_to_file(tmp_path, "x.json", [
+            "spectrum", "--model", *model, "--lambda", "1e-102", "--hbar", "1e-83",
+            "--mass", "1e68", "--omega", "5e-254"])
+        assert code == 1 and text == ""
+        assert capsys.readouterr().err == \
+            "error: the energy unit lam hbar^2/2m = 0 is too small (--lambda, --hbar, --mass)\n"
+
+    def test_qes_spectrum_depends_on_nu_alone(self, tmp_path):
+        # nu = 2, as at the defaults: solved in physical units, N = 0 read
+        # 5.74e-155 against 4.24e-160 with exit 0
+        code, text = run_to_file(tmp_path, "x.json", [
+            "spectrum", "--model", "qes2", "--mprime-q", "1", "--hbar", "1e-80",
+            "--omega", "1e-80"])
+        assert code == 0
+        exact = crs.oscillator_energy((0, 1), PhysParams(hbar=1e-80, omega=1e-80))
+        assert abs(json.loads(text)["rows"][0][3] / exact - 1) <= 1e-5
+
     @pytest.mark.parametrize("lam", ["10", "1e4", "1e8", "1e9", "1e145"])
     def test_crs_error_stays_flat_above_unit_curvature(self, lam, tmp_path):
         # the grid ends at the tan pole x* at every curvature, and the solve
@@ -329,8 +351,8 @@ class TestValidation:
         assert code == 1 and text == ""
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert capsys.readouterr().err == (
-            "error: psi is zero or not finite on the Rayleigh quotient's points "
-            "(--lambda, --omega, --mass, --hbar, --mprime-q)\n")
+            "error: psi is zero or not finite on the Rayleigh quotient's points at nu = "
+            "2m omega/(hbar lam) = 2000 (--lambda, --omega, --mass, --hbar, --mprime-q)\n")
 
     def test_large_rayleigh_state_answers(self, tmp_path):
         # the state reaches 9.7e194 on the Rayleigh window: its square
@@ -529,6 +551,7 @@ ERROR_LINES = [line.strip() for line in """
     spectrum --model higgs --lambda 1e-6
     wavefunction --model qes1 --l 3 --mprime-q 1 --lambda 1e-4
     wavefunction --model qes2 --mprime-q 1 --lambda 1e-5
+    spectrum --model higgs --lambda 1e-102 --hbar 1e-83 --mass 1e68 --omega 5e-254
 """.strip().splitlines()]
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -127,6 +128,18 @@ class TestWavefunction:
         assert higgs.higgs_wavefunction((0, 0), UNIT, 0.0) == 1.0
         assert higgs.higgs_wavefunction((0, 1), UNIT, 0.0) == 0.0
         assert higgs.higgs_wavefunction((2, 3), UNIT, 0.0) == 0.0
+        assert higgs.higgs_wavefunction((0, 2), UNIT, np.array([0.0, 1.0]))[0] == 0.0
+
+    def test_large_mprime_stays_finite(self):
+        # r^|m'| overflowed where (1 + lam r^2)^-expo underflowed: inf * 0
+        # gave nan from r = 5.96 on at m' = 400.  The reference is the product
+        # of the two powers in 28-digit decimals (2F1 = 1 at N = 0)
+        r = np.linspace(0.05, 20.0, 200)
+        psi = higgs.higgs_wavefunction((0, 400), UNIT, r)
+        expo = Decimal(1 + 200 + UNIT.mass * UNIT.omega_prime / (2 * UNIT.hbar * UNIT.lam))
+        exact = [float(Decimal(x) ** 400 * (1 + Decimal(x) ** 2) ** -expo) for x in r]
+        assert psi[-1] > 1e-5
+        assert np.allclose(psi, exact, rtol=1e-12, atol=1e-300)
 
     def test_ground_state_nodeless_decreasing(self):
         rs = np.linspace(0.0, 10, 300)

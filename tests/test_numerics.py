@@ -35,7 +35,6 @@ from curvosc.problems import (
     higgs_radial_problem,
     qes_channel_problem,
     qes_rayleigh_problem,
-    richardson_spectrum,
 )
 
 UNIT = PhysParams()
@@ -1088,28 +1087,30 @@ class TestSpectrumProtocols:
 
     def test_higgs_channel_matches_closed_form(self):
         exact = np.array([crs.oscillator_energy((N, 0), UNIT) for N in range(3)])
-        num = richardson_spectrum(higgs_oscillator_problem, 0, UNIT, 3, n=2000)
+        num = richardson_eigenvalues(higgs_oscillator_problem(0, UNIT, 2000), 3)[0]
         assert np.max(np.abs(num - exact) / exact) < 1e-7
 
     def test_crs_channel_matches_closed_form(self):
         exact = np.array([crs.oscillator_energy((N, 1), UNIT) for N in range(3)])
-        num = richardson_spectrum(crs_natural_problem, 1, UNIT, 3, n=2000)
+        num = richardson_eigenvalues(crs_natural_problem(1, UNIT, 2000), 3)[0]
         assert np.max(np.abs(num - exact) / exact) < 1e-6
 
     @pytest.mark.parametrize("nu", [0.3, 2.0, 15.0])
-    @pytest.mark.parametrize("build", [higgs_oscillator_problem, crs_natural_problem],
-                             ids=["higgs", "crs"])
-    def test_scaled_spectrum_depends_on_nu_alone(self, build, nu):
-        # E/(lam hbar^2/2m) at 20 seeded (lam, omega, hbar, m) of one nu =
-        # 2 m omega/(hbar lam); lam, hbar and m are powers of two, so nu is
-        # exact.  Solved in physical units, these draws spread 7.9e-14-1.8e-12
+    @pytest.mark.parametrize("model,l", [("higgs", None), ("crs", None), ("qes1", 3.0),
+                                         ("qes2", None)], ids=["higgs", "crs", "qes1", "qes2"])
+    def test_scaled_spectrum_depends_on_nu_alone(self, model, l, nu, monkeypatch):
+        # E/(lam hbar^2/2m) of verify.spectrum at 20 seeded (lam, omega, hbar,
+        # m) of one nu = 2 m omega/(hbar lam); lam, hbar and m are powers of
+        # two, so nu is exact.  Solved in physical units, these draws spread
+        # 7.9e-14-1.8e-12 (higgs, crs) and 1.6e-14-2.2e-13 (qes1, qes2)
+        monkeypatch.setitem(verify.SPECTRUM_N, model, 500)
         rng = random.Random(f"nu:{nu}")
         scaled = []
         for _ in range(20):
             lam, hbar, mass = (2.0 ** rng.randint(-6, 6) for _ in range(3))
             params = PhysParams(mass, hbar, nu * hbar * lam / (2 * mass), lam)
-            levels = richardson_spectrum(build, 1, params, 3, n=500)
-            scaled.append(levels / (lam * hbar * hbar / (2 * mass)))
+            levels = [row[3] for row in verify.spectrum(model, params, 3, (1,), l)]
+            scaled.append(np.array(levels) / (lam * hbar * hbar / (2 * mass)))
         assert np.max(np.abs(np.array(scaled) / scaled[0] - 1)) <= 1e-14
 
     @pytest.mark.parametrize("model,lam", [
