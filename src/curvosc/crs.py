@@ -194,12 +194,15 @@ def log_groundstate(spec: QesSpec, params: PhysParams, theta):
 def potential_theta(spec: QesSpec, params: PhysParams, theta):
     """The factorization-method potential of spec at the angles Theta,
     (hbar^2/2m lam) (b/X_Theta) ((b + A X + B)/X_Theta) + C with b = beta X + gamma,
-    divided before it is multiplied so that no intermediate overflows where V does not."""
+    divided before it is multiplied so that no intermediate overflows where V does not.
+    |X_Theta| < 1e-14 is refused; as X_Theta scales with the spec's powers of lam, the
+    refusal blames lam."""
     u, _ = spec.branch(params)
     X, x_theta, _ = _x_and_x_theta(spec, u, u * np.asarray(theta, float))
     if np.any(np.abs(x_theta) < 1e-14):
         raise DegenerateDerivativeError(
-            f"|X_Theta| = {np.min(np.abs(x_theta))} at a requested point; potential singular")
+            f"|X_Theta| = {np.min(np.abs(x_theta))} at a requested point; potential singular",
+            ("lam",))
     bx = spec.beta * X + spec.gamma
     return (params.kinetic / params.lam * (bx / x_theta) * ((bx + spec.A * X + spec.B) / x_theta)
             + spec.c_shift)

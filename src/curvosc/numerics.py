@@ -68,7 +68,10 @@ w), called once per system on the points outside the corner cells and
 all corner nodes in one flat array.  Only what is read after that call
 lives through it: the flat array, each corner's rows, node cells and
 weights (the rest of a corner dies in _corner) and p times the face
-factors.
+factors.  How qw spends memory is the problem's: the builders of
+curvosc.problems run their models in blocks of at most 10,000 points
+inside that one call, so an 8001-point system's model temporaries span
+half its flat array.
 
 All three changes keep K symmetric (the face factors multiply the same
 difference in both adjacent rows; a boundary face has one row only).  The
@@ -87,7 +90,10 @@ steps (LAPACK gtsv solves) take its vector to a residual at the roundoff
 level.  The residual bound puts one eigenvalue in each interval rho +-
 residual; the values stand only if the intervals are disjoint and one
 Sturm count (stebz) shows they hold the k lowest (Parlett, The Symmetric
-Eigenvalue Problem, ch. 4).  Otherwise the Sturm-sequence bisection to
+Eigenvalue Problem, ch. 4).  The count's left end, the lowest Gershgorin
+bound, is taken before the steps, and each step keeps only the solution
+of its gtsv call, so neither the row sums nor gtsv's scratch outputs live
+through the polish.  Otherwise the Sturm-sequence bisection to
 the default tolerance eps ||T|| (LAPACK stebz) runs, which is also the
 reference the tests compare against.  gtsv, stebz and stein come from
 curvosc._lapack, which takes them from scipy's compiled module without
@@ -415,14 +421,15 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def _gershgorin(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, float]:
-    """Off-diagonal row sums |e_(i-1)| + |e_i| of the tridiagonal (d, e) and
-    its Gershgorin norm max(|d| + row sum), which bounds ||T||."""
+def _gershgorin(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
+    """The lowest Gershgorin bound min(d - row sum) of the tridiagonal (d,
+    e), row sums |e_(i-1)| + |e_i|, which lies below its spectrum, and its
+    Gershgorin norm max(|d| + row sum), which bounds ||T||."""
     ae = np.abs(e)
     spread = np.zeros(d.size)
     spread[:-1] += ae
     spread[1:] += ae
-    return spread, float(np.max(np.abs(d) + spread))
+    return float(np.min(d - spread)), float(np.max(np.abs(d) + spread))
 
 
 def _polished(d: np.ndarray, e: np.ndarray, starts=None, shifts=None,
@@ -457,8 +464,9 @@ def _polished(d: np.ndarray, e: np.ndarray, starts=None, shifts=None,
     as rows.  The fixed start is _start's seeded hash, normalized once per
     solve, so a solve repeats bit for bit; each other start is normalized
     and takes its Rayleigh quotient as its first shift."""
-    spread, norm = _gershgorin(d, e)
+    low, norm = _gershgorin(d, e)
     tol = 8 * np.finfo(float).eps * norm
+    floor = low - tol                   # the Sturm count's left end
     fixed = 0
     if shifts is not None:
         x0 = _start(d.size)
@@ -476,7 +484,7 @@ def _polished(d: np.ndarray, e: np.ndarray, starts=None, shifts=None,
             x = x / math.sqrt(_dot(x, x))
             shift, lo, hi = _dot(x, _times(d, e, x)), -np.inf, np.inf
         for step in range(fixed + _RQI_STEPS):
-            *_, y, info = dgtsv(e, d - shift, e, x, overwrite_d=1)
+            y, info = dgtsv(e, d - shift, e, x, overwrite_d=1)[3:]
             yy, xy = _dot(y, y), _dot(x, y)
             if info or not np.isfinite(yy):
                 return None
@@ -505,7 +513,6 @@ def _polished(d: np.ndarray, e: np.ndarray, starts=None, shifts=None,
     lo, hi = vals - radii, vals + radii
     if np.any(lo[1:] <= hi[:-1]):
         return None
-    floor = float(np.min(d - spread)) - tol
     count, *_, info = dstebz(d, e, 1, floor, hi[-1], 0, 0, hi[-1] - floor, b"E")
     return vals if info == 0 and count == vals.size else None
 

@@ -55,6 +55,13 @@ PhysParams.canonical (hbar = 1, m = 1/2, lam = 1, omega = nu = 2 m omega/(hbar
 lam)), where the spectrum depends on nu alone, and scales the levels by the unit
 lam hbar^2/2m; qes_rayleigh_problem alone is built in physical units, as its
 walls are placed in physical r.
+
+Every built problem's qw runs its model in equal blocks of at most _BLOCK =
+10,000 points and writes them into the two arrays it returns.  Of the systems
+the commands assemble, only an 8001-point grid's 17,921 points split, in two,
+so its model temporaries span half of them.  The models are pointwise, so the
+blocks leave every bit as it was; an input within one block, a scalar
+included, reaches the model as it is.
 """
 
 from __future__ import annotations
@@ -71,12 +78,31 @@ from .higgs import higgs_radial_leading, higgs_radial_zeroth, oscillator_potenti
 from .numerics import EndpointRule, Grid1D, SturmLiouvilleProblem, richardson_eigenvalues
 from .params import PhysParams
 
+_BLOCK = 10_000     # the most points one model evaluation takes at once
+
+
+def _in_blocks(qw: Callable) -> Callable:
+    """The pointwise qw evaluated in blocks (see the module docstring)."""
+    def blocked(t):
+        if np.size(t) <= _BLOCK:
+            return qw(t)
+        t = np.asarray(t, float)
+        flat, q, w = t.reshape(-1), np.empty(t.size), np.empty(t.size)
+        count = -(-t.size // _BLOCK)
+        edges = [t.size * j // count for j in range(count + 1)]
+        for lo, hi in zip(edges, edges[1:]):
+            q[lo:hi], w[lo:hi] = qw(flat[lo:hi])
+        return q.reshape(t.shape), w.reshape(t.shape)
+
+    return blocked
+
 
 def _self_adjoint(p2: Callable, p0: Callable, V: Callable, w: Callable, grid: Grid1D,
                   bc) -> SturmLiouvilleProblem:
     """The self-adjoint form of the operator with leading and zeroth
     coefficients p2(t) and p0(t), potential V and weight w: p reads p2
     only, and qw takes q and w from one w(t), one V(t) and one p0(t)."""
+    @_in_blocks
     def qw(t):
         wt = w(t)
         return wt * (V(t) + p0(t)), wt
@@ -108,6 +134,7 @@ def _higgs_polar_problem(mprime: int | float, params: PhysParams, V: Callable,
         r, drdc = frame(c)
         return planar.p(r) / drdc
 
+    @_in_blocks
     def qw(c):
         r, drdc = frame(c)
         q, w = planar.qw(r)

@@ -176,6 +176,17 @@ class TestValidation:
             "error: X_Theta has no zero below the equator, so the channel has no finite "
             "branch (cos(l Theta) needs l > 2) (--l)\n")
 
+    def test_vanishing_x_theta_blames_lambda(self, tmp_path, capsys):
+        # X_Theta scales with the spec's powers of lam, so at a tiny lam the
+        # potential is refused where --lambda 1 answers on the same grid;
+        # the line named no flag
+        argv = ["potential", "--model", "qes1", "--l", "3", "--mprime-q", "1",
+                "--grid-n", "2", "--grid-max", "1"]
+        assert run_to_file(tmp_path, "x.json", argv + ["--lambda", "1e-30"]) == (1, "")
+        assert capsys.readouterr().err == \
+            "error: |X_Theta| = 4.5e-16 at a requested point; potential singular (--lambda)\n"
+        assert run_to_file(tmp_path, "y.json", argv + ["--lambda", "1"])[0] == 0
+
     def test_negative_crs_channel_is_accepted(self, tmp_path):
         # the crs potential depends on m'_Q only through m'_Q^2
         code, text = run_to_file(tmp_path, "x.json", [
@@ -552,6 +563,7 @@ ERROR_LINES = [line.strip() for line in """
     wavefunction --model qes1 --l 3 --mprime-q 1 --lambda 1e-4
     wavefunction --model qes2 --mprime-q 1 --lambda 1e-5
     spectrum --model higgs --lambda 1e-102 --hbar 1e-83 --mass 1e68 --omega 5e-254
+    potential --model qes1 --l 3 --mprime-q 1 --lambda 1e-30 --grid-n 2 --grid-max 1
 """.strip().splitlines()]
 
 

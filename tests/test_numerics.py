@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from curvosc import crs, higgs, numerics, verify
+from curvosc import crs, higgs, numerics, problems, verify
 from curvosc.crs import QesSpec
 from curvosc.errors import (
     NodeDetectedError, NonpositiveWeightError, StateRangeError, UnresolvedError)
@@ -1066,6 +1066,106 @@ def test_joint_qw_matches_the_full_triple(prob, reference):
     # the zeroth: the assembled system of the full triple, bit for bit
     for got, want in zip(assemble(prob), assemble(reference(prob))):
         assert np.array_equal(got, want)
+
+
+def peak_above_entry(fn, install, run):
+    """The traced peak inside each call of fn above the live bytes on
+    entering it, over one warm call of run under tracemalloc: install puts
+    the measuring wrapper of fn where run reads it and returns run's one
+    argument."""
+    above = []
+
+    def measured(*args, **kwargs):
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        out = fn(*args, **kwargs)
+        above.append(tracemalloc.get_traced_memory()[1] - live)
+        return out
+
+    target = install(measured)
+    run(target)                         # lazy set-up outside the count
+    above.clear()
+    tracemalloc.start()
+    try:
+        run(target)
+    finally:
+        tracemalloc.stop()
+    return above
+
+
+class TestModelBlocks:
+    # a problem's qw runs its model in equal blocks of at most
+    # problems._BLOCK points, so only the 8001-point systems split, in two
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: higgs_oscillator_problem(1, UNIT, 8001), id="higgs-8001"),
+        pytest.param(lambda: crs_natural_problem(1, UNIT, 8001), id="crs-natural-8001"),
+        pytest.param(lambda: crs_wide_problem(1, UNIT, 4000).refined(), id="crs-wide-fine"),
+        pytest.param(lambda: qes_channel_problem(1, QES2, UNIT, 2000), id="qes2-channel")])
+    @pytest.mark.parametrize("block", [None, 777])
+    def test_blocks_change_no_bits(self, build, block, monkeypatch):
+        # every model operation is pointwise, so the blocks (the default,
+        # or 777 points, which splits every system) assemble the system of
+        # one evaluation bit for bit
+        prob = build()
+        if block is not None:
+            monkeypatch.setattr(problems, "_BLOCK", block)
+        got = assemble(prob)
+        monkeypatch.setattr(problems, "_BLOCK", 10 ** 9)
+        for a, b in zip(got, assemble(prob)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n,calls", [(8001, 2), (4000, 1)])
+    def test_only_the_8001_point_systems_split(self, n, calls, monkeypatch):
+        sizes = []
+
+        def V(params, r):
+            sizes.append(np.size(r))
+            return higgs.oscillator_potential(params, r)
+
+        monkeypatch.setattr(problems, "oscillator_potential", V)
+        assemble(higgs_oscillator_problem(1, UNIT, n))
+        assert len(sizes) == calls and max(sizes) <= problems._BLOCK
+        assert max(sizes) - min(sizes) <= 1             # equal blocks
+
+    @pytest.mark.parametrize("t", [0.7, np.float64(0.7), np.array(0.7)], ids=[
+        "float", "float64", "0-d"])
+    def test_scalar_passes_through(self, t):
+        prob = higgs_oscillator_problem(1, UNIT, 8001)
+        q, w = prob.qw(t)
+        assert np.shape(q) == np.shape(w) == ()
+        q1, w1 = prob.qw(np.array([0.7]))
+        assert q == q1[0] and w == w1[0]
+
+    def test_shape_survives_the_blocks(self):
+        # a 2-D input larger than a block comes back in its own shape,
+        # each point as it evaluates alone
+        prob = crs_natural_problem(1, UNIT, 8001)
+        t = np.linspace(0.01, 2.0, 3 * 9001).reshape(3, 9001)
+        q, w = prob.qw(t)
+        assert q.shape == w.shape == t.shape
+        for row, qr, wr in zip(t, q, w):
+            assert all(np.array_equal(a, b) for a, b in zip((qr, wr), prob.qw(row)))
+
+    @pytest.mark.parametrize("prob,bound", [
+        pytest.param(higgs_oscillator_problem(1, UNIT, 8001), 12.5, id="higgs-power"),
+        pytest.param(crs_natural_problem(1, UNIT, 8001), 14.0, id="crs-power")])
+    def test_model_evaluation_peak(self, prob, bound):
+        # qw's peak above the live set on entering it, in float64 words a
+        # grid point: 11.2 (higgs) and 12.3 (crs) in blocks, 13.5 and 15.7
+        # where the model ran on all 17,921 flat points at once
+        above = peak_above_entry(prob.qw, lambda qw: replace(prob, qw=qw), assemble)
+        assert len(above) == 1 and above[0] <= bound * 8 * prob.grid.n
+
+    def test_fine_polish_peak(self, monkeypatch):
+        # the fine grid's polish of a 50-level pair, above the live set on
+        # entering it: 10.5 float64 words a point, 14.6 while each gtsv
+        # call's scratch outputs and the Gershgorin row sums lived on
+        prob = higgs_oscillator_problem(1, UNIT, 4000)
+        above = peak_above_entry(
+            numerics._polished,
+            lambda fn: monkeypatch.setattr(numerics, "_polished", fn),
+            lambda _: richardson_eigenvalues(prob, 50))
+        assert len(above) == 2 and above[1] <= 12.5 * 8 * prob.refined().grid.n
 
 
 class TestSpectrumProtocols:
