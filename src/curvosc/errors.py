@@ -4,8 +4,8 @@
 class CurvoscError(ValueError):
     """Base class for all domain errors in this package.  inputs names the
     inputs at fault by their library names: the PhysParams fields mass,
-    hbar, omega and lam, and mprime_q, l, N and mprime; () where none is
-    known.  The CLI writes them as its flags."""
+    hbar, omega and lam, and mprime_q, l, N, mprime and mprime_max; () where
+    none is known.  The CLI writes them as its flags."""
 
     def __init__(self, message: str = "", inputs: tuple[str, ...] = ()):
         super().__init__(message)

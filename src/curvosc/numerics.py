@@ -161,6 +161,7 @@ _RQI_STEPS = 6      # most Rayleigh-quotient steps per eigenvalue
 _COARSEN = 16       # grid ratio of the guess grid
 _GUESS_POINTS = 40  # least points of the guess grid per wanted eigenvalue
 _ROUNDOFF = 1e3     # an |E_0| of at most this many eps times the spectral edge is roundoff
+_SIGNIFICANT = 1e-8  # an entry above this share of its vector's largest has a sign
 
 
 def _ladder() -> tuple[np.ndarray, np.ndarray]:
@@ -660,10 +661,18 @@ def lowest_eigenpairs(problem: SturmLiouvilleProblem, k: int
     # back-transform all k unit rows at once, in place: v^T M v h = 1
     v /= np.sqrt(m * problem.grid.h)
     av = np.abs(v)
-    lead = np.argmax(av > 1e-8 * np.max(av, axis=1, keepdims=True), axis=1)
+    lead = np.argmax(av > _SIGNIFICANT * np.max(av, axis=1, keepdims=True), axis=1)
     del av
     v *= np.sign(v[np.arange(k), lead])[:, None]     # first significant entry > 0
     return vals, v.T
+
+
+def node_count(values: np.ndarray) -> int:
+    """The sign changes of a sampled function among its entries above
+    _SIGNIFICANT of its largest |entry|, so that a vanishing tail adds none
+    by roundoff: the N of a state, its nodes on the interior grid."""
+    v = values[np.abs(values) > _SIGNIFICANT * np.max(np.abs(values))]
+    return int(np.count_nonzero(np.signbit(v[:-1]) != np.signbit(v[1:])))
 
 
 def richardson_eigenvalues(problem: SturmLiouvilleProblem, k: int

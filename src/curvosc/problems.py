@@ -1,4 +1,4 @@
-"""Sturm-Liouville problem builders and tuned solve protocols.
+"""Sturm-Liouville problem builders; this module solves nothing.
 
 Each model module owns its operator as a coefficient triple (p2, p1, p0)
 of p2 psi'' + p1 psi' + (p0 + V) psi = E psi: higgs_radial_coefficients
@@ -49,12 +49,13 @@ below are indicial roots of the operators:
                              sqrt(s0^2 + m'^2 - m'_Q^2) from its origin root s0,
                              or a Dirichlet wall (None) where that is complex
 
-The builders take physical parameters as given.  verify.spectrum builds every
-spectrum's problems, the higgs and crs channels and the QES channels alike, at
+The builders take physical parameters as given.  verify decides which problem
+each check solves, in which units and on how many points: verify.spectrum, the
+wide crs rows and the QES certification's channels build theirs at
 PhysParams.canonical (hbar = 1, m = 1/2, lam = 1, omega = nu = 2 m omega/(hbar
-lam)), where the spectrum depends on nu alone, and scales the levels by the unit
-lam hbar^2/2m; qes_rayleigh_problem alone is built in physical units, as its
-walls are placed in physical r.
+lam)), where the spectrum depends on nu alone, and scale the levels by the unit
+lam hbar^2/2m; qes_rayleigh_problem is built in physical units, as its walls
+are placed in physical r.
 
 Every built problem's qw runs its model in equal blocks of at most _BLOCK =
 10,000 points and writes them into the two arrays it returns.  Of the systems
@@ -75,7 +76,7 @@ from .crs import QesSpec, crs_operator_coefficients, crs_potential_special, log_
     x_pole
 from .higgs import higgs_radial_leading, higgs_radial_zeroth, oscillator_potential, \
     qes_branch_radius, qes_potential
-from .numerics import EndpointRule, Grid1D, SturmLiouvilleProblem, richardson_eigenvalues
+from .numerics import EndpointRule, Grid1D, SturmLiouvilleProblem
 from .params import PhysParams
 
 _BLOCK = 10_000     # the most points one model evaluation takes at once
@@ -178,30 +179,12 @@ def crs_natural_problem(mprime_q: float, params: PhysParams,
                        Grid1D(0.0, xs, n), bc)
 
 
-def crs_wide_problem(mprime_q: float, params: PhysParams, n: int,
-                     end: float = 10.0) -> SturmLiouvilleProblem:
-    """Special line model on the wide domain (0, end) across the tan pole x*,
-    with a power closure at the origin and a Dirichlet wall at end."""
+def crs_wide_problem(mprime_q: float, params: PhysParams, n: int) -> SturmLiouvilleProblem:
+    """Special line model on the wide domain (0, 10) across the tan pole x*,
+    with a power closure at the origin and a Dirichlet wall at 10."""
     bc = (EndpointRule(abs(mprime_q), 0.0), None)
     return crs_problem(params, lambda x: crs_potential_special(mprime_q, params, x),
-                       Grid1D(0.0, end, n), bc)
-
-
-def crs_spectrum_numeric_wide(mprime_q: float, params: PhysParams,
-                              k: int) -> tuple[list[float], list[float]]:
-    """The lowest k levels of crs_wide_problem on (0, 10) in x, (0, 10 sqrt(lam)) in the
-    canonical x of PhysParams.canonical, at n = 4000/8001, returned as (first_well,
-    interlopers): a state lies in the first well when more than 0.9 of its M-weighted
-    mass lies left of x*, read from the pair's coarse unit vectors u of the standard
-    form, whose u^2 is that mass (m v^2 h for the back-transformed v)."""
-    canonical, unit = params.canonical()
-    prob = crs_wide_problem(mprime_q, canonical, 4000, 10 * math.sqrt(params.lam))
-    extrap, _, _, mass = richardson_eigenvalues(prob, k)
-    levels = unit * extrap
-    mass *= mass
-    in_well = np.sum(mass[:, prob.grid.points() < x_pole(canonical)], axis=1) \
-        / np.sum(mass, axis=1) > 0.9
-    return levels[in_well].tolist(), levels[~in_well].tolist()
+                       Grid1D(0.0, 10.0, n), bc)
 
 
 def qes_channel_problem(mprime: float, spec: QesSpec, params: PhysParams,

@@ -28,6 +28,7 @@ from .numerics import (
     derivatives,
     lowest_eigenpairs,
     lowest_eigenvalues,
+    node_count,
     rayleigh_quotient,
     residual_norm,
     richardson_eigenvalues,
@@ -78,6 +79,19 @@ def _closed_form_error(levels, mp, params: PhysParams) -> float:
 SPECTRUM_N = {"higgs": 4000, "crs": 4000, "qes1": 2000, "qes2": 2000}
 
 
+def _pair(model: str) -> str:
+    """The grids of model's Richardson pair, as the check details give them."""
+    return f"Richardson n={SPECTRUM_N[model]}/{2 * SPECTRUM_N[model] + 1}"
+
+
+def _qes_channel(channel, mprime_q, canonical: PhysParams, l) -> SturmLiouvilleProblem:
+    """Channel m' = channel of the QES family of m'_Q (cos(l Theta) for a number l,
+    sqrt(lam) x for None) at the canonical params of PhysParams.canonical, on
+    SPECTRUM_N points: the system spectrum solves, and the certification gates."""
+    return problems.qes_channel_problem(channel, QesSpec.transplanted(mprime_q, canonical, l),
+                                        canonical, SPECTRUM_N["qes2" if l is None else "qes1"])
+
+
 def spectrum(model: str, params: PhysParams, k: int, mprimes,
              l: float | None = None) -> list[list]:
     """Rows [N, m', E_analytic, E_numeric, relative_error] of the lowest k levels of model
@@ -88,7 +102,8 @@ def spectrum(model: str, params: PhysParams, k: int, mprimes,
     m'_Q of QesSpec.transplanted(m', canonical, l), whose ground state alone has a closed
     form, its Rayleigh quotient in physical units.  An error of a solve that blames no
     input blames every input the solve reads, nu's four (and the message gives nu), for
-    QES also m'_Q and l."""
+    QES also m'_Q and l; in a channel after one that solved at the same nu, it blames
+    mprime_max and gives m'."""
     canonical, unit = params.canonical()
     n, rows = SPECTRUM_N[model], []
     build = {"higgs": problems.higgs_oscillator_problem,
@@ -100,9 +115,8 @@ def spectrum(model: str, params: PhysParams, k: int, mprimes,
                 levels = richardson_eigenvalues(build(mp, canonical, n), k)[0]
                 analytic = [float(crs.oscillator_energy((N, mp), params)) for N in range(k)]
             else:
-                spec, nu_spec = (QesSpec.transplanted(mp, p, l) for p in (params, canonical))
-                levels = lowest_eigenvalues(
-                    problems.qes_channel_problem(mp, nu_spec, canonical, n), k)
+                spec = QesSpec.transplanted(mp, params, l)
+                levels = lowest_eigenvalues(_qes_channel(mp, mp, canonical, l), k)
                 E0, _ = rayleigh_quotient(problems.qes_rayleigh_problem(spec, params),
                                           lambda r: higgs.qes_groundstate(spec, params, r))
                 analytic = [float(E0)] + [None] * (len(levels) - 1)
@@ -111,8 +125,9 @@ def spectrum(model: str, params: PhysParams, k: int, mprimes,
     except CurvoscError as exc:
         if exc.inputs:
             raise
-        raise type(exc)(f"{exc} at nu = 2m omega/(hbar lam) = {canonical.omega:g}",
-                        reads) from exc
+        where, inputs = (f"in channel m' = {mp}", ("mprime_max",)) if rows else \
+            (f"at nu = 2m omega/(hbar lam) = {canonical.omega:g}", reads)
+        raise type(exc)(f"{exc} {where}", inputs) from exc
     return rows
 
 
@@ -134,7 +149,7 @@ def _closed_form_rows(model, name, gate, detail) -> list[CheckResult]:
 
 def suite_higgs_spectrum() -> list[CheckResult]:
     out = _closed_form_rows("higgs", "lam={lam}-mprime={mp}", 1e-9,
-                            "max rel err over N=0..2, Richardson n=4000/8001")
+                            f"max rel err over N=0..2, {_pair('higgs')}")
     # reference measurement: the planar-coordinate recipe with plain
     # Dirichlet walls at [1e-4, 40]; reported to document why the polar
     # protocol is used instead
@@ -155,12 +170,27 @@ def suite_higgs_spectrum() -> list[CheckResult]:
 # acceptance criterion 2: line-model spectrum, natural branch and wide domain
 
 
+def _wide_levels(mprime_q: int, k: int) -> tuple[list[float], list[float]]:
+    """The lowest k levels at lam = 1 of crs_wide_problem on (0, 10), a Richardson pair on
+    SPECTRUM_N["crs"] points at PhysParams.canonical, returned as (first_well,
+    interlopers): a state lies in the first well when more than 0.9 of its M-weighted
+    mass lies left of x*, read from the pair's coarse unit vectors u of the standard
+    form, whose u^2 is that mass (m v^2 h for the back-transformed v)."""
+    canonical, unit = PhysParams(lam=1.0).canonical()
+    prob = problems.crs_wide_problem(mprime_q, canonical, SPECTRUM_N["crs"])
+    extrap, _, _, mass = richardson_eigenvalues(prob, k)
+    mass *= mass
+    in_well = np.sum(mass[:, prob.grid.points() < crs.x_pole(canonical)], axis=1) \
+        / np.sum(mass, axis=1) > 0.9
+    return (unit * extrap[in_well]).tolist(), (unit * extrap[~in_well]).tolist()
+
+
 def suite_crs_spectrum() -> list[CheckResult]:
     out = _closed_form_rows("crs", "natural-lam={lam}-mprimeq={mp}", 1e-10,
-                            "domain (0, x*), Richardson n=4000/8001")
+                            f"domain (0, x*), {_pair('crs')}")
     params = PhysParams(lam=1.0)
     for mq in (0, 1, 2):
-        first_well, interlopers = problems.crs_spectrum_numeric_wide(mq, params, 8)
+        first_well, interlopers = _wide_levels(mq, 8)
         # a level of N = 0..2 missing from the first well fails the row
         rel = _closed_form_error(first_well, mq, params)
         out.append(_check(
@@ -168,7 +198,7 @@ def suite_crs_spectrum() -> list[CheckResult]:
             detail=f"domain (0, 10) straddles the tan pole at x*=2.3013; "
                    f"{len(interlopers)} interloper state(s) beyond the pole among the "
                    f"lowest 8; states localized on (0, x*) reproduce the closed-form "
-                   f"spectrum, Richardson n=4000/8001"))
+                   f"spectrum, {_pair('crs')}"))
     return out
 
 
@@ -382,11 +412,13 @@ def _example1_half_angle_groundstate(l, mq, params: PhysParams, r):
 
 @lru_cache(maxsize=None)
 def _qes_measurements() -> tuple[CheckResult, ...]:
-    """The checks of criterion 7, measured once: the Rayleigh constancies,
-    the ground eigenvalues against the closed form, and the neighbour
-    channels, each built where its number is measured."""
+    """The checks of criterion 7, measured once: the Rayleigh constancies of
+    the closed-form ground states in physical units, and, on the systems that
+    spectrum solves (_qes_channel), the ground eigenvalues against the closed
+    form and the neighbour channels."""
     suite = "qes-certification"
     params = PhysParams(lam=1.0)
+    canonical, unit = params.canonical()
     mq = 1
     exact = crs.oscillator_energy((0, mq), params)
     rayleigh, ground, neighbours = [], [], []
@@ -405,25 +437,24 @@ def _qes_measurements() -> tuple[CheckResult, ...]:
                 comparator="report",
                 detail="half-angle sine variant: Rayleigh quotient far from constant, "
                        "so that form is not an eigenfunction of the matching potential"))
-        n = SPECTRUM_N[f"qes{example}"]
-        prob = problems.qes_channel_problem(mq, spec, params, n)
-        numeric = float(lowest_eigenvalues(prob, 1)[0])
+        prob = _qes_channel(mq, mq, canonical, l)
+        numeric = float(unit * lowest_eigenvalues(prob, 1)[0])
         ground.append(_check(suite, f"example{example}-ground-eigenvalue",
                              abs(numeric - exact) / exact, 1e-6,
                              detail=f"numeric {numeric:.10g} vs closed form {exact:.10g}, "
-                                    f"channel m' = m'_Q = 1, n = {n}"))
+                                    f"channel m' = m'_Q = 1, n = {prob.grid.n}"))
 
         # neighbor channels: ground state must not be proportional to any
         # closed-form candidate
         for channel in (mq - 1, mq + 1):
-            prob = problems.qes_channel_problem(channel, spec, params, n)
+            prob = _qes_channel(channel, mq, canonical, l)
             v = lowest_eigenpairs(prob, 1)[1][:, 0]
-            r = np.tan(prob.grid.points()) / math.sqrt(params.lam)
+            r = np.tan(prob.grid.points())      # canonical lam = 1
             i0, i1 = int(0.2 * r.size), int(0.8 * r.size)
             devs = []
             for mc in {channel, mq}:
-                ratio = v[i0:i1] / higgs.qes_groundstate(QesSpec.transplanted(mc, params, l),
-                                                         params, r[i0:i1])
+                ratio = v[i0:i1] / higgs.qes_groundstate(
+                    QesSpec.transplanted(mc, canonical, l), canonical, r[i0:i1])
                 devs.append(float(np.max(np.abs(ratio - np.mean(ratio)))
                                   / abs(np.mean(ratio))))
             neighbours.append(_check(
@@ -552,8 +583,7 @@ def suite_higgs_model() -> list[CheckResult]:
     nodes_bad = 0.0
     for N in range(4):
         for mp in range(3):
-            vals = higgs.higgs_wavefunction((N, mp), params, rs)
-            nodes = int(np.sum(vals[:-1] * vals[1:] < 0))
+            nodes = node_count(higgs.higgs_wavefunction((N, mp), params, rs))
             nodes_bad = max(nodes_bad, abs(nodes - N))
     out.append(_check("higgs-model", "node-count-equals-N", nodes_bad, 0.0))
     # the printed potentials against the spec potential that the solver reads
@@ -612,13 +642,7 @@ def suite_numerics_oracle() -> list[CheckResult]:
                       detail="both measured orders at most 2.2"))
     # node counts cross-validate the labeling by N
     _, vectors = lowest_eigenpairs(prob, 4)
-    bad = 0
-    for j in range(4):
-        v = vectors[:, j]
-        big = np.abs(v) > 1e-8 * np.max(np.abs(v))
-        vv = v[big]
-        if int(np.sum(vv[:-1] * vv[1:] < 0)) != j:
-            bad += 1
+    bad = sum(node_count(vectors[:, j]) != j for j in range(4))
     out.append(_check("numerics-oracle", "sturm-node-counts", bad, 0.0))
     # self-adjointness certificates: expanding (p psi')'/w reproduces the
     # raw first-derivative coefficient, p'/w = -p1, for both built operators;

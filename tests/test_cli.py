@@ -523,48 +523,10 @@ class TestValidation:
             run_to_file(tmp_path, "x.json", ["potential", "--model", "higgs"])
 
 
-# every command of CI's one-error-line list (.github/workflows/tests.yml)
-# and those that named no flag or blamed one the user did not set
-ERROR_LINES = [line.strip() for line in """
-    transform-check --mprime-q 1e200
-    transform-check --mprime-q 0 --lambda 1e16
-    potential --model crs --mprime-q 1e200 --grid-n 2
-    potential --model qes1 --l 3 --mprime-q 1e200 --grid-n 2
-    spectrum --model qes2 --mprime-q 1e200
-    potential --model qes2 --mprime-q 1e200 --grid-n 2
-    wavefunction --model crs --mprime-q 1e200 --grid-n 2
-    potential --model higgs --grid-max 1e200 --grid-n 2
-    potential --model higgs --grid-n 2 --output /nonexistent/dir/x.json
-    spectrum --model higgs --mprime-q 1
-    potential --model higgs --mprime-q 1 --grid-n 2
-    wavefunction --model higgs --mprime-q 1 --grid-n 2
-    spectrum --model crs --lambda 0.1 --mprime-q 1
-    wavefunction --model qes1 --l 3 --mprime-q 1 --N 1 --grid-n 2
-    wavefunction --model qes2 --mprime-q 1 --mprime 1 --grid-n 2
-    wavefunction --model crs --mprime-q 0 --mprime 1 --grid-n 2
-    spectrum --model qes1 --l 3 --mprime-q 1 --mprime-max 0
-    potential --model qes1 --l -3 --mprime-q 1 --grid-n 2
-    potential --model qes1 --l 0 --mprime-q 1 --grid-n 2
-    wavefunction --model higgs --N 1000000000 --grid-n 2
-    spectrum --model crs --hbar 1e-200
-    spectrum --model qes2 --mprime-q 1 --lambda 1e-3
-    potential --model qes2 --mprime-q 1 --omega 1e200 --grid-n 2
-    spectrum --model qes1 --l 3 --mprime-q 1 --omega 1e200
-    spectrum --model qes1 --l 1e4 --mprime-q 1
-    spectrum --model qes1 --l 1e10 --mprime-q 1
-    spectrum --model qes1 --l 2 --mprime-q 1
-    wavefunction --model qes1 --l 3 --mprime-q 1 --grid-n 2
-    potential --model qes2 --mprime-q 1 --grid-min 0 --grid-n 2
-    spectrum --model crs --lambda 1e-200
-    spectrum --model higgs --lambda 0.001 --omega 1.65
-    spectrum --model higgs --n-max 1000 --mprime-max 0
-    spectrum --model qes1 --l 3 --mprime-q 1 --n-max 500
-    spectrum --model higgs --lambda 1e-6
-    wavefunction --model qes1 --l 3 --mprime-q 1 --lambda 1e-4
-    wavefunction --model qes2 --mprime-q 1 --lambda 1e-5
-    spectrum --model higgs --lambda 1e-102 --hbar 1e-83 --mass 1e68 --omega 5e-254
-    potential --model qes1 --l 3 --mprime-q 1 --lambda 1e-30 --grid-n 2 --grid-max 1
-""".strip().splitlines()]
+# CI's one-error-line commands, one a line, which its one-error-line step
+# reads too, among them those that named no flag or blamed one the user did
+# not set
+ERROR_LINES = (Path(__file__).resolve().parent / "error_lines.txt").read_text().splitlines()
 
 
 class TestErrorLines:
@@ -583,7 +545,8 @@ class TestErrorLines:
             err.startswith(f"error: cannot write {argv[argv.index('--output') + 1]}: ")
         assert named or row or path, err
 
-    @pytest.mark.parametrize("name", ["mass", "hbar", "omega", "lam", "mprime_q", "l", "N"])
+    @pytest.mark.parametrize("name", ["mass", "hbar", "omega", "lam", "mprime_q", "l", "N",
+                                      "mprime_max"])
     def test_each_input_is_written_as_its_flag(self, name):
         # an error's inputs are the parser's dests; cli._flag writes each as
         # the option that sets it
@@ -592,9 +555,11 @@ class TestErrorLines:
                                            for a in p._actions for option in a.option_strings}
 
     def test_covers_the_ci_list(self):
+        # the step loops over the lines of the file ERROR_LINES is read from,
+        # so a blank line would run a bare command
         workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
-        listed = re.search(r"done <<'EOF'\n(.*?)\n *EOF", workflow.read_text(), re.S)
-        assert {line.strip() for line in listed.group(1).splitlines()} <= set(ERROR_LINES)
+        assert 'done < "$GITHUB_WORKSPACE/tests/error_lines.txt"' in workflow.read_text()
+        assert ERROR_LINES and all(line.strip() == line != "" for line in ERROR_LINES)
 
 
 class TestTables:
@@ -775,19 +740,31 @@ class TestVerifyCommand:
         for line, name in zip(lines, names):
             assert line.startswith(f"PASS flat-limit/{name}: ")
 
-    @pytest.mark.parametrize("model,name", [("higgs", "lam=0.1-mprime={}"),
-                                            ("crs", "natural-lam=0.1-mprimeq={}")],
-                             ids=["higgs", "crs"])
-    def test_spectrum_prints_what_verify_gates(self, model, name, tmp_path):
-        # one protocol: the CLI's largest relative error over N in each
-        # channel m' is, bit for bit, the measured value of verify's row
-        code, text = run_to_file(tmp_path, "x.json",
-                                 ["spectrum", "--model", model, "--lambda", "0.1"])
+    @pytest.mark.parametrize("argv,lam,name", [
+        (["--model", "higgs", "--lambda", "0.1"], 0.1, "higgs-spectrum/lam=0.1-mprime={}"),
+        (["--model", "crs", "--lambda", "0.1"], 0.1, "crs-spectrum/natural-lam=0.1-mprimeq={}"),
+        (["--model", "qes1", "--l", "3", "--mprime-q", "1", "--n-max", "0"], 1.0,
+         "qes-certification/example1-ground-eigenvalue"),
+        (["--model", "qes2", "--mprime-q", "1", "--n-max", "0"], 1.0,
+         "qes-certification/example2-ground-eigenvalue")], ids=["higgs", "crs", "qes1", "qes2"])
+    def test_spectrum_prints_what_verify_gates(self, argv, lam, name, tmp_path):
+        # one protocol: in each channel m' the CLI prints, the largest relative
+        # error over its levels N against oscillator_energy((N, m')) is, bit for
+        # bit, the measured value of verify's row.  The QES rows solve the one
+        # level N = 0 of the channel m' = m'_Q, as the certification does: the
+        # polish of three levels starts from other guesses, and its qes1 N = 0
+        # differs by 7.7e-14 relative
+        code, text = run_to_file(tmp_path, "x.json", ["spectrum", *argv])
         assert code == 0
         rows = json.loads(text)["rows"]
-        measured = {c.name: c.measured for c in verify.run_suites([f"{model}-spectrum"])}
-        for mp in (0, 1, 2):
-            assert max(row[4] for row in rows if row[1] == mp) == measured[name.format(mp)]
+        suite, check = name.split("/")
+        measured = {c.name: c.measured for c in verify.run_suites([suite])}
+        errors = {}
+        for N, mp, _, E, _ in rows:
+            exact = crs.oscillator_energy((N, mp), PhysParams(lam=lam))
+            errors[mp] = max(errors.get(mp, 0.0), abs(E - exact) / exact)
+        for mp, error in errors.items():
+            assert error == measured[check.format(mp)]
 
     def test_determinism_byte_identical(self, tmp_path):
         args = ["verify", "--suite", "transform-closure", "--suite", "crs-model",

@@ -183,14 +183,13 @@ def test_spectrum_rows_gate_the_extrapolation(monkeypatch):
     # (higgs and natural crs rows) and the wide crs rows call the pair: they
     # read 2.0e-7-1.7e-6, the wide rows 3.7e-6, 1.3e-5 and 1.4e-5, so every
     # gated row of both suites fails
-    pair = problems.richardson_eigenvalues
+    pair = verify.richardson_eigenvalues
 
     def off(prob, k):
         _, coarse, fine, vectors = pair(prob, k)
         return coarse, coarse, fine, vectors
 
-    for module in (verify, problems):
-        monkeypatch.setattr(module, "richardson_eigenvalues", off)
+    monkeypatch.setattr(verify, "richardson_eigenvalues", off)
     assert failed("higgs-spectrum", "crs-spectrum") == sorted(
         [f"lam={lam}-mprime={mp}" for lam in (0.1, 1.0) for mp in (0, 1, 2)]
         + [f"natural-lam={lam}-mprimeq={mq}" for lam in (0.1, 1.0) for mq in (0, 1, 2)]
@@ -201,13 +200,13 @@ def test_spectrum_rows_gate_the_extrapolation(monkeypatch):
 def test_wide_rows_need_three_first_well_states(monkeypatch, kept):
     # fewer first-well states than the levels N = 0..2 they are held to:
     # each wide row fails, with no level dropped and no error raised
-    wide = problems.crs_spectrum_numeric_wide
+    wide = verify._wide_levels
 
     def off(*args, **kwargs):
         first_well, interlopers = wide(*args, **kwargs)
         return first_well[:kept], interlopers
 
-    monkeypatch.setattr(problems, "crs_spectrum_numeric_wide", off)
+    monkeypatch.setattr(verify, "_wide_levels", off)
     assert failed("crs-spectrum") == [f"wide-lam=1-mprimeq={mq}" for mq in (0, 1, 2)]
 
 

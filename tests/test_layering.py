@@ -70,6 +70,18 @@ def test_cli_imports_no_solver_name():
     assert not solver, f"cli.py imports {sorted(solver)}"
 
 
+def test_problems_only_build():
+    # verify decides which system each check solves: problems.py takes from
+    # the oracle only what a problem is built from, so it solves nothing
+    tree = ast.parse((SRC / "problems.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    taken = {alias.name for node in imports if isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[-1] == "numerics" for alias in node.names}
+    whole = {alias.name for node in imports for alias in node.names
+             if alias.name.split(".")[-1] == "numerics"}
+    assert taken == {"EndpointRule", "Grid1D", "SturmLiouvilleProblem"} and not whole
+
+
 def test_parser_sees_relative_and_late_imports(tmp_path):
     sample = tmp_path / "sample.py"
     sample.write_text("from . import crs, higgs\nfrom .numerics import assemble\n"

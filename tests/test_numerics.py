@@ -20,6 +20,7 @@ from curvosc.numerics import (
     derivatives,
     lowest_eigenpairs,
     lowest_eigenvalues,
+    node_count,
     rayleigh_quotient,
     residual_norm,
     richardson_eigenvalues,
@@ -29,7 +30,6 @@ from curvosc.numerics import (
 from curvosc.params import PhysParams
 from curvosc.problems import (
     crs_natural_problem,
-    crs_spectrum_numeric_wide,
     crs_wide_problem,
     higgs_oscillator_problem,
     higgs_radial_problem,
@@ -1221,6 +1221,15 @@ class TestSpectrumProtocols:
         assert [row[:2] for row in rows] == [[N, mp] for mp in (0, 1, 2) for N in range(3)]
         assert max(row[4] for row in rows) < 1e-5
 
+    @pytest.mark.parametrize("model", ["higgs", "crs"])
+    def test_channel_past_the_floats_blames_mprime_max(self, model):
+        # channel 1750's origin corner, whose exponent is |m'|, leaves the fine
+        # grid's row 0 non-finite (higgs from m' = 1714, crs from 1715); channel
+        # 0 solved at the same nu, so m' is at fault, not nu's inputs
+        with pytest.raises(UnresolvedError, match="in channel m' = 1750$") as caught:
+            verify.spectrum(model, UNIT, 1, (0, 1750))
+        assert caught.value.inputs == ("mprime_max",)
+
     def test_crs_eigenvector_matches_wavefunction(self):
         # |phi| (sin^2 convention) against the discretized eigenvector u of
         # the radial gauge, phi = x^(1/2) u, up to one global scale, on the
@@ -1246,13 +1255,24 @@ class TestSpectrumProtocols:
         # well as the back-transformed vectors of a single-grid solve of the
         # same problem, by their mass in the assembled weights (1 in total)
         prob = crs_wide_problem(mprime_q, UNIT, 4000)
-        first_well, interlopers = crs_spectrum_numeric_wide(mprime_q, UNIT, 8)
+        first_well, interlopers = verify._wide_levels(mprime_q, 8)
         _, vectors = lowest_eigenpairs(prob, 8)
         mass = assemble(prob)[2][:, None] * vectors ** 2 * prob.grid.h
         in_well = np.sum(mass[prob.grid.points() < crs.x_pole(UNIT)], axis=0) > 0.9
         extrap = richardson_eigenvalues(prob, 8)[0]
         assert first_well == extrap[in_well].tolist()
         assert interlopers == extrap[~in_well].tolist()
+
+
+class TestNodeCount:
+    @pytest.mark.parametrize("values,nodes", [
+        ([1.0, -1.0, 1.0], 2),
+        ([1.0, -1e-9, 1e-9, 0.5], 0),       # sign changes below 1e-8 of the largest
+        ([1.0, 0.0, -1.0], 1),
+        ([1e200, -1e200, 1e200], 2),        # whose products would overflow
+        ([-0.5, -1.0, -0.5], 0)])
+    def test_counts_sign_changes_among_significant_entries(self, values, nodes):
+        assert node_count(np.array(values)) == nodes
 
 
 class TestDerivatives:
